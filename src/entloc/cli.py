@@ -32,10 +32,11 @@ from .experiments import (
     traced_symmetric_spec,
 )
 from .localization import (
+    _best_split,
+    _ole_scan,
     block_log_negativity,
     equivalent_report_from_cm,
     localize,
-    optimal_localizable_entanglement,
 )
 from .oracle import run_oracle_suite, write_suite_outputs
 from .states import (
@@ -252,6 +253,8 @@ def _cmd_hierarchy(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    if len(args.n_range) != 2:
+        raise InvalidArgumentError(f"--n-range expects LO,HI, got {args.n_range}")
     lo, hi = args.n_range
     cfg = SweepConfig(
         experiment="scaling",
@@ -270,20 +273,16 @@ def _cmd_ole(args) -> int:
     spec, cm = _resolve_state(args)
     if isinstance(spec, BisymmetricSpec):
         raise InvalidArgumentError("the split scan needs a fully symmetric state")
-    state = spec if spec is not None else cm
-    k_star, best = optimal_localizable_entanglement(state)
-    if spec is not None:
-        scan = [
-            {"k": k, "E_N": block_log_negativity(spec, k).log_negativity}
-            for k in range(1, spec.modes // 2 + 1)
-        ]
-    else:
-        scan = [
-            {"k": k, "E_N": equivalent_report_from_cm(cm, k, cm.modes - k).log_negativity}
-            for k in range(1, cm.modes // 2 + 1)
-        ]
+    scan = _ole_scan(spec if spec is not None else cm)
+    k_star, best = _best_split(scan)
     _emit(
-        _json_text({"k_star": k_star, "report": best.to_json_dict(), "scan": scan}),
+        _json_text(
+            {
+                "k_star": k_star,
+                "report": best.to_json_dict(),
+                "scan": [{"k": k, "E_N": report.log_negativity} for k, report in scan],
+            }
+        ),
         args.out,
     )
     return 0

@@ -9,7 +9,8 @@ class InvalidArgumentError(EntlocError, ValueError):
     """Malformed or unphysical input.
 
     When a physicality check fails, ``offending_value`` holds the violating
-    symplectic eigenvalue so that sweep drivers can prune parameter grids.
+    symplectic eigenvalue, or the smallest non-positive factor when the
+    covariance pattern is not even positive definite.
     """
 
     def __init__(self, message, offending_value=None):

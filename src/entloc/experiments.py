@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .localization import block_log_negativity
-from .states import FullySymmetricSpec, ghz_type_spec
+from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -53,6 +53,7 @@ class SweepConfig:
             raise InvalidArgumentError(f"need at least two modes, got {self.modes}")
         if any(q < 0 for q in self.trace_out) or not self.trace_out:
             raise InvalidArgumentError(f"trace-out counts must be >= 0, got {self.trace_out}")
+        _require_finite(b=self.b, **{f"b_grid[{i}]": b for i, b in enumerate(self.b_grid)})
         if self.experiment == "hierarchy":
             if not self.b_grid:
                 object.__setattr__(self, "b_grid", default_b_grid())
@@ -72,6 +73,7 @@ class SweepConfig:
 
 
 def default_b_grid(lo: float = 1.0, hi: float = 3.0, steps: int = 81) -> tuple[float, ...]:
+    _require_finite(lo=lo, hi=hi)
     if steps < 1:
         raise InvalidArgumentError(f"grid needs at least one point, got {steps}")
     if steps == 1:
@@ -84,9 +86,10 @@ def parse_b_grid(text: str) -> tuple[float, ...]:
     """Parse 'lo:hi:steps' into an inclusive uniform grid."""
     try:
         lo, hi, steps = text.split(":")
-        return default_b_grid(float(lo), float(hi), int(steps))
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad grid spec {text!r}, expected lo:hi:steps") from exc
+    return default_b_grid(lo, hi, steps)
 
 
 def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:

@@ -345,18 +345,17 @@ def _extract_pattern_blocks(matrix: np.ndarray, m: int, n: int, tol: float):
     zeta = block(m, m + 1) if n > 1 else np.zeros((2, 2))
     gamma = block(0, m)
 
-    worst = 0.0
-    for i in range(m):
-        for j in range(m):
-            target = alpha if i == j else eps
-            worst = max(worst, float(np.max(np.abs(block(i, j) - target))))
-    for i in range(n):
-        for j in range(n):
-            target = beta if i == j else zeta
-            worst = max(worst, float(np.max(np.abs(block(m + i, m + j) - target))))
-    for i in range(m):
-        for j in range(n):
-            worst = max(worst, float(np.max(np.abs(block(i, m + j) - gamma))))
+    # cross blocks are checked upper-right only; the lower-left ones keep
+    # their own values and so never deviate
+    total = m + n
+    blocks = matrix.reshape(total, 2, total, 2)
+    target = blocks.copy()
+    target[:m, :, :m, :] = eps[:, None, :]
+    target[np.arange(m), :, np.arange(m), :] = alpha
+    target[m:, :, m:, :] = zeta[:, None, :]
+    target[np.arange(m, total), :, np.arange(m, total), :] = beta
+    target[:m, :, m:, :] = gamma[:, None, :]
+    worst = float(np.max(np.abs(blocks - target)))
     if worst > tol:
         raise LocalizationError(
             f"input is not block-permutation invariant: pattern deviation {worst:.3e} "
@@ -536,13 +535,8 @@ def block_log_negativity(spec: FullySymmetricSpec, k: int) -> EntanglementReport
     return equivalent_report(_fs_split_spec(spec, k))
 
 
-def optimal_localizable_entanglement(state) -> tuple[int, EntanglementReport]:
-    """Best split size of a permutation-invariant state, and its report.
-
-    ``state`` is a spec or an assembled covariance matrix (any local
-    basis). Ties resolve to the smallest k; the maximum is expected at the
-    balanced split, k = floor(M/2).
-    """
+def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
+    """(k, report) for every split size k = 1 .. M/2 of a symmetric state."""
     if not isinstance(state, (FullySymmetricSpec, CovarianceMatrix)):
         raise InvalidArgumentError(
             f"expected a symmetric spec or covariance matrix, got {type(state)!r}"
@@ -550,12 +544,22 @@ def optimal_localizable_entanglement(state) -> tuple[int, EntanglementReport]:
     total = state.modes
     if total < 2:
         raise InvalidArgumentError("need at least two modes to form a bipartition")
-    best_k, best_report = None, None
-    for k in range(1, total // 2 + 1):
-        if isinstance(state, FullySymmetricSpec):
-            report = block_log_negativity(state, k)
-        else:
-            report = equivalent_report_from_cm(state, k, total - k)
-        if best_report is None or report.log_negativity > best_report.log_negativity:
-            best_k, best_report = k, report
-    return best_k, best_report
+    ks = range(1, total // 2 + 1)
+    if isinstance(state, FullySymmetricSpec):
+        return [(k, block_log_negativity(state, k)) for k in ks]
+    return [(k, equivalent_report_from_cm(state, k, total - k)) for k in ks]
+
+
+def _best_split(scan) -> tuple[int, EntanglementReport]:
+    """The first (k, report) of a scan with the largest log-negativity."""
+    return max(scan, key=lambda item: item[1].log_negativity)
+
+
+def optimal_localizable_entanglement(state) -> tuple[int, EntanglementReport]:
+    """Best split size of a permutation-invariant state, and its report.
+
+    ``state`` is a spec or an assembled covariance matrix (any local
+    basis). Ties resolve to the smallest k; the maximum is expected at the
+    balanced split, k = floor(M/2).
+    """
+    return _best_split(_ole_scan(state))

@@ -8,7 +8,7 @@ symplectic eigenvalue where one is identifiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,13 @@ from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
     clipped_sqrt,
-    symplectic_eigenvalues,
 )
+
+
+def _require_finite(**values):
+    bad = {name: value for name, value in values.items() if not math.isfinite(value)}
+    if bad:
+        raise InvalidArgumentError(f"parameters must be finite numbers, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,7 @@ class FullySymmetricSpec:
     def __post_init__(self):
         if self.modes < 1:
             raise InvalidArgumentError(f"mode count must be >= 1, got {self.modes}")
+        _require_finite(b=self.b, z1=self.z1, z2=self.z2)
         if self.modes == 1:
             if self.z1 != 0.0 or self.z2 != 0.0:
                 raise InvalidArgumentError("single-mode spec must have z1 = z2 = 0")
@@ -90,9 +96,10 @@ class BisymmetricSpec:
 
     The first m modes carry the fully symmetric pattern (a, e1, e2), the
     last n modes the pattern (b, z1, z2), and every cross block between
-    the two sides equals diag(g1, g2). Validation assembles the matrix
-    and checks the uncertainty relation; both reduced blocks are then
-    automatically physical.
+    the two sides equals diag(g1, g2). Validation never assembles the
+    matrix: it checks positivity and the uncertainty relation on the
+    closed-form spectrum (see ``_bisymmetric_min_nu``), in O(1) for any
+    block sizes. Both reduced blocks are then automatically physical.
     """
 
     m: int
@@ -105,27 +112,26 @@ class BisymmetricSpec:
     z2: float
     g1: float
     g2: float
-    min_symplectic_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise InvalidArgumentError(f"block sizes must be >= 1, got ({self.m}, {self.n})")
+        _require_finite(
+            a=self.a, e1=self.e1, e2=self.e2, b=self.b, z1=self.z1, z2=self.z2,
+            g1=self.g1, g2=self.g2,
+        )
         if self.m == 1 and (self.e1 != 0.0 or self.e2 != 0.0):
             raise InvalidArgumentError("single-mode first block must have e1 = e2 = 0")
         if self.n == 1 and (self.z1 != 0.0 or self.z2 != 0.0):
             raise InvalidArgumentError("single-mode second block must have z1 = z2 = 0")
-        matrix = _assemble_bisymmetric(self)
-        try:
-            spectrum = symplectic_eigenvalues(CovarianceMatrix(matrix))
-            smallest = spectrum.min
-        except Exception:
-            smallest = -math.inf
+        smallest = _bisymmetric_min_nu(
+            self.m, self.n, self.a, self.e1, self.e2, self.b, self.z1, self.z2, self.g1, self.g2
+        )
         if smallest < 1.0 - TOL_PHYS:
             raise InvalidArgumentError(
                 f"unphysical parameters: min symplectic eigenvalue {smallest:.12g} < 1",
                 offending_value=smallest,
             )
-        object.__setattr__(self, "min_symplectic_eigenvalue", smallest)
 
     @property
     def total_modes(self) -> int:
@@ -152,48 +158,90 @@ class BisymmetricSpec:
         }
 
 
-def fully_symmetric_spec_from_json(obj: dict) -> FullySymmetricSpec:
-    try:
-        return FullySymmetricSpec(
-            modes=int(obj["modes"]),
-            b=float(obj["b"]),
-            z1=float(obj.get("z1", 0.0)),
-            z2=float(obj.get("z2", 0.0)),
+def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
+    """Smallest symplectic eigenvalue of a two-block pattern, in closed form.
+
+    Mode mixing inside each block splits the matrix into m-1 copies of
+    diag(a-e1, a-e2), n-1 copies of diag(b-z1, b-z2) and the coupled
+    two-mode core, whose x and p quadratures decouple into
+
+        X = [[A1, C1], [C1, B1]],  P = [[A2, C2], [C2, B2]],
+        A = a + (m-1) e,  B = b + (n-1) z,  C = sqrt(mn) g.
+
+    The matrix is positive definite iff the diagonal factors, A1, A2,
+    det X and det P are all positive; otherwise ``InvalidArgumentError``
+    carries the smallest of them. The spectrum is sqrt((a-e1)(a-e2))
+    (m-1 times), sqrt((b-z1)(b-z2)) (n-1 times) and the core pair, whose
+    squares are the eigenvalues of X P = [[p, q], [r, s]]. The smaller one
+    is taken in conjugate form, 2 det X det P / (p + s + root), with the
+    discriminant written as (p-s)^2 + 4qr: the textbook (p+s)^2 - 4 det
+    cancels to zero at pure states and keeps half the digits there.
+    """
+    cross = math.sqrt(m * n)
+    a1, a2 = a + (m - 1) * e1, a + (m - 1) * e2
+    b1, b2 = b + (n - 1) * z1, b + (n - 1) * z2
+    c1, c2 = cross * g1, cross * g2
+    det_x = a1 * b1 - c1 * c1
+    det_p = a2 * b2 - c2 * c2
+    factors = [a1, a2, det_x, det_p]
+    if m > 1:
+        factors += [a - e1, a - e2]
+    if n > 1:
+        factors += [b - z1, b - z2]
+    worst = min(factors)
+    if worst <= 0.0:
+        raise InvalidArgumentError(
+            f"covariance pattern is not positive definite (factor {worst:.12g} <= 0)",
+            offending_value=worst,
         )
+    p = a1 * a2 + c1 * c2
+    q = a1 * c2 + c1 * b2
+    r = c1 * a2 + b1 * c2
+    s = c1 * c2 + b1 * b2
+    root = math.sqrt(max((p - s) ** 2 + 4.0 * q * r, 0.0))
+    nus = [math.sqrt(2.0 * det_x * det_p / (p + s + root))]
+    if m > 1:
+        nus.append(math.sqrt((a - e1) * (a - e2)))
+    if n > 1:
+        nus.append(math.sqrt((b - z1) * (b - z2)))
+    return min(nus)
+
+
+def _spec_fields(obj: dict, counts, required, optional) -> dict:
+    """Mode counts as int, parameters as float; optional ones default to 0."""
+    try:
+        fields = {name: int(obj[name]) for name in counts}
+        fields.update({name: float(obj[name]) for name in required})
+        fields.update({name: float(obj.get(name, 0.0)) for name in optional})
     except KeyError as exc:
         raise InvalidArgumentError(f"spec object is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"spec object has a non-numeric field: {exc}") from exc
+    return fields
+
+
+def fully_symmetric_spec_from_json(obj: dict) -> FullySymmetricSpec:
+    return FullySymmetricSpec(**_spec_fields(obj, ("modes",), ("b",), ("z1", "z2")))
 
 
 def bisymmetric_spec_from_json(obj: dict) -> BisymmetricSpec:
-    try:
-        return BisymmetricSpec(
-            m=int(obj["m"]),
-            n=int(obj["n"]),
-            a=float(obj["a"]),
-            e1=float(obj.get("e1", 0.0)),
-            e2=float(obj.get("e2", 0.0)),
-            b=float(obj["b"]),
-            z1=float(obj.get("z1", 0.0)),
-            z2=float(obj.get("z2", 0.0)),
-            g1=float(obj.get("g1", 0.0)),
-            g2=float(obj.get("g2", 0.0)),
-        )
-    except KeyError as exc:
-        raise InvalidArgumentError(f"spec object is missing field {exc}") from exc
+    return BisymmetricSpec(
+        **_spec_fields(obj, ("m", "n"), ("a", "b"), ("e1", "e2", "z1", "z2", "g1", "g2"))
+    )
 
 
 def _tile_symmetric_pattern(modes: int, diag2: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    out = np.zeros((2 * modes, 2 * modes))
-    for i in range(modes):
-        for j in range(modes):
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = diag2 if i == j else off2
+    # entries are copied, never summed, so each equals its parameter exactly
+    out = np.tile(off2, (modes, modes))
+    idx = np.arange(modes)
+    out.reshape(modes, 2, modes, 2)[idx, :, idx, :] = diag2
     return out
 
 
 def _assemble_bisymmetric(spec: BisymmetricSpec) -> np.ndarray:
     m, n = spec.m, spec.n
     total = m + n
-    out = np.zeros((2 * total, 2 * total))
+    out = np.empty((2 * total, 2 * total))
     out[: 2 * m, : 2 * m] = _tile_symmetric_pattern(
         m, np.diag([spec.a, spec.a]), np.diag([spec.e1, spec.e2])
     )
@@ -201,10 +249,8 @@ def _assemble_bisymmetric(spec: BisymmetricSpec) -> np.ndarray:
         n, np.diag([spec.b, spec.b]), np.diag([spec.z1, spec.z2])
     )
     gamma = np.diag([spec.g1, spec.g2])
-    for i in range(m):
-        for j in range(n):
-            out[2 * i : 2 * i + 2, 2 * (m + j) : 2 * (m + j) + 2] = gamma
-            out[2 * (m + j) : 2 * (m + j) + 2, 2 * i : 2 * i + 2] = gamma.T
+    out[: 2 * m, 2 * m :] = np.tile(gamma, (m, n))
+    out[2 * m :, : 2 * m] = np.tile(gamma.T, (n, m))
     return out
 
 
@@ -303,6 +349,7 @@ def ghz_type_spec(total_modes: int, b: float) -> FullySymmetricSpec:
     """
     if total_modes < 2:
         raise InvalidArgumentError(f"need at least two modes, got {total_modes}")
+    _require_finite(b=b)
     if b < 1.0:
         raise InvalidArgumentError(f"single-mode eigenvalue must be >= 1, got {b}")
     big_m = float(total_modes)

@@ -68,11 +68,11 @@ def symplectic_form(modes: int) -> np.ndarray:
 class CovarianceMatrix:
     """A 2N x 2N real symmetric covariance matrix of an N-mode state.
 
-    The constructor rejects matrices that are asymmetric beyond
-    ``TOL_SYM`` (scaled by the largest entry) and symmetrizes the rest;
-    the stored array is read-only. Positivity and the uncertainty
-    relation are *not* enforced here: partial transposes of entangled
-    states are legitimately non-physical covariance matrices.
+    The constructor rejects matrices with non-finite entries or an
+    asymmetry beyond ``TOL_SYM`` (scaled by the largest entry), and
+    symmetrizes the rest; the stored array is read-only. Positivity and
+    the uncertainty relation are *not* enforced here: partial transposes
+    of entangled states are legitimately non-physical covariance matrices.
     """
 
     matrix: np.ndarray
@@ -81,6 +81,8 @@ class CovarianceMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidArgumentError("covariance matrix has non-finite entries")
         skew = float(np.max(np.abs(m - m.T)))
         if skew > TOL_SYM * _scale(m):
             raise InvalidArgumentError(

@@ -228,3 +228,40 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["report"]["log_negativity"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hierarchy", "--modes", "4", "--b-grid", "1:nan:3", "--trace-out", "0"),
+        ("hierarchy", "--modes", "4", "--b-grid", "1:inf:3", "--trace-out", "0"),
+        ("scaling", "--b", "nan", "--n-range", "1,3"),
+        ("scaling", "--b", "inf", "--n-range", "1,3"),
+        ("report", "--modes", "4", "--b", "nan", "--k", "2"),
+        ("report", "--spec-json", '{"modes": 4, "b": 1.5, "z1": NaN, "z2": 0.0}', "--k", "2"),
+        ("report", "--spec-json", '{"modes": Infinity, "b": 1.5}', "--k", "2"),
+        ("report", "--spec-json", '{"m": 2, "n": 2, "a": 1.5, "b": "x"}'),
+        ("report", "--spec-json", '{"modes": 4, "b": [1.5]}', "--k", "2"),
+    ],
+)
+def test_non_finite_or_non_numeric_input_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err or "non-numeric" in err
+
+
+def test_non_finite_matrix_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n")
+    code, _, err = run_cli(capsys, "report", "--cm", str(path), "--split", "1", "1")
+    assert code == 2
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("n_range", ["3", "1,2,3"])
+def test_scaling_n_range_needs_two_bounds(capsys, n_range):
+    code, out, err = run_cli(capsys, "scaling", "--n-range", n_range)
+    assert code == 2
+    assert out == ""
+    assert "--n-range" in err

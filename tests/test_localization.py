@@ -325,6 +325,47 @@ def test_localize_rejects_non_bisymmetric():
         el.localize(cm, 2, 2)
 
 
+def _loop_pattern_deviation(matrix, m, n):
+    """Reference pattern check, one 2x2 block at a time (cross blocks
+    upper-right only, as the matrix is symmetric)."""
+
+    def block(i, j):
+        return matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+
+    worst = 0.0
+    for i in range(m + n):
+        for j in range(m + n):
+            if i >= m > j:
+                continue
+            if (i < m) != (j < m):
+                target = block(0, m)
+            elif i < m:
+                target = block(0, 0) if i == j else block(0, 1)
+            else:
+                target = block(m, m) if i == j else block(m, m + 1)
+            worst = max(worst, float(np.max(np.abs(block(i, j) - target))))
+    return worst
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (3, 4)])
+def test_localize_pattern_check_matches_loop_reference(m, n):
+    rng = np.random.default_rng(71)
+    base = np.array(el.ghz_type_pure(m + n, 1.6).matrix)
+    for _ in range(40):
+        matrix = base.copy()
+        i, j = rng.integers(0, 2 * (m + n), size=2)
+        bump = float(10.0 ** rng.uniform(-11, -6))
+        matrix[i, j] += bump
+        matrix[j, i] += bump if i != j else 0.0
+        worst = _loop_pattern_deviation(matrix, m, n)
+        if worst <= 1e-8:
+            el.localize(el.CovarianceMatrix(matrix), m, n, tol_pattern=1e-8)
+            continue
+        with pytest.raises(LocalizationError) as excinfo:
+            el.localize(el.CovarianceMatrix(matrix), m, n, tol_pattern=1e-8)
+        assert f"pattern deviation {worst:.3e} " in str(excinfo.value)
+
+
 def test_localize_rejects_bad_split():
     cm = el.ghz_type_pure(6, 1.4)
     with pytest.raises(InvalidArgumentError):

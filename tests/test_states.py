@@ -7,6 +7,7 @@ import pytest
 import entloc as el
 from entloc.errors import InvalidArgumentError
 from entloc.oracle import oracle_pt_log_negativity, oracle_symplectic_spectrum
+from entloc.symplectic import TOL_PHYS
 
 
 def test_thermal_cm_vacuum():
@@ -197,6 +198,31 @@ def test_bisymmetric_rejects_unphysical_with_eigenvalue():
     assert excinfo.value.offending_value < 1.0
 
 
+def _loop_assembled(spec):
+    """Reference assembly, one 2x2 block at a time."""
+    total = spec.m + spec.n
+    out = np.zeros((2 * total, 2 * total))
+    for i in range(total):
+        for j in range(total):
+            if (i < spec.m) != (j < spec.m):
+                block = np.diag([spec.g1, spec.g2])
+            elif i < spec.m:
+                block = np.diag([spec.a, spec.a] if i == j else [spec.e1, spec.e2])
+            else:
+                block = np.diag([spec.b, spec.b] if i == j else [spec.z1, spec.z2])
+            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (2, 5), (7, 6)])
+def test_bisymmetric_cm_matches_loop_assembly(m, n):
+    spec = el.BisymmetricSpec(
+        m, n, 1.7, 0.11 if m > 1 else 0.0, -0.07 if m > 1 else 0.0,
+        1.9, 0.13 if n > 1 else 0.0, -0.05 if n > 1 else 0.0, 0.21, -0.17,
+    )
+    assert np.array_equal(el.bisymmetric_cm(spec).matrix, _loop_assembled(spec))
+
+
 def test_bisymmetric_single_mode_blocks():
     spec = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.5, -0.5)
     assert el.bisymmetric_cm(spec).modes == 2
@@ -211,3 +237,142 @@ def test_traced_ghz_stays_physical_and_mixed():
     # entanglement survives tracing
     part = el.ModeBipartition(tuple(range(3)), tuple(range(3, 6)))
     assert oracle_pt_log_negativity(cm, part) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Closed-form validation of two-block specs against the dense oracle.
+# ---------------------------------------------------------------------------
+
+SPEC_FIELDS = ("a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
+
+
+def _dense_min_nu(params):
+    """Smallest dense symplectic eigenvalue of the assembled pattern, or
+    None when the matrix is not positive definite."""
+    m, n = params["m"], params["n"]
+    top = np.kron(np.eye(m), np.diag([params["a"] - params["e1"], params["a"] - params["e2"]]))
+    top += np.kron(np.ones((m, m)), np.diag([params["e1"], params["e2"]]))
+    bottom = np.kron(np.eye(n), np.diag([params["b"] - params["z1"], params["b"] - params["z2"]]))
+    bottom += np.kron(np.ones((n, n)), np.diag([params["z1"], params["z2"]]))
+    cross = np.kron(np.ones((m, n)), np.diag([params["g1"], params["g2"]]))
+    matrix = np.block([[top, cross], [cross.T, bottom]])
+    if np.linalg.eigvalsh(matrix)[0] <= 0.0:
+        return None
+    return float(oracle_symplectic_spectrum(el.CovarianceMatrix(matrix)).min())
+
+
+def _closed_form_min_nu(params):
+    from entloc.states import _bisymmetric_min_nu
+
+    return _bisymmetric_min_nu(*(params[f] for f in ("m", "n") + SPEC_FIELDS))
+
+
+def test_bisymmetric_validation_matches_dense_oracle_on_sampler_draws():
+    from entloc.oracle import SpecSampler
+
+    sampler = SpecSampler(2024)
+    accepted = rejected = 0
+    for _ in range(2000):
+        m = int(sampler.rng.integers(1, sampler.max_block + 1))
+        n = int(sampler.rng.integers(1, sampler.max_block + 1))
+        params = {
+            "m": m, "n": n,
+            "a": sampler._uniform(sampler.b_box),
+            "e1": sampler._uniform(sampler.corr_box) if m > 1 else 0.0,
+            "e2": sampler._uniform(sampler.corr_box) if m > 1 else 0.0,
+            "b": sampler._uniform(sampler.b_box),
+            "z1": sampler._uniform(sampler.corr_box) if n > 1 else 0.0,
+            "z2": sampler._uniform(sampler.corr_box) if n > 1 else 0.0,
+            "g1": sampler._uniform(sampler.cross_box),
+            "g2": sampler._uniform(sampler.cross_box),
+        }
+        dense = _dense_min_nu(params)
+        dense_accepts = dense is not None and dense >= 1.0 - TOL_PHYS
+        try:
+            el.BisymmetricSpec(**params)
+            accepts = True
+        except InvalidArgumentError:
+            accepts = False
+        assert accepts == dense_accepts, params
+        if dense is not None:
+            assert _closed_form_min_nu(params) == pytest.approx(dense, rel=1e-12, abs=0.0)
+        else:
+            with pytest.raises(InvalidArgumentError, match="not positive definite"):
+                _closed_form_min_nu(params)
+        accepted += accepts
+        rejected += not accepts
+    assert accepted > 200 and rejected > 200
+
+
+@pytest.mark.parametrize("q", [0, 1, 4])
+def test_bisymmetric_validation_matches_dense_oracle_on_pure_and_traced_splits(q):
+    from entloc.experiments import traced_symmetric_spec
+    from entloc.localization import _fs_split_spec
+
+    for modes in (2, 3, 5, 8, 13, 21, 34, 50):
+        for b in (1.0, 1.3, 2.0, 3.0):
+            spec = traced_symmetric_spec(modes, q, b)
+            dense = float(oracle_symplectic_spectrum(el.fully_symmetric_cm(spec)).min())
+            for k in range(1, modes):
+                split = _fs_split_spec(spec, k)  # validates: must be accepted
+                params = dataclasses.asdict(split)
+                assert _closed_form_min_nu(params) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_bisymmetric_validation_is_size_independent(monkeypatch):
+    from entloc import states, symplectic
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validation must not touch the assembled matrix")
+
+    monkeypatch.setattr(states, "_assemble_bisymmetric", forbidden)
+    monkeypatch.setattr(symplectic, "symplectic_eigenvalues", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    parent = el.ghz_type_spec(2002, 1.5)
+    spec = el.BisymmetricSpec(
+        1000, 1000, parent.b, parent.z1, parent.z2, parent.b, parent.z1, parent.z2,
+        parent.z1, parent.z2,
+    )
+    assert spec.total_modes == 2000
+    with pytest.raises(InvalidArgumentError):
+        el.BisymmetricSpec(1000, 1000, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5, 0.5)
+
+
+def test_bisymmetric_non_positive_definite_reports_smallest_factor():
+    # a - e1 = -0.1 is the only non-positive factor
+    with pytest.raises(InvalidArgumentError, match="not positive definite") as excinfo:
+        el.BisymmetricSpec(2, 1, 1.0, 1.1, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0)
+    assert excinfo.value.offending_value == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", SPEC_FIELDS)
+def test_bisymmetric_rejects_non_finite(name, bad):
+    params = dict(m=2, n=2, a=1.5, e1=0.1, e2=-0.1, b=1.6, z1=0.1, z2=-0.1, g1=0.2, g2=-0.2)
+    el.BisymmetricSpec(**params)
+    params[name] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        el.BisymmetricSpec(**params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["b", "z1", "z2"])
+def test_fully_symmetric_rejects_non_finite(name, bad):
+    params = dict(modes=3, b=1.5, z1=0.1, z2=-0.1)
+    params[name] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        el.FullySymmetricSpec(**params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ghz_rejects_non_finite(bad):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        el.ghz_type_spec(4, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_covariance_matrix_rejects_non_finite(bad):
+    matrix = np.eye(4)
+    matrix[1, 2] = matrix[2, 1] = bad
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        el.CovarianceMatrix(matrix)
