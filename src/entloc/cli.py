@@ -35,6 +35,7 @@ from .localization import (
     _best_split,
     _ole_scan,
     block_log_negativity,
+    equivalent_report,
     equivalent_report_from_cm,
     localize,
 )
@@ -49,7 +50,6 @@ from .states import (
 )
 from .symplectic import (
     CovarianceMatrix,
-    cm_to_json_dict,
     load_cm,
     save_cm,
     symplectic_eigenvalues,
@@ -181,8 +181,6 @@ def _cmd_spectrum(args) -> int:
 
 def _report_for(spec, cm, m, n):
     if isinstance(spec, BisymmetricSpec):
-        from .localization import equivalent_report
-
         return equivalent_report(spec)
     if isinstance(spec, FullySymmetricSpec):
         return block_log_negativity(spec, m)
@@ -207,23 +205,19 @@ def _cmd_report(args) -> int:
             cm = _spec_to_cm(spec)
         result = localize(cm, m, n, tol_pattern=args.tol)
         payload["localization"] = result.to_json_dict()
-        _dump_localization(args, result)
+        _dump_localization(args, result.cm_final, payload["localization"])
     _emit(_json_text(payload), args.out)
     return 0
 
 
-def _dump_localization(args, result):
+def _dump_localization(args, cm_final, result_json):
+    """Write the files of --dump-final and --dump-symplectic, the latter
+    from the already serialized ``LocalizationResult.to_json_dict()``."""
     if getattr(args, "dump_final", None):
-        save_cm(result.cm_final, args.dump_final)
+        save_cm(cm_final, args.dump_final)
     if getattr(args, "dump_symplectic", None):
         with open(args.dump_symplectic, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "modes": result.local_symplectic.shape[0] // 2,
-                    "entries": [float(x) for x in result.local_symplectic.ravel()],
-                },
-                handle,
-            )
+            json.dump(result_json["local_symplectic"], handle)
 
 
 def _cmd_localize(args) -> int:
@@ -232,8 +226,9 @@ def _cmd_localize(args) -> int:
         cm = _spec_to_cm(spec)
     m, n = _resolve_split(args, cm.modes, spec)
     result = localize(cm, m, n, tol_pattern=args.tol)
-    _dump_localization(args, result)
-    _emit(_json_text(result.to_json_dict()), args.out)
+    payload = result.to_json_dict()
+    _dump_localization(args, result.cm_final, payload)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -244,11 +239,10 @@ def _cmd_hierarchy(args) -> int:
         k_values=tuple(args.k) if args.k else None,
         b_grid=parse_b_grid(args.b_grid),
         trace_out=tuple(args.trace_out),
-        fmt=args.format,
         jobs=args.jobs,
     )
     rows = run_hierarchy(cfg)
-    _emit(render_table(rows, HIERARCHY_COLUMNS, cfg.fmt), args.out)
+    _emit(render_table(rows, HIERARCHY_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -261,11 +255,10 @@ def _cmd_scaling(args) -> int:
         b=args.b,
         n_range=tuple(range(lo, hi + 1)),
         trace_out=tuple(args.trace_out),
-        fmt=args.format,
         jobs=args.jobs,
     )
     rows = run_scaling(cfg)
-    _emit(render_table(rows, SCALING_COLUMNS, cfg.fmt), args.out)
+    _emit(render_table(rows, SCALING_COLUMNS, args.format), args.out)
     return 0
 
 

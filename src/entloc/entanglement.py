@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .states import BisymmetricSpec
+from .states import BisymmetricSpec, _pattern_factors
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
@@ -110,19 +110,20 @@ def pt_spectrum(cm: CovarianceMatrix, part: ModeBipartition) -> SymplecticSpectr
     return symplectic_eigenvalues(partial_transpose(cm, part))
 
 
-def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:
-    """Closed-form PT eigenvalues of a two-mode state from its invariants.
+def _pt_nu_tilde_pair(det_a: float, det_b: float, delta: float, det: float):
+    """(nu~_minus, nu~_plus) of a two-mode state from its invariants.
 
-    Transposition flips the sign of the cross-block determinant, so
-    Delta_tilde = det A + det B - 2 det C and the usual two-mode formula
-    applies with Delta_tilde in place of Delta.
+    Transposition flips the sign of det C in Delta = det A + det B + 2 det C
+    and keeps det sigma, so 2 nu~^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma)
+    with Delta~ = 2 det A + 2 det B - Delta.
     """
-    if cm.modes != 2:
-        raise InvalidArgumentError(f"expected a two-mode matrix, got {cm.modes} modes")
+    return _minus_plus_pair(2.0 * det_a + 2.0 * det_b - delta, det)
+
+
+def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:
+    """Closed-form PT eigenvalues of a two-mode state from its invariants."""
     inv = two_mode_invariants(cm)
-    det_c = float(np.linalg.det(cm.matrix[0:2, 2:4]))
-    delta_tilde = inv.det_block_a + inv.det_block_b - 2.0 * det_c
-    return _minus_plus_pair(delta_tilde, inv.det_total)
+    return _pt_nu_tilde_pair(inv.det_block_a, inv.det_block_b, inv.delta, inv.det_total)
 
 
 def _clamp_boundary(values: np.ndarray) -> np.ndarray:
@@ -172,10 +173,10 @@ def report_from_pt_values(
     return EntanglementReport(nu_min, log_neg, negativity, eof, separable)
 
 
-def _two_mode_is_symmetric(cm: CovarianceMatrix, tol: float = 1e-8) -> bool:
-    inv = two_mode_invariants(cm)
-    scale = max(1.0, abs(inv.det_block_a), abs(inv.det_block_b))
-    return abs(inv.det_block_a - inv.det_block_b) <= tol * scale
+def _symmetric_dets(det_a: float, det_b: float, tol: float = 1e-8) -> bool:
+    """Whether two local determinants agree, i.e. the two-mode state they
+    belong to is symmetric (the condition for the closed-form EoF)."""
+    return abs(det_a - det_b) <= tol * max(1.0, abs(det_a), abs(det_b))
 
 
 def log_negativity(
@@ -198,7 +199,8 @@ def log_negativity(
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     spectrum = pt_spectrum(cm, part)
-    symmetric = cm.modes == 2 and _two_mode_is_symmetric(cm)
+    inv = two_mode_invariants(cm) if cm.modes == 2 else None
+    symmetric = inv is not None and _symmetric_dets(inv.det_block_a, inv.det_block_b)
     return report_from_pt_values(
         spectrum.values,
         decidable=bool(ppt_decidable),
@@ -214,6 +216,6 @@ def symmetric_condition(spec: BisymmetricSpec, tol: float = 1e-8) -> bool:
     within tolerance; gates the availability of the entanglement of
     formation in reports.
     """
-    lhs = (spec.a + (spec.m - 1) * spec.e1) * (spec.a + (spec.m - 1) * spec.e2)
-    rhs = (spec.b + (spec.n - 1) * spec.z1) * (spec.b + (spec.n - 1) * spec.z2)
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+    _, _, a1, a2 = _pattern_factors(spec.m, spec.a, spec.e1, spec.e2)
+    _, _, b1, b2 = _pattern_factors(spec.n, spec.b, spec.z1, spec.z2)
+    return _symmetric_dets(a1 * a2, b1 * b2, tol)

@@ -22,7 +22,6 @@ from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
-OLE_COLUMNS = HIERARCHY_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,11 @@ class SweepConfig:
     b: float = 1.5
     n_range: tuple[int, ...] = tuple(range(1, 16))
     trace_out: tuple[int, ...] = (0, 4)
-    fmt: str = "csv"
     jobs: int = 1
 
     def __post_init__(self):
-        if self.experiment not in ("hierarchy", "scaling", "ole", "single"):
+        if self.experiment not in ("hierarchy", "scaling"):
             raise InvalidArgumentError(f"unknown experiment {self.experiment!r}")
-        if self.fmt not in ("csv", "json"):
-            raise InvalidArgumentError(f"unknown output format {self.fmt!r}")
         if self.modes < 2:
             raise InvalidArgumentError(f"need at least two modes, got {self.modes}")
         if any(q < 0 for q in self.trace_out) or not self.trace_out:
@@ -95,6 +91,8 @@ def parse_b_grid(text: str) -> tuple[float, ...]:
 def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     """Spec of the M-mode state left after tracing q modes off a pure
     (M+q)-mode parent; tracing preserves the block pattern exactly."""
+    if q < 0:
+        raise InvalidArgumentError(f"trace-out count must be >= 0, got {q}")
     parent = ghz_type_spec(modes + q, b)
     if q == 0:
         return parent

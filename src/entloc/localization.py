@@ -23,6 +23,8 @@ import numpy as np
 
 from .entanglement import (
     EntanglementReport,
+    _pt_nu_tilde_pair,
+    _symmetric_dets,
     report_from_pt_values,
 )
 from .errors import (
@@ -33,9 +35,10 @@ from .errors import (
 from .states import BisymmetricSpec, FullySymmetricSpec
 from .symplectic import (
     CovarianceMatrix,
-    _minus_plus_pair,
     clipped_sqrt,
+    cm_to_json_dict,
     delta_invariant,
+    matrix_to_json_dict,
     purity,
 )
 
@@ -74,14 +77,14 @@ class EquivalentTwoMode:
         Delta~ = 2 det A + 2 det B - Delta_eq.
         """
         m = self.cm_eq.matrix
-        det_a = float(np.linalg.det(m[0:2, 0:2]))
-        det_b = float(np.linalg.det(m[2:4, 2:4]))
-        delta_tilde = 2.0 * det_a + 2.0 * det_b - self.delta_eq
-        return _minus_plus_pair(delta_tilde, 1.0 / self.mu_eq**2)
+        return _pt_nu_tilde_pair(
+            float(np.linalg.det(m[0:2, 0:2])),
+            float(np.linalg.det(m[2:4, 2:4])),
+            self.delta_eq,
+            1.0 / self.mu_eq**2,
+        )
 
     def to_json_dict(self) -> dict:
-        from .symplectic import cm_to_json_dict
-
         return {
             "cm_eq": cm_to_json_dict(self.cm_eq),
             "mu_eq": self.mu_eq,
@@ -105,13 +108,8 @@ class LocalizationResult:
     residual: float
 
     def to_json_dict(self) -> dict:
-        from .symplectic import cm_to_json_dict
-
         return {
-            "local_symplectic": {
-                "modes": self.local_symplectic.shape[0] // 2,
-                "entries": [float(x) for x in self.local_symplectic.ravel()],
-            },
+            "local_symplectic": matrix_to_json_dict(self.local_symplectic),
             "cm_final": cm_to_json_dict(self.cm_final),
             "equivalent": self.equivalent.to_json_dict(),
             "residual": self.residual,
@@ -124,17 +122,9 @@ class LocalizationResult:
 
 
 def fs_block_spectrum(spec: FullySymmetricSpec) -> BlockSpectrum:
-    """(nu_minus, nu_plus) of a permutation-invariant block in standard form.
-
-    nu_minus = sqrt((b - z1)(b - z2)), with multiplicity n - 1;
-    nu_plus  = sqrt((b + (n-1) z1)(b + (n-1) z2)).
-    """
-    n = spec.modes
-    nu_minus = clipped_sqrt((spec.b - spec.z1) * (spec.b - spec.z2), scale=spec.b**2)
-    nu_plus = clipped_sqrt(
-        (spec.b + (n - 1) * spec.z1) * (spec.b + (n - 1) * spec.z2), scale=(n * spec.b) ** 2
-    )
-    return BlockSpectrum(nu_minus, nu_plus, n - 1)
+    """(nu_minus, nu_plus) of a permutation-invariant block in standard form,
+    with nu_minus of multiplicity n - 1 (formulas in ``FullySymmetricSpec``)."""
+    return BlockSpectrum(spec.nu_minus(), spec.nu_plus(), spec.modes - 1)
 
 
 def nu_plus_from_two_mode(n: int, mu_beta: float, nu_minus: float, nu_plus_2: float) -> float:
@@ -186,7 +176,11 @@ def _block_nu_pair(diag2: np.ndarray, off2: np.ndarray, count: int) -> tuple[flo
     """(nu_minus, nu_plus) of a permutation-invariant block from raw 2x2 blocks.
 
     Valid in any local basis, not just standard form, because both values
-    are determinants of combinations fixed by the pattern.
+    are determinants of combinations fixed by the pattern. This is the one
+    block-spectrum formula kept apart from ``states._pattern_factors``:
+    its ``np.linalg.det`` calls (LU, not the explicit 2x2 product) fix the
+    last bits of every invariant-route number, and explicit products change
+    digits of the report, ole, hierarchy and verify outputs.
     """
     scale = float(np.max(np.abs(diag2))) ** 2 * max(1, count) ** 2
     nu_minus = clipped_sqrt(float(np.linalg.det(diag2 - off2)), scale=scale)
@@ -297,17 +291,13 @@ def equivalent_from_cm(
     return _equivalent_from_blocks(m, n, *blocks)
 
 
-def _symmetric_equivalent(na_plus: float, nb_plus: float, tol: float = 1e-8) -> bool:
-    return abs(na_plus**2 - nb_plus**2) <= tol * max(1.0, na_plus**2, nb_plus**2)
-
-
 def _report_from_equivalent(eq: EquivalentTwoMode, tol: float) -> EntanglementReport:
     nu_pair = eq.nu_tilde_pair()
     m = eq.cm_eq.matrix
     return report_from_pt_values(
         np.array(nu_pair),
         decidable=True,
-        symmetric=_symmetric_equivalent(m[0, 0], m[2, 2], tol),
+        symmetric=_symmetric_dets(m[0, 0] ** 2, m[2, 2] ** 2, tol),
     )
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericalDomainError
 from .states import BisymmetricSpec, FullySymmetricSpec
@@ -110,12 +109,16 @@ def exhaustive_bipartition_scan(cm: CovarianceMatrix, max_half: int | None = Non
 
 def random_symplectic(modes: int, rng: np.random.Generator, strength: float = 0.3) -> np.ndarray:
     """exp(Omega A) for a random symmetric A; strength scales A."""
+    import scipy.linalg  # imported here so that the runtime needs only numpy
+
     a = rng.normal(size=(2 * modes, 2 * modes))
     a = strength * 0.5 * (a + a.T)
     return scipy.linalg.expm(_dense_omega(modes) @ a)
 
 
 def random_local_symplectic(m: int, n: int, rng: np.random.Generator, strength: float = 0.3):
+    import scipy.linalg
+
     return scipy.linalg.block_diag(
         random_symplectic(m, rng, strength), random_symplectic(n, rng, strength)
     )

@@ -20,6 +20,13 @@ from .symplectic import (
 )
 
 
+def _pattern_factors(count: int, d: float, o1: float, o2: float):
+    """Factors of a ``count``-mode block with diagonal blocks diag(d, d) and
+    off-diagonal blocks diag(o1, o2): nu_minus^2 is the product of the
+    first two (count - 1 times), nu_plus^2 the product of the last two."""
+    return d - o1, d - o2, d + (count - 1) * o1, d + (count - 1) * o2
+
+
 def _require_finite(**values):
     bad = {name: value for name, value in values.items() if not math.isfinite(value)}
     if bad:
@@ -58,13 +65,7 @@ class FullySymmetricSpec:
                     offending_value=self.b,
                 )
             return
-        n = self.modes
-        factors = (
-            self.b - self.z1,
-            self.b - self.z2,
-            self.b + (n - 1) * self.z1,
-            self.b + (n - 1) * self.z2,
-        )
+        factors = _pattern_factors(self.modes, self.b, self.z1, self.z2)
         if min(factors) <= 0.0:
             raise InvalidArgumentError(
                 f"covariance pattern is not positive definite (factors {factors})",
@@ -80,11 +81,12 @@ class FullySymmetricSpec:
             )
 
     def nu_minus(self) -> float:
-        return math.sqrt((self.b - self.z1) * (self.b - self.z2))
+        f1, f2, _, _ = _pattern_factors(self.modes, self.b, self.z1, self.z2)
+        return math.sqrt(f1 * f2)
 
     def nu_plus(self) -> float:
-        n = self.modes
-        return math.sqrt((self.b + (n - 1) * self.z1) * (self.b + (n - 1) * self.z2))
+        _, _, f3, f4 = _pattern_factors(self.modes, self.b, self.z1, self.z2)
+        return math.sqrt(f3 * f4)
 
     def to_json_dict(self) -> dict:
         return {"modes": self.modes, "b": self.b, "z1": self.z1, "z2": self.z2}
@@ -178,16 +180,16 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     cancels to zero at pure states and keeps half the digits there.
     """
     cross = math.sqrt(m * n)
-    a1, a2 = a + (m - 1) * e1, a + (m - 1) * e2
-    b1, b2 = b + (n - 1) * z1, b + (n - 1) * z2
+    am1, am2, a1, a2 = _pattern_factors(m, a, e1, e2)
+    bm1, bm2, b1, b2 = _pattern_factors(n, b, z1, z2)
     c1, c2 = cross * g1, cross * g2
     det_x = a1 * b1 - c1 * c1
     det_p = a2 * b2 - c2 * c2
     factors = [a1, a2, det_x, det_p]
     if m > 1:
-        factors += [a - e1, a - e2]
+        factors += [am1, am2]
     if n > 1:
-        factors += [b - z1, b - z2]
+        factors += [bm1, bm2]
     worst = min(factors)
     if worst <= 0.0:
         raise InvalidArgumentError(
@@ -201,22 +203,33 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     root = math.sqrt(max((p - s) ** 2 + 4.0 * q * r, 0.0))
     nus = [math.sqrt(2.0 * det_x * det_p / (p + s + root))]
     if m > 1:
-        nus.append(math.sqrt((a - e1) * (a - e2)))
+        nus.append(math.sqrt(am1 * am2))
     if n > 1:
-        nus.append(math.sqrt((b - z1) * (b - z2)))
+        nus.append(math.sqrt(bm1 * bm2))
     return min(nus)
+
+
+def _mode_count(name: str, value) -> int:
+    # JSON true/false are ints to Python, and int() would truncate 1.5
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InvalidArgumentError(
+            f"spec field {name!r} must be a finite integer mode count, got {value!r}"
+        )
+    return int(value)
 
 
 def _spec_fields(obj: dict, counts, required, optional) -> dict:
     """Mode counts as int, parameters as float; optional ones default to 0."""
     try:
-        fields = {name: int(obj[name]) for name in counts}
-        fields.update({name: float(obj[name]) for name in required})
+        raw_counts = {name: obj[name] for name in counts}
+        fields = {name: float(obj[name]) for name in required}
         fields.update({name: float(obj.get(name, 0.0)) for name in optional})
     except KeyError as exc:
         raise InvalidArgumentError(f"spec object is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"spec object has a non-numeric field: {exc}") from exc
+    fields.update({name: _mode_count(name, value) for name, value in raw_counts.items()})
     return fields
 
 

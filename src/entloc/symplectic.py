@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -218,11 +217,15 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     in the descending order of the returned spectrum.
 
     The construction forms ``K = sigma^{1/2} Omega sigma^{1/2}``, which is
-    real antisymmetric with eigenvalues +/- i nu_i, brings it to its
-    canonical block form by a real Schur transform, and assembles
-    ``S = D^{-1/2} Q^T sigma^{1/2}``. The degenerate-subspace gauge (any
-    orthogonal-symplectic mixing of equal eigenvalues) is whatever the
-    Schur factorization yields.
+    real antisymmetric with eigenvalues +/- i nu_i, and takes the Hermitian
+    eigendecomposition of ``iK``. Each eigenvector ``u = a + ib`` with
+    eigenvalue +nu is orthogonal to its conjugate (a -nu eigenvector), so
+    the columns ``(sqrt2 b, sqrt2 a)`` are orthonormal and bring K to its
+    canonical block form; then ``S = D^{-1/2} Q^T sigma^{1/2}``. The
+    degenerate-subspace gauge (any orthogonal-symplectic mixing of equal
+    eigenvalues) is the orthonormal basis, phases included, that
+    ``np.linalg.eigh`` returns for the +nu eigenspace; it stays valid there
+    because that whole eigenspace is orthogonal to its conjugate.
 
     Raises
     ------
@@ -243,23 +246,12 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     k = root @ omega @ root
     k = 0.5 * (k - k.T)
 
-    t, q = scipy.linalg.schur(k, output="real")
-
-    nus = np.empty(n)
-    for i in range(n):
-        r = 2 * i
-        theta = 0.5 * (t[r, r + 1] - t[r + 1, r])
-        if theta < 0.0:
-            q[:, [r, r + 1]] = q[:, [r + 1, r]]
-            theta = -theta
-        nus[i] = theta
-
-    order = np.argsort(nus)[::-1]
-    nus = nus[order]
-    column_order = np.empty(2 * n, dtype=int)
-    column_order[0::2] = 2 * order
-    column_order[1::2] = 2 * order + 1
-    q = q[:, column_order]
+    w, u = np.linalg.eigh(1j * k)
+    nus = w[n:][::-1]
+    u = u[:, n:][:, ::-1]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = math.sqrt(2.0) * u.imag
+    q[:, 1::2] = math.sqrt(2.0) * u.real
 
     d_inv_sqrt = 1.0 / np.sqrt(np.repeat(nus, 2))
     s = d_inv_sqrt[:, None] * (q.T @ root)
@@ -376,8 +368,13 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+def matrix_to_json_dict(matrix: np.ndarray) -> dict:
+    """The JSON object of any 2N x 2N matrix (covariance or symplectic)."""
+    return {"modes": matrix.shape[0] // 2, "entries": [float(x) for x in matrix.ravel()]}
+
+
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
-    return {"modes": cm.modes, "entries": [float(x) for x in cm.matrix.ravel()]}
+    return matrix_to_json_dict(cm.matrix)
 
 
 def cm_from_json_dict(obj) -> CovarianceMatrix:

@@ -242,6 +242,9 @@ def test_console_entry_point_runs():
         ("report", "--spec-json", '{"modes": Infinity, "b": 1.5}', "--k", "2"),
         ("report", "--spec-json", '{"m": 2, "n": 2, "a": 1.5, "b": "x"}'),
         ("report", "--spec-json", '{"modes": 4, "b": [1.5]}', "--k", "2"),
+        ("report", "--spec-json", '{"m": 1.5, "n": 2, "a": 1.5, "b": 1.5}'),
+        ("report", "--spec-json", '{"modes": 2.5, "b": 1.5}', "--k", "1"),
+        ("report", "--spec-json", '{"m": 2, "n": true, "a": 1.5, "b": 1.5}'),
     ],
 )
 def test_non_finite_or_non_numeric_input_exit_code(capsys, argv):
@@ -249,6 +252,21 @@ def test_non_finite_or_non_numeric_input_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err or "non-numeric" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--modes", "3", "--b", "2"),
+        ("report", "--modes", "4", "--b", "1.5", "--k", "2"),
+        ("ole", "--modes", "4", "--b", "1.5"),
+    ],
+)
+def test_negative_trace_out_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--trace-out", "-1")
+    assert code == 2
+    assert out == ""
+    assert "trace-out count must be >= 0, got -1" in err
 
 
 def test_non_finite_matrix_file_exit_code(tmp_path, capsys):

@@ -122,6 +122,32 @@ def test_williamson_round_trip_random(modes, seed):
     assert spectrum.values == pytest.approx(oracle_symplectic_spectrum(cm), rel=1e-9)
 
 
+def _thermal_in_random_basis():
+    s = random_symplectic(4, np.random.default_rng(11))
+    return el.CovarianceMatrix(s.T @ el.thermal_cm([2.0] * 4).matrix @ s)
+
+
+@pytest.mark.parametrize(
+    "make_cm",
+    [
+        lambda: el.vacuum_cm(5),
+        lambda: el.thermal_cm([2.0] * 4),
+        lambda: el.ghz_type_pure(6, 1.7),
+        lambda: el.ghz_type_pure(6, 30.0),
+        _thermal_in_random_basis,
+    ],
+    ids=["vacuum", "equal_thermal", "pure_b1.7", "pure_b30", "equal_thermal_rotated"],
+)
+def test_williamson_degenerate_and_squeezed(make_cm):
+    cm = make_cm()
+    s, spectrum = el.williamson(cm)
+    d = np.diag(np.repeat(spectrum.values, 2))
+    residual = np.max(np.abs(s.T @ d @ s - cm.matrix)) / np.max(np.abs(cm.matrix))
+    assert residual <= 1e-12
+    assert el.is_symplectic(s)
+    assert np.max(np.abs(spectrum.values - oracle_symplectic_spectrum(cm))) <= 1e-9
+
+
 def test_williamson_two_mode_round_trip_tight():
     rng = np.random.default_rng(42)
     cm = random_bona_fide_cm(2, rng)
