@@ -303,6 +303,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+_JOBS_HELP = "accepted for compatibility, no effect: the sweep runs as one batch (must be >= 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entloc",
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default=None, help="split sizes (default 1..modes/2)")
     p.add_argument("--b-grid", default="1:3:81", help="squeezing grid lo:hi:steps")
     p.add_argument("--trace-out", type=_int_list, default=[0, 4], help="q values (default 0,4)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_options(p, formats=("csv", "json"))
     p.set_defaults(handler=_cmd_hierarchy)
 
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.5, help="fixed squeezing (default 1.5)")
     p.add_argument("--n-range", type=_int_list, default=[1, 15], metavar="LO,HI")
     p.add_argument("--trace-out", type=_int_list, default=[0, 4], help="q values (default 0,4)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_options(p, formats=("csv", "json"))
     p.set_defaults(handler=_cmd_scaling)
 

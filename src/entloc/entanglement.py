@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalDomainError
 from .states import BisymmetricSpec, _pattern_factors
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
     SymplecticSpectrum,
+    _elementwise,
     _minus_plus_pair,
+    _PointErrors,
+    _scalar_batch,
     is_bona_fide,
     symplectic_eigenvalues,
     two_mode_invariants,
@@ -110,20 +113,22 @@ def pt_spectrum(cm: CovarianceMatrix, part: ModeBipartition) -> SymplecticSpectr
     return symplectic_eigenvalues(partial_transpose(cm, part))
 
 
-def _pt_nu_tilde_pair(det_a: float, det_b: float, delta: float, det: float):
-    """(nu~_minus, nu~_plus) of a two-mode state from its invariants.
+def _pt_nu_tilde_pair(det_a, det_b, delta, det, errors: _PointErrors):
+    """(nu~_minus, nu~_plus) of two-mode states from their invariants.
 
     Transposition flips the sign of det C in Delta = det A + det B + 2 det C
     and keeps det sigma, so 2 nu~^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma)
     with Delta~ = 2 det A + 2 det B - Delta.
     """
-    return _minus_plus_pair(2.0 * det_a + 2.0 * det_b - delta, det)
+    return _minus_plus_pair(2.0 * det_a + 2.0 * det_b - delta, det, errors)
 
 
 def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:
     """Closed-form PT eigenvalues of a two-mode state from its invariants."""
     inv = two_mode_invariants(cm)
-    return _pt_nu_tilde_pair(inv.det_block_a, inv.det_block_b, inv.delta, inv.det_total)
+    return _scalar_batch(
+        _pt_nu_tilde_pair, inv.det_block_a, inv.det_block_b, inv.delta, inv.det_total
+    )
 
 
 def _clamp_boundary(values: np.ndarray) -> np.ndarray:
@@ -173,10 +178,42 @@ def report_from_pt_values(
     return EntanglementReport(nu_min, log_neg, negativity, eof, separable)
 
 
-def _symmetric_dets(det_a: float, det_b: float, tol: float = 1e-8) -> bool:
+def _pt_pair_reports(nu_minus, nu_plus, symmetric, errors: _PointErrors, tol: float = TOL_PHYS):
+    """``report_from_pt_values`` for many states with two PT eigenvalues
+    each and a decisive PPT test: the same clamp, sums, libm ``exp`` and
+    EoF, one numpy pass per step. Each point gets its report, or the
+    error its scalar evaluation raises."""
+    values = _clamp_boundary(np.array([nu_minus, nu_plus]))
+    nu_min = np.minimum(values[0], values[1])
+    logs = np.where(values < 1.0, np.log(values), 0.0)
+    # where(x > 0, x, 0) is max(0.0, x): the empty sum gives 0.0, not -0.0
+    log_neg = -(logs[0] + logs[1])
+    log_neg = np.where(log_neg > 0.0, log_neg, 0.0)
+    negativity = 0.5 * (_elementwise(math.exp, "exp", errors, log_neg) - 1.0)
+    separable = nu_min >= 1.0 - tol
+    eof = [None] * len(nu_min)
+    for i in np.flatnonzero(symmetric & errors.alive):
+        try:
+            eof[i] = eof_symmetric(float(nu_min[i]))
+        except InvalidArgumentError as exc:
+            errors.fail(i, exc)
+        except OverflowError:
+            errors.fail(
+                i, NumericalDomainError(f"overflow: the EoF of {nu_min[i]:.6e} is out of float range")
+            )
+    rows = zip(nu_min.tolist(), log_neg.tolist(), negativity.tolist(), eof, separable.tolist())
+    return [
+        EntanglementReport(*row) if error is None else error
+        for row, error in zip(rows, errors.errors)
+    ]
+
+
+def _symmetric_dets(det_a, det_b, tol: float = 1e-8):
     """Whether two local determinants agree, i.e. the two-mode state they
-    belong to is symmetric (the condition for the closed-form EoF)."""
-    return abs(det_a - det_b) <= tol * max(1.0, abs(det_a), abs(det_b))
+    belong to is symmetric (the condition for the closed-form EoF).
+    Elementwise on arrays."""
+    bound = np.maximum(np.maximum(1.0, np.abs(det_a)), np.abs(det_b))
+    return np.abs(det_a - det_b) <= tol * bound
 
 
 def log_negativity(
@@ -200,7 +237,7 @@ def log_negativity(
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     spectrum = pt_spectrum(cm, part)
     inv = two_mode_invariants(cm) if cm.modes == 2 else None
-    symmetric = inv is not None and _symmetric_dets(inv.det_block_a, inv.det_block_b)
+    symmetric = inv is not None and bool(_symmetric_dets(inv.det_block_a, inv.det_block_b))
     return report_from_pt_values(
         spectrum.values,
         decidable=bool(ppt_decidable),
@@ -218,4 +255,4 @@ def symmetric_condition(spec: BisymmetricSpec, tol: float = 1e-8) -> bool:
     """
     _, _, a1, a2 = _pattern_factors(spec.m, spec.a, spec.e1, spec.e2)
     _, _, b1, b2 = _pattern_factors(spec.n, spec.b, spec.z1, spec.z2)
-    return _symmetric_dets(a1 * a2, b1 * b2, tol)
+    return bool(_symmetric_dets(a1 * a2, b1 * b2, tol))

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .localization import block_log_negativity
-from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
+from .localization import _fs_split_spec, equivalent_report
+from .states import BisymmetricSpec, FullySymmetricSpec, _require_finite, ghz_type_spec
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -31,6 +30,9 @@ class SweepConfig:
     ``modes`` is the total mode count of the hierarchy state (the paper
     figure uses 20); ``trace_out`` lists the q values, with q = 0 the pure
     family and q > 0 the family traced down from a (modes+q)-mode parent.
+    ``jobs`` is accepted and validated but has no effect: a sweep is one
+    batch of the invariant route in one process, which a process pool
+    no longer speeds up.
     """
 
     experiment: str = "hierarchy"
@@ -99,69 +101,100 @@ def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     return dataclasses.replace(parent, modes=modes)
 
 
-def _hierarchy_point(task):
-    modes, k, b, q = task
-    row = {"m": k, "n": modes - k, "k": k, "b": b, "q": q}
+def _attempt(fn, *args):
+    """fn(*args), or the InvalidArgumentError that makes the point
+    unphysical; an error given as an argument is passed on."""
+    for arg in args:
+        if isinstance(arg, InvalidArgumentError):
+            return arg
     try:
-        spec = traced_symmetric_spec(modes, q, b)
-        report = block_log_negativity(spec, k)
-    except InvalidArgumentError:
-        row.update(
-            {"nu_tilde": None, "E_N": None, "N": None, "E_F": None, "separable": None,
-             "status": "unphysical"}
-        )
-        return row
-    row.update(
-        {
-            "nu_tilde": report.nu_tilde_min,
-            "E_N": report.log_negativity,
-            "N": report.negativity,
-            "E_F": report.eof,
-            "separable": report.separable,
-            "status": "ok",
-        }
-    )
-    return row
+        return fn(*args)
+    except InvalidArgumentError as exc:
+        return exc
 
 
-def _scaling_point(task):
-    n, q, b = task
-    row = {"q": q, "n": n, "b": b}
-    try:
-        spec = traced_symmetric_spec(2 * n, q, b)
-        ef_nn = block_log_negativity(spec, n).eof
-        pair = spec if spec.modes == 2 else dataclasses.replace(spec, modes=2)
-        ef_11 = block_log_negativity(pair, 1).eof
-    except InvalidArgumentError:
-        row.update({"E_F_1x1": None, "E_F_nxn": None, "status": "unphysical"})
-        return row
-    row.update({"E_F_1x1": ef_11, "E_F_nxn": ef_nn, "status": "ok"})
-    return row
+def _reports_in_order(outcomes: list) -> list:
+    """Replace each spec of ``outcomes`` by its report or error, from one
+    batch of the invariant route; the errors that stopped the construction
+    of other points stay in place."""
+    specs = [o for o in outcomes if isinstance(o, BisymmetricSpec)]
+    results = iter(equivalent_report(specs, return_errors=True))
+    return [next(results) if isinstance(o, BisymmetricSpec) else o for o in outcomes]
 
 
-def _map_tasks(fn, tasks, jobs):
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        return list(executor.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+def _first_failure(results):
+    """The InvalidArgumentError that ends a row, if any; any other error
+    is raised, as the point-by-point evaluation raised it."""
+    for result in results:
+        if isinstance(result, InvalidArgumentError):
+            return result
+        if isinstance(result, Exception):
+            raise result
+    return None
 
 
 def run_hierarchy(cfg: SweepConfig) -> list[dict]:
-    """Rows (q, k, b) -> entanglement figures for the k x (modes-k) split."""
-    tasks = [
-        (cfg.modes, k, b, q)
+    """Rows (q, k, b) -> entanglement figures for the k x (modes-k) split.
+
+    Each parent state is validated once per (q, b); every split goes
+    through one batch of the invariant route.
+    """
+    parents = {
+        (q, b): _attempt(traced_symmetric_spec, cfg.modes, q, b)
         for q in cfg.trace_out
-        for k in cfg.k_values
         for b in cfg.b_grid
-    ]
-    return _map_tasks(_hierarchy_point, tasks, cfg.jobs)
+    }
+    keys = [(q, k, b) for q in cfg.trace_out for k in cfg.k_values for b in cfg.b_grid]
+    results = _reports_in_order([_attempt(_fs_split_spec, parents[q, b], k) for q, k, b in keys])
+    rows = []
+    for (q, k, b), result in zip(keys, results):
+        row = {"m": k, "n": cfg.modes - k, "k": k, "b": b, "q": q}
+        if _first_failure([result]) is None:
+            row.update(
+                {
+                    "nu_tilde": result.nu_tilde_min,
+                    "E_N": result.log_negativity,
+                    "N": result.negativity,
+                    "E_F": result.eof,
+                    "separable": result.separable,
+                    "status": "ok",
+                }
+            )
+        else:
+            row.update(
+                {"nu_tilde": None, "E_N": None, "N": None, "E_F": None, "separable": None,
+                 "status": "unphysical"}
+            )
+        rows.append(row)
+    return rows
+
+
+def _pair_spec(spec: FullySymmetricSpec) -> FullySymmetricSpec:
+    return spec if spec.modes == 2 else dataclasses.replace(spec, modes=2)
 
 
 def run_scaling(cfg: SweepConfig) -> list[dict]:
-    """Rows (q, n) -> pairwise and balanced-split entanglement of formation."""
-    tasks = [(n, q, cfg.b) for q in cfg.trace_out for n in cfg.n_range]
-    return _map_tasks(_scaling_point, tasks, cfg.jobs)
+    """Rows (q, n) -> pairwise and balanced-split entanglement of formation,
+    both from one batch of the invariant route."""
+    keys = [(q, n) for q in cfg.trace_out for n in cfg.n_range]
+    outcomes = []
+    for q, n in keys:
+        spec = _attempt(traced_symmetric_spec, 2 * n, q, cfg.b)
+        outcomes += [
+            _attempt(_fs_split_spec, spec, n),
+            _attempt(_fs_split_spec, _attempt(_pair_spec, spec), 1),
+        ]
+    results = _reports_in_order(outcomes)
+    rows = []
+    for i, (q, n) in enumerate(keys):
+        row = {"q": q, "n": n, "b": cfg.b}
+        nn, pair = results[2 * i : 2 * i + 2]
+        if _first_failure([nn, pair]) is None:
+            row.update({"E_F_1x1": pair.eof, "E_F_nxn": nn.eof, "status": "ok"})
+        else:
+            row.update({"E_F_1x1": None, "E_F_nxn": None, "status": "unphysical"})
+        rows.append(row)
+    return rows
 
 
 def _format_cell(value) -> str:

@@ -12,29 +12,47 @@ to that two-mode state:
 * the constructive route (:func:`localize`), which builds the local
   transformation explicitly and returns the transformed matrix, so the
   structure claim itself can be checked numerically.
+
+The invariant route is one batch kernel. ``_equivalent_from_blocks``
+and ``_report_from_equivalent`` take the pattern blocks of N inputs as
+stacked arrays and run each stage once for all of them: one stacked
+``np.linalg.det`` call per stage, then elementwise numpy. Squares and
+exponentials go through the C library one value at a time, as Python
+floats did, so every input gets the same digits as on its own. Each
+check records the error of the inputs it fails (``_PointErrors``), and
+the first failing input in batch order raises the error it would raise
+alone. A single spec or matrix is a batch of one; the sweeps, the split
+scan and the cross-check suite each make one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .entanglement import (
     EntanglementReport,
     _pt_nu_tilde_pair,
+    _pt_pair_reports,
     _symmetric_dets,
-    report_from_pt_values,
 )
 from .errors import (
+    EntlocError,
     InconsistentInvariantsError,
     InvalidArgumentError,
     LocalizationError,
+    NumericalDomainError,
 )
 from .states import BisymmetricSpec, FullySymmetricSpec
 from .symplectic import (
     CovarianceMatrix,
+    _clipped_sqrts,
+    _PointErrors,
+    _scalar_batch,
+    _squares,
     clipped_sqrt,
     cm_to_json_dict,
     delta_invariant,
@@ -77,12 +95,7 @@ class EquivalentTwoMode:
         Delta~ = 2 det A + 2 det B - Delta_eq.
         """
         m = self.cm_eq.matrix
-        return _pt_nu_tilde_pair(
-            float(np.linalg.det(m[0:2, 0:2])),
-            float(np.linalg.det(m[2:4, 2:4])),
-            self.delta_eq,
-            1.0 / self.mu_eq**2,
-        )
+        return _scalar_batch(_nu_tilde_pairs, m[0:2, 0:2], m[2:4, 2:4], self.delta_eq, self.mu_eq)
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,92 +181,210 @@ def global_delta_bisym(spec: BisymmetricSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Invariant route to the equivalent two-mode state.
+# Invariant route to the equivalent two-mode state: one batch kernel.
 # ---------------------------------------------------------------------------
 
 
-def _block_nu_pair(diag2: np.ndarray, off2: np.ndarray, count: int) -> tuple[float, float]:
-    """(nu_minus, nu_plus) of a permutation-invariant block from raw 2x2 blocks.
+def _block_nu_pair(diag2, det_minus, det_plus, count, errors: _PointErrors):
+    """(nu_minus, nu_plus) of permutation-invariant blocks from raw 2x2 blocks.
 
-    Valid in any local basis, not just standard form, because both values
-    are determinants of combinations fixed by the pattern. This is the one
-    block-spectrum formula kept apart from ``states._pattern_factors``:
-    its ``np.linalg.det`` calls (LU, not the explicit 2x2 product) fix the
-    last bits of every invariant-route number, and explicit products change
-    digits of the report, ole, hierarchy and verify outputs.
+    The determinants are those of diag2 - off2 and diag2 + (count-1) off2:
+    valid in any local basis, not just standard form, because both values
+    are fixed by the pattern. This is the one block-spectrum formula kept
+    apart from ``states._pattern_factors``: its ``np.linalg.det`` calls
+    (LU, not the explicit 2x2 product) fix the last bits of every
+    invariant-route number.
     """
-    scale = float(np.max(np.abs(diag2))) ** 2 * max(1, count) ** 2
-    nu_minus = clipped_sqrt(float(np.linalg.det(diag2 - off2)), scale=scale)
-    nu_plus = clipped_sqrt(float(np.linalg.det(diag2 + (count - 1) * off2)), scale=scale)
-    return nu_minus, nu_plus
+    scale = _squares(np.abs(diag2).max(axis=(1, 2)), errors) * (count * count)
+    return _clipped_sqrts(np.array([det_minus, det_plus]), scale, errors)
 
 
-def _equivalent_from_blocks(
-    m: int,
-    n: int,
-    alpha: np.ndarray,
-    eps: np.ndarray,
-    beta: np.ndarray,
-    zeta: np.ndarray,
-    gamma: np.ndarray,
-) -> EquivalentTwoMode:
-    """Reconstruct the equivalent two-mode state from pattern blocks.
+class _Equivalents(NamedTuple):
+    """Equivalent two-mode states of a batch, as arrays over its points:
+    the standard form of ``EquivalentTwoMode.cm_eq`` and its invariants."""
 
-    Uses only invariants: the block spectra, the global block-determinant
-    sum, and the determinant of the still-coupled two-mode core. The cross
-    block of the result is fixed by det gamma'' = (Delta_eq - nu_plus_a^2
-    - nu_plus_b^2)/2 together with det sigma_eq = 1/mu_eq^2, taking the
-    root pair with c_plus >= |c_minus|, c_plus >= 0.
-    """
-    na_minus, na_plus = _block_nu_pair(alpha, eps, m)
-    nb_minus, nb_plus = _block_nu_pair(beta, zeta, n)
+    na_plus: np.ndarray
+    nb_plus: np.ndarray
+    c_plus: np.ndarray
+    c_minus: np.ndarray
+    mu_eq: np.ndarray
+    delta_eq: np.ndarray
+    plus_sq: np.ndarray  # nu_plus_a^2 and nu_plus_b^2, for the symmetric test
 
-    core_a = alpha + (m - 1) * eps
-    core_b = beta + (n - 1) * zeta
-    cross = math.sqrt(m * n) * gamma
-    core = np.block([[core_a, cross], [cross.T, core_b]])
-    det_core = float(np.linalg.det(core))
-    if det_core <= 0.0:
-        raise InconsistentInvariantsError(
-            f"coupled two-mode core has non-positive determinant {det_core:.6e}"
+    def two_mode(self, i: int) -> EquivalentTwoMode:
+        a, b, cp, cm = (float(v[i]) for v in self[:4])
+        matrix = np.array(
+            [[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]]
         )
-    mu_eq = 1.0 / math.sqrt(det_core)
+        return EquivalentTwoMode(CovarianceMatrix(matrix), float(self.mu_eq[i]), float(self.delta_eq[i]))
 
-    delta = (
-        m * float(np.linalg.det(alpha))
-        + m * (m - 1) * float(np.linalg.det(eps))
-        + n * float(np.linalg.det(beta))
-        + n * (n - 1) * float(np.linalg.det(zeta))
-        + 2.0 * m * n * float(np.linalg.det(gamma))
+
+def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
+    """Reconstruct the equivalent two-mode states of a batch from pattern blocks.
+
+    ``m`` and ``n`` are integer arrays of shape (N,); ``blocks`` stacks
+    alpha, eps, beta, zeta, gamma as shape (5, N, 2, 2), in any local
+    basis. Uses only invariants: the block spectra, the global
+    block-determinant sum, and the determinant of the still-coupled
+    two-mode core. The cross block of the result is fixed by det gamma'' =
+    (Delta_eq - nu_plus_a^2 - nu_plus_b^2)/2 together with det sigma_eq =
+    1/mu_eq^2, taking the root pair with c_plus >= |c_minus|, c_plus >= 0.
+    All 2x2 determinants go through one stacked ``np.linalg.det`` call and
+    the cores through another. Call it under ``np.errstate(all="ignore")``:
+    failures are recorded in ``errors``.
+    """
+    size = len(m)
+    counts = np.array([m, n])
+    counts1 = counts - 1
+    diag, off, gamma = blocks[0:4:2], blocks[1:4:2], blocks[4]
+    core_ab = diag + counts1[:, :, None, None] * off
+    cross = np.sqrt(m * n)[:, None, None] * gamma
+    core = np.empty((size, 4, 4))
+    core[:, :2, :2], core[:, :2, 2:] = core_ab[0], cross
+    core[:, 2:, :2], core[:, 2:, 2:] = cross.transpose(0, 2, 1), core_ab[1]
+    # rows: det(diag - off) and det(core) of blocks a, b; then the five blocks
+    dets = np.linalg.det(np.concatenate([diag - off, core_ab, blocks]).reshape(-1, 2, 2))
+    dets = dets.reshape(9, size)
+    det_core = np.linalg.det(core)
+
+    # both blocks' spectra as one batch of 2N blocks; block a's errors first
+    block_errors = _PointErrors(2 * size)
+    nus = _block_nu_pair(
+        diag.reshape(-1, 2, 2), dets[0:2].ravel(), dets[2:4].ravel(), counts.ravel(), block_errors
+    ).reshape(2, 2, size)
+    errors.merge(block_errors)
+    (na_minus, nb_minus), (na_plus, nb_plus) = nus
+    errors.record(
+        det_core <= 0.0,
+        lambda i: InconsistentInvariantsError(
+            f"coupled two-mode core has non-positive determinant {det_core[i]:.6e}"
+        ),
     )
-    delta_eq = delta - (m - 1) * na_minus**2 - (n - 1) * nb_minus**2
+    mu_eq = 1.0 / np.sqrt(det_core)
 
-    det_cross = 0.5 * (delta_eq - na_plus**2 - nb_plus**2)
+    # Delta = m det alpha + m(m-1) det eps + n det beta + n(n-1) det zeta
+    #         + 2 m n det gamma, summed left to right (an axis-0 sum does)
+    pairs = counts * counts1
+    delta = (np.array([m, pairs[0], n, pairs[1], 2 * m * n], dtype=float) * dets[4:]).sum(axis=0)
+    minus_sq_a, minus_sq_b, *plus_sq = _squares(nus.reshape(4, size), errors)
+    delta_eq = delta - counts1[0] * minus_sq_a - counts1[1] * minus_sq_b
+
+    det_cross = 0.5 * (delta_eq - plus_sq[0] - plus_sq[1])
     k = na_plus * nb_plus
-    q = det_core
-    scale = max(k * k, q, 1.0)
-    sum_sq = (k * k + det_cross**2 - q) / k
-    if sum_sq < -1e-10 * scale:
-        raise InconsistentInvariantsError(
-            f"invariants give negative c_plus^2 + c_minus^2 = {sum_sq:.6e}"
-        )
-    sum_sq = max(sum_sq, 0.0)
-    root = clipped_sqrt(sum_sq**2 - 4.0 * det_cross**2, scale=scale**2)
-    t_plus = 0.5 * (sum_sq + root)
-    c_plus = math.sqrt(t_plus)
-    c_minus = det_cross / c_plus if c_plus > 0.0 else 0.0
-
-    cm_eq = CovarianceMatrix(
-        np.array(
-            [
-                [na_plus, 0.0, c_plus, 0.0],
-                [0.0, na_plus, 0.0, c_minus],
-                [c_plus, 0.0, nb_plus, 0.0],
-                [0.0, c_minus, 0.0, nb_plus],
-            ]
-        )
+    kk, q = k * k, det_core
+    # max(kk, q, 1.0); fmax differs from it only where kk is nan, and
+    # there sum_sq is nan too, so neither check below can fire
+    scale = np.fmax(np.fmax(kk, q), 1.0)
+    det_cross_sq = _squares(det_cross, errors)
+    errors.record(
+        k == 0.0,
+        lambda i: NumericalDomainError("c_plus^2 + c_minus^2 divides by nu_plus_a nu_plus_b = 0"),
     )
-    return EquivalentTwoMode(cm_eq, mu_eq, delta_eq)
+    sum_sq = (kk + det_cross_sq - q) / k
+    errors.record(
+        sum_sq < -1e-10 * scale,
+        lambda i: InconsistentInvariantsError(
+            f"invariants give negative c_plus^2 + c_minus^2 = {sum_sq[i]:.6e}"
+        ),
+    )
+    sum_sq = np.where(0.0 > sum_sq, 0.0, sum_sq)
+    sum_sq_sq, scale_sq = _squares(np.array([sum_sq, scale]), errors)
+    root = _clipped_sqrts(sum_sq_sq - 4.0 * det_cross_sq, scale_sq, errors)
+    c_plus = np.sqrt(0.5 * (sum_sq + root))
+    c_minus = np.where(c_plus > 0.0, det_cross / c_plus, 0.0)
+    errors.record(
+        ~np.isfinite(np.array([na_plus, nb_plus, c_plus, c_minus])).all(axis=0),
+        lambda i: InvalidArgumentError("covariance matrix has non-finite entries"),
+    )
+    return _Equivalents(na_plus, nb_plus, c_plus, c_minus, mu_eq, delta_eq, np.array(plus_sq))
+
+
+def _nu_tilde_pairs(block_a, block_b, delta_eq, mu_eq, errors: _PointErrors):
+    """PT eigenvalues of two-mode states from their local blocks and
+    invariants: Delta~ = 2 det A + 2 det B - Delta_eq, det = 1/mu_eq^2."""
+    det_a, det_b = np.linalg.det(np.concatenate([block_a, block_b])).reshape(2, len(mu_eq))
+    mu_sq = _squares(mu_eq, errors)
+    errors.record(
+        mu_sq == 0.0,
+        lambda i: NumericalDomainError("det sigma_eq = 1/mu_eq^2 divides by mu_eq^2 = 0"),
+    )
+    return _pt_nu_tilde_pair(det_a, det_b, delta_eq, 1.0 / mu_sq, errors)
+
+
+def _report_from_equivalent(eq: _Equivalents, tol: float, errors: _PointErrors) -> list:
+    """Entanglement report, or the error, of each point of a batch."""
+    local = np.zeros((2, len(eq.mu_eq), 2, 2))
+    local[:, :, 0, 0] = local[:, :, 1, 1] = (eq.na_plus, eq.nb_plus)
+    nu_minus, nu_plus = _nu_tilde_pairs(local[0], local[1], eq.delta_eq, eq.mu_eq, errors)
+    symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1], tol)
+    return _pt_pair_reports(nu_minus, nu_plus, symmetric, errors)
+
+
+def _spec_blocks(specs):
+    """(m, n, blocks) stacks of standard-form specs, blocks of shape (5, N, 2, 2)."""
+    rows = [(s.m, s.n, s.a, s.a, s.e1, s.e2, s.b, s.b, s.z1, s.z2, s.g1, s.g2) for s in specs]
+    params = np.array(rows, dtype=float).T
+    blocks = np.zeros((5, len(specs), 2, 2))
+    blocks[:, :, 0, 0] = params[2::2]
+    blocks[:, :, 1, 1] = params[3::2]
+    return params[0].astype(np.int64), params[1].astype(np.int64), blocks
+
+
+def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None):
+    """(m, n, blocks) stacks of the splits (m, n) of one matrix that pass
+    the two-block pattern check, in order up to the first that fails (None
+    if that is the first), and that failure."""
+    matrix = np.array(cm.matrix)
+    if tol_pattern is None:
+        tol_pattern = 1e-8 * max(1.0, float(np.max(np.abs(matrix))))
+
+    def check(split):
+        m, n = split
+        if m < 1 or n < 1 or m + n != cm.modes:
+            raise InvalidArgumentError(
+                f"split ({m}, {n}) does not cover the {cm.modes}-mode input"
+            )
+        return _extract_pattern_blocks(matrix, m, n, tol_pattern)
+
+    blocks, failure = _until_error(check, splits)
+    if not blocks:
+        return None, failure
+    m, n = np.array(splits[: len(blocks)], dtype=np.int64).T
+    return (m, n, np.array(blocks).transpose(1, 0, 2, 3)), failure
+
+
+def _until_error(build, items) -> tuple[list, Exception | None]:
+    """``build(item)`` for the items in order, up to the first EntlocError,
+    which is returned beside the values built before it."""
+    built = []
+    for item in items:
+        try:
+            built.append(build(item))
+        except EntlocError as exc:
+            return built, exc
+    return built, None
+
+
+def _raise_first(results: list) -> list:
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _reports(blocks, tol: float) -> list:
+    """The report, or the error, of each point of one batch."""
+    errors = _PointErrors(len(blocks[0]))
+    with np.errstate(all="ignore"):
+        return _report_from_equivalent(_equivalent_from_blocks(*blocks, errors), tol, errors)
+
+
+def _single_equivalent(blocks) -> EquivalentTwoMode:
+    errors = _PointErrors(1)
+    with np.errstate(all="ignore"):
+        eq = _equivalent_from_blocks(*blocks, errors)
+    errors.raise_first()
+    return eq.two_mode(0)
 
 
 def equivalent_two_mode_invariants(spec: BisymmetricSpec) -> EquivalentTwoMode:
@@ -261,15 +392,7 @@ def equivalent_two_mode_invariants(spec: BisymmetricSpec) -> EquivalentTwoMode:
 
     O(1) in the number of modes; the workhorse of the parameter sweeps.
     """
-    return _equivalent_from_blocks(
-        spec.m,
-        spec.n,
-        np.diag([spec.a, spec.a]),
-        np.diag([spec.e1, spec.e2]),
-        np.diag([spec.b, spec.b]),
-        np.diag([spec.z1, spec.z2]),
-        np.diag([spec.g1, spec.g2]),
-    )
+    return _single_equivalent(_spec_blocks([spec]))
 
 
 def equivalent_from_cm(
@@ -280,42 +403,45 @@ def equivalent_from_cm(
     The pattern blocks need not be in standard form; they are verified
     against the two-block permutation symmetry and rejected otherwise.
     """
-    if m < 1 or n < 1 or m + n != cm.modes:
-        raise InvalidArgumentError(
-            f"split ({m}, {n}) does not cover the {cm.modes}-mode input"
-        )
-    matrix = np.array(cm.matrix)
-    if tol_pattern is None:
-        tol_pattern = 1e-8 * max(1.0, float(np.max(np.abs(matrix))))
-    blocks = _extract_pattern_blocks(matrix, m, n, tol_pattern)
-    return _equivalent_from_blocks(m, n, *blocks)
+    blocks, failure = _cm_blocks(cm, [(m, n)], tol_pattern)
+    if failure is not None:
+        raise failure
+    return _single_equivalent(blocks)
 
 
-def _report_from_equivalent(eq: EquivalentTwoMode, tol: float) -> EntanglementReport:
-    nu_pair = eq.nu_tilde_pair()
-    m = eq.cm_eq.matrix
-    return report_from_pt_values(
-        np.array(nu_pair),
-        decidable=True,
-        symmetric=_symmetric_dets(m[0, 0] ** 2, m[2, 2] ** 2, tol),
-    )
-
-
-def equivalent_report(spec: BisymmetricSpec, tol: float = 1e-8) -> EntanglementReport:
+def equivalent_report(spec, tol: float = 1e-8, *, return_errors: bool = False):
     """Entanglement report of the m x n split via the equivalent state.
 
     Positivity of the partial transpose is decisive for this state class,
     so the separable flag is always populated; the entanglement of
     formation is included when the equivalent state is symmetric.
+
+    ``spec`` is one ``BisymmetricSpec`` or a sequence of them; a sequence
+    is evaluated in one batch and gives a list. The batch raises the error
+    of its first failing spec, or, with ``return_errors=True``, puts each
+    failing spec's error in place of its report.
     """
-    return _report_from_equivalent(equivalent_two_mode_invariants(spec), tol)
+    if isinstance(spec, BisymmetricSpec):
+        return _raise_first(_reports(_spec_blocks([spec]), tol))[0]
+    specs = list(spec)
+    results = _reports(_spec_blocks(specs), tol) if specs else []
+    return results if return_errors else _raise_first(results)
 
 
-def equivalent_report_from_cm(
-    cm: CovarianceMatrix, m: int, n: int, tol: float = 1e-8
-) -> EntanglementReport:
-    """Entanglement report of an assembled two-block covariance matrix."""
-    return _report_from_equivalent(equivalent_from_cm(cm, m, n), tol)
+def equivalent_report_from_cm(cm: CovarianceMatrix, m, n, tol: float = 1e-8):
+    """Entanglement report of an assembled two-block covariance matrix.
+
+    ``m`` and ``n`` may be equal-length sequences of block sizes: the
+    splits are then evaluated in one batch and give a list, and the first
+    split that fails, in its pattern check or in the batch, raises.
+    """
+    single = np.ndim(m) == 0
+    splits = [(m, n)] if single else list(zip(m, n, strict=True))
+    blocks, failure = _cm_blocks(cm, splits, None)
+    reports = _raise_first(_reports(blocks, tol)) if blocks is not None else []
+    if failure is not None:
+        raise failure
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +662,13 @@ def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
         raise InvalidArgumentError("need at least two modes to form a bipartition")
     ks = range(1, total // 2 + 1)
     if isinstance(state, FullySymmetricSpec):
-        return [(k, block_log_negativity(state, k)) for k in ks]
-    return [(k, equivalent_report_from_cm(state, k, total - k)) for k in ks]
+        splits, failure = _until_error(lambda k: _fs_split_spec(state, k), ks)
+        reports = equivalent_report(splits)
+        if failure is not None:
+            raise failure
+    else:
+        reports = equivalent_report_from_cm(state, ks, [total - k for k in ks])
+    return list(zip(ks, reports))
 
 
 def _best_split(scan) -> tuple[int, EntanglementReport]:

@@ -311,14 +311,17 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     from .states import bisymmetric_cm
 
     sampler = SpecSampler(seed, max_block=max_block)
+    specs = [sampler.bisymmetric() for _ in range(cases)]
+    invariant = equivalent_report(specs, return_errors=True)
     two_mode_split = ModeBipartition((0,), (1,))
     reports: list[OracleReport] = []
-    for index in range(cases):
-        spec = sampler.bisymmetric()
+    for index, (spec, report) in enumerate(zip(specs, invariant)):
         cm = bisymmetric_cm(spec)
         part = ModeBipartition(tuple(range(spec.m)), tuple(range(spec.m, spec.total_modes)))
 
-        en_invariant = equivalent_report(spec).log_negativity
+        if isinstance(report, Exception):
+            raise report
+        en_invariant = report.log_negativity
         loc = localize(cm, spec.m, spec.n)
         en_constructive = oracle_pt_log_negativity(loc.equivalent.cm_eq, two_mode_split)
         en_brute = oracle_pt_log_negativity(cm, part)

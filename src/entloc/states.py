@@ -200,7 +200,12 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     q = a1 * c2 + c1 * b2
     r = c1 * a2 + b1 * c2
     s = c1 * c2 + b1 * b2
-    root = math.sqrt(max((p - s) ** 2 + 4.0 * q * r, 0.0))
+    try:
+        root = math.sqrt(max((p - s) ** 2 + 4.0 * q * r, 0.0))
+    except OverflowError as exc:
+        raise InvalidArgumentError(
+            f"parameters too large for the spectrum check: ({p:.6e} - {s:.6e})^2 overflows"
+        ) from exc
     nus = [math.sqrt(2.0 * det_x * det_p / (p + s + root))]
     if m > 1:
         nus.append(math.sqrt(am1 * am2))
@@ -367,7 +372,13 @@ def ghz_type_spec(total_modes: int, b: float) -> FullySymmetricSpec:
         raise InvalidArgumentError(f"single-mode eigenvalue must be >= 1, got {b}")
     big_m = float(total_modes)
     base = 1.0 + b * b * (big_m - 2.0) - (big_m - 1.0)
-    root = math.sqrt(max((b * b - 1.0) * ((b * big_m) ** 2 - (big_m - 2.0) ** 2), 0.0))
+    try:
+        root = math.sqrt(max((b * b - 1.0) * ((b * big_m) ** 2 - (big_m - 2.0) ** 2), 0.0))
+    except OverflowError as exc:
+        raise InvalidArgumentError(
+            f"single-mode eigenvalue b = {b} overflows the {total_modes}-mode pure-state formula",
+            offending_value=b,
+        ) from exc
     denom = 2.0 * b * (big_m - 1.0)
     z1 = (base + root) / denom
     z2 = (base - root) / denom

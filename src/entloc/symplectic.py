@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +51,102 @@ def clipped_sqrt(value: float, scale: float = 1.0, clip: float = RADICAND_CLIP) 
     if value < -clip * max(1.0, abs(scale)):
         raise NumericalDomainError(f"negative radicand {value:.6e} beyond clip tolerance")
     return math.sqrt(max(value, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation: one numpy pass per stage over many points, giving every
+# point the bits and the error its scalar evaluation would give.
+# ---------------------------------------------------------------------------
+
+
+class _PointErrors:
+    """The first error of each point of a batch.
+
+    A batch stage computes every point, then ``record`` keeps, for each
+    point not yet failed, the error the scalar code raises at that stage.
+    Values of failed points are meaningless from then on. A stage may
+    stack K quantities as a (K, N) array; the rows are taken in the order
+    the scalar code computes them.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.errors = [None] * size
+        self.alive = np.ones(size, dtype=bool)
+
+    def record(self, failed: np.ndarray, make_error) -> None:
+        """``make_error(j)`` builds the error of flat index j of ``failed``."""
+        if np.count_nonzero(failed):
+            for j in np.flatnonzero(failed):
+                self.fail(j % self.size, make_error(j))
+
+    def merge(self, part: "_PointErrors") -> None:
+        """Take the errors of a batch over K stacked copies of these points
+        (point i of copy r at index r N + i), copy r before copy r + 1."""
+        self.record(~part.alive.reshape(-1, self.size), lambda j: part.errors[j])
+
+    def fail(self, i: int, error: Exception) -> None:
+        if self.alive[i]:
+            self.errors[i] = error
+            self.alive[i] = False
+
+    def raise_first(self) -> None:
+        for error in self.errors:
+            if error is not None:
+                raise error
+
+
+def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray, *extra) -> np.ndarray:
+    """``fn`` on each value as a Python float, for the C library's pow and
+    exp: numpy's ``x**2`` and ``np.exp`` round a few results differently.
+    An overflow is recorded as a NumericalDomainError and reads inf."""
+    xs = values.ravel().tolist()
+    try:
+        return np.array(list(map(fn, xs, *extra)), dtype=float).reshape(values.shape)
+    except OverflowError:
+        pass
+    out = []
+    for j, args in enumerate(zip(xs, *extra)):
+        try:
+            out.append(fn(*args))
+        except OverflowError:
+            out.append(math.inf)
+            errors.fail(
+                j % errors.size,
+                NumericalDomainError(f"overflow: the {what} of {xs[j]:.6e} is out of float range"),
+            )
+    return np.array(out, dtype=float).reshape(values.shape)
+
+
+def _squares(values: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """``x ** 2`` as Python computes it for floats."""
+    return _elementwise(math.pow, "square", errors, values, itertools.repeat(2.0))
+
+
+def _clipped_sqrts(value: np.ndarray, scale: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """Elementwise :func:`clipped_sqrt` for scales >= 0; radicands beyond
+    the clip are recorded in ``errors``. ``scale`` broadcasts against
+    ``value``."""
+    # fmax(s, 1) is max(1.0, s): a nan scale counts as 1
+    beyond = value < -RADICAND_CLIP * np.fmax(scale, 1.0)
+    errors.record(
+        beyond,
+        lambda j: NumericalDomainError(
+            f"negative radicand {value.flat[j]:.6e} beyond clip tolerance"
+        ),
+    )
+    # where(0 > v, 0, v) is max(v, 0.0): it keeps -0.0 and nan as they are
+    return np.sqrt(np.where(0.0 > value, 0.0, value))
+
+
+def _scalar_batch(fn, *args):
+    """Run a batch function on one point: each argument becomes a batch of
+    one, the results come back as floats, and the point's error is raised."""
+    errors = _PointErrors(1)
+    with np.errstate(all="ignore"):
+        out = fn(*(np.asarray(a, dtype=float)[None] for a in args), errors)
+    errors.raise_first()
+    return tuple(float(v[0]) for v in out)
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -325,22 +422,27 @@ class TwoModeInvariants:
 
     def symplectic_eigenvalues(self) -> tuple[float, float]:
         """Closed-form (nu_minus, nu_plus): 2 nu^2 = Delta -/+ sqrt(Delta^2 - 4 det)."""
-        return _minus_plus_pair(self.delta, self.det_total)
+        return _scalar_batch(_minus_plus_pair, self.delta, self.det_total)
 
 
-def _minus_plus_pair(delta: float, det: float) -> tuple[float, float]:
-    """Both branches of 2 nu^2 = delta -/+ sqrt(delta^2 - 4 det).
+def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors):
+    """Both branches of 2 nu^2 = delta -/+ sqrt(delta^2 - 4 det), per point.
 
     The minus branch is evaluated in conjugate form, 2 det / (delta +
     root), which stays accurate when the branches are many orders of
     magnitude apart (large squeezing).
     """
-    root = clipped_sqrt(delta**2 - 4.0 * det, scale=delta**2)
-    nu_plus = clipped_sqrt(0.5 * (delta + root), scale=abs(delta))
-    if det > 0.0 and delta + root > 0.0:
-        nu_minus = math.sqrt(2.0 * det / (delta + root))
-    else:
-        nu_minus = clipped_sqrt(0.5 * (delta - root), scale=abs(delta))
+    delta_sq = _squares(delta, errors)
+    root = _clipped_sqrts(delta_sq - 4.0 * det, delta_sq, errors)
+    conjugate = (det > 0.0) & (delta + root > 0.0)
+    # conjugate points take the minus branch from the quotient, so their
+    # direct radicand is set to 1, which cannot fail
+    nu_plus, direct = _clipped_sqrts(
+        np.array([0.5 * (delta + root), np.where(conjugate, 1.0, 0.5 * (delta - root))]),
+        np.abs(delta),
+        errors,
+    )
+    nu_minus = np.where(conjugate, np.sqrt(2.0 * det / (delta + root)), direct)
     return nu_minus, nu_plus
 
 

@@ -1,0 +1,205 @@
+"""The invariant route evaluated as one batch: every point of a batch gets
+the bits and the error of its own single-point evaluation."""
+
+import math
+
+import numpy as np
+import pytest
+
+import entloc as el
+import entloc.experiments as exp
+from entloc.errors import InvalidArgumentError, NumericalDomainError
+from entloc.experiments import (
+    HIERARCHY_COLUMNS,
+    SCALING_COLUMNS,
+    SweepConfig,
+    render_table,
+    run_hierarchy,
+    run_scaling,
+    traced_symmetric_spec,
+)
+from entloc.localization import _fs_split_spec
+from entloc.oracle import SpecSampler
+
+# valid specs on which the invariant route itself fails: an overflowing
+# square (NumericalDomainError) and an overflowing determinant that leaves
+# the equivalent state non-finite (InvalidArgumentError)
+OVERFLOWING = el.BisymmetricSpec(2, 2, 1e100, 0.0, 0.0, 1e100, 0.0, 0.0, 0.0, 0.0)
+NON_FINITE = el.BisymmetricSpec(2, 2, 1e78, 0.0, 0.0, 1e78, 0.0, 0.0, 0.0, 0.0)
+
+
+def _same(a, b):
+    # == on the dataclass misses -0.0 against 0.0; repr does not
+    return a == b and repr(a) == repr(b)
+
+
+def _traced_splits():
+    specs = []
+    for modes in (2, 3, 6, 11):
+        for q in (0, 1, 4):
+            for b in (1.0, 1.3, 2.0, 7.5):
+                parent = traced_symmetric_spec(modes, q, b)
+                specs += [_fs_split_spec(parent, k) for k in range(1, modes)]
+    return specs
+
+
+def test_batch_matches_single_calls():
+    sampler = SpecSampler(2024)
+    specs = [sampler.bisymmetric() for _ in range(2000)]
+    specs += [sampler.separable_bisymmetric() for _ in range(200)]
+    specs += _traced_splits()
+    batch = el.equivalent_report(specs)
+    assert len(batch) == len(specs)
+    assert any(r.separable for r in batch) and any(not r.separable for r in batch)
+    assert any(r.eof is not None for r in batch)
+    for spec, report in zip(specs, batch):
+        assert _same(report, el.equivalent_report(spec))
+
+
+def _local_basis(matrix, m, n, rng):
+    """The same random single-mode symplectic on every mode of each block."""
+
+    def single():
+        r, t = rng.uniform(-0.6, 0.6), rng.uniform(0.0, math.pi)
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[c, -s], [s, c]]) @ np.diag([math.exp(r), math.exp(-r)])
+
+    s = np.zeros_like(matrix)
+    s[: 2 * m, : 2 * m] = np.kron(np.eye(m), single())
+    s[2 * m :, 2 * m :] = np.kron(np.eye(n), single())
+    out = s.T @ matrix @ s
+    return el.CovarianceMatrix(0.5 * (out + out.T))
+
+
+def test_batch_from_cm_matches_single_calls_in_local_bases():
+    rng = np.random.default_rng(7)
+    sampler = SpecSampler(8, max_block=4)
+    for _ in range(40):
+        spec = sampler.bisymmetric()
+        cm = _local_basis(el.bisymmetric_cm(spec).matrix, spec.m, spec.n, rng)
+        [batch] = el.equivalent_report_from_cm(cm, [spec.m], [spec.n])
+        assert _same(batch, el.equivalent_report_from_cm(cm, spec.m, spec.n))
+        assert batch.log_negativity == pytest.approx(
+            el.equivalent_report(spec).log_negativity, rel=1e-9, abs=1e-12
+        )
+    for modes, q, b in ((6, 0, 1.5), (9, 3, 2.2), (12, 1, 1.0)):
+        spec = traced_symmetric_spec(modes, q, b)
+        cm = _local_basis(el.fully_symmetric_cm(spec).matrix, modes, 0, rng)
+        ks = list(range(1, modes))
+        batch = el.equivalent_report_from_cm(cm, ks, [modes - k for k in ks])
+        for k, report in zip(ks, batch):
+            assert _same(report, el.equivalent_report_from_cm(cm, k, modes - k))
+
+
+def test_sweep_cells_are_never_negative_zero():
+    hierarchy = run_hierarchy(
+        SweepConfig(modes=12, b_grid=(1.0, 1.0 + 1e-12, 1.2, 2.5), trace_out=(0, 3))
+    )
+    scaling = run_scaling(
+        SweepConfig(experiment="scaling", b=1.0, n_range=(1, 2, 5), trace_out=(0, 2))
+    )
+    text = render_table(hierarchy, HIERARCHY_COLUMNS, "csv") + render_table(
+        scaling, SCALING_COLUMNS, "csv"
+    )
+    cells = [cell for line in text.splitlines() for cell in line.split(",")]
+    assert "0" in cells
+    assert not [cell for cell in cells if cell.startswith("-0") and float(cell) == 0.0]
+
+
+def _error_of(spec):
+    with pytest.raises(Exception) as info:
+        el.equivalent_report(spec)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "failing", [(OVERFLOWING, NON_FINITE), (NON_FINITE, OVERFLOWING)], ids=["numerical", "invalid"]
+)
+def test_batch_raises_the_first_failing_spec(failing):
+    ok = SpecSampler(3).bisymmetric()
+    first = _error_of(failing[0])
+    with pytest.raises(type(first)) as info:
+        el.equivalent_report([ok, failing[0], ok, failing[1]])
+    assert str(info.value) == str(first)
+
+    results = el.equivalent_report([ok, *failing], return_errors=True)
+    assert _same(results[0], el.equivalent_report(ok))
+    for result, spec in zip(results[1:], failing):
+        expected = _error_of(spec)
+        assert type(result) is type(expected) and str(result) == str(expected)
+
+
+def test_kernel_error_classes():
+    assert isinstance(_error_of(OVERFLOWING), NumericalDomainError)
+    assert "overflow" in str(_error_of(OVERFLOWING))
+    assert isinstance(_error_of(NON_FINITE), InvalidArgumentError)
+
+
+def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
+    original = exp._fs_split_spec
+
+    def crafted(failing):
+        def split(spec, k):
+            return failing if (k, spec.b) == (2, 1.5) else original(spec, k)
+
+        return split
+
+    cfg = SweepConfig(modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
+    clean = run_hierarchy(cfg)
+
+    monkeypatch.setattr(exp, "_fs_split_spec", crafted(NON_FINITE))
+    rows = run_hierarchy(cfg)
+    assert [r["status"] for r in rows].count("unphysical") == 1
+    assert [r for r in rows if r["status"] == "ok"] == [
+        r for r in clean if (r["k"], r["b"]) != (2, 1.5)
+    ]
+
+    monkeypatch.setattr(exp, "_fs_split_spec", crafted(OVERFLOWING))
+    with pytest.raises(NumericalDomainError) as info:
+        run_hierarchy(cfg)
+    assert str(info.value) == str(_error_of(OVERFLOWING))
+
+
+def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypatch):
+    calls = {"parent": 0, "kernel": 0}
+    parent, kernel = exp.traced_symmetric_spec, exp.equivalent_report
+
+    def counted_parent(*args):
+        calls["parent"] += 1
+        return parent(*args)
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "traced_symmetric_spec", counted_parent)
+    monkeypatch.setattr(exp, "equivalent_report", counted_kernel)
+    rows = run_hierarchy(SweepConfig(modes=20, b_grid=(1.0, 1.5, 2.0), trace_out=(0, 4)))
+    assert len(rows) == 2 * 10 * 3
+    assert calls == {"parent": 2 * 3, "kernel": 1}
+
+
+def test_squares_and_exp_round_like_python_floats():
+    from entloc.symplectic import _PointErrors, _squares
+
+    rng = np.random.default_rng(11)
+    values = np.exp(rng.uniform(-20.0, 20.0, 20_000)) * rng.choice([-1.0, 1.0], 20_000)
+    errors = _PointErrors(len(values))
+    squares = _squares(values, errors)
+    assert squares.tolist() == [v**2 for v in values.tolist()]
+    assert errors.alive.all()
+
+    reports = el.equivalent_report(_traced_splits())
+    assert sum(r.log_negativity > 0.0 for r in reports) > 100
+    for r in reports:
+        assert r.negativity == 0.5 * (math.exp(r.log_negativity) - 1.0)
+
+
+def test_squares_record_overflow():
+    from entloc.symplectic import _PointErrors, _squares
+
+    errors = _PointErrors(3)
+    squares = _squares(np.array([2.0, 1e200, math.inf]), errors)
+    assert squares.tolist() == [4.0, math.inf, math.inf]
+    assert errors.alive.tolist() == [True, False, True]
+    assert isinstance(errors.errors[1], NumericalDomainError)

@@ -283,3 +283,25 @@ def test_scaling_n_range_needs_two_bounds(capsys, n_range):
     assert code == 2
     assert out == ""
     assert "--n-range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("scaling", "--b", "1e300", "--n-range", "1,2"), 0),
+        (("hierarchy", "--modes", "6", "--b-grid", "1:1e300:2"), 0),
+        (("report", "--modes", "6", "--b", "1e200", "--split", "3", "3"), 2),
+        (("spectrum", "--modes", "4", "--b", "1e160"), 2),
+        (("ole", "--modes", "4", "--b", "1e155"), 2),
+        (("report", "--spec-json", '{"modes":4,"b":1e200,"z1":0,"z2":0}', "--split", "2", "2"), 3),
+        (("report", "--spec-json", '{"m":1,"n":1,"a":1e100,"b":1}'), 2),
+        (("ole", "--spec-json", '{"modes":3,"b":1e100,"z1":5e99,"z2":0}'), 2),
+    ],
+)
+def test_overflow_exit_code(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert "unphysical" in out and err == ""
+    else:
+        assert out == "" and ("overflow" in err or "too large" in err)
