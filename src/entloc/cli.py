@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .entanglement import ModeBipartition, log_negativity
 from .errors import (
     InvalidArgumentError,
@@ -50,7 +52,9 @@ from .states import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    float_reprs,
     load_cm,
+    matrix_to_json_text,
     save_cm,
     symplectic_eigenvalues,
 )
@@ -148,7 +152,33 @@ def _emit(text: str, out_path):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The stdlib's indented encoder is pure Python; the matrices of a
+    localization payload are lists of thousands of floats, so each list
+    of finite floats is joined from ``float_reprs`` instead.
+    """
+    return _indented_json(obj, "\n") + "\n"
+
+
+def _indented_json(obj, newline: str) -> str:
+    """The indented JSON of ``obj`` for a place where each new line starts
+    with ``newline`` (a line break and the indent of that depth); values
+    other than non-empty lists and str-keyed dicts go to the stdlib."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        members = (f"{json.dumps(key)}: {_indented_json(value, inner)}"
+                   for key, value in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)) and obj:
+        values = np.array(obj) if set(map(type, obj)) == {float} else None
+        if values is not None and np.isfinite(values).all():
+            members = float_reprs(values).tolist()
+        else:
+            members = [_indented_json(value, inner) for value in obj]
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +235,18 @@ def _cmd_report(args) -> int:
             cm = _spec_to_cm(spec)
         result = localize(cm, m, n, tol_pattern=args.tol)
         payload["localization"] = result.to_json_dict()
-        _dump_localization(args, result.cm_final, payload["localization"])
+        _dump_localization(args, result)
     _emit(_json_text(payload), args.out)
     return 0
 
 
-def _dump_localization(args, cm_final, result_json):
-    """Write the files of --dump-final and --dump-symplectic, the latter
-    from the already serialized ``LocalizationResult.to_json_dict()``."""
+def _dump_localization(args, result):
+    """Write the files of --dump-final and --dump-symplectic."""
     if getattr(args, "dump_final", None):
-        save_cm(cm_final, args.dump_final)
+        save_cm(result.cm_final, args.dump_final)
     if getattr(args, "dump_symplectic", None):
         with open(args.dump_symplectic, "w", encoding="utf-8") as handle:
-            json.dump(result_json["local_symplectic"], handle)
+            handle.write(matrix_to_json_text(result.local_symplectic))
 
 
 def _cmd_localize(args) -> int:
@@ -227,7 +256,7 @@ def _cmd_localize(args) -> int:
     m, n = _resolve_split(args, cm.modes, spec)
     result = localize(cm, m, n, tol_pattern=args.tol)
     payload = result.to_json_dict()
-    _dump_localization(args, result.cm_final, payload)
+    _dump_localization(args, result)
     _emit(_json_text(payload), args.out)
     return 0
 

@@ -15,7 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalDomainError
 from .localization import _fs_split_spec, equivalent_report
 from .states import BisymmetricSpec, FullySymmetricSpec, _require_finite, ghz_type_spec
 
@@ -122,15 +122,20 @@ def _reports_in_order(outcomes: list) -> list:
     return [next(results) if isinstance(o, BisymmetricSpec) else o for o in outcomes]
 
 
-def _first_failure(results):
-    """The InvalidArgumentError that ends a row, if any; any other error
-    is raised, as the point-by-point evaluation raised it."""
+def _row_status(results) -> str:
+    """The status of a row from its results, taken in order: "ok" when
+    none failed, else that of the first error, "unphysical" for an
+    InvalidArgumentError (the point is no physical state) and "numerical"
+    for a NumericalDomainError (the invariant route left the float range
+    at a valid point); any other error is raised."""
     for result in results:
         if isinstance(result, InvalidArgumentError):
-            return result
+            return "unphysical"
+        if isinstance(result, NumericalDomainError):
+            return "numerical"
         if isinstance(result, Exception):
             raise result
-    return None
+    return "ok"
 
 
 def run_hierarchy(cfg: SweepConfig) -> list[dict]:
@@ -149,7 +154,8 @@ def run_hierarchy(cfg: SweepConfig) -> list[dict]:
     rows = []
     for (q, k, b), result in zip(keys, results):
         row = {"m": k, "n": cfg.modes - k, "k": k, "b": b, "q": q}
-        if _first_failure([result]) is None:
+        status = _row_status([result])
+        if status == "ok":
             row.update(
                 {
                     "nu_tilde": result.nu_tilde_min,
@@ -157,14 +163,11 @@ def run_hierarchy(cfg: SweepConfig) -> list[dict]:
                     "N": result.negativity,
                     "E_F": result.eof,
                     "separable": result.separable,
-                    "status": "ok",
                 }
             )
         else:
-            row.update(
-                {"nu_tilde": None, "E_N": None, "N": None, "E_F": None, "separable": None,
-                 "status": "unphysical"}
-            )
+            row.update({"nu_tilde": None, "E_N": None, "N": None, "E_F": None, "separable": None})
+        row["status"] = status
         rows.append(row)
     return rows
 
@@ -189,10 +192,12 @@ def run_scaling(cfg: SweepConfig) -> list[dict]:
     for i, (q, n) in enumerate(keys):
         row = {"q": q, "n": n, "b": cfg.b}
         nn, pair = results[2 * i : 2 * i + 2]
-        if _first_failure([nn, pair]) is None:
-            row.update({"E_F_1x1": pair.eof, "E_F_nxn": nn.eof, "status": "ok"})
+        status = _row_status([nn, pair])
+        if status == "ok":
+            row.update({"E_F_1x1": pair.eof, "E_F_nxn": nn.eof})
         else:
-            row.update({"E_F_1x1": None, "E_F_nxn": None, "status": "unphysical"})
+            row.update({"E_F_1x1": None, "E_F_nxn": None})
+        row["status"] = status
         rows.append(row)
     return rows
 

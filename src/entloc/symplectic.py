@@ -465,14 +465,46 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 
 # ---------------------------------------------------------------------------
 # Serialization. JSON: {"modes": N, "entries": [...]} with 4N^2 row-major
-# numbers. CSV: 2N lines of 2N comma-separated decimals. Readers reject
-# matrices that are asymmetric beyond TOL_SYM.
+# numbers. CSV: 2N lines of 2N comma-separated decimals. Every number is
+# Python's shortest round-trip repr, so a written matrix reads back bit for
+# bit. The writers take these strings from ``float_reprs``, which formats
+# each distinct float once: at M = 48 a local symplectic holds about a
+# hundred distinct values in 9216 entries and an exactly symmetric matrix
+# repeats each off-diagonal entry, while the stdlib's indented JSON encoder
+# is pure Python and formats every entry. The texts equal ``json.dumps``
+# and the per-entry ``repr`` CSV byte for byte; a matrix with a non-finite
+# entry goes to ``json.dumps`` (NaN, Infinity), and CSV spells those as
+# repr does (nan, inf).
+# Readers reject matrices that are asymmetric beyond TOL_SYM.
 # ---------------------------------------------------------------------------
+
+
+def float_reprs(values) -> np.ndarray:
+    """``repr(float(x))`` of every entry of ``values``, as an object array
+    of the same shape.
+
+    Each distinct bit pattern is formatted once. The key is the bits, not
+    the value: 0.0 and -0.0 compare equal but print differently.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(np.shape(values))
 
 
 def matrix_to_json_dict(matrix: np.ndarray) -> dict:
     """The JSON object of any 2N x 2N matrix (covariance or symplectic)."""
-    return {"modes": matrix.shape[0] // 2, "entries": [float(x) for x in matrix.ravel()]}
+    matrix = np.asarray(matrix, dtype=float)
+    return {"modes": matrix.shape[0] // 2, "entries": matrix.ravel().tolist()}
+
+
+def matrix_to_json_text(matrix: np.ndarray) -> str:
+    """``json.dumps(matrix_to_json_dict(matrix))``, one line."""
+    matrix = np.asarray(matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        return json.dumps(matrix_to_json_dict(matrix))
+    entries = ", ".join(float_reprs(matrix).ravel().tolist())
+    return f'{{"modes": {matrix.shape[0] // 2}, "entries": [{entries}]}}'
 
 
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
@@ -494,8 +526,7 @@ def cm_from_json_dict(obj) -> CovarianceMatrix:
 
 
 def cm_to_csv_text(cm: CovarianceMatrix) -> str:
-    lines = [",".join(repr(float(x)) for x in row) for row in cm.matrix]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(",".join, float_reprs(cm.matrix).tolist())) + "\n"
 
 
 def cm_from_csv_text(text: str) -> CovarianceMatrix:
@@ -522,7 +553,7 @@ def save_cm(cm: CovarianceMatrix, path) -> None:
     if path.endswith(".csv"):
         text = cm_to_csv_text(cm)
     else:
-        text = json.dumps(cm_to_json_dict(cm))
+        text = matrix_to_json_text(cm.matrix)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -155,9 +155,11 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
     ]
 
     monkeypatch.setattr(exp, "_fs_split_spec", crafted(OVERFLOWING))
-    with pytest.raises(NumericalDomainError) as info:
-        run_hierarchy(cfg)
-    assert str(info.value) == str(_error_of(OVERFLOWING))
+    rows = run_hierarchy(cfg)
+    assert [r["status"] for r in rows].count("numerical") == 1
+    assert [r for r in rows if r["status"] != "numerical"] == [
+        r for r in clean if (r["k"], r["b"]) != (2, 1.5)
+    ]
 
 
 def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypatch):

@@ -305,3 +305,23 @@ def test_overflow_exit_code(capsys, argv, code):
         assert "unphysical" in out and err == ""
     else:
         assert out == "" and ("overflow" in err or "too large" in err)
+
+
+def test_sweep_writes_numerical_rows_and_keeps_the_table(capsys):
+    """At b = 1e76 the k = 2 splits are valid states whose invariant route
+    overflows: their rows read status=numerical with empty value cells,
+    the sweep exits 0, and the b = 1.5 rows equal those of a sweep
+    without the overflowing point."""
+    sweep = ["hierarchy", "--modes", "6", "--trace-out", "0,4"]
+    code, out, err = run_cli(capsys, *sweep, "--b-grid", "1.5:1e76:2")
+    assert (code, err) == (0, "")
+    _, alone, _ = run_cli(capsys, *sweep, "--b-grid", "1.5:1.5:1")
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith(",ok")] == alone.splitlines()[1:]
+    numerical = [line for line in lines if line.endswith(",numerical")]
+    assert numerical == [f"2,4,2,1e+76,{q},,,,,,numerical" for q in (0, 4)]
+    assert len(lines) == 1 + 2 * 3 * 2
+
+    code, out, err = run_cli(capsys, "scaling", "--b", "1e76", "--n-range", "1,4")
+    assert (code, err) == (0, "")
+    assert "4,1,1e+76,,,numerical" in out.splitlines()
