@@ -223,6 +223,11 @@ def _report_for(spec, cm, m, n):
 
 
 def _cmd_report(args) -> int:
+    if not args.localize:
+        given = [f"--{name.replace('_', '-')}" for name in ("dump_final", "dump_symplectic", "tol")
+                 if getattr(args, name) is not None]
+        if given:
+            raise InvalidArgumentError(f"{', '.join(given)} only applies with --localize")
     spec, cm = _resolve_state(args)
     total = spec.modes if isinstance(spec, FullySymmetricSpec) else (
         spec.total_modes if spec is not None else cm.modes
@@ -242,9 +247,9 @@ def _cmd_report(args) -> int:
 
 def _dump_localization(args, result):
     """Write the files of --dump-final and --dump-symplectic."""
-    if getattr(args, "dump_final", None):
+    if args.dump_final:
         save_cm(result.cm_final, args.dump_final)
-    if getattr(args, "dump_symplectic", None):
+    if args.dump_symplectic:
         with open(args.dump_symplectic, "w", encoding="utf-8") as handle:
             handle.write(matrix_to_json_text(result.local_symplectic))
 
@@ -263,7 +268,6 @@ def _cmd_localize(args) -> int:
 
 def _cmd_hierarchy(args) -> int:
     cfg = SweepConfig(
-        experiment="hierarchy",
         modes=args.modes,
         k_values=tuple(args.k) if args.k else None,
         b_grid=parse_b_grid(args.b_grid),
@@ -280,7 +284,6 @@ def _cmd_scaling(args) -> int:
         raise InvalidArgumentError(f"--n-range expects LO,HI, got {args.n_range}")
     lo, hi = args.n_range
     cfg = SweepConfig(
-        experiment="scaling",
         b=args.b,
         n_range=tuple(range(lo, hi + 1)),
         trace_out=tuple(args.trace_out),

@@ -31,6 +31,9 @@ from .symplectic import (
 # PT eigenvalues this close above 1 are treated as exactly separable
 # boundary values before any logarithm.
 SEPARABLE_CLAMP = 1e-10
+# Relative tolerance on the two local determinants of a two-mode state
+# under which it counts as symmetric (and gets the closed-form EoF).
+SYMMETRIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,7 @@ def eof_symmetric(nu_tilde: float) -> float:
 
 
 def report_from_pt_values(
-    nu_values: np.ndarray,
-    decidable: bool,
-    symmetric: bool,
-    tol: float = TOL_PHYS,
+    nu_values: np.ndarray, decidable: bool, symmetric: bool
 ) -> EntanglementReport:
     """Assemble a report from PT symplectic eigenvalues.
 
@@ -173,12 +173,12 @@ def report_from_pt_values(
     nu_min = float(values.min())
     log_neg = max(0.0, -float(np.sum(np.log(values[values < 1.0]))))
     negativity = 0.5 * (math.exp(log_neg) - 1.0)
-    separable = (nu_min >= 1.0 - tol) if decidable else None
+    separable = (nu_min >= 1.0 - TOL_PHYS) if decidable else None
     eof = eof_symmetric(nu_min) if symmetric else None
     return EntanglementReport(nu_min, log_neg, negativity, eof, separable)
 
 
-def _pt_pair_reports(nu_minus, nu_plus, symmetric, errors: _PointErrors, tol: float = TOL_PHYS):
+def _pt_pair_reports(nu_minus, nu_plus, symmetric, errors: _PointErrors):
     """``report_from_pt_values`` for many states with two PT eigenvalues
     each and a decisive PPT test: the same clamp, sums, libm ``exp`` and
     EoF, one numpy pass per step. Each point gets its report, or the
@@ -190,7 +190,7 @@ def _pt_pair_reports(nu_minus, nu_plus, symmetric, errors: _PointErrors, tol: fl
     log_neg = -(logs[0] + logs[1])
     log_neg = np.where(log_neg > 0.0, log_neg, 0.0)
     negativity = 0.5 * (_elementwise(math.exp, "exp", errors, log_neg) - 1.0)
-    separable = nu_min >= 1.0 - tol
+    separable = nu_min >= 1.0 - TOL_PHYS
     eof = [None] * len(nu_min)
     for i in np.flatnonzero(symmetric & errors.alive):
         try:
@@ -208,19 +208,16 @@ def _pt_pair_reports(nu_minus, nu_plus, symmetric, errors: _PointErrors, tol: fl
     ]
 
 
-def _symmetric_dets(det_a, det_b, tol: float = 1e-8):
+def _symmetric_dets(det_a, det_b):
     """Whether two local determinants agree, i.e. the two-mode state they
     belong to is symmetric (the condition for the closed-form EoF).
     Elementwise on arrays."""
     bound = np.maximum(np.maximum(1.0, np.abs(det_a)), np.abs(det_b))
-    return np.abs(det_a - det_b) <= tol * bound
+    return np.abs(det_a - det_b) <= SYMMETRIC_TOL * bound
 
 
 def log_negativity(
-    cm: CovarianceMatrix,
-    part: ModeBipartition,
-    ppt_decidable: bool | None = None,
-    tol: float = TOL_PHYS,
+    cm: CovarianceMatrix, part: ModeBipartition, ppt_decidable: bool | None = None
 ) -> EntanglementReport:
     """Entanglement report for a physical state across a bipartition.
 
@@ -231,28 +228,23 @@ def log_negativity(
     only for symmetric two-mode inputs.
     """
     part.validate_for(cm)
-    if not is_bona_fide(cm, tol=tol):
+    if not is_bona_fide(cm):
         raise InvalidArgumentError("input covariance matrix is not a physical state")
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     spectrum = pt_spectrum(cm, part)
     inv = two_mode_invariants(cm) if cm.modes == 2 else None
     symmetric = inv is not None and bool(_symmetric_dets(inv.det_block_a, inv.det_block_b))
-    return report_from_pt_values(
-        spectrum.values,
-        decidable=bool(ppt_decidable),
-        symmetric=symmetric,
-        tol=tol,
-    )
+    return report_from_pt_values(spectrum.values, bool(ppt_decidable), symmetric)
 
 
-def symmetric_condition(spec: BisymmetricSpec, tol: float = 1e-8) -> bool:
+def symmetric_condition(spec: BisymmetricSpec) -> bool:
     """Whether the equivalent two-mode state of a two-block spec is symmetric.
 
     True iff (a + (m-1) e1)(a + (m-1) e2) = (b + (n-1) z1)(b + (n-1) z2)
-    within tolerance; gates the availability of the entanglement of
+    within ``SYMMETRIC_TOL``; gates the availability of the entanglement of
     formation in reports.
     """
     _, _, a1, a2 = _pattern_factors(spec.m, spec.a, spec.e1, spec.e2)
     _, _, b1, b2 = _pattern_factors(spec.n, spec.b, spec.z1, spec.z2)
-    return bool(_symmetric_dets(a1 * a2, b1 * b2, tol))
+    return bool(_symmetric_dets(a1 * a2, b1 * b2))

@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NumericalDomainError
-from .localization import _fs_split_spec, equivalent_report
-from .states import BisymmetricSpec, FullySymmetricSpec, _require_finite, ghz_type_spec
+from .localization import _attempt, _fs_split_spec, equivalent_report
+from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -27,6 +27,10 @@ SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
 class SweepConfig:
     """Grid description for the sweep drivers.
 
+    One config serves both sweeps: ``run_hierarchy`` reads ``modes``,
+    ``k_values`` and ``b_grid``, ``run_scaling`` reads ``b`` and
+    ``n_range``, both read ``trace_out``. Every field is validated, and
+    an empty ``b_grid`` and unset ``k_values`` get their defaults.
     ``modes`` is the total mode count of the hierarchy state (the paper
     figure uses 20); ``trace_out`` lists the q values, with q = 0 the pure
     family and q > 0 the family traced down from a (modes+q)-mode parent.
@@ -35,7 +39,6 @@ class SweepConfig:
     no longer speeds up.
     """
 
-    experiment: str = "hierarchy"
     modes: int = 20
     k_values: tuple[int, ...] | None = None
     b_grid: tuple[float, ...] = ()
@@ -45,27 +48,23 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.experiment not in ("hierarchy", "scaling"):
-            raise InvalidArgumentError(f"unknown experiment {self.experiment!r}")
         if self.modes < 2:
             raise InvalidArgumentError(f"need at least two modes, got {self.modes}")
         if any(q < 0 for q in self.trace_out) or not self.trace_out:
             raise InvalidArgumentError(f"trace-out counts must be >= 0, got {self.trace_out}")
         _require_finite(b=self.b, **{f"b_grid[{i}]": b for i, b in enumerate(self.b_grid)})
-        if self.experiment == "hierarchy":
-            if not self.b_grid:
-                object.__setattr__(self, "b_grid", default_b_grid())
-            if any(b < 1.0 for b in self.b_grid):
-                raise InvalidArgumentError("squeezing grid values must be >= 1")
-            ks = self.k_values or tuple(range(1, self.modes // 2 + 1))
-            if any(not 1 <= k <= self.modes - 1 for k in ks):
-                raise InvalidArgumentError(f"split sizes {ks} out of range")
-            object.__setattr__(self, "k_values", tuple(ks))
-        if self.experiment == "scaling":
-            if self.b < 1.0:
-                raise InvalidArgumentError(f"squeezing must be >= 1, got {self.b}")
-            if not self.n_range or any(n < 1 for n in self.n_range):
-                raise InvalidArgumentError(f"invalid n range {self.n_range}")
+        if not self.b_grid:
+            object.__setattr__(self, "b_grid", default_b_grid())
+        if any(b < 1.0 for b in self.b_grid):
+            raise InvalidArgumentError("squeezing grid values must be >= 1")
+        ks = self.k_values or tuple(range(1, self.modes // 2 + 1))
+        if any(not 1 <= k <= self.modes - 1 for k in ks):
+            raise InvalidArgumentError(f"split sizes {ks} out of range")
+        object.__setattr__(self, "k_values", tuple(ks))
+        if self.b < 1.0:
+            raise InvalidArgumentError(f"squeezing must be >= 1, got {self.b}")
+        if not self.n_range or any(n < 1 for n in self.n_range):
+            raise InvalidArgumentError(f"invalid n range {self.n_range}")
         if self.jobs < 1:
             raise InvalidArgumentError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -101,27 +100,6 @@ def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     return dataclasses.replace(parent, modes=modes)
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the InvalidArgumentError that makes the point
-    unphysical; an error given as an argument is passed on."""
-    for arg in args:
-        if isinstance(arg, InvalidArgumentError):
-            return arg
-    try:
-        return fn(*args)
-    except InvalidArgumentError as exc:
-        return exc
-
-
-def _reports_in_order(outcomes: list) -> list:
-    """Replace each spec of ``outcomes`` by its report or error, from one
-    batch of the invariant route; the errors that stopped the construction
-    of other points stay in place."""
-    specs = [o for o in outcomes if isinstance(o, BisymmetricSpec)]
-    results = iter(equivalent_report(specs, return_errors=True))
-    return [next(results) if isinstance(o, BisymmetricSpec) else o for o in outcomes]
-
-
 def _row_status(results) -> str:
     """The status of a row from its results, taken in order: "ok" when
     none failed, else that of the first error, "unphysical" for an
@@ -150,7 +128,8 @@ def run_hierarchy(cfg: SweepConfig) -> list[dict]:
         for b in cfg.b_grid
     }
     keys = [(q, k, b) for q in cfg.trace_out for k in cfg.k_values for b in cfg.b_grid]
-    results = _reports_in_order([_attempt(_fs_split_spec, parents[q, b], k) for q, k, b in keys])
+    splits = [_attempt(_fs_split_spec, parents[q, b], k) for q, k, b in keys]
+    results = equivalent_report(splits, return_errors=True)
     rows = []
     for (q, k, b), result in zip(keys, results):
         row = {"m": k, "n": cfg.modes - k, "k": k, "b": b, "q": q}
@@ -187,7 +166,7 @@ def run_scaling(cfg: SweepConfig) -> list[dict]:
             _attempt(_fs_split_spec, spec, n),
             _attempt(_fs_split_spec, _attempt(_pair_spec, spec), 1),
         ]
-    results = _reports_in_order(outcomes)
+    results = equivalent_report(outcomes, return_errors=True)
     rows = []
     for i, (q, n) in enumerate(keys):
         row = {"q": q, "n": n, "b": cfg.b}

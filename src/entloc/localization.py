@@ -21,8 +21,10 @@ exponentials go through the C library one value at a time, as Python
 floats did, so every input gets the same digits as on its own. Each
 check records the error of the inputs it fails (``_PointErrors``), and
 the first failing input in batch order raises the error it would raise
-alone. A single spec or matrix is a batch of one; the sweeps, the split
-scan and the cross-check suite each make one call.
+alone. An input whose spec construction or pattern check failed enters
+the batch as that error (``_attempt``) and keeps its place among the
+results (``_in_place``). A single spec or matrix is a batch of one; the
+sweeps, the split scan and the cross-check suite each make one call.
 """
 
 from __future__ import annotations
@@ -311,12 +313,12 @@ def _nu_tilde_pairs(block_a, block_b, delta_eq, mu_eq, errors: _PointErrors):
     return _pt_nu_tilde_pair(det_a, det_b, delta_eq, 1.0 / mu_sq, errors)
 
 
-def _report_from_equivalent(eq: _Equivalents, tol: float, errors: _PointErrors) -> list:
+def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> list:
     """Entanglement report, or the error, of each point of a batch."""
     local = np.zeros((2, len(eq.mu_eq), 2, 2))
     local[:, :, 0, 0] = local[:, :, 1, 1] = (eq.na_plus, eq.nb_plus)
     nu_minus, nu_plus = _nu_tilde_pairs(local[0], local[1], eq.delta_eq, eq.mu_eq, errors)
-    symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1], tol)
+    symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
     return _pt_pair_reports(nu_minus, nu_plus, symmetric, errors)
 
 
@@ -330,39 +332,49 @@ def _spec_blocks(specs):
     return params[0].astype(np.int64), params[1].astype(np.int64), blocks
 
 
-def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None):
-    """(m, n, blocks) stacks of the splits (m, n) of one matrix that pass
-    the two-block pattern check, in order up to the first that fails (None
-    if that is the first), and that failure."""
+def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None) -> list:
+    """(m, n, pattern blocks) of each split (m, n) of one matrix, or the
+    error of its pattern check."""
     matrix = np.array(cm.matrix)
     if tol_pattern is None:
         tol_pattern = 1e-8 * max(1.0, float(np.max(np.abs(matrix))))
 
-    def check(split):
-        m, n = split
+    def check(m, n):
         if m < 1 or n < 1 or m + n != cm.modes:
             raise InvalidArgumentError(
                 f"split ({m}, {n}) does not cover the {cm.modes}-mode input"
             )
-        return _extract_pattern_blocks(matrix, m, n, tol_pattern)
+        return m, n, _extract_pattern_blocks(matrix, m, n, tol_pattern)
 
-    blocks, failure = _until_error(check, splits)
-    if not blocks:
-        return None, failure
-    m, n = np.array(splits[: len(blocks)], dtype=np.int64).T
-    return (m, n, np.array(blocks).transpose(1, 0, 2, 3)), failure
+    return [_attempt(check, m, n) for m, n in splits]
 
 
-def _until_error(build, items) -> tuple[list, Exception | None]:
-    """``build(item)`` for the items in order, up to the first EntlocError,
-    which is returned beside the values built before it."""
-    built = []
-    for item in items:
-        try:
-            built.append(build(item))
-        except EntlocError as exc:
-            return built, exc
-    return built, None
+def _stack_cm_blocks(items):
+    """(m, n, blocks) stacks of the ``_cm_blocks`` items of one batch."""
+    m, n, blocks = zip(*items)
+    counts = np.array([m, n], dtype=np.int64)
+    return counts[0], counts[1], np.array(blocks).transpose(1, 0, 2, 3)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the EntlocError it raises; an error given as an
+    argument is passed on. Makes a failed construction an item's result."""
+    for arg in args:
+        if isinstance(arg, EntlocError):
+            return arg
+    try:
+        return fn(*args)
+    except EntlocError as exc:
+        return exc
+
+
+def _in_place(evaluate, items: list) -> list:
+    """The result of each item: an error item stays where it is, the other
+    items go through ``evaluate`` as one batch and their results take their
+    places."""
+    todo = [item for item in items if not isinstance(item, EntlocError)]
+    results = iter(evaluate(todo) if todo else ())
+    return [item if isinstance(item, EntlocError) else next(results) for item in items]
 
 
 def _raise_first(results: list) -> list:
@@ -372,11 +384,11 @@ def _raise_first(results: list) -> list:
     return results
 
 
-def _reports(blocks, tol: float) -> list:
+def _reports(blocks) -> list:
     """The report, or the error, of each point of one batch."""
     errors = _PointErrors(len(blocks[0]))
     with np.errstate(all="ignore"):
-        return _report_from_equivalent(_equivalent_from_blocks(*blocks, errors), tol, errors)
+        return _report_from_equivalent(_equivalent_from_blocks(*blocks, errors), errors)
 
 
 def _single_equivalent(blocks) -> EquivalentTwoMode:
@@ -403,13 +415,11 @@ def equivalent_from_cm(
     The pattern blocks need not be in standard form; they are verified
     against the two-block permutation symmetry and rejected otherwise.
     """
-    blocks, failure = _cm_blocks(cm, [(m, n)], tol_pattern)
-    if failure is not None:
-        raise failure
-    return _single_equivalent(blocks)
+    checked = _raise_first(_cm_blocks(cm, [(m, n)], tol_pattern))
+    return _single_equivalent(_stack_cm_blocks(checked))
 
 
-def equivalent_report(spec, tol: float = 1e-8, *, return_errors: bool = False):
+def equivalent_report(spec, *, return_errors: bool = False):
     """Entanglement report of the m x n split via the equivalent state.
 
     Positivity of the partial transpose is decisive for this state class,
@@ -417,18 +427,19 @@ def equivalent_report(spec, tol: float = 1e-8, *, return_errors: bool = False):
     formation is included when the equivalent state is symmetric.
 
     ``spec`` is one ``BisymmetricSpec`` or a sequence of them; a sequence
-    is evaluated in one batch and gives a list. The batch raises the error
-    of its first failing spec, or, with ``return_errors=True``, puts each
-    failing spec's error in place of its report.
+    is evaluated in one batch and gives a list. An ``EntlocError`` item of
+    the sequence stands for a spec that could not be built and is its own
+    result. The batch raises the first error in sequence order, or, with
+    ``return_errors=True``, gives every item its report or its error, in
+    place.
     """
     if isinstance(spec, BisymmetricSpec):
-        return _raise_first(_reports(_spec_blocks([spec]), tol))[0]
-    specs = list(spec)
-    results = _reports(_spec_blocks(specs), tol) if specs else []
+        return _raise_first(_reports(_spec_blocks([spec])))[0]
+    results = _in_place(lambda specs: _reports(_spec_blocks(specs)), list(spec))
     return results if return_errors else _raise_first(results)
 
 
-def equivalent_report_from_cm(cm: CovarianceMatrix, m, n, tol: float = 1e-8):
+def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     """Entanglement report of an assembled two-block covariance matrix.
 
     ``m`` and ``n`` may be equal-length sequences of block sizes: the
@@ -437,10 +448,8 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n, tol: float = 1e-8):
     """
     single = np.ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
-    blocks, failure = _cm_blocks(cm, splits, None)
-    reports = _raise_first(_reports(blocks, tol)) if blocks is not None else []
-    if failure is not None:
-        raise failure
+    checked = _cm_blocks(cm, splits, None)
+    reports = _raise_first(_in_place(lambda items: _reports(_stack_cm_blocks(items)), checked))
     return reports[0] if single else reports
 
 
@@ -491,10 +500,7 @@ def _householder_mixing(count: int, position: int) -> np.ndarray:
         return np.eye(1)
     v = np.full(count, 1.0 / math.sqrt(count))
     w = v - np.eye(count)[position]
-    norm_sq = float(w @ w)
-    if norm_sq < 1e-30:
-        return np.eye(count)
-    return np.eye(count) - 2.0 * np.outer(w, w) / norm_sq
+    return np.eye(count) - 2.0 * np.outer(w, w) / float(w @ w)
 
 
 def _mode_mixing_symplectic(o: np.ndarray) -> np.ndarray:
@@ -662,10 +668,7 @@ def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
         raise InvalidArgumentError("need at least two modes to form a bipartition")
     ks = range(1, total // 2 + 1)
     if isinstance(state, FullySymmetricSpec):
-        splits, failure = _until_error(lambda k: _fs_split_spec(state, k), ks)
-        reports = equivalent_report(splits)
-        if failure is not None:
-            raise failure
+        reports = equivalent_report([_attempt(_fs_split_spec, state, k) for k in ks])
     else:
         reports = equivalent_report_from_cm(state, ks, [total - k for k in ks])
     return list(zip(ks, reports))

@@ -166,48 +166,51 @@ class SpecSampler:
     def _uniform(self, box) -> float:
         return float(self.rng.uniform(*box))
 
-    def fully_symmetric(self, modes: int | None = None) -> FullySymmetricSpec:
+    def _draw(self, build):
+        """``build()`` until it returns a spec instead of rejecting the
+        draw with ``InvalidArgumentError``; counts attempts and accepts."""
         for _ in range(self.max_tries):
             self.attempts += 1
-            n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
             try:
-                spec = FullySymmetricSpec(
-                    n, self._uniform(self.b_box), self._uniform(self.corr_box), self._uniform(self.corr_box)
-                )
+                spec = build()
             except InvalidArgumentError:
                 continue
             self.accepted += 1
             return spec
         raise RuntimeError("rejection sampling failed to produce a physical spec")
 
+    def fully_symmetric(self, modes: int | None = None) -> FullySymmetricSpec:
+        def build():
+            n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
+            return FullySymmetricSpec(
+                n, self._uniform(self.b_box), self._uniform(self.corr_box), self._uniform(self.corr_box)
+            )
+
+        return self._draw(build)
+
     def bisymmetric(self, m: int | None = None, n: int | None = None) -> BisymmetricSpec:
-        for _ in range(self.max_tries):
-            self.attempts += 1
+        def build():
             mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
             nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
-            try:
-                spec = BisymmetricSpec(
-                    m=mm,
-                    n=nn,
-                    a=self._uniform(self.b_box),
-                    e1=self._uniform(self.corr_box) if mm > 1 else 0.0,
-                    e2=self._uniform(self.corr_box) if mm > 1 else 0.0,
-                    b=self._uniform(self.b_box),
-                    z1=self._uniform(self.corr_box) if nn > 1 else 0.0,
-                    z2=self._uniform(self.corr_box) if nn > 1 else 0.0,
-                    g1=self._uniform(self.cross_box),
-                    g2=self._uniform(self.cross_box),
-                )
-            except InvalidArgumentError:
-                continue
-            self.accepted += 1
-            return spec
-        raise RuntimeError("rejection sampling failed to produce a physical spec")
+            return BisymmetricSpec(
+                m=mm,
+                n=nn,
+                a=self._uniform(self.b_box),
+                e1=self._uniform(self.corr_box) if mm > 1 else 0.0,
+                e2=self._uniform(self.corr_box) if mm > 1 else 0.0,
+                b=self._uniform(self.b_box),
+                z1=self._uniform(self.corr_box) if nn > 1 else 0.0,
+                z2=self._uniform(self.corr_box) if nn > 1 else 0.0,
+                g1=self._uniform(self.cross_box),
+                g2=self._uniform(self.cross_box),
+            )
+
+        return self._draw(build)
 
     def separable_bisymmetric(self, m: int | None = None, n: int | None = None) -> BisymmetricSpec:
         """Product (g = 0) or classically correlated (g1 = g2 > 0) draws."""
-        for _ in range(self.max_tries):
-            self.attempts += 1
+
+        def build():
             mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
             nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
             if self.rng.random() < 0.5:
@@ -216,24 +219,20 @@ class SpecSampler:
                 # same-sign x-x and p-p correlations between thermal blocks
                 # arise from mixing product states, hence stay separable
                 g1 = g2 = float(self.rng.uniform(0.0, self.cross_box[1]))
-            try:
-                spec = BisymmetricSpec(
-                    m=mm,
-                    n=nn,
-                    a=self._uniform((1.2, self.b_box[1])),
-                    e1=self._uniform(self.corr_box) / 2 if mm > 1 else 0.0,
-                    e2=self._uniform(self.corr_box) / 2 if mm > 1 else 0.0,
-                    b=self._uniform((1.2, self.b_box[1])),
-                    z1=self._uniform(self.corr_box) / 2 if nn > 1 else 0.0,
-                    z2=self._uniform(self.corr_box) / 2 if nn > 1 else 0.0,
-                    g1=g1,
-                    g2=g2,
-                )
-            except InvalidArgumentError:
-                continue
-            self.accepted += 1
-            return spec
-        raise RuntimeError("rejection sampling failed to produce a physical spec")
+            return BisymmetricSpec(
+                m=mm,
+                n=nn,
+                a=self._uniform((1.2, self.b_box[1])),
+                e1=self._uniform(self.corr_box) / 2 if mm > 1 else 0.0,
+                e2=self._uniform(self.corr_box) / 2 if mm > 1 else 0.0,
+                b=self._uniform((1.2, self.b_box[1])),
+                z1=self._uniform(self.corr_box) / 2 if nn > 1 else 0.0,
+                z2=self._uniform(self.corr_box) / 2 if nn > 1 else 0.0,
+                g1=g1,
+                g2=g2,
+            )
+
+        return self._draw(build)
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,12 @@ def symplectic_form(modes: int) -> np.ndarray:
 class CovarianceMatrix:
     """A 2N x 2N real symmetric covariance matrix of an N-mode state.
 
-    The constructor rejects matrices with non-finite entries or an
-    asymmetry beyond ``TOL_SYM`` (scaled by the largest entry), and
-    symmetrizes the rest; the stored array is read-only. Positivity and
-    the uncertainty relation are *not* enforced here: partial transposes
-    of entangled states are legitimately non-physical covariance matrices.
+    The constructor symmetrizes the matrix and rejects it if the result
+    has non-finite entries (an overflow in the symmetrization counts) or
+    the input's asymmetry exceeds ``TOL_SYM`` (scaled by the largest
+    entry); the stored array is read-only. Positivity and the uncertainty
+    relation are *not* enforced here: partial transposes of entangled
+    states are legitimately non-physical covariance matrices.
     """
 
     matrix: np.ndarray
@@ -177,27 +178,21 @@ class CovarianceMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            symmetric = 0.5 * (m + m.T)
+            skew = float(np.max(np.abs(m - m.T)))
+        if not np.all(np.isfinite(symmetric)):
             raise InvalidArgumentError("covariance matrix has non-finite entries")
-        skew = float(np.max(np.abs(m - m.T)))
         if skew > TOL_SYM * _scale(m):
             raise InvalidArgumentError(
                 f"matrix is asymmetric beyond tolerance: max |s_ij - s_ji| = {skew:.3e}"
             )
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        symmetric.flags.writeable = False
+        object.__setattr__(self, "matrix", symmetric)
 
     @property
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The 2x2 submatrix coupling modes i and j (zero-based)."""
-        n = self.modes
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidArgumentError(f"mode indices ({i}, {j}) out of range for {n} modes")
-        return self.matrix[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
     def allclose(self, other: "CovarianceMatrix", tol: float = 1e-12) -> bool:
         return self.modes == other.modes and bool(
@@ -297,13 +292,6 @@ def is_symplectic(s: np.ndarray, tol: float = TOL_SYMPL) -> bool:
     omega = symplectic_form(s.shape[0] // 2)
     defect = float(np.max(np.abs(s.T @ omega @ s - omega)))
     return defect <= tol * max(1.0, float(np.max(np.abs(s))) ** 2)
-
-
-def symplectic_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix, S^{-1} = -Omega S^T Omega (exact)."""
-    s = np.asarray(s, dtype=float)
-    omega = symplectic_form(s.shape[0] // 2)
-    return -omega @ s.T @ omega
 
 
 def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):

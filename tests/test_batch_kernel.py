@@ -8,7 +8,7 @@ import pytest
 
 import entloc as el
 import entloc.experiments as exp
-from entloc.errors import InvalidArgumentError, NumericalDomainError
+from entloc.errors import InvalidArgumentError, LocalizationError, NumericalDomainError
 from entloc.experiments import (
     HIERARCHY_COLUMNS,
     SCALING_COLUMNS,
@@ -96,7 +96,7 @@ def test_sweep_cells_are_never_negative_zero():
         SweepConfig(modes=12, b_grid=(1.0, 1.0 + 1e-12, 1.2, 2.5), trace_out=(0, 3))
     )
     scaling = run_scaling(
-        SweepConfig(experiment="scaling", b=1.0, n_range=(1, 2, 5), trace_out=(0, 2))
+        SweepConfig(b=1.0, n_range=(1, 2, 5), trace_out=(0, 2))
     )
     text = render_table(hierarchy, HIERARCHY_COLUMNS, "csv") + render_table(
         scaling, SCALING_COLUMNS, "csv"
@@ -127,6 +127,36 @@ def test_batch_raises_the_first_failing_spec(failing):
     for result, spec in zip(results[1:], failing):
         expected = _error_of(spec)
         assert type(result) is type(expected) and str(result) == str(expected)
+
+
+def star_matrix():
+    """An 8x8 matrix with the 1|3 two-block pattern that is not positive
+    definite: identity diagonal and a diag(1, 1) cross block from mode 0
+    to each of modes 1-3. Its 2|2 split fails the pattern check."""
+    matrix = np.eye(8)
+    for mode in (1, 2, 3):
+        matrix[0:2, 2 * mode : 2 * mode + 2] = matrix[2 * mode : 2 * mode + 2, 0:2] = np.eye(2)
+    return el.CovarianceMatrix(matrix)
+
+
+def test_cm_batch_raises_the_error_of_the_first_failing_split():
+    cm = star_matrix()
+    with pytest.raises(NumericalDomainError, match="negative radicand"):
+        el.equivalent_report_from_cm(cm, [1, 2], [3, 2])
+    with pytest.raises(LocalizationError, match="not block-permutation invariant"):
+        el.equivalent_report_from_cm(cm, [2, 1], [2, 3])
+
+
+def test_error_items_keep_their_place():
+    ok = SpecSampler(3).bisymmetric()
+    err = InvalidArgumentError("could not build this spec")
+    first, middle, last = el.equivalent_report([ok, err, ok], return_errors=True)
+    assert middle is err
+    assert _same(first, el.equivalent_report(ok)) and _same(last, first)
+    with pytest.raises(InvalidArgumentError) as info:
+        el.equivalent_report([ok, err, OVERFLOWING])
+    assert info.value is err
+    assert el.equivalent_report([err], return_errors=True) == [err]
 
 
 def test_kernel_error_classes():

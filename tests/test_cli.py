@@ -199,6 +199,21 @@ def test_ole_from_cm(tmp_path, capsys):
     assert json.loads(out)["k_star"] == 3
 
 
+def test_ole_from_cm_raises_the_error_of_the_first_split(tmp_path, capsys):
+    # identity diagonal and a diag(1, 1) cross block from mode 0 to each of
+    # modes 1-3, not positive definite: k = 1 passes the pattern check and
+    # fails in the invariant route (exit 3); k = 2 fails the pattern check
+    # (exit 4) but comes later
+    matrix = np.eye(8)
+    for mode in (1, 2, 3):
+        matrix[0:2, 2 * mode : 2 * mode + 2] = matrix[2 * mode : 2 * mode + 2, 0:2] = np.eye(2)
+    path = tmp_path / "star.json"
+    el.save_cm(el.CovarianceMatrix(matrix), path)
+    code, out, err = run_cli(capsys, "ole", "--cm", str(path))
+    assert (code, out) == (3, "")
+    assert "negative radicand" in err
+
+
 def test_verify_small(capsys, tmp_path):
     csv_path = tmp_path / "cases.csv"
     code, out, _ = run_cli(capsys, "verify", "--cases", "5", "--seed", "7", "--out", str(csv_path))
@@ -270,11 +285,37 @@ def test_negative_trace_out_exit_code(capsys, argv):
 
 
 def test_non_finite_matrix_file_exit_code(tmp_path, capsys):
-    path = tmp_path / "nan.csv"
-    path.write_text("1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n")
-    code, _, err = run_cli(capsys, "report", "--cm", str(path), "--split", "1", "1")
-    assert code == 2
-    assert "non-finite" in err
+    cases = [
+        ("nan.csv", "1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n", ("report", "--split", "1", "1")),
+        # finite entries whose symmetrization overflows
+        ("huge.csv", "1e308,0\n0,1e308\n", ("spectrum",)),
+    ]
+    for name, text, argv in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, argv[0], "--cm", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--dump-final", "final.json"),
+        ("--dump-symplectic", "local.json"),
+        ("--tol", "1e-6"),
+        ("--dump-final", "final.json", "--tol", "1e-6"),
+    ],
+)
+def test_report_localize_flags_need_localize(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    argv = ("report", "--modes", "4", "--b", "1.5", "--split", "2", "2", *flags)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--localize" in err and flags[0] in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run_cli(capsys, *argv, "--localize")
+    assert code == 0
 
 
 @pytest.mark.parametrize("n_range", ["3", "1,2,3"])

@@ -32,13 +32,11 @@ def test_parse_b_grid():
 
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
-        SweepConfig(experiment="unknown")
+        SweepConfig(b_grid=(0.5,))
     with pytest.raises(InvalidArgumentError):
-        SweepConfig(experiment="hierarchy", b_grid=(0.5,))
+        SweepConfig(trace_out=())
     with pytest.raises(InvalidArgumentError):
-        SweepConfig(experiment="hierarchy", trace_out=())
-    with pytest.raises(InvalidArgumentError):
-        SweepConfig(experiment="scaling", b=0.8)
+        SweepConfig(b=0.8)
 
 
 def test_traced_spec_matches_partial_trace():
@@ -49,9 +47,7 @@ def test_traced_spec_matches_partial_trace():
 
 
 def test_hierarchy_rows_structure_and_values():
-    cfg = SweepConfig(
-        experiment="hierarchy", modes=8, b_grid=(1.0, 1.5), trace_out=(0, 4), jobs=1
-    )
+    cfg = SweepConfig(modes=8, b_grid=(1.0, 1.5), trace_out=(0, 4), jobs=1)
     rows = run_hierarchy(cfg)
     assert len(rows) == 2 * 4 * 2  # q x k x b
     assert all(set(HIERARCHY_COLUMNS) <= set(row) for row in rows)
@@ -71,7 +67,7 @@ def test_hierarchy_rows_structure_and_values():
 
 
 def test_hierarchy_every_value_nonnegative_and_flagged():
-    cfg = SweepConfig(experiment="hierarchy", modes=6, b_grid=(1.0, 2.0), trace_out=(0,))
+    cfg = SweepConfig(modes=6, b_grid=(1.0, 2.0), trace_out=(0,))
     for row in run_hierarchy(cfg):
         assert row["status"] == "ok"
         assert row["E_N"] >= 0.0
@@ -81,7 +77,7 @@ def test_hierarchy_every_value_nonnegative_and_flagged():
 
 
 def test_scaling_rows_structure_and_trends():
-    cfg = SweepConfig(experiment="scaling", b=1.5, n_range=tuple(range(1, 6)), trace_out=(0, 4))
+    cfg = SweepConfig(b=1.5, n_range=tuple(range(1, 6)), trace_out=(0, 4))
     rows = run_scaling(cfg)
     assert len(rows) == 10
     assert all(set(SCALING_COLUMNS) <= set(row) for row in rows)
@@ -96,13 +92,13 @@ def test_scaling_rows_structure_and_trends():
 
 
 def test_jobs_do_not_change_rows():
-    cfg1 = SweepConfig(experiment="hierarchy", modes=6, b_grid=(1.2, 1.8), trace_out=(0,), jobs=1)
-    cfg2 = SweepConfig(experiment="hierarchy", modes=6, b_grid=(1.2, 1.8), trace_out=(0,), jobs=2)
+    cfg1 = SweepConfig(modes=6, b_grid=(1.2, 1.8), trace_out=(0,), jobs=1)
+    cfg2 = SweepConfig(modes=6, b_grid=(1.2, 1.8), trace_out=(0,), jobs=2)
     assert run_hierarchy(cfg1) == run_hierarchy(cfg2)
 
 
 def test_render_csv_deterministic_and_lf_only():
-    cfg = SweepConfig(experiment="hierarchy", modes=6, b_grid=(1.0, 1.3), trace_out=(0,))
+    cfg = SweepConfig(modes=6, b_grid=(1.0, 1.3), trace_out=(0,))
     rows = run_hierarchy(cfg)
     text1 = render_table(rows, HIERARCHY_COLUMNS, "csv")
     text2 = render_table(run_hierarchy(cfg), HIERARCHY_COLUMNS, "csv")
@@ -112,7 +108,7 @@ def test_render_csv_deterministic_and_lf_only():
 
 
 def test_render_json_round_trips():
-    cfg = SweepConfig(experiment="scaling", b=1.4, n_range=(1, 2), trace_out=(0,))
+    cfg = SweepConfig(b=1.4, n_range=(1, 2), trace_out=(0,))
     rows = run_scaling(cfg)
     loaded = json.loads(render_table(rows, SCALING_COLUMNS, "json"))
     assert loaded[0]["n"] == 1
@@ -131,7 +127,7 @@ def test_unphysical_points_flagged_not_skipped(monkeypatch):
         return original(modes, q, b)
 
     monkeypatch.setattr(exp, "traced_symmetric_spec", failing)
-    cfg = SweepConfig(experiment="hierarchy", modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
+    cfg = SweepConfig(modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
     rows = run_hierarchy(cfg)
     assert len(rows) == 6
     flagged = [r for r in rows if r["b"] == 1.5]
