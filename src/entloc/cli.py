@@ -52,9 +52,9 @@ from .states import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    _json_matrix_text,
     float_reprs,
     load_cm,
-    matrix_to_json_text,
     save_cm,
     symplectic_eigenvalues,
 )
@@ -169,6 +169,8 @@ def _indented_json(obj, newline: str) -> str:
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         members = (f"{json.dumps(key)}: {_indented_json(value, inner)}"
                    for key, value in sorted(obj.items()))
+    elif isinstance(obj, np.ndarray):  # entry texts, formatted already
+        members = obj.tolist()
     elif isinstance(obj, (list, tuple)) and obj:
         values = np.array(obj) if set(map(type, obj)) == {float} else None
         if values is not None and np.isfinite(values).all():
@@ -238,20 +240,27 @@ def _cmd_report(args) -> int:
     if args.localize:
         if cm is None:
             cm = _spec_to_cm(spec)
-        result = localize(cm, m, n, tol_pattern=args.tol)
-        payload["localization"] = result.to_json_dict()
-        _dump_localization(args, result)
+        payload["localization"] = _localization_json(args, localize(cm, m, n, tol_pattern=args.tol))
     _emit(_json_text(payload), args.out)
     return 0
 
 
-def _dump_localization(args, result):
-    """Write the files of --dump-final and --dump-symplectic."""
+def _localization_json(args, result) -> dict:
+    """``result.to_json_dict()``, after writing the files of --dump-final and
+    --dump-symplectic. Each matrix is formatted once: the payload holds the
+    entry texts its file was written from. Both matrices are finite, as
+    ``cm_final`` is a covariance matrix and the transformation maps the
+    finite input onto it."""
+    local = float_reprs(result.local_symplectic)
     if args.dump_final:
         save_cm(result.cm_final, args.dump_final)
     if args.dump_symplectic:
         with open(args.dump_symplectic, "w", encoding="utf-8") as handle:
-            handle.write(matrix_to_json_text(result.local_symplectic))
+            handle.write(_json_matrix_text(local))
+    payload = result.to_json_dict()
+    payload["cm_final"]["entries"] = result.cm_final._reprs.ravel()
+    payload["local_symplectic"]["entries"] = local.ravel()
+    return payload
 
 
 def _cmd_localize(args) -> int:
@@ -259,9 +268,7 @@ def _cmd_localize(args) -> int:
     if cm is None:
         cm = _spec_to_cm(spec)
     m, n = _resolve_split(args, cm.modes, spec)
-    result = localize(cm, m, n, tol_pattern=args.tol)
-    payload = result.to_json_dict()
-    _dump_localization(args, result)
+    payload = _localization_json(args, localize(cm, m, n, tol_pattern=args.tol))
     _emit(_json_text(payload), args.out)
     return 0
 

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,12 @@ RADICAND_CLIP = 1e-10
 
 def _scale(matrix) -> float:
     return max(1.0, float(np.max(np.abs(matrix))))
+
+
+def _require_tolerance(tol, what: str) -> None:
+    """Reject a tolerance override that is not a finite number >= 0."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidArgumentError(f"{what} must be a finite number >= 0, got {tol}")
 
 
 def clipped_sqrt(value: float, scale: float = 1.0, clip: float = RADICAND_CLIP) -> float:
@@ -194,6 +201,12 @@ class CovarianceMatrix:
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
 
+    @cached_property
+    def _reprs(self) -> np.ndarray:
+        """``float_reprs(self.matrix)``: the matrix is read-only, so every
+        writer of it can share one formatting."""
+        return float_reprs(self.matrix)
+
     def allclose(self, other: "CovarianceMatrix", tol: float = 1e-12) -> bool:
         return self.modes == other.modes and bool(
             np.max(np.abs(self.matrix - other.matrix)) <= tol * _scale(self.matrix)
@@ -233,8 +246,10 @@ class SymplecticSpectrum:
 
         Returns (value, multiplicity) pairs in descending order; the value
         is the mean of its cluster. Default tolerance 1e-7 * max(1, nu_max)
-        since exact theoretical degeneracies are perturbed by roundoff.
+        since exact theoretical degeneracies are perturbed by roundoff; an
+        override must be a finite number >= 0.
         """
+        _require_tolerance(tol, "cluster tolerance")
         if tol is None:
             tol = 1e-7 * max(1.0, self.max)
         clusters: list[list[float]] = []
@@ -460,9 +475,10 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # hundred distinct values in 9216 entries and an exactly symmetric matrix
 # repeats each off-diagonal entry, while the stdlib's indented JSON encoder
 # is pure Python and formats every entry. The texts equal ``json.dumps``
-# and the per-entry ``repr`` CSV byte for byte; a matrix with a non-finite
-# entry goes to ``json.dumps`` (NaN, Infinity), and CSV spells those as
-# repr does (nan, inf).
+# and the per-entry ``repr`` CSV byte for byte. Every matrix written is
+# finite: a covariance matrix by construction, a local symplectic because
+# it maps a finite input onto one. A covariance matrix keeps its strings
+# (``CovarianceMatrix._reprs``), so stdout and a dump file format it once.
 # Readers reject matrices that are asymmetric beyond TOL_SYM.
 # ---------------------------------------------------------------------------
 
@@ -486,13 +502,11 @@ def matrix_to_json_dict(matrix: np.ndarray) -> dict:
     return {"modes": matrix.shape[0] // 2, "entries": matrix.ravel().tolist()}
 
 
-def matrix_to_json_text(matrix: np.ndarray) -> str:
-    """``json.dumps(matrix_to_json_dict(matrix))``, one line."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.isfinite(matrix).all():
-        return json.dumps(matrix_to_json_dict(matrix))
-    entries = ", ".join(float_reprs(matrix).ravel().tolist())
-    return f'{{"modes": {matrix.shape[0] // 2}, "entries": [{entries}]}}'
+def _json_matrix_text(reprs: np.ndarray) -> str:
+    """``json.dumps(matrix_to_json_dict(matrix))`` of a finite matrix, one
+    line, from its ``float_reprs``."""
+    entries = ", ".join(reprs.ravel().tolist())
+    return f'{{"modes": {len(reprs) // 2}, "entries": [{entries}]}}'
 
 
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
@@ -514,7 +528,7 @@ def cm_from_json_dict(obj) -> CovarianceMatrix:
 
 
 def cm_to_csv_text(cm: CovarianceMatrix) -> str:
-    return "\n".join(map(",".join, float_reprs(cm.matrix).tolist())) + "\n"
+    return "\n".join(map(",".join, cm._reprs.tolist())) + "\n"
 
 
 def cm_from_csv_text(text: str) -> CovarianceMatrix:
@@ -541,7 +555,7 @@ def save_cm(cm: CovarianceMatrix, path) -> None:
     if path.endswith(".csv"):
         text = cm_to_csv_text(cm)
     else:
-        text = matrix_to_json_text(cm.matrix)
+        text = _json_matrix_text(cm._reprs)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

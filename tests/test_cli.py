@@ -119,6 +119,12 @@ def test_localize_non_bisymmetric_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "localize", "--cm", str(path), "--split", "2", "2")
     assert code == 4
     assert "localization" in err
+    # a nan tolerance passed every check, a negative one read as exit 4
+    for tol in ("nan", "-1"):
+        code, out, err = run_cli(capsys, "localize", "--cm", str(path), "--split", "2", "2",
+                                 "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "finite number >= 0" in err
 
 
 def test_report_localize_flag_non_bisymmetric_exit_code(tmp_path, capsys):
@@ -260,6 +266,13 @@ def test_console_entry_point_runs():
         ("report", "--spec-json", '{"m": 1.5, "n": 2, "a": 1.5, "b": 1.5}'),
         ("report", "--spec-json", '{"modes": 2.5, "b": 1.5}', "--k", "1"),
         ("report", "--spec-json", '{"m": 2, "n": true, "a": 1.5, "b": 1.5}'),
+        ("localize", "--modes", "4", "--b", "1.5", "--k", "2", "--tol", "nan"),
+        ("localize", "--modes", "4", "--b", "1.5", "--k", "2", "--tol", "-1"),
+        ("localize", "--modes", "4", "--b", "1.5", "--k", "2", "--tol", "inf"),
+        ("report", "--modes", "4", "--b", "1.5", "--k", "2", "--localize", "--tol", "nan"),
+        ("report", "--modes", "4", "--b", "1.5", "--k", "2", "--localize", "--tol", "-0.5"),
+        ("spectrum", "--modes", "4", "--b", "1.5", "--tol", "nan"),
+        ("spectrum", "--modes", "4", "--b", "1.5", "--tol", "-1"),
     ],
 )
 def test_non_finite_or_non_numeric_input_exit_code(capsys, argv):

@@ -366,6 +366,79 @@ def test_localize_pattern_check_matches_loop_reference(m, n):
         assert f"pattern deviation {worst:.3e} " in str(excinfo.value)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_localize_rejects_bad_tolerance(tol):
+    cm = el.ghz_type_pure(4, 1.4)
+    with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
+        el.localize(cm, 2, 2, tol_pattern=tol)
+    with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
+        el.localize([cm, cm], 2, 2, tol_pattern=tol, return_errors=True)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def test_grouped_localize_and_oracle_equal_batches_of_one():
+    """A stack per (m, n) shape gives every matrix the bits of its batch of
+    one, for all 36 shapes of the sampler: the stacked LAPACK and BLAS
+    calls must round as the per-matrix ones do."""
+    sampler = SpecSampler(2026, max_block=6)
+    specs = [sampler.bisymmetric() for _ in range(2000)]
+    shapes = {}
+    for spec in specs:
+        shapes.setdefault((spec.m, spec.n), []).append(el.bisymmetric_cm(spec))
+    assert len(shapes) == 36
+    two_mode = _split(1, 1)
+    for (m, n), cms in shapes.items():
+        grouped = el.localize(cms, m, n)
+        brute = oracle_pt_log_negativity(cms, _split(m, n))
+        reduced = oracle_pt_log_negativity([r.equivalent.cm_eq for r in grouped], two_mode)
+        assert len(grouped) == len(brute) == len(reduced) == len(cms)
+        for cm, result, en_brute, en_reduced in zip(cms, grouped, brute, reduced):
+            (alone,) = el.localize([cm], m, n)
+            assert np.array_equal(_bits(result.local_symplectic), _bits(alone.local_symplectic))
+            assert np.array_equal(_bits(result.cm_final.matrix), _bits(alone.cm_final.matrix))
+            eq, eq_alone = result.equivalent, alone.equivalent
+            assert np.array_equal(_bits(eq.cm_eq.matrix), _bits(eq_alone.cm_eq.matrix))
+            assert _bits(eq.mu_eq) == _bits(eq_alone.mu_eq)
+            assert _bits(eq.delta_eq) == _bits(eq_alone.delta_eq)
+            assert _bits(result.residual) == _bits(alone.residual)
+            assert _bits(en_brute) == _bits(oracle_pt_log_negativity(cm, _split(m, n)))
+            assert _bits(en_reduced) == _bits(oracle_pt_log_negativity(eq_alone.cm_eq, two_mode))
+
+
+def test_localize_batch_raises_the_failing_matrix_error():
+    spec = el.BisymmetricSpec(3, 2, 1.6, 0.2, -0.15, 1.4, 0.1, -0.05, 0.3, -0.25)
+    good = el.bisymmetric_cm(spec)
+    broken = []
+    for bump in (2e-3, 5e-3):
+        matrix = np.array(good.matrix)
+        matrix[2, 2] += bump
+        broken.append(el.CovarianceMatrix(matrix))
+    batch = [good, broken[0], good, broken[1]]
+    with pytest.raises(LocalizationError, match="pattern deviation 2.000e-03"):
+        el.localize(batch, 3, 2)
+    results = el.localize(batch, 3, 2, return_errors=True)
+    assert [type(r) for r in results] == [
+        el.LocalizationResult, LocalizationError, el.LocalizationResult, LocalizationError
+    ]
+    assert "pattern deviation 5.000e-03" in str(results[3])
+    alone = el.localize(good, 3, 2)
+    assert np.array_equal(results[2].cm_final.matrix, alone.cm_final.matrix)
+    # a matrix the split does not cover keeps its place too
+    results = el.localize([el.vacuum_cm(4), good], 3, 2, return_errors=True)
+    assert isinstance(results[0], InvalidArgumentError)
+    assert np.array_equal(results[1].local_symplectic, alone.local_symplectic)
+    assert el.localize([], 3, 2) == []
+
+
+def test_oracle_batch_needs_one_matrix_size():
+    with pytest.raises(InvalidArgumentError, match="one size"):
+        oracle_pt_log_negativity([el.vacuum_cm(2), el.vacuum_cm(3)], _split(1, 1))
+    assert oracle_pt_log_negativity([], _split(1, 1)) == []
+
+
 def test_localize_rejects_bad_split():
     cm = el.ghz_type_pure(6, 1.4)
     with pytest.raises(InvalidArgumentError):

@@ -150,3 +150,75 @@ def test_summary_shape():
         "worst_rel_diff": 0.0,
         "seed": 9,
     }
+
+
+def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cases=40, seed=11):
+    """run_oracle_suite(cases, seed) with failures forced on chosen cases:
+    an invariant-route error, an assembled matrix whose mode-1 block breaks
+    the pattern by 1e-3 * (1 + case), or a non-finite dense spectrum of
+    the case's brute-force matrix. Returns the error the suite raises."""
+    import entloc.localization
+    import entloc.oracle
+    import entloc.states
+
+    sampler = SpecSampler(seed)
+    specs = [sampler.bisymmetric() for _ in range(cases)]
+    real_report = entloc.localization.equivalent_report
+    real_cm = entloc.states.bisymmetric_cm
+    real_spectrum = entloc.oracle._dense_symplectic_spectrum
+    marks = [specs[i].a for i in spectrum]
+
+    def report(items, **kwargs):
+        out = real_report(items, **kwargs)
+        return [el.InconsistentInvariantsError(f"forced case {i}") if i in invariant else r
+                for i, r in enumerate(out)]
+
+    def assemble(spec):
+        cm = real_cm(spec)
+        case = specs.index(spec)
+        if case not in pattern:
+            return cm
+        matrix = np.array(cm.matrix)
+        matrix[2, 2] += 1e-3 * (1 + case)
+        return el.CovarianceMatrix(matrix)
+
+    def dense(matrix):
+        nus = np.array(real_spectrum(matrix))
+        nus[np.isin(matrix[..., 0, 0], marks)] = np.nan
+        return nus
+
+    monkeypatch.setattr(entloc.localization, "equivalent_report", report)
+    monkeypatch.setattr(entloc.states, "bisymmetric_cm", assemble)
+    monkeypatch.setattr(entloc.oracle, "_dense_symplectic_spectrum", dense)
+    with pytest.raises(el.EntlocError) as excinfo:
+        run_oracle_suite(cases=cases, seed=seed)
+    monkeypatch.undo()
+    return excinfo.value
+
+
+def test_suite_raises_first_failing_case_in_order(monkeypatch):
+    """The first failing case in case order raises, whatever shape group
+    it sits in; within a case the invariant route goes first, then
+    localize, then the dense oracle."""
+    sampler = SpecSampler(11)
+    specs = [sampler.bisymmetric() for _ in range(40)]
+    shapes = [(s.m, s.n) for s in specs]
+    first_seen = {shape: shapes.index(shape) for shape in shapes}
+    # i < j with j's shape group met first; both can break the pattern (m >= 2)
+    i, j = next((i, j) for j in range(len(specs)) for i in range(j)
+                if specs[i].m >= 2 and specs[j].m >= 2
+                and first_seen[shapes[j]] < first_seen[shapes[i]])
+
+    error = _suite_with_failures(monkeypatch, invariant=(j,), pattern=(j,), spectrum=(i,))
+    assert isinstance(error, el.NumericalDomainError)
+    error = _suite_with_failures(monkeypatch, pattern=(i,), spectrum=(j,))
+    assert isinstance(error, el.LocalizationError)
+    assert f"pattern deviation {1e-3 * (1 + i):.3e}" in str(error)
+    error = _suite_with_failures(monkeypatch, pattern=(i, j))
+    assert f"pattern deviation {1e-3 * (1 + i):.3e}" in str(error)
+    error = _suite_with_failures(monkeypatch, invariant=(j, i), pattern=(j,))
+    assert str(error) == f"forced case {i}"
+    error = _suite_with_failures(monkeypatch, invariant=(i,), pattern=(i,), spectrum=(i,))
+    assert str(error) == f"forced case {i}"
+    error = _suite_with_failures(monkeypatch, pattern=(i,), spectrum=(i,))
+    assert isinstance(error, el.LocalizationError)
