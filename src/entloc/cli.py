@@ -52,6 +52,7 @@ from .states import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    _json_entry_texts,
     _json_matrix_text,
     float_reprs,
     load_cm,
@@ -156,7 +157,8 @@ def _json_text(obj) -> str:
 
     The stdlib's indented encoder is pure Python; the matrices of a
     localization payload are lists of thousands of floats, so each list
-    of finite floats is joined from ``float_reprs`` instead.
+    of finite floats is joined from ``float_reprs`` instead, and an
+    ndarray is taken to hold such texts already.
     """
     return _indented_json(obj, "\n") + "\n"
 
@@ -169,8 +171,8 @@ def _indented_json(obj, newline: str) -> str:
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         members = (f"{json.dumps(key)}: {_indented_json(value, inner)}"
                    for key, value in sorted(obj.items()))
-    elif isinstance(obj, np.ndarray):  # entry texts, formatted already
-        members = obj.tolist()
+    elif isinstance(obj, np.ndarray):  # the float_reprs of a matrix's entries
+        members = _json_entry_texts(obj)
     elif isinstance(obj, (list, tuple)) and obj:
         values = np.array(obj) if set(map(type, obj)) == {float} else None
         if values is not None and np.isfinite(values).all():
@@ -247,20 +249,21 @@ def _cmd_report(args) -> int:
 
 def _localization_json(args, result) -> dict:
     """``result.to_json_dict()``, after writing the files of --dump-final and
-    --dump-symplectic. Each matrix is formatted once: the payload holds the
-    entry texts its file was written from. Both matrices are finite, as
-    ``cm_final`` is a covariance matrix and the transformation maps the
-    finite input onto it."""
-    local = float_reprs(result.local_symplectic)
+    --dump-symplectic. Each matrix is formatted once: its entries enter the
+    payload as the ``float_reprs`` its file was written from."""
     if args.dump_final:
-        save_cm(result.cm_final, args.dump_final)
+        final = save_cm(result.cm_final, args.dump_final)
+    else:
+        final = float_reprs(result.cm_final.matrix)
+    local = float_reprs(result.local_symplectic)
     if args.dump_symplectic:
-        with open(args.dump_symplectic, "w", encoding="utf-8") as handle:
-            handle.write(_json_matrix_text(local))
-    payload = result.to_json_dict()
-    payload["cm_final"]["entries"] = result.cm_final._reprs.ravel()
-    payload["local_symplectic"]["entries"] = local.ravel()
-    return payload
+        _emit(_json_matrix_text(local), args.dump_symplectic)
+    return {
+        "cm_final": {"modes": result.cm_final.modes, "entries": final.ravel()},
+        "equivalent": result.equivalent.to_json_dict(),
+        "local_symplectic": {"modes": len(local) // 2, "entries": local.ravel()},
+        "residual": result.residual,
+    }
 
 
 def _cmd_localize(args) -> int:

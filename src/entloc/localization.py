@@ -348,13 +348,10 @@ def _spec_blocks(specs):
 def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None) -> list:
     """(m, n, pattern blocks) of each split (m, n) of one matrix, or the
     error of its pattern check."""
-    if tol_pattern is None:
-        tol_pattern = 1e-8 * max(1.0, float(np.max(np.abs(cm.matrix))))
-
     def check(m, n):
-        blocks, worst = _pattern_blocks(_covered(cm, m, n)[None], m, n)
-        if worst[0] > tol_pattern:
-            raise _pattern_error(worst[0], tol_pattern)
+        errors = _PointErrors(1)
+        blocks, _ = _pattern_check(_covered(cm, m, n)[None], m, n, tol_pattern, errors)
+        errors.raise_first()
         return m, n, blocks
 
     return [_attempt(check, m, n) for m, n in splits]
@@ -501,11 +498,25 @@ def _pattern_blocks(stack: np.ndarray, m: int, n: int):
     return blocks, np.abs(grid - target).max(axis=(1, 2, 3, 4))
 
 
-def _pattern_error(worst: float, tol: float) -> LocalizationError:
-    return LocalizationError(
-        f"input is not block-permutation invariant: pattern deviation {worst:.3e} "
-        f"exceeds tolerance {tol:.3e}"
+def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _PointErrors):
+    """Pattern blocks of a stack (as ``_pattern_blocks``) and the tolerance
+    of each matrix, shape (K,): ``tol_pattern``, a finite number >= 0, or
+    by default 1e-8 scaled by the matrix's largest entry. A matrix farther
+    than its tolerance from its pattern fails in ``errors``."""
+    _require_tolerance(tol_pattern, "pattern tolerance")
+    if tol_pattern is None:
+        tol = 1e-8 * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
+    else:
+        tol = np.full(len(stack), float(tol_pattern))
+    blocks, worst = _pattern_blocks(stack, m, n)
+    errors.record(
+        worst > tol,
+        lambda k: LocalizationError(
+            f"input is not block-permutation invariant: pattern deviation {worst[k]:.3e} "
+            f"exceeds tolerance {tol[k]:.3e}"
+        ),
     )
+    return blocks, tol
 
 
 def _covered(cm: CovarianceMatrix, m: int, n: int) -> np.ndarray:
@@ -579,12 +590,7 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern) -> list:
     shape (K, 2(m+n), 2(m+n)): every stage is one stacked numpy call."""
     count, total = len(stack), m + n
     errors = _PointErrors(count)
-    if tol_pattern is None:
-        tol = 1e-8 * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
-    else:
-        tol = np.full(count, float(tol_pattern))
-    _, worst = _pattern_blocks(stack, m, n)
-    errors.record(worst > tol, lambda k: _pattern_error(worst[k], tol[k]))
+    _, tol = _pattern_check(stack, m, n, tol_pattern, errors)
 
     mixing = np.zeros((2 * total, 2 * total))
     mixing[: 2 * m, : 2 * m] = _mode_mixing_symplectic(_householder_mixing(m, m - 1))
@@ -632,7 +638,7 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern) -> list:
     return [_attempt(result, k) if errors.alive[k] else errors.errors[k] for k in range(count)]
 
 
-def localize(cm, m: int, n: int, tol_pattern: float | None = None, *, return_errors: bool = False):
+def localize(cm, m: int, n: int, tol_pattern: float | None = None):
     """Concentrate all cross-block correlations onto one pair of modes.
 
     The input must be an (m+n)-mode state invariant under mode permutations
@@ -654,24 +660,19 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None, *, return_err
     an eigenvalue-ordered normal-form computation could not identify the
     correlation-carrying mode.
 
-    ``cm`` is one ``CovarianceMatrix`` or a sequence of them, all split as
-    (m, n); a sequence is reduced as one stack and gives a list. The batch
-    raises the error of the first matrix that fails, in sequence order,
-    or, with ``return_errors=True``, gives every matrix its result or its
-    error, in place.
+    ``cm`` is one ``CovarianceMatrix``, whose failure raises, or a sequence
+    of them, all split as (m, n), which is reduced as one stack and gives a
+    list holding each matrix's result or its error, in place.
     """
     if m < 1 or n < 1:
         raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
-    _require_tolerance(tol_pattern, "pattern tolerance")
     single = isinstance(cm, CovarianceMatrix)
     items = [_attempt(_covered, c, m, n) for c in ([cm] if single else cm)]
     with np.errstate(all="ignore"):
         results = _in_place(
             lambda matrices: _localize_stack(np.array(matrices), m, n, tol_pattern), items
         )
-    if single:
-        return _raise_first(results)[0]
-    return results if return_errors else _raise_first(results)
+    return _raise_first(results)[0] if single else results
 
 
 # ---------------------------------------------------------------------------

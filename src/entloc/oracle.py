@@ -60,18 +60,17 @@ def oracle_symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
     return _dense_symplectic_spectrum(np.array(cm.matrix))
 
 
-def oracle_pt_log_negativity(cm, part, *, return_errors: bool = False):
+def oracle_pt_log_negativity(cm, part):
     """Logarithmic negativity straight from the definitions.
 
     Mirrors the momentum quadratures of ``part.side_b``, takes the dense
     spectrum of the reflected matrix, and sums -ln over the sub-unit
     symplectic eigenvalues.
 
-    ``cm`` is one covariance matrix or a sequence of matrices of one size,
-    all split by ``part``; a sequence goes through one stacked eigensolver
-    call and gives a list. The batch raises the error of the first matrix
-    that fails, in sequence order, or, with ``return_errors=True``, gives
-    every matrix its value or its error, in place.
+    ``cm`` is one covariance matrix, whose failure raises, or a sequence of
+    matrices of one size, all split by ``part``, which goes through one
+    stacked eigensolver call and gives a list holding each matrix's value
+    or its error, in place.
     """
     single = isinstance(cm, CovarianceMatrix)
     cms = [cm] if single else list(cm)
@@ -87,10 +86,8 @@ def oracle_pt_log_negativity(cm, part, *, return_errors: bool = False):
                 continue
             total = -sum(math.log(nu) for nu in nus if nu < 1.0)
             values.append(max(0.0, total))
-    if single or not return_errors:
-        for value in values:
-            if isinstance(value, NumericalDomainError):
-                raise value
+    if single and isinstance(values[0], NumericalDomainError):
+        raise values[0]
     return values[0] if single else values
 
 
@@ -353,11 +350,11 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     two_mode_split = ModeBipartition((0,), (1,))
     for (m, n), indices in shapes.items():
         cms = [bisymmetric_cm(specs[i]) for i in indices]
-        locs = localize(cms, m, n, return_errors=True)
+        locs = localize(cms, m, n)
         reduced = [loc.equivalent.cm_eq for loc in locs if not isinstance(loc, Exception)]
-        constructive = iter(oracle_pt_log_negativity(reduced, two_mode_split, return_errors=True))
+        constructive = iter(oracle_pt_log_negativity(reduced, two_mode_split))
         part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-        brute = oracle_pt_log_negativity(cms, part, return_errors=True)
+        brute = oracle_pt_log_negativity(cms, part)
         for index, loc, en_brute in zip(indices, locs, brute):
             routes[index] += [loc if isinstance(loc, Exception) else next(constructive), en_brute]
 

@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -200,12 +199,6 @@ class CovarianceMatrix:
     @property
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    @cached_property
-    def _reprs(self) -> np.ndarray:
-        """``float_reprs(self.matrix)``: the matrix is read-only, so every
-        writer of it can share one formatting."""
-        return float_reprs(self.matrix)
 
     def allclose(self, other: "CovarianceMatrix", tol: float = 1e-12) -> bool:
         return self.modes == other.modes and bool(
@@ -475,10 +468,9 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # hundred distinct values in 9216 entries and an exactly symmetric matrix
 # repeats each off-diagonal entry, while the stdlib's indented JSON encoder
 # is pure Python and formats every entry. The texts equal ``json.dumps``
-# and the per-entry ``repr`` CSV byte for byte. Every matrix written is
-# finite: a covariance matrix by construction, a local symplectic because
-# it maps a finite input onto one. A covariance matrix keeps its strings
-# (``CovarianceMatrix._reprs``), so stdout and a dump file format it once.
+# and the per-entry ``repr`` CSV byte for byte, also for non-finite
+# entries (JSON NaN, Infinity; CSV nan, inf, as repr spells them). The
+# text writers take the strings, so one formatting can feed several.
 # Readers reject matrices that are asymmetric beyond TOL_SYM.
 # ---------------------------------------------------------------------------
 
@@ -502,11 +494,29 @@ def matrix_to_json_dict(matrix: np.ndarray) -> dict:
     return {"modes": matrix.shape[0] // 2, "entries": matrix.ravel().tolist()}
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_entry_texts(reprs: np.ndarray) -> list:
+    """The JSON numbers of the entries with ``float_reprs`` ``reprs``, in
+    row-major order: the reprs, spelled as ``json.dumps`` spells nan and
+    +-inf."""
+    texts = reprs.ravel().tolist()
+    if "n" in "".join(texts):  # no finite repr holds an n
+        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
 def _json_matrix_text(reprs: np.ndarray) -> str:
-    """``json.dumps(matrix_to_json_dict(matrix))`` of a finite matrix, one
-    line, from its ``float_reprs``."""
-    entries = ", ".join(reprs.ravel().tolist())
+    """``json.dumps(matrix_to_json_dict(matrix))``, one line, from the
+    matrix's ``float_reprs``."""
+    entries = ", ".join(_json_entry_texts(reprs))
     return f'{{"modes": {len(reprs) // 2}, "entries": [{entries}]}}'
+
+
+def _csv_text(reprs: np.ndarray) -> str:
+    """The CSV text of a matrix from its ``float_reprs``."""
+    return "\n".join(map(",".join, reprs.tolist())) + "\n"
 
 
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
@@ -528,7 +538,7 @@ def cm_from_json_dict(obj) -> CovarianceMatrix:
 
 
 def cm_to_csv_text(cm: CovarianceMatrix) -> str:
-    return "\n".join(map(",".join, cm._reprs.tolist())) + "\n"
+    return _csv_text(float_reprs(cm.matrix))
 
 
 def cm_from_csv_text(text: str) -> CovarianceMatrix:
@@ -550,14 +560,16 @@ def cm_from_csv_text(text: str) -> CovarianceMatrix:
     return CovarianceMatrix(np.array(rows))
 
 
-def save_cm(cm: CovarianceMatrix, path) -> None:
+def save_cm(cm: CovarianceMatrix, path) -> np.ndarray:
+    """Write ``cm`` to ``path``, as CSV for a ``.csv`` path and as the
+    one-line JSON object otherwise; returns the entry texts written, its
+    ``float_reprs``, for a caller that writes the matrix again."""
+    reprs = float_reprs(cm.matrix)
     path = str(path)
-    if path.endswith(".csv"):
-        text = cm_to_csv_text(cm)
-    else:
-        text = _json_matrix_text(cm._reprs)
+    text = _csv_text(reprs) if path.endswith(".csv") else _json_matrix_text(reprs)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+    return reprs
 
 
 def load_cm(path) -> CovarianceMatrix:

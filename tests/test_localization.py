@@ -372,7 +372,9 @@ def test_localize_rejects_bad_tolerance(tol):
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.localize(cm, 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
-        el.localize([cm, cm], 2, 2, tol_pattern=tol, return_errors=True)
+        el.localize([cm, cm], 2, 2, tol_pattern=tol)
+    with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
+        el.equivalent_from_cm(cm, 2, 2, tol_pattern=tol)
 
 
 def _bits(value):
@@ -395,6 +397,7 @@ def test_grouped_localize_and_oracle_equal_batches_of_one():
         brute = oracle_pt_log_negativity(cms, _split(m, n))
         reduced = oracle_pt_log_negativity([r.equivalent.cm_eq for r in grouped], two_mode)
         assert len(grouped) == len(brute) == len(reduced) == len(cms)
+        assert not any(isinstance(r, Exception) for r in [*grouped, *brute, *reduced])
         for cm, result, en_brute, en_reduced in zip(cms, grouped, brute, reduced):
             (alone,) = el.localize([cm], m, n)
             assert np.array_equal(_bits(result.local_symplectic), _bits(alone.local_symplectic))
@@ -408,7 +411,7 @@ def test_grouped_localize_and_oracle_equal_batches_of_one():
             assert _bits(en_reduced) == _bits(oracle_pt_log_negativity(eq_alone.cm_eq, two_mode))
 
 
-def test_localize_batch_raises_the_failing_matrix_error():
+def test_localize_batch_gives_the_failing_matrix_its_error():
     spec = el.BisymmetricSpec(3, 2, 1.6, 0.2, -0.15, 1.4, 0.1, -0.05, 0.3, -0.25)
     good = el.bisymmetric_cm(spec)
     broken = []
@@ -416,18 +419,20 @@ def test_localize_batch_raises_the_failing_matrix_error():
         matrix = np.array(good.matrix)
         matrix[2, 2] += bump
         broken.append(el.CovarianceMatrix(matrix))
-    batch = [good, broken[0], good, broken[1]]
-    with pytest.raises(LocalizationError, match="pattern deviation 2.000e-03"):
-        el.localize(batch, 3, 2)
-    results = el.localize(batch, 3, 2, return_errors=True)
+    results = el.localize([good, broken[0], good, broken[1]], 3, 2)
     assert [type(r) for r in results] == [
         el.LocalizationResult, LocalizationError, el.LocalizationResult, LocalizationError
     ]
-    assert "pattern deviation 5.000e-03" in str(results[3])
+    # each error is the one its matrix raises alone
+    for error, cm, bump in ((results[1], broken[0], "2.000e-03"), (results[3], broken[1], "5.000e-03")):
+        assert f"pattern deviation {bump}" in str(error)
+        with pytest.raises(LocalizationError) as excinfo:
+            el.localize(cm, 3, 2)
+        assert str(excinfo.value) == str(error)
     alone = el.localize(good, 3, 2)
     assert np.array_equal(results[2].cm_final.matrix, alone.cm_final.matrix)
     # a matrix the split does not cover keeps its place too
-    results = el.localize([el.vacuum_cm(4), good], 3, 2, return_errors=True)
+    results = el.localize([el.vacuum_cm(4), good], 3, 2)
     assert isinstance(results[0], InvalidArgumentError)
     assert np.array_equal(results[1].local_symplectic, alone.local_symplectic)
     assert el.localize([], 3, 2) == []

@@ -72,9 +72,13 @@ def _old_json(matrix):
 @settings(max_examples=300, deadline=None)
 @given(matrices(finite=False))
 def test_matrix_texts_equal_per_entry_formulas(matrix):
-    assert float_reprs(matrix).tolist() == [[repr(float(x)) for x in row] for row in matrix]
-    if np.isfinite(matrix).all():
-        assert _json_matrix_text(float_reprs(matrix)) == _old_json(matrix)
+    reprs = float_reprs(matrix)
+    assert reprs.tolist() == [[repr(float(x)) for x in row] for row in matrix]
+    assert _json_matrix_text(reprs) == _old_json(matrix)
+    # the indented writer takes an ndarray of reprs as the entries themselves
+    entries = [float(x) for x in matrix.ravel()]
+    assert _json_text({"entries": reprs.ravel()}) == _json_text({"entries": entries})
+    assert _json_text({"entries": entries}) == json.dumps({"entries": entries}, indent=2) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
