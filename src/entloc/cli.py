@@ -12,10 +12,9 @@ exit codes: 0 success, 2 invalid input, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-
-import numpy as np
 
 from .entanglement import ModeBipartition, log_negativity
 from .errors import (
@@ -52,7 +51,7 @@ from .states import (
 )
 from .symplectic import (
     CovarianceMatrix,
-    _json_entry_texts,
+    _indented_json,
     _json_matrix_text,
     float_reprs,
     load_cm,
@@ -153,36 +152,8 @@ def _emit(text: str, out_path):
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    The stdlib's indented encoder is pure Python; the matrices of a
-    localization payload are lists of thousands of floats, so each list
-    of finite floats is joined from ``float_reprs`` instead, and an
-    ndarray is taken to hold such texts already.
-    """
-    return _indented_json(obj, "\n") + "\n"
-
-
-def _indented_json(obj, newline: str) -> str:
-    """The indented JSON of ``obj`` for a place where each new line starts
-    with ``newline`` (a line break and the indent of that depth); values
-    other than non-empty lists and str-keyed dicts go to the stdlib."""
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        members = (f"{json.dumps(key)}: {_indented_json(value, inner)}"
-                   for key, value in sorted(obj.items()))
-    elif isinstance(obj, np.ndarray):  # the float_reprs of a matrix's entries
-        members = _json_entry_texts(obj)
-    elif isinstance(obj, (list, tuple)) and obj:
-        values = np.array(obj) if set(map(type, obj)) == {float} else None
-        if values is not None and np.isfinite(values).all():
-            members = float_reprs(values).tolist()
-        else:
-            members = [_indented_json(value, inner) for value in obj]
-    else:
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _indented_json(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser as it was, and building one costs more than
+    # a paper-grid sweep's whole kernel, so a process builds it once
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except InvalidArgumentError as exc:

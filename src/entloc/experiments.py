@@ -5,19 +5,31 @@ entanglement of a 2n-mode permutation-invariant state against the split
 size k and the single-mode squeezing b, for pure states and for mixed
 states obtained by tracing q modes off a pure parent) and the scaling
 sweep (balanced-split and pairwise entanglement of formation against n at
-fixed squeezing). Drivers emit plain row dictionaries; writers render
-deterministic CSV or JSON so identical configs produce identical bytes.
+fixed squeezing).
+
+A sweep is columnar from end to end. The drivers validate each parent
+state once, stack every split of every parent into one
+``BisymmetricBatch``, and make one call of the invariant route, which
+gives report columns. The rows are those columns (``SweepRows``): a
+sequence of row dicts, made on access. ``render_table`` formats CSV or
+JSON one column at a time, each distinct float once, so identical configs
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, NumericalDomainError
-from .localization import _attempt, _fs_split_spec, equivalent_report
-from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
+import numpy as np
+
+from .entanglement import ReportColumns
+from .errors import EntlocError, InvalidArgumentError, NumericalDomainError
+from .localization import _attempt, _fs_split_batch, equivalent_report
+from .states import BisymmetricBatch, FullySymmetricSpec, _require_finite, ghz_type_spec
+from .symplectic import _PointErrors, _indented_json, _json_entry_texts, _json_records, float_reprs
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -100,112 +112,189 @@ def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     return dataclasses.replace(parent, modes=modes)
 
 
-def _row_status(results) -> str:
-    """The status of a row from its results, taken in order: "ok" when
-    none failed, else that of the first error, "unphysical" for an
-    InvalidArgumentError (the point is no physical state) and "numerical"
-    for a NumericalDomainError (the invariant route left the float range
-    at a valid point); any other error is raised."""
-    for result in results:
-        if isinstance(result, InvalidArgumentError):
-            return "unphysical"
-        if isinstance(result, NumericalDomainError):
-            return "numerical"
-        if isinstance(result, Exception):
-            raise result
-    return "ok"
+class SweepRows(Sequence):
+    """The rows of a sweep, held as columns.
+
+    ``columns`` maps each column name to its cells in row order, as Python
+    values (int, float, bool, str, or None for a missing value). A row is
+    a dict in column order, made when it is read; rows compare equal to
+    any sequence of equal dicts.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return {name: cells[index] for name, cells in self.columns.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SweepRows({list(self)!r})"
 
 
-def run_hierarchy(cfg: SweepConfig) -> list[dict]:
+def _status(error) -> str:
+    """The status of a point from its error: "ok" for none, "unphysical"
+    for an InvalidArgumentError (the point is no physical state) and
+    "numerical" for a NumericalDomainError (the invariant route left the
+    float range at a valid point); any other error is raised."""
+    if error is None:
+        return "ok"
+    if isinstance(error, InvalidArgumentError):
+        return "unphysical"
+    if isinstance(error, NumericalDomainError):
+        return "numerical"
+    raise error
+
+
+def _split_batch(parents: list, index: np.ndarray, k: np.ndarray) -> BisymmetricBatch:
+    """The splits k | rest of the fully symmetric specs parents[index], as
+    one validated batch; a point whose parent is an error fails with it."""
+    errors = _PointErrors(len(index))
+    failed = np.array([isinstance(parent, EntlocError) for parent in parents])
+    errors.record(failed[index], lambda i: parents[index[i]])
+    params = np.array([(1, 1.0, 0.0, 0.0) if isinstance(p, EntlocError) else (p.modes, p.b, p.z1, p.z2)
+                       for p in parents])[index]
+    return _fs_split_batch(params[:, 0].astype(np.int64), k, *params[:, 1:].T, errors)
+
+
+def _cells(values: np.ndarray, missing: np.ndarray) -> list:
+    """The values as Python numbers, None where ``missing``."""
+    cells = values.tolist()
+    if missing.any():
+        cells = [None if gone else cell for cell, gone in zip(cells, missing.tolist())]
+    return cells
+
+
+def _report_cells(report: ReportColumns) -> dict:
+    """The hierarchy's figure columns of a report batch, None on failed rows."""
+    failed = np.array([error is not None for error in report.errors], dtype=bool)
+    return {
+        "nu_tilde": _cells(report.nu_tilde_min, failed),
+        "E_N": _cells(report.log_negativity, failed),
+        "N": _cells(report.negativity, failed),
+        "E_F": _cells(report.eof, report.eof_missing | failed),
+        "separable": _cells(report.separable, failed),
+    }
+
+
+def run_hierarchy(cfg: SweepConfig) -> SweepRows:
     """Rows (q, k, b) -> entanglement figures for the k x (modes-k) split.
 
     Each parent state is validated once per (q, b); every split goes
     through one batch of the invariant route.
     """
-    parents = {
-        (q, b): _attempt(traced_symmetric_spec, cfg.modes, q, b)
-        for q in cfg.trace_out
-        for b in cfg.b_grid
-    }
-    keys = [(q, k, b) for q in cfg.trace_out for k in cfg.k_values for b in cfg.b_grid]
-    splits = [_attempt(_fs_split_spec, parents[q, b], k) for q, k, b in keys]
-    results = equivalent_report(splits, return_errors=True)
-    rows = []
-    for (q, k, b), result in zip(keys, results):
-        row = {"m": k, "n": cfg.modes - k, "k": k, "b": b, "q": q}
-        status = _row_status([result])
-        if status == "ok":
-            row.update(
-                {
-                    "nu_tilde": result.nu_tilde_min,
-                    "E_N": result.log_negativity,
-                    "N": result.negativity,
-                    "E_F": result.eof,
-                    "separable": result.separable,
-                }
-            )
-        else:
-            row.update({"nu_tilde": None, "E_N": None, "N": None, "E_F": None, "separable": None})
-        row["status"] = status
-        rows.append(row)
-    return rows
+    qs, ks, grid = cfg.trace_out, cfg.k_values, cfg.b_grid
+    parents = [_attempt(traced_symmetric_spec, cfg.modes, q, b) for q in qs for b in grid]
+    # points in (q, k, b) order, b fastest; the parent of (q, k, b) is (q, b)
+    shape = (len(qs), len(ks), len(grid))
+    index = np.broadcast_to(np.arange(len(parents)).reshape(len(qs), 1, -1), shape).ravel()
+    k = np.broadcast_to(np.array(ks, dtype=np.int64).reshape(1, -1, 1), shape).ravel()
+    report = equivalent_report(_split_batch(parents, index, k), return_errors=True)
+    ks_cells = k.tolist()
+    return SweepRows({
+        "m": ks_cells,
+        "n": (cfg.modes - k).tolist(),
+        "k": ks_cells,
+        "b": list(grid) * (len(qs) * len(ks)),
+        "q": [q for q in qs for _ in range(len(ks) * len(grid))],
+        **_report_cells(report),
+        "status": list(map(_status, report.errors)),
+    })
 
 
-def _pair_spec(spec: FullySymmetricSpec) -> FullySymmetricSpec:
-    return spec if spec.modes == 2 else dataclasses.replace(spec, modes=2)
-
-
-def run_scaling(cfg: SweepConfig) -> list[dict]:
+def run_scaling(cfg: SweepConfig) -> SweepRows:
     """Rows (q, n) -> pairwise and balanced-split entanglement of formation,
     both from one batch of the invariant route."""
     keys = [(q, n) for q in cfg.trace_out for n in cfg.n_range]
-    outcomes = []
-    for q, n in keys:
-        spec = _attempt(traced_symmetric_spec, 2 * n, q, cfg.b)
-        outcomes += [
-            _attempt(_fs_split_spec, spec, n),
-            _attempt(_fs_split_spec, _attempt(_pair_spec, spec), 1),
-        ]
-    results = equivalent_report(outcomes, return_errors=True)
-    rows = []
-    for i, (q, n) in enumerate(keys):
-        row = {"q": q, "n": n, "b": cfg.b}
-        nn, pair = results[2 * i : 2 * i + 2]
-        status = _row_status([nn, pair])
-        if status == "ok":
-            row.update({"E_F_1x1": pair.eof, "E_F_nxn": nn.eof})
+    parents = [_attempt(traced_symmetric_spec, 2 * n, q, cfg.b) for q, n in keys]
+    pairs = [_attempt(lambda spec: dataclasses.replace(spec, modes=2), p) for p in parents]
+    # points 0..R-1 split each parent n | n, points R..2R-1 its pair 1 | 1
+    half = np.array([n for _, n in keys], dtype=np.int64)
+    k = np.concatenate([half, np.ones_like(half)])
+    report = equivalent_report(
+        _split_batch(parents + pairs, np.arange(len(k)), k), return_errors=True
+    )
+    count = len(keys)
+    errors = [nn if nn is not None else pair
+              for nn, pair in zip(report.errors[:count], report.errors[count:])]
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    eof = _cells(report.eof, report.eof_missing | np.concatenate([failed, failed]))
+    return SweepRows({
+        "q": [q for q, _ in keys],
+        "n": [n for _, n in keys],
+        "b": [cfg.b] * count,
+        "E_F_1x1": eof[count:],
+        "E_F_nxn": eof[:count],
+        "status": list(map(_status, errors)),
+    })
+
+
+# the texts of None, True and False in each output format
+_NAMED = {"csv": ("", "true", "false"), "json": ("null", "true", "false")}
+
+
+def _column_texts(values: list, fmt: str) -> list:
+    """The text of each cell of one column in ``fmt``, "csv" or "json".
+
+    Floats are formatted once per distinct bit pattern, with ``.12g`` for
+    CSV and their repr for JSON; ints by ``str``; None, True and False by
+    name; strings as they are in CSV and quoted in JSON. A column of
+    other or mixed types goes cell by cell.
+    """
+    none, true, false = _NAMED[fmt]
+    kinds = set(map(type, values))
+    if kinds <= {float, type(None)}:
+        present = [value for value in values if value is not None]
+        if fmt == "csv":
+            texts = float_reprs(present, "%.12g").tolist()
         else:
-            row.update({"E_F_1x1": None, "E_F_nxn": None})
-        row["status"] = status
-        rows.append(row)
-    return rows
+            texts = _json_entry_texts(float_reprs(present))
+        if len(present) == len(values):
+            return texts
+        texts = iter(texts)
+        return [none if value is None else next(texts) for value in values]
+    if kinds <= {bool, type(None)}:
+        return [none if value is None else true if value else false for value in values]
+    if kinds <= {int}:
+        return ("%d\n" * len(values) % tuple(values)).split("\n")[:-1]
+    if kinds <= {str}:
+        if fmt == "csv":
+            return values
+        quoted = {value: json.dumps(value) for value in set(values)}
+        return [quoted[value] for value in values]
+    return [_cell_text(value, fmt) for value in values]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def rows_to_csv_text(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json_text(rows, columns) -> str:
-    ordered = [{c: row.get(c) for c in columns} for row in rows]
-    return json.dumps(ordered, indent=2) + "\n"
+def _cell_text(value, fmt: str) -> str:
+    """The text of one cell of a column of mixed or other types."""
+    if type(value) in (float, int, bool, str, type(None)):
+        return _column_texts([value], fmt)[0]
+    if fmt == "csv":
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+    return _indented_json(value, "\n    ", sort_keys=False)
 
 
 def render_table(rows, columns, fmt: str) -> str:
-    if fmt == "csv":
-        return rows_to_csv_text(rows, columns)
+    """The CSV or JSON text of ``rows`` restricted to ``columns``, in that
+    order; a cell a row lacks is None. The JSON is ``json.dumps`` of the
+    rows with ``indent=2``, byte for byte."""
+    if fmt not in _NAMED:
+        raise InvalidArgumentError(f"unknown output format {fmt!r}")
+    held = rows.columns if isinstance(rows, SweepRows) else {}
+    cells = [held[c] if c in held else [row.get(c) for row in rows] for c in columns]
+    texts = [_column_texts(column, fmt) for column in cells]
     if fmt == "json":
-        return rows_to_json_text(rows, columns)
-    raise InvalidArgumentError(f"unknown output format {fmt!r}")
+        return _json_records(columns, texts, len(rows)) + "\n"
+    lines = map(",".join, zip(*texts)) if texts else [""] * len(rows)
+    return "\n".join([",".join(columns), *lines]) + "\n"

@@ -49,8 +49,9 @@ import numpy as np
 
 from .entanglement import (
     EntanglementReport,
+    ReportColumns,
     _pt_nu_tilde_pair,
-    _pt_pair_reports,
+    _pt_pair_columns,
     _symmetric_dets,
 )
 from .errors import (
@@ -60,7 +61,7 @@ from .errors import (
     LocalizationError,
     NumericalDomainError,
 )
-from .states import BisymmetricSpec, FullySymmetricSpec
+from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
 from .symplectic import (
     CovarianceMatrix,
     _clipped_sqrts,
@@ -326,23 +327,21 @@ def _nu_tilde_pairs(block_a, block_b, delta_eq, mu_eq, errors: _PointErrors):
     return _pt_nu_tilde_pair(det_a, det_b, delta_eq, 1.0 / mu_sq, errors)
 
 
-def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> list:
-    """Entanglement report, or the error, of each point of a batch."""
+def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportColumns:
+    """Entanglement reports of the points of a batch, as columns."""
     local = np.zeros((2, len(eq.mu_eq), 2, 2))
     local[:, :, 0, 0] = local[:, :, 1, 1] = (eq.na_plus, eq.nb_plus)
     nu_minus, nu_plus = _nu_tilde_pairs(local[0], local[1], eq.delta_eq, eq.mu_eq, errors)
     symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
-    return _pt_pair_reports(nu_minus, nu_plus, symmetric, errors)
+    return _pt_pair_columns(nu_minus, nu_plus, symmetric, errors)
 
 
-def _spec_blocks(specs):
-    """(m, n, blocks) stacks of standard-form specs, blocks of shape (5, N, 2, 2)."""
-    rows = [(s.m, s.n, s.a, s.a, s.e1, s.e2, s.b, s.b, s.z1, s.z2, s.g1, s.g2) for s in specs]
-    params = np.array(rows, dtype=float).T
-    blocks = np.zeros((5, len(specs), 2, 2))
-    blocks[:, :, 0, 0] = params[2::2]
-    blocks[:, :, 1, 1] = params[3::2]
-    return params[0].astype(np.int64), params[1].astype(np.int64), blocks
+def _batch_blocks(batch: BisymmetricBatch):
+    """(m, n, blocks) of a spec batch, blocks of shape (5, N, 2, 2)."""
+    blocks = np.zeros((5, len(batch.m), 2, 2))
+    blocks[:, :, 0, 0] = batch.a, batch.e1, batch.b, batch.z1, batch.g1
+    blocks[:, :, 1, 1] = batch.a, batch.e2, batch.b, batch.z2, batch.g2
+    return batch.m, batch.n, blocks
 
 
 def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None) -> list:
@@ -392,11 +391,11 @@ def _raise_first(results: list) -> list:
     return results
 
 
-def _reports(blocks) -> list:
-    """The report, or the error, of each point of one batch."""
-    errors = _PointErrors(len(blocks[0]))
+def _report_columns(m, n, blocks, errors: _PointErrors) -> ReportColumns:
+    """The reports of one batch as columns; ``errors`` holds the points
+    that failed before the kernel."""
     with np.errstate(all="ignore"):
-        return _report_from_equivalent(_equivalent_from_blocks(*blocks, errors), errors)
+        return _report_from_equivalent(_equivalent_from_blocks(m, n, blocks, errors), errors)
 
 
 def _single_equivalent(blocks) -> EquivalentTwoMode:
@@ -412,7 +411,7 @@ def equivalent_two_mode_invariants(spec: BisymmetricSpec) -> EquivalentTwoMode:
 
     O(1) in the number of modes; the workhorse of the parameter sweeps.
     """
-    return _single_equivalent(_spec_blocks([spec]))
+    return _single_equivalent(_batch_blocks(BisymmetricBatch.of([spec])))
 
 
 def equivalent_from_cm(
@@ -434,17 +433,31 @@ def equivalent_report(spec, *, return_errors: bool = False):
     so the separable flag is always populated; the entanglement of
     formation is included when the equivalent state is symmetric.
 
-    ``spec`` is one ``BisymmetricSpec`` or a sequence of them; a sequence
-    is evaluated in one batch and gives a list. An ``EntlocError`` item of
-    the sequence stands for a spec that could not be built and is its own
-    result. The batch raises the first error in sequence order, or, with
-    ``return_errors=True``, gives every item its report or its error, in
+    ``spec`` is one ``BisymmetricSpec``, a ``BisymmetricBatch``, or a
+    sequence of specs. A batch is evaluated as it stands and gives
+    ``ReportColumns``, the form the sweeps read; a point the batch holds
+    an error for keeps that error. A sequence is stacked into one batch
+    and gives a list, each report built from the columns; an
+    ``EntlocError`` item stands for a spec that could not be built and is
+    its own result. Either raises the first error in batch order, or, with
+    ``return_errors=True``, gives every point its report or its error, in
     place.
     """
+    if isinstance(spec, BisymmetricBatch):
+        columns = _spec_columns(spec)
+        if not return_errors:
+            _raise_first(columns.errors)
+        return columns
     if isinstance(spec, BisymmetricSpec):
-        return _raise_first(_reports(_spec_blocks([spec])))[0]
-    results = _in_place(lambda specs: _reports(_spec_blocks(specs)), list(spec))
+        return _raise_first(_spec_columns(BisymmetricBatch.of([spec])).reports())[0]
+    results = _spec_columns(BisymmetricBatch.of(list(spec))).reports()
     return results if return_errors else _raise_first(results)
+
+
+def _spec_columns(batch: BisymmetricBatch) -> ReportColumns:
+    errors = _PointErrors(len(batch.m))
+    errors.merge(batch.errors)
+    return _report_columns(*_batch_blocks(batch), errors)
 
 
 def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
@@ -457,7 +470,8 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     single = np.ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
     checked = _cm_blocks(cm, splits, None)
-    reports = _raise_first(_in_place(lambda items: _reports(_stack_cm_blocks(items)), checked))
+    reports = _raise_first(_in_place(lambda items: _report_columns(
+        *_stack_cm_blocks(items), _PointErrors(len(items))).reports(), checked))
     return reports[0] if single else reports
 
 
@@ -696,6 +710,25 @@ def _fs_split_spec(spec: FullySymmetricSpec, k: int) -> BisymmetricSpec:
         z2=spec.z2 if rest > 1 else 0.0,
         g1=spec.z1,
         g2=spec.z2,
+    )
+
+
+def _fs_split_batch(modes, k, b, z1, z2, errors: _PointErrors) -> BisymmetricBatch:
+    """``_fs_split_spec`` of many fully symmetric states as one validated
+    batch: point i splits the ``modes[i]``-mode state (b, z1, z2)[i] at
+    ``k[i]``, all (N,) arrays, and fails in ``errors`` as that call would
+    raise."""
+    rest = modes - k
+    errors.record(
+        (k < 1) | (rest < 1),
+        lambda i: InvalidArgumentError(f"split size k = {k[i]} out of range for {modes[i]} modes"),
+    )
+    first, second = k > 1, rest > 1
+    return bisymmetric_batch(
+        k, rest,
+        b, np.where(first, z1, 0.0), np.where(first, z2, 0.0),
+        b, np.where(second, z1, 0.0), np.where(second, z2, 0.0),
+        z1, z2, errors,
     )
 
 

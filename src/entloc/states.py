@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import EntlocError, InvalidArgumentError
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
+    _PointErrors,
+    _squares,
     clipped_sqrt,
 )
 
@@ -27,10 +30,14 @@ def _pattern_factors(count: int, d: float, o1: float, o2: float):
     return d - o1, d - o2, d + (count - 1) * o1, d + (count - 1) * o2
 
 
-def _require_finite(**values):
+def _non_finite(values: dict) -> InvalidArgumentError:
     bad = {name: value for name, value in values.items() if not math.isfinite(value)}
-    if bad:
-        raise InvalidArgumentError(f"parameters must be finite numbers, got {bad}")
+    return InvalidArgumentError(f"parameters must be finite numbers, got {bad}")
+
+
+def _require_finite(**values):
+    if not all(map(math.isfinite, values.values())):
+        raise _non_finite(values)
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,7 @@ class BisymmetricSpec:
             self.m, self.n, self.a, self.e1, self.e2, self.b, self.z1, self.z2, self.g1, self.g2
         )
         if smallest < 1.0 - TOL_PHYS:
-            raise InvalidArgumentError(
-                f"unphysical parameters: min symplectic eigenvalue {smallest:.12g} < 1",
-                offending_value=smallest,
-            )
+            raise _unphysical(smallest)
 
     @property
     def total_modes(self) -> int:
@@ -160,6 +164,56 @@ class BisymmetricSpec:
         }
 
 
+def _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, sqrt):
+    """The closed-form terms of the two-block spectrum check, one formula
+    for Python floats (``sqrt=math.sqrt``) and (N,) arrays (``np.sqrt``):
+    sums and products round the same either way.
+
+    Returns the positivity factors in check order (A1, A2, det X, det P,
+    then the m-block pair, then the n-block pair) and the entries
+    (p, q, r, s) of X P (see ``_bisymmetric_min_nu``).
+    """
+    cross = sqrt(m * n)
+    am1, am2, a1, a2 = _pattern_factors(m, a, e1, e2)
+    bm1, bm2, b1, b2 = _pattern_factors(n, b, z1, z2)
+    c1, c2 = cross * g1, cross * g2
+    det_x = a1 * b1 - c1 * c1
+    det_p = a2 * b2 - c2 * c2
+    factors = (a1, a2, det_x, det_p, am1, am2, bm1, bm2)
+    xp = (a1 * a2 + c1 * c2, a1 * c2 + c1 * b2, c1 * a2 + b1 * c2, c1 * c2 + b1 * b2)
+    return factors, xp
+
+
+def _two_block_nus(factors, xp, diff_sq, sqrt, nonneg):
+    """The core eigenvalue and the two block eigenvalues from
+    ``_two_block_terms`` and diff_sq = (p - s)^2, for floats and arrays
+    alike; ``nonneg`` is max(x, 0.0)."""
+    a1, a2, det_x, det_p, am1, am2, bm1, bm2 = factors
+    p, q, r, s = xp
+    root = sqrt(nonneg(diff_sq + 4.0 * q * r))
+    return sqrt(2.0 * det_x * det_p / (p + s + root)), sqrt(am1 * am2), sqrt(bm1 * bm2)
+
+
+def _not_positive_definite(worst) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"covariance pattern is not positive definite (factor {worst:.12g} <= 0)",
+        offending_value=worst,
+    )
+
+
+def _too_large(p, s) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"parameters too large for the spectrum check: ({p:.6e} - {s:.6e})^2 overflows"
+    )
+
+
+def _unphysical(smallest) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"unphysical parameters: min symplectic eigenvalue {smallest:.12g} < 1",
+        offending_value=smallest,
+    )
+
+
 def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     """Smallest symplectic eigenvalue of a two-block pattern, in closed form.
 
@@ -178,40 +232,120 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     is taken in conjugate form, 2 det X det P / (p + s + root), with the
     discriminant written as (p-s)^2 + 4qr: the textbook (p+s)^2 - 4 det
     cancels to zero at pure states and keeps half the digits there.
+    ``_bisymmetric_min_nus`` is the same check on a batch.
     """
-    cross = math.sqrt(m * n)
-    am1, am2, a1, a2 = _pattern_factors(m, a, e1, e2)
-    bm1, bm2, b1, b2 = _pattern_factors(n, b, z1, z2)
-    c1, c2 = cross * g1, cross * g2
-    det_x = a1 * b1 - c1 * c1
-    det_p = a2 * b2 - c2 * c2
-    factors = [a1, a2, det_x, det_p]
-    if m > 1:
-        factors += [am1, am2]
-    if n > 1:
-        factors += [bm1, bm2]
-    worst = min(factors)
+    factors, xp = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, math.sqrt)
+    worst = min(factors[:4] + (factors[4:6] if m > 1 else ()) + (factors[6:] if n > 1 else ()))
     if worst <= 0.0:
-        raise InvalidArgumentError(
-            f"covariance pattern is not positive definite (factor {worst:.12g} <= 0)",
-            offending_value=worst,
-        )
-    p = a1 * a2 + c1 * c2
-    q = a1 * c2 + c1 * b2
-    r = c1 * a2 + b1 * c2
-    s = c1 * c2 + b1 * b2
+        raise _not_positive_definite(worst)
+    p, _, _, s = xp
     try:
-        root = math.sqrt(max((p - s) ** 2 + 4.0 * q * r, 0.0))
+        diff_sq = (p - s) ** 2
     except OverflowError as exc:
-        raise InvalidArgumentError(
-            f"parameters too large for the spectrum check: ({p:.6e} - {s:.6e})^2 overflows"
-        ) from exc
-    nus = [math.sqrt(2.0 * det_x * det_p / (p + s + root))]
-    if m > 1:
-        nus.append(math.sqrt(am1 * am2))
-    if n > 1:
-        nus.append(math.sqrt(bm1 * bm2))
-    return min(nus)
+        raise _too_large(p, s) from exc
+    nus = _two_block_nus(factors, xp, diff_sq, math.sqrt, lambda x: max(x, 0.0))
+    return min(nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))
+
+
+def _first_min(values, keep):
+    """Python's ``min`` of each point's kept values, for (N,) arrays: the
+    first value always counts, a later one (where ``keep``) replaces the
+    running minimum only if it is smaller, so nan handling matches too."""
+    out = values[0]
+    for value, kept in zip(values[1:], keep[1:]):
+        out = np.where(kept & (value < out), value, out)
+    return out
+
+
+def _bisymmetric_min_nus(m, n, a, e1, e2, b, z1, z2, g1, g2, errors: _PointErrors):
+    """``_bisymmetric_min_nu`` of every point of a batch of (N,) arrays: the
+    same terms, and each point that fails records the error, message and
+    ``offending_value`` included, that the scalar check raises on it.
+    Call it under ``np.errstate(all="ignore")``."""
+    factors, xp = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, np.sqrt)
+    blocks = (m > 1, m > 1, n > 1, n > 1)
+    worst = _first_min(factors, (True,) * 4 + blocks)
+    errors.record(worst <= 0.0, lambda i: _not_positive_definite(float(worst[i])))
+    p, _, _, s = xp
+    overflow = _PointErrors(len(p))
+    diff_sq = _squares(p - s, overflow)
+    errors.record(~overflow.alive, lambda i: _too_large(float(p[i]), float(s[i])))
+    nus = _two_block_nus(factors, xp, diff_sq, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
+    return _first_min(nus, (True, m > 1, n > 1))
+
+
+SPEC_PARAMETERS = ("a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
+# the stand-in parameters of a point that is no spec: a two-mode vacuum
+_VACUUM = (1, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class BisymmetricBatch(NamedTuple):
+    """N two-block specs as columns: the block sizes ``m`` and ``n`` as
+    int64 arrays and the eight ``BisymmetricSpec`` parameters as float
+    arrays, all of shape (N,). ``errors`` holds the error of each point
+    that is no valid spec; its parameters are then meaningless.
+
+    ``bisymmetric_batch`` builds one from parameter arrays and validates
+    every point as ``BisymmetricSpec`` would; ``of`` stacks specs that
+    are already built.
+    """
+
+    m: np.ndarray
+    n: np.ndarray
+    a: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    b: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    errors: _PointErrors
+
+    @classmethod
+    def of(cls, items) -> "BisymmetricBatch":
+        """The batch of a sequence of ``BisymmetricSpec``s, in which an
+        ``EntlocError`` item stands for a spec that could not be built and
+        is its point's error."""
+        rows = [_VACUUM if isinstance(s, EntlocError) else
+                (s.m, s.n, s.a, s.e1, s.e2, s.b, s.z1, s.z2, s.g1, s.g2) for s in items]
+        params = np.array(rows, dtype=float).reshape(-1, 10).T
+        errors = _PointErrors(len(rows))
+        for i, item in enumerate(items):
+            if isinstance(item, EntlocError):
+                errors.fail(i, item)
+        return cls(params[0].astype(np.int64), params[1].astype(np.int64), *params[2:], errors)
+
+
+def bisymmetric_batch(m, n, a, e1, e2, b, z1, z2, g1, g2, errors=None) -> BisymmetricBatch:
+    """Validated batch of (N,) arrays: each point fails, in ``errors`` (a
+    fresh ``_PointErrors`` by default), with the error ``BisymmetricSpec``
+    raises on its parameters, message and ``offending_value`` included; a
+    point already failed keeps its error."""
+    m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    params = tuple(np.asarray(v, dtype=float) for v in (a, e1, e2, b, z1, z2, g1, g2))
+    errors = _PointErrors(len(m)) if errors is None else errors
+    errors.record(
+        (m < 1) | (n < 1),
+        lambda i: InvalidArgumentError(f"block sizes must be >= 1, got ({m[i]}, {n[i]})"),
+    )
+    errors.record(
+        ~np.isfinite(np.array(params)).all(axis=0),
+        lambda i: _non_finite({name: float(v[i]) for name, v in zip(SPEC_PARAMETERS, params)}),
+    )
+    a, e1, e2, b, z1, z2, g1, g2 = params
+    errors.record(
+        (m == 1) & ((e1 != 0.0) | (e2 != 0.0)),
+        lambda i: InvalidArgumentError("single-mode first block must have e1 = e2 = 0"),
+    )
+    errors.record(
+        (n == 1) & ((z1 != 0.0) | (z2 != 0.0)),
+        lambda i: InvalidArgumentError("single-mode second block must have z1 = z2 = 0"),
+    )
+    with np.errstate(all="ignore"):
+        smallest = _bisymmetric_min_nus(m, n, *params, errors)
+    errors.record(smallest < 1.0 - TOL_PHYS, lambda i: _unphysical(float(smallest[i])))
+    return BisymmetricBatch(m, n, *params, errors)
 
 
 def _mode_count(name: str, value) -> int:

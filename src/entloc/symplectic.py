@@ -475,17 +475,19 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def float_reprs(values) -> np.ndarray:
-    """``repr(float(x))`` of every entry of ``values``, as an object array
-    of the same shape.
+def float_reprs(values, fmt: str = "%r") -> np.ndarray:
+    """``fmt % float(x)`` of every entry of ``values``, by default its
+    repr, as an object array of the same shape.
 
     Each distinct bit pattern is formatted once. The key is the bits, not
-    the value: 0.0 and -0.0 compare equal but print differently.
+    the value: 0.0 and -0.0 compare equal but print differently. One
+    ``%`` over all of them is faster than a call per value.
     """
     flat = np.asarray(values, dtype=float).ravel()
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].reshape(np.shape(values))
+    distinct = tuple(bits.view(np.float64).tolist())
+    texts = ((fmt + "\n") * len(distinct) % distinct).split("\n")[:-1]
+    return np.array(texts, dtype=object)[inverse].reshape(np.shape(values))
 
 
 def matrix_to_json_dict(matrix: np.ndarray) -> dict:
@@ -517,6 +519,54 @@ def _json_matrix_text(reprs: np.ndarray) -> str:
 def _csv_text(reprs: np.ndarray) -> str:
     """The CSV text of a matrix from its ``float_reprs``."""
     return "\n".join(map(",".join, reprs.tolist())) + "\n"
+
+
+def _json_block(members, newline: str, brackets: str) -> str:
+    """A JSON array or object (``brackets`` "[]" or "{}") of member texts,
+    indented as ``json.dumps(..., indent=2)`` indents it at the depth
+    where each line starts with ``newline``."""
+    if not members:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
+
+
+def _indented_json(obj, newline: str = "\n", sort_keys: bool = True) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` at the depth where
+    each line starts with ``newline``, byte for byte.
+
+    The stdlib's indented encoder is pure Python; the matrices of a
+    localization payload are lists of thousands of floats, so each list
+    of finite floats is joined from ``float_reprs`` instead, and an
+    ndarray is taken to hold such texts already. Values other than
+    non-empty lists and str-keyed dicts go to the stdlib.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        members = [f"{json.dumps(key)}: {_indented_json(value, inner, sort_keys)}"
+                   for key, value in items]
+    elif isinstance(obj, np.ndarray):  # the float_reprs of a matrix's entries
+        members = _json_entry_texts(obj)
+    elif isinstance(obj, (list, tuple)) and obj:
+        values = np.array(obj) if set(map(type, obj)) == {float} else None
+        if values is not None and np.isfinite(values).all():
+            members = float_reprs(values).tolist()
+        else:
+            members = [_indented_json(value, inner, sort_keys) for value in obj]
+    else:
+        return json.dumps(obj, indent=2, sort_keys=sort_keys).replace("\n", newline)
+    return _json_block(members, newline, "{}" if isinstance(obj, dict) else "[]")
+
+
+def _json_records(keys, columns, count: int) -> str:
+    """``json.dumps(records, indent=2)`` of ``count`` records given as
+    columns: ``keys`` the member names in order, ``columns`` one list per
+    key of the JSON texts of its values. Each key is encoded once."""
+    prefixes = [json.dumps(key) + ": " for key in keys]
+    members = [[prefix + text for text in texts] for prefix, texts in zip(prefixes, columns)]
+    rows = zip(*members) if members else [()] * count
+    return _json_block([_json_block(row, "\n  ", "{}") for row in rows], "\n", "[]")
 
 
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:

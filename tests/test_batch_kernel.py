@@ -166,25 +166,32 @@ def test_kernel_error_classes():
 
 
 def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
-    original = exp._fs_split_spec
+    original = exp._fs_split_batch
 
     def crafted(failing):
-        def split(spec, k):
-            return failing if (k, spec.b) == (2, 1.5) else original(spec, k)
+        # the split batch with the point (k, b) = (2, 1.5) replaced by ``failing``
+        def split(modes, k, b, z1, z2, errors):
+            batch = original(modes, k, b, z1, z2, errors)
+            point = (k == 2) & (b == 1.5)
+            assert np.count_nonzero(point) == 1
+            fields = ("m", "n", "a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
+            return batch._replace(
+                **{f: np.where(point, getattr(failing, f), getattr(batch, f)) for f in fields}
+            )
 
         return split
 
     cfg = SweepConfig(modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
     clean = run_hierarchy(cfg)
 
-    monkeypatch.setattr(exp, "_fs_split_spec", crafted(NON_FINITE))
+    monkeypatch.setattr(exp, "_fs_split_batch", crafted(NON_FINITE))
     rows = run_hierarchy(cfg)
     assert [r["status"] for r in rows].count("unphysical") == 1
     assert [r for r in rows if r["status"] == "ok"] == [
         r for r in clean if (r["k"], r["b"]) != (2, 1.5)
     ]
 
-    monkeypatch.setattr(exp, "_fs_split_spec", crafted(OVERFLOWING))
+    monkeypatch.setattr(exp, "_fs_split_batch", crafted(OVERFLOWING))
     rows = run_hierarchy(cfg)
     assert [r["status"] for r in rows].count("numerical") == 1
     assert [r for r in rows if r["status"] != "numerical"] == [
