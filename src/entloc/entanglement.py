@@ -24,7 +24,6 @@ from .symplectic import (
     _minus_plus_pair,
     _PointErrors,
     _scalar_batch,
-    _squares,
     is_bona_fide,
     symplectic_eigenvalues,
     two_mode_invariants,
@@ -143,31 +142,6 @@ def _clamp_boundary(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonpositive_nu(nu_tilde) -> InvalidArgumentError:
-    return InvalidArgumentError(f"PT eigenvalue must be positive, got {nu_tilde}")
-
-
-def _eof_values(nu_tilde: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """``eof_symmetric`` of each entry of ``nu_tilde``, shape (N,): squares
-    and logarithms through the C library one value at a time, the rest
-    elementwise numpy, so each value has the digits of a scalar
-    evaluation. A non-positive value, or one whose (1 + x)^2 overflows,
-    fails in ``errors``."""
-    errors.record(nu_tilde <= 0.0, lambda i: _nonpositive_nu(float(nu_tilde[i])))
-    x = np.where(errors.alive, nu_tilde, 1.0)
-    overflow = _PointErrors(len(x))
-    plus, minus = _squares(np.array([1.0 + x, 1.0 - x]), overflow) / (4.0 * x)
-    errors.record(
-        ~overflow.alive,
-        lambda i: NumericalDomainError(f"overflow: the EoF of {x[i]:.6e} is out of float range"),
-    )
-    # log(1.0) stands in where the scalar code takes no logarithm
-    value = plus * _elementwise(math.log, "log", errors, np.where(plus > 0.0, plus, 1.0))
-    log_minus = _elementwise(math.log, "log", errors, np.where(minus > 0.0, minus, 1.0))
-    value = np.where(minus > 0.0, value - minus * log_minus, value)
-    return np.where(value > 0.0, value, 0.0)
-
-
 def eof_symmetric(nu_tilde: float) -> float:
     """Entanglement of formation of a symmetric two-mode state.
 
@@ -175,12 +149,16 @@ def eof_symmetric(nu_tilde: float) -> float:
 
         h(x) = (1+x)^2/(4x) ln((1+x)^2/(4x)) - (1-x)^2/(4x) ln((1-x)^2/(4x)),
 
-    a strictly decreasing function on (0, 1] with h(1) = 0. A batch of one
-    of ``_eof_values``.
+    a strictly decreasing function on (0, 1] with h(1) = 0.
     """
     if nu_tilde <= 0.0:
-        raise _nonpositive_nu(nu_tilde)
-    return _scalar_batch(lambda x, errors: [_eof_values(x, errors)], nu_tilde)[0]
+        raise InvalidArgumentError(f"PT eigenvalue must be positive, got {nu_tilde}")
+    plus = (1.0 + nu_tilde) ** 2 / (4.0 * nu_tilde)
+    minus = (1.0 - nu_tilde) ** 2 / (4.0 * nu_tilde)
+    value = plus * math.log(plus)
+    if minus > 0.0:
+        value -= minus * math.log(minus)
+    return max(0.0, value)
 
 
 def report_from_pt_values(
@@ -203,22 +181,24 @@ def report_from_pt_values(
 
 class ReportColumns(NamedTuple):
     """The entanglement reports of a batch as (N,) columns: the
-    ``EntanglementReport`` fields, with ``eof`` nan where ``eof_missing``
-    (the report's None), and ``errors``, each point's error or None. The
-    values of a failed point are meaningless."""
+    ``EntanglementReport`` fields, with ``eof`` nan exactly where a report
+    has none (``eof_symmetric`` is never nan), and ``errors``, each point's
+    error or None. The values of a failed point are meaningless."""
 
     nu_tilde_min: np.ndarray
     log_negativity: np.ndarray
     negativity: np.ndarray
     eof: np.ndarray
-    eof_missing: np.ndarray
     separable: np.ndarray
     errors: list
 
+    @property
+    def eof_missing(self) -> np.ndarray:
+        return np.isnan(self.eof)
+
     def reports(self) -> list:
         """The report, or the error, of each point."""
-        eof = [None if missing else value
-               for value, missing in zip(self.eof.tolist(), self.eof_missing.tolist())]
+        eof = [None if math.isnan(value) else value for value in self.eof.tolist()]
         rows = zip(self.nu_tilde_min.tolist(), self.log_negativity.tolist(),
                    self.negativity.tolist(), eof, self.separable.tolist())
         return [EntanglementReport(*row) if error is None else error
@@ -238,14 +218,16 @@ def _pt_pair_columns(nu_minus, nu_plus, symmetric, errors: _PointErrors) -> Repo
     log_neg = np.where(log_neg > 0.0, log_neg, 0.0)
     negativity = 0.5 * (_elementwise(math.exp, "exp", errors, log_neg) - 1.0)
     separable = nu_min >= 1.0 - TOL_PHYS
-    eof = np.full(len(nu_min), math.nan)
-    todo = np.flatnonzero(symmetric & errors.alive)
-    eof_errors = _PointErrors(len(todo))
-    eof[todo] = _eof_values(nu_min[todo], eof_errors)
-    for j in np.flatnonzero(~eof_errors.alive):
-        errors.fail(todo[j], eof_errors.errors[j])
-    missing = ~(symmetric & errors.alive)
-    return ReportColumns(nu_min, log_neg, negativity, eof, missing, separable, errors.errors)
+    eof = [math.nan] * len(nu_min)
+    for i in np.flatnonzero(symmetric & errors.alive).tolist():
+        nu = float(nu_min[i])
+        try:
+            eof[i] = eof_symmetric(nu)
+        except InvalidArgumentError as exc:
+            errors.fail(i, exc)
+        except OverflowError:
+            errors.fail(i, NumericalDomainError(f"overflow: the EoF of {nu:.6e} is out of float range"))
+    return ReportColumns(nu_min, log_neg, negativity, np.array(eof), separable, errors.errors)
 
 
 def _symmetric_dets(det_a, det_b):

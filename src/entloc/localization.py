@@ -21,10 +21,15 @@ exponentials go through the C library one value at a time, as Python
 floats did, so every input gets the same digits as on its own. Each
 check records the error of the inputs it fails (``_PointErrors``), and
 the first failing input in batch order raises the error it would raise
-alone. An input whose spec construction or pattern check failed enters
-the batch as that error (``_attempt``) and keeps its place among the
-results (``_in_place``). A single spec or matrix is a batch of one; the
-sweeps, the split scan and the cross-check suite each make one call.
+alone. Specs enter as a ``BisymmetricBatch``, parameter columns that
+carry the error of each point that is no valid spec; the sweeps build
+and validate theirs as columns and read the results as columns
+(``ReportColumns``), and a sequence of specs is stacked into one batch
+and gets its reports built from the columns. A matrix whose pattern
+check failed enters as that error (``_attempt``) and keeps its place
+among the results (``_in_place``). A single spec or matrix is a batch of
+one; the sweeps, the split scan and the cross-check suite each make one
+call.
 
 The constructive route batches the same way over matrices of one split
 (m, n): ``localize`` takes a sequence and runs each stage once for the
@@ -330,7 +335,7 @@ def _nu_tilde_pairs(block_a, block_b, delta_eq, mu_eq, errors: _PointErrors):
 def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportColumns:
     """Entanglement reports of the points of a batch, as columns."""
     local = np.zeros((2, len(eq.mu_eq), 2, 2))
-    local[:, :, 0, 0] = local[:, :, 1, 1] = (eq.na_plus, eq.nb_plus)
+    local[:, :, 0, 0] = local[:, :, 1, 1] = np.array([eq.na_plus, eq.nb_plus])
     nu_minus, nu_plus = _nu_tilde_pairs(local[0], local[1], eq.delta_eq, eq.mu_eq, errors)
     symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
     return _pt_pair_columns(nu_minus, nu_plus, symmetric, errors)
@@ -339,8 +344,8 @@ def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportCol
 def _batch_blocks(batch: BisymmetricBatch):
     """(m, n, blocks) of a spec batch, blocks of shape (5, N, 2, 2)."""
     blocks = np.zeros((5, len(batch.m), 2, 2))
-    blocks[:, :, 0, 0] = batch.a, batch.e1, batch.b, batch.z1, batch.g1
-    blocks[:, :, 1, 1] = batch.a, batch.e2, batch.b, batch.z2, batch.g2
+    blocks[:, :, 0, 0] = batch.diagonals[:, 0]
+    blocks[:, :, 1, 1] = batch.diagonals[:, 1]
     return batch.m, batch.n, blocks
 
 
@@ -443,21 +448,23 @@ def equivalent_report(spec, *, return_errors: bool = False):
     ``return_errors=True``, gives every point its report or its error, in
     place.
     """
+    if isinstance(spec, BisymmetricSpec):
+        return _raise_first(_spec_reports([spec]))[0]
     if isinstance(spec, BisymmetricBatch):
-        columns = _spec_columns(spec)
+        errors = _PointErrors(len(spec.m))
+        errors.merge(spec.errors)  # the caller's batch keeps its errors
+        columns = _report_columns(*_batch_blocks(spec), errors)
         if not return_errors:
             _raise_first(columns.errors)
         return columns
-    if isinstance(spec, BisymmetricSpec):
-        return _raise_first(_spec_columns(BisymmetricBatch.of([spec])).reports())[0]
-    results = _spec_columns(BisymmetricBatch.of(list(spec))).reports()
+    results = _spec_reports(list(spec))
     return results if return_errors else _raise_first(results)
 
 
-def _spec_columns(batch: BisymmetricBatch) -> ReportColumns:
-    errors = _PointErrors(len(batch.m))
-    errors.merge(batch.errors)
-    return _report_columns(*_batch_blocks(batch), errors)
+def _spec_reports(items: list) -> list:
+    """The report, or the error, of each item of a sequence of specs."""
+    batch = BisymmetricBatch.of(items)
+    return _report_columns(*_batch_blocks(batch), batch.errors).reports()
 
 
 def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):

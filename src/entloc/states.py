@@ -8,6 +8,7 @@ symplectic eigenvalue where one is identifiable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +29,10 @@ def _pattern_factors(count: int, d: float, o1: float, o2: float):
     off-diagonal blocks diag(o1, o2): nu_minus^2 is the product of the
     first two (count - 1 times), nu_plus^2 the product of the last two."""
     return d - o1, d - o2, d + (count - 1) * o1, d + (count - 1) * o2
+
+
+# the parameters of a two-block spec, in field order
+SPEC_PARAMETERS = ("a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
 
 
 def _non_finite(values: dict) -> InvalidArgumentError:
@@ -123,19 +128,18 @@ class BisymmetricSpec:
     g2: float
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidArgumentError(f"block sizes must be >= 1, got ({self.m}, {self.n})")
-        _require_finite(
-            a=self.a, e1=self.e1, e2=self.e2, b=self.b, z1=self.z1, z2=self.z2,
-            g1=self.g1, g2=self.g2,
-        )
-        if self.m == 1 and (self.e1 != 0.0 or self.e2 != 0.0):
+        m, n = self.m, self.n
+        params = (self.a, self.e1, self.e2, self.b, self.z1, self.z2, self.g1, self.g2)
+        if m < 1 or n < 1:
+            raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
+        if not all(map(math.isfinite, params)):
+            raise _non_finite(dict(zip(SPEC_PARAMETERS, params)))
+        _, e1, e2, _, z1, z2, _, _ = params
+        if m == 1 and (e1 != 0.0 or e2 != 0.0):
             raise InvalidArgumentError("single-mode first block must have e1 = e2 = 0")
-        if self.n == 1 and (self.z1 != 0.0 or self.z2 != 0.0):
+        if n == 1 and (z1 != 0.0 or z2 != 0.0):
             raise InvalidArgumentError("single-mode second block must have z1 = z2 = 0")
-        smallest = _bisymmetric_min_nu(
-            self.m, self.n, self.a, self.e1, self.e2, self.b, self.z1, self.z2, self.g1, self.g2
-        )
+        smallest = _bisymmetric_min_nu(m, n, *params)
         if smallest < 1.0 - TOL_PHYS:
             raise _unphysical(smallest)
 
@@ -169,29 +173,31 @@ def _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, sqrt):
     for Python floats (``sqrt=math.sqrt``) and (N,) arrays (``np.sqrt``):
     sums and products round the same either way.
 
-    Returns the positivity factors in check order (A1, A2, det X, det P,
-    then the m-block pair, then the n-block pair) and the entries
-    (p, q, r, s) of X P (see ``_bisymmetric_min_nu``).
+    Returns the eight positivity factors in check order (A1, A2, det X,
+    det P, then the m-block pair, then the n-block pair) followed by the
+    entries p, q, r, s of X P (see ``_bisymmetric_min_nu``).
     """
     cross = sqrt(m * n)
     am1, am2, a1, a2 = _pattern_factors(m, a, e1, e2)
     bm1, bm2, b1, b2 = _pattern_factors(n, b, z1, z2)
     c1, c2 = cross * g1, cross * g2
-    det_x = a1 * b1 - c1 * c1
-    det_p = a2 * b2 - c2 * c2
-    factors = (a1, a2, det_x, det_p, am1, am2, bm1, bm2)
-    xp = (a1 * a2 + c1 * c2, a1 * c2 + c1 * b2, c1 * a2 + b1 * c2, c1 * c2 + b1 * b2)
-    return factors, xp
+    return (
+        a1, a2, a1 * b1 - c1 * c1, a2 * b2 - c2 * c2, am1, am2, bm1, bm2,
+        a1 * a2 + c1 * c2, a1 * c2 + c1 * b2, c1 * a2 + b1 * c2, c1 * c2 + b1 * b2,
+    )
 
 
-def _two_block_nus(factors, xp, diff_sq, sqrt, nonneg):
-    """The core eigenvalue and the two block eigenvalues from
+def _two_block_nus(terms, diff_sq, sqrt, nonneg):
+    """The core eigenvalue and the two block eigenvalues from the
     ``_two_block_terms`` and diff_sq = (p - s)^2, for floats and arrays
     alike; ``nonneg`` is max(x, 0.0)."""
-    a1, a2, det_x, det_p, am1, am2, bm1, bm2 = factors
-    p, q, r, s = xp
+    _, _, det_x, det_p, am1, am2, bm1, bm2, p, q, r, s = terms
     root = sqrt(nonneg(diff_sq + 4.0 * q * r))
     return sqrt(2.0 * det_x * det_p / (p + s + root)), sqrt(am1 * am2), sqrt(bm1 * bm2)
+
+
+def _max_zero(x):
+    return max(x, 0.0)
 
 
 def _not_positive_definite(worst) -> InvalidArgumentError:
@@ -234,17 +240,20 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     cancels to zero at pure states and keeps half the digits there.
     ``_bisymmetric_min_nus`` is the same check on a batch.
     """
-    factors, xp = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, math.sqrt)
-    worst = min(factors[:4] + (factors[4:6] if m > 1 else ()) + (factors[6:] if n > 1 else ()))
+    terms = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, math.sqrt)
+    worst = min(terms[:8] if m > 1 and n > 1 else
+                terms[:4] + (terms[4:6] if m > 1 else ()) + (terms[6:8] if n > 1 else ()))
     if worst <= 0.0:
         raise _not_positive_definite(worst)
-    p, _, _, s = xp
+    p, s = terms[8], terms[11]
     try:
         diff_sq = (p - s) ** 2
     except OverflowError as exc:
         raise _too_large(p, s) from exc
-    nus = _two_block_nus(factors, xp, diff_sq, math.sqrt, lambda x: max(x, 0.0))
-    return min(nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))
+    core, nu_a, nu_b = _two_block_nus(terms, diff_sq, math.sqrt, _max_zero)
+    if m > 1 and n > 1:
+        return min(core, nu_a, nu_b)
+    return min([core] + [nu_a] * (m > 1) + [nu_b] * (n > 1))
 
 
 def _first_min(values, keep):
@@ -262,44 +271,38 @@ def _bisymmetric_min_nus(m, n, a, e1, e2, b, z1, z2, g1, g2, errors: _PointError
     same terms, and each point that fails records the error, message and
     ``offending_value`` included, that the scalar check raises on it.
     Call it under ``np.errstate(all="ignore")``."""
-    factors, xp = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, np.sqrt)
+    terms = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, np.sqrt)
     blocks = (m > 1, m > 1, n > 1, n > 1)
-    worst = _first_min(factors, (True,) * 4 + blocks)
+    worst = _first_min(terms[:8], (True,) * 4 + blocks)
     errors.record(worst <= 0.0, lambda i: _not_positive_definite(float(worst[i])))
-    p, _, _, s = xp
+    p, s = terms[8], terms[11]
     overflow = _PointErrors(len(p))
     diff_sq = _squares(p - s, overflow)
     errors.record(~overflow.alive, lambda i: _too_large(float(p[i]), float(s[i])))
-    nus = _two_block_nus(factors, xp, diff_sq, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
+    nus = _two_block_nus(terms, diff_sq, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
     return _first_min(nus, (True, m > 1, n > 1))
 
 
-SPEC_PARAMETERS = ("a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
-# the stand-in parameters of a point that is no spec: a two-mode vacuum
-_VACUUM = (1, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-
-
 class BisymmetricBatch(NamedTuple):
-    """N two-block specs as columns: the block sizes ``m`` and ``n`` as
-    int64 arrays and the eight ``BisymmetricSpec`` parameters as float
-    arrays, all of shape (N,). ``errors`` holds the error of each point
-    that is no valid spec; its parameters are then meaningless.
+    """N two-block specs as columns.
 
-    ``bisymmetric_batch`` builds one from parameter arrays and validates
+    ``m`` and ``n`` are the block sizes, int64 arrays of shape (N,). The
+    pattern blocks of a spec, alpha, eps, beta, zeta and gamma, are
+    diag(a, a), diag(e1, e2), diag(b, b), diag(z1, z2) and diag(g1, g2);
+    ``diagonals``, shape (5, 2, N), holds their diagonals in that order,
+    so the eight parameters are its (N,) rows (a and b twice), and the
+    kernel reads the blocks straight from it. ``errors`` holds the error
+    of each point that is no valid spec; its parameters are then
+    meaningless.
+
+    ``bisymmetric_batch`` builds one from parameter columns and validates
     every point as ``BisymmetricSpec`` would; ``of`` stacks specs that
     are already built.
     """
 
     m: np.ndarray
     n: np.ndarray
-    a: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    b: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
+    diagonals: np.ndarray
     errors: _PointErrors
 
     @classmethod
@@ -307,33 +310,40 @@ class BisymmetricBatch(NamedTuple):
         """The batch of a sequence of ``BisymmetricSpec``s, in which an
         ``EntlocError`` item stands for a spec that could not be built and
         is its point's error."""
-        rows = [_VACUUM if isinstance(s, EntlocError) else
-                (s.m, s.n, s.a, s.e1, s.e2, s.b, s.z1, s.z2, s.g1, s.g2) for s in items]
-        params = np.array(rows, dtype=float).reshape(-1, 10).T
-        errors = _PointErrors(len(rows))
+        errors = _PointErrors(len(items))
+        specs = list(items)
         for i, item in enumerate(items):
             if isinstance(item, EntlocError):
                 errors.fail(i, item)
-        return cls(params[0].astype(np.int64), params[1].astype(np.int64), *params[2:], errors)
+                specs[i] = _VACUUM
+        columns = np.array(list(map(_DIAGONAL_FIELDS, specs)), dtype=float).reshape(-1, 12).T
+        m, n = columns[:2].astype(np.int64)
+        return cls(m, n, columns[2:].reshape(5, 2, -1), errors)
+
+
+# the stand-in of a point that is no spec: a two-mode vacuum
+_VACUUM = BisymmetricSpec(1, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+_DIAGONAL_FIELDS = operator.attrgetter("m", "n", "a", "a", "e1", "e2", "b", "b", "z1", "z2", "g1", "g2")
 
 
 def bisymmetric_batch(m, n, a, e1, e2, b, z1, z2, g1, g2, errors=None) -> BisymmetricBatch:
-    """Validated batch of (N,) arrays: each point fails, in ``errors`` (a
+    """Validated batch of (N,) columns: each point fails, in ``errors`` (a
     fresh ``_PointErrors`` by default), with the error ``BisymmetricSpec``
     raises on its parameters, message and ``offending_value`` included; a
     point already failed keeps its error."""
     m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
-    params = tuple(np.asarray(v, dtype=float) for v in (a, e1, e2, b, z1, z2, g1, g2))
+    diagonals = np.array([[a, a], [e1, e2], [b, b], [z1, z2], [g1, g2]], dtype=float)
+    (a, _), (e1, e2), (b, _), (z1, z2), (g1, g2) = diagonals
+    params = (a, e1, e2, b, z1, z2, g1, g2)
     errors = _PointErrors(len(m)) if errors is None else errors
     errors.record(
         (m < 1) | (n < 1),
         lambda i: InvalidArgumentError(f"block sizes must be >= 1, got ({m[i]}, {n[i]})"),
     )
     errors.record(
-        ~np.isfinite(np.array(params)).all(axis=0),
+        ~np.isfinite(diagonals).all(axis=(0, 1)),
         lambda i: _non_finite({name: float(v[i]) for name, v in zip(SPEC_PARAMETERS, params)}),
     )
-    a, e1, e2, b, z1, z2, g1, g2 = params
     errors.record(
         (m == 1) & ((e1 != 0.0) | (e2 != 0.0)),
         lambda i: InvalidArgumentError("single-mode first block must have e1 = e2 = 0"),
@@ -345,7 +355,7 @@ def bisymmetric_batch(m, n, a, e1, e2, b, z1, z2, g1, g2, errors=None) -> Bisymm
     with np.errstate(all="ignore"):
         smallest = _bisymmetric_min_nus(m, n, *params, errors)
     errors.record(smallest < 1.0 - TOL_PHYS, lambda i: _unphysical(float(smallest[i])))
-    return BisymmetricBatch(m, n, *params, errors)
+    return BisymmetricBatch(m, n, diagonals, errors)
 
 
 def _mode_count(name: str, value) -> int:

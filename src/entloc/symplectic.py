@@ -78,7 +78,8 @@ class _PointErrors:
     def __init__(self, size: int):
         self.size = size
         self.errors = [None] * size
-        self.alive = np.ones(size, dtype=bool)
+        self.alive = np.empty(size, dtype=bool)
+        self.alive.fill(True)  # half the cost of np.ones on a batch of one
 
     def record(self, failed: np.ndarray, make_error) -> None:
         """``make_error(j)`` builds the error of flat index j of ``failed``."""
@@ -89,7 +90,8 @@ class _PointErrors:
     def merge(self, part: "_PointErrors") -> None:
         """Take the errors of a batch over K stacked copies of these points
         (point i of copy r at index r N + i), copy r before copy r + 1."""
-        self.record(~part.alive.reshape(-1, self.size), lambda j: part.errors[j])
+        if self.size:
+            self.record(~part.alive.reshape(-1, self.size), lambda j: part.errors[j])
 
     def fail(self, i: int, error: Exception) -> None:
         if self.alive[i]:

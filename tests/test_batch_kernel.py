@@ -20,6 +20,7 @@ from entloc.experiments import (
 )
 from entloc.localization import _fs_split_spec
 from entloc.oracle import SpecSampler
+from entloc.states import BisymmetricBatch
 
 # valid specs on which the invariant route itself fails: an overflowing
 # square (NumericalDomainError) and an overflowing determinant that leaves
@@ -174,9 +175,11 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
             batch = original(modes, k, b, z1, z2, errors)
             point = (k == 2) & (b == 1.5)
             assert np.count_nonzero(point) == 1
-            fields = ("m", "n", "a", "e1", "e2", "b", "z1", "z2", "g1", "g2")
+            spec = BisymmetricBatch.of([failing])
             return batch._replace(
-                **{f: np.where(point, getattr(failing, f), getattr(batch, f)) for f in fields}
+                m=np.where(point, spec.m, batch.m),
+                n=np.where(point, spec.n, batch.n),
+                diagonals=np.where(point, spec.diagonals, batch.diagonals),
             )
 
         return split
