@@ -137,8 +137,6 @@ class SweepRows(Sequence):
             return NotImplemented
         return list(self) == list(other)
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"SweepRows({list(self)!r})"
 

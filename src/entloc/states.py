@@ -250,10 +250,9 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
         diff_sq = (p - s) ** 2
     except OverflowError as exc:
         raise _too_large(p, s) from exc
-    core, nu_a, nu_b = _two_block_nus(terms, diff_sq, math.sqrt, _max_zero)
-    if m > 1 and n > 1:
-        return min(core, nu_a, nu_b)
-    return min([core] + [nu_a] * (m > 1) + [nu_b] * (n > 1))
+    nus = _two_block_nus(terms, diff_sq, math.sqrt, _max_zero)
+    return min(nus if m > 1 and n > 1 else
+               nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))
 
 
 def _first_min(values, keep):

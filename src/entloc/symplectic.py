@@ -564,11 +564,13 @@ def _indented_json(obj, newline: str = "\n", sort_keys: bool = True) -> str:
 def _json_records(keys, columns, count: int) -> str:
     """``json.dumps(records, indent=2)`` of ``count`` records given as
     columns: ``keys`` the member names in order, ``columns`` one list per
-    key of the JSON texts of its values. Each key is encoded once."""
-    prefixes = [json.dumps(key) + ": " for key in keys]
-    members = [[prefix + text for text in texts] for prefix, texts in zip(prefixes, columns)]
-    rows = zip(*members) if members else [()] * count
-    return _json_block([_json_block(row, "\n  ", "{}") for row in rows], "\n", "[]")
+    key of the JSON texts of its values. Each record is one ``%`` of a
+    template that holds the encoded keys."""
+    inner = "\n    "
+    members = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{" + inner + ("," + inner).join(members) + "\n  }" if keys else "{}"
+    rows = zip(*columns) if keys else [()] * count
+    return _json_block([template % row for row in rows], "\n", "[]")
 
 
 def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
