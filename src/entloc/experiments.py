@@ -276,11 +276,13 @@ def _column_texts(values: list, fmt: str) -> list:
 
 def _cell_text(value, fmt: str) -> str:
     """The text of one cell of a column of mixed or other types."""
-    if type(value) in (float, int, bool, str, type(None)):
-        return _column_texts([value], fmt)[0]
-    if fmt == "csv":
-        return f"{value:.12g}" if isinstance(value, float) else str(value)
-    return _indented_json(value, "\n    ", sort_keys=False)
+    if fmt == "json":
+        return _indented_json(value, "\n    ", sort_keys=False)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def render_table(rows, columns, fmt: str) -> str:

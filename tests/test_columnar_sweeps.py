@@ -246,3 +246,12 @@ def test_split_batch_validates_as_the_split_spec():
 def test_batch_of_one_edge_point(params):
     errors = bisymmetric_batch(*([params[f]] for f in FIELDS)).errors
     assert _outcome(errors.errors[0]) == _scalar_outcome(params)
+
+
+def test_empty_sequences_and_tables():
+    assert el.equivalent_report([]) == []
+    assert el.equivalent_report([], return_errors=True) == []
+    empty = bisymmetric_batch(*([] for _ in FIELDS))
+    assert len(el.equivalent_report(empty).errors) == 0
+    assert render_table([], HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"
+    assert render_table([], HIERARCHY_COLUMNS, "json") == "[]\n"
