@@ -7,13 +7,13 @@ states obtained by tracing q modes off a pure parent) and the scaling
 sweep (balanced-split and pairwise entanglement of formation against n at
 fixed squeezing).
 
-A sweep is columnar from end to end. The drivers validate each parent
-state once, stack every split of every parent into one
-``BisymmetricBatch``, and make one call of the invariant route, which
-gives report columns. The rows are those columns (``SweepRows``): a
-sequence of row dicts, made on access. ``render_table`` formats CSV or
-JSON one column at a time, each distinct float once, so identical configs
-produce identical bytes.
+A sweep is columnar from end to end. ``run_hierarchy`` and
+``run_scaling`` validate each parent state once, stack every split of
+every parent into one ``BisymmetricBatch``, and make one call of the
+invariant route, which gives report columns. The rows are those columns
+(``SweepRows``): a sequence of row dicts, made on access.
+``render_table`` formats CSV or JSON one column at a time, each distinct
+float once, so identical configs produce identical bytes.
 """
 
 from __future__ import annotations
