@@ -38,10 +38,15 @@ stack, with stacked ``matmul`` for the three congruences, stacked
 of every matrix, and one stacked SVD for the boundary rotations. Stacked
 LAPACK and BLAS calls give each matrix the bits of a call on it alone,
 and each pattern, positivity and residual check records the matrices it
-fails. The cross-check suite makes one call per (m, n) shape, at most 36
-for its block sizes 1..6: on a 2-core machine the 1000 reductions of
-``verify`` took 0.16 s this way against 0.70 s one matrix at a time, and
-a batch of one is faster too (a 48-mode state: 1.5 ms against 3.4 ms).
+fails. The results are built from stacked values too: one stacked
+covariance check of every ``cm_eq`` and of every ``cm_final``, one
+stacked ``slogdet`` for the purities and one pass for the ``delta_eq``
+invariants, the functions ``CovarianceMatrix``, ``purity`` and
+``delta_invariant`` run on a batch of one. The cross-check suite makes
+one call per (m, n) shape, at most 36 for its block sizes 1..6: on a
+2-core machine the 1000 reductions of ``verify`` take 0.05-0.06 s, 0.16 s
+with a check per result and 0.70 s one matrix at a time, and a batch of
+one is faster too (a 48-mode state: 1.5 ms against 3.4 ms).
 """
 
 from __future__ import annotations
@@ -70,15 +75,16 @@ from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisym
 from .symplectic import (
     CovarianceMatrix,
     _clipped_sqrts,
+    _delta_invariants,
     _PointErrors,
+    _purities,
     _require_tolerance,
     _scalar_batch,
     _squares,
+    _symmetrized,
     clipped_sqrt,
     cm_to_json_dict,
-    delta_invariant,
     matrix_to_json_dict,
-    purity,
 )
 
 
@@ -649,14 +655,23 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern) -> list:
         ),
     )
 
+    # the checks a matrix meets building its result, in order: the
+    # covariance check of cm_eq, its purity, the covariance check of cm_final
     boundary = slice(row, col + 2)
+    cm_eq = _symmetrized(final[:, boundary, boundary], errors)
+    mu_eq = _purities(cm_eq, errors)
+    delta_eq = _delta_invariants(cm_eq)
+    cm_final = _symmetrized(final, errors)
 
-    def result(k):
-        cm_eq = CovarianceMatrix(final[k, boundary, boundary])
-        equivalent = EquivalentTwoMode(cm_eq, purity(cm_eq), delta_invariant(cm_eq))
-        return LocalizationResult(local[k], CovarianceMatrix(final[k]), equivalent, float(residual[k]))
-
-    return [_attempt(result, k) if errors.alive[k] else errors.errors[k] for k in range(count)]
+    results = errors.errors.copy()
+    columns = zip(errors.alive.tolist(), mu_eq.tolist(), delta_eq.tolist(), residual.tolist())
+    for k, (alive, mu, delta, res) in enumerate(columns):
+        if alive:
+            equivalent = EquivalentTwoMode(CovarianceMatrix._checked(cm_eq[k]), mu, delta)
+            results[k] = LocalizationResult(
+                local[k], CovarianceMatrix._checked(cm_final[k]), equivalent, res
+            )
+    return results
 
 
 def localize(cm, m: int, n: int, tol_pattern: float | None = None):

@@ -18,6 +18,7 @@ from .errors import EntlocError, InvalidArgumentError
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
+    _covariance_matrices,
     _PointErrors,
     _squares,
     clipped_sqrt,
@@ -391,28 +392,24 @@ def bisymmetric_spec_from_json(obj: dict) -> BisymmetricSpec:
     )
 
 
-def _tile_symmetric_pattern(modes: int, diag2: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    # entries are copied, never summed, so each equals its parameter exactly
-    out = np.tile(off2, (modes, modes))
-    idx = np.arange(modes)
-    out.reshape(modes, 2, modes, 2)[idx, :, idx, :] = diag2
-    return out
+def _assemble(m: int, n: int, diagonals: np.ndarray) -> np.ndarray:
+    """The (K, 2(m+n), 2(m+n)) stack of two-block matrices in one array write.
 
-
-def _assemble_bisymmetric(spec: BisymmetricSpec) -> np.ndarray:
-    m, n = spec.m, spec.n
-    total = m + n
-    out = np.empty((2 * total, 2 * total))
-    out[: 2 * m, : 2 * m] = _tile_symmetric_pattern(
-        m, np.diag([spec.a, spec.a]), np.diag([spec.e1, spec.e2])
-    )
-    out[2 * m :, 2 * m :] = _tile_symmetric_pattern(
-        n, np.diag([spec.b, spec.b]), np.diag([spec.z1, spec.z2])
-    )
-    gamma = np.diag([spec.g1, spec.g2])
-    out[: 2 * m, 2 * m :] = np.tile(gamma, (m, n))
-    out[2 * m :, : 2 * m] = np.tile(gamma.T, (n, m))
-    return out
+    ``diagonals``, shape (P, 2, K), holds the diagonals of the pattern
+    blocks of each matrix in ``BisymmetricBatch`` order (alpha, eps, beta,
+    zeta, gamma); mode pair (i, j) of matrix k gets the diagonal 2x2 block
+    of its pattern. With n = 0 the matrix is the one block of alpha and
+    eps. Entries are copied, never summed, so each equals its parameter
+    exactly.
+    """
+    total, count = m + n, diagonals.shape[-1]
+    kinds = np.full((total, total), 4)
+    kinds[:m, :m], kinds[m:, m:] = 1, 3
+    kinds[range(total), range(total)] = [0] * m + [2] * n
+    out = np.zeros((count, total, 2, total, 2))
+    quadrature = np.arange(2)
+    out[:, :, quadrature, :, quadrature] = diagonals[kinds].transpose(2, 3, 0, 1)
+    return out.reshape(count, 2 * total, 2 * total)
 
 
 def thermal_cm(nu_list) -> CovarianceMatrix:
@@ -451,17 +448,30 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
 
 def fully_symmetric_cm(spec: FullySymmetricSpec) -> CovarianceMatrix:
     """Assemble the permutation-invariant covariance matrix of a spec."""
-    diag2 = np.diag([spec.b, spec.b])
-    off2 = np.diag([spec.z1, spec.z2])
-    return CovarianceMatrix(_tile_symmetric_pattern(spec.modes, diag2, off2))
+    diagonals = np.array([[spec.b, spec.b], [spec.z1, spec.z2]])[..., None]
+    return _covariance_matrices(_assemble(spec.modes, 0, diagonals))[0]
 
 
-def bisymmetric_cm(spec: BisymmetricSpec) -> CovarianceMatrix:
+def bisymmetric_cm(spec):
     """Assemble the two-block covariance matrix of a spec.
 
     The first block occupies modes 0..m-1, the second modes m..m+n-1.
+
+    ``spec`` is one ``BisymmetricSpec``, or a sequence of specs of one
+    shape (m, n), which is assembled and checked as one stack and gives the
+    list of their matrices; the first spec whose matrix fails the
+    ``CovarianceMatrix`` check raises its error.
     """
-    return CovarianceMatrix(_assemble_bisymmetric(spec))
+    single = isinstance(spec, BisymmetricSpec)
+    specs = [spec] if single else list(spec)
+    shapes = sorted({(s.m, s.n) for s in specs})
+    if len(shapes) > 1:
+        raise InvalidArgumentError(f"specs of one shape (m, n) required, got shapes {shapes}")
+    if not specs:
+        return []
+    [(m, n)] = shapes
+    cms = _covariance_matrices(_assemble(m, n, BisymmetricBatch.of(specs).diagonals))
+    return cms[0] if single else cms
 
 
 def fs_params_from_invariants(mu_beta: float, mu_beta2: float, delta2: float):

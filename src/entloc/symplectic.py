@@ -157,6 +157,48 @@ def _scalar_batch(fn, *args):
     return tuple(float(v[0]) for v in out)
 
 
+def _symmetrized(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """The ``CovarianceMatrix`` check of each matrix of a (K, 2N, 2N) stack.
+
+    Returns the symmetrized stack, read-only. A matrix whose symmetrization
+    has a non-finite entry, or else whose asymmetry exceeds ``TOL_SYM``
+    scaled by its largest entry, fails in ``errors`` with the error the
+    constructor raises on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        transpose = stack.swapaxes(1, 2)
+        symmetric = 0.5 * (stack + transpose)
+        skew = abs(stack - transpose).max(axis=(1, 2))
+    errors.record(
+        ~np.isfinite(symmetric).all(axis=(1, 2)),
+        lambda k: InvalidArgumentError("covariance matrix has non-finite entries"),
+    )
+    # the scale max(1, max |s_ij|) is >= 1, so only a skew above TOL_SYM
+    # can fail; it is read without a second abs pass, and fmax(x, 1) is
+    # max(1.0, x) for the finite matrices that the test can fail
+    asymmetric = skew > TOL_SYM
+    if np.count_nonzero(asymmetric):
+        largest = np.fmax(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+        asymmetric &= skew > TOL_SYM * np.fmax(largest, 1.0)
+    errors.record(
+        asymmetric,
+        lambda k: InvalidArgumentError(
+            f"matrix is asymmetric beyond tolerance: max |s_ij - s_ji| = {skew[k]:.3e}"
+        ),
+    )
+    symmetric.flags.writeable = False
+    return symmetric
+
+
+def _covariance_matrices(stack: np.ndarray) -> list:
+    """The ``CovarianceMatrix`` of each matrix of a (K, 2N, 2N) stack,
+    checked as one stack; the first matrix that fails raises its error."""
+    errors = _PointErrors(len(stack))
+    checked = _symmetrized(stack, errors)
+    errors.raise_first()
+    return [CovarianceMatrix._checked(matrix) for matrix in checked]
+
+
 def symplectic_form(modes: int) -> np.ndarray:
     """The 2N x 2N symplectic form: N diagonal copies of [[0, 1], [-1, 0]]."""
     if modes < 1:
@@ -186,17 +228,18 @@ class CovarianceMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            symmetric = 0.5 * (m + m.T)
-            skew = float(np.max(np.abs(m - m.T)))
-        if not np.all(np.isfinite(symmetric)):
-            raise InvalidArgumentError("covariance matrix has non-finite entries")
-        if skew > TOL_SYM * _scale(m):
-            raise InvalidArgumentError(
-                f"matrix is asymmetric beyond tolerance: max |s_ij - s_ji| = {skew:.3e}"
-            )
-        symmetric.flags.writeable = False
+        errors = _PointErrors(1)
+        symmetric = _symmetrized(m[None], errors)[0]
+        errors.raise_first()
         object.__setattr__(self, "matrix", symmetric)
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray) -> "CovarianceMatrix":
+        """A covariance matrix holding ``matrix``, a read-only matrix that
+        passed ``_symmetrized``, without checking it again."""
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "matrix", matrix)
+        return cm
 
     @property
     def modes(self) -> int:
@@ -362,10 +405,21 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
 
 def purity(cm: CovarianceMatrix) -> float:
     """Purity 1 / sqrt(det sigma); in (0, 1] for physical states."""
-    sign, logdet = np.linalg.slogdet(cm.matrix)
-    if sign <= 0.0:
-        raise NumericalDomainError("covariance determinant must be positive")
-    return float(np.exp(-0.5 * logdet))
+    errors = _PointErrors(1)
+    value = _purities(cm.matrix[None], errors)
+    errors.raise_first()
+    return float(value[0])
+
+
+def _purities(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """:func:`purity` of each matrix of a (K, 2N, 2N) stack, one stacked
+    ``slogdet`` call; a matrix whose determinant is not positive fails in
+    ``errors``."""
+    sign, logdet = np.linalg.slogdet(stack)
+    errors.record(
+        sign <= 0.0, lambda k: NumericalDomainError("covariance determinant must be positive")
+    )
+    return np.exp(-0.5 * logdet)
 
 
 def delta_invariant(cm: CovarianceMatrix) -> float:
@@ -373,10 +427,15 @@ def delta_invariant(cm: CovarianceMatrix) -> float:
 
     A global symplectic invariant, like det sigma.
     """
-    n = cm.modes
-    b = cm.matrix.reshape(n, 2, n, 2)
-    dets = b[:, 0, :, 0] * b[:, 1, :, 1] - b[:, 0, :, 1] * b[:, 1, :, 0]
-    return float(dets.sum())
+    return float(_delta_invariants(cm.matrix[None])[0])
+
+
+def _delta_invariants(stack: np.ndarray) -> np.ndarray:
+    """:func:`delta_invariant` of each matrix of a (K, 2N, 2N) stack."""
+    count, n = len(stack), stack.shape[-1] // 2
+    b = stack.reshape(count, n, 2, n, 2)
+    dets = b[:, :, 0, :, 0] * b[:, :, 1, :, 1] - b[:, :, 0, :, 1] * b[:, :, 1, :, 0]
+    return dets.reshape(count, -1).sum(axis=1)
 
 
 def apply_symplectic(s: np.ndarray, cm: CovarianceMatrix) -> CovarianceMatrix:

@@ -1,0 +1,353 @@
+"""The columnar cross-check suite against the per-case code it replaced.
+
+``verify`` draws its specs with one ``rng.random`` block per rejection
+attempt, assembles and checks each (m, n) shape group of matrices as one
+stack, and builds the ``localize`` results of a group from stacked
+checks and invariants. The samplers must draw exactly what one scalar
+``rng.uniform`` call per parameter drew, the stacked covariance check
+must give each matrix the constructor's result or error, in place, and
+the command's output must keep its bytes.
+"""
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import entloc as el
+from entloc.cli import main
+from entloc.errors import InvalidArgumentError, NumericalDomainError
+from entloc.oracle import SpecSampler
+from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
+
+# sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
+# recorded before the suite went columnar (numpy 2.4 with its bundled
+# OpenBLAS on x86-64; another LAPACK build may round the dense values,
+# and so these bytes, differently)
+VERIFY_300_CSV_SHA256 = "6a52d742dcdf3e32d2058de75987c0a6d97092ead06794b3f39095699c619165"
+VERIFY_300_STDOUT_SHA256 = "43425767f6146af92572cb23323ec4c1fe13baaa39ceaccd69e6ba00413aafed"
+
+
+def test_verify_output_bytes(tmp_path, capsys):
+    out = tmp_path / "cases.csv"
+    assert main(["verify", "--cases", "300", "--seed", "4242", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_300_CSV_SHA256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_300_STDOUT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Samplers: block draws against the scalar draws.
+# ---------------------------------------------------------------------------
+
+
+class ScalarSampler:
+    """The samplers as they drew before: one ``rng.uniform`` call per
+    parameter, kept here as the reference."""
+
+    def __init__(self, seed, max_block):
+        self.sampler = SpecSampler(seed, max_block=max_block)  # for its boxes
+        self.rng = np.random.default_rng(seed)
+        self.max_block = max_block
+        self.attempts = self.accepted = 0
+
+    def _uniform(self, box):
+        return float(self.rng.uniform(*box))
+
+    def _draw(self, build):
+        for _ in range(10_000):
+            self.attempts += 1
+            try:
+                spec = build()
+            except InvalidArgumentError:
+                continue
+            self.accepted += 1
+            return spec
+        raise RuntimeError("rejection sampling failed to produce a physical spec")
+
+    def fully_symmetric(self, modes=None):
+        s = self.sampler
+
+        def build():
+            n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
+            return el.FullySymmetricSpec(
+                n, self._uniform(s.b_box), self._uniform(s.corr_box), self._uniform(s.corr_box)
+            )
+
+        return self._draw(build)
+
+    def bisymmetric(self, m=None, n=None):
+        s = self.sampler
+
+        def build():
+            mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
+            nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
+            return el.BisymmetricSpec(
+                m=mm,
+                n=nn,
+                a=self._uniform(s.b_box),
+                e1=self._uniform(s.corr_box) if mm > 1 else 0.0,
+                e2=self._uniform(s.corr_box) if mm > 1 else 0.0,
+                b=self._uniform(s.b_box),
+                z1=self._uniform(s.corr_box) if nn > 1 else 0.0,
+                z2=self._uniform(s.corr_box) if nn > 1 else 0.0,
+                g1=self._uniform(s.cross_box),
+                g2=self._uniform(s.cross_box),
+            )
+
+        return self._draw(build)
+
+    def separable_bisymmetric(self, m=None, n=None):
+        s = self.sampler
+
+        def build():
+            mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
+            nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
+            if self.rng.random() < 0.5:
+                g1 = g2 = 0.0
+            else:
+                g1 = g2 = float(self.rng.uniform(0.0, s.cross_box[1]))
+            return el.BisymmetricSpec(
+                m=mm,
+                n=nn,
+                a=self._uniform((1.2, s.b_box[1])),
+                e1=self._uniform(s.corr_box) / 2 if mm > 1 else 0.0,
+                e2=self._uniform(s.corr_box) / 2 if mm > 1 else 0.0,
+                b=self._uniform((1.2, s.b_box[1])),
+                z1=self._uniform(s.corr_box) / 2 if nn > 1 else 0.0,
+                z2=self._uniform(s.corr_box) / 2 if nn > 1 else 0.0,
+                g1=g1,
+                g2=g2,
+            )
+
+        return self._draw(build)
+
+
+def _spec_bits(spec):
+    return tuple(map(repr, dataclasses.astuple(spec)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    max_block=st.integers(1, 6),
+    fixed=st.integers(1, 6),
+    draws=st.integers(1, 25),
+)
+def test_samplers_draw_what_scalar_uniform_calls_drew(seed, max_block, fixed, draws):
+    """Each sampler gives the specs, attempts and accepts of the scalar
+    code for one seed, with drawn and with given block sizes, and calls of
+    the three samplers interleave on one stream as before."""
+    calls = [
+        ("bisymmetric", {}),
+        ("separable_bisymmetric", {}),
+        ("bisymmetric", {"m": fixed}),
+        ("bisymmetric", {"m": fixed, "n": 1}),
+        ("separable_bisymmetric", {"n": fixed}),
+        ("fully_symmetric", {"modes": fixed + 1}),
+    ]
+    if max_block > 1:  # fully symmetric blocks are drawn from 2..max_block
+        calls.append(("fully_symmetric", {}))
+    new, old = SpecSampler(seed, max_block=max_block), ScalarSampler(seed, max_block)
+    for i in range(draws):
+        method, kwargs = calls[i % len(calls)]
+        got, want = getattr(new, method)(**kwargs), getattr(old, method)(**kwargs)
+        assert type(got) is type(want)
+        assert _spec_bits(got) == _spec_bits(want)
+        assert (new.attempts, new.accepted) == (old.attempts, old.accepted)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 4242, 99])
+def test_counted_draw_is_a_run_of_single_draws(seed):
+    counted, single = SpecSampler(seed), SpecSampler(seed)
+    specs = counted.bisymmetric(count=200)
+    assert [_spec_bits(s) for s in specs] == [_spec_bits(single.bisymmetric()) for _ in range(200)]
+    assert (counted.attempts, counted.accepted) == (single.attempts, single.accepted)
+    assert counted.accepted == 200 and counted.attempts > 200
+    reference = ScalarSampler(seed, 6)
+    assert [_spec_bits(s) for s in specs] == [_spec_bits(reference.bisymmetric()) for _ in specs]
+    assert counted.bisymmetric(count=0) == []
+
+
+# ---------------------------------------------------------------------------
+# The stacked covariance check.
+# ---------------------------------------------------------------------------
+
+
+def _constructor_check(matrix):
+    """The ``CovarianceMatrix`` check as one matrix at a time made it,
+    kept here as the reference: the symmetrized matrix, or the error."""
+    m = np.array(matrix, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = 0.5 * (m + m.T)
+        skew = float(np.max(np.abs(m - m.T)))
+    if not np.all(np.isfinite(symmetric)):
+        return InvalidArgumentError("covariance matrix has non-finite entries")
+    if skew > TOL_SYM * max(1.0, float(np.max(np.abs(m)))):
+        return InvalidArgumentError(
+            f"matrix is asymmetric beyond tolerance: max |s_ij - s_ji| = {skew:.3e}"
+        )
+    return symmetric
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _bad_and_good_matrices():
+    base = np.array(el.bisymmetric_cm(
+        el.BisymmetricSpec(2, 1, 1.6, 0.2, -0.15, 1.4, 0.0, 0.0, 0.3, -0.25)).matrix)
+
+    def edited(*entries):
+        matrix = base.copy()
+        for (i, j), value in entries:
+            matrix[i, j] = value
+        return matrix
+
+    return {
+        "good": base,
+        "nan": edited(((1, 1), math.nan)),
+        "inf off the diagonal": edited(((0, 3), math.inf)),
+        "-inf on both sides": edited(((2, 4), -math.inf), ((4, 2), -math.inf)),
+        "asymmetric": edited(((0, 2), base[0, 2] + 1e-6)),
+        "asymmetric within tolerance": edited(((0, 2), base[0, 2] + 1e-12)),
+        "symmetrization overflow": edited(((0, 5), 1e308), ((5, 0), 1e308)),
+        "difference overflow": edited(((0, 5), 1e308), ((5, 0), -1e308)),
+        "large scale, small skew": edited(((0, 0), 1e12), ((1, 3), 1e-4)),
+        "large scale, large skew": edited(((0, 0), 1e12), ((1, 3), 1e4)),
+        # the largest entry in magnitude is negative
+        "large negative scale, small skew": edited(((0, 1), -1e12), ((1, 0), -1e12), ((1, 3), 1.0)),
+        "large negative scale, large skew": edited(((0, 1), -1e12), ((1, 0), -1e12), ((1, 3), 1e4)),
+        "non-finite and asymmetric": edited(((0, 2), 5.0), ((3, 3), math.nan)),
+        "asymmetric, then non-finite in the other half": edited(((0, 2), 5.0), ((5, 5), math.nan)),
+        "-0.0 entries": edited(((0, 1), -0.0), ((1, 0), -0.0)),
+    }
+
+
+def test_stacked_check_gives_each_matrix_the_constructor_result_in_place():
+    cases = _bad_and_good_matrices()
+    names = list(cases) * 2  # every case twice, the good matrix between failures
+    stack = np.array([cases[name] for name in names])
+    errors = _PointErrors(len(stack))
+    checked = _symmetrized(stack, errors)
+    assert not checked.flags.writeable
+    failures = set()
+    for k, name in enumerate(names):
+        want = _constructor_check(stack[k])
+        if isinstance(want, Exception):
+            failures.add(name)
+            assert not errors.alive[k], name
+            assert type(errors.errors[k]) is InvalidArgumentError, name
+            assert str(errors.errors[k]) == str(want), name
+            with pytest.raises(InvalidArgumentError) as excinfo:
+                el.CovarianceMatrix(stack[k])
+            assert str(excinfo.value) == str(want)
+        else:
+            assert errors.alive[k] and errors.errors[k] is None, name
+            assert np.array_equal(_bits(checked[k]), _bits(want)), name
+            assert np.array_equal(_bits(el.CovarianceMatrix(stack[k]).matrix), _bits(want))
+    assert failures == {
+        "nan", "inf off the diagonal", "-inf on both sides", "asymmetric",
+        "symmetrization overflow", "difference overflow", "large scale, large skew",
+        "large negative scale, large skew",
+        "non-finite and asymmetric", "asymmetric, then non-finite in the other half",
+    }
+    assert "non-finite" in str(errors.errors[names.index("non-finite and asymmetric")])
+    assert "= 1.000e-06" in str(errors.errors[names.index("asymmetric")])
+    assert "= inf" in str(errors.errors[names.index("difference overflow")])
+
+
+def test_checked_stack_matrices_are_read_only_views():
+    spec = el.BisymmetricSpec(2, 2, 1.5, 0.1, -0.1, 1.5, 0.1, -0.1, 0.2, -0.2)
+    cms = el.bisymmetric_cm([spec, spec])
+    for cm in cms:
+        assert isinstance(cm, el.CovarianceMatrix) and cm.modes == 4
+        with pytest.raises(ValueError):
+            cm.matrix[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked assembly and stacked localize results.
+# ---------------------------------------------------------------------------
+
+
+def _loop_assembled(m, n, alpha, eps, beta, zeta, gamma):
+    """Reference assembly, one 2x2 block at a time, from block diagonals."""
+    total = m + n
+    out = np.zeros((2 * total, 2 * total))
+    for i in range(total):
+        for j in range(total):
+            if (i < m) != (j < m):
+                diagonal = gamma
+            elif i < m:
+                diagonal = alpha if i == j else eps
+            else:
+                diagonal = beta if i == j else zeta
+            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.diag(diagonal)
+    return out
+
+
+def test_stacked_assembly_matches_loop_assembly_bit_for_bit():
+    sampler = SpecSampler(31)
+    groups = {}
+    for spec in sampler.bisymmetric(count=600):
+        groups.setdefault((spec.m, spec.n), []).append(spec)
+    # signed zeros must survive the copy
+    groups[(2, 3)].append(el.BisymmetricSpec(2, 3, 1.5, -0.0, 0.1, 1.5, 0.0, -0.0, -0.0, 0.2))
+    assert len(groups) == 36
+    for (m, n), specs in groups.items():
+        cms = el.bisymmetric_cm(specs)
+        assert len(cms) == len(specs)
+        for spec, cm in zip(specs, cms):
+            want = _loop_assembled(
+                m, n, (spec.a, spec.a), (spec.e1, spec.e2), (spec.b, spec.b),
+                (spec.z1, spec.z2), (spec.g1, spec.g2),
+            )
+            assert np.array_equal(_bits(cm.matrix), _bits(want))
+            assert np.array_equal(_bits(el.bisymmetric_cm(spec).matrix), _bits(want))
+    for modes in (1, 2, 5, 12):
+        spec = el.ghz_type_spec(modes, 1.7) if modes > 1 else el.FullySymmetricSpec(1, 1.7)
+        want = _loop_assembled(modes, 0, (spec.b, spec.b), (spec.z1, spec.z2), None, None, None)
+        assert np.array_equal(_bits(el.fully_symmetric_cm(spec).matrix), _bits(want))
+
+
+def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
+    one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
+    two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
+    with pytest.raises(InvalidArgumentError, match="one shape"):
+        el.bisymmetric_cm([one, two])
+    assert el.bisymmetric_cm([]) == []
+    # a valid spec whose matrix overflows in the symmetrization
+    huge = el.BisymmetricSpec(2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(InvalidArgumentError) as alone:
+        el.bisymmetric_cm(huge)
+    with pytest.raises(InvalidArgumentError) as grouped:
+        el.bisymmetric_cm([two, huge, two])
+    assert str(grouped.value) == str(alone.value) == "covariance matrix has non-finite entries"
+
+
+def test_localize_stack_gives_a_failing_purity_its_place():
+    """A matrix that passes the pattern and residual checks but has a
+    negative determinant fails at its purity, in place, with the error
+    it raises alone."""
+    good = el.bisymmetric_cm(el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.4, -0.4))
+    bad = el.CovarianceMatrix(np.array(
+        [[1.0, 0, 2.0, 0], [0, 1.0, 0, 0.5], [2.0, 0, 1.0, 0], [0, 0.5, 0, 1.0]]))
+    results = el.localize([good, bad, good], 1, 1)
+    assert [type(r) for r in results] == [
+        el.LocalizationResult, NumericalDomainError, el.LocalizationResult
+    ]
+    with pytest.raises(NumericalDomainError) as excinfo:
+        el.localize(bad, 1, 1)
+    assert str(results[1]) == str(excinfo.value) == "covariance determinant must be positive"
+    alone = el.localize(good, 1, 1)
+    for result in (results[0], results[2]):
+        assert np.array_equal(_bits(result.cm_final.matrix), _bits(alone.cm_final.matrix))
+        assert _bits(result.equivalent.mu_eq) == _bits(alone.equivalent.mu_eq)
+        assert _bits(result.equivalent.delta_eq) == _bits(alone.equivalent.delta_eq)
+        assert not result.cm_final.matrix.flags.writeable
+        assert not result.equivalent.cm_eq.matrix.flags.writeable

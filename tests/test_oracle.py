@@ -156,7 +156,8 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     """run_oracle_suite(cases, seed) with failures forced on chosen cases:
     an invariant-route error, an assembled matrix whose mode-1 block breaks
     the pattern by 1e-3 * (1 + case), or a non-finite dense spectrum of
-    the case's brute-force matrix. Returns the error the suite raises."""
+    the case's brute-force matrix. The suite assembles one shape group per
+    ``bisymmetric_cm`` call. Returns the error the suite raises."""
     import entloc.localization
     import entloc.oracle
     import entloc.states
@@ -173,14 +174,15 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
         return [el.InconsistentInvariantsError(f"forced case {i}") if i in invariant else r
                 for i, r in enumerate(out)]
 
-    def assemble(spec):
-        cm = real_cm(spec)
-        case = specs.index(spec)
-        if case not in pattern:
-            return cm
-        matrix = np.array(cm.matrix)
-        matrix[2, 2] += 1e-3 * (1 + case)
-        return el.CovarianceMatrix(matrix)
+    def assemble(group):
+        cms = real_cm(group)
+        for k, spec in enumerate(group):
+            case = specs.index(spec)
+            if case in pattern:
+                matrix = np.array(cms[k].matrix)
+                matrix[2, 2] += 1e-3 * (1 + case)
+                cms[k] = el.CovarianceMatrix(matrix)
+        return cms
 
     def dense(matrix):
         nus = np.array(real_spectrum(matrix))

@@ -271,20 +271,24 @@ def test_bisymmetric_validation_matches_dense_oracle_on_sampler_draws():
     from entloc.oracle import SpecSampler
 
     sampler = SpecSampler(2024)
+
+    def uniform(box):
+        return float(sampler.rng.uniform(*box))
+
     accepted = rejected = 0
     for _ in range(2000):
         m = int(sampler.rng.integers(1, sampler.max_block + 1))
         n = int(sampler.rng.integers(1, sampler.max_block + 1))
         params = {
             "m": m, "n": n,
-            "a": sampler._uniform(sampler.b_box),
-            "e1": sampler._uniform(sampler.corr_box) if m > 1 else 0.0,
-            "e2": sampler._uniform(sampler.corr_box) if m > 1 else 0.0,
-            "b": sampler._uniform(sampler.b_box),
-            "z1": sampler._uniform(sampler.corr_box) if n > 1 else 0.0,
-            "z2": sampler._uniform(sampler.corr_box) if n > 1 else 0.0,
-            "g1": sampler._uniform(sampler.cross_box),
-            "g2": sampler._uniform(sampler.cross_box),
+            "a": uniform(sampler.b_box),
+            "e1": uniform(sampler.corr_box) if m > 1 else 0.0,
+            "e2": uniform(sampler.corr_box) if m > 1 else 0.0,
+            "b": uniform(sampler.b_box),
+            "z1": uniform(sampler.corr_box) if n > 1 else 0.0,
+            "z2": uniform(sampler.corr_box) if n > 1 else 0.0,
+            "g1": uniform(sampler.cross_box),
+            "g2": uniform(sampler.cross_box),
         }
         dense = _dense_min_nu(params)
         dense_accepts = dense is not None and dense >= 1.0 - TOL_PHYS
@@ -325,7 +329,7 @@ def test_bisymmetric_validation_is_size_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("validation must not touch the assembled matrix")
 
-    monkeypatch.setattr(states, "_assemble_bisymmetric", forbidden)
+    monkeypatch.setattr(states, "_assemble", forbidden)
     monkeypatch.setattr(symplectic, "symplectic_eigenvalues", forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     parent = el.ghz_type_spec(2002, 1.5)
