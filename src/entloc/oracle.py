@@ -180,6 +180,8 @@ class SpecSampler:
         max_block: int = 6,
         max_tries: int = 10_000,
     ):
+        if max_block < 1:
+            raise InvalidArgumentError(f"max_block must be at least 1, got {max_block}")
         self.rng = np.random.default_rng(seed)
         self.b_box = b_box
         self.corr_box = corr_box
@@ -227,6 +229,12 @@ class SpecSampler:
         return mm, nn
 
     def fully_symmetric(self, modes: int | None = None) -> FullySymmetricSpec:
+        """One spec of ``modes`` modes, or of 2..max_block modes drawn."""
+        if modes is None and self.max_block < 2:
+            raise InvalidArgumentError(
+                f"drawing the mode count needs max_block >= 2, got {self.max_block}"
+            )
+
         def build():
             n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
             b, z1, z2 = self._uniforms((self.b_box, self.corr_box, self.corr_box))
@@ -345,6 +353,8 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     from .localization import equivalent_report, localize
     from .states import bisymmetric_cm
 
+    if cases < 0:
+        raise InvalidArgumentError(f"cases must be non-negative, got {cases}")
     sampler = SpecSampler(seed, max_block=max_block)
     specs = sampler.bisymmetric(count=cases)
     # per case: the invariant report, the constructive E_N (or the error of

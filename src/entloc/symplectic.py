@@ -532,8 +532,22 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # and the per-entry ``repr`` CSV byte for byte, also for non-finite
 # entries (JSON NaN, Infinity; CSV nan, inf, as repr spells them). The
 # text writers take the strings, so one formatting can feed several.
-# Readers reject matrices that are asymmetric beyond TOL_SYM.
+# Readers parse each distinct cell text once, through a ``_CellParser``
+# made for the one read: the paper's matrices repeat five 2x2 pattern
+# blocks, so a 48-mode file holds a handful of distinct texts in 9216
+# cells. Each cell is still ``float`` of its exact text, so a read matrix
+# is the one a per-cell parse gives, bit for bit. Readers reject matrices
+# that are asymmetric beyond TOL_SYM.
 # ---------------------------------------------------------------------------
+
+
+class _CellParser(dict):
+    """``parser[text]`` is ``float(text)``, computed once per distinct
+    text. Make one per file read, so nothing outlives the read."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
 
 
 def float_reprs(values, fmt: str = "%r") -> np.ndarray:
@@ -655,12 +669,13 @@ def cm_to_csv_text(cm: CovarianceMatrix) -> str:
 
 
 def cm_from_csv_text(text: str) -> CovarianceMatrix:
+    parse = _CellParser().__getitem__
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append([float(cell) for cell in line.split(",")])
+            rows.append(list(map(parse, line.split(","))))
         except ValueError as exc:
             raise InvalidArgumentError(f"CSV line {lineno}: {exc}") from exc
     if not rows:
@@ -692,7 +707,7 @@ def load_cm(path) -> CovarianceMatrix:
     if path.endswith(".csv"):
         return cm_from_csv_text(text)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_CellParser().__getitem__)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     return cm_from_json_dict(obj)

@@ -230,6 +230,18 @@ def test_verify_small(capsys, tmp_path):
     assert csv_path.exists()
 
 
+def test_verify_rejects_a_negative_case_count(capsys):
+    code, out, err = run_cli(capsys, "verify", "--cases", "-3", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "cases must be non-negative, got -3" in err
+    code, out, _ = run_cli(capsys, "verify", "--cases", "0", "--seed", "1")
+    assert code == 0
+    assert out == (
+        '{\n  "cases": 0,\n  "comparisons": 0,\n  "passes": 0,\n  "rejection_rate": 0.0,\n'
+        '  "seed": 1,\n  "worst_rel_diff": 0.0\n}\n'
+    )
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, out, _ = run_cli(

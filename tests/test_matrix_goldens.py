@@ -1,0 +1,102 @@
+"""Golden bytes of the four matrix-file commands.
+
+A 24-mode fully symmetric state in a local single-mode basis is written
+from two literal 2x2 pattern blocks, as CSV and as JSON, and each command
+runs on both files. The sha256 of stdout and of every dump file, and the
+exit codes, were recorded with the per-cell ``float`` readers, so a change
+of the readers that moved any loaded bit would show here.
+
+The file holds six distinct cell texts in 2304 cells (the repeated blocks
+of the paper's bisymmetric states). The expected digests depend on the
+floating point of numpy's LAPACK as well; they were recorded with numpy
+2.4 on x86-64. To print them for the tree at hand:
+
+    PYTHONPATH=src python tests/test_matrix_goldens.py
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from entloc.cli import main
+
+MODES = 24
+# The pattern blocks of traced_symmetric_spec(24, 3, 1.9) seen through
+# one local symplectic (a rotation by 0.7 rad, then a squeeze by e^0.3).
+ALPHA = ((2.4579832763726954, -1.1920411911859237), (-1.1920411911859237, 2.046784552947922))
+EPS = ((1.4683100819359867, -1.2700544388634647), (-1.2700544388634647, 1.0302004194493581))
+
+COMMANDS = {
+    "spectrum": lambda src, d: ["spectrum", "--cm", src],
+    "report": lambda src, d: ["report", "--cm", src, "--k", "6", "--localize"],
+    "localize": lambda src, d: ["localize", "--cm", src, "--k", "12",
+                                "--dump-final", d["final"], "--dump-symplectic", d["symplectic"]],
+    "ole": lambda src, d: ["ole", "--cm", src],
+}
+
+# sha256 of each output, recorded with the per-cell float readers; stdout
+# is the same for both input formats. Every command exits 0.
+STDOUT = {
+    "localize": "42ba821ed09026211d4ad22b38c2f20c8618b46fa54419d2bf540551dd924c6a",
+    "ole": "d08e275c76c74c6dbe15d90a2301508999c101e2929759939bab1ec61e534e5d",
+    "report": "fc282376472d08cd4071518fe3a10ab1aa77ca641c8d6501ac6d7737dead25ab",
+    "spectrum": "680ea239ec0f742887407637df8ee7df6995ed7d049550930e5c93b0cf25a2e7",
+}
+LOCALIZE_DUMPS = {
+    "csv": {"final": "b3e9663dcebd9326ff9d293619413af89e1c2311c5f3226d3f6e2947f34e5c2c",
+            "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
+    "json": {"final": "46e1e40396e662817c9c28145e8194b1623d56f8c930976a6e1e9b8c8b0922de",
+             "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
+}
+
+
+def _rows():
+    return [[repr((ALPHA if i // 2 == j // 2 else EPS)[i % 2][j % 2]) for j in range(2 * MODES)]
+            for i in range(2 * MODES)]
+
+
+def write_inputs(directory: Path) -> dict:
+    rows = _rows()
+    paths = {"csv": directory / "state.csv", "json": directory / "state.json"}
+    paths["csv"].write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+    entries = ", ".join(cell for row in rows for cell in row)
+    paths["json"].write_text(f'{{"modes": {MODES}, "entries": [{entries}]}}', encoding="utf-8")
+    return paths
+
+
+def run_command(name: str, fmt: str, directory: Path, read_stdout) -> tuple:
+    """Exit code and the sha256 of stdout (as ``read_stdout()`` returns
+    it) and of each dump file."""
+    source = write_inputs(directory)[fmt]
+    dumps = {"final": directory / f"final.{fmt}", "symplectic": directory / "symplectic.json"}
+    code = main([str(arg) for arg in COMMANDS[name](source, dumps)])
+    outputs = {"stdout": read_stdout().encode("utf-8")}
+    outputs.update((key, path.read_bytes()) for key, path in dumps.items() if path.exists())
+    return code, {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
+
+
+def test_input_repeats_six_cell_texts(tmp_path):
+    text = write_inputs(tmp_path)["csv"].read_text(encoding="utf-8")
+    assert len(set(text.replace("\n", ",").split(",")) - {""}) == 6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_matrix_command_bytes(name, fmt, tmp_path, capsys):
+    code, digests = run_command(name, fmt, tmp_path, lambda: capsys.readouterr().out)
+    dumps = LOCALIZE_DUMPS[fmt] if name == "localize" else {}
+    assert (code, digests) == (0, {"stdout": STDOUT[name], **dumps})
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    for name in sorted(COMMANDS):
+        for fmt in ("csv", "json"):
+            buffer = io.StringIO()
+            with tempfile.TemporaryDirectory() as directory, contextlib.redirect_stdout(buffer):
+                result = run_command(name, fmt, Path(directory), buffer.getvalue)
+            print(f"    ({name!r}, {fmt!r}): {result!r},")

@@ -95,6 +95,18 @@ def test_sampler_tracks_rejections():
     assert 0.0 <= sampler.rejection_rate < 1.0
 
 
+def test_sampler_rejects_block_bounds_before_drawing():
+    with pytest.raises(el.InvalidArgumentError, match="max_block must be at least 1, got 0"):
+        SpecSampler(1, max_block=0)
+    sampler = SpecSampler(1, max_block=1)
+    with pytest.raises(el.InvalidArgumentError, match="needs max_block >= 2, got 1"):
+        sampler.fully_symmetric()
+    assert (sampler.attempts, sampler.accepted) == (0, 0)
+    # the refused call drew nothing: the stream is that of a fresh sampler
+    assert sampler.fully_symmetric(modes=3) == SpecSampler(1, max_block=1).fully_symmetric(modes=3)
+    assert sampler.bisymmetric().m == 1
+
+
 def test_separable_sampler_produces_separable_states():
     sampler = SpecSampler(6)
     for _ in range(10):

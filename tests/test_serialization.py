@@ -8,15 +8,26 @@ distinct float once, keyed on its bits.
 
 import json
 import math
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entloc as el
 from entloc.cli import _json_text, main
 from entloc.experiments import traced_symmetric_spec
-from entloc.symplectic import _json_matrix_text, cm_from_csv_text, cm_to_csv_text, float_reprs
+from entloc import symplectic
+from entloc.errors import InvalidArgumentError
+from entloc.symplectic import (
+    _json_matrix_text,
+    cm_from_csv_text,
+    cm_from_json_dict,
+    cm_to_csv_text,
+    float_reprs,
+)
 
 # Where repr switches notation (1e16, 1e-4 and 1e-5), subnormals, signed
 # zeros and the non-finite values.
@@ -88,9 +99,96 @@ def test_covariance_csv_equals_per_entry_repr(matrix):
     cm = el.CovarianceMatrix(symmetric)
     text = cm_to_csv_text(cm)
     assert text == _old_csv(cm.matrix)
-    # repr round-trips: the file reads back bit for bit, signed zeros included
-    read = cm_from_csv_text(text).matrix
-    assert np.array_equal(read.view(np.uint64), cm.matrix.view(np.uint64))
+    # repr round-trips: the files read back bit for bit, signed zeros included
+    with tempfile.TemporaryDirectory() as directory:
+        for name in ("cm.csv", "cm.json"):
+            path = Path(directory) / name
+            el.save_cm(cm, path)
+            read = el.load_cm(path).matrix
+            assert np.array_equal(read.view(np.uint64), cm.matrix.view(np.uint64))
+
+
+def _per_cell_csv(text):
+    """The CSV reader as it was: ``float`` of every cell."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                rows.append([float(cell) for cell in line.split(",")])
+            except ValueError as exc:
+                raise InvalidArgumentError(f"CSV line {lineno}: {exc}") from exc
+    if not rows:
+        raise InvalidArgumentError("CSV input holds no rows")
+    if any(len(r) != len(rows[0]) for r in rows) or len(rows) != len(rows[0]):
+        raise InvalidArgumentError(
+            f"CSV rows must form a square matrix, got {len(rows)} rows of width {len(rows[0])}"
+        )
+    return el.CovarianceMatrix(np.array(rows))
+
+
+def _outcome(read, text):
+    """The bits ``read(text)`` gives, or its error class and message."""
+    try:
+        return read(text).matrix.tobytes()
+    except (InvalidArgumentError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+# Cell texts float() reads in more than one spelling, and texts that fail
+# a read: non-finite, overflowing (1e400; 1e308 overflows in the
+# symmetrization) or not numbers. Drawn with repeats, so the parser hits.
+FINITE_CELLS = [" 1.5 ", "1_0", "1E5", "1e5", "-0", "0"]
+HAND_CELLS = FINITE_CELLS + ["nan", "inf", "-inf", "1e400", "1e308", "abc", ""]
+# the JSON number for each cell text: itself where it is one, else an int
+# or a float JSON spells differently
+JSON_NUMBERS = {" 1.5 ": "1.5", "1_0": "10", "nan": "NaN", "inf": "Infinity",
+                "-inf": "-Infinity", "abc": "-0.0", "": "2"}
+
+
+@settings(max_examples=200, deadline=None)
+@example((1, [" 1.5 ", "1_0", "1_0", "1E5"]))
+@example((2, ["-0", "1e5", "0", "1_0", " 1.5 ", "1E5", "0", "-0", "1_0", "-0", "0", "1e5", "1_0",
+              " 1.5 ", "-0", "1E5"]))
+@given(st.integers(1, 3).flatmap(
+    lambda modes: st.lists(st.sampled_from(FINITE_CELLS) | st.sampled_from(HAND_CELLS),
+                           min_size=(2 * modes) ** 2, max_size=(2 * modes) ** 2)
+    .map(lambda cells: (modes, cells))))
+def test_readers_equal_per_cell_float(shape):
+    """A symmetric matrix of hand-written cell texts reads to the bits, or
+    fails with the message, of a reference ``float()`` per cell."""
+    modes, cells = shape
+    size = 2 * modes
+    grid = [[cells[min(i, j) * size + max(i, j)] for j in range(size)] for i in range(size)]
+    csv = "\n".join(map(",".join, grid)) + "\n"
+    assert _outcome(cm_from_csv_text, csv) == _outcome(_per_cell_csv, csv)
+    entries = ", ".join(JSON_NUMBERS.get(cell, cell) for row in grid for cell in row)
+    text = f'{{"modes": {modes}, "entries": [{entries}]}}'
+
+    def load_json(text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "cm.json"
+            path.write_text(text, encoding="utf-8")
+            return el.load_cm(path)
+
+    assert _outcome(load_json, text) == _outcome(lambda t: cm_from_json_dict(json.loads(t)), text)
+
+
+def test_reads_share_no_parser_state(tmp_path, monkeypatch):
+    """Each file read makes its own parser, and none outlives its read."""
+    made = []
+
+    class Recorded(symplectic._CellParser):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(symplectic, "_CellParser", Recorded)
+    first, second = tmp_path / "a.csv", tmp_path / "b.json"
+    first.write_text("2.5,0\n0,2.5\n")
+    second.write_text('{"modes": 1, "entries": [3.5, 0.5, 0.5, 3.5]}')
+    assert el.load_cm(first).matrix.tolist() == [[2.5, 0.0], [0.0, 2.5]]
+    assert el.load_cm(second).matrix.tolist() == [[3.5, 0.5], [0.5, 3.5]]
+    assert len(made) == 2 and all(ref() is None for ref in made)
 
 
 def _local_basis_state(modes, q, b, rng):

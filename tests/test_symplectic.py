@@ -307,5 +307,6 @@ def test_json_reader_rejects_bad_size(tmp_path):
 def test_csv_reader_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,abc\n0.0,1.0\n")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as info:
         el.load_cm(path)
+    assert str(info.value) == "CSV line 1: could not convert string to float: 'abc'"
