@@ -53,6 +53,7 @@ from .symplectic import (
     CovarianceMatrix,
     _indented_json,
     _json_matrix_text,
+    _read_text,
     float_reprs,
     load_cm,
     save_cm,
@@ -108,8 +109,7 @@ def _resolve_state(args):
     if args.cm is not None:
         return None, load_cm(args.cm)
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            return _load_spec_text(handle.read(), args.spec), None
+        return _load_spec_text(_read_text(args.spec), args.spec), None
     if args.spec_json is not None:
         return _load_spec_text(args.spec_json, "--spec-json"), None
     if args.b is None:
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"entloc: invalid input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, a failed write
         print(f"entloc: {exc}", file=sys.stderr)
         return 2
     except LocalizationError as exc:

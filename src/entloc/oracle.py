@@ -9,31 +9,34 @@ check, and they are allowed to be slow.
 ``oracle_pt_log_negativity`` takes a sequence of equal-size matrices as
 one stack: one mirror, one stacked ``np.linalg.eigvals`` call (the same
 bits per matrix as a call on it alone), then the same per-value
-``math.log`` sum for each matrix. The cross-check suite is columnar
-from sampling to the reduced matrices: ``SpecSampler.bisymmetric`` draws
-its specs in one call, each rejection attempt's parameters as one
+``math.log`` sum for each matrix. The cross-check suite is columnar from
+sampling to the summary. ``SpecSampler.bisymmetric`` draws its specs in
+one call, in rounds: each rejection attempt's parameters come from one
 ``rng.random`` block (the values and the stream of one scalar
-``rng.uniform`` call per parameter), and each (m, n) shape is assembled,
-checked, reduced and brute-forced as one stack. In process on a 2-core
-machine, for 1000 cases (best and median of 11 runs): the sampler takes
-0.07-0.09 s (0.14-0.17 s with scalar draws), the brute-force values
-0.05-0.07 s (0.12 s one matrix at a time), and the whole suite
-0.22-0.26 s, against 0.50-0.55 s with per-case draws, assembly and
-result objects and 1.14-1.22 s case by case.
+``rng.uniform`` call per parameter), a round's attempts are screened by
+one array check, and only the accepted ones are built as specs. Each
+(m, n) shape is assembled, checked, reduced and brute-forced as one
+stack, all reduced two-mode matrices go through the oracle as one stack,
+and the route values and comparisons stay in columns (``SuiteReports``).
+In process on a shared 2-core machine, for 1000 cases (best and median
+of 21 runs, alternating with the code that validated every attempt as a
+spec and built one report object per comparison): the sampler takes
+0.046-0.056 s against 0.054-0.066 s, and the whole suite 0.16-0.20 s
+against 0.18-0.24 s.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
-from .states import BisymmetricSpec, FullySymmetricSpec
-from .symplectic import CovarianceMatrix
+from .states import BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
+from .symplectic import CovarianceMatrix, _Rejections, float_reprs
 
 REL_TOL_DEFAULT = 1e-7
 ABS_TOL_DEFAULT = 1e-9
@@ -204,22 +207,39 @@ class SpecSampler:
         u = iter(self.rng.random(len(boxes) - boxes.count(None)).tolist())
         return [0.0 if box is None else box[0] + (box[1] - box[0]) * next(u) for box in boxes]
 
-    def _draw(self, build, count=None):
-        """``build()`` until it returns a spec instead of rejecting the
-        draw with ``InvalidArgumentError``, for one spec or, given a
-        ``count``, for a list of that many; counts attempts and accepts."""
+    def _draw(self, draw, spec_class, count=None):
+        """Rejection sampling in rounds, for one spec or, given a ``count``,
+        for a list of that many, counting attempts and accepts.
+
+        ``draw()`` takes one attempt's row of ``spec_class`` arguments from
+        the stream. A round draws min(specs still needed, tries left) rows:
+        the per-attempt loop draws at least that many more whatever they
+        decide, so the stream is the same. A round of several two-block
+        rows is screened by one ``bisymmetric_batch`` call, which rejects
+        exactly what the constructor rejects, and only the rows it accepts
+        are built; any other row is validated by building it.
+        """
         specs = []
-        for _ in range(1 if count is None else count):
-            for _ in range(self.max_tries):
-                self.attempts += 1
-                try:
-                    specs.append(build())
-                except InvalidArgumentError:
-                    continue
-                self.accepted += 1
-                break
+        needed, tries = 1 if count is None else count, self.max_tries
+        while needed > 0 and tries > 0:
+            size = min(needed, tries)
+            self.attempts += size
+            if size > 1 and spec_class is BisymmetricSpec:
+                rows = [draw() for _ in range(size)]
+                screen = bisymmetric_batch(*zip(*rows), errors=_Rejections(size)).errors.alive
+                built = [_built(spec_class, row) if ok else None
+                         for row, ok in zip(rows, screen.tolist())]
             else:
-                raise RuntimeError("rejection sampling failed to produce a physical spec")
+                built = [_built(spec_class, draw()) for _ in range(size)]
+            for spec in built:
+                if spec is None:
+                    tries -= 1
+                else:
+                    specs.append(spec)
+                    needed, tries = needed - 1, self.max_tries
+        self.accepted += len(specs)
+        if needed > 0:
+            raise RuntimeError("rejection sampling failed to produce a physical spec")
         return specs[0] if count is None else specs
 
     def _block_sizes(self, m, n):
@@ -235,30 +255,28 @@ class SpecSampler:
                 f"drawing the mode count needs max_block >= 2, got {self.max_block}"
             )
 
-        def build():
+        def draw():
             n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
-            b, z1, z2 = self._uniforms((self.b_box, self.corr_box, self.corr_box))
-            return FullySymmetricSpec(n, b, z1, z2)
+            return (n, *self._uniforms((self.b_box, self.corr_box, self.corr_box)))
 
-        return self._draw(build)
+        return self._draw(draw, FullySymmetricSpec)
 
     def bisymmetric(self, m: int | None = None, n: int | None = None, count: int | None = None):
         """One spec, or a list of ``count`` specs drawn one after another."""
 
-        def build():
+        def draw():
             mm, nn = self._block_sizes(m, n)
             first = self.corr_box if mm > 1 else None
             second = self.corr_box if nn > 1 else None
             boxes = (self.b_box, first, first, self.b_box, second, second) + (self.cross_box,) * 2
-            a, e1, e2, b, z1, z2, g1, g2 = self._uniforms(boxes)
-            return BisymmetricSpec(m=mm, n=nn, a=a, e1=e1, e2=e2, b=b, z1=z1, z2=z2, g1=g1, g2=g2)
+            return (mm, nn, *self._uniforms(boxes))
 
-        return self._draw(build, count)
+        return self._draw(draw, BisymmetricSpec, count)
 
     def separable_bisymmetric(self, m: int | None = None, n: int | None = None) -> BisymmetricSpec:
         """Product (g = 0) or classically correlated (g1 = g2 > 0) draws."""
 
-        def build():
+        def draw():
             mm, nn = self._block_sizes(m, n)
             # same-sign x-x and p-p correlations between thermal blocks
             # arise from mixing product states, hence stay separable
@@ -268,16 +286,36 @@ class SpecSampler:
             local = (1.2, self.b_box[1])
             boxes = (cross, local, first, first, local, second, second)
             g, a, e1, e2, b, z1, z2 = self._uniforms(boxes)
-            return BisymmetricSpec(
-                m=mm, n=nn, a=a, e1=e1 / 2, e2=e2 / 2, b=b, z1=z1 / 2, z2=z2 / 2, g1=g, g2=g
-            )
+            return mm, nn, a, e1 / 2, e2 / 2, b, z1 / 2, z2 / 2, g, g
 
-        return self._draw(build)
+        return self._draw(draw, BisymmetricSpec)
+
+
+def _built(spec_class, row):
+    """The spec of a row, or None where its constructor rejects it."""
+    try:
+        return spec_class(*row)
+    except InvalidArgumentError:
+        return None
 
 
 # ---------------------------------------------------------------------------
 # Comparison reports.
 # ---------------------------------------------------------------------------
+
+
+def _compared(closed_form, brute_force, rel_tol=REL_TOL_DEFAULT, abs_tol=ABS_TOL_DEFAULT):
+    """(abs_diff, rel_diff, passed) of each pair of values, as arrays: the
+    relative difference is taken against the larger magnitude, 0.0 where
+    both are zero, and a pair passes within either tolerance."""
+    closed_form, brute_force = np.asarray(closed_form), np.asarray(brute_force)
+    with np.errstate(all="ignore"):
+        abs_diff = abs(closed_form - brute_force)
+        first, second = abs(closed_form), abs(brute_force)
+        # Python's max(first, second), nan included: second only if larger
+        denom = np.where(second > first, second, first)
+        rel_diff = np.where(denom > 0.0, abs_diff / denom, 0.0)
+    return abs_diff, rel_diff, (abs_diff <= abs_tol) | (rel_diff <= rel_tol)
 
 
 @dataclass(frozen=True)
@@ -300,41 +338,104 @@ class OracleReport:
         rel_tol: float = REL_TOL_DEFAULT,
         abs_tol: float = ABS_TOL_DEFAULT,
     ) -> "OracleReport":
-        abs_diff = abs(closed_form - brute_force)
-        denom = max(abs(closed_form), abs(brute_force))
-        rel_diff = abs_diff / denom if denom > 0.0 else 0.0
-        passed = abs_diff <= abs_tol or rel_diff <= rel_tol
-        return cls(quantity, closed_form, brute_force, abs_diff, rel_diff, passed)
+        abs_diff, rel_diff, passed = _compared([closed_form], [brute_force], rel_tol, abs_tol)
+        return cls(quantity, closed_form, brute_force, float(abs_diff[0]), float(rel_diff[0]),
+                   bool(passed[0]))
+
+
+# the route pairs of each case, in report order: routes a, b, c are the
+# invariant, the constructive and the brute-force one
+ROUTE_PAIRS = (("invariant_vs_brute", 0, 2), ("constructive_vs_brute", 1, 2),
+               ("invariant_vs_constructive", 0, 1))
+
+
+class SuiteReports(Sequence):
+    """The comparisons of a suite run, held as columns.
+
+    ``shapes`` holds each case's block sizes (m, n); ``closed_form``,
+    ``brute_force``, ``abs_diff``, ``rel_diff`` and ``passed`` are arrays
+    with one entry per comparison, the ``ROUTE_PAIRS`` of case 0, then of case
+    1, and so on. Each ``OracleReport``, its label included, is made when
+    it is read.
+    """
+
+    def __init__(self, shapes, closed_form, brute_force, abs_diff, rel_diff, passed):
+        self.shapes = shapes
+        self.closed_form, self.brute_force = closed_form, brute_force
+        self.abs_diff, self.rel_diff, self.passed = abs_diff, rel_diff, passed
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def quantity(self, index: int) -> str:
+        """The label of report ``index``: its case, shape and route pair."""
+        case, pair = divmod(index, len(ROUTE_PAIRS))
+        m, n = self.shapes[case]
+        return f"case{case:04d}_m{m}n{n}_{ROUTE_PAIRS[pair][0]}"
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        return OracleReport(
+            self.quantity(index), float(self.closed_form[index]), float(self.brute_force[index]),
+            float(self.abs_diff[index]), float(self.rel_diff[index]), bool(self.passed[index]),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"SuiteReports({list(self)!r})"
+
+
+_VALUE_FIELDS = ("closed_form", "brute_force", "abs_diff", "rel_diff", "passed")
+
+
+def _value_columns(reports) -> list:
+    """The five value columns of any reports, in ``OracleReport`` order."""
+    if isinstance(reports, SuiteReports):
+        return [getattr(reports, field) for field in _VALUE_FIELDS]
+    return [[getattr(r, field) for r in reports] for field in _VALUE_FIELDS]
 
 
 def reports_to_csv_text(reports) -> str:
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["quantity", "closed_form", "brute_force", "abs_diff", "rel_diff", "pass"])
-    for r in reports:
-        writer.writerow(
-            [
-                r.quantity,
-                f"{r.closed_form:.17g}",
-                f"{r.brute_force:.17g}",
-                f"{r.abs_diff:.6g}",
-                f"{r.rel_diff:.6g}",
-                str(r.passed).lower(),
-            ]
-        )
-    return buffer.getvalue()
+    """The per-comparison CSV, one row per report; each distinct value of
+    a number column is formatted once."""
+    if isinstance(reports, SuiteReports):
+        quantities = map(reports.quantity, range(len(reports)))
+    else:
+        quantities = [r.quantity for r in reports]
+    closed, brute, abs_diff, rel_diff, passed = _value_columns(reports)
+    texts = [float_reprs(closed, "%.17g"), float_reprs(brute, "%.17g"),
+             float_reprs(abs_diff, "%.6g"), float_reprs(rel_diff, "%.6g")]
+    flags = ["true" if ok else "false" for ok in np.asarray(passed, dtype=bool).tolist()]
+    rows = map(",".join, zip(quantities, *(text.tolist() for text in texts), flags))
+    header = "quantity,closed_form,brute_force,abs_diff,rel_diff,pass"
+    return "\n".join([header, *rows]) + "\n"
 
 
 def summarize_reports(reports, seed, cases=None) -> dict:
+    _, _, _, rel_diff, passed = _value_columns(reports)
     return {
         "cases": len(reports) if cases is None else cases,
         "comparisons": len(reports),
-        "passes": sum(1 for r in reports if r.passed),
-        "worst_rel_diff": max((r.rel_diff for r in reports), default=0.0),
+        "passes": int(np.count_nonzero(passed)),
+        "worst_rel_diff": max(np.asarray(rel_diff, dtype=float).tolist(), default=0.0),
         "seed": seed,
     }
+
+
+def _place(results, cases, column, errors):
+    """Each case's result of a route: a value into ``column`` at the case's
+    index, an error into ``errors`` under it."""
+    for case, result in zip(cases, results):
+        if isinstance(result, Exception):
+            errors[case] = result
+        else:
+            column[case] = result
 
 
 def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
@@ -345,9 +446,11 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     assembled matrix, and (c) by the brute-force reflected-spectrum route,
     and the pairwise comparisons are reported.
 
-    (a) runs as one batch, (b) and (c) as one stack per block shape
-    (m, n). The first failing case in case order raises its first error,
-    taking the routes in the order a, b, c.
+    (a) runs as one batch, the reduction and (c) as one stack per block
+    shape (m, n), and the brute force of (b) as one stack of all reduced
+    two-mode matrices. The values and comparisons are kept as columns and
+    the reports are a ``SuiteReports``. The first failing case in case
+    order raises its first error, taking the routes in the order a, b, c.
     """
     from .entanglement import ModeBipartition
     from .localization import equivalent_report, localize
@@ -357,38 +460,38 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
         raise InvalidArgumentError(f"cases must be non-negative, got {cases}")
     sampler = SpecSampler(seed, max_block=max_block)
     specs = sampler.bisymmetric(count=cases)
-    # per case: the invariant report, the constructive E_N (or the error of
-    # localize) and the brute-force E_N, each a value or its error
-    routes = [[report] for report in equivalent_report(specs, return_errors=True)]
+    # each route's value per case, and its errors by case
+    values = [[0.0] * cases for _ in range(3)]
+    errors = ({}, {}, {})
+    invariant = equivalent_report(specs, return_errors=True)
+    _place([r if isinstance(r, Exception) else r.log_negativity for r in invariant],
+           range(cases), values[0], errors[0])
     shapes: dict[tuple[int, int], list[int]] = {}
     for index, spec in enumerate(specs):
         shapes.setdefault((spec.m, spec.n), []).append(index)
-    two_mode_split = ModeBipartition((0,), (1,))
+    reduced, reduced_cases = [], []
     for (m, n), indices in shapes.items():
         cms = bisymmetric_cm([specs[i] for i in indices])
-        locs = localize(cms, m, n)
-        reduced = [loc.equivalent.cm_eq for loc in locs if not isinstance(loc, Exception)]
-        constructive = iter(oracle_pt_log_negativity(reduced, two_mode_split))
+        for case, loc in zip(indices, localize(cms, m, n)):
+            if isinstance(loc, Exception):
+                errors[1][case] = loc
+            else:
+                reduced.append(loc.equivalent.cm_eq)
+                reduced_cases.append(case)
         part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-        brute = oracle_pt_log_negativity(cms, part)
-        for index, loc, en_brute in zip(indices, locs, brute):
-            routes[index] += [loc if isinstance(loc, Exception) else next(constructive), en_brute]
+        _place(oracle_pt_log_negativity(cms, part), indices, values[2], errors[2])
+    two_mode_split = ModeBipartition((0,), (1,))
+    _place(oracle_pt_log_negativity(reduced, two_mode_split), reduced_cases, values[1], errors[1])
+    failed = [min(route) for route in errors if route]
+    if failed:
+        case = min(failed)
+        raise next(route[case] for route in errors if case in route)
 
-    reports: list[OracleReport] = []
-    for index, (spec, values) in enumerate(zip(specs, routes)):
-        for value in values:
-            if isinstance(value, Exception):
-                raise value
-        report, en_constructive, en_brute = values
-        en_invariant = report.log_negativity
-        label = f"case{index:04d}_m{spec.m}n{spec.n}"
-        reports.append(OracleReport.compare(f"{label}_invariant_vs_brute", en_invariant, en_brute))
-        reports.append(
-            OracleReport.compare(f"{label}_constructive_vs_brute", en_constructive, en_brute)
-        )
-        reports.append(
-            OracleReport.compare(f"{label}_invariant_vs_constructive", en_invariant, en_constructive)
-        )
+    values = np.array(values)
+    closed_form = values[[first for _, first, _ in ROUTE_PAIRS]].T.ravel()
+    brute_force = values[[second for _, _, second in ROUTE_PAIRS]].T.ravel()
+    reports = SuiteReports([(spec.m, spec.n) for spec in specs], closed_form, brute_force,
+                           *_compared(closed_form, brute_force))
     return reports, summarize_reports(reports, seed, cases=cases), sampler.rejection_rate
 
 

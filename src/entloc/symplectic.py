@@ -104,6 +104,19 @@ class _PointErrors:
                 raise error
 
 
+class _Rejections(_PointErrors):
+    """Which points of a batch fail, without their errors, for a caller
+    that needs only the decision: ``alive`` is what ``_PointErrors``
+    would hold, ``errors`` stays all None and no error is built."""
+
+    def record(self, failed: np.ndarray, make_error) -> None:
+        if self.size:
+            self.alive &= ~failed.reshape(-1, self.size).any(axis=0)
+
+    def fail(self, i: int, error: Exception) -> None:
+        self.alive[i] = False
+
+
 def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray, *extra) -> np.ndarray:
     """``fn`` on each value as a Python float, for the C library's pow and
     exp: numpy's ``x**2`` and ``np.exp`` round a few results differently.
@@ -650,18 +663,32 @@ def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
     return matrix_to_json_dict(cm.matrix)
 
 
+_JSON_NUMBER_TYPES = frozenset((float, int))
+
+
 def cm_from_json_dict(obj) -> CovarianceMatrix:
     if not isinstance(obj, dict) or "modes" not in obj or "entries" not in obj:
         raise InvalidArgumentError('expected a JSON object {"modes": N, "entries": [...]}')
     modes = obj["modes"]
-    if not isinstance(modes, int) or modes < 1:
+    # JSON true/false are ints to Python, but no mode count
+    if type(modes) is not int or modes < 1:
         raise InvalidArgumentError(f"modes must be a positive integer, got {modes!r}")
-    entries = np.asarray(obj["entries"], dtype=float)
-    if entries.size != 4 * modes * modes:
+    entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise InvalidArgumentError(f"entries must be an array of numbers, got {entries!r:.40}")
+    # one C-level pass over the types; a bool is no JSON number
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, entries)):
+        bad = next(x for x in entries if type(x) not in (float, int))
+        raise InvalidArgumentError(f"entries must be numbers, got {bad!r:.40}")
+    if len(entries) != 4 * modes * modes:
         raise InvalidArgumentError(
-            f"expected {4 * modes * modes} entries for {modes} modes, got {entries.size}"
+            f"expected {4 * modes * modes} entries for {modes} modes, got {len(entries)}"
         )
-    return CovarianceMatrix(entries.reshape(2 * modes, 2 * modes))
+    try:
+        matrix = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"an entry is out of float range: {exc}") from exc
+    return CovarianceMatrix(matrix.reshape(2 * modes, 2 * modes))
 
 
 def cm_to_csv_text(cm: CovarianceMatrix) -> str:
@@ -700,10 +727,19 @@ def save_cm(cm: CovarianceMatrix, path) -> np.ndarray:
     return reprs
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a file that does not decode is invalid
+    input, not a crash."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_cm(path) -> CovarianceMatrix:
     path = str(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     if path.endswith(".csv"):
         return cm_from_csv_text(text)
     try:

@@ -391,3 +391,60 @@ def test_sweep_writes_numerical_rows_and_keeps_the_table(capsys):
     code, out, err = run_cli(capsys, "scaling", "--b", "1e76", "--n-range", "1,4")
     assert (code, err) == (0, "")
     assert "4,1,1e+76,,,numerical" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"modes": true, "entries": ["2.5", "0", "0", "2.5"]}',
+         "modes must be a positive integer, got True"),
+        ('{"modes": 1, "entries": [2.5, 0, 0, "2.5"]}', "entries must be numbers, got '2.5'"),
+        ('{"modes": 1, "entries": [2.5, 0, 0, true]}', "entries must be numbers, got True"),
+        ('{"modes": 1, "entries": [2.5, 0, 0, null]}', "entries must be numbers, got None"),
+        ('{"modes": 1, "entries": [[2.5, 0], [0, 2.5]]}', "entries must be numbers, got [2.5, 0]"),
+        ('{"modes": 1, "entries": "2.5, 0, 0, 2.5"}', "entries must be an array of numbers"),
+        ('{"modes": 1, "entries": [2.5, 0, 0, 1' + "0" * 400 + "]}", "out of float range"),
+    ],
+)
+def test_json_matrix_with_non_number_fields_exit_code(tmp_path, capsys, text, message):
+    """A JSON matrix is {"modes": int, "entries": [numbers]}: a bool mode
+    count, or a string, bool, null or array entry, is invalid input."""
+    path = tmp_path / "cm.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "spectrum", "--cm", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_json_matrix_int_entries_read_as_floats(tmp_path, capsys):
+    ints, floats = tmp_path / "ints.json", tmp_path / "floats.json"
+    ints.write_text('{"modes": 1, "entries": [3, 0, 0, 3]}')
+    floats.write_text('{"modes": 1, "entries": [3.0, 0.0, 0.0, 3.0]}')
+    assert run_cli(capsys, "spectrum", "--cm", str(ints)) == run_cli(
+        capsys, "spectrum", "--cm", str(floats))
+    assert el.load_cm(ints).matrix.tolist() == [[3.0, 0.0], [0.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--cases", "3", "--seed", "1", "--out", "{dir}"),
+        ("spectrum", "--cm", "{dir}"),
+        ("report", "--modes", "4", "--b", "1.5", "--k", "2", "--localize",
+         "--dump-final", "{dir}"),
+    ],
+)
+def test_directory_path_exit_code(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"entloc: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("name", ["cm.json", "cm.csv", "spec.json"])
+def test_file_that_is_not_utf8_exit_code(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe1,0\n0,1\n")
+    option = "--spec" if name == "spec.json" else "--cm"
+    code, out, err = run_cli(capsys, "report", option, str(path), "--split", "1", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"entloc: invalid input: {path}: not UTF-8 text (")

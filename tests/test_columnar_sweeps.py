@@ -31,7 +31,7 @@ from entloc.experiments import (
 from entloc.localization import _fs_split_batch, _fs_split_spec
 from entloc.oracle import SpecSampler
 from entloc.states import SPEC_PARAMETERS, bisymmetric_batch
-from entloc.symplectic import _PointErrors
+from entloc.symplectic import _PointErrors, _Rejections
 
 FIELDS = ("m", "n") + SPEC_PARAMETERS
 # b values where rows turn unphysical (1e3 at larger M, 1e200) or
@@ -160,23 +160,30 @@ def _scalar_outcome(params):
 
 
 def _sampler_draws(count):
-    """The parameters of the first ``count`` draws of a SpecSampler,
-    those it rejects included."""
-    draws = []
+    """The parameters of the first ``count`` attempts of
+    ``SpecSampler(4242).bisymmetric``, those it rejects included.
+
+    Every attempt draws the same values whatever is decided about it, so
+    the attempts are replayed from the seed, one ``rng.uniform`` call per
+    parameter as the sampler drew them before its draws went into blocks.
+    The accepted ones must be the specs the sampler returns.
+    """
     sampler = SpecSampler(4242)
-    real = el.oracle.BisymmetricSpec
-
-    def recording(**params):
-        draws.append(params)
-        return real(**params)
-
-    el.oracle.BisymmetricSpec = recording
-    try:
-        while len(draws) < count:
-            sampler.bisymmetric()
-    finally:
-        el.oracle.BisymmetricSpec = real
-    return draws[:count]
+    rng = np.random.default_rng(4242)
+    draws = []
+    for _ in range(count):
+        m, n = (int(rng.integers(1, sampler.max_block + 1)) for _ in range(2))
+        a = float(rng.uniform(*sampler.b_box))
+        e1, e2 = (float(rng.uniform(*sampler.corr_box)) if m > 1 else 0.0 for _ in range(2))
+        b = float(rng.uniform(*sampler.b_box))
+        z1, z2 = (float(rng.uniform(*sampler.corr_box)) if n > 1 else 0.0 for _ in range(2))
+        g1, g2 = (float(rng.uniform(*sampler.cross_box)) for _ in range(2))
+        draws.append(dict(m=m, n=n, a=a, e1=e1, e2=e2, b=b, z1=z1, z2=z2, g1=g1, g2=g2))
+    accepted = [p for p in draws if _scalar_outcome(p) is None]
+    specs = sampler.bisymmetric(count=len(accepted))
+    assert [dataclasses.asdict(spec) for spec in specs] == accepted
+    assert sampler.attempts <= count
+    return draws
 
 
 def _traced_split_params():
@@ -220,6 +227,10 @@ def test_batch_validation_gives_the_scalar_decision_and_error():
     assert 1000 < rejected < len(points) - 1000
     assert list(map(_outcome, errors.errors)) == expected
     assert errors.alive.tolist() == [outcome is None for outcome in expected]
+    # the sampler's screen keeps the decisions and builds no error
+    screen = bisymmetric_batch(*columns, errors=_Rejections(len(points))).errors
+    assert screen.alive.tolist() == errors.alive.tolist()
+    assert screen.errors == [None] * len(points)
 
 
 def test_split_batch_validates_as_the_split_spec():

@@ -9,8 +9,10 @@ must give each matrix the constructor's result or error, in place, and
 the command's output must keep its bytes.
 """
 
+import csv
 import dataclasses
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -21,7 +23,15 @@ from hypothesis import strategies as st
 import entloc as el
 from entloc.cli import main
 from entloc.errors import InvalidArgumentError, NumericalDomainError
-from entloc.oracle import SpecSampler
+from entloc.oracle import (
+    OracleReport,
+    SpecSampler,
+    SuiteReports,
+    oracle_pt_log_negativity,
+    reports_to_csv_text,
+    run_oracle_suite,
+    summarize_reports,
+)
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
@@ -30,14 +40,28 @@ from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
 # and so these bytes, differently)
 VERIFY_300_CSV_SHA256 = "6a52d742dcdf3e32d2058de75987c0a6d97092ead06794b3f39095699c619165"
 VERIFY_300_STDOUT_SHA256 = "43425767f6146af92572cb23323ec4c1fe13baaa39ceaccd69e6ba00413aafed"
+# the same of `verify --cases 1000 --seed 7 --out PATH`, recorded before the
+# sampler drew in screened rounds and the comparisons became columns
+VERIFY_1000_CSV_SHA256 = "7ec5f19d47709733c741fa348bc37bacc41668c74d2af7d0d6a903e782cff291"
+VERIFY_1000_STDOUT_SHA256 = "609c6a3a26de38056bb77456d9d96ba8cca85a3725c2e6bff1dec911608c7f1c"
+
+
+def _verify_digests(tmp_path, capsys, cases, seed):
+    """sha256 of the CSV and of stdout of `verify --cases N --seed S --out PATH`."""
+    out = tmp_path / "cases.csv"
+    assert main(["verify", "--cases", str(cases), "--seed", str(seed), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    return hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout.encode()).hexdigest()
 
 
 def test_verify_output_bytes(tmp_path, capsys):
-    out = tmp_path / "cases.csv"
-    assert main(["verify", "--cases", "300", "--seed", "4242", "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_300_CSV_SHA256
-    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_300_STDOUT_SHA256
+    digests = _verify_digests(tmp_path, capsys, 300, 4242)
+    assert digests == (VERIFY_300_CSV_SHA256, VERIFY_300_STDOUT_SHA256)
+
+
+def test_verify_1000_case_output_bytes(tmp_path, capsys):
+    digests = _verify_digests(tmp_path, capsys, 1000, 7)
+    assert digests == (VERIFY_1000_CSV_SHA256, VERIFY_1000_STDOUT_SHA256)
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +73,18 @@ class ScalarSampler:
     """The samplers as they drew before: one ``rng.uniform`` call per
     parameter, kept here as the reference."""
 
-    def __init__(self, seed, max_block):
-        self.sampler = SpecSampler(seed, max_block=max_block)  # for its boxes
+    def __init__(self, seed, max_block, **boxes):
+        self.sampler = SpecSampler(seed, max_block=max_block, **boxes)  # for its boxes
         self.rng = np.random.default_rng(seed)
         self.max_block = max_block
+        self.max_tries = self.sampler.max_tries
         self.attempts = self.accepted = 0
 
     def _uniform(self, box):
         return float(self.rng.uniform(*box))
 
     def _draw(self, build):
-        for _ in range(10_000):
+        for _ in range(self.max_tries):
             self.attempts += 1
             try:
                 spec = build()
@@ -171,6 +196,55 @@ def test_counted_draw_is_a_run_of_single_draws(seed):
     reference = ScalarSampler(seed, 6)
     assert [_spec_bits(s) for s in specs] == [_spec_bits(reference.bisymmetric()) for _ in specs]
     assert counted.bisymmetric(count=0) == []
+
+
+# a box no draw from is physical: every single-mode reduced state has b < 1
+NEVER_PHYSICAL = {"b_box": (0.1, 0.5)}
+
+
+def _same_state(new, old):
+    """Equal counters, and the streams at the same place."""
+    assert (new.attempts, new.accepted) == (old.attempts, old.accepted)
+    assert new.rng.random() == old.rng.random()
+
+
+@pytest.mark.parametrize("max_tries", [1, 2, 7, 40])
+@pytest.mark.parametrize("method, kwargs", [
+    ("bisymmetric", {}), ("bisymmetric", {"count": 1}), ("bisymmetric", {"count": 25}),
+    ("bisymmetric", {"m": 3, "count": 25}), ("fully_symmetric", {}),
+])
+def test_a_box_that_is_never_physical_fails_after_the_scalar_attempts(method, kwargs, max_tries):
+    new = SpecSampler(5, max_tries=max_tries, **NEVER_PHYSICAL)
+    old = ScalarSampler(5, 6, max_tries=max_tries, **NEVER_PHYSICAL)
+    with pytest.raises(RuntimeError, match="failed to produce a physical spec"):
+        getattr(new, method)(**kwargs)
+    scalar = {key: value for key, value in kwargs.items() if key != "count"}
+    with pytest.raises(RuntimeError, match="failed to produce a physical spec"):
+        getattr(old, method)(**scalar)
+    assert new.attempts == max_tries
+    _same_state(new, old)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 4242])
+@pytest.mark.parametrize("max_tries", [0, 1, 2, 3, 5, 20])
+def test_counted_draw_with_few_tries_is_the_scalar_run(seed, max_tries):
+    """A counted draw gives the specs of the scalar loop, or fails at the
+    attempt where the scalar loop fails, with the stream left alike."""
+    new = SpecSampler(seed, max_tries=max_tries)
+    old = ScalarSampler(seed, 6, max_tries=max_tries)
+    want = []
+    try:
+        for _ in range(60):
+            want.append(old.bisymmetric())
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            new.bisymmetric(count=60)
+    else:
+        assert [_spec_bits(s) for s in new.bisymmetric(count=60)] == list(map(_spec_bits, want))
+    _same_state(new, old)
+    for count in (0, -2):  # as a loop over range(count), they draw nothing
+        empty = SpecSampler(seed, max_tries=max_tries)
+        assert empty.bisymmetric(count=count) == [] and empty.attempts == 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +425,82 @@ def test_localize_stack_gives_a_failing_purity_its_place():
         assert _bits(result.equivalent.delta_eq) == _bits(alone.equivalent.delta_eq)
         assert not result.cm_final.matrix.flags.writeable
         assert not result.equivalent.cm_eq.matrix.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Comparison columns and the reports built from them.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_compare(quantity, closed_form, brute_force, rel_tol=1e-7, abs_tol=1e-9):
+    """``OracleReport.compare`` as one pair at a time made it, kept here as
+    the reference."""
+    abs_diff = abs(closed_form - brute_force)
+    denom = max(abs(closed_form), abs(brute_force))
+    rel_diff = abs_diff / denom if denom > 0.0 else 0.0
+    passed = abs_diff <= abs_tol or rel_diff <= rel_tol
+    return OracleReport(quantity, closed_form, brute_force, abs_diff, rel_diff, passed)
+
+
+def _csv_reference(reports):
+    """The per-comparison CSV as ``csv.writer`` wrote it, row by row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["quantity", "closed_form", "brute_force", "abs_diff", "rel_diff", "pass"])
+    for r in reports:
+        writer.writerow([r.quantity, f"{r.closed_form:.17g}", f"{r.brute_force:.17g}",
+                         f"{r.abs_diff:.6g}", f"{r.rel_diff:.6g}", str(r.passed).lower()])
+    return buffer.getvalue()
+
+
+values = st.floats() | st.sampled_from([0.0, -0.0, 1e-9, 1e-300, 5e-324, 1e308, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(values, values), max_size=8))
+def test_comparison_columns_equal_the_scalar_compare(pairs):
+    """Column comparisons, and the CSV and summary made from them, give
+    each pair the scalar results, nan and inf included."""
+    want = [_scalar_compare(f"q{i}", x, y) for i, (x, y) in enumerate(pairs)]
+    got = [OracleReport.compare(f"q{i}", x, y) for i, (x, y) in enumerate(pairs)]
+    assert repr(got) == repr(want)
+    assert reports_to_csv_text(got) == _csv_reference(want)
+    summary = summarize_reports(got, seed=3)
+    assert summary["passes"] == sum(r.passed for r in want)
+    assert repr(summary["worst_rel_diff"]) == repr(max((r.rel_diff for r in want), default=0.0))
+
+
+def _per_case_reports(cases, seed):
+    """The suite's reports as the per-case code made them: every route on
+    one spec at a time."""
+    split = el.ModeBipartition((0,), (1,))
+    reports = []
+    for index, spec in enumerate(SpecSampler(seed).bisymmetric(count=cases)):
+        m, n = spec.m, spec.n
+        cm = el.bisymmetric_cm(spec)
+        invariant = el.equivalent_report(spec).log_negativity
+        constructive = oracle_pt_log_negativity(el.localize(cm, m, n).equivalent.cm_eq, split)
+        part = el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
+        brute = oracle_pt_log_negativity(cm, part)
+        label = f"case{index:04d}_m{m}n{n}"
+        reports += [
+            _scalar_compare(f"{label}_invariant_vs_brute", invariant, brute),
+            _scalar_compare(f"{label}_constructive_vs_brute", constructive, brute),
+            _scalar_compare(f"{label}_invariant_vs_constructive", invariant, constructive),
+        ]
+    return reports
+
+
+def test_suite_reports_are_the_per_case_reports():
+    reports, summary, _ = run_oracle_suite(cases=80, seed=23)
+    want = _per_case_reports(80, 23)
+    assert isinstance(reports, SuiteReports) and len(reports) == 240
+    assert repr(list(reports)) == repr(want)
+    assert reports == want and list(reports) == want
+    assert reports[-1] == want[-1] and reports[10:14] == want[10:14]
+    with pytest.raises(IndexError):
+        reports[240]
+    with pytest.raises(TypeError):
+        reports[0] = want[0]
+    assert reports_to_csv_text(reports) == _csv_reference(want)
+    assert summary == summarize_reports(want, seed=23, cases=80)
