@@ -214,23 +214,24 @@ class SpecSampler:
         ``draw()`` takes one attempt's row of ``spec_class`` arguments from
         the stream. A round draws min(specs still needed, tries left) rows:
         the per-attempt loop draws at least that many more whatever they
-        decide, so the stream is the same. A round of several two-block
-        rows is screened by one ``bisymmetric_batch`` call, which rejects
-        exactly what the constructor rejects, and only the rows it accepts
-        are built; any other row is validated by building it.
+        decide, so the stream is the same. A row of a round of one is
+        validated by building it. Only two-block specs are drawn with a
+        ``count``, and a round of several rows is screened by one
+        ``bisymmetric_batch`` call, which rejects exactly what the
+        constructor rejects; only the rows it accepts are built.
         """
         specs = []
         needed, tries = 1 if count is None else count, self.max_tries
         while needed > 0 and tries > 0:
             size = min(needed, tries)
             self.attempts += size
-            if size > 1 and spec_class is BisymmetricSpec:
+            if size == 1:
+                built = [_built(spec_class, draw())]
+            else:  # only two-block draws are counted
                 rows = [draw() for _ in range(size)]
                 screen = bisymmetric_batch(*zip(*rows), errors=_Rejections(size)).errors.alive
                 built = [_built(spec_class, row) if ok else None
                          for row, ok in zip(rows, screen.tolist())]
-            else:
-                built = [_built(spec_class, draw()) for _ in range(size)]
             for spec in built:
                 if spec is None:
                     tries -= 1
