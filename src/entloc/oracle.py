@@ -213,11 +213,11 @@ class SpecSampler:
 
         ``draw()`` takes one attempt's row of ``spec_class`` arguments from
         the stream. A round draws min(specs still needed, tries left) rows:
-        the per-attempt loop draws at least that many more whatever they
-        decide, so the stream is the same. A row of a round of one is
-        validated by building it. Only two-block specs are drawn with a
-        ``count``, and a round of several rows is screened by one
-        ``bisymmetric_batch`` call, which rejects exactly what the
+        deciding one attempt at a time would draw at least that many more
+        whatever the decisions, so the stream is the same. A row of a
+        round of one is validated by building it. Only two-block specs are
+        drawn with a ``count``, and a round of several rows is screened by
+        one ``bisymmetric_batch`` call, which rejects exactly what the
         constructor rejects; only the rows it accepts are built.
         """
         specs = []

@@ -678,7 +678,7 @@ def cm_from_json_dict(obj) -> CovarianceMatrix:
         raise InvalidArgumentError(f"entries must be an array of numbers, got {entries!r:.40}")
     # one C-level pass over the types; a bool is no JSON number
     if not _JSON_NUMBER_TYPES.issuperset(map(type, entries)):
-        bad = next(x for x in entries if type(x) not in (float, int))
+        bad = next(x for x in entries if type(x) not in _JSON_NUMBER_TYPES)
         raise InvalidArgumentError(f"entries must be numbers, got {bad!r:.40}")
     if len(entries) != 4 * modes * modes:
         raise InvalidArgumentError(
