@@ -10,19 +10,22 @@ check, and they are allowed to be slow.
 one stack: one mirror, one stacked ``np.linalg.eigvals`` call (the same
 bits per matrix as a call on it alone), then the same per-value
 ``math.log`` sum for each matrix. The cross-check suite is columnar from
-sampling to the summary. ``SpecSampler.bisymmetric`` draws its specs in
-one call, in rounds: each rejection attempt's parameters come from one
-``rng.random`` block (the values and the stream of one scalar
-``rng.uniform`` call per parameter), a round's attempts are screened by
-one array check, and only the accepted ones are built as specs. Each
-(m, n) shape is assembled, checked, reduced and brute-forced as one
-stack, all reduced two-mode matrices go through the oracle as one stack,
-and the route values and comparisons stay in columns (``SuiteReports``).
-In process on a shared 2-core machine, for 1000 cases (best and median
-of 21 runs, alternating with the code that validated every attempt as a
-spec and built one report object per comparison): the sampler takes
-0.046-0.056 s against 0.054-0.066 s, and the whole suite 0.16-0.20 s
-against 0.18-0.24 s.
+sampling to the summary. ``SpecSampler`` reads its generator as raw
+PCG64 words (``_RawStream``), from which it replays the generator's
+bounded integers and uniform doubles bit for bit. ``bisymmetric`` draws
+its specs in one call, a block of attempts at a time: the block is
+decoded as columns and screened by one array check, its decisions are
+taken in order, the stream is cut at the last attempt single draws would
+have made, and only the accepted attempts are built as specs. The
+invariant route runs as one batch. Each (m, n) shape is assembled,
+checked, reduced and brute-forced as one stack, all reduced two-mode
+matrices go through the oracle as one stack, and the route values and
+comparisons stay in columns (``SuiteReports``). In process on a shared
+2-core machine, for 1000 cases (best and median of 21 runs, alternating
+with the code that made scalar generator calls for every attempt and
+screened the attempts in rounds): the sampler takes
+0.019-0.021 s against 0.042-0.044 s, and the whole suite 0.077-0.087 s
+against 0.094-0.103 s.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
-from .states import BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
+from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
 from .symplectic import CovarianceMatrix, _Rejections, float_reprs
 
 REL_TOL_DEFAULT = 1e-7
@@ -171,8 +174,127 @@ def random_bona_fide_cm(
     return CovarianceMatrix(s.T @ np.diag(np.repeat(nus, 2)) @ s)
 
 
+_HALF_MASK = 0xFFFFFFFF
+# ``Generator.random()`` of a word is its top 53 bits, (word >> 11), times this
+_WORD_UNIT = 1.0 / 9007199254740992.0
+_NO_WORDS = np.empty(0, dtype=np.uint64)
+# the most attempts a counted draw decodes and screens at once, so that its
+# words and columns take less memory than the suite's matrix stacks: a
+# block of 3350 raised the peak memory of `verify --cases 1000` by 0.5 MB
+_BLOCK = 1024
+
+
+class _RawStream:
+    """The draws of a PCG64 ``Generator``, replayed from its raw words.
+
+    numpy's ``Generator.random()`` is the top 53 bits of one 64-bit word,
+    and ``Generator.integers(lo, hi)`` for hi - lo < 2**32 is Lemire's
+    bounded method (Lemire, ACM TOMACS 2019) on 32-bit halves: a word
+    gives its low half first and keeps its high half for the next 32-bit
+    draw, across calls too. The stream gives the values, and consumes the
+    words, of those calls. While it holds no words, it reads each call's
+    words with one ``random_raw`` call. Once ``reserve`` has read ahead
+    into ``words``, every word is read into it and stays there, consumed
+    or not, until ``drop``, so that a caller can skip words, decode them
+    later by index and go back to an earlier position. Closing the stream
+    rewinds the generator over the words held and not consumed and
+    restores the kept half, so the generator is where the calls would have
+    left it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"the raw-word replay needs PCG64, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._bitgen = bitgen
+        self.half = self._kept = state["uinteger"] if state["has_uint32"] else None
+        self.words = _NO_WORDS
+        self.pos = 0  # index in ``words`` of the first unconsumed word
+
+    def __enter__(self) -> "_RawStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        unread = len(self.words) - self.pos
+        if unread:  # advance also empties the generator's kept half
+            self._bitgen.advance(-unread)
+            self._kept = None
+        if self.half != self._kept:
+            state = self._bitgen.state
+            state["has_uint32"], state["uinteger"] = int(self.half is not None), self.half or 0
+            self._bitgen.state = state
+
+    def reserve(self, count: int) -> None:
+        """Read words until ``count`` unconsumed ones are held."""
+        short = self.pos + count - len(self.words)
+        if short > 0:
+            fresh = self._bitgen.random_raw(short)
+            self.words = np.concatenate((self.words, fresh)) if len(self.words) else fresh
+
+    def drop(self) -> None:
+        """Forget the consumed words."""
+        self.words, self.pos = self.words[self.pos:], 0
+
+    def skip(self, count: int) -> int:
+        """Consume ``count`` held words, reading what is short; the index
+        of the first."""
+        self.reserve(count)
+        self.pos += count
+        return self.pos - count
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``Generator.integers(lo, hi)``; a span of one draws nothing."""
+        span = hi - lo
+        if span == 1:
+            return lo
+        if not 1 <= span <= _HALF_MASK:
+            raise ValueError(f"the replay draws spans of 1 to 2**32 - 1, got {span}")
+        threshold = (_HALF_MASK + 1 - span) % span
+        while True:
+            half = self.half
+            if half is None:
+                if not len(self.words):
+                    word = self._bitgen.random_raw()
+                else:
+                    start = self.skip(1)  # the read may replace self.words
+                    word = self.words.item(start)
+                half, self.half = word & _HALF_MASK, word >> 32
+            else:
+                self.half = None
+            product = half * span
+            if product & _HALF_MASK >= threshold:
+                return lo + (product >> 32)
+
+    def _take(self, count: int) -> list[int]:
+        """The next ``count`` words, consumed."""
+        if not len(self.words):
+            return self._bitgen.random_raw(count).tolist()
+        start = self.skip(count)
+        return self.words[start:start + count].tolist()
+
+    def random(self, count: int) -> list[float]:
+        """``Generator.random(count)``, as a list."""
+        return self.uniforms(((0.0, 1.0),) * count)
+
+    def uniforms(self, boxes) -> list[float]:
+        """One draw from each (lo, hi) box, 0.0 for a None box, as
+        lo + (hi - lo) u of one ``random`` block: the values, and the
+        words, of one ``Generator.uniform(lo, hi)`` call per box."""
+        words = iter(self._take(len(boxes) - boxes.count(None)))
+        return [0.0 if box is None
+                else box[0] + (box[1] - box[0]) * ((next(words) >> 11) * _WORD_UNIT)
+                for box in boxes]
+
+
 class SpecSampler:
-    """Rejection sampler for standard-form specs over fixed parameter boxes."""
+    """Rejection sampler for standard-form specs over fixed parameter boxes.
+
+    Every draw reads the generator through a ``_RawStream``. A single
+    draw decodes one attempt at a time and builds it; a counted two-block
+    draw decodes a block of attempts as columns, screens them with one
+    ``bisymmetric_batch`` call and builds only the specs it keeps.
+    """
 
     def __init__(
         self,
@@ -183,8 +305,12 @@ class SpecSampler:
         max_block: int = 6,
         max_tries: int = 10_000,
     ):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
         if max_block < 1:
             raise InvalidArgumentError(f"max_block must be at least 1, got {max_block}")
+        if max_block > _HALF_MASK:  # the replay draws spans below 2**32
+            raise InvalidArgumentError(f"max_block must be below 2**32, got {max_block}")
         self.rng = np.random.default_rng(seed)
         self.b_box = b_box
         self.corr_box = corr_box
@@ -200,54 +326,30 @@ class SpecSampler:
             return 0.0
         return 1.0 - self.accepted / self.attempts
 
-    def _uniforms(self, boxes) -> list[float]:
-        """One draw from each (lo, hi) box, 0.0 for a None box, as one
-        ``rng.random`` block scaled as lo + (hi - lo) u: the values, and the
-        stream, of one scalar ``rng.uniform(lo, hi)`` per box in order."""
-        u = iter(self.rng.random(len(boxes) - boxes.count(None)).tolist())
-        return [0.0 if box is None else box[0] + (box[1] - box[0]) * next(u) for box in boxes]
+    def _draw(self, draw, spec_class):
+        """One spec by rejection: ``draw(stream)`` takes one attempt's row
+        of ``spec_class`` arguments, and each row is built until one is
+        accepted or ``max_tries`` are rejected."""
+        with _RawStream(self.rng) as stream:
+            for _ in range(self.max_tries):
+                self.attempts += 1
+                try:
+                    spec = spec_class(*draw(stream))
+                except InvalidArgumentError:
+                    continue
+                self.accepted += 1
+                return spec
+        raise RuntimeError("rejection sampling failed to produce a physical spec")
 
-    def _draw(self, draw, spec_class, count=None):
-        """Rejection sampling in rounds, for one spec or, given a ``count``,
-        for a list of that many, counting attempts and accepts.
+    def _size(self, stream, given, low=1):
+        """A block size: ``given``, or drawn from low..max_block."""
+        return given if given is not None else stream.integers(low, self.max_block + 1)
 
-        ``draw()`` takes one attempt's row of ``spec_class`` arguments from
-        the stream. A round draws min(specs still needed, tries left) rows:
-        deciding one attempt at a time would draw at least that many more
-        whatever the decisions, so the stream is the same. A row of a
-        round of one is validated by building it. Only two-block specs are
-        drawn with a ``count``, and a round of several rows is screened by
-        one ``bisymmetric_batch`` call, which rejects exactly what the
-        constructor rejects; only the rows it accepts are built.
-        """
-        specs = []
-        needed, tries = 1 if count is None else count, self.max_tries
-        while needed > 0 and tries > 0:
-            size = min(needed, tries)
-            self.attempts += size
-            if size == 1:
-                built = [_built(spec_class, draw())]
-            else:  # only two-block draws are counted
-                rows = [draw() for _ in range(size)]
-                screen = bisymmetric_batch(*zip(*rows), errors=_Rejections(size)).errors.alive
-                built = [_built(spec_class, row) if ok else None
-                         for row, ok in zip(rows, screen.tolist())]
-            for spec in built:
-                if spec is None:
-                    tries -= 1
-                else:
-                    specs.append(spec)
-                    needed, tries = needed - 1, self.max_tries
-        self.accepted += len(specs)
-        if needed > 0:
-            raise RuntimeError("rejection sampling failed to produce a physical spec")
-        return specs[0] if count is None else specs
-
-    def _block_sizes(self, m, n):
-        """(m, n), each drawn from 1..max_block where not given."""
-        mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
-        nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
-        return mm, nn
+    def _two_block_boxes(self, m, n):
+        """The boxes of a two-block attempt's eight parameters."""
+        first = self.corr_box if m > 1 else None
+        second = self.corr_box if n > 1 else None
+        return (self.b_box, first, first, self.b_box, second, second) + (self.cross_box,) * 2
 
     def fully_symmetric(self, modes: int | None = None) -> FullySymmetricSpec:
         """One spec of ``modes`` modes, or of 2..max_block modes drawn."""
@@ -256,48 +358,120 @@ class SpecSampler:
                 f"drawing the mode count needs max_block >= 2, got {self.max_block}"
             )
 
-        def draw():
-            n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
-            return (n, *self._uniforms((self.b_box, self.corr_box, self.corr_box)))
+        def draw(stream):
+            boxes = (self.b_box, self.corr_box, self.corr_box)
+            return (self._size(stream, modes, 2), *stream.uniforms(boxes))
 
         return self._draw(draw, FullySymmetricSpec)
 
     def bisymmetric(self, m: int | None = None, n: int | None = None, count: int | None = None):
         """One spec, or a list of ``count`` specs drawn one after another."""
+        if count is not None:
+            return self._counted(m, n, count)
 
-        def draw():
-            mm, nn = self._block_sizes(m, n)
-            first = self.corr_box if mm > 1 else None
-            second = self.corr_box if nn > 1 else None
-            boxes = (self.b_box, first, first, self.b_box, second, second) + (self.cross_box,) * 2
-            return (mm, nn, *self._uniforms(boxes))
+        def draw(stream):
+            mm, nn = self._size(stream, m), self._size(stream, n)
+            return (mm, nn, *stream.uniforms(self._two_block_boxes(mm, nn)))
 
-        return self._draw(draw, BisymmetricSpec, count)
+        return self._draw(draw, BisymmetricSpec)
 
     def separable_bisymmetric(self, m: int | None = None, n: int | None = None) -> BisymmetricSpec:
         """Product (g = 0) or classically correlated (g1 = g2 > 0) draws."""
 
-        def draw():
-            mm, nn = self._block_sizes(m, n)
+        def draw(stream):
+            mm, nn = self._size(stream, m), self._size(stream, n)
             # same-sign x-x and p-p correlations between thermal blocks
             # arise from mixing product states, hence stay separable
-            cross = (0.0, self.cross_box[1]) if self.rng.random() >= 0.5 else None
+            cross = (0.0, self.cross_box[1]) if stream.random(1)[0] >= 0.5 else None
             first = self.corr_box if mm > 1 else None
             second = self.corr_box if nn > 1 else None
             local = (1.2, self.b_box[1])
             boxes = (cross, local, first, first, local, second, second)
-            g, a, e1, e2, b, z1, z2 = self._uniforms(boxes)
+            g, a, e1, e2, b, z1, z2 = stream.uniforms(boxes)
             return mm, nn, a, e1 / 2, e2 / 2, b, z1 / 2, z2 / 2, g, g
 
         return self._draw(draw, BisymmetricSpec)
 
+    def _counted(self, m, n, count):
+        """``count`` two-block specs: the specs, attempts and stream of
+        ``count`` single draws.
 
-def _built(spec_class, row):
-    """The spec of a row, or None where its constructor rejects it."""
-    try:
-        return spec_class(*row)
-    except InvalidArgumentError:
-        return None
+        A block of attempts is decoded as columns (``_attempt_columns``)
+        and screened by one ``bisymmetric_batch`` call, which rejects
+        exactly what the constructor rejects. Its decisions are then taken
+        in order, as single draws take them: an accept resets the tries,
+        and ``max_tries`` rejections in a row fail. The stream goes back to
+        the end of the last attempt single draws would have made, and only
+        the accepted rows are built as specs. A block holds as many
+        attempts as the acceptance rate seen so far says are needed, the
+        first guessing 0.3 (about 0.32 for the default boxes), and at most
+        ``max_tries`` and ``_BLOCK``.
+        """
+        layout = self._two_block_layout()
+        specs, tries, rate = [], self.max_tries, 0.3
+        with _RawStream(self.rng) as stream:
+            while len(specs) < count and tries > 0:
+                needed = count - len(specs)
+                size = min(self.max_tries, _BLOCK, math.ceil(needed / rate) + 16)
+                sizes, params, ends, kept = self._attempt_columns(stream, m, n, size, layout)
+                screen = bisymmetric_batch(*sizes, *params, errors=_Rejections(size))
+                hits, last = [], -1
+                for hit in np.flatnonzero(screen.errors.alive).tolist():
+                    if hit - last > tries or len(hits) == needed:
+                        break
+                    hits.append(hit)
+                    last, tries = hit, self.max_tries
+                used = last + 1 if len(hits) == needed else min(size, last + 1 + tries)
+                tries -= used - last - 1
+                stream.pos, stream.half = ends[used - 1], kept[used - 1]
+                self.attempts += used
+                rows = np.vstack((sizes, params))[:, hits].T.tolist()
+                specs.extend(BisymmetricSpec(int(mm), int(nn), *rest) for mm, nn, *rest in rows)
+                rate = max(len(hits), 1) / used
+        self.accepted += len(specs)
+        if len(specs) < count:
+            raise RuntimeError("rejection sampling failed to produce a physical spec")
+        return specs
+
+    def _two_block_layout(self):
+        """The words of a two-block attempt, by its kind 2 (m > 1) + (n > 1):
+        how many, and for each of the eight parameters its word (-1 for a
+        None box), its box's lo and its hi - lo."""
+        kinds = [self._two_block_boxes(m, n) for m in (1, 2) for n in (1, 2)]
+        drawn = np.array([[box is not None for box in boxes] for boxes in kinds])
+        words = np.where(drawn, np.cumsum(drawn, axis=1) - 1, -1)
+        lows = [[box[0] if box else 0.0 for box in boxes] for boxes in kinds]
+        scales = [[box[1] - box[0] if box else 0.0 for box in boxes] for boxes in kinds]
+        return drawn.sum(axis=1).tolist(), words, np.array(lows), np.array(scales)
+
+    def _attempt_columns(self, stream, m, n, size, layout):
+        """``size`` two-block attempts from the stream: the (2, size) block
+        sizes, the (8, size) parameters, and the stream's position and kept
+        half after each attempt.
+
+        Each attempt draws its block sizes from the stream's halves and
+        skips the words of its parameters. The parameters are then decoded
+        from the skipped words as arrays, lo + (hi - lo) u per box and 0.0
+        for a None box, as ``_RawStream.uniforms`` decodes one attempt.
+        """
+        widths, words, lows, scales = layout
+        stream.drop()
+        stream.reserve(size * (2 + max(widths)))
+        integers, top = stream.integers, self.max_block + 1
+        sizes, starts, ends, kept = [], [], [], []
+        for _ in range(size):
+            mm = m if m is not None else integers(1, top)
+            nn = n if n is not None else integers(1, top)
+            sizes.append((mm, nn))
+            starts.append(stream.skip(widths[2 * (mm > 1) + (nn > 1)]))
+            ends.append(stream.pos)
+            kept.append(stream.half)
+        sizes = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+        kind = 2 * (sizes[0] > 1) + (sizes[1] > 1)
+        word = words[kind]
+        u = (stream.words[np.array(starts)[:, None] + np.maximum(word, 0)] >> 11) * _WORD_UNIT
+        params = np.where(word >= 0, lows[kind] + scales[kind] * u, 0.0)
+        return sizes, params.T, ends, kept
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +621,12 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     assembled matrix, and (c) by the brute-force reflected-spectrum route,
     and the pairwise comparisons are reported.
 
-    (a) runs as one batch, the reduction and (c) as one stack per block
-    shape (m, n), and the brute force of (b) as one stack of all reduced
-    two-mode matrices. The values and comparisons are kept as columns and
-    the reports are a ``SuiteReports``. The first failing case in case
-    order raises its first error, taking the routes in the order a, b, c.
+    (a) runs as one batch, read from its ``ReportColumns``, the reduction
+    and (c) as one stack per block shape (m, n), and the brute force of (b)
+    as one stack of all reduced two-mode matrices. The values and
+    comparisons are kept as columns and the reports are a
+    ``SuiteReports``. The first failing case in case order raises its
+    first error, taking the routes in the order a, b, c.
     """
     from .entanglement import ModeBipartition
     from .localization import equivalent_report, localize
@@ -464,9 +639,9 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     # each route's value per case, and its errors by case
     values = [[0.0] * cases for _ in range(3)]
     errors = ({}, {}, {})
-    invariant = equivalent_report(specs, return_errors=True)
-    _place([r if isinstance(r, Exception) else r.log_negativity for r in invariant],
-           range(cases), values[0], errors[0])
+    invariant = equivalent_report(BisymmetricBatch.of(specs), return_errors=True)
+    values[0] = invariant.log_negativity.tolist()
+    errors[0].update((case, e) for case, e in enumerate(invariant.errors) if e is not None)
     shapes: dict[tuple[int, int], list[int]] = {}
     for index, spec in enumerate(specs):
         shapes.setdefault((spec.m, spec.n), []).append(index)

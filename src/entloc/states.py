@@ -270,8 +270,12 @@ def _bisymmetric_min_nus(m, n, a, e1, e2, b, z1, z2, g1, g2, errors: _PointError
     """``_bisymmetric_min_nu`` of every point of a batch of (N,) arrays: the
     same terms, and each point that fails records the error, message and
     ``offending_value`` included, that the scalar check raises on it.
-    Call it under ``np.errstate(all="ignore")``."""
-    terms = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, np.sqrt)
+    Call it under ``np.errstate(all="ignore")``.
+
+    The block sizes enter as floats: each is exact below 2**53, so m n
+    rounds once, as the scalar check's int product does, where an int64
+    product would wrap past 2**63."""
+    terms = _two_block_terms(m * 1.0, n * 1.0, a, e1, e2, b, z1, z2, g1, g2, np.sqrt)
     blocks = (m > 1, m > 1, n > 1, n > 1)
     worst = _first_min(terms[:8], (True,) * 4 + blocks)
     errors.record(worst <= 0.0, lambda i: _not_positive_definite(float(worst[i])))

@@ -7,6 +7,7 @@ import pytest
 
 import entloc as el
 from entloc.cli import main
+from entloc.oracle import SpecSampler
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,17 @@ def test_verify_rejects_a_negative_case_count(capsys):
         '{\n  "cases": 0,\n  "comparisons": 0,\n  "passes": 0,\n  "rejection_rate": 0.0,\n'
         '  "seed": 1,\n  "worst_rel_diff": 0.0\n}\n'
     )
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+    for seed in (-1, 1.5, "7", True, None):
+        with pytest.raises(el.InvalidArgumentError, match="seed must be a non-negative integer"):
+            SpecSampler(seed)
+    assert SpecSampler(np.int64(7)).bisymmetric() == SpecSampler(7).bisymmetric()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

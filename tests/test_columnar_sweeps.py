@@ -233,6 +233,23 @@ def test_batch_validation_gives_the_scalar_decision_and_error():
     assert screen.errors == [None] * len(points)
 
 
+def test_batch_validation_of_block_sizes_whose_product_passes_2_63():
+    """An int64 product m n wraps past 2**63; the batch check still gives
+    each point the scalar decision and error. The first point is a draw of
+    ``SpecSampler(0, max_block=2**32 - 1)`` that the batch once accepted."""
+    points = [dict(m=3457402175, n=4212655702, a=2.3710839689613894, e1=0.24073484202850604,
+                   e2=0.30151476891350404, b=1.7778428479582076, z1=-0.5838455919641421,
+                   z2=0.3543813443105308, g1=0.030425186970871043, g2=-0.2277097493292532)]
+    for m in (2**32 - 1, 3457402175, 2**31 + 1):
+        for g in (0.0, 0.03, 0.5):
+            points.append(dict(m=m, n=4212655702, a=2.4, e1=0.24, e2=0.3, b=1.8, z1=0.35,
+                               z2=0.2, g1=g, g2=-g))
+    columns = [np.array([p[f] for p in points]) for f in FIELDS]
+    expected = [_scalar_outcome(p) for p in points]
+    assert expected[0] is not None and None in expected
+    assert list(map(_outcome, bisymmetric_batch(*columns).errors.errors)) == expected
+
+
 def test_split_batch_validates_as_the_split_spec():
     points, parents = [], []
     for modes in (2, 3, 6, 8, 10, 20, 50):

@@ -1,12 +1,14 @@
 """The columnar cross-check suite against the per-case code it replaced.
 
-``verify`` draws its specs with one ``rng.random`` block per rejection
-attempt, assembles and checks each (m, n) shape group of matrices as one
-stack, and builds the ``localize`` results of a group from stacked
-checks and invariants. The samplers must draw exactly what one scalar
-``rng.uniform`` call per parameter drew, the stacked covariance check
-must give each matrix the constructor's result or error, in place, and
-the command's output must keep its bytes.
+``verify`` draws its specs by replaying the generator from raw PCG64
+words, a screened block of attempts at a time, assembles and checks each
+(m, n) shape group of matrices as one stack, and builds the ``localize``
+results of a group from stacked checks and invariants. The replay must
+give the live generator's values and leave it where the live calls
+leave it, the samplers must draw exactly what one scalar ``rng.uniform``
+call per parameter drew, the stacked covariance check must give each
+matrix the constructor's result or error, in place, and the command's
+output must keep its bytes.
 """
 
 import csv
@@ -27,6 +29,7 @@ from entloc.oracle import (
     OracleReport,
     SpecSampler,
     SuiteReports,
+    _RawStream,
     oracle_pt_log_negativity,
     reports_to_csv_text,
     run_oracle_suite,
@@ -203,8 +206,10 @@ NEVER_PHYSICAL = {"b_box": (0.1, 0.5)}
 
 
 def _same_state(new, old):
-    """Equal counters, and the streams at the same place."""
+    """Equal counters, and the streams at the same place: the same kept
+    half, which the bounded draws take first, and the same words next."""
     assert (new.attempts, new.accepted) == (old.attempts, old.accepted)
+    assert new.rng.integers(0, 6, size=3).tolist() == old.rng.integers(0, 6, size=3).tolist()
     assert new.rng.random() == old.rng.random()
 
 
@@ -245,6 +250,112 @@ def test_counted_draw_with_few_tries_is_the_scalar_run(seed, max_tries):
     for count in (0, -2):  # as a loop over range(count), they draw nothing
         empty = SpecSampler(seed, max_tries=max_tries)
         assert empty.bisymmetric(count=count) == [] and empty.attempts == 0
+
+
+# ---------------------------------------------------------------------------
+# The raw-word replay against the live generator.
+# ---------------------------------------------------------------------------
+
+# spans of 2**31 + 1 and 2**32 - 1 make Lemire's method reject about half
+# and about a quarter of the halves
+REPLAY_SPANS = (1, 2, 3, 6, 7, 2**31 + 1, 2**32 - 1)
+
+
+def _replayed_calls(seed, calls, cached):
+    """``calls`` random calls, each on a live generator and on the stream
+    of a second generator of the same seed, which is closed and reopened
+    now and then, sometimes after reading words ahead. With ``cached``,
+    both generators first draw one bounded integer, so that they start
+    with a kept half. Asserts each pair of values equal."""
+    live, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached:
+        assert live.integers(0, 6) == replayed.integers(0, 6)
+        assert replayed.bit_generator.state["has_uint32"] == 1
+    plan = np.random.default_rng(seed + 1)
+    stream = _RawStream(replayed)
+    for _ in range(calls):
+        kind = plan.integers(0, 5)
+        if kind == 0:
+            span = REPLAY_SPANS[plan.integers(0, len(REPLAY_SPANS))]
+            lo = int(plan.integers(-5, 5))
+            want = live.integers(lo, lo + span)
+            assert type(want) is int or isinstance(want, np.integer)
+            assert stream.integers(lo, lo + span) == want
+        elif kind == 1:
+            count = int(plan.integers(0, 9))
+            assert stream.random(count) == live.random(count).tolist()
+        elif kind == 2:
+            assert stream.random(1) == [live.random()]
+        elif kind == 3:
+            stream.reserve(int(plan.integers(0, 40)))  # read ahead, to be rewound
+        else:
+            stream.__exit__(None, None, None)
+            stream = _RawStream(replayed)
+    stream.__exit__(None, None, None)
+    return live, replayed
+
+
+@pytest.mark.parametrize("first_seed", range(0, 200, 20))
+def test_raw_stream_replays_the_generator(first_seed):
+    """Bounded integers of every replayed span, random blocks and single
+    randoms give the live generator's values, across reopened streams and
+    words read ahead, from a fresh generator and from one with a kept
+    half, and the generator is left where the live one is: the same
+    state, the same kept half and the same draws next."""
+    for seed in range(first_seed, first_seed + 20):
+        for cached in (False, True):
+            live, replayed = _replayed_calls(seed, 300, cached)
+            want, got = live.bit_generator.state, replayed.bit_generator.state
+            assert got["state"] == want["state"]
+            assert got["has_uint32"] == want["has_uint32"]
+            if want["has_uint32"]:
+                assert got["uinteger"] == want["uinteger"]
+            assert replayed.integers(0, 6, size=5).tolist() == live.integers(0, 6, size=5).tolist()
+            assert replayed.random() == live.random()
+
+
+def test_raw_stream_refuses_what_it_does_not_replay():
+    for bitgen in (np.random.PCG64DXSM(1), np.random.MT19937(1), np.random.Philox(1)):
+        with pytest.raises(TypeError, match="needs PCG64"):
+            _RawStream(np.random.Generator(bitgen))
+    rng = np.random.default_rng(1)
+    with _RawStream(rng) as stream:
+        for lo, hi in ((0, 2**32), (5, 5), (3, 2), (0, 2**40)):
+            with pytest.raises(ValueError, match="spans of 1 to 2"):
+                stream.integers(lo, hi)
+    assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
+    with pytest.raises(InvalidArgumentError, match="max_block must be below 2"):
+        SpecSampler(1, max_block=2**32)
+
+
+# the default boxes accept about 32% of the attempts, this one about 3.6%
+LOW_ACCEPTANCE = {"b_box": (1.0, 1.5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    count=st.integers(0, 300),
+    max_block=st.integers(1, 6),
+    fixed=st.sampled_from([{}, {"m": 1}, {"m": 3}, {"n": 1}, {"n": 4}, {"m": 2, "n": 5}]),
+    boxes=st.sampled_from([{}, LOW_ACCEPTANCE]),
+    after_fully_symmetric=st.booleans(),
+)
+def test_counted_draw_is_the_scalar_run(seed, count, max_block, fixed, boxes,
+                                        after_fully_symmetric):
+    """A counted draw gives the specs, counters and stream of the scalar
+    loop: with few accepts per block, with given block sizes, with every
+    max_block, and after a fully symmetric draw that leaves a kept half."""
+    new = SpecSampler(seed, max_block=max_block, **boxes)
+    old = ScalarSampler(seed, max_block, **boxes)
+    if after_fully_symmetric and max_block > 1:
+        assert _spec_bits(new.fully_symmetric()) == _spec_bits(old.fully_symmetric())
+        has_half = old.rng.bit_generator.state["has_uint32"]
+        assert new.rng.bit_generator.state["has_uint32"] == has_half
+    got = new.bisymmetric(count=count, **fixed)
+    want = [old.bisymmetric(**fixed) for _ in range(count)]
+    assert list(map(_spec_bits, got)) == list(map(_spec_bits, want))
+    _same_state(new, old)
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +615,15 @@ def test_suite_reports_are_the_per_case_reports():
         reports[0] = want[0]
     assert reports_to_csv_text(reports) == _csv_reference(want)
     assert summary == summarize_reports(want, seed=23, cases=80)
+
+
+@pytest.mark.parametrize("max_block", [2**31 + 1, 2**32 - 1])
+def test_counted_draw_of_spans_lemire_often_rejects_is_the_scalar_run(max_block):
+    """Block sizes drawn from spans where Lemire's method rejects about
+    half or a quarter of the halves: the words the walk reads past its
+    reservation keep their place, so a block cut gives the scalar stream."""
+    for seed in range(6):
+        new, old = SpecSampler(seed, max_block=max_block), ScalarSampler(seed, max_block)
+        got = new.bisymmetric(count=40)
+        assert list(map(_spec_bits, got)) == [_spec_bits(old.bisymmetric()) for _ in range(40)]
+        _same_state(new, old)

@@ -181,10 +181,12 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     real_spectrum = entloc.oracle._dense_symplectic_spectrum
     marks = [specs[i].a for i in spectrum]
 
-    def report(items, **kwargs):
-        out = real_report(items, **kwargs)
-        return [el.InconsistentInvariantsError(f"forced case {i}") if i in invariant else r
-                for i, r in enumerate(out)]
+    def report(batch, **kwargs):
+        out = real_report(batch, **kwargs)
+        return out._replace(errors=[
+            el.InconsistentInvariantsError(f"forced case {i}") if i in invariant else error
+            for i, error in enumerate(out.errors)
+        ])
 
     def assemble(group):
         cms = real_cm(group)
