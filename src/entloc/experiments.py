@@ -198,7 +198,7 @@ def run_hierarchy(cfg: SweepConfig) -> SweepRows:
     shape = (len(qs), len(ks), len(grid))
     index = np.broadcast_to(np.arange(len(parents)).reshape(len(qs), 1, -1), shape).ravel()
     k = np.broadcast_to(np.array(ks, dtype=np.int64).reshape(1, -1, 1), shape).ravel()
-    report = equivalent_report(_split_batch(parents, index, k), return_errors=True)
+    report = equivalent_report(_split_batch(parents, index, k))
     ks_cells = k.tolist()
     return SweepRows({
         "m": ks_cells,
@@ -220,9 +220,7 @@ def run_scaling(cfg: SweepConfig) -> SweepRows:
     # points 0..R-1 split each parent n | n, points R..2R-1 its pair 1 | 1
     half = np.array([n for _, n in keys], dtype=np.int64)
     k = np.concatenate([half, np.ones_like(half)])
-    report = equivalent_report(
-        _split_batch(parents + pairs, np.arange(len(k)), k), return_errors=True
-    )
+    report = equivalent_report(_split_batch(parents + pairs, np.arange(len(k)), k))
     count = len(keys)
     errors = [nn if nn is not None else pair
               for nn, pair in zip(report.errors[:count], report.errors[count:])]

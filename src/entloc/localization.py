@@ -259,7 +259,12 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
     All 2x2 determinants go through one stacked ``np.linalg.det`` call and
     the cores through another. Call it under ``np.errstate(all="ignore")``:
     failures are recorded in ``errors``.
+
+    The block sizes enter as floats: each is exact below 2**53, so every
+    product of them rounds once, as an int product converted to float
+    does, where an int64 product would wrap past 2**63.
     """
+    m, n = m * 1.0, n * 1.0
     size = len(m)
     counts = np.array([m, n])
     counts1 = counts - 1
@@ -437,34 +442,29 @@ def equivalent_from_cm(
     return _single_equivalent(_stack_cm_blocks(checked))
 
 
-def equivalent_report(spec, *, return_errors: bool = False):
+def equivalent_report(spec):
     """Entanglement report of the m x n split via the equivalent state.
 
     Positivity of the partial transpose is decisive for this state class,
     so the separable flag is always populated; the entanglement of
     formation is included when the equivalent state is symmetric.
 
-    ``spec`` is one ``BisymmetricSpec``, a ``BisymmetricBatch``, or a
-    sequence of specs. A batch is evaluated as it stands and gives
-    ``ReportColumns``, the form the sweeps read; a point the batch holds
-    an error for keeps that error. A sequence is stacked into one batch
-    and gives a list, each report built from the columns; an
+    ``spec`` is one ``BisymmetricSpec``, whose failure raises, or a
+    ``BisymmetricBatch`` or a sequence of specs, which gives every point
+    its report or its error, in place. A batch is evaluated as it stands
+    and gives ``ReportColumns``, the form the sweeps read; a point the
+    batch holds an error for keeps that error. A sequence is stacked into
+    one batch and gives a list, each report built from the columns; an
     ``EntlocError`` item stands for a spec that could not be built and is
-    its own result. Either raises the first error in batch order, or, with
-    ``return_errors=True``, gives every point its report or its error, in
-    place.
+    its own result.
     """
     if isinstance(spec, BisymmetricSpec):
         return _raise_first(_spec_reports([spec]))[0]
     if isinstance(spec, BisymmetricBatch):
         errors = _PointErrors(len(spec.m))
         errors.merge(spec.errors)  # the caller's batch keeps its errors
-        columns = _report_columns(*_batch_blocks(spec), errors)
-        if not return_errors:
-            _raise_first(columns.errors)
-        return columns
-    results = _spec_reports(list(spec))
-    return results if return_errors else _raise_first(results)
+        return _report_columns(*_batch_blocks(spec), errors)
+    return _spec_reports(list(spec))
 
 
 def _spec_reports(items: list) -> list:
@@ -476,16 +476,17 @@ def _spec_reports(items: list) -> list:
 def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     """Entanglement report of an assembled two-block covariance matrix.
 
-    ``m`` and ``n`` may be equal-length sequences of block sizes: the
-    splits are then evaluated in one batch and give a list, and the first
-    split that fails, in its pattern check or in the batch, raises.
+    One split (m, n) gives its report, and its failure raises. ``m`` and
+    ``n`` may be equal-length sequences of block sizes: the splits are then
+    evaluated in one batch and give a list holding each split's report or
+    its error, from its pattern check or from the batch, in place.
     """
     single = np.ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
     checked = _cm_blocks(cm, splits, None)
-    reports = _raise_first(_in_place(lambda items: _report_columns(
-        *_stack_cm_blocks(items), _PointErrors(len(items))).reports(), checked))
-    return reports[0] if single else reports
+    reports = _in_place(lambda items: _report_columns(
+        *_stack_cm_blocks(items), _PointErrors(len(items))).reports(), checked)
+    return _raise_first(reports)[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +768,8 @@ def block_log_negativity(spec: FullySymmetricSpec, k: int) -> EntanglementReport
 
 
 def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
-    """(k, report) for every split size k = 1 .. M/2 of a symmetric state."""
+    """(k, report) for every split size k = 1 .. M/2 of a symmetric state;
+    the first split that fails raises."""
     if not isinstance(state, (FullySymmetricSpec, CovarianceMatrix)):
         raise InvalidArgumentError(
             f"expected a symmetric spec or covariance matrix, got {type(state)!r}"
@@ -780,7 +782,7 @@ def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
         reports = equivalent_report([_attempt(_fs_split_spec, state, k) for k in ks])
     else:
         reports = equivalent_report_from_cm(state, ks, [total - k for k in ks])
-    return list(zip(ks, reports))
+    return list(zip(ks, _raise_first(reports)))
 
 
 def _best_split(scan) -> tuple[int, EntanglementReport]:

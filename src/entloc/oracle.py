@@ -1,31 +1,30 @@
-"""Brute-force reference implementations for the test suite.
+"""Brute-force references and the three-route cross-check suite.
 
-Everything here evaluates definitions directly on dense matrices: mirror
-reflections are applied entrywise, spectra come from a general dense
-eigensolver, and bipartition scans enumerate splits exhaustively. The
-routines deliberately avoid the closed-form code paths they are used to
-check, and they are allowed to be slow.
+The references evaluate definitions directly on dense matrices: mirror
+reflections are applied entrywise and spectra come from a general dense
+eigensolver. They deliberately avoid the closed-form code paths they are
+used to check, and they are allowed to be slow.
 
 ``oracle_pt_log_negativity`` takes a sequence of equal-size matrices as
 one stack: one mirror, one stacked ``np.linalg.eigvals`` call (the same
 bits per matrix as a call on it alone), then the same per-value
 ``math.log`` sum for each matrix. The cross-check suite is columnar from
-sampling to the summary. ``SpecSampler`` reads its generator as raw
-PCG64 words (``_RawStream``), from which it replays the generator's
-bounded integers and uniform doubles bit for bit. ``bisymmetric`` draws
-its specs in one call, a block of attempts at a time: the block is
-decoded as columns and screened by one array check, its decisions are
-taken in order, the stream is cut at the last attempt single draws would
-have made, and only the accepted attempts are built as specs. The
-invariant route runs as one batch. Each (m, n) shape is assembled,
-checked, reduced and brute-forced as one stack, all reduced two-mode
-matrices go through the oracle as one stack, and the route values and
-comparisons stay in columns (``SuiteReports``). In process on a shared
-2-core machine, for 1000 cases (best and median of 21 runs, alternating
-with the code that made scalar generator calls for every attempt and
-screened the attempts in rounds): the sampler takes
-0.019-0.021 s against 0.042-0.044 s, and the whole suite 0.077-0.087 s
-against 0.094-0.103 s.
+sampling to the summary. ``SpecSampler`` has one draw path: it reads its
+generator as raw PCG64 words (``_RawStream``), from which it replays the
+generator's bounded integers and uniform doubles bit for bit, and draws
+a single spec as a counted draw of one. A counted draw goes a block of
+attempts at a time: the block is decoded as columns and screened by one
+array check, its decisions are taken in order, the stream is cut at the
+last attempt single draws would have made, and only the accepted
+attempts are built as specs. The invariant route runs as one batch. Each
+(m, n) shape is assembled, checked, reduced and brute-forced as one
+stack, all reduced two-mode matrices go through the oracle as one stack,
+and the route values and comparisons stay in columns (``SuiteReports``).
+In process on a shared 2-core machine, for 1000 cases (best and median
+of 21 runs, alternating with the code that made scalar generator calls
+for every attempt and screened the attempts in rounds): the sampler
+takes 0.019-0.021 s against 0.042-0.044 s, and the whole suite
+0.077-0.087 s against 0.094-0.103 s.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
-from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
+from .states import BisymmetricBatch, BisymmetricSpec, bisymmetric_batch
 from .symplectic import CovarianceMatrix, _Rejections, float_reprs
 
 REL_TOL_DEFAULT = 1e-7
@@ -103,75 +102,11 @@ def oracle_pt_log_negativity(cm, part):
     return values[0] if single else values
 
 
-def oracle_spectrum_multiplicities(
-    cm: CovarianceMatrix, tol_cluster: float | None = None
-) -> list[tuple[float, int]]:
-    """Clustered dense symplectic spectrum, for degeneracy claims."""
-    nus = _dense_symplectic_spectrum(np.array(cm.matrix))
-    if tol_cluster is None:
-        tol_cluster = 1e-7 * max(1.0, float(nus[0]))
-    clusters: list[list[float]] = []
-    for v in nus:
-        if clusters and abs(clusters[-1][0] - v) <= tol_cluster:
-            clusters[-1].append(float(v))
-        else:
-            clusters.append([float(v)])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
-
-
-def exhaustive_bipartition_scan(cm: CovarianceMatrix, max_half: int | None = None):
-    """(k, E_N) for every first-k x rest split of a permutation-invariant state.
-
-    Every k-subset of a fully symmetric state is equivalent, so scanning
-    contiguous splits is exhaustive. Desk-scale only (M <= 30).
-    """
-    total = cm.modes
-    if total > 30:
-        raise InvalidArgumentError(f"scan limited to 30 modes, got {total}")
-    from .entanglement import ModeBipartition
-
-    results = []
-    upper = total // 2 if max_half is None else min(max_half, total - 1)
-    for k in range(1, upper + 1):
-        part = ModeBipartition(tuple(range(k)), tuple(range(k, total)))
-        results.append((k, oracle_pt_log_negativity(cm, part)))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Randomized inputs. Parameters are drawn uniformly from fixed boxes and
 # unphysical draws are rejected, so boundary cases stay in the ensemble;
 # the sampler keeps rejection counts for reporting.
 # ---------------------------------------------------------------------------
-
-
-def random_symplectic(modes: int, rng: np.random.Generator, strength: float = 0.3) -> np.ndarray:
-    """exp(Omega A) for a random symmetric A; strength scales A."""
-    import scipy.linalg  # imported here so that the runtime needs only numpy
-
-    a = rng.normal(size=(2 * modes, 2 * modes))
-    a = strength * 0.5 * (a + a.T)
-    return scipy.linalg.expm(_dense_omega(modes) @ a)
-
-
-def random_local_symplectic(m: int, n: int, rng: np.random.Generator, strength: float = 0.3):
-    import scipy.linalg
-
-    return scipy.linalg.block_diag(
-        random_symplectic(m, rng, strength), random_symplectic(n, rng, strength)
-    )
-
-
-def random_bona_fide_cm(
-    modes: int,
-    rng: np.random.Generator,
-    max_thermal: float = 3.0,
-    strength: float = 0.3,
-) -> CovarianceMatrix:
-    """S^T diag(nu...) S for random thermal eigenvalues and random symplectic S."""
-    nus = 1.0 + (max_thermal - 1.0) * rng.random(modes)
-    s = random_symplectic(modes, rng, strength)
-    return CovarianceMatrix(s.T @ np.diag(np.repeat(nus, 2)) @ s)
 
 
 _HALF_MASK = 0xFFFFFFFF
@@ -191,15 +126,14 @@ class _RawStream:
     and ``Generator.integers(lo, hi)`` for hi - lo < 2**32 is Lemire's
     bounded method (Lemire, ACM TOMACS 2019) on 32-bit halves: a word
     gives its low half first and keeps its high half for the next 32-bit
-    draw, across calls too. The stream gives the values, and consumes the
-    words, of those calls. While it holds no words, it reads each call's
-    words with one ``random_raw`` call. Once ``reserve`` has read ahead
-    into ``words``, every word is read into it and stays there, consumed
-    or not, until ``drop``, so that a caller can skip words, decode them
-    later by index and go back to an earlier position. Closing the stream
-    rewinds the generator over the words held and not consumed and
-    restores the kept half, so the generator is where the calls would have
-    left it.
+    draw, across calls too. The stream reads words ahead into ``words``
+    (``reserve``) and consumes them there: ``integers`` gives the values,
+    and takes the halves, of bounded integer calls, and ``skip`` consumes
+    words that a caller decodes later by index. Every word read stays in
+    ``words``, consumed or not, until ``drop``, so that a caller can go
+    back to an earlier position. Closing the stream rewinds the generator
+    over the words held and not consumed and restores the kept half, so
+    the generator is where the calls would have left it.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -254,11 +188,8 @@ class _RawStream:
         while True:
             half = self.half
             if half is None:
-                if not len(self.words):
-                    word = self._bitgen.random_raw()
-                else:
-                    start = self.skip(1)  # the read may replace self.words
-                    word = self.words.item(start)
+                start = self.skip(1)  # the read may replace self.words
+                word = self.words.item(start)
                 half, self.half = word & _HALF_MASK, word >> 32
             else:
                 self.half = None
@@ -266,34 +197,16 @@ class _RawStream:
             if product & _HALF_MASK >= threshold:
                 return lo + (product >> 32)
 
-    def _take(self, count: int) -> list[int]:
-        """The next ``count`` words, consumed."""
-        if not len(self.words):
-            return self._bitgen.random_raw(count).tolist()
-        start = self.skip(count)
-        return self.words[start:start + count].tolist()
-
-    def random(self, count: int) -> list[float]:
-        """``Generator.random(count)``, as a list."""
-        return self.uniforms(((0.0, 1.0),) * count)
-
-    def uniforms(self, boxes) -> list[float]:
-        """One draw from each (lo, hi) box, 0.0 for a None box, as
-        lo + (hi - lo) u of one ``random`` block: the values, and the
-        words, of one ``Generator.uniform(lo, hi)`` call per box."""
-        words = iter(self._take(len(boxes) - boxes.count(None)))
-        return [0.0 if box is None
-                else box[0] + (box[1] - box[0]) * ((next(words) >> 11) * _WORD_UNIT)
-                for box in boxes]
-
 
 class SpecSampler:
-    """Rejection sampler for standard-form specs over fixed parameter boxes.
+    """Rejection sampler for two-block specs over fixed parameter boxes.
 
-    Every draw reads the generator through a ``_RawStream``. A single
-    draw decodes one attempt at a time and builds it; a counted two-block
-    draw decodes a block of attempts as columns, screens them with one
-    ``bisymmetric_batch`` call and builds only the specs it keeps.
+    Every draw, single or counted, reads the generator through a
+    ``_RawStream``, decodes a block of attempts as columns, screens them
+    with one ``bisymmetric_batch`` call and builds only the specs it keeps.
+    The specs, counters and generator state are those of one
+    ``Generator.integers`` call per drawn block size and one
+    ``Generator.uniform`` call per drawn parameter, attempt after attempt.
     """
 
     def __init__(
@@ -326,71 +239,10 @@ class SpecSampler:
             return 0.0
         return 1.0 - self.accepted / self.attempts
 
-    def _draw(self, draw, spec_class):
-        """One spec by rejection: ``draw(stream)`` takes one attempt's row
-        of ``spec_class`` arguments, and each row is built until one is
-        accepted or ``max_tries`` are rejected."""
-        with _RawStream(self.rng) as stream:
-            for _ in range(self.max_tries):
-                self.attempts += 1
-                try:
-                    spec = spec_class(*draw(stream))
-                except InvalidArgumentError:
-                    continue
-                self.accepted += 1
-                return spec
-        raise RuntimeError("rejection sampling failed to produce a physical spec")
-
-    def _size(self, stream, given, low=1):
-        """A block size: ``given``, or drawn from low..max_block."""
-        return given if given is not None else stream.integers(low, self.max_block + 1)
-
-    def _two_block_boxes(self, m, n):
-        """The boxes of a two-block attempt's eight parameters."""
-        first = self.corr_box if m > 1 else None
-        second = self.corr_box if n > 1 else None
-        return (self.b_box, first, first, self.b_box, second, second) + (self.cross_box,) * 2
-
-    def fully_symmetric(self, modes: int | None = None) -> FullySymmetricSpec:
-        """One spec of ``modes`` modes, or of 2..max_block modes drawn."""
-        if modes is None and self.max_block < 2:
-            raise InvalidArgumentError(
-                f"drawing the mode count needs max_block >= 2, got {self.max_block}"
-            )
-
-        def draw(stream):
-            boxes = (self.b_box, self.corr_box, self.corr_box)
-            return (self._size(stream, modes, 2), *stream.uniforms(boxes))
-
-        return self._draw(draw, FullySymmetricSpec)
-
     def bisymmetric(self, m: int | None = None, n: int | None = None, count: int | None = None):
-        """One spec, or a list of ``count`` specs drawn one after another."""
-        if count is not None:
-            return self._counted(m, n, count)
-
-        def draw(stream):
-            mm, nn = self._size(stream, m), self._size(stream, n)
-            return (mm, nn, *stream.uniforms(self._two_block_boxes(mm, nn)))
-
-        return self._draw(draw, BisymmetricSpec)
-
-    def separable_bisymmetric(self, m: int | None = None, n: int | None = None) -> BisymmetricSpec:
-        """Product (g = 0) or classically correlated (g1 = g2 > 0) draws."""
-
-        def draw(stream):
-            mm, nn = self._size(stream, m), self._size(stream, n)
-            # same-sign x-x and p-p correlations between thermal blocks
-            # arise from mixing product states, hence stay separable
-            cross = (0.0, self.cross_box[1]) if stream.random(1)[0] >= 0.5 else None
-            first = self.corr_box if mm > 1 else None
-            second = self.corr_box if nn > 1 else None
-            local = (1.2, self.b_box[1])
-            boxes = (cross, local, first, first, local, second, second)
-            g, a, e1, e2, b, z1, z2 = stream.uniforms(boxes)
-            return mm, nn, a, e1 / 2, e2 / 2, b, z1 / 2, z2 / 2, g, g
-
-        return self._draw(draw, BisymmetricSpec)
+        """One spec, or a list of ``count`` specs drawn one after another;
+        a block size that is not given is drawn from 1..max_block."""
+        return self._counted(m, n, 1)[0] if count is None else self._counted(m, n, count)
 
     def _counted(self, m, n, count):
         """``count`` two-block specs: the specs, attempts and stream of
@@ -437,7 +289,9 @@ class SpecSampler:
         """The words of a two-block attempt, by its kind 2 (m > 1) + (n > 1):
         how many, and for each of the eight parameters its word (-1 for a
         None box), its box's lo and its hi - lo."""
-        kinds = [self._two_block_boxes(m, n) for m in (1, 2) for n in (1, 2)]
+        corr, cross = (None, self.corr_box), (self.cross_box,) * 2
+        kinds = [(self.b_box, first, first, self.b_box, second, second) + cross
+                 for first in corr for second in corr]
         drawn = np.array([[box is not None for box in boxes] for boxes in kinds])
         words = np.where(drawn, np.cumsum(drawn, axis=1) - 1, -1)
         lows = [[box[0] if box else 0.0 for box in boxes] for boxes in kinds]
@@ -452,7 +306,8 @@ class SpecSampler:
         Each attempt draws its block sizes from the stream's halves and
         skips the words of its parameters. The parameters are then decoded
         from the skipped words as arrays, lo + (hi - lo) u per box and 0.0
-        for a None box, as ``_RawStream.uniforms`` decodes one attempt.
+        for a None box, the values of one ``Generator.uniform(lo, hi)`` call
+        per drawn box.
         """
         widths, words, lows, scales = layout
         stream.drop()
@@ -639,7 +494,7 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     # each route's value per case, and its errors by case
     values = [[0.0] * cases for _ in range(3)]
     errors = ({}, {}, {})
-    invariant = equivalent_report(BisymmetricBatch.of(specs), return_errors=True)
+    invariant = equivalent_report(BisymmetricBatch.of(specs))
     values[0] = invariant.log_negativity.tolist()
     errors[0].update((case, e) for case, e in enumerate(invariant.errors) if e is not None)
     shapes: dict[tuple[int, int], list[int]] = {}

@@ -14,13 +14,8 @@ import pytest
 
 import entloc as el
 from entloc.experiments import traced_symmetric_spec
-from entloc.oracle import (
-    SpecSampler,
-    oracle_pt_log_negativity,
-    oracle_symplectic_spectrum,
-    random_bona_fide_cm,
-    random_symplectic,
-)
+from entloc.oracle import SpecSampler, oracle_symplectic_spectrum
+from oracle_helpers import ScalarSampler, random_bona_fide_cm, random_symplectic
 
 
 def _split(m, n):
@@ -52,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_degeneracy_theorem():
     """Spectra carry the predicted degenerate eigenvalues: (n-1, 1) for
     fully symmetric states, >= m-1 and >= n-1 for two-block states."""
-    sampler = SpecSampler(1001, max_block=10)
+    sampler = ScalarSampler(1001, max_block=10)
     for _ in range(200):
         spec = sampler.fully_symmetric()
         nus = oracle_symplectic_spectrum(el.fully_symmetric_cm(spec))
@@ -64,9 +59,7 @@ def test_criterion_2_degeneracy_theorem():
         assert near_plus >= 1
         assert len(nus) == spec.modes
 
-    sampler = SpecSampler(1002, max_block=6)
-    for _ in range(200):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(1002, max_block=6).bisymmetric(count=200):
         nus = oracle_symplectic_spectrum(el.bisymmetric_cm(spec))
         tol = 1e-8 * max(1.0, float(nus[0]))
         if spec.m > 1:
@@ -81,9 +74,7 @@ def test_criterion_2_degeneracy_theorem():
 def test_criterion_3_localization_structure():
     """The constructive reduction leaves nothing outside the target pattern
     and reproduces the purification identity."""
-    sampler = SpecSampler(1003, max_block=6)
-    for _ in range(100):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(1003, max_block=6).bisymmetric(count=100):
         cm = el.bisymmetric_cm(spec)
         scale = float(np.max(np.abs(cm.matrix)))
         result = el.localize(cm, spec.m, spec.n)
@@ -120,7 +111,7 @@ def test_criterion_4_pure_state_theorem():
 def test_criterion_5_ppt_decision_agreement():
     """The equivalent-state separability decision equals the full
     reflected-spectrum decision, including on separable constructions."""
-    sampler = SpecSampler(1005, max_block=5)
+    sampler = ScalarSampler(1005, max_block=5)
     rng = np.random.default_rng(1006)
     cases = []
     for i in range(150):

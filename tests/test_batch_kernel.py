@@ -21,6 +21,7 @@ from entloc.experiments import (
 from entloc.localization import _fs_split_spec
 from entloc.oracle import SpecSampler
 from entloc.states import BisymmetricBatch
+from oracle_helpers import ScalarSampler
 
 # valid specs on which the invariant route itself fails: an overflowing
 # square (NumericalDomainError) and an overflowing determinant that leaves
@@ -46,8 +47,9 @@ def _traced_splits():
 
 def test_batch_matches_single_calls():
     sampler = SpecSampler(2024)
-    specs = [sampler.bisymmetric() for _ in range(2000)]
-    specs += [sampler.separable_bisymmetric() for _ in range(200)]
+    specs = sampler.bisymmetric(count=2000)
+    separable = ScalarSampler(sampler.rng)  # the draws that follow on one stream
+    specs += [separable.separable_bisymmetric() for _ in range(200)]
     specs += _traced_splits()
     batch = el.equivalent_report(specs)
     assert len(batch) == len(specs)
@@ -74,9 +76,7 @@ def _local_basis(matrix, m, n, rng):
 
 def test_batch_from_cm_matches_single_calls_in_local_bases():
     rng = np.random.default_rng(7)
-    sampler = SpecSampler(8, max_block=4)
-    for _ in range(40):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(8, max_block=4).bisymmetric(count=40):
         cm = _local_basis(el.bisymmetric_cm(spec).matrix, spec.m, spec.n, rng)
         [batch] = el.equivalent_report_from_cm(cm, [spec.m], [spec.n])
         assert _same(batch, el.equivalent_report_from_cm(cm, spec.m, spec.n))
@@ -116,18 +116,18 @@ def _error_of(spec):
 @pytest.mark.parametrize(
     "failing", [(OVERFLOWING, NON_FINITE), (NON_FINITE, OVERFLOWING)], ids=["numerical", "invalid"]
 )
-def test_batch_raises_the_first_failing_spec(failing):
+def test_batch_keeps_each_failing_spec_error_in_place(failing):
     ok = SpecSampler(3).bisymmetric()
-    first = _error_of(failing[0])
-    with pytest.raises(type(first)) as info:
-        el.equivalent_report([ok, failing[0], ok, failing[1]])
-    assert str(info.value) == str(first)
-
-    results = el.equivalent_report([ok, *failing], return_errors=True)
-    assert _same(results[0], el.equivalent_report(ok))
-    for result, spec in zip(results[1:], failing):
-        expected = _error_of(spec)
+    results = el.equivalent_report([ok, failing[0], ok, failing[1]])
+    assert _same(results[0], el.equivalent_report(ok)) and _same(results[2], results[0])
+    for result, spec in zip(results[1::2], failing):
+        expected = _error_of(spec)  # a single spec raises
         assert type(result) is type(expected) and str(result) == str(expected)
+
+    columns = el.equivalent_report(BisymmetricBatch.of([ok, *failing]))
+    assert columns.errors[0] is None
+    for error, result in zip(columns.errors[1:], results[1::2]):
+        assert type(error) is type(result) and str(error) == str(result)
 
 
 def star_matrix():
@@ -140,24 +140,53 @@ def star_matrix():
     return el.CovarianceMatrix(matrix)
 
 
-def test_cm_batch_raises_the_error_of_the_first_failing_split():
+def test_cm_batch_keeps_each_failing_split_error_in_place():
     cm = star_matrix()
+    radicand, pattern = el.equivalent_report_from_cm(cm, [1, 2], [3, 2])
+    assert isinstance(radicand, NumericalDomainError) and "negative radicand" in str(radicand)
+    assert isinstance(pattern, LocalizationError)
+    assert "not block-permutation invariant" in str(pattern)
+    swapped = el.equivalent_report_from_cm(cm, [2, 1], [2, 3])
+    assert [type(error) for error in swapped] == [LocalizationError, NumericalDomainError]
+    assert [str(error) for error in swapped] == [str(pattern), str(radicand)]
+    for m, n, error in ((1, 3, radicand), (2, 2, pattern)):
+        with pytest.raises(type(error)) as info:
+            el.equivalent_report_from_cm(cm, m, n)
+        assert str(info.value) == str(error)
+    # the split-size scan raises the first failing split, k = 1
     with pytest.raises(NumericalDomainError, match="negative radicand"):
-        el.equivalent_report_from_cm(cm, [1, 2], [3, 2])
-    with pytest.raises(LocalizationError, match="not block-permutation invariant"):
-        el.equivalent_report_from_cm(cm, [2, 1], [2, 3])
+        el.optimal_localizable_entanglement(cm)
+
+
+# a 2 | 3 two-block state: its 1 | 4 split fails the pattern check
+TWO_THREE = el.BisymmetricSpec(2, 3, 1.5, 0.2, -0.1, 1.7, 0.25, -0.12, 0.3, -0.25)
+
+
+def test_cm_batch_keeps_one_failing_split_at_its_index():
+    """One split that fails its pattern check keeps that error at its
+    index, and the other splits get the reports of their single calls;
+    the split-size scan raises that error."""
+    cm = el.bisymmetric_cm(TWO_THREE)
+    first, failed, last = el.equivalent_report_from_cm(cm, [2, 1, 2], [3, 4, 3])
+    single = el.equivalent_report_from_cm(cm, 2, 3)
+    assert _same(first, single) and _same(last, single)
+    with pytest.raises(LocalizationError) as info:
+        el.equivalent_report_from_cm(cm, 1, 4)
+    assert type(failed) is LocalizationError and str(failed) == str(info.value)
+    with pytest.raises(LocalizationError) as info:
+        el.optimal_localizable_entanglement(cm)
+    assert str(info.value) == str(failed)
 
 
 def test_error_items_keep_their_place():
     ok = SpecSampler(3).bisymmetric()
     err = InvalidArgumentError("could not build this spec")
-    first, middle, last = el.equivalent_report([ok, err, ok], return_errors=True)
+    first, middle, last = el.equivalent_report([ok, err, ok])
     assert middle is err
     assert _same(first, el.equivalent_report(ok)) and _same(last, first)
-    with pytest.raises(InvalidArgumentError) as info:
-        el.equivalent_report([ok, err, OVERFLOWING])
-    assert info.value is err
-    assert el.equivalent_report([err], return_errors=True) == [err]
+    results = el.equivalent_report([ok, err, OVERFLOWING])
+    assert results[1] is err and isinstance(results[2], NumericalDomainError)
+    assert el.equivalent_report([err]) == [err]
 
 
 def test_kernel_error_classes():

@@ -8,6 +8,7 @@ import pytest
 import entloc as el
 from entloc.cli import main
 from entloc.oracle import SpecSampler
+from oracle_helpers import random_bona_fide_cm
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +68,16 @@ def test_report_from_spec_json_inline(capsys):
     assert payload["report"]["separable"] in (True, False)
 
 
+def test_report_from_spec_json_past_int64_block_products(capsys):
+    # m n = 9.61e18 wraps an int64 product; the invariant route must not
+    spec = {"m": 3_100_000_000, "n": 3_100_000_000, "a": 2.4, "e1": 0.24, "e2": 0.3, "b": 1.8,
+            "z1": 0.35, "z2": 0.2, "g1": 0.03, "g2": -0.03}
+    code, out, err = run_cli(capsys, "report", "--spec-json", json.dumps(spec))
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["separable"] is True and report["log_negativity"] == 0.0
+
+
 def test_report_from_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"modes": 6, "b": 1.5, "z1": 0.3, "z2": -0.2}))
@@ -112,8 +123,6 @@ def test_localize_subcommand_with_dumps(tmp_path, capsys):
 
 
 def test_localize_non_bisymmetric_exit_code(tmp_path, capsys):
-    from entloc.oracle import random_bona_fide_cm
-
     rng = np.random.default_rng(3)
     path = tmp_path / "generic.json"
     el.save_cm(random_bona_fide_cm(4, rng), path)
@@ -129,8 +138,6 @@ def test_localize_non_bisymmetric_exit_code(tmp_path, capsys):
 
 
 def test_report_localize_flag_non_bisymmetric_exit_code(tmp_path, capsys):
-    from entloc.oracle import random_bona_fide_cm
-
     rng = np.random.default_rng(4)
     path = tmp_path / "generic.json"
     el.save_cm(random_bona_fide_cm(4, rng), path)
@@ -219,6 +226,19 @@ def test_ole_from_cm_raises_the_error_of_the_first_split(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ole", "--cm", str(path))
     assert (code, out) == (3, "")
     assert "negative radicand" in err
+
+
+def test_ole_from_cm_raises_the_error_of_its_one_failing_split(tmp_path, capsys):
+    # a 2 | 3 two-block state: k = 1 fails the pattern check (exit 4), k = 2
+    # passes, and the scan raises the error of k = 1
+    spec = el.BisymmetricSpec(2, 3, 1.5, 0.2, -0.1, 1.7, 0.25, -0.12, 0.3, -0.25)
+    cm = el.bisymmetric_cm(spec)
+    path = tmp_path / "two_three.json"
+    el.save_cm(cm, path)
+    code, out, err = run_cli(capsys, "ole", "--cm", str(path))
+    assert (code, out) == (4, "")
+    [failed, _] = el.equivalent_report_from_cm(cm, [1, 2], [4, 3])
+    assert str(failed) in err
 
 
 def test_verify_small(capsys, tmp_path):

@@ -278,7 +278,7 @@ def test_batch_of_one_edge_point(params):
 
 def test_empty_sequences_and_tables():
     assert el.equivalent_report([]) == []
-    assert el.equivalent_report([], return_errors=True) == []
+    assert el.equivalent_report_from_cm(el.vacuum_cm(2), [], []) == []
     empty = bisymmetric_batch(*([] for _ in FIELDS))
     assert len(el.equivalent_report(empty).errors) == 0
     assert render_table([], HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"

@@ -30,12 +30,14 @@ from entloc.oracle import (
     SpecSampler,
     SuiteReports,
     _RawStream,
+    _WORD_UNIT,
     oracle_pt_log_negativity,
     reports_to_csv_text,
     run_oracle_suite,
     summarize_reports,
 )
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
+from oracle_helpers import ScalarSampler
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
 # recorded before the suite went columnar (numpy 2.4 with its bundled
@@ -72,89 +74,6 @@ def test_verify_1000_case_output_bytes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-class ScalarSampler:
-    """The samplers as they drew before: one ``rng.uniform`` call per
-    parameter, kept here as the reference."""
-
-    def __init__(self, seed, max_block, **boxes):
-        self.sampler = SpecSampler(seed, max_block=max_block, **boxes)  # for its boxes
-        self.rng = np.random.default_rng(seed)
-        self.max_block = max_block
-        self.max_tries = self.sampler.max_tries
-        self.attempts = self.accepted = 0
-
-    def _uniform(self, box):
-        return float(self.rng.uniform(*box))
-
-    def _draw(self, build):
-        for _ in range(self.max_tries):
-            self.attempts += 1
-            try:
-                spec = build()
-            except InvalidArgumentError:
-                continue
-            self.accepted += 1
-            return spec
-        raise RuntimeError("rejection sampling failed to produce a physical spec")
-
-    def fully_symmetric(self, modes=None):
-        s = self.sampler
-
-        def build():
-            n = modes if modes is not None else int(self.rng.integers(2, self.max_block + 1))
-            return el.FullySymmetricSpec(
-                n, self._uniform(s.b_box), self._uniform(s.corr_box), self._uniform(s.corr_box)
-            )
-
-        return self._draw(build)
-
-    def bisymmetric(self, m=None, n=None):
-        s = self.sampler
-
-        def build():
-            mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
-            nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
-            return el.BisymmetricSpec(
-                m=mm,
-                n=nn,
-                a=self._uniform(s.b_box),
-                e1=self._uniform(s.corr_box) if mm > 1 else 0.0,
-                e2=self._uniform(s.corr_box) if mm > 1 else 0.0,
-                b=self._uniform(s.b_box),
-                z1=self._uniform(s.corr_box) if nn > 1 else 0.0,
-                z2=self._uniform(s.corr_box) if nn > 1 else 0.0,
-                g1=self._uniform(s.cross_box),
-                g2=self._uniform(s.cross_box),
-            )
-
-        return self._draw(build)
-
-    def separable_bisymmetric(self, m=None, n=None):
-        s = self.sampler
-
-        def build():
-            mm = m if m is not None else int(self.rng.integers(1, self.max_block + 1))
-            nn = n if n is not None else int(self.rng.integers(1, self.max_block + 1))
-            if self.rng.random() < 0.5:
-                g1 = g2 = 0.0
-            else:
-                g1 = g2 = float(self.rng.uniform(0.0, s.cross_box[1]))
-            return el.BisymmetricSpec(
-                m=mm,
-                n=nn,
-                a=self._uniform((1.2, s.b_box[1])),
-                e1=self._uniform(s.corr_box) / 2 if mm > 1 else 0.0,
-                e2=self._uniform(s.corr_box) / 2 if mm > 1 else 0.0,
-                b=self._uniform((1.2, s.b_box[1])),
-                z1=self._uniform(s.corr_box) / 2 if nn > 1 else 0.0,
-                z2=self._uniform(s.corr_box) / 2 if nn > 1 else 0.0,
-                g1=g1,
-                g2=g2,
-            )
-
-        return self._draw(build)
-
-
 def _spec_bits(spec):
     return tuple(map(repr, dataclasses.astuple(spec)))
 
@@ -167,9 +86,10 @@ def _spec_bits(spec):
     draws=st.integers(1, 25),
 )
 def test_samplers_draw_what_scalar_uniform_calls_drew(seed, max_block, fixed, draws):
-    """Each sampler gives the specs, attempts and accepts of the scalar
-    code for one seed, with drawn and with given block sizes, and calls of
-    the three samplers interleave on one stream as before."""
+    """Single draws give the specs, attempts and accepts of the scalar code
+    for one seed, with drawn and with given block sizes, and they
+    interleave on one stream with live scalar draws of the other spec
+    kinds, which leave the generator with or without a kept half."""
     calls = [
         ("bisymmetric", {}),
         ("separable_bisymmetric", {}),
@@ -181,12 +101,15 @@ def test_samplers_draw_what_scalar_uniform_calls_drew(seed, max_block, fixed, dr
     if max_block > 1:  # fully symmetric blocks are drawn from 2..max_block
         calls.append(("fully_symmetric", {}))
     new, old = SpecSampler(seed, max_block=max_block), ScalarSampler(seed, max_block)
+    live = ScalarSampler(new.rng, max_block)  # live draws on the replayed generator
     for i in range(draws):
         method, kwargs = calls[i % len(calls)]
-        got, want = getattr(new, method)(**kwargs), getattr(old, method)(**kwargs)
+        drawer = new if method == "bisymmetric" else live
+        got, want = getattr(drawer, method)(**kwargs), getattr(old, method)(**kwargs)
         assert type(got) is type(want)
         assert _spec_bits(got) == _spec_bits(want)
-        assert (new.attempts, new.accepted) == (old.attempts, old.accepted)
+        counters = (new.attempts + live.attempts, new.accepted + live.accepted)
+        assert counters == (old.attempts, old.accepted)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 4242, 99])
@@ -216,7 +139,7 @@ def _same_state(new, old):
 @pytest.mark.parametrize("max_tries", [1, 2, 7, 40])
 @pytest.mark.parametrize("method, kwargs", [
     ("bisymmetric", {}), ("bisymmetric", {"count": 1}), ("bisymmetric", {"count": 25}),
-    ("bisymmetric", {"m": 3, "count": 25}), ("fully_symmetric", {}),
+    ("bisymmetric", {"m": 3, "count": 25}), ("bisymmetric", {"m": 1, "n": 1}),
 ])
 def test_a_box_that_is_never_physical_fails_after_the_scalar_attempts(method, kwargs, max_tries):
     new = SpecSampler(5, max_tries=max_tries, **NEVER_PHYSICAL)
@@ -264,15 +187,22 @@ REPLAY_SPANS = (1, 2, 3, 6, 7, 2**31 + 1, 2**32 - 1)
 def _replayed_calls(seed, calls, cached):
     """``calls`` random calls, each on a live generator and on the stream
     of a second generator of the same seed, which is closed and reopened
-    now and then, sometimes after reading words ahead. With ``cached``,
-    both generators first draw one bounded integer, so that they start
-    with a kept half. Asserts each pair of values equal."""
+    now and then, sometimes after reading words ahead. A bounded integer
+    call is replayed by ``integers``, a ``random`` call by skipping its
+    words and decoding them, as a counted draw decodes its parameters.
+    With ``cached``, both generators first draw one bounded integer, so
+    that they start with a kept half. Asserts each pair of values equal."""
     live, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
     if cached:
         assert live.integers(0, 6) == replayed.integers(0, 6)
         assert replayed.bit_generator.state["has_uint32"] == 1
     plan = np.random.default_rng(seed + 1)
     stream = _RawStream(replayed)
+
+    def uniforms(count):
+        start = stream.skip(count)
+        return ((stream.words[start:start + count] >> 11) * _WORD_UNIT).tolist()
+
     for _ in range(calls):
         kind = plan.integers(0, 5)
         if kind == 0:
@@ -283,9 +213,9 @@ def _replayed_calls(seed, calls, cached):
             assert stream.integers(lo, lo + span) == want
         elif kind == 1:
             count = int(plan.integers(0, 9))
-            assert stream.random(count) == live.random(count).tolist()
+            assert uniforms(count) == live.random(count).tolist()
         elif kind == 2:
-            assert stream.random(1) == [live.random()]
+            assert uniforms(1) == [live.random()]
         elif kind == 3:
             stream.reserve(int(plan.integers(0, 40)))  # read ahead, to be rewound
         else:
@@ -339,19 +269,20 @@ LOW_ACCEPTANCE = {"b_box": (1.0, 1.5)}
     max_block=st.integers(1, 6),
     fixed=st.sampled_from([{}, {"m": 1}, {"m": 3}, {"n": 1}, {"n": 4}, {"m": 2, "n": 5}]),
     boxes=st.sampled_from([{}, LOW_ACCEPTANCE]),
-    after_fully_symmetric=st.booleans(),
+    after_live_integer=st.booleans(),
 )
 def test_counted_draw_is_the_scalar_run(seed, count, max_block, fixed, boxes,
-                                        after_fully_symmetric):
+                                        after_live_integer):
     """A counted draw gives the specs, counters and stream of the scalar
     loop: with few accepts per block, with given block sizes, with every
-    max_block, and after a fully symmetric draw that leaves a kept half."""
+    max_block, and after a live bounded integer call that leaves a kept
+    half on both generators."""
     new = SpecSampler(seed, max_block=max_block, **boxes)
     old = ScalarSampler(seed, max_block, **boxes)
-    if after_fully_symmetric and max_block > 1:
-        assert _spec_bits(new.fully_symmetric()) == _spec_bits(old.fully_symmetric())
-        has_half = old.rng.bit_generator.state["has_uint32"]
-        assert new.rng.bit_generator.state["has_uint32"] == has_half
+    if after_live_integer:
+        assert new.rng.integers(0, 6) == old.rng.integers(0, 6)
+        assert new.rng.bit_generator.state["has_uint32"] == 1
+        assert old.rng.bit_generator.state["has_uint32"] == 1
     got = new.bisymmetric(count=count, **fixed)
     want = [old.bisymmetric(**fixed) for _ in range(count)]
     assert list(map(_spec_bits, got)) == list(map(_spec_bits, want))

@@ -6,11 +6,8 @@ import pytest
 
 import entloc as el
 from entloc.errors import InvalidArgumentError
-from entloc.oracle import (
-    oracle_pt_log_negativity,
-    random_bona_fide_cm,
-    random_local_symplectic,
-)
+from entloc.oracle import oracle_pt_log_negativity
+from oracle_helpers import random_bona_fide_cm, random_local_symplectic
 
 
 def _split(m, n):

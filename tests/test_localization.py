@@ -7,11 +7,12 @@ import pytest
 
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
-from entloc.oracle import (
-    SpecSampler,
-    oracle_pt_log_negativity,
+from entloc.oracle import SpecSampler, oracle_pt_log_negativity, oracle_symplectic_spectrum
+from oracle_helpers import (
+    ScalarSampler,
+    exhaustive_bipartition_scan,
     oracle_spectrum_multiplicities,
-    oracle_symplectic_spectrum,
+    random_bona_fide_cm,
     random_symplectic,
 )
 
@@ -77,7 +78,7 @@ def test_nu_plus_from_two_mode_thermal():
 
 
 def test_nu_plus_identity_random_specs():
-    sampler = SpecSampler(808, max_block=10)
+    sampler = ScalarSampler(808, max_block=10)
     for _ in range(200):
         spec = sampler.fully_symmetric()
         block = el.fs_block_spectrum(spec)
@@ -127,7 +128,7 @@ def test_fs_global_purity_thermal():
 
 
 def test_fs_global_purity_matches_determinant():
-    sampler = SpecSampler(99, max_block=8)
+    sampler = ScalarSampler(99, max_block=8)
     for _ in range(25):
         spec = sampler.fully_symmetric()
         direct = el.purity(el.fully_symmetric_cm(spec))
@@ -140,9 +141,7 @@ def test_global_delta_trivial_case():
 
 
 def test_global_delta_matches_block_sum_oracle():
-    sampler = SpecSampler(7, max_block=5)
-    for _ in range(25):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(7, max_block=5).bisymmetric(count=25):
         assembled = el.delta_invariant(el.bisymmetric_cm(spec))
         assert el.global_delta_bisym(spec) == pytest.approx(assembled, rel=1e-9)
 
@@ -173,9 +172,7 @@ def test_equivalent_uncorrelated_is_product():
 
 
 def test_equivalent_cm_consistent_with_its_invariants():
-    sampler = SpecSampler(13, max_block=6)
-    for _ in range(50):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(13, max_block=6).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
         assert el.purity(eq.cm_eq) == pytest.approx(eq.mu_eq, rel=1e-8)
         assert el.delta_invariant(eq.cm_eq) == pytest.approx(eq.delta_eq, rel=1e-8)
@@ -191,9 +188,7 @@ def test_equivalent_pure_parent_is_two_mode_squeezed():
 
 
 def test_equivalent_nu_tilde_matches_pt_of_explicit_matrix():
-    sampler = SpecSampler(17, max_block=6)
-    for _ in range(50):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(17, max_block=6).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
         from_invariants = eq.nu_tilde_pair()
         dense = np.sort(el.pt_spectrum(eq.cm_eq, _split(1, 1)).values)
@@ -201,9 +196,7 @@ def test_equivalent_nu_tilde_matches_pt_of_explicit_matrix():
 
 
 def test_equivalent_purification_direction():
-    sampler = SpecSampler(19, max_block=5)
-    for _ in range(50):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(19, max_block=5).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
         mu_parent = el.purity(el.bisymmetric_cm(spec))
         assert eq.mu_eq >= mu_parent - 1e-10
@@ -227,12 +220,25 @@ def test_equivalent_traced_parent_keeps_purity():
 
 
 def test_equivalent_from_cm_matches_spec_route():
-    sampler = SpecSampler(23, max_block=5)
-    for _ in range(20):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(23, max_block=5).bisymmetric(count=20):
         eq_spec = el.equivalent_two_mode_invariants(spec)
         eq_cm = el.equivalent_from_cm(el.bisymmetric_cm(spec), spec.m, spec.n)
         assert np.allclose(eq_spec.cm_eq.matrix, eq_cm.cm_eq.matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("size", [2_200_000_000, 3_100_000_000])
+def test_invariant_route_block_sizes_past_int64_products(size):
+    """2 m n (at m = n = 2.2e9) or m n (at 3.1e9) is past 2**63, where an
+    int64 product wraps. The report is finite, and per mode within 1e-8 of
+    the report at m = n = 2e9, whose 2 m n is below 2**63 (the wrapped
+    product was 9% off at 2.2e9)."""
+    fields = (2.4, 0.24, 0.3, 1.8, 0.35, 0.2, 0.03, -0.03)
+    report = el.equivalent_report(el.BisymmetricSpec(size, size, *fields))
+    below = el.equivalent_report(el.BisymmetricSpec(2_000_000_000, 2_000_000_000, *fields))
+    assert report.separable is True and report.log_negativity == 0.0
+    assert math.isfinite(report.nu_tilde_min)
+    assert report.nu_tilde_min / size == pytest.approx(below.nu_tilde_min / 2e9, rel=1e-8)
+    assert el.equivalent_report([el.BisymmetricSpec(size, size, *fields)]) == [report]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +324,6 @@ def test_localize_degenerate_thermal_blocks():
 
 def test_localize_rejects_non_bisymmetric():
     rng = np.random.default_rng(67)
-    from entloc.oracle import random_bona_fide_cm
-
     cm = random_bona_fide_cm(4, rng)
     with pytest.raises(LocalizationError):
         el.localize(cm, 2, 2)
@@ -385,8 +389,7 @@ def test_grouped_localize_and_oracle_equal_batches_of_one():
     """A stack per (m, n) shape gives every matrix the bits of its batch of
     one, for all 36 shapes of the sampler: the stacked LAPACK and BLAS
     calls must round as the per-matrix ones do."""
-    sampler = SpecSampler(2026, max_block=6)
-    specs = [sampler.bisymmetric() for _ in range(2000)]
+    specs = SpecSampler(2026, max_block=6).bisymmetric(count=2000)
     shapes = {}
     for spec in specs:
         shapes.setdefault((spec.m, spec.n), []).append(el.bisymmetric_cm(spec))
@@ -451,9 +454,7 @@ def test_localize_rejects_bad_split():
 
 
 def test_localize_matches_invariant_route():
-    sampler = SpecSampler(29, max_block=6)
-    for _ in range(40):
-        spec = sampler.bisymmetric()
+    for spec in SpecSampler(29, max_block=6).bisymmetric(count=40):
         eq_inv = el.equivalent_two_mode_invariants(spec)
         result = el.localize(el.bisymmetric_cm(spec), spec.m, spec.n)
         assert np.allclose(
@@ -476,7 +477,7 @@ def test_localization_result_json_shape():
 
 
 def test_separability_agreement_including_separable_cases():
-    sampler = SpecSampler(31, max_block=4)
+    sampler = ScalarSampler(31, max_block=4)
     seen_separable = 0
     for i in range(60):
         spec = sampler.separable_bisymmetric() if i % 2 else sampler.bisymmetric()
@@ -561,8 +562,6 @@ def test_ole_accepts_covariance_matrix_input():
 
 
 def test_ole_matches_exhaustive_oracle_scan():
-    from entloc.oracle import exhaustive_bipartition_scan
-
     spec = el.ghz_type_spec(10, 1.6)
     cm = el.fully_symmetric_cm(spec)
     scan = exhaustive_bipartition_scan(cm)

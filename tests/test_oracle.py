@@ -8,14 +8,13 @@ import entloc as el
 from entloc.oracle import (
     OracleReport,
     SpecSampler,
-    exhaustive_bipartition_scan,
     oracle_pt_log_negativity,
-    oracle_spectrum_multiplicities,
     reports_to_csv_text,
     run_oracle_suite,
     summarize_reports,
     write_suite_outputs,
 )
+from oracle_helpers import ScalarSampler, exhaustive_bipartition_scan, oracle_spectrum_multiplicities
 
 
 def _split(m, n):
@@ -99,16 +98,12 @@ def test_sampler_rejects_block_bounds_before_drawing():
     with pytest.raises(el.InvalidArgumentError, match="max_block must be at least 1, got 0"):
         SpecSampler(1, max_block=0)
     sampler = SpecSampler(1, max_block=1)
-    with pytest.raises(el.InvalidArgumentError, match="needs max_block >= 2, got 1"):
-        sampler.fully_symmetric()
-    assert (sampler.attempts, sampler.accepted) == (0, 0)
-    # the refused call drew nothing: the stream is that of a fresh sampler
-    assert sampler.fully_symmetric(modes=3) == SpecSampler(1, max_block=1).fully_symmetric(modes=3)
     assert sampler.bisymmetric().m == 1
+    assert {(spec.m, spec.n) for spec in sampler.bisymmetric(count=20)} == {(1, 1)}
 
 
 def test_separable_sampler_produces_separable_states():
-    sampler = SpecSampler(6)
+    sampler = ScalarSampler(6)
     for _ in range(10):
         spec = sampler.separable_bisymmetric()
         report = el.equivalent_report(spec)
@@ -174,15 +169,14 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     import entloc.oracle
     import entloc.states
 
-    sampler = SpecSampler(seed)
-    specs = [sampler.bisymmetric() for _ in range(cases)]
+    specs = SpecSampler(seed).bisymmetric(count=cases)
     real_report = entloc.localization.equivalent_report
     real_cm = entloc.states.bisymmetric_cm
     real_spectrum = entloc.oracle._dense_symplectic_spectrum
     marks = [specs[i].a for i in spectrum]
 
-    def report(batch, **kwargs):
-        out = real_report(batch, **kwargs)
+    def report(batch):
+        out = real_report(batch)
         return out._replace(errors=[
             el.InconsistentInvariantsError(f"forced case {i}") if i in invariant else error
             for i, error in enumerate(out.errors)
@@ -216,8 +210,7 @@ def test_suite_raises_first_failing_case_in_order(monkeypatch):
     """The first failing case in case order raises, whatever shape group
     it sits in; within a case the invariant route goes first, then
     localize, then the dense oracle."""
-    sampler = SpecSampler(11)
-    specs = [sampler.bisymmetric() for _ in range(40)]
+    specs = SpecSampler(11).bisymmetric(count=40)
     shapes = [(s.m, s.n) for s in specs]
     first_seen = {shape: shapes.index(shape) for shape in shapes}
     # i < j with j's shape group met first; both can break the pattern (m >= 2)

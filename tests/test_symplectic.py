@@ -9,11 +9,8 @@ from entloc.errors import (
     InvalidArgumentError,
     NumericalDomainError,
 )
-from entloc.oracle import (
-    oracle_symplectic_spectrum,
-    random_bona_fide_cm,
-    random_symplectic,
-)
+from entloc.oracle import oracle_symplectic_spectrum
+from oracle_helpers import random_bona_fide_cm, random_symplectic
 
 
 def test_symplectic_form_single_mode():
