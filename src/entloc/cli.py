@@ -250,7 +250,7 @@ def _cmd_localize(args) -> int:
 def _cmd_hierarchy(args) -> int:
     cfg = SweepConfig(
         modes=args.modes,
-        k_values=tuple(args.k) if args.k else None,
+        k_values=None if args.k is None else tuple(args.k),
         b_grid=parse_b_grid(args.b_grid),
         trace_out=tuple(args.trace_out),
         jobs=args.jobs,
@@ -310,8 +310,12 @@ def _cmd_verify(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
+    parts = text.split(",")
+    if "" in parts:
+        what = "an empty list" if text == "" else f"an empty item in the list {text!r}"
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {what}")
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 

@@ -70,9 +70,6 @@ class ModeBipartition:
                 f"bipartition covers modes {sorted(covered)}, expected {sorted(expected)}"
             )
 
-    def swapped(self) -> "ModeBipartition":
-        return ModeBipartition(self.side_b, self.side_a)
-
 
 @dataclass(frozen=True)
 class EntanglementReport:

@@ -42,7 +42,7 @@ class SweepConfig:
     One config serves both sweeps: ``run_hierarchy`` reads ``modes``,
     ``k_values`` and ``b_grid``, ``run_scaling`` reads ``b`` and
     ``n_range``, both read ``trace_out``. Every field is validated, and
-    an empty ``b_grid`` and unset ``k_values`` get their defaults.
+    an empty ``b_grid`` and a ``k_values`` of None get their defaults.
     ``modes`` is the total mode count of the hierarchy state (the paper
     figure uses 20); ``trace_out`` lists the q values, with q = 0 the pure
     family and q > 0 the family traced down from a (modes+q)-mode parent.
@@ -62,14 +62,18 @@ class SweepConfig:
     def __post_init__(self):
         if self.modes < 2:
             raise InvalidArgumentError(f"need at least two modes, got {self.modes}")
-        if any(q < 0 for q in self.trace_out) or not self.trace_out:
+        if not self.trace_out:
+            raise InvalidArgumentError("trace-out counts must not be an empty list")
+        if any(q < 0 for q in self.trace_out):
             raise InvalidArgumentError(f"trace-out counts must be >= 0, got {self.trace_out}")
         _require_finite(b=self.b, **{f"b_grid[{i}]": b for i, b in enumerate(self.b_grid)})
         if not self.b_grid:
             object.__setattr__(self, "b_grid", default_b_grid())
         if any(b < 1.0 for b in self.b_grid):
             raise InvalidArgumentError("squeezing grid values must be >= 1")
-        ks = self.k_values or tuple(range(1, self.modes // 2 + 1))
+        ks = tuple(range(1, self.modes // 2 + 1)) if self.k_values is None else self.k_values
+        if not ks:
+            raise InvalidArgumentError("split sizes must not be an empty list")
         if any(not 1 <= k <= self.modes - 1 for k in ks):
             raise InvalidArgumentError(f"split sizes {ks} out of range")
         object.__setattr__(self, "k_values", tuple(ks))

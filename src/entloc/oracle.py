@@ -6,25 +6,28 @@ eigensolver. They deliberately avoid the closed-form code paths they are
 used to check, and they are allowed to be slow.
 
 ``oracle_pt_log_negativity`` takes a sequence of equal-size matrices as
-one stack: one mirror, one stacked ``np.linalg.eigvals`` call (the same
-bits per matrix as a call on it alone), then the same per-value
-``math.log`` sum for each matrix. The cross-check suite is columnar from
-sampling to the summary. ``SpecSampler`` has one draw path: it reads its
-generator as raw PCG64 words (``_RawStream``), from which it replays the
-generator's bounded integers and uniform doubles bit for bit, and draws
-a single spec as a counted draw of one. A counted draw goes a block of
-attempts at a time: the block is decoded as columns and screened by one
-array check, its decisions are taken in order, the stream is cut at the
-last attempt single draws would have made, and only the accepted
-attempts are built as specs. The invariant route runs as one batch. Each
-(m, n) shape is assembled, checked, reduced and brute-forced as one
-stack, all reduced two-mode matrices go through the oracle as one stack,
-and the route values and comparisons stay in columns (``SuiteReports``).
-In process on a shared 2-core machine, for 1000 cases (best and median
-of 21 runs, alternating with the code that made scalar generator calls
-for every attempt and screened the attempts in rounds): the sampler
-takes 0.019-0.021 s against 0.042-0.044 s, and the whole suite
-0.077-0.087 s against 0.094-0.103 s.
+one stack: one mirror, Omega @ sigma as a signed row swap (the bits of
+the matmul), one stacked ``np.linalg.eigvals`` call (the same bits per
+matrix as a call on it alone), then the finite test and the -sum of
+``math.log`` over the sub-unit values as columns. The cross-check suite
+is columnar from sampling to the summary. ``SpecSampler`` has one draw
+path: it reads its generator as raw PCG64 words (``_RawStream``), from
+which it replays the generator's bounded integers and uniform doubles
+bit for bit, and draws a single spec as a counted draw of one. A counted
+draw goes a block of attempts at a time: one loop over local variables
+walks the block's attempts through the words, the block is decoded as
+columns and screened by one array check, its decisions are taken in
+order, the stream is cut at the last attempt single draws would have
+made, and only the accepted attempts are built as specs. The invariant
+route runs as one batch. Each (m, n) shape is assembled, checked,
+reduced and brute-forced as one stack, all reduced two-mode matrices go
+through the oracle as one stack, and the route values and comparisons
+stay in columns (``SuiteReports``). In process on a shared 2-core
+machine, for 1000 cases (best and median of 21 runs, alternating with
+the code that walked the attempts by one stream call per drawn value,
+multiplied by a dense Omega and summed the logarithms one matrix at a
+time): the sampler takes 0.011-0.018 s against 0.015-0.025 s, and the
+whole suite 0.085-0.129 s against 0.092-0.146 s.
 """
 
 from __future__ import annotations
@@ -44,31 +47,69 @@ REL_TOL_DEFAULT = 1e-7
 ABS_TOL_DEFAULT = 1e-9
 
 
-def _dense_omega(modes: int) -> np.ndarray:
-    omega = np.zeros((2 * modes, 2 * modes))
-    omega[0::2, 1::2] = np.eye(modes)
-    omega[1::2, 0::2] = -np.eye(modes)
-    return omega
+def _omega_times(matrix: np.ndarray) -> np.ndarray:
+    """Omega @ matrix for the symplectic form Omega of diagonal blocks
+    [[0, 1], [-1, 0]], for one matrix or a stack: row 2k is row 2k + 1 of
+    ``matrix`` and row 2k + 1 is minus row 2k.
+
+    The matmul sums each entry's one product with 1 or -1 and its
+    products with 0 from +0.0: the value of that one product, but +0.0
+    where it is -0.0. Adding 0.0 does the same here, so the bits are the
+    matmul's.
+    """
+    product = np.empty_like(matrix)
+    product[..., 0::2, :] = matrix[..., 1::2, :]
+    np.negative(matrix[..., 0::2, :], out=product[..., 1::2, :])
+    product += 0.0
+    return product
 
 
 def _dense_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
     """All paired |Im eigenvalue| of Omega @ matrix, descending, for one
     matrix or along the last axis of a stack of them."""
-    modes = matrix.shape[-1] // 2
-    eigenvalues = np.linalg.eigvals(_dense_omega(modes) @ matrix)
+    eigenvalues = np.linalg.eigvals(_omega_times(matrix))
     magnitudes = np.sort(np.abs(eigenvalues.imag), axis=-1)[..., ::-1]
     return 0.5 * (magnitudes[..., 0::2] + magnitudes[..., 1::2])
 
 
 def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
+    """``matrix`` with the momenta of ``flip_modes`` mirrored, in place."""
     signs = np.ones(matrix.shape[-1])
     for k in flip_modes:
         signs[2 * k + 1] = -1.0
-    return matrix * np.outer(signs, signs)
+    matrix *= np.outer(signs, signs)
+    return matrix
 
 
 def oracle_symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
     return _dense_symplectic_spectrum(np.array(cm.matrix))
+
+
+def _log_negativities(nus: np.ndarray) -> list:
+    """max(0, -sum of ln nu over the sub-unit nu) of each row of a (K, N)
+    spectrum stack, or the error of a row that is not finite.
+
+    ``math.log`` runs on the sub-unit values of the finite rows, in order.
+    A row with one such value or none is its sum whatever the order, so
+    those rows are summed as columns; a row with more is summed by
+    Python's ``sum``, which compensates its rounding from Python 3.12 on.
+    """
+    finite = np.isfinite(nus).all(axis=1)
+    below = (nus < 1.0) & finite[:, None]
+    logs = np.zeros(nus.shape)
+    logs[below] = list(map(math.log, nus[below].tolist()))
+    totals = -logs.sum(axis=1)
+    for k in np.flatnonzero(below.sum(axis=1) > 1).tolist():
+        totals[k] = -sum(logs[k, below[k]].tolist())
+    # the zeros share one float, as max(0.0, 0) gave them: the suite holds
+    # these values to its end, and a float per zero raised its peak memory
+    values = [0.0] * len(nus)
+    positive = np.flatnonzero(totals > 0.0)
+    for k, total in zip(positive.tolist(), totals[positive].tolist()):
+        values[k] = total
+    for k in np.flatnonzero(~finite).tolist():
+        values[k] = NumericalDomainError("dense eigensolver returned non-finite spectrum")
+    return values
 
 
 def oracle_pt_log_negativity(cm, part):
@@ -84,19 +125,15 @@ def oracle_pt_log_negativity(cm, part):
     or its error, in place.
     """
     single = isinstance(cm, CovarianceMatrix)
-    cms = [cm] if single else list(cm)
-    shapes = sorted({c.matrix.shape for c in cms})
-    if len(shapes) > 1:
-        raise InvalidArgumentError(f"matrices of one size required, got shapes {shapes}")
-    values = []
-    if cms:
-        matrices = _mirror_momenta(np.array([c.matrix for c in cms]), part.side_b)
-        for nus in _dense_symplectic_spectrum(matrices).tolist():
-            if not all(map(math.isfinite, nus)):
-                values.append(NumericalDomainError("dense eigensolver returned non-finite spectrum"))
-                continue
-            total = -sum(math.log(nu) for nu in nus if nu < 1.0)
-            values.append(max(0.0, total))
+    matrices = [c.matrix for c in ([cm] if single else cm)]
+    if not matrices:
+        return []
+    try:
+        stack = np.array(matrices)
+    except ValueError:  # square matrices of more than one size
+        shapes = sorted({matrix.shape for matrix in matrices})
+        raise InvalidArgumentError(f"matrices of one size required, got shapes {shapes}") from None
+    values = _log_negativities(_dense_symplectic_spectrum(_mirror_momenta(stack, part.side_b)))
     if single and isinstance(values[0], NumericalDomainError):
         raise values[0]
     return values[0] if single else values
@@ -129,7 +166,10 @@ class _RawStream:
     draw, across calls too. The stream reads words ahead into ``words``
     (``reserve``) and consumes them there: ``integers`` gives the values,
     and takes the halves, of bounded integer calls, and ``skip`` consumes
-    words that a caller decodes later by index. Every word read stays in
+    words that a caller decodes later by index. A counted draw moves
+    ``pos`` and ``half`` over ``words`` itself, with the arithmetic of
+    ``integers`` inlined (``SpecSampler._attempt_columns``); the tests
+    hold it to these one-call forms. Every word read stays in
     ``words``, consumed or not, until ``drop``, so that a caller can go
     back to an earlier position. Closing the stream rewinds the generator
     over the words held and not consumed and restores the kept half, so
@@ -275,10 +315,10 @@ class SpecSampler:
                     last, tries = hit, self.max_tries
                 used = last + 1 if len(hits) == needed else min(size, last + 1 + tries)
                 tries -= used - last - 1
-                stream.pos, stream.half = ends[used - 1], kept[used - 1]
+                stream.pos, stream.half = int(ends[used - 1]), kept[used - 1]
                 self.attempts += used
-                rows = np.vstack((sizes, params))[:, hits].T.tolist()
-                specs.extend(BisymmetricSpec(int(mm), int(nn), *rest) for mm, nn, *rest in rows)
+                rows = zip(*sizes[:, hits].tolist(), params[:, hits].T.tolist())
+                specs.extend(BisymmetricSpec(mm, nn, *rest) for mm, nn, rest in rows)
                 rate = max(len(hits), 1) / used
         self.accepted += len(specs)
         if len(specs) < count:
@@ -303,30 +343,77 @@ class SpecSampler:
         sizes, the (8, size) parameters, and the stream's position and kept
         half after each attempt.
 
-        Each attempt draws its block sizes from the stream's halves and
-        skips the words of its parameters. The parameters are then decoded
-        from the skipped words as arrays, lo + (hi - lo) u per box and 0.0
-        for a None box, the values of one ``Generator.uniform(lo, hi)`` call
-        per drawn box.
+        One loop over local variables walks the attempts: it draws each
+        block size that is not given by Lemire's method on the stream's
+        halves, the arithmetic of ``_RawStream.integers`` inlined, and steps
+        over the words of the attempt's parameters, reading more words
+        only when Lemire rejections have used up those held. The
+        parameters are then decoded from their words as arrays, lo +
+        (hi - lo) u per box and 0.0 for a None box, the values of one
+        ``Generator.uniform(lo, hi)`` call per drawn box.
         """
         widths, words, lows, scales = layout
         stream.drop()
         stream.reserve(size * (2 + max(widths)))
-        integers, top = stream.integers, self.max_block + 1
-        sizes, starts, ends, kept = [], [], [], []
+        held, pos, half = memoryview(stream.words), stream.pos, stream.half
+        span, mask = self.max_block, _HALF_MASK
+        threshold = (mask + 1 - span) % span
+        # a span of one draws nothing, as Generator.integers(1, 2) does
+        draw_m, draw_n = m is None and span > 1, n is None and span > 1
+        mm, nn = 1 if m is None else m, 1 if n is None else n
+        ms, ns, starts, kept = [], [], [], []
+        # the two draws are written out: a loop over (m, n) made the walk 10-20% slower
         for _ in range(size):
-            mm = m if m is not None else integers(1, top)
-            nn = n if n is not None else integers(1, top)
-            sizes.append((mm, nn))
-            starts.append(stream.skip(widths[2 * (mm > 1) + (nn > 1)]))
-            ends.append(stream.pos)
-            kept.append(stream.half)
-        sizes = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+            if draw_m:
+                while True:
+                    if half is None:
+                        if pos >= len(held):
+                            held = _more_words(stream, pos, size)
+                        word = held[pos]
+                        pos += 1
+                        low, half = word & mask, word >> 32
+                    else:
+                        low, half = half, None
+                    product = low * span
+                    if product & mask >= threshold:
+                        break
+                mm = 1 + (product >> 32)
+            if draw_n:
+                while True:
+                    if half is None:
+                        if pos >= len(held):
+                            held = _more_words(stream, pos, size)
+                        word = held[pos]
+                        pos += 1
+                        low, half = word & mask, word >> 32
+                    else:
+                        low, half = half, None
+                    product = low * span
+                    if product & mask >= threshold:
+                        break
+                nn = 1 + (product >> 32)
+            ms.append(mm)
+            ns.append(nn)
+            starts.append(pos)
+            kept.append(half)
+            pos += widths[2 * (mm > 1) + (nn > 1)]
+        stream.pos = pos
+        stream.reserve(0)  # the parameter words of the last attempts
+        sizes = np.array((ms, ns), dtype=np.int64)
         kind = 2 * (sizes[0] > 1) + (sizes[1] > 1)
+        starts = np.array(starts)
         word = words[kind]
-        u = (stream.words[np.array(starts)[:, None] + np.maximum(word, 0)] >> 11) * _WORD_UNIT
+        u = (stream.words[starts[:, None] + np.maximum(word, 0)] >> 11) * _WORD_UNIT
         params = np.where(word >= 0, lows[kind] + scales[kind] * u, 0.0)
-        return sizes, params.T, ends, kept
+        return sizes, params.T, starts + np.array(widths)[kind], kept
+
+
+def _more_words(stream, pos, count):
+    """A view of the stream's words after reading ``count`` words past
+    ``pos``, for a walk whose Lemire rejections used up the words held."""
+    stream.pos = pos
+    stream.reserve(count)
+    return memoryview(stream.words)
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,6 @@ class BisymmetricSpec:
     def total_modes(self) -> int:
         return self.m + self.n
 
-    def alpha_block_spec(self) -> FullySymmetricSpec:
-        return FullySymmetricSpec(self.m, self.a, self.e1, self.e2)
-
-    def beta_block_spec(self) -> FullySymmetricSpec:
-        return FullySymmetricSpec(self.n, self.b, self.z1, self.z2)
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,

@@ -258,11 +258,6 @@ class CovarianceMatrix:
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def allclose(self, other: "CovarianceMatrix", tol: float = 1e-12) -> bool:
-        return self.modes == other.modes and bool(
-            np.max(np.abs(self.matrix - other.matrix)) <= tol * _scale(self.matrix)
-        )
-
 
 def vacuum_cm(modes: int) -> CovarianceMatrix:
     """The N-mode vacuum: identity covariance matrix."""
@@ -689,10 +684,6 @@ def cm_from_json_dict(obj) -> CovarianceMatrix:
     except OverflowError as exc:
         raise InvalidArgumentError(f"an entry is out of float range: {exc}") from exc
     return CovarianceMatrix(matrix.reshape(2 * modes, 2 * modes))
-
-
-def cm_to_csv_text(cm: CovarianceMatrix) -> str:
-    return _csv_text(float_reprs(cm.matrix))
 
 
 def cm_from_csv_text(text: str) -> CovarianceMatrix:

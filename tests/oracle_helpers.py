@@ -5,7 +5,9 @@ draws specs with one live generator call per block size and per
 parameter, the sampler ``entloc.oracle.SpecSampler`` replays; the random
 symplectic helpers need scipy, which only the test suite installs; the
 scans and spectrum clusters evaluate definitions through the library's
-dense oracle.
+dense oracle; and the small conveniences at the end (matrix comparison,
+CSV text, swapped splits, block specs, the invariant nu~ pair) are used
+by the tests alone.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ import scipy.linalg
 
 import entloc as el
 from entloc.errors import InvalidArgumentError
+from entloc.localization import _nu_tilde_pairs
 from entloc.oracle import oracle_pt_log_negativity, oracle_symplectic_spectrum
+from entloc.symplectic import _csv_text, _scalar_batch, _scale, float_reprs
 
 # ---------------------------------------------------------------------------
 # Specs drawn with live generator calls.
@@ -175,3 +179,45 @@ def exhaustive_bipartition_scan(cm: el.CovarianceMatrix, max_half: int | None = 
         part = el.ModeBipartition(tuple(range(k)), tuple(range(k, total)))
         results.append((k, oracle_pt_log_negativity(cm, part)))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Conveniences only the tests use.
+# ---------------------------------------------------------------------------
+
+
+def cm_allclose(cm: el.CovarianceMatrix, other: el.CovarianceMatrix, tol: float = 1e-12) -> bool:
+    """Equal mode counts and entries within ``tol`` times the scale of ``cm``."""
+    return cm.modes == other.modes and bool(
+        np.max(np.abs(cm.matrix - other.matrix)) <= tol * _scale(cm.matrix)
+    )
+
+
+def cm_to_csv_text(cm: el.CovarianceMatrix) -> str:
+    """The CSV text ``save_cm`` writes for ``cm``."""
+    return _csv_text(float_reprs(cm.matrix))
+
+
+def swapped(part: el.ModeBipartition) -> el.ModeBipartition:
+    return el.ModeBipartition(part.side_b, part.side_a)
+
+
+def alpha_block_spec(spec: el.BisymmetricSpec) -> el.FullySymmetricSpec:
+    """The fully symmetric state of the first block of ``spec``."""
+    return el.FullySymmetricSpec(spec.m, spec.a, spec.e1, spec.e2)
+
+
+def beta_block_spec(spec: el.BisymmetricSpec) -> el.FullySymmetricSpec:
+    """The fully symmetric state of the second block of ``spec``."""
+    return el.FullySymmetricSpec(spec.n, spec.b, spec.z1, spec.z2)
+
+
+def nu_tilde_pair(eq) -> tuple[float, float]:
+    """PT symplectic eigenvalues of an ``EquivalentTwoMode`` from its
+    invariants alone.
+
+    2 nu~^2 = Delta~ -/+ sqrt(Delta~^2 - 4/mu_eq^2), with
+    Delta~ = 2 det A + 2 det B - Delta_eq.
+    """
+    m = eq.cm_eq.matrix
+    return _scalar_batch(_nu_tilde_pairs, m[0:2, 0:2], m[2:4, 2:4], eq.delta_eq, eq.mu_eq)

@@ -7,6 +7,7 @@ import pytest
 
 import entloc as el
 from entloc.cli import main
+from entloc.experiments import SweepConfig
 from entloc.oracle import SpecSampler
 from oracle_helpers import random_bona_fide_cm
 
@@ -381,6 +382,34 @@ def test_scaling_n_range_needs_two_bounds(capsys, n_range):
     assert code == 2
     assert out == ""
     assert "--n-range" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hierarchy", "--k", ","), "an empty item in the list ','"),
+    (("hierarchy", "--k="), "an empty list"),
+    (("hierarchy", "--k", "1,,2"), "an empty item in the list '1,,2'"),
+    (("hierarchy", "--k", "1,2,"), "an empty item in the list '1,2,'"),
+    (("hierarchy", "--trace-out", ","), "an empty item in the list ','"),
+    (("hierarchy", "--trace-out="), "an empty list"),
+    (("scaling", "--n-range", "1,"), "an empty item in the list '1,'"),
+])
+def test_empty_comma_list_items_exit_code(capsys, argv, message):
+    """An empty comma list, or an empty item in one, is rejected; it
+    neither reads as the default nor drops the item."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--b-grid", "1:2:2"] if argv[0] == "hierarchy" else list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"expected comma-separated integers, got {message}" in captured.err
+
+
+def test_sweep_config_rejects_empty_lists_and_defaults_none():
+    with pytest.raises(el.InvalidArgumentError, match="split sizes must not be an empty list"):
+        SweepConfig(modes=4, k_values=())
+    with pytest.raises(el.InvalidArgumentError, match="trace-out counts must not be an empty list"):
+        SweepConfig(modes=4, trace_out=())
+    assert SweepConfig(modes=4, k_values=None).k_values == (1, 2)
 
 
 @pytest.mark.parametrize(

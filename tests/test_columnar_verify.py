@@ -558,3 +558,55 @@ def test_counted_draw_of_spans_lemire_often_rejects_is_the_scalar_run(max_block)
         got = new.bisymmetric(count=40)
         assert list(map(_spec_bits, got)) == [_spec_bits(old.bisymmetric()) for _ in range(40)]
         _same_state(new, old)
+
+
+def _per_call_columns(sampler, stream, m, n, size, layout):
+    """The columns of ``size`` attempts made one replayed call at a time:
+    ``_RawStream.integers`` per drawn block size, ``skip`` over each
+    attempt's parameter words, and each parameter decoded on its own."""
+    widths, words, lows, scales = layout
+    stream.drop()
+    stream.reserve(size * (2 + max(widths)))
+    top = sampler.max_block + 1
+    sizes, params, ends, kept = [], [], [], []
+    for _ in range(size):
+        mm = m if m is not None else stream.integers(1, top)
+        nn = n if n is not None else stream.integers(1, top)
+        kind = 2 * (mm > 1) + (nn > 1)
+        start = stream.skip(widths[kind])
+        params.append([lows[kind][j] + scales[kind][j] * ((int(stream.words[start + w]) >> 11)
+                                                           * _WORD_UNIT) if w >= 0 else 0.0
+                       for j, w in enumerate(words[kind].tolist())])
+        sizes.append((mm, nn))
+        ends.append(stream.pos)
+        kept.append(stream.half)
+    return sizes, params, ends, kept
+
+
+@pytest.mark.parametrize("max_block", [1, 2, 6, 7, 2**31 + 1, 2**32 - 1])
+def test_walk_gives_the_columns_of_one_replayed_call_per_draw(max_block):
+    """The attempt walk, with Lemire's method inlined, gives the block
+    sizes, parameter bits, stream positions and kept halves of one
+    ``_RawStream`` call per drawn value: with drawn and given block
+    sizes, from a fresh generator and from one with a kept half, and
+    past its reservation when Lemire rejections use up the words held."""
+    past_reservation = 0
+    for seed in range(8):  # at 2**31 + 1, seeds 4, 6 and 7 read past the reservation
+        for fixed in ({}, {"m": 3}, {"n": 1}, {"m": 2, "n": 5}):
+            for cached in (False, True):
+                sampler = SpecSampler(seed, max_block=max_block)
+                layout = sampler._two_block_layout()
+                walked, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+                if cached:
+                    assert walked.integers(0, 6) == replayed.integers(0, 6)
+                m, n = fixed.get("m"), fixed.get("n")
+                with _RawStream(walked) as stream:
+                    sizes, params, ends, kept = sampler._attempt_columns(stream, m, n, 300, layout)
+                    past_reservation += len(stream.words) > 300 * (2 + max(layout[0]))
+                with _RawStream(replayed) as stream:
+                    want = _per_call_columns(sampler, stream, m, n, 300, layout)
+                assert sizes.T.tolist() == [list(pair) for pair in want[0]]
+                assert np.array_equal(_bits(params.T), _bits(want[1]))
+                assert ends.tolist() == want[2]
+                assert kept == want[3]
+    assert bool(past_reservation) == (max_block == 2**31 + 1)

@@ -10,7 +10,11 @@ from entloc.errors import InvalidArgumentError, LocalizationError
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity, oracle_symplectic_spectrum
 from oracle_helpers import (
     ScalarSampler,
+    alpha_block_spec,
+    beta_block_spec,
+    cm_allclose,
     exhaustive_bipartition_scan,
+    nu_tilde_pair,
     oracle_spectrum_multiplicities,
     random_bona_fide_cm,
     random_symplectic,
@@ -164,8 +168,8 @@ def test_equivalent_uncorrelated_is_product():
     eq = el.equivalent_two_mode_invariants(spec)
     m = eq.cm_eq.matrix
     assert np.all(m[:2, 2:] == 0.0)
-    nu_a = spec.alpha_block_spec().nu_plus()
-    nu_b = spec.beta_block_spec().nu_plus()
+    nu_a = alpha_block_spec(spec).nu_plus()
+    nu_b = beta_block_spec(spec).nu_plus()
     assert eq.mu_eq == pytest.approx(1.0 / (nu_a * nu_b), rel=1e-10)
     assert el.equivalent_report(spec).log_negativity == 0.0
     assert el.equivalent_report(spec).separable is True
@@ -190,7 +194,7 @@ def test_equivalent_pure_parent_is_two_mode_squeezed():
 def test_equivalent_nu_tilde_matches_pt_of_explicit_matrix():
     for spec in SpecSampler(17, max_block=6).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
-        from_invariants = eq.nu_tilde_pair()
+        from_invariants = nu_tilde_pair(eq)
         dense = np.sort(el.pt_spectrum(eq.cm_eq, _split(1, 1)).values)
         assert from_invariants == pytest.approx(tuple(dense), rel=1e-9)
 
@@ -200,8 +204,8 @@ def test_equivalent_purification_direction():
         eq = el.equivalent_two_mode_invariants(spec)
         mu_parent = el.purity(el.bisymmetric_cm(spec))
         assert eq.mu_eq >= mu_parent - 1e-10
-        nu_a = spec.alpha_block_spec().nu_minus() if spec.m > 1 else 1.0
-        nu_b = spec.beta_block_spec().nu_minus() if spec.n > 1 else 1.0
+        nu_a = alpha_block_spec(spec).nu_minus() if spec.m > 1 else 1.0
+        nu_b = beta_block_spec(spec).nu_minus() if spec.n > 1 else 1.0
         predicted = nu_a ** (spec.m - 1) * nu_b ** (spec.n - 1) * mu_parent
         assert eq.mu_eq == pytest.approx(predicted, rel=1e-8)
         if abs(nu_a - 1.0) <= 1e-8 and abs(nu_b - 1.0) <= 1e-8:
@@ -270,8 +274,8 @@ def test_localize_spectrum_content():
     result = el.localize(cm, 3, 2)
     final_spectrum = oracle_symplectic_spectrum(result.cm_final)
     expected = sorted(
-        [spec.alpha_block_spec().nu_minus()] * 2
-        + [spec.beta_block_spec().nu_minus()] * 1
+        [alpha_block_spec(spec).nu_minus()] * 2
+        + [beta_block_spec(spec).nu_minus()] * 1
         + list(oracle_symplectic_spectrum(result.equivalent.cm_eq)),
         reverse=True,
     )
@@ -289,7 +293,7 @@ def test_localize_transform_is_local_and_symplectic():
     assert np.all(s[: 2 * 3, 2 * 3 :] == 0.0)
     assert np.all(s[2 * 3 :, : 2 * 3] == 0.0)
     moved = el.apply_symplectic(s, cm)
-    assert moved.allclose(result.cm_final, tol=1e-10)
+    assert cm_allclose(moved, result.cm_final, tol=1e-10)
 
 
 def test_localize_handles_non_standard_local_basis():
@@ -445,6 +449,23 @@ def test_oracle_batch_needs_one_matrix_size():
     with pytest.raises(InvalidArgumentError, match="one size"):
         oracle_pt_log_negativity([el.vacuum_cm(2), el.vacuum_cm(3)], _split(1, 1))
     assert oracle_pt_log_negativity([], _split(1, 1)) == []
+
+
+def test_mode_mixing_is_the_kron_product_bit_for_bit():
+    """O (x) I2 by broadcasting holds the entries of ``np.kron``, signed
+    zeros included, for every count and position of the Householder mixing."""
+    from entloc.localization import _householder_mixing, _mode_mixing_symplectic
+
+    signed_zeros = 0
+    for count in range(1, 13):
+        for position in range(count):
+            o = _householder_mixing(count, position)
+            want = np.kron(o.T, np.eye(2))
+            got = _mode_mixing_symplectic(o)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (count, position)
+            signed_zeros += int(np.signbit(want[want == 0.0]).sum())
+    assert signed_zeros > 0
 
 
 def test_localize_rejects_bad_split():

@@ -231,3 +231,95 @@ def test_suite_raises_first_failing_case_in_order(monkeypatch):
     assert str(error) == f"forced case {i}"
     error = _suite_with_failures(monkeypatch, pattern=(i,), spectrum=(i,))
     assert isinstance(error, el.LocalizationError)
+
+
+# ---------------------------------------------------------------------------
+# The stacked oracle against the definition, one matrix at a time.
+# ---------------------------------------------------------------------------
+
+
+def _dense_omega(modes):
+    omega = np.zeros((2 * modes, 2 * modes))
+    omega[0::2, 1::2] = np.eye(modes)
+    omega[1::2, 0::2] = -np.eye(modes)
+    return omega
+
+
+def _definition_log_negativity(matrix, side_b):
+    """max(0, -sum ln nu) over the sub-unit symplectic eigenvalues nu of
+    the matrix with the momenta of ``side_b`` mirrored: the dense Omega
+    times the mirrored matrix, its eigenvalues' |Im| sorted and paired,
+    and one ``math.log`` per value; a non-finite spectrum is None."""
+    signs = np.ones(len(matrix))
+    signs[[2 * k + 1 for k in side_b]] = -1.0
+    mirrored = matrix * np.outer(signs, signs)
+    eigenvalues = np.linalg.eigvals(_dense_omega(len(matrix) // 2) @ mirrored)
+    magnitudes = np.sort(np.abs(eigenvalues.imag))[::-1]
+    nus = (0.5 * (magnitudes[0::2] + magnitudes[1::2])).tolist()
+    if not all(map(math.isfinite, nus)):
+        return None
+    return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1.0))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_stacked_oracle_is_the_definition_per_matrix_bit_for_bit():
+    """Every (m, n) shape group of a seeded draw, and the stack of all
+    their reduced two-mode matrices, as ``verify`` runs them."""
+    groups = {}
+    for spec in SpecSampler(31).bisymmetric(count=600):
+        groups.setdefault((spec.m, spec.n), []).append(spec)
+    assert len(groups) == 36
+    reduced = []
+    for (m, n), specs in groups.items():
+        cms = el.bisymmetric_cm(specs)
+        part = _split(m, n)
+        want = [_definition_log_negativity(cm.matrix, part.side_b) for cm in cms]
+        assert np.array_equal(_bits(oracle_pt_log_negativity(cms, part)), _bits(want)), (m, n)
+        reduced += [result.equivalent.cm_eq for result in el.localize(cms, m, n)]
+    got = oracle_pt_log_negativity(reduced, _split(1, 1))
+    want = [_definition_log_negativity(cm.matrix, (1,)) for cm in reduced]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert 0 < sum(value > 0.0 for value in want) < len(want)
+
+
+def test_signed_row_swap_is_the_omega_matmul_bit_for_bit():
+    """Omega @ x as a signed row swap gives the matmul's bits, +0.0 where
+    x holds -0.0 included, on mirrored states and on random stacks with
+    signed zeros, from 1 to 12 modes."""
+    from entloc.oracle import _mirror_momenta, _omega_times
+
+    rng = np.random.default_rng(8)
+    for modes in range(1, 13):
+        stack = rng.normal(size=(5, 2 * modes, 2 * modes))
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        stack[rng.random(stack.shape) < 0.3] *= -0.0
+        cm = el.ghz_type_pure(modes, 1.3).matrix if modes > 1 else np.eye(2)
+        mirrored = _mirror_momenta(np.array([cm, cm]), range(modes // 2, modes))
+        for matrices in (stack, mirrored, stack[0]):
+            want = _dense_omega(modes) @ matrices
+            assert np.array_equal(_bits(_omega_times(matrices)), _bits(want)), modes
+    assert np.signbit(mirrored[mirrored == 0.0]).any()
+
+
+def test_log_negativity_columns_are_the_per_row_sum():
+    """Rows with several sub-unit values, which ``verify`` never meets,
+    sum as Python's ``sum`` does; a non-finite row gets its error in place
+    and no ``math.log`` call."""
+    from entloc.oracle import _log_negativities
+
+    rng = np.random.default_rng(12)
+    nus = rng.uniform(0.02, 2.5, size=(400, 6))
+    nus[::7, 2] = 1.0
+    nus[3, 4], nus[5, 1], nus[9] = math.nan, math.inf, 0.3
+    nus[11, 0:2] = (math.nan, 0.0)  # skipped for its nan, so its zero is never logged
+    got = _log_negativities(nus)
+    for k, row in enumerate(nus.tolist()):
+        if all(map(math.isfinite, row)):
+            want = max(0.0, -sum(math.log(nu) for nu in row if nu < 1.0))
+            assert _bits(got[k]) == _bits(want), k
+        else:
+            assert isinstance(got[k], el.NumericalDomainError), k
+    assert sum(int((row < 1.0).sum()) > 1 for row in nus) > 100

@@ -25,9 +25,9 @@ from entloc.symplectic import (
     _json_matrix_text,
     cm_from_csv_text,
     cm_from_json_dict,
-    cm_to_csv_text,
     float_reprs,
 )
+from oracle_helpers import cm_to_csv_text
 
 # Where repr switches notation (1e16, 1e-4 and 1e-5), subnormals, signed
 # zeros and the non-finite values.
