@@ -40,7 +40,7 @@ from .localization import (
     equivalent_report_from_cm,
     localize,
 )
-from .oracle import run_oracle_suite, write_suite_outputs
+from .oracle import reports_to_csv_text, run_oracle_suite
 from .states import (
     BisymmetricSpec,
     FullySymmetricSpec,
@@ -297,7 +297,9 @@ def _cmd_ole(args) -> int:
 def _cmd_verify(args) -> int:
     reports, summary, rejection_rate = run_oracle_suite(cases=args.cases, seed=args.seed)
     summary["rejection_rate"] = rejection_rate
-    write_suite_outputs(reports, summary, csv_path=args.out)
+    if args.out is not None:  # an empty path is an error here, not stdout
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(reports_to_csv_text(reports))
     sys.stdout.write(_json_text(summary))
     if summary["passes"] != summary["comparisons"]:
         return 3

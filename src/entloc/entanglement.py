@@ -148,7 +148,7 @@ def eof_symmetric(nu_tilde: float) -> float:
 
     a strictly decreasing function on (0, 1] with h(1) = 0.
     """
-    if nu_tilde <= 0.0:
+    if not nu_tilde > 0.0:  # one comparison that also rejects nan
         raise InvalidArgumentError(f"PT eigenvalue must be positive, got {nu_tilde}")
     plus = (1.0 + nu_tilde) ** 2 / (4.0 * nu_tilde)
     minus = (1.0 - nu_tilde) ** 2 / (4.0 * nu_tilde)

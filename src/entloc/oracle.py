@@ -20,22 +20,20 @@ columns and screened by one array check, its decisions are taken in
 order, the stream is cut at the last attempt single draws would have
 made, and only the accepted attempts are built as specs. The invariant
 route runs as one batch. Each (m, n) shape is assembled, checked,
-reduced and brute-forced as one stack, all reduced two-mode matrices go
-through the oracle as one stack, and the route values and comparisons
-stay in columns (``SuiteReports``). In process on a shared 2-core
-machine, for 1000 cases (best and median of 21 runs, alternating with
-the code that walked the attempts by one stream call per drawn value,
-multiplied by a dense Omega and summed the logarithms one matrix at a
-time): the sampler takes 0.011-0.018 s against 0.015-0.025 s, and the
-whole suite 0.085-0.129 s against 0.092-0.146 s.
+reduced and brute-forced as one stack, and all reduced two-mode matrices
+go through the oracle as one stack.
+
+The report of a suite run is its columns (``SuiteReports``): each case's
+block sizes, and the closed-form value, brute-force value, absolute and
+relative difference and pass flag of every comparison, three per case in
+``ROUTE_PAIRS`` order. The per-comparison CSV and the summary are
+formatted from those columns; a comparison's label is made from its
+case's block sizes when the CSV is written.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +41,8 @@ from .errors import InvalidArgumentError, NumericalDomainError
 from .states import BisymmetricBatch, BisymmetricSpec, bisymmetric_batch
 from .symplectic import CovarianceMatrix, _Rejections, float_reprs
 
-REL_TOL_DEFAULT = 1e-7
-ABS_TOL_DEFAULT = 1e-9
+REL_TOL = 1e-7
+ABS_TOL = 1e-9
 
 
 def _omega_times(matrix: np.ndarray) -> np.ndarray:
@@ -81,21 +79,19 @@ def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
     return matrix
 
 
-def oracle_symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
-    return _dense_symplectic_spectrum(np.array(cm.matrix))
-
-
 def _log_negativities(nus: np.ndarray) -> list:
     """max(0, -sum of ln nu over the sub-unit nu) of each row of a (K, N)
-    spectrum stack, or the error of a row that is not finite.
+    spectrum stack, or the error of a row that is not finite or holds a
+    0.0, which has no logarithm.
 
-    ``math.log`` runs on the sub-unit values of the finite rows, in order.
+    ``math.log`` runs on the sub-unit values of the other rows, in order.
     A row with one such value or none is its sum whatever the order, so
     those rows are summed as columns; a row with more is summed by
     Python's ``sum``, which compensates its rounding from Python 3.12 on.
     """
     finite = np.isfinite(nus).all(axis=1)
-    below = (nus < 1.0) & finite[:, None]
+    loggable = finite & (nus > 0.0).all(axis=1)
+    below = (nus < 1.0) & loggable[:, None]
     logs = np.zeros(nus.shape)
     logs[below] = list(map(math.log, nus[below].tolist()))
     totals = -logs.sum(axis=1)
@@ -107,8 +103,10 @@ def _log_negativities(nus: np.ndarray) -> list:
     positive = np.flatnonzero(totals > 0.0)
     for k, total in zip(positive.tolist(), totals[positive].tolist()):
         values[k] = total
-    for k in np.flatnonzero(~finite).tolist():
-        values[k] = NumericalDomainError("dense eigensolver returned non-finite spectrum")
+    for k in np.flatnonzero(~loggable).tolist():
+        values[k] = NumericalDomainError(
+            "dense eigensolver returned non-finite spectrum" if not finite[k]
+            else "dense spectrum holds a zero symplectic eigenvalue, which has no logarithm")
     return values
 
 
@@ -122,17 +120,18 @@ def oracle_pt_log_negativity(cm, part):
     ``cm`` is one covariance matrix, whose failure raises, or a sequence of
     matrices of one size, all split by ``part``, which goes through one
     stacked eigensolver call and gives a list holding each matrix's value
-    or its error, in place.
+    or its error, in place. A split that does not cover the modes raises.
     """
     single = isinstance(cm, CovarianceMatrix)
-    matrices = [c.matrix for c in ([cm] if single else cm)]
-    if not matrices:
+    cms = [cm] if single else list(cm)
+    if not cms:
         return []
     try:
-        stack = np.array(matrices)
+        stack = np.array([c.matrix for c in cms])
     except ValueError:  # square matrices of more than one size
-        shapes = sorted({matrix.shape for matrix in matrices})
+        shapes = sorted({c.matrix.shape for c in cms})
         raise InvalidArgumentError(f"matrices of one size required, got shapes {shapes}") from None
+    part.validate_for(cms[0])
     values = _log_negativities(_dense_symplectic_spectrum(_mirror_momenta(stack, part.side_b)))
     if single and isinstance(values[0], NumericalDomainError):
         raise values[0]
@@ -164,12 +163,9 @@ class _RawStream:
     bounded method (Lemire, ACM TOMACS 2019) on 32-bit halves: a word
     gives its low half first and keeps its high half for the next 32-bit
     draw, across calls too. The stream reads words ahead into ``words``
-    (``reserve``) and consumes them there: ``integers`` gives the values,
-    and takes the halves, of bounded integer calls, and ``skip`` consumes
-    words that a caller decodes later by index. A counted draw moves
-    ``pos`` and ``half`` over ``words`` itself, with the arithmetic of
-    ``integers`` inlined (``SpecSampler._attempt_columns``); the tests
-    hold it to these one-call forms. Every word read stays in
+    (``reserve``); a counted draw consumes them there, moving ``pos`` and
+    ``half`` over ``words`` with Lemire's arithmetic inlined
+    (``SpecSampler._attempt_columns``). Every word read stays in
     ``words``, consumed or not, until ``drop``, so that a caller can go
     back to an earlier position. Closing the stream rewinds the generator
     over the words held and not consumed and restores the kept half, so
@@ -209,33 +205,6 @@ class _RawStream:
     def drop(self) -> None:
         """Forget the consumed words."""
         self.words, self.pos = self.words[self.pos:], 0
-
-    def skip(self, count: int) -> int:
-        """Consume ``count`` held words, reading what is short; the index
-        of the first."""
-        self.reserve(count)
-        self.pos += count
-        return self.pos - count
-
-    def integers(self, lo: int, hi: int) -> int:
-        """``Generator.integers(lo, hi)``; a span of one draws nothing."""
-        span = hi - lo
-        if span == 1:
-            return lo
-        if not 1 <= span <= _HALF_MASK:
-            raise ValueError(f"the replay draws spans of 1 to 2**32 - 1, got {span}")
-        threshold = (_HALF_MASK + 1 - span) % span
-        while True:
-            half = self.half
-            if half is None:
-                start = self.skip(1)  # the read may replace self.words
-                word = self.words.item(start)
-                half, self.half = word & _HALF_MASK, word >> 32
-            else:
-                self.half = None
-            product = half * span
-            if product & _HALF_MASK >= threshold:
-                return lo + (product >> 32)
 
 
 class SpecSampler:
@@ -345,7 +314,7 @@ class SpecSampler:
 
         One loop over local variables walks the attempts: it draws each
         block size that is not given by Lemire's method on the stream's
-        halves, the arithmetic of ``_RawStream.integers`` inlined, and steps
+        halves, one ``Generator.integers`` call's arithmetic inlined, and steps
         over the words of the attempt's parameters, reading more words
         only when Lemire rejections have used up those held. The
         parameters are then decoded from their words as arrays, lo +
@@ -421,7 +390,7 @@ def _more_words(stream, pos, count):
 # ---------------------------------------------------------------------------
 
 
-def _compared(closed_form, brute_force, rel_tol=REL_TOL_DEFAULT, abs_tol=ABS_TOL_DEFAULT):
+def _compared(closed_form, brute_force):
     """(abs_diff, rel_diff, passed) of each pair of values, as arrays: the
     relative difference is taken against the larger magnitude, 0.0 where
     both are zero, and a pair passes within either tolerance."""
@@ -432,32 +401,7 @@ def _compared(closed_form, brute_force, rel_tol=REL_TOL_DEFAULT, abs_tol=ABS_TOL
         # Python's max(first, second), nan included: second only if larger
         denom = np.where(second > first, second, first)
         rel_diff = np.where(denom > 0.0, abs_diff / denom, 0.0)
-    return abs_diff, rel_diff, (abs_diff <= abs_tol) | (rel_diff <= rel_tol)
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """One closed-form vs brute-force comparison."""
-
-    quantity: str
-    closed_form: float
-    brute_force: float
-    abs_diff: float
-    rel_diff: float
-    passed: bool
-
-    @classmethod
-    def compare(
-        cls,
-        quantity: str,
-        closed_form: float,
-        brute_force: float,
-        rel_tol: float = REL_TOL_DEFAULT,
-        abs_tol: float = ABS_TOL_DEFAULT,
-    ) -> "OracleReport":
-        abs_diff, rel_diff, passed = _compared([closed_form], [brute_force], rel_tol, abs_tol)
-        return cls(quantity, closed_form, brute_force, float(abs_diff[0]), float(rel_diff[0]),
-                   bool(passed[0]))
+    return abs_diff, rel_diff, (abs_diff <= ABS_TOL) | (rel_diff <= REL_TOL)
 
 
 # the route pairs of each case, in report order: routes a, b, c are the
@@ -466,14 +410,13 @@ ROUTE_PAIRS = (("invariant_vs_brute", 0, 2), ("constructive_vs_brute", 1, 2),
                ("invariant_vs_constructive", 0, 1))
 
 
-class SuiteReports(Sequence):
+class SuiteReports:
     """The comparisons of a suite run, held as columns.
 
     ``shapes`` holds each case's block sizes (m, n); ``closed_form``,
     ``brute_force``, ``abs_diff``, ``rel_diff`` and ``passed`` are arrays
     with one entry per comparison, the ``ROUTE_PAIRS`` of case 0, then of case
-    1, and so on. Each ``OracleReport``, its label included, is made when
-    it is read.
+    1, and so on. Its length is the number of comparisons.
     """
 
     def __init__(self, shapes, closed_form, brute_force, abs_diff, rel_diff, passed):
@@ -485,62 +428,30 @@ class SuiteReports(Sequence):
         return len(self.passed)
 
     def quantity(self, index: int) -> str:
-        """The label of report ``index``: its case, shape and route pair."""
+        """The label of comparison ``index``: its case, shape and route pair."""
         case, pair = divmod(index, len(ROUTE_PAIRS))
         m, n = self.shapes[case]
         return f"case{case:04d}_m{m}n{n}_{ROUTE_PAIRS[pair][0]}"
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = range(len(self))[index]
-        return OracleReport(
-            self.quantity(index), float(self.closed_form[index]), float(self.brute_force[index]),
-            float(self.abs_diff[index]), float(self.rel_diff[index]), bool(self.passed[index]),
-        )
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"SuiteReports({list(self)!r})"
-
-
-_VALUE_FIELDS = ("closed_form", "brute_force", "abs_diff", "rel_diff", "passed")
-
-
-def _value_columns(reports) -> list:
-    """The five value columns of any reports, in ``OracleReport`` order."""
-    if isinstance(reports, SuiteReports):
-        return [getattr(reports, field) for field in _VALUE_FIELDS]
-    return [[getattr(r, field) for r in reports] for field in _VALUE_FIELDS]
-
-
-def reports_to_csv_text(reports) -> str:
-    """The per-comparison CSV, one row per report; each distinct value of
-    a number column is formatted once."""
-    if isinstance(reports, SuiteReports):
-        quantities = map(reports.quantity, range(len(reports)))
-    else:
-        quantities = [r.quantity for r in reports]
-    closed, brute, abs_diff, rel_diff, passed = _value_columns(reports)
-    texts = [float_reprs(closed, "%.17g"), float_reprs(brute, "%.17g"),
-             float_reprs(abs_diff, "%.6g"), float_reprs(rel_diff, "%.6g")]
-    flags = ["true" if ok else "false" for ok in np.asarray(passed, dtype=bool).tolist()]
+def reports_to_csv_text(reports: SuiteReports) -> str:
+    """The per-comparison CSV, one row per comparison; each distinct value
+    of a number column is formatted once."""
+    texts = [float_reprs(reports.closed_form, "%.17g"), float_reprs(reports.brute_force, "%.17g"),
+             float_reprs(reports.abs_diff, "%.6g"), float_reprs(reports.rel_diff, "%.6g")]
+    flags = ["true" if ok else "false" for ok in reports.passed.tolist()]
+    quantities = map(reports.quantity, range(len(reports)))
     rows = map(",".join, zip(quantities, *(text.tolist() for text in texts), flags))
     header = "quantity,closed_form,brute_force,abs_diff,rel_diff,pass"
     return "\n".join([header, *rows]) + "\n"
 
 
-def summarize_reports(reports, seed, cases=None) -> dict:
-    _, _, _, rel_diff, passed = _value_columns(reports)
+def summarize_reports(reports: SuiteReports, seed) -> dict:
     return {
-        "cases": len(reports) if cases is None else cases,
+        "cases": len(reports.shapes),
         "comparisons": len(reports),
-        "passes": int(np.count_nonzero(passed)),
-        "worst_rel_diff": max(np.asarray(rel_diff, dtype=float).tolist(), default=0.0),
+        "passes": int(np.count_nonzero(reports.passed)),
+        "worst_rel_diff": max(reports.rel_diff.tolist(), default=0.0),
         "seed": seed,
     }
 
@@ -610,14 +521,4 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     brute_force = values[[second for _, _, second in ROUTE_PAIRS]].T.ravel()
     reports = SuiteReports([(spec.m, spec.n) for spec in specs], closed_form, brute_force,
                            *_compared(closed_form, brute_force))
-    return reports, summarize_reports(reports, seed, cases=cases), sampler.rejection_rate
-
-
-def write_suite_outputs(reports, summary, csv_path=None, json_path=None):
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as handle:
-            handle.write(reports_to_csv_text(reports))
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    return reports, summarize_reports(reports, seed), sampler.rejection_rate

@@ -101,9 +101,6 @@ class FullySymmetricSpec:
         _, _, f3, f4 = _pattern_factors(self.modes, self.b, self.z1, self.z2)
         return math.sqrt(f3 * f4)
 
-    def to_json_dict(self) -> dict:
-        return {"modes": self.modes, "b": self.b, "z1": self.z1, "z2": self.z2}
-
 
 @dataclass(frozen=True)
 class BisymmetricSpec:
@@ -147,20 +144,6 @@ class BisymmetricSpec:
     @property
     def total_modes(self) -> int:
         return self.m + self.n
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "a": self.a,
-            "e1": self.e1,
-            "e2": self.e2,
-            "b": self.b,
-            "z1": self.z1,
-            "z2": self.z2,
-            "g1": self.g1,
-            "g2": self.g2,
-        }
 
 
 def _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, sqrt):
@@ -429,9 +412,12 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
     Diagonal blocks cosh(2r) I2, cross block sinh(2r) diag(1, -1); pure for
     every r, with partial-transpose eigenvalues e^{+/- 2r}.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise InvalidArgumentError(f"squeezing parameter must be >= 0, got {r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise InvalidArgumentError(f"squeezing parameter r = {r} overflows cosh(2r)") from None
     return CovarianceMatrix(
         np.array(
             [
@@ -490,13 +476,15 @@ def fs_params_from_invariants(mu_beta: float, mu_beta2: float, delta2: float):
         raise InvalidArgumentError(f"single-mode purity must be in (0, 1], got {mu_beta}")
     if not (0.0 < mu_beta2 <= 1.0 + TOL_PHYS):
         raise InvalidArgumentError(f"two-mode purity must be in (0, 1], got {mu_beta2}")
-    four_over_mu2sq = 4.0 / mu_beta2**2
-    scale = max(delta2**2, four_over_mu2sq)
+    _require_finite(delta2=delta2)
     try:
+        four_over_mu2sq = 4.0 / mu_beta2**2
+        scale = max(delta2**2, four_over_mu2sq)
         eps_minus = clipped_sqrt(delta2**2 - four_over_mu2sq, scale=scale)
         eps_plus = clipped_sqrt((delta2 - 4.0 / mu_beta**2) ** 2 - four_over_mu2sq, scale=scale)
     except Exception as exc:
-        raise InvalidArgumentError(f"inconsistent invariants: {exc}") from exc
+        raise InvalidArgumentError(f"inconsistent invariants (mu_beta={mu_beta}, "
+                                   f"mu_beta2={mu_beta2}, delta2={delta2}): {exc}") from exc
     b = 1.0 / mu_beta
     z1 = 0.25 * mu_beta * (eps_minus - eps_plus)
     z2 = 0.25 * mu_beta * (eps_minus + eps_plus)

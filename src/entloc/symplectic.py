@@ -47,14 +47,14 @@ def _require_tolerance(tol, what: str) -> None:
         raise InvalidArgumentError(f"{what} must be a finite number >= 0, got {tol}")
 
 
-def clipped_sqrt(value: float, scale: float = 1.0, clip: float = RADICAND_CLIP) -> float:
+def clipped_sqrt(value: float, scale: float) -> float:
     """sqrt with a small negative-radicand clip.
 
     Boundary states (pure, symmetric) sit exactly on branch points, so
-    radicands down to ``-clip * max(1, scale)`` are treated as zero;
-    anything more negative raises.
+    radicands down to ``-RADICAND_CLIP * max(1, scale)`` are treated as
+    zero; anything more negative raises.
     """
-    if value < -clip * max(1.0, abs(scale)):
+    if value < -RADICAND_CLIP * max(1.0, abs(scale)):
         raise NumericalDomainError(f"negative radicand {value:.6e} beyond clip tolerance")
     return math.sqrt(max(value, 0.0))
 
@@ -307,11 +307,11 @@ class SymplecticSpectrum:
         return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
-def _require_positive_definite(matrix: np.ndarray, what: str = "covariance matrix"):
+def _require_positive_definite(matrix: np.ndarray):
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(f"{what} is not positive definite") from exc
+        raise NumericalDomainError("covariance matrix is not positive definite") from exc
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:

@@ -5,9 +5,11 @@ draws specs with one live generator call per block size and per
 parameter, the sampler ``entloc.oracle.SpecSampler`` replays; the random
 symplectic helpers need scipy, which only the test suite installs; the
 scans and spectrum clusters evaluate definitions through the library's
-dense oracle; and the small conveniences at the end (matrix comparison,
-CSV text, swapped splits, block specs, the invariant nu~ pair) are used
-by the tests alone.
+dense oracle; the one-call forms of the sampler's raw-word replay are the
+reference its inlined walk is held to; and the small conveniences at the
+end (matrix comparison, CSV text, swapped splits, block specs, the
+invariant nu~ pair, the dense spectrum, a reduction's JSON object) are
+used by the tests alone.
 """
 
 import numpy as np
@@ -16,8 +18,15 @@ import scipy.linalg
 import entloc as el
 from entloc.errors import InvalidArgumentError
 from entloc.localization import _nu_tilde_pairs
-from entloc.oracle import oracle_pt_log_negativity, oracle_symplectic_spectrum
-from entloc.symplectic import _csv_text, _scalar_batch, _scale, float_reprs
+from entloc.oracle import _HALF_MASK, _dense_symplectic_spectrum, oracle_pt_log_negativity
+from entloc.symplectic import (
+    _csv_text,
+    _scalar_batch,
+    _scale,
+    cm_to_json_dict,
+    float_reprs,
+    matrix_to_json_dict,
+)
 
 # ---------------------------------------------------------------------------
 # Specs drawn with live generator calls.
@@ -111,6 +120,41 @@ class ScalarSampler:
             )
 
         return self._draw(build)
+
+
+# ---------------------------------------------------------------------------
+# The raw-word replay, one generator call at a time.
+# ---------------------------------------------------------------------------
+
+
+def raw_skip(stream, count: int) -> int:
+    """Consume ``count`` words of an ``entloc.oracle._RawStream``, reading
+    what is short; the index of the first in ``stream.words``."""
+    stream.reserve(count)
+    stream.pos += count
+    return stream.pos - count
+
+
+def raw_integers(stream, lo: int, hi: int) -> int:
+    """``Generator.integers(lo, hi)`` replayed on an ``entloc.oracle._RawStream``
+    by Lemire's method on its 32-bit halves; a span of one draws nothing."""
+    span = hi - lo
+    if span == 1:
+        return lo
+    if not 1 <= span <= _HALF_MASK:
+        raise ValueError(f"the replay draws spans of 1 to 2**32 - 1, got {span}")
+    threshold = (_HALF_MASK + 1 - span) % span
+    while True:
+        half = stream.half
+        if half is None:
+            start = raw_skip(stream, 1)  # the read may replace stream.words
+            word = stream.words.item(start)
+            half, stream.half = word & _HALF_MASK, word >> 32
+        else:
+            stream.half = None
+        product = half * span
+        if product & _HALF_MASK >= threshold:
+            return lo + (product >> 32)
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +265,18 @@ def nu_tilde_pair(eq) -> tuple[float, float]:
     """
     m = eq.cm_eq.matrix
     return _scalar_batch(_nu_tilde_pairs, m[0:2, 0:2], m[2:4, 2:4], eq.delta_eq, eq.mu_eq)
+
+
+def oracle_symplectic_spectrum(cm: el.CovarianceMatrix) -> np.ndarray:
+    """The dense symplectic spectrum of the brute-force oracle, descending."""
+    return _dense_symplectic_spectrum(np.array(cm.matrix))
+
+
+def localization_to_json_dict(result: el.LocalizationResult) -> dict:
+    """A ``localize`` result as the JSON object the CLI prints for it."""
+    return {
+        "local_symplectic": matrix_to_json_dict(result.local_symplectic),
+        "cm_final": cm_to_json_dict(result.cm_final),
+        "equivalent": result.equivalent.to_json_dict(),
+        "residual": result.residual,
+    }

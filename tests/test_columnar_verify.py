@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ import entloc as el
 from entloc.cli import main
 from entloc.errors import InvalidArgumentError, NumericalDomainError
 from entloc.oracle import (
-    OracleReport,
+    ROUTE_PAIRS,
     SpecSampler,
     SuiteReports,
+    _compared,
     _RawStream,
     _WORD_UNIT,
     oracle_pt_log_negativity,
@@ -37,7 +39,7 @@ from entloc.oracle import (
     summarize_reports,
 )
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
-from oracle_helpers import ScalarSampler
+from oracle_helpers import ScalarSampler, raw_integers, raw_skip
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
 # recorded before the suite went columnar (numpy 2.4 with its bundled
@@ -188,7 +190,7 @@ def _replayed_calls(seed, calls, cached):
     """``calls`` random calls, each on a live generator and on the stream
     of a second generator of the same seed, which is closed and reopened
     now and then, sometimes after reading words ahead. A bounded integer
-    call is replayed by ``integers``, a ``random`` call by skipping its
+    call is replayed by ``raw_integers``, a ``random`` call by skipping its
     words and decoding them, as a counted draw decodes its parameters.
     With ``cached``, both generators first draw one bounded integer, so
     that they start with a kept half. Asserts each pair of values equal."""
@@ -200,7 +202,7 @@ def _replayed_calls(seed, calls, cached):
     stream = _RawStream(replayed)
 
     def uniforms(count):
-        start = stream.skip(count)
+        start = raw_skip(stream, count)
         return ((stream.words[start:start + count] >> 11) * _WORD_UNIT).tolist()
 
     for _ in range(calls):
@@ -210,7 +212,7 @@ def _replayed_calls(seed, calls, cached):
             lo = int(plan.integers(-5, 5))
             want = live.integers(lo, lo + span)
             assert type(want) is int or isinstance(want, np.integer)
-            assert stream.integers(lo, lo + span) == want
+            assert raw_integers(stream, lo, lo + span) == want
         elif kind == 1:
             count = int(plan.integers(0, 9))
             assert uniforms(count) == live.random(count).tolist()
@@ -252,7 +254,7 @@ def test_raw_stream_refuses_what_it_does_not_replay():
     with _RawStream(rng) as stream:
         for lo, hi in ((0, 2**32), (5, 5), (3, 2), (0, 2**40)):
             with pytest.raises(ValueError, match="spans of 1 to 2"):
-                stream.integers(lo, hi)
+                raw_integers(stream, lo, hi)
     assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
     with pytest.raises(InvalidArgumentError, match="max_block must be below 2"):
         SpecSampler(1, max_block=2**32)
@@ -474,14 +476,23 @@ def test_localize_stack_gives_a_failing_purity_its_place():
 # ---------------------------------------------------------------------------
 
 
+class Compared(NamedTuple):
+    quantity: str
+    closed_form: float
+    brute_force: float
+    abs_diff: float
+    rel_diff: float
+    passed: bool
+
+
 def _scalar_compare(quantity, closed_form, brute_force, rel_tol=1e-7, abs_tol=1e-9):
-    """``OracleReport.compare`` as one pair at a time made it, kept here as
-    the reference."""
+    """One comparison as one pair at a time made it, kept here as the
+    reference."""
     abs_diff = abs(closed_form - brute_force)
     denom = max(abs(closed_form), abs(brute_force))
     rel_diff = abs_diff / denom if denom > 0.0 else 0.0
     passed = abs_diff <= abs_tol or rel_diff <= rel_tol
-    return OracleReport(quantity, closed_form, brute_force, abs_diff, rel_diff, passed)
+    return Compared(quantity, closed_form, brute_force, abs_diff, rel_diff, passed)
 
 
 def _csv_reference(reports):
@@ -495,21 +506,45 @@ def _csv_reference(reports):
     return buffer.getvalue()
 
 
+def _summary_reference(reports, cases, seed):
+    return {
+        "cases": cases,
+        "comparisons": len(reports),
+        "passes": sum(r.passed for r in reports),
+        "worst_rel_diff": max((r.rel_diff for r in reports), default=0.0),
+        "seed": seed,
+    }
+
+
+def _rows(reports):
+    """Each comparison of a ``SuiteReports`` read from its columns."""
+    columns = (reports.closed_form, reports.brute_force, reports.abs_diff, reports.rel_diff)
+    return [Compared(reports.quantity(i), *(float(column[i]) for column in columns),
+                     bool(reports.passed[i])) for i in range(len(reports))]
+
+
 values = st.floats() | st.sampled_from([0.0, -0.0, 1e-9, 1e-300, 5e-324, 1e308, math.nan])
+block_sizes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+route_pairs = st.lists(st.tuples(values, values), min_size=3, max_size=3)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(values, values), max_size=8))
-def test_comparison_columns_equal_the_scalar_compare(pairs):
-    """Column comparisons, and the CSV and summary made from them, give
-    each pair the scalar results, nan and inf included."""
-    want = [_scalar_compare(f"q{i}", x, y) for i, (x, y) in enumerate(pairs)]
-    got = [OracleReport.compare(f"q{i}", x, y) for i, (x, y) in enumerate(pairs)]
-    assert repr(got) == repr(want)
+@given(st.lists(st.tuples(block_sizes, route_pairs), max_size=3))
+def test_comparison_columns_equal_the_scalar_compare(cases):
+    """Column comparisons, and the labels, CSV and summary made from them,
+    give each pair the scalar results, nan and inf included."""
+    want = []
+    for case, ((m, n), case_pairs) in enumerate(cases):
+        for (route, _, _), (x, y) in zip(ROUTE_PAIRS, case_pairs):
+            want.append(_scalar_compare(f"case{case:04d}_m{m}n{n}_{route}", x, y))
+    pairs = [pair for _, case_pairs in cases for pair in case_pairs]
+    closed_form, brute_force = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    got = SuiteReports([shape for shape, _ in cases], closed_form, brute_force,
+                       *_compared(closed_form, brute_force))
+    assert repr(_rows(got)) == repr(want)
     assert reports_to_csv_text(got) == _csv_reference(want)
     summary = summarize_reports(got, seed=3)
-    assert summary["passes"] == sum(r.passed for r in want)
-    assert repr(summary["worst_rel_diff"]) == repr(max((r.rel_diff for r in want), default=0.0))
+    assert repr(summary) == repr(_summary_reference(want, len(cases), 3))
 
 
 def _per_case_reports(cases, seed):
@@ -537,15 +572,9 @@ def test_suite_reports_are_the_per_case_reports():
     reports, summary, _ = run_oracle_suite(cases=80, seed=23)
     want = _per_case_reports(80, 23)
     assert isinstance(reports, SuiteReports) and len(reports) == 240
-    assert repr(list(reports)) == repr(want)
-    assert reports == want and list(reports) == want
-    assert reports[-1] == want[-1] and reports[10:14] == want[10:14]
-    with pytest.raises(IndexError):
-        reports[240]
-    with pytest.raises(TypeError):
-        reports[0] = want[0]
+    assert repr(_rows(reports)) == repr(want)
     assert reports_to_csv_text(reports) == _csv_reference(want)
-    assert summary == summarize_reports(want, seed=23, cases=80)
+    assert summary == _summary_reference(want, 80, 23)
 
 
 @pytest.mark.parametrize("max_block", [2**31 + 1, 2**32 - 1])
@@ -562,7 +591,7 @@ def test_counted_draw_of_spans_lemire_often_rejects_is_the_scalar_run(max_block)
 
 def _per_call_columns(sampler, stream, m, n, size, layout):
     """The columns of ``size`` attempts made one replayed call at a time:
-    ``_RawStream.integers`` per drawn block size, ``skip`` over each
+    ``raw_integers`` per drawn block size, ``raw_skip`` over each
     attempt's parameter words, and each parameter decoded on its own."""
     widths, words, lows, scales = layout
     stream.drop()
@@ -570,10 +599,10 @@ def _per_call_columns(sampler, stream, m, n, size, layout):
     top = sampler.max_block + 1
     sizes, params, ends, kept = [], [], [], []
     for _ in range(size):
-        mm = m if m is not None else stream.integers(1, top)
-        nn = n if n is not None else stream.integers(1, top)
+        mm = m if m is not None else raw_integers(stream, 1, top)
+        nn = n if n is not None else raw_integers(stream, 1, top)
         kind = 2 * (mm > 1) + (nn > 1)
-        start = stream.skip(widths[kind])
+        start = raw_skip(stream, widths[kind])
         params.append([lows[kind][j] + scales[kind][j] * ((int(stream.words[start + w]) >> 11)
                                                            * _WORD_UNIT) if w >= 0 else 0.0
                        for j, w in enumerate(words[kind].tolist())])

@@ -7,14 +7,16 @@ import pytest
 
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
-from entloc.oracle import SpecSampler, oracle_pt_log_negativity, oracle_symplectic_spectrum
+from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from oracle_helpers import (
     ScalarSampler,
     alpha_block_spec,
     beta_block_spec,
     cm_allclose,
     exhaustive_bipartition_scan,
+    localization_to_json_dict,
     nu_tilde_pair,
+    oracle_symplectic_spectrum,
     oracle_spectrum_multiplicities,
     random_bona_fide_cm,
     random_symplectic,
@@ -486,7 +488,7 @@ def test_localize_matches_invariant_route():
 
 def test_localization_result_json_shape():
     result = el.localize(el.ghz_type_pure(4, 1.3), 2, 2)
-    obj = result.to_json_dict()
+    obj = localization_to_json_dict(result)
     assert set(obj) == {"local_symplectic", "cm_final", "equivalent", "residual"}
     assert set(obj["equivalent"]) == {"cm_eq", "mu_eq", "delta_eq"}
     assert len(obj["cm_final"]["entries"]) == 64

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entloc as el
+from entloc.cli import main
 from entloc.oracle import (
-    OracleReport,
     SpecSampler,
+    SuiteReports,
+    _compared,
     oracle_pt_log_negativity,
     reports_to_csv_text,
     run_oracle_suite,
     summarize_reports,
-    write_suite_outputs,
 )
 from oracle_helpers import ScalarSampler, exhaustive_bipartition_scan, oracle_spectrum_multiplicities
 
@@ -110,13 +113,15 @@ def test_separable_sampler_produces_separable_states():
         assert report.separable is True
 
 
+def _one_case(closed_form, brute_force, shape=(2, 3)):
+    """The reports of one case whose three comparisons pair these values."""
+    closed_form, brute_force = np.array(closed_form), np.array(brute_force)
+    return SuiteReports([shape], closed_form, brute_force, *_compared(closed_form, brute_force))
+
+
 def test_report_compare_pass_and_fail():
-    good = OracleReport.compare("x", 1.0, 1.0 + 1e-9)
-    assert good.passed
-    bad = OracleReport.compare("x", 1.0, 1.1)
-    assert not bad.passed
-    near_zero = OracleReport.compare("x", 0.0, 1e-10)
-    assert near_zero.passed
+    reports = _one_case([1.0, 1.0, 0.0], [1.0 + 1e-9, 1.1, 1e-10])
+    assert reports.passed.tolist() == [True, False, True]
 
 
 def test_suite_small_run_all_pass():
@@ -129,32 +134,34 @@ def test_suite_small_run_all_pass():
     assert 0.0 <= rejection_rate < 1.0
 
 
-def test_suite_outputs(tmp_path):
+def test_suite_outputs(tmp_path, capsys):
     reports, summary, _ = run_oracle_suite(cases=3, seed=1)
-    csv_path = tmp_path / "cases.csv"
-    json_path = tmp_path / "summary.json"
-    write_suite_outputs(reports, summary, csv_path=csv_path, json_path=json_path)
-    lines = csv_path.read_text().splitlines()
+    lines = reports_to_csv_text(reports).splitlines()
     assert lines[0] == "quantity,closed_form,brute_force,abs_diff,rel_diff,pass"
-    assert len(lines) == 1 + len(reports)
-    loaded = json.loads(json_path.read_text())
-    assert loaded["passes"] == summary["passes"]
+    assert len(lines) == 1 + len(reports) == 10
+    csv_path = tmp_path / "cases.csv"
+    assert main(["verify", "--cases", "3", "--seed", "1", "--out", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines() == lines
+    assert json.loads(capsys.readouterr().out)["passes"] == summary["passes"] == 9
 
 
 def test_csv_text_shape():
-    reports = [OracleReport.compare("alpha", 1.0, 1.0)]
-    text = reports_to_csv_text(reports)
+    text = reports_to_csv_text(_one_case([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]))
     assert text.endswith("\n")
-    assert "alpha" in text
+    assert text.splitlines()[1:] == [
+        "case0000_m2n3_invariant_vs_brute,1,1,0,0,true",
+        "case0000_m2n3_constructive_vs_brute,2,2,0,0,true",
+        "case0000_m2n3_invariant_vs_constructive,0.5,0.5,0,0,true",
+    ]
 
 
 def test_summary_shape():
-    summary = summarize_reports([OracleReport.compare("q", 2.0, 2.0)], seed=9, cases=1)
+    summary = summarize_reports(_one_case([2.0, 2.0, 1.0], [2.0, 2.0, 1.5]), seed=9)
     assert summary == {
         "cases": 1,
-        "comparisons": 1,
-        "passes": 1,
-        "worst_rel_diff": 0.0,
+        "comparisons": 3,
+        "passes": 2,
+        "worst_rel_diff": 0.5 / 1.5,
         "seed": 9,
     }
 
@@ -323,3 +330,68 @@ def test_log_negativity_columns_are_the_per_row_sum():
         else:
             assert isinstance(got[k], el.NumericalDomainError), k
     assert sum(int((row < 1.0).sum()) > 1 for row in nus) > 100
+
+
+def test_a_zero_symplectic_eigenvalue_is_a_numerical_error_in_place():
+    """``math.log`` takes no 0.0: a spectrum holding one is the matrix's
+    ``NumericalDomainError``, raised for one matrix and kept in place in a
+    stack, as a non-finite spectrum is."""
+    zero = el.CovarianceMatrix(np.zeros((4, 4)))
+    with pytest.raises(el.NumericalDomainError, match="zero symplectic eigenvalue") as alone:
+        oracle_pt_log_negativity(zero, _split(1, 1))
+    got = oracle_pt_log_negativity([el.vacuum_cm(2), zero, el.two_mode_squeezed(0.5)], _split(1, 1))
+    assert got[0] == 0.0 and got[2] == pytest.approx(1.0, abs=1e-9)
+    assert type(got[1]) is el.NumericalDomainError and str(got[1]) == str(alone.value)
+
+
+def test_a_split_that_does_not_cover_the_modes_is_invalid():
+    for cm, part in ((el.vacuum_cm(1), _split(1, 1)), (el.vacuum_cm(3), _split(1, 1))):
+        with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
+            oracle_pt_log_negativity(cm, part)
+        with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
+            oracle_pt_log_negativity([cm, cm], part)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e3, -1e3]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """2 to 4 finite symmetric 2N x 2N matrices of one N in 1..3, and a
+    contiguous split of 1 to 3 modes, which may not cover them."""
+    modes = draw(st.integers(1, 3))
+    size = 2 * modes
+    matrices = []
+    for _ in range(draw(st.integers(2, 4))):
+        upper = np.triu(np.array(draw(st.lists(_ENTRIES, min_size=size * size,
+                                                max_size=size * size))).reshape(size, size))
+        matrices.append(upper + np.triu(upper, 1).T)
+    m = draw(st.integers(1, 2))
+    return matrices, _split(m, draw(st.integers(1, 3 - m)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except el.EntlocError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_matrices())
+def test_oracle_gives_every_finite_symmetric_matrix_a_value_or_an_entloc_error(drawn):
+    """On any finite symmetric matrix and contiguous split the oracle gives
+    a finite value >= 0 or raises an ``EntlocError``, and the stacked call
+    gives each matrix that value, or that error's type and message, in
+    place."""
+    matrices, part = drawn
+    cms = [el.CovarianceMatrix(matrix) for matrix in matrices]
+    alone = [_outcome(lambda: oracle_pt_log_negativity(cm, part)) for cm in cms]
+    for value in alone:
+        assert isinstance(value, tuple) or (type(value) is float and 0.0 <= value < math.inf)
+    stacked = _outcome(lambda: oracle_pt_log_negativity(cms, part))
+    if isinstance(stacked, tuple):  # a split that does not cover the modes
+        assert all(value == stacked for value in alone)
+        return
+    assert [value if type(value) is float else (type(value), str(value)) for value in stacked] \
+        == alone

@@ -1,9 +1,15 @@
-"""Packaging contracts: the public API names and a scipy-free runtime."""
+"""Packaging contracts: the public API names, what the paper formulas
+raise, a scipy-free runtime and no library code without a library caller."""
 
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import entloc as el
 
@@ -28,6 +34,56 @@ PUBLIC_NAMES = [
 def test_public_names_pinned():
     assert sorted(el.__all__) == PUBLIC_NAMES
     assert all(hasattr(el, name) for name in PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: el.two_mode_squeezed(400.0), "400.0"),
+    (lambda: el.two_mode_squeezed(math.nan), "nan"),
+    (lambda: el.eof_symmetric(math.nan), "nan"),
+    (lambda: el.fs_params_from_invariants(1.0, 1.0, math.inf), "inf"),
+    (lambda: el.fs_params_from_invariants(1.0, 1.0, 1e200), "delta2=1e+200"),
+    (lambda: el.nu_plus_from_two_mode(3, math.nan, 1.0, 1.0), "nan"),
+    (lambda: el.nu_plus_from_two_mode(3, 1.0, math.inf, 1.0), "inf"),
+    (lambda: el.nu_plus_from_two_mode(3, 1e-200, 1.0, 1.0), "1e-200"),
+], ids=["tms-overflow", "tms-nan", "eof-nan", "fs-params-inf", "fs-params-overflow",
+        "nu-plus-nan", "nu-plus-inf", "nu-plus-overflow"])
+def test_paper_formulas_reject_what_they_cannot_evaluate(call, named):
+    """A value out of a formula's domain or float range is invalid input,
+    named in the message, not a bare Python error or a non-finite result."""
+    with pytest.raises(el.InvalidArgumentError) as excinfo:
+        call()
+    assert named in str(excinfo.value)
+
+
+def _unreferenced_definitions(package: Path) -> list:
+    """The functions, classes and methods defined in ``package`` (dunders
+    aside) whose name no code of the package references, as a Name, an
+    Attribute or an identifier string, and that it does not export."""
+    defined, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(item.name, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    referenced.add(node.value)
+    return [qualname for name, qualname in defined
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in referenced and name not in el.__all__]
+
+
+def test_library_code_has_a_library_caller():
+    """Code that only the tests reach belongs to the tests."""
+    assert _unreferenced_definitions(Path(el.__file__).parent) == []
 
 
 # Runs the CLI with every scipy import refused; exits non-zero on any failure.

@@ -6,8 +6,9 @@ import pytest
 
 import entloc as el
 from entloc.errors import InvalidArgumentError
-from entloc.oracle import oracle_pt_log_negativity, oracle_symplectic_spectrum
+from entloc.oracle import oracle_pt_log_negativity
 from entloc.symplectic import TOL_PHYS
+from oracle_helpers import oracle_symplectic_spectrum
 
 
 def test_thermal_cm_vacuum():

@@ -9,8 +9,12 @@ from entloc.errors import (
     InvalidArgumentError,
     NumericalDomainError,
 )
-from entloc.oracle import oracle_symplectic_spectrum
-from oracle_helpers import cm_allclose, random_bona_fide_cm, random_symplectic
+from oracle_helpers import (
+    cm_allclose,
+    oracle_symplectic_spectrum,
+    random_bona_fide_cm,
+    random_symplectic,
+)
 
 
 def test_symplectic_form_single_mode():
