@@ -261,8 +261,9 @@ def _cmd_hierarchy(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    if len(args.n_range) != 2:
-        raise InvalidArgumentError(f"--n-range expects LO,HI, got {args.n_range}")
+    if len(args.n_range) != 2 or not 1 <= args.n_range[0] <= args.n_range[1]:
+        got = ",".join(map(str, args.n_range))
+        raise InvalidArgumentError(f"--n-range expects LO,HI with 1 <= LO <= HI, got {got}")
     lo, hi = args.n_range
     cfg = SweepConfig(
         b=args.b,

@@ -24,6 +24,7 @@ from .symplectic import (
     _minus_plus_pair,
     _PointErrors,
     _scalar_batch,
+    _squares,
     is_bona_fide,
     symplectic_eigenvalues,
     two_mode_invariants,
@@ -142,20 +143,38 @@ def _clamp_boundary(values: np.ndarray) -> np.ndarray:
 def eof_symmetric(nu_tilde: float) -> float:
     """Entanglement of formation of a symmetric two-mode state.
 
-    Closed form max(0, h(nu_tilde)) with
+    Closed form max(0, h(nu_tilde)) for nu_tilde < 1 and 0 from 1 on, with
 
         h(x) = (1+x)^2/(4x) ln((1+x)^2/(4x)) - (1-x)^2/(4x) ln((1-x)^2/(4x)),
 
-    a strictly decreasing function on (0, 1] with h(1) = 0.
+    a strictly decreasing function on (0, 1] with h(1) = 0. h(x) = h(1/x),
+    so h itself would give a separable state (nu_tilde > 1) an EoF.
     """
-    if not nu_tilde > 0.0:  # one comparison that also rejects nan
-        raise InvalidArgumentError(f"PT eigenvalue must be positive, got {nu_tilde}")
-    plus = (1.0 + nu_tilde) ** 2 / (4.0 * nu_tilde)
-    minus = (1.0 - nu_tilde) ** 2 / (4.0 * nu_tilde)
-    value = plus * math.log(plus)
-    if minus > 0.0:
-        value -= minus * math.log(minus)
-    return max(0.0, value)
+    return _scalar_batch(lambda nu, errors: (_eof_columns(nu, errors),), nu_tilde)[0]
+
+
+def _eof_columns(nu: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """:func:`eof_symmetric` of each value, with the C library's pow and
+    log per value, so each gets the bits of the closed form evaluated on
+    Python floats. A value that is not positive (or nan) fails with an
+    InvalidArgumentError, one whose h overflows with a
+    NumericalDomainError."""
+    positive = nu > 0.0
+    errors.record(
+        ~positive,
+        lambda j: InvalidArgumentError(f"PT eigenvalue must be positive, got {float(nu[j])}"),
+    )
+    entangled = positive & (nu < 1.0)
+    x = np.where(entangled, nu, 0.5)
+    # rows plus, minus; minus > 0 on (0, 1), where 1 - x >= 2**-53
+    plus_minus = _squares(np.array([1.0 + x, 1.0 - x]), errors) / (4.0 * x)
+    terms = plus_minus * _elementwise(math.log, "log", errors, plus_minus)
+    value = terms[0] - terms[1]
+    errors.record(
+        ~np.isfinite(value),
+        lambda j: NumericalDomainError(f"overflow: the EoF of {nu[j]:.6e} is out of float range"),
+    )
+    return np.where(entangled & (value > 0.0), value, 0.0)
 
 
 def report_from_pt_values(
@@ -215,16 +234,14 @@ def _pt_pair_columns(nu_minus, nu_plus, symmetric, errors: _PointErrors) -> Repo
     log_neg = np.where(log_neg > 0.0, log_neg, 0.0)
     negativity = 0.5 * (_elementwise(math.exp, "exp", errors, log_neg) - 1.0)
     separable = nu_min >= 1.0 - TOL_PHYS
-    eof = [math.nan] * len(nu_min)
-    for i in np.flatnonzero(symmetric & errors.alive).tolist():
-        nu = float(nu_min[i])
-        try:
-            eof[i] = eof_symmetric(nu)
-        except InvalidArgumentError as exc:
-            errors.fail(i, exc)
-        except OverflowError:
-            errors.fail(i, NumericalDomainError(f"overflow: the EoF of {nu:.6e} is out of float range"))
-    return ReportColumns(nu_min, log_neg, negativity, np.array(eof), separable, errors.errors)
+    # the EoF of the symmetric points still alive, their errors put in place
+    chosen = np.flatnonzero(symmetric & errors.alive)
+    part = _PointErrors(len(chosen))
+    eof = np.full(len(nu_min), math.nan)
+    eof[chosen] = _eof_columns(nu_min[chosen], part)
+    for j in np.flatnonzero(~part.alive).tolist():
+        errors.fail(int(chosen[j]), part.errors[j])
+    return ReportColumns(nu_min, log_neg, negativity, eof, separable, errors.errors)
 
 
 def _symmetric_dets(det_a, det_b):

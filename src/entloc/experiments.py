@@ -12,8 +12,9 @@ A sweep is columnar from end to end. ``run_hierarchy`` and
 every parent into one ``BisymmetricBatch``, and make one call of the
 invariant route, which gives report columns. The rows are those columns
 (``SweepRows``): a sequence of row dicts, made on access.
-``render_table`` formats CSV or JSON one column at a time, each distinct
-float once, so identical configs produce identical bytes.
+``render_table`` formats CSV or JSON one column at a time: a float
+column in one ``%`` pass, an int or string column once per distinct
+value. Identical configs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .entanglement import ReportColumns
 from .errors import EntlocError, InvalidArgumentError, NumericalDomainError
 from .localization import _attempt, _fs_split_batch, equivalent_report
 from .states import BisymmetricBatch, FullySymmetricSpec, _require_finite, ghz_type_spec
-from .symplectic import _PointErrors, _indented_json, _json_entry_texts, _json_records, float_reprs
+from .symplectic import _float_texts, _indented_json, _json_entry_texts, _json_records, _PointErrors
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -247,19 +248,19 @@ _NAMED = {"csv": ("", "true", "false"), "json": ("null", "true", "false")}
 def _column_texts(values: list, fmt: str) -> list:
     """The text of each cell of one column in ``fmt``, "csv" or "json".
 
-    Floats are formatted once per distinct bit pattern, with ``.12g`` for
-    CSV and their repr for JSON; ints by ``str``; None, True and False by
-    name; strings as they are in CSV and quoted in JSON. A column of
-    other or mixed types goes cell by cell.
+    Floats are formatted by one ``%`` over the column, with ``.12g`` for
+    CSV and their repr for JSON; ints once per distinct value; None, True
+    and False by name; strings as they are in CSV and quoted in JSON. A
+    column of other or mixed types goes cell by cell.
     """
     none, true, false = _NAMED[fmt]
     kinds = set(map(type, values))
     if kinds <= {float, type(None)}:
-        present = [value for value in values if value is not None]
+        present = values if type(None) not in kinds else [value for value in values if value is not None]
         if fmt == "csv":
-            texts = float_reprs(present, "%.12g").tolist()
+            texts = _float_texts(present, "%.12g")
         else:
-            texts = _json_entry_texts(float_reprs(present))
+            texts = _json_entry_texts(_float_texts(present))
         if len(present) == len(values):
             return texts
         texts = iter(texts)
@@ -267,12 +268,13 @@ def _column_texts(values: list, fmt: str) -> list:
     if kinds <= {bool, type(None)}:
         return [none if value is None else true if value else false for value in values]
     if kinds <= {int}:
-        return ("%d\n" * len(values) % tuple(values)).split("\n")[:-1]
+        texts = {value: str(value) for value in set(values)}
+        return list(map(texts.__getitem__, values))
     if kinds <= {str}:
         if fmt == "csv":
             return values
         quoted = {value: json.dumps(value) for value in set(values)}
-        return [quoted[value] for value in values]
+        return list(map(quoted.__getitem__, values))
     return [_cell_text(value, fmt) for value in values]
 
 

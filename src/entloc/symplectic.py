@@ -118,8 +118,8 @@ class _Rejections(_PointErrors):
 
 
 def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray, *extra) -> np.ndarray:
-    """``fn`` on each value as a Python float, for the C library's pow and
-    exp: numpy's ``x**2`` and ``np.exp`` round a few results differently.
+    """``fn`` on each value as a Python float, for the C library's pow, exp
+    and log: numpy's ``x**2`` and ``np.exp`` round a few results differently.
     An overflow is recorded as a NumericalDomainError and reads inf."""
     xs = values.ravel().tolist()
     try:
@@ -532,14 +532,17 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # Serialization. JSON: {"modes": N, "entries": [...]} with 4N^2 row-major
 # numbers. CSV: 2N lines of 2N comma-separated decimals. Every number is
 # Python's shortest round-trip repr, so a written matrix reads back bit for
-# bit. The writers take these strings from ``float_reprs``, which formats
-# each distinct float once: at M = 48 a local symplectic holds about a
-# hundred distinct values in 9216 entries and an exactly symmetric matrix
-# repeats each off-diagonal entry, while the stdlib's indented JSON encoder
-# is pure Python and formats every entry. The texts equal ``json.dumps``
-# and the per-entry ``repr`` CSV byte for byte, also for non-finite
-# entries (JSON NaN, Infinity; CSV nan, inf, as repr spells them). The
-# text writers take the strings, so one formatting can feed several.
+# bit. A sequence of floats is formatted by one ``%`` over all of it
+# (``_float_texts``), which is faster than a call per value. Matrix
+# entries alone go through ``float_reprs``, which formats each distinct
+# float once: at M = 48 a local symplectic holds about a hundred distinct
+# values in 9216 entries and an exactly symmetric matrix repeats each
+# off-diagonal entry. Elsewhere (a sweep column, a spectrum) nearly every
+# value is distinct, and de-duplicating costs more than it saves. The
+# texts equal ``json.dumps`` and the per-entry ``repr`` CSV byte for byte,
+# also for non-finite entries (JSON NaN, Infinity; CSV nan, inf, as repr
+# spells them). The text writers take the strings, so one formatting can
+# feed several.
 # Readers parse each distinct cell text once, through a ``_CellParser``
 # made for the one read: the paper's matrices repeat five 2x2 pattern
 # blocks, so a 48-mode file holds a handful of distinct texts in 9216
@@ -558,18 +561,23 @@ class _CellParser(dict):
         return value
 
 
-def float_reprs(values, fmt: str = "%r") -> np.ndarray:
-    """``fmt % float(x)`` of every entry of ``values``, by default its
-    repr, as an object array of the same shape.
+def _float_texts(values, fmt: str = "%r") -> list:
+    """``fmt % x`` of each float of the sequence ``values``, by default
+    its repr, from one ``%`` over all of them."""
+    return ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
-    Each distinct bit pattern is formatted once. The key is the bits, not
-    the value: 0.0 and -0.0 compare equal but print differently. One
-    ``%`` over all of them is faster than a call per value.
+
+def float_reprs(values, fmt: str = "%r") -> np.ndarray:
+    """``fmt % float(x)`` of every entry of the array ``values``, by
+    default its repr, as an object array of the same shape.
+
+    Each distinct bit pattern is formatted once, which pays where values
+    repeat, as in a matrix. The key is the bits, not the value: 0.0 and
+    -0.0 compare equal but print differently.
     """
     flat = np.asarray(values, dtype=float).ravel()
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    distinct = tuple(bits.view(np.float64).tolist())
-    texts = ((fmt + "\n") * len(distinct) % distinct).split("\n")[:-1]
+    texts = _float_texts(bits.view(np.float64).tolist(), fmt)
     return np.array(texts, dtype=object)[inverse].reshape(np.shape(values))
 
 
@@ -582,11 +590,9 @@ def matrix_to_json_dict(matrix: np.ndarray) -> dict:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_entry_texts(reprs: np.ndarray) -> list:
-    """The JSON numbers of the entries with ``float_reprs`` ``reprs``, in
-    row-major order: the reprs, spelled as ``json.dumps`` spells nan and
-    +-inf."""
-    texts = reprs.ravel().tolist()
+def _json_entry_texts(texts: list) -> list:
+    """The JSON numbers of floats from their reprs ``texts``, spelled as
+    ``json.dumps`` spells nan and +-inf."""
     if "n" in "".join(texts):  # no finite repr holds an n
         texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
     return texts
@@ -595,7 +601,7 @@ def _json_entry_texts(reprs: np.ndarray) -> list:
 def _json_matrix_text(reprs: np.ndarray) -> str:
     """``json.dumps(matrix_to_json_dict(matrix))``, one line, from the
     matrix's ``float_reprs``."""
-    entries = ", ".join(_json_entry_texts(reprs))
+    entries = ", ".join(_json_entry_texts(reprs.ravel().tolist()))
     return f'{{"modes": {len(reprs) // 2}, "entries": [{entries}]}}'
 
 
@@ -620,21 +626,20 @@ def _indented_json(obj, newline: str = "\n", sort_keys: bool = True) -> str:
 
     The stdlib's indented encoder is pure Python; the matrices of a
     localization payload are lists of thousands of floats, so each list
-    of finite floats is joined from ``float_reprs`` instead, and an
-    ndarray is taken to hold such texts already. Values other than
-    non-empty lists and str-keyed dicts go to the stdlib.
+    of floats is joined from one ``%`` pass instead, and an ndarray is
+    taken to hold the ``float_reprs`` of a matrix's entries. Values other
+    than non-empty lists and str-keyed dicts go to the stdlib.
     """
     inner = newline + "  "
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         items = sorted(obj.items()) if sort_keys else obj.items()
         members = [f"{json.dumps(key)}: {_indented_json(value, inner, sort_keys)}"
                    for key, value in items]
-    elif isinstance(obj, np.ndarray):  # the float_reprs of a matrix's entries
-        members = _json_entry_texts(obj)
+    elif isinstance(obj, np.ndarray):
+        members = _json_entry_texts(obj.ravel().tolist())
     elif isinstance(obj, (list, tuple)) and obj:
-        values = np.array(obj) if set(map(type, obj)) == {float} else None
-        if values is not None and np.isfinite(values).all():
-            members = float_reprs(values).tolist()
+        if set(map(type, obj)) == {float}:
+            members = _json_entry_texts(_float_texts(obj))
         else:
             members = [_indented_json(value, inner, sort_keys) for value in obj]
     else:

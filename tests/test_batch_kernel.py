@@ -274,3 +274,69 @@ def test_squares_record_overflow():
     assert squares.tolist() == [4.0, math.inf, math.inf]
     assert errors.alive.tolist() == [True, False, True]
     assert isinstance(errors.errors[1], NumericalDomainError)
+
+
+def _eof_closed_form(x):
+    """The symmetric-state EoF written out on one Python float."""
+    if x >= 1.0:
+        return 0.0
+    plus = (1.0 + x) ** 2 / (4.0 * x)
+    minus = (1.0 - x) ** 2 / (4.0 * x)
+    return max(0.0, plus * math.log(plus) - minus * math.log(minus))
+
+
+def test_eof_column_has_the_bits_of_the_closed_form():
+    from entloc.entanglement import _eof_columns
+    from entloc.symplectic import _PointErrors
+
+    one = 1.0
+    values = np.concatenate([
+        np.logspace(-300.0, 3.0, 40_000),
+        [one, np.nextafter(one, 0.0), np.nextafter(one, 2.0), one + 1e-10],
+    ])
+    errors = _PointErrors(len(values))
+    with np.errstate(all="ignore"):
+        column = _eof_columns(values, errors)
+    expected = np.array([_eof_closed_form(x) for x in values.tolist()])
+    assert errors.alive.all()
+    assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+    assert np.count_nonzero(column) > 2000
+    assert column[-4:].tolist() == [0.0, expected[-3], 0.0, 0.0] and expected[-3] > 0.0
+    assert [el.eof_symmetric(x) for x in values[::997].tolist()] == column[::997].tolist()
+
+
+def test_eof_column_keeps_each_error_in_place():
+    from entloc.entanglement import _eof_columns
+    from entloc.symplectic import _PointErrors
+
+    failing = {1: (InvalidArgumentError, 0.0), 3: (InvalidArgumentError, -0.3),
+               4: (InvalidArgumentError, math.nan), 6: (NumericalDomainError, 1e-308),
+               7: (NumericalDomainError, 5e-324)}
+    values = np.array([0.5, 0.0, 2.0, -0.3, math.nan, 0.01, 1e-308, 5e-324, 1.0])
+    errors = _PointErrors(len(values))
+    with np.errstate(all="ignore"):
+        column = _eof_columns(values, errors)
+    assert [i for i, error in enumerate(errors.errors) if error is not None] == sorted(failing)
+    for i, (kind, value) in failing.items():
+        assert type(errors.errors[i]) is kind
+        with pytest.raises(kind) as excinfo:
+            el.eof_symmetric(value)
+        assert str(excinfo.value) == str(errors.errors[i])
+    alive = errors.alive.nonzero()[0]
+    assert column[alive].tolist() == [_eof_closed_form(x) for x in values[alive].tolist()]
+
+
+def test_report_columns_take_eof_errors_of_symmetric_points_only():
+    from entloc.entanglement import _pt_pair_columns
+    from entloc.symplectic import _PointErrors
+
+    nu_minus = np.array([0.0, 0.0, 0.5, 1e-308, 1e-308, 0.5, 2.0])
+    symmetric = np.array([False, True, True, False, True, False, True])
+    errors = _PointErrors(len(nu_minus))
+    with np.errstate(all="ignore"):
+        columns = _pt_pair_columns(nu_minus, nu_minus + 1.0, symmetric, errors)
+    kinds = [None if error is None else type(error) for error in columns.errors]
+    assert kinds == [None, InvalidArgumentError, None, None, NumericalDomainError, None, None]
+    alive = [0, 2, 3, 5, 6]
+    assert columns.eof_missing[alive].tolist() == [True, False, True, True, False]
+    assert columns.eof[[2, 6]].tolist() == [el.eof_symmetric(0.5), 0.0]

@@ -384,6 +384,22 @@ def test_scaling_n_range_needs_two_bounds(capsys, n_range):
     assert "--n-range" in err
 
 
+@pytest.mark.parametrize("n_range", ["5,1", "0,3", "3,2"])
+def test_scaling_n_range_names_the_bad_input(capsys, n_range):
+    code, out, err = run_cli(capsys, "scaling", "--n-range", n_range)
+    assert (code, out) == (2, "")
+    assert err == f"entloc: invalid input: --n-range expects LO,HI with 1 <= LO <= HI, got {n_range}\n"
+
+
+def test_report_of_a_separable_symmetric_state_has_zero_eof(capsys):
+    spec = {"m": 1, "n": 1, "a": 2, "e1": 0, "e2": 0, "b": 2, "z1": 0, "z2": 0, "g1": 0.1, "g2": 0.1}
+    code, out, _ = run_cli(capsys, "report", "--spec-json", json.dumps(spec))
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["separable"] is True and report["nu_tilde_min"] > 1.0
+    assert report["eof"] == 0.0 and report["log_negativity"] == 0.0
+
+
 @pytest.mark.parametrize("argv, message", [
     (("hierarchy", "--k", ","), "an empty item in the list ','"),
     (("hierarchy", "--k="), "an empty list"),

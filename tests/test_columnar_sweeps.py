@@ -25,6 +25,7 @@ from entloc.experiments import (
     SweepConfig,
     render_table,
     run_hierarchy,
+    SweepRows,
     run_scaling,
     traced_symmetric_spec,
 )
@@ -142,6 +143,39 @@ def test_render_table_of_any_rows_equals_the_per_cell_formulas(rows, columns):
     if all(not isinstance(row.get(c), list) for row in rows for c in columns):
         assert render_table(rows, columns, "csv") == csv_reference(rows, columns)
     assert render_table(rows, columns, "json") == json_reference(rows, columns)
+
+
+def _long_columns(count):
+    """Columns of ``count`` cells, each of one type: floats drawn from a
+    pool with repeats, signed zeros, subnormals, 1e16 and non-finite
+    values, with and without None holes; ints, strings and bools."""
+    rng = np.random.default_rng(16)
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1.0 / 3.0,
+                math.nan, math.inf, -math.inf]
+    spread = (rng.normal(size=count) * 10.0 ** rng.integers(-30, 30, size=count)).tolist()
+    pool = specials + spread[: count // 2]
+    floats = [pool[i] for i in rng.integers(0, len(pool), size=count)]
+    holes = rng.random(count) < 0.1
+    return {
+        "x": [None if hole else value for value, hole in zip(spread, holes)],
+        "y": floats,
+        "k": rng.integers(-5, 2**40, size=count).tolist()[: count // 3] * 3 + [7] * (count % 3),
+        "s": [("ok", "unphysical", "numerical", 'q"')[i] for i in rng.integers(0, 4, size=count)],
+        "f": [None if hole else bool(i) for hole, i in zip(holes, rng.integers(0, 2, size=count))],
+    }
+
+
+@pytest.mark.parametrize("count", [2000, 2401])
+def test_render_table_of_long_columns_equals_the_per_cell_formulas(count):
+    """Columns as long as a paper sweep's render as the per-cell CSV and the
+    stdlib JSON, whether they are held as columns or come as row dicts."""
+    columns = _long_columns(count)
+    rows = SweepRows(columns)
+    names = ["k", "x", "y", "s", "f", "absent"]
+    assert len(rows) == count and len(set(map(repr, columns["y"]))) > count // 3
+    for table in (rows, list(rows)):
+        assert render_table(table, names, "csv") == csv_reference(rows, names)
+        assert render_table(table, names, "json") == json_reference(rows, names)
 
 
 def _outcome(error):

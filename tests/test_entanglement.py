@@ -154,6 +154,13 @@ def test_eof_symmetric_separable_boundary():
     assert el.eof_symmetric(1.0) == 0.0
 
 
+def test_eof_symmetric_is_zero_past_the_separable_boundary():
+    # h(x) = h(1/x), so only the clamp to 0 keeps separable states at zero
+    assert el.eof_symmetric(0.5) > 0.3
+    for nu in (np.nextafter(1.0, 2.0), 1.0 + 1e-10, 2.0, 1e200, math.inf):
+        assert el.eof_symmetric(float(nu)) == 0.0
+
+
 def test_eof_symmetric_monotone_decreasing():
     xs = np.linspace(0.05, 1.0, 200)
     hs = [el.eof_symmetric(x) for x in xs]

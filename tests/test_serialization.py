@@ -2,8 +2,9 @@
 
 The matrix files and the CLI's JSON must stay byte-identical to the
 per-entry ``repr(float(x))`` CSV, ``json.dumps`` of the matrix object and
-``json.dumps(obj, indent=2, sort_keys=True)``; the writers format each
-distinct float once, keyed on its bits.
+``json.dumps(obj, indent=2, sort_keys=True)``; the matrix writers format
+each distinct float once, keyed on its bits, and a list of floats is
+formatted by one ``%`` over all of it.
 """
 
 import json
