@@ -143,10 +143,15 @@ def _resolve_split(args, total_modes: int, spec=None) -> tuple[int, int]:
     raise InvalidArgumentError("a bipartition is required: pass --split M N or --k K")
 
 
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file ``path``; an empty path fails to open."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(text, out_path)
     else:
         sys.stdout.write(text)
 
@@ -221,14 +226,15 @@ def _cmd_report(args) -> int:
 def _localization_json(args, result) -> dict:
     """``result.to_json_dict()``, after writing the files of --dump-final and
     --dump-symplectic. Each matrix is formatted once: its entries enter the
-    payload as the ``float_reprs`` its file was written from."""
-    if args.dump_final:
+    payload as the ``float_reprs`` its file was written from. A given dump
+    path is a file to write, so an empty one is an error, not stdout."""
+    if args.dump_final is not None:
         final = save_cm(result.cm_final, args.dump_final)
     else:
         final = float_reprs(result.cm_final.matrix)
     local = float_reprs(result.local_symplectic)
-    if args.dump_symplectic:
-        _emit(_json_matrix_text(local), args.dump_symplectic)
+    if args.dump_symplectic is not None:
+        _write(_json_matrix_text(local), args.dump_symplectic)
     return {
         "cm_final": {"modes": result.cm_final.modes, "entries": final.ravel()},
         "equivalent": result.equivalent.to_json_dict(),
@@ -299,8 +305,7 @@ def _cmd_verify(args) -> int:
     reports, summary, rejection_rate = run_oracle_suite(cases=args.cases, seed=args.seed)
     summary["rejection_rate"] = rejection_rate
     if args.out is not None:  # an empty path is an error here, not stdout
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(reports_to_csv_text(reports))
+        _write(reports_to_csv_text(reports), args.out)
     sys.stdout.write(_json_text(summary))
     if summary["passes"] != summary["comparisons"]:
         return 3

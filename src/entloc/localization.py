@@ -38,7 +38,11 @@ stack, with stacked ``matmul`` for the three congruences, stacked
 of every matrix, and one stacked SVD for the boundary rotations. Stacked
 LAPACK and BLAS calls give each matrix the bits of a call on it alone,
 and each pattern, positivity and residual check records the matrices it
-fails. The results are built from stacked values too: one stacked
+fails. The reduced matrix is reported on the skeleton the theorem
+proves: once the residual check has measured the largest entry off it,
+every such entry is set to +0.0, so ``cm_final`` is S^T sigma S on its
+skeleton and exact zeros elsewhere, and ``cm_eq`` is its boundary 4x4.
+The results are built from stacked values too: one stacked
 covariance check of every ``cm_eq`` and of every ``cm_final``, one
 stacked ``slogdet`` for the purities and one pass for the ``delta_eq``
 invariants, the functions ``CovarianceMatrix``, ``purity`` and
@@ -104,7 +108,9 @@ class EquivalentTwoMode:
 
     ``cm_eq`` is in standard form: diagonal blocks nu_plus_a * I2 and
     nu_plus_b * I2, cross block diag(c_plus, c_minus) with
-    c_plus >= |c_minus| and c_plus >= 0.
+    c_plus >= |c_minus| and c_plus >= 0. Every entry off that skeleton is
+    exactly +0.0 on both routes; from ``localize`` the entries on it are
+    those of S^T sigma S, rounding included.
     """
 
     cm_eq: CovarianceMatrix
@@ -123,10 +129,11 @@ class EquivalentTwoMode:
 class LocalizationResult:
     """Outcome of the constructive reduction.
 
-    ``local_symplectic`` is block-diagonal over the declared bipartition
-    and maps the input by congruence onto ``cm_final``, whose only
-    cross-block coupling sits between modes m-1 and m (zero-based);
-    ``residual`` is the largest entry outside that target pattern.
+    ``local_symplectic`` S is block-diagonal over the declared bipartition.
+    ``cm_final`` is S^T sigma S on its skeleton, the diagonal and the
+    diagonal cross block between modes m-1 and m (zero-based), and +0.0
+    everywhere else; ``residual`` is the largest magnitude among the
+    entries of S^T sigma S that were dropped.
     """
 
     local_symplectic: np.ndarray
@@ -631,19 +638,35 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern) -> list:
     )
     final = rotations.swapaxes(1, 2) @ stage2 @ rotations
     local = mixing @ squeezers @ rotations
+    return _skeleton_results(final, local, m, tol, errors)
 
-    # target skeleton: scalar 2x2 diagonal blocks everywhere plus a
-    # diagonal cross block between the two boundary modes
-    pattern = np.eye(2 * total, dtype=bool)
+
+def _skeleton_results(final: np.ndarray, local: np.ndarray, m: int, tol, errors: _PointErrors):
+    """The results of a stack of reduced matrices ``final`` = S^T sigma S,
+    shape (K, 2(m+n), 2(m+n)), with ``local`` the stack of S, ``tol`` the
+    residual tolerance of each matrix and ``errors`` the failures so far.
+
+    The skeleton is what the reduction leaves nonzero in exact arithmetic:
+    the diagonal, and the diagonal cross block of the boundary modes m-1
+    and m. ``residual`` is the largest entry off it; once that is checked,
+    every entry off it is set to +0.0, so ``cm_final`` and ``cm_eq`` hold
+    exact zeros, not rounding noise, there. The projection subtracts the
+    off-skeleton part, so a non-finite entry stays non-finite and fails the
+    covariance check.
+    """
+    row, col = 2 * (m - 1), 2 * m
+    pattern = np.eye(final.shape[-1], dtype=bool)
     for offset in (0, 1):
         pattern[row + offset, col + offset] = pattern[col + offset, row + offset] = True
-    residual = np.abs(np.where(pattern, 0.0, final)).max(axis=(1, 2))
+    off = np.where(pattern, 0.0, final)
+    residual = np.abs(off).max(axis=(1, 2))
     errors.record(
         residual > tol,
         lambda k: LocalizationError(
             f"off-pattern residual {residual[k]:.3e} exceeds tolerance {tol[k]:.3e}"
         ),
     )
+    final = final - off
 
     # the checks a matrix meets building its result, in order: the
     # covariance check of cm_eq, its purity, the covariance check of cm_final
@@ -685,6 +708,12 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None):
     Stage 1 works even when a block's spectrum is fully degenerate, where
     an eigenvalue-ordered normal-form computation could not identify the
     correlation-carrying mode.
+
+    The result's ``cm_final`` is S^T sigma S on the skeleton the stages
+    produce exactly, the diagonal and the boundary cross block; the
+    rounding noise off it is checked against the tolerance as
+    ``residual``, its largest entry, and then dropped to +0.0. A matrix
+    whose noise exceeds the tolerance is rejected, not projected.
 
     ``cm`` is one ``CovarianceMatrix``, whose failure raises, or a sequence
     of them, all split as (m, n), which is reduced as one stack and gives a

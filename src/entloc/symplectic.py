@@ -535,14 +535,14 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
 # bit. A sequence of floats is formatted by one ``%`` over all of it
 # (``_float_texts``), which is faster than a call per value. Matrix
 # entries alone go through ``float_reprs``, which formats each distinct
-# float once: at M = 48 a local symplectic holds about a hundred distinct
-# values in 9216 entries and an exactly symmetric matrix repeats each
-# off-diagonal entry. Elsewhere (a sweep column, a spectrum) nearly every
-# value is distinct, and de-duplicating costs more than it saves. The
-# texts equal ``json.dumps`` and the per-entry ``repr`` CSV byte for byte,
-# also for non-finite entries (JSON NaN, Infinity; CSV nan, inf, as repr
-# spells them). The text writers take the strings, so one formatting can
-# feed several.
+# float once: at M = 48, split 24|24, a local symplectic holds 83
+# distinct values in 9216 entries and the reduced matrix ``cm_final``,
+# exactly zero off its skeleton, 16. Elsewhere (a sweep column, a
+# spectrum) nearly every value is distinct, and de-duplicating costs more
+# than it saves. The texts equal ``json.dumps`` and the per-entry ``repr``
+# CSV byte for byte, also for non-finite entries (JSON NaN, Infinity; CSV
+# nan, inf, as repr spells them). The text writers take the strings, so
+# one formatting can feed several.
 # Readers parse each distinct cell text once, through a ``_CellParser``
 # made for the one read: the paper's matrices repeat five 2x2 pattern
 # blocks, so a 48-mode file holds a handful of distinct texts in 9216

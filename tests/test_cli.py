@@ -517,6 +517,19 @@ def test_directory_path_exit_code(tmp_path, capsys, argv):
     assert err == f"entloc: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+@pytest.mark.parametrize("command", [("localize",), ("report", "--localize")])
+@pytest.mark.parametrize("option", ["--dump-final", "--dump-symplectic"])
+def test_empty_dump_path_exit_code(tmp_path, capsys, monkeypatch, command, option):
+    """An empty dump path is a file that cannot be opened, as for
+    ``verify --out ""``: exit 2, nothing on stdout, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command[0], "--modes", "4", "--b", "1.5", "--k", "2",
+                             *command[1:], option, "")
+    assert (code, out) == (2, "")
+    assert err == "entloc: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["cm.json", "cm.csv", "spec.json"])
 def test_file_that_is_not_utf8_exit_code(tmp_path, capsys, name):
     path = tmp_path / name

@@ -298,9 +298,10 @@ def test_localize_transform_is_local_and_symplectic():
     assert cm_allclose(moved, result.cm_final, tol=1e-10)
 
 
-def test_localize_handles_non_standard_local_basis():
-    # the same single-mode symplectic on every mode of a side keeps the
-    # pattern while leaving standard form
+def _non_standard_3_2():
+    """A 3|2 state, and the same state seen through the same single-mode
+    symplectic on every mode of a side: the pattern stays, the standard
+    form goes."""
     spec = el.BisymmetricSpec(3, 2, 1.5, 0.2, -0.1, 1.7, 0.25, -0.12, 0.3, -0.25)
     cm = el.bisymmetric_cm(spec)
     rng = np.random.default_rng(61)
@@ -309,7 +310,11 @@ def test_localize_handles_non_standard_local_basis():
     import scipy.linalg
 
     local = scipy.linalg.block_diag(*([sa] * 3 + [sb] * 2))
-    moved = el.apply_symplectic(local, cm)
+    return cm, el.apply_symplectic(local, cm)
+
+
+def test_localize_handles_non_standard_local_basis():
+    cm, moved = _non_standard_3_2()
     result = el.localize(moved, 3, 2)
     assert result.residual <= 1e-8 * np.max(np.abs(moved.matrix))
     en_eq = oracle_pt_log_negativity(result.equivalent.cm_eq, _split(1, 1))
@@ -492,6 +497,139 @@ def test_localization_result_json_shape():
     assert set(obj) == {"local_symplectic", "cm_final", "equivalent", "residual"}
     assert set(obj["equivalent"]) == {"cm_eq", "mu_eq", "delta_eq"}
     assert len(obj["cm_final"]["entries"]) == 64
+
+
+# ---------------------------------------------------------------------------
+# The reported skeleton: cm_final and cm_eq hold +0.0 off it.
+# ---------------------------------------------------------------------------
+
+
+def _skeleton(modes, m):
+    """The diagonal and the diagonal cross block of modes m-1 and m."""
+    pattern = np.eye(2 * modes, dtype=bool)
+    row, col = 2 * (m - 1), 2 * m
+    for offset in (0, 1):
+        pattern[row + offset, col + offset] = pattern[col + offset, row + offset] = True
+    return pattern
+
+
+def _golden_cm():
+    """The 24-mode input of the matrix-file goldens."""
+    from test_matrix_goldens import ALPHA, EPS, MODES
+
+    return el.CovarianceMatrix(np.array(
+        [[(ALPHA if i // 2 == j // 2 else EPS)[i % 2][j % 2] for j in range(2 * MODES)]
+         for i in range(2 * MODES)]
+    ))
+
+
+def _sampler_stacks(seed):
+    """(matrices, m, n) per shape of 300 ``verify`` sampler draws."""
+    shapes = {}
+    for spec in SpecSampler(seed, max_block=6).bisymmetric(count=300):
+        shapes.setdefault((spec.m, spec.n), []).append(spec)
+    return [(el.bisymmetric_cm(specs), m, n) for (m, n), specs in shapes.items()]
+
+
+def _skeleton_cases():
+    yield "golden 12|12", [_golden_cm()], 12, 12
+    yield "ghz 4|4", [el.ghz_type_pure(8, 1.5)], 4, 4
+    yield "non-standard 3|2", [_non_standard_3_2()[1]], 3, 2
+    for seed in (1, 7):
+        for cms, m, n in _sampler_stacks(seed):
+            yield f"sampler seed {seed} {m}|{n}", cms, m, n
+
+
+def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
+    """Every entry off the skeleton is +0.0 (bits zero), on the paper's
+    states, in a non-standard local basis and on the sampler's draws; the
+    boundary block of cm_final is cm_eq, and the noise that was dropped
+    is within the tolerance the residual was checked against."""
+    checked = 0
+    for name, cms, m, n in _skeleton_cases():
+        for cm, result in zip(cms, el.localize(cms, m, n)):
+            final, eq = result.cm_final.matrix, result.equivalent.cm_eq.matrix
+            assert not np.any(_bits(final)[~_skeleton(m + n, m)]), name
+            assert not np.any(_bits(eq)[~_skeleton(2, 1)]), name
+            boundary = slice(2 * (m - 1), 2 * m + 2)
+            assert np.array_equal(_bits(final[boundary, boundary]), _bits(eq)), name
+            assert result.residual <= 1e-8 * max(1.0, np.max(np.abs(cm.matrix))), name
+            checked += 1
+    assert checked > 300
+
+
+# The golden input at 12|12, recorded from the tree before the projection:
+# the values the projection must not move, the sha256 of the old cm_final
+# and cm_eq with their off-skeleton entries set to +0.0, and the largest
+# magnitude among those old off-skeleton entries.
+GOLDEN_KEPT = {
+    "residual": "5.313737248484793e-15",
+    "mu_eq": "0.348626968122117",
+    "delta_eq": "9.227692307692216",
+    "report E_N 6|18": "0.9260528622243103",
+    "report E_N 12|12": "1.048043175606261",
+}
+GOLDEN_LOCAL_SYMPLECTIC = "6b672126a1d0af29b9900cba2581eb0bf4aa353f71050fe11355de990064e17f"
+GOLDEN_ON_SKELETON = {
+    "cm_final": "3d03a8a1b35d179c179d74f97d24fc5b44ec91c4ae3894eedd972526a7e8dc6d",
+    "cm_eq": "6d0bf9ff573a256be4571cdaef3065d9e244078cfb7d843c89e000ce4ec8ae3a",
+}
+GOLDEN_LARGEST_DROPPED = 4.210816372907315e-15
+
+
+def _sha256(matrix):
+    import hashlib
+
+    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+
+def test_localize_golden_keeps_its_values_and_drops_only_noise():
+    """The digests depend on numpy's LAPACK and BLAS, as the matrix-file
+    goldens do (recorded with numpy 2.4 on x86-64)."""
+    cm = _golden_cm()
+    result = el.localize(cm, 12, 12)
+    eq = result.equivalent
+    kept = {
+        "residual": repr(result.residual),
+        "mu_eq": repr(eq.mu_eq),
+        "delta_eq": repr(eq.delta_eq),
+        "report E_N 6|18": repr(el.equivalent_report_from_cm(cm, 6, 18).log_negativity),
+        "report E_N 12|12": repr(el.equivalent_report_from_cm(cm, 12, 12).log_negativity),
+    }
+    assert kept == GOLDEN_KEPT
+    assert _sha256(result.local_symplectic) == GOLDEN_LOCAL_SYMPLECTIC
+    # on the skeleton every bit is the old one, and each entry that moved
+    # (to +0.0) was at most the residual in magnitude
+    on_skeleton = {"cm_final": _sha256(result.cm_final.matrix), "cm_eq": _sha256(eq.cm_eq.matrix)}
+    assert on_skeleton == GOLDEN_ON_SKELETON
+    assert GOLDEN_LARGEST_DROPPED <= result.residual
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_skeleton_projection_keeps_non_finite_entries(value):
+    """A non-finite entry off the skeleton and outside the boundary block
+    passes the residual check (nan compares false; inf does against the
+    infinite default tolerance of a stack holding inf), and must still fail
+    the covariance check of cm_final: the projection may not zero it. In
+    place in a stack, and alone."""
+    from entloc.localization import _skeleton_results
+    from entloc.symplectic import _PointErrors
+
+    result = el.localize(_non_standard_3_2()[1], 3, 2)
+    good = np.array(result.cm_final.matrix)
+    bad = good.copy()
+    bad[0, 1] = bad[1, 0] = bad[0, 8] = bad[8, 0] = value
+    final = np.array([good, bad, good])
+    local = np.array([result.local_symplectic] * 3)
+    tol = 1e-8 * np.fmax(np.abs(final).max(axis=(1, 2)), 1.0)
+    with np.errstate(all="ignore"):  # as in localize
+        stacked = _skeleton_results(final, local, 3, tol, _PointErrors(3))
+        alone = _skeleton_results(bad[None], local[:1], 3, tol[1:2], _PointErrors(1))
+    for error in (stacked[1], alone[0]):
+        assert isinstance(error, InvalidArgumentError)
+        assert str(error) == "covariance matrix has non-finite entries"
+    for kept in (stacked[0], stacked[2]):
+        assert np.array_equal(_bits(kept.cm_final.matrix), _bits(result.cm_final.matrix))
 
 
 # ---------------------------------------------------------------------------

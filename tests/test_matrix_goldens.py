@@ -3,8 +3,13 @@
 A 24-mode fully symmetric state in a local single-mode basis is written
 from two literal 2x2 pattern blocks, as CSV and as JSON, and each command
 runs on both files. The sha256 of stdout and of every dump file, and the
-exit codes, were recorded with the per-cell ``float`` readers, so a change
-of the readers that moved any loaded bit would show here.
+exit codes, were first recorded with the per-cell ``float`` readers, so a
+change of the readers that moved any loaded bit would show here. The
+``localize`` and ``report`` stdout and the two ``final`` dumps were
+recorded again when ``cm_final`` and ``cm_eq`` came to be reported on
+their skeleton (every entry off it +0.0, not the rounding noise of the
+congruence); the ``spectrum``, ``ole`` and ``symplectic`` digests are the
+first recording.
 
 The file holds six distinct cell texts in 2304 cells (the repeated blocks
 of the paper's bisymmetric states). The expected digests depend on the
@@ -35,18 +40,18 @@ COMMANDS = {
     "ole": lambda src, d: ["ole", "--cm", src],
 }
 
-# sha256 of each output, recorded with the per-cell float readers; stdout
-# is the same for both input formats. Every command exits 0.
+# sha256 of each output; stdout is the same for both input formats.
+# Every command exits 0.
 STDOUT = {
-    "localize": "42ba821ed09026211d4ad22b38c2f20c8618b46fa54419d2bf540551dd924c6a",
+    "localize": "6670cb1c10bd749341a455387b789d508cba7845ebc11d46fd523b7d573a982b",
     "ole": "d08e275c76c74c6dbe15d90a2301508999c101e2929759939bab1ec61e534e5d",
-    "report": "fc282376472d08cd4071518fe3a10ab1aa77ca641c8d6501ac6d7737dead25ab",
+    "report": "25cd7031b83f7047d6782324c9a558a2a3c30686d776664cc9ebb6d822a4e089",
     "spectrum": "680ea239ec0f742887407637df8ee7df6995ed7d049550930e5c93b0cf25a2e7",
 }
 LOCALIZE_DUMPS = {
-    "csv": {"final": "b3e9663dcebd9326ff9d293619413af89e1c2311c5f3226d3f6e2947f34e5c2c",
+    "csv": {"final": "34a261a0f5ea2b58b717bdc8ce14bb69e2b74cb57eb476c7fcad525eb35401ad",
             "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
-    "json": {"final": "46e1e40396e662817c9c28145e8194b1623d56f8c930976a6e1e9b8c8b0922de",
+    "json": {"final": "fec149fc8adce5f664ca35fb047e237e6a96f9c6e68cd7308b94c41c2f12bb87",
              "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
 }
 
