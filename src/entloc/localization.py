@@ -32,8 +32,8 @@ one; the sweeps, the split scan and the cross-check suite each make one
 call.
 
 The constructive route batches the same way over matrices of one split
-(m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or a sequence
-that it stacks, and runs each stage once for the stack, with stacked
+(m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix
+as a stack of one, and runs each stage once for the stack, with stacked
 ``matmul`` for the three congruences, stacked ``np.linalg.det`` calls
 and 2x2 algebra for every single-mode normalizer of every matrix, and
 one stacked SVD for the boundary rotations. Stacked LAPACK and BLAS
@@ -47,11 +47,10 @@ are columns (``LocalizationColumns``): one stacked covariance check of
 every ``cm_eq`` and of every ``cm_final``, one stacked ``slogdet`` for
 the purities and one pass for the ``delta_eq`` invariants, the functions
 ``CovarianceMatrix``, ``purity`` and ``delta_invariant`` run on a batch
-of one. A stack gives the columns as they are; a single matrix or a
-sequence gets ``LocalizationResult``s built from them. The cross-check
-suite makes one call per (m, n) shape, at most 36 for its block sizes
-1..6, and reads the columns; the mode mixing O (x) I2 is built by
-broadcasting.
+of one. A stack gives the columns as they are; a single matrix gets its
+``LocalizationResult`` built from them. The cross-check suite makes
+one call per (m, n) shape, at most 36 for its block sizes 1..6, and
+reads the columns; the mode mixing O (x) I2 is built by broadcasting.
 """
 
 from __future__ import annotations
@@ -742,15 +741,14 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None):
     ``residual``, its largest entry, and then dropped to +0.0. A matrix
     whose noise exceeds the tolerance is rejected, not projected.
 
-    ``cm`` is one ``CovarianceMatrix``, whose failure raises, a sequence of
-    them, all split as (m, n), which is reduced as one stack and gives a
-    list holding each matrix's result or its error, in place, or a
-    (K, 2(m+n), 2(m+n)) array, a stack of matrices, which gives
-    ``LocalizationColumns``, each matrix's values or its error in place.
-    A stack gets the ``CovarianceMatrix`` check first, one call for all
-    of it, and a matrix that fails it keeps that error; each column entry
-    has the bits of the result of the matrix's ``CovarianceMatrix``. The
-    single and sequence forms build their results from the same columns.
+    ``cm`` is one ``CovarianceMatrix``, whose result is returned and whose
+    failure raises, or a (K, 2(m+n), 2(m+n)) array, a stack of matrices,
+    which gives ``LocalizationColumns``, each matrix's values or its error
+    in place. A stack gets the ``CovarianceMatrix`` check first, one call
+    for all of it, and a matrix that fails it keeps that error; each
+    column entry has the bits of the result of the matrix's
+    ``CovarianceMatrix``. The single form builds its result from the
+    columns of a stack of one. Any other input is invalid.
     """
     if m < 1 or n < 1:
         raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
@@ -763,12 +761,13 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None):
         with np.errstate(all="ignore"):
             return _localize_stack(
                 _symmetrized(cm.astype(float, copy=False), errors), m, n, tol_pattern, errors)
-    single = isinstance(cm, CovarianceMatrix)
-    items = [_attempt(_covered, c, m, n) for c in ([cm] if single else cm)]
+    if not isinstance(cm, CovarianceMatrix):
+        raise InvalidArgumentError("localize takes a CovarianceMatrix or a "
+                                   f"(K, 2N, 2N) array, got {type(cm).__name__}")
     with np.errstate(all="ignore"):
-        results = _in_place(lambda matrices: _localize_stack(
-            np.array(matrices), m, n, tol_pattern, _PointErrors(len(matrices))).results(), items)
-    return _raise_first(results)[0] if single else results
+        stack = np.array([_covered(cm, m, n)])
+        columns = _localize_stack(stack, m, n, tol_pattern, _PointErrors(1))
+    return _raise_first(columns.results())[0]
 
 
 # ---------------------------------------------------------------------------

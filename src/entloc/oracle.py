@@ -5,21 +5,17 @@ reflections are applied entrywise and spectra come from a general dense
 eigensolver. They deliberately avoid the closed-form code paths they are
 used to check, and they are allowed to be slow.
 
-``oracle_pt_log_negativity`` takes a (K, 2N, 2N) stack, or a sequence
-of equal-size matrices as one stack: one mirror, Omega @ sigma as a
-signed row swap (the bits of the matmul), one stacked
-``np.linalg.eigvals`` call (the same bits per matrix as a call on it
-alone), then the finite test and the -sum of ``math.log`` over the
-sub-unit values as columns. The cross-check suite is columnar from
-sampling to the summary. ``SpecSampler`` has one draw
-path: it reads its generator as raw PCG64 words (``_RawStream``), from
-which it replays the generator's bounded integers and uniform doubles
-bit for bit, and draws a single spec as a counted draw of one. A counted
-draw goes a block of attempts at a time: one loop over local variables
-walks the block's attempts through the words, the block is decoded as
-columns and screened by one array check, its decisions are taken in
-order, the stream is cut at the last attempt single draws would have
-made, and only the accepted attempts are built as specs. After
+``oracle_pt_log_negativity`` takes a (K, 2N, 2N) stack, or one matrix
+as a stack of one: one mirror, Omega @ sigma as a signed row swap (the
+bits of the matmul), one stacked ``np.linalg.eigvals`` call (the same
+bits per matrix as a call on it alone), then the finite test and the
+-sum of ``math.log`` over the sub-unit values as columns. The
+cross-check suite is columnar from sampling to the summary.
+``SpecSampler`` draws a block of attempts at a time with two public
+``Generator`` calls, one ``integers`` call for the block sizes and one
+``random`` call for the parameters, screens the block by one array
+check, takes its decisions in order and builds only the accepted
+attempts as specs; a single spec is a counted draw of one. After
 sampling nothing is built per case: the specs become one
 ``BisymmetricBatch``, on which the invariant route runs. Each (m, n)
 shape is a slice of that batch, assembled and checked as one stack,
@@ -126,14 +122,14 @@ def oracle_pt_log_negativity(cm, part):
     spectrum of the reflected matrix, and sums -ln over the sub-unit
     symplectic eigenvalues.
 
-    ``cm`` is one covariance matrix, whose failure raises, a sequence of
-    matrices of one size, or a (K, 2N, 2N) array, a stack of matrices. A
-    sequence or a stack is split by ``part`` as a whole, goes through one
-    stacked eigensolver call and gives a list holding each matrix's value
-    or its error, in place. A stack gets the ``CovarianceMatrix`` check
-    first, one call for all of it: a matrix that fails it keeps that error
-    and the others get the values of their ``CovarianceMatrix``. A split
-    that does not cover the modes raises.
+    ``cm`` is one ``CovarianceMatrix``, whose value is returned and whose
+    failure raises, or a (K, 2N, 2N) array, a stack of matrices. A stack
+    is split by ``part`` as a whole, goes through one stacked eigensolver
+    call and gives a list holding each matrix's value or its error, in
+    place. It gets the ``CovarianceMatrix`` check first, one call for all
+    of it: a matrix that fails it keeps that error and the others get the
+    values of their ``CovarianceMatrix``. A split that does not cover the
+    modes raises, and so does any other input.
     """
     if isinstance(cm, np.ndarray):
         if cm.ndim != 3 or cm.shape[1] != cm.shape[2] or cm.shape[1] % 2 or not cm.shape[1]:
@@ -146,17 +142,13 @@ def oracle_pt_log_negativity(cm, part):
         for k in np.flatnonzero(~errors.alive).tolist():
             values[k] = errors.errors[k]
         return values
-    single = isinstance(cm, CovarianceMatrix)
-    cms = [cm] if single else list(cm)
-    try:
-        stack = np.array([c.matrix for c in cms])
-    except ValueError:  # square matrices of more than one size
-        shapes = sorted({c.matrix.shape for c in cms})
-        raise InvalidArgumentError(f"matrices of one size required, got shapes {shapes}") from None
-    values = _stack_log_negativities(stack, part)
-    if single and isinstance(values[0], NumericalDomainError):
-        raise values[0]
-    return values[0] if single else values
+    if not isinstance(cm, CovarianceMatrix):
+        raise InvalidArgumentError("oracle_pt_log_negativity takes a CovarianceMatrix or a "
+                                   f"(K, 2N, 2N) array, got {type(cm).__name__}")
+    [value] = _stack_log_negativities(cm.matrix[None], part)
+    if isinstance(value, NumericalDomainError):
+        raise value
+    return value
 
 
 def _stack_log_negativities(stack: np.ndarray, part) -> list:
@@ -175,77 +167,18 @@ def _stack_log_negativities(stack: np.ndarray, part) -> list:
 # ---------------------------------------------------------------------------
 
 
-_HALF_MASK = 0xFFFFFFFF
-# ``Generator.random()`` of a word is its top 53 bits, (word >> 11), times this
-_WORD_UNIT = 1.0 / 9007199254740992.0
-_NO_WORDS = np.empty(0, dtype=np.uint64)
-# the most attempts a counted draw decodes and screens at once, so that its
-# words and columns take less memory than the suite's matrix stacks: a
-# block of 3350 raised the peak memory of `verify --cases 1000` by 0.5 MB
+# the most attempts a counted draw draws and screens at once, so that its
+# columns take less memory than the suite's matrix stacks: a block of 3350
+# raised the peak memory of `verify --cases 1000` by 0.5 MB
 _BLOCK = 1024
-
-
-class _RawStream:
-    """The draws of a PCG64 ``Generator``, replayed from its raw words.
-
-    numpy's ``Generator.random()`` is the top 53 bits of one 64-bit word,
-    and ``Generator.integers(lo, hi)`` for hi - lo < 2**32 is Lemire's
-    bounded method (Lemire, ACM TOMACS 2019) on 32-bit halves: a word
-    gives its low half first and keeps its high half for the next 32-bit
-    draw, across calls too. The stream reads words ahead into ``words``
-    (``reserve``); a counted draw consumes them there, moving ``pos`` and
-    ``half`` over ``words`` with Lemire's arithmetic inlined
-    (``SpecSampler._attempt_columns``). Every word read stays in
-    ``words``, consumed or not, until ``drop``, so that a caller can go
-    back to an earlier position. Closing the stream rewinds the generator
-    over the words held and not consumed and restores the kept half, so
-    the generator is where the calls would have left it.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise TypeError(f"the raw-word replay needs PCG64, got {type(bitgen).__name__}")
-        state = bitgen.state
-        self._bitgen = bitgen
-        self.half = self._kept = state["uinteger"] if state["has_uint32"] else None
-        self.words = _NO_WORDS
-        self.pos = 0  # index in ``words`` of the first unconsumed word
-
-    def __enter__(self) -> "_RawStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        unread = len(self.words) - self.pos
-        if unread:  # advance also empties the generator's kept half
-            self._bitgen.advance(-unread)
-            self._kept = None
-        if self.half != self._kept:
-            state = self._bitgen.state
-            state["has_uint32"], state["uinteger"] = int(self.half is not None), self.half or 0
-            self._bitgen.state = state
-
-    def reserve(self, count: int) -> None:
-        """Read words until ``count`` unconsumed ones are held."""
-        short = self.pos + count - len(self.words)
-        if short > 0:
-            fresh = self._bitgen.random_raw(short)
-            self.words = np.concatenate((self.words, fresh)) if len(self.words) else fresh
-
-    def drop(self) -> None:
-        """Forget the consumed words."""
-        self.words, self.pos = self.words[self.pos:], 0
 
 
 class SpecSampler:
     """Rejection sampler for two-block specs over fixed parameter boxes.
 
-    Every draw, single or counted, reads the generator through a
-    ``_RawStream``, decodes a block of attempts as columns, screens them
-    with one ``bisymmetric_batch`` call and builds only the specs it keeps.
-    The specs, counters and generator state are those of one
-    ``Generator.integers`` call per drawn block size and one
-    ``Generator.uniform`` call per drawn parameter, attempt after attempt.
+    Every draw, single or counted, draws a block of attempts as columns,
+    screens them with one ``bisymmetric_batch`` call and builds only the
+    specs it keeps.
     """
 
     def __init__(
@@ -261,8 +194,6 @@ class SpecSampler:
             raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
         if max_block < 1:
             raise InvalidArgumentError(f"max_block must be at least 1, got {max_block}")
-        if max_block > _HALF_MASK:  # the replay draws spans below 2**32
-            raise InvalidArgumentError(f"max_block must be below 2**32, got {max_block}")
         self.rng = np.random.default_rng(seed)
         self.b_box = b_box
         self.corr_box = corr_box
@@ -284,135 +215,53 @@ class SpecSampler:
         return self._counted(m, n, 1)[0] if count is None else self._counted(m, n, count)
 
     def _counted(self, m, n, count):
-        """``count`` two-block specs: the specs, attempts and stream of
-        ``count`` single draws.
+        """``count`` two-block specs, drawn a block of attempts at a time.
 
-        A block of attempts is decoded as columns (``_attempt_columns``)
-        and screened by one ``bisymmetric_batch`` call, which rejects
-        exactly what the constructor rejects. Its decisions are then taken
-        in order, as single draws take them: an accept resets the tries,
-        and ``max_tries`` rejections in a row fail. The stream goes back to
-        the end of the last attempt single draws would have made, and only
-        the accepted rows are built as specs. A block holds as many
-        attempts as the acceptance rate seen so far says are needed, the
-        first guessing 0.3 (about 0.32 for the default boxes), and at most
-        ``max_tries`` and ``_BLOCK``.
+        A block draws its (2, size) block sizes with one
+        ``Generator.integers`` call, a given size overwriting its row, and
+        its (8, size) parameters with one ``Generator.random`` call scaled
+        to their boxes; a block of one mode has no correlations, so its
+        e1, e2 or z1, z2 are 0.0. One ``bisymmetric_batch`` call screens
+        the block, rejecting exactly what the constructor rejects. Its
+        decisions are then taken in order: an accept resets the tries, and
+        ``max_tries`` rejections in a row fail. The attempts after the last
+        one taken are dropped, and only the accepted ones are built as
+        specs. A block holds as many attempts as the acceptance rate seen
+        so far says are needed, the first guessing 0.3 (about 0.32 for the
+        default boxes), and at most ``max_tries`` and ``_BLOCK``.
         """
-        layout = self._two_block_layout()
+        boxes = np.array([self.b_box, self.corr_box, self.corr_box, self.b_box,
+                          self.corr_box, self.corr_box, self.cross_box, self.cross_box])
+        lows, scales = boxes[:, :1], boxes[:, 1:] - boxes[:, :1]
         specs, tries, rate = [], self.max_tries, 0.3
-        with _RawStream(self.rng) as stream:
-            while len(specs) < count and tries > 0:
-                needed = count - len(specs)
-                size = min(self.max_tries, _BLOCK, math.ceil(needed / rate) + 16)
-                sizes, params, ends, kept = self._attempt_columns(stream, m, n, size, layout)
-                screen = bisymmetric_batch(*sizes, *params, errors=_Rejections(size))
-                hits, last = [], -1
-                for hit in np.flatnonzero(screen.errors.alive).tolist():
-                    if hit - last > tries or len(hits) == needed:
-                        break
-                    hits.append(hit)
-                    last, tries = hit, self.max_tries
-                used = last + 1 if len(hits) == needed else min(size, last + 1 + tries)
-                tries -= used - last - 1
-                stream.pos, stream.half = int(ends[used - 1]), kept[used - 1]
-                self.attempts += used
-                rows = zip(*sizes[:, hits].tolist(), params[:, hits].T.tolist())
-                specs.extend(BisymmetricSpec(mm, nn, *rest) for mm, nn, rest in rows)
-                rate = max(len(hits), 1) / used
+        while len(specs) < count and tries > 0:
+            needed = count - len(specs)
+            size = min(self.max_tries, _BLOCK, math.ceil(needed / rate) + 16)
+            sizes = self.rng.integers(1, self.max_block + 1, size=(2, size))
+            if m is not None:
+                sizes[0] = m
+            if n is not None:
+                sizes[1] = n
+            params = lows + scales * self.rng.random((8, size))
+            params[1:3, sizes[0] == 1] = 0.0
+            params[4:6, sizes[1] == 1] = 0.0
+            screen = bisymmetric_batch(*sizes, *params, errors=_Rejections(size))
+            hits, last = [], -1
+            for hit in np.flatnonzero(screen.errors.alive).tolist():
+                if hit - last > tries or len(hits) == needed:
+                    break
+                hits.append(hit)
+                last, tries = hit, self.max_tries
+            used = last + 1 if len(hits) == needed else min(size, last + 1 + tries)
+            tries -= used - last - 1
+            self.attempts += used
+            rows = zip(*sizes[:, hits].tolist(), params[:, hits].T.tolist())
+            specs.extend(BisymmetricSpec(mm, nn, *rest) for mm, nn, rest in rows)
+            rate = max(len(hits), 1) / used
         self.accepted += len(specs)
         if len(specs) < count:
             raise RuntimeError("rejection sampling failed to produce a physical spec")
         return specs
-
-    def _two_block_layout(self):
-        """The words of a two-block attempt, by its kind 2 (m > 1) + (n > 1):
-        how many, and for each of the eight parameters its word (-1 for a
-        None box), its box's lo and its hi - lo."""
-        corr, cross = (None, self.corr_box), (self.cross_box,) * 2
-        kinds = [(self.b_box, first, first, self.b_box, second, second) + cross
-                 for first in corr for second in corr]
-        drawn = np.array([[box is not None for box in boxes] for boxes in kinds])
-        words = np.where(drawn, np.cumsum(drawn, axis=1) - 1, -1)
-        lows = [[box[0] if box else 0.0 for box in boxes] for boxes in kinds]
-        scales = [[box[1] - box[0] if box else 0.0 for box in boxes] for boxes in kinds]
-        return drawn.sum(axis=1).tolist(), words, np.array(lows), np.array(scales)
-
-    def _attempt_columns(self, stream, m, n, size, layout):
-        """``size`` two-block attempts from the stream: the (2, size) block
-        sizes, the (8, size) parameters, and the stream's position and kept
-        half after each attempt.
-
-        One loop over local variables walks the attempts: it draws each
-        block size that is not given by Lemire's method on the stream's
-        halves, one ``Generator.integers`` call's arithmetic inlined, and steps
-        over the words of the attempt's parameters, reading more words
-        only when Lemire rejections have used up those held. The
-        parameters are then decoded from their words as arrays, lo +
-        (hi - lo) u per box and 0.0 for a None box, the values of one
-        ``Generator.uniform(lo, hi)`` call per drawn box.
-        """
-        widths, words, lows, scales = layout
-        stream.drop()
-        stream.reserve(size * (2 + max(widths)))
-        held, pos, half = memoryview(stream.words), stream.pos, stream.half
-        span, mask = self.max_block, _HALF_MASK
-        threshold = (mask + 1 - span) % span
-        # a span of one draws nothing, as Generator.integers(1, 2) does
-        draw_m, draw_n = m is None and span > 1, n is None and span > 1
-        mm, nn = 1 if m is None else m, 1 if n is None else n
-        ms, ns, starts, kept = [], [], [], []
-        # the two draws are written out: a loop over (m, n) made the walk 10-20% slower
-        for _ in range(size):
-            if draw_m:
-                while True:
-                    if half is None:
-                        if pos >= len(held):
-                            held = _more_words(stream, pos, size)
-                        word = held[pos]
-                        pos += 1
-                        low, half = word & mask, word >> 32
-                    else:
-                        low, half = half, None
-                    product = low * span
-                    if product & mask >= threshold:
-                        break
-                mm = 1 + (product >> 32)
-            if draw_n:
-                while True:
-                    if half is None:
-                        if pos >= len(held):
-                            held = _more_words(stream, pos, size)
-                        word = held[pos]
-                        pos += 1
-                        low, half = word & mask, word >> 32
-                    else:
-                        low, half = half, None
-                    product = low * span
-                    if product & mask >= threshold:
-                        break
-                nn = 1 + (product >> 32)
-            ms.append(mm)
-            ns.append(nn)
-            starts.append(pos)
-            kept.append(half)
-            pos += widths[2 * (mm > 1) + (nn > 1)]
-        stream.pos = pos
-        stream.reserve(0)  # the parameter words of the last attempts
-        sizes = np.array((ms, ns), dtype=np.int64)
-        kind = 2 * (sizes[0] > 1) + (sizes[1] > 1)
-        starts = np.array(starts)
-        word = words[kind]
-        u = (stream.words[starts[:, None] + np.maximum(word, 0)] >> 11) * _WORD_UNIT
-        params = np.where(word >= 0, lows[kind] + scales[kind] * u, 0.0)
-        return sizes, params.T, starts + np.array(widths)[kind], kept
-
-
-def _more_words(stream, pos, count):
-    """A view of the stream's words after reading ``count`` words past
-    ``pos``, for a walk whose Lemire rejections used up the words held."""
-    stream.pos = pos
-    stream.reserve(count)
-    return memoryview(stream.words)
 
 
 # ---------------------------------------------------------------------------

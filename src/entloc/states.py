@@ -448,25 +448,21 @@ def bisymmetric_cm(spec):
 
     The first block occupies modes 0..m-1, the second modes m..m+n-1.
 
-    ``spec`` is one ``BisymmetricSpec``, a ``BisymmetricBatch`` of one
-    shape (m, n), or a sequence of specs of one shape. A batch is assembled
-    and checked as one stack, by one ``_assemble`` and one
-    ``CovarianceMatrix`` check of all its points, and gives that stack:
-    read-only, shape (K, 2(m+n), 2(m+n)), each matrix the bits of the
-    spec's own. An empty batch, which has no shape, raises. A sequence
-    is stacked into one batch and gives the list of its matrices, one spec
-    the matrix alone. The first point whose matrix fails the check raises
-    its error, or, in a batch, the error the batch holds for it.
+    ``spec`` is one ``BisymmetricSpec``, which gives its
+    ``CovarianceMatrix``, or a ``BisymmetricBatch`` of one shape (m, n).
+    A batch is assembled and checked as one stack, by one ``_assemble``
+    and one ``CovarianceMatrix`` check of all its points, and gives that
+    stack: read-only, shape (K, 2(m+n), 2(m+n)), each matrix the bits of
+    the spec's own. An empty batch, which has no shape, raises. The first
+    point whose matrix fails the check raises its error, or the error the
+    batch holds for it. Any other input is invalid.
     """
     if isinstance(spec, BisymmetricBatch):
         return _checked_stack(spec)
-    single = isinstance(spec, BisymmetricSpec)
-    specs = [spec] if single else list(spec)
-    if not specs:
-        return []
-    stack = _checked_stack(BisymmetricBatch.of(specs))
-    return CovarianceMatrix._checked(stack[0]) if single else [
-        CovarianceMatrix._checked(matrix) for matrix in stack]
+    if not isinstance(spec, BisymmetricSpec):
+        raise InvalidArgumentError("bisymmetric_cm takes a BisymmetricSpec or a "
+                                   f"BisymmetricBatch, got {type(spec).__name__}")
+    return CovarianceMatrix._checked(_checked_stack(BisymmetricBatch.of([spec]))[0])
 
 
 def _checked_stack(batch: BisymmetricBatch) -> np.ndarray:

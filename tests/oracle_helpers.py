@@ -2,11 +2,10 @@
 
 These are test inputs and references, not library code: ``ScalarSampler``
 draws specs with one live generator call per block size and per
-parameter, the sampler ``entloc.oracle.SpecSampler`` replays; the random
-symplectic helpers need scipy, which only the test suite installs; the
-scans and spectrum clusters evaluate definitions through the library's
-dense oracle; the one-call forms of the sampler's raw-word replay are the
-reference its inlined walk is held to; and the small conveniences at the
+parameter, a source of fully symmetric, separable and two-block test
+inputs; the random symplectic helpers need scipy, which only the test
+suite installs; the scans and spectrum clusters evaluate definitions
+through the library's dense oracle; and the small conveniences at the
 end (matrix comparison, CSV text, swapped splits, block specs, the
 invariant nu~ pair, the dense spectrum, a reduction's JSON object) are
 used by the tests alone.
@@ -18,7 +17,7 @@ import scipy.linalg
 import entloc as el
 from entloc.errors import InvalidArgumentError
 from entloc.localization import _nu_tilde_pairs
-from entloc.oracle import _HALF_MASK, _dense_symplectic_spectrum, oracle_pt_log_negativity
+from entloc.oracle import _dense_symplectic_spectrum, oracle_pt_log_negativity
 from entloc.symplectic import (
     _csv_text,
     _scalar_batch,
@@ -35,8 +34,8 @@ from entloc.symplectic import (
 
 class ScalarSampler:
     """Rejection sampler over the boxes of ``SpecSampler`` and with its
-    defaults, drawing as the library once did: one ``rng.integers`` call
-    per drawn block size and one ``rng.uniform`` call per parameter.
+    defaults, drawing one spec at a time: one ``rng.integers`` call per
+    drawn block size and one ``rng.uniform`` call per parameter.
 
     ``seed`` is a seed or a ``Generator``, which is then drawn from as it
     stands, so that these draws can follow other draws on one stream.
@@ -78,7 +77,9 @@ class ScalarSampler:
         return self._draw(build)
 
     def bisymmetric(self, m=None, n=None):
-        """One two-block spec: what ``SpecSampler.bisymmetric`` draws."""
+        """One two-block spec over the boxes of ``SpecSampler.bisymmetric``,
+        though not its stream: that sampler draws a block of attempts at a
+        time."""
         def build():
             mm, nn = self._size(m), self._size(n)
             return el.BisymmetricSpec(
@@ -120,41 +121,6 @@ class ScalarSampler:
             )
 
         return self._draw(build)
-
-
-# ---------------------------------------------------------------------------
-# The raw-word replay, one generator call at a time.
-# ---------------------------------------------------------------------------
-
-
-def raw_skip(stream, count: int) -> int:
-    """Consume ``count`` words of an ``entloc.oracle._RawStream``, reading
-    what is short; the index of the first in ``stream.words``."""
-    stream.reserve(count)
-    stream.pos += count
-    return stream.pos - count
-
-
-def raw_integers(stream, lo: int, hi: int) -> int:
-    """``Generator.integers(lo, hi)`` replayed on an ``entloc.oracle._RawStream``
-    by Lemire's method on its 32-bit halves; a span of one draws nothing."""
-    span = hi - lo
-    if span == 1:
-        return lo
-    if not 1 <= span <= _HALF_MASK:
-        raise ValueError(f"the replay draws spans of 1 to 2**32 - 1, got {span}")
-    threshold = (_HALF_MASK + 1 - span) % span
-    while True:
-        half = stream.half
-        if half is None:
-            start = raw_skip(stream, 1)  # the read may replace stream.words
-            word = stream.words.item(start)
-            half, stream.half = word & _HALF_MASK, word >> 32
-        else:
-            stream.half = None
-        product = half * span
-        if product & _HALF_MASK >= threshold:
-            return lo + (product >> 32)
 
 
 # ---------------------------------------------------------------------------

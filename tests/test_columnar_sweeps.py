@@ -30,7 +30,6 @@ from entloc.experiments import (
     traced_symmetric_spec,
 )
 from entloc.localization import _fs_split_batch, _fs_split_spec
-from entloc.oracle import SpecSampler
 from entloc.states import SPEC_PARAMETERS, bisymmetric_batch
 from entloc.symplectic import _PointErrors, _Rejections
 
@@ -193,31 +192,22 @@ def _scalar_outcome(params):
     return None
 
 
-def _sampler_draws(count):
-    """The parameters of the first ``count`` attempts of
-    ``SpecSampler(4242).bisymmetric``, those it rejects included.
-
-    Every attempt draws the same values whatever is decided about it, so
-    the attempts are replayed from the seed, one ``rng.uniform`` call per
-    parameter as the sampler drew them before its draws went into blocks.
-    The accepted ones must be the specs the sampler returns.
-    """
-    sampler = SpecSampler(4242)
+def _random_points(count):
+    """``count`` points drawn as columns from one seeded generator over the
+    sampler's default boxes, block sizes 1..6: about a third are valid
+    specs. Most blocks of one mode get zero correlations, as a valid
+    spec's are; the others keep theirs, which the constructor rejects."""
     rng = np.random.default_rng(4242)
-    draws = []
-    for _ in range(count):
-        m, n = (int(rng.integers(1, sampler.max_block + 1)) for _ in range(2))
-        a = float(rng.uniform(*sampler.b_box))
-        e1, e2 = (float(rng.uniform(*sampler.corr_box)) if m > 1 else 0.0 for _ in range(2))
-        b = float(rng.uniform(*sampler.b_box))
-        z1, z2 = (float(rng.uniform(*sampler.corr_box)) if n > 1 else 0.0 for _ in range(2))
-        g1, g2 = (float(rng.uniform(*sampler.cross_box)) for _ in range(2))
-        draws.append(dict(m=m, n=n, a=a, e1=e1, e2=e2, b=b, z1=z1, z2=z2, g1=g1, g2=g2))
-    accepted = [p for p in draws if _scalar_outcome(p) is None]
-    specs = sampler.bisymmetric(count=len(accepted))
-    assert [dataclasses.asdict(spec) for spec in specs] == accepted
-    assert sampler.attempts <= count
-    return draws
+    m, n = rng.integers(1, 7, size=(2, count))
+    a, b = rng.uniform(1.0, 3.0, size=(2, count))
+    e1, e2, z1, z2 = rng.uniform(-0.8, 0.8, size=(4, count))
+    g1, g2 = rng.uniform(-0.6, 0.6, size=(2, count))
+    for size, pair in ((m, (e1, e2)), (n, (z1, z2))):
+        zeroed = (size == 1) & (rng.random(count) < 0.9)
+        for column in pair:
+            column[zeroed] = 0.0
+    columns = (m, n, a, e1, e2, b, z1, z2, g1, g2)
+    return [dict(zip(FIELDS, values)) for values in zip(*(c.tolist() for c in columns))]
 
 
 def _traced_split_params():
@@ -238,7 +228,7 @@ def _traced_split_params():
     return params
 
 
-# one point per rejection branch the sampler and the traced splits miss
+# one point per rejection branch the random points and the traced splits miss
 EDGE_PARAMS = [
     dict(m=0, n=2, a=1.5, e1=0.0, e2=0.0, b=1.5, z1=0.1, z2=0.1, g1=0.0, g2=0.0),
     dict(m=2, n=2, a=math.nan, e1=0.1, e2=math.inf, b=1.5, z1=0.0, z2=0.0, g1=-math.inf, g2=0.0),
@@ -253,7 +243,7 @@ EDGE_PARAMS = [
 
 
 def test_batch_validation_gives_the_scalar_decision_and_error():
-    points = _sampler_draws(20_000) + _traced_split_params() + EDGE_PARAMS
+    points = _random_points(20_000) + _traced_split_params() + EDGE_PARAMS
     columns = [np.array([p[f] for p in points]) for f in FIELDS]
     errors = bisymmetric_batch(*columns).errors
     expected = [_scalar_outcome(p) for p in points]
@@ -269,8 +259,8 @@ def test_batch_validation_gives_the_scalar_decision_and_error():
 
 def test_batch_validation_of_block_sizes_whose_product_passes_2_63():
     """An int64 product m n wraps past 2**63; the batch check still gives
-    each point the scalar decision and error. The first point is a draw of
-    ``SpecSampler(0, max_block=2**32 - 1)`` that the batch once accepted."""
+    each point the scalar decision and error. The first point, with block
+    sizes near 2**32, is one the batch once accepted."""
     points = [dict(m=3457402175, n=4212655702, a=2.3710839689613894, e1=0.24073484202850604,
                    e2=0.30151476891350404, b=1.7778428479582076, z1=-0.5838455919641421,
                    z2=0.3543813443105308, g1=0.030425186970871043, g2=-0.2277097493292532)]

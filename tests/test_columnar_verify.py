@@ -1,18 +1,15 @@
 """The columnar cross-check suite against the per-case code it replaced.
 
-``verify`` draws its specs by replaying the generator from raw PCG64
-words, a screened block of attempts at a time, assembles and checks each
-(m, n) shape group of matrices as one stack, and builds the ``localize``
-results of a group from stacked checks and invariants. The replay must
-give the live generator's values and leave it where the live calls
-leave it, the samplers must draw exactly what one scalar ``rng.uniform``
-call per parameter drew, the stacked covariance check must give each
-matrix the constructor's result or error, in place, and the command's
+``verify`` draws its specs a screened block of attempts at a time,
+assembles and checks each (m, n) shape group of matrices as one stack,
+and builds the ``localize`` results of a group from stacked checks and
+invariants. The stacked covariance check must give each matrix the
+constructor's result or error, in place, the stacked assembly and
+reduction must give each matrix the bits of its own, and the command's
 output must keep its bytes.
 """
 
 import csv
-import dataclasses
 import hashlib
 import io
 import math
@@ -31,26 +28,24 @@ from entloc.oracle import (
     SpecSampler,
     SuiteReports,
     _compared,
-    _RawStream,
-    _WORD_UNIT,
     oracle_pt_log_negativity,
     reports_to_csv_text,
     run_oracle_suite,
     summarize_reports,
 )
+from entloc.states import BisymmetricBatch
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
-from oracle_helpers import ScalarSampler, raw_integers, raw_skip
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
-# recorded before the suite went columnar (numpy 2.4 with its bundled
-# OpenBLAS on x86-64; another LAPACK build may round the dense values,
-# and so these bytes, differently)
-VERIFY_300_CSV_SHA256 = "6a52d742dcdf3e32d2058de75987c0a6d97092ead06794b3f39095699c619165"
-VERIFY_300_STDOUT_SHA256 = "43425767f6146af92572cb23323ec4c1fe13baaa39ceaccd69e6ba00413aafed"
-# the same of `verify --cases 1000 --seed 7 --out PATH`, recorded before the
-# sampler drew in screened rounds and the comparisons became columns
-VERIFY_1000_CSV_SHA256 = "7ec5f19d47709733c741fa348bc37bacc41668c74d2af7d0d6a903e782cff291"
-VERIFY_1000_STDOUT_SHA256 = "609c6a3a26de38056bb77456d9d96ba8cca85a3725c2e6bff1dec911608c7f1c"
+# recorded when the sampler came to draw its blocks with Generator.integers
+# and Generator.random calls (numpy 2.4 with its bundled OpenBLAS on x86-64;
+# another LAPACK build may round the dense values, and so these bytes,
+# differently)
+VERIFY_300_CSV_SHA256 = "bd6acdad0f53e72c9f31443eb8a8f9e214ab833b5d44a162a02dc43cad9e07fb"
+VERIFY_300_STDOUT_SHA256 = "b5fa60fed8bbbfa8cd989d0300ddbf8381cd108125d984eaad58f77c1a31b44d"
+# the same of `verify --cases 1000 --seed 7 --out PATH`, recorded with them
+VERIFY_1000_CSV_SHA256 = "c8436271336559be4567a30448c1d8129c884f78fbd21f384c48f9ed57cdc919"
+VERIFY_1000_STDOUT_SHA256 = "537608a96135fbc7e3a8dc950c4db207183d9d0d04ec4674fd38718e9a0b0309"
 
 
 def _verify_digests(tmp_path, capsys, cases, seed):
@@ -69,226 +64,6 @@ def test_verify_output_bytes(tmp_path, capsys):
 def test_verify_1000_case_output_bytes(tmp_path, capsys):
     digests = _verify_digests(tmp_path, capsys, 1000, 7)
     assert digests == (VERIFY_1000_CSV_SHA256, VERIFY_1000_STDOUT_SHA256)
-
-
-# ---------------------------------------------------------------------------
-# Samplers: block draws against the scalar draws.
-# ---------------------------------------------------------------------------
-
-
-def _spec_bits(spec):
-    return tuple(map(repr, dataclasses.astuple(spec)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    max_block=st.integers(1, 6),
-    fixed=st.integers(1, 6),
-    draws=st.integers(1, 25),
-)
-def test_samplers_draw_what_scalar_uniform_calls_drew(seed, max_block, fixed, draws):
-    """Single draws give the specs, attempts and accepts of the scalar code
-    for one seed, with drawn and with given block sizes, and they
-    interleave on one stream with live scalar draws of the other spec
-    kinds, which leave the generator with or without a kept half."""
-    calls = [
-        ("bisymmetric", {}),
-        ("separable_bisymmetric", {}),
-        ("bisymmetric", {"m": fixed}),
-        ("bisymmetric", {"m": fixed, "n": 1}),
-        ("separable_bisymmetric", {"n": fixed}),
-        ("fully_symmetric", {"modes": fixed + 1}),
-    ]
-    if max_block > 1:  # fully symmetric blocks are drawn from 2..max_block
-        calls.append(("fully_symmetric", {}))
-    new, old = SpecSampler(seed, max_block=max_block), ScalarSampler(seed, max_block)
-    live = ScalarSampler(new.rng, max_block)  # live draws on the replayed generator
-    for i in range(draws):
-        method, kwargs = calls[i % len(calls)]
-        drawer = new if method == "bisymmetric" else live
-        got, want = getattr(drawer, method)(**kwargs), getattr(old, method)(**kwargs)
-        assert type(got) is type(want)
-        assert _spec_bits(got) == _spec_bits(want)
-        counters = (new.attempts + live.attempts, new.accepted + live.accepted)
-        assert counters == (old.attempts, old.accepted)
-
-
-@pytest.mark.parametrize("seed", [1, 7, 4242, 99])
-def test_counted_draw_is_a_run_of_single_draws(seed):
-    counted, single = SpecSampler(seed), SpecSampler(seed)
-    specs = counted.bisymmetric(count=200)
-    assert [_spec_bits(s) for s in specs] == [_spec_bits(single.bisymmetric()) for _ in range(200)]
-    assert (counted.attempts, counted.accepted) == (single.attempts, single.accepted)
-    assert counted.accepted == 200 and counted.attempts > 200
-    reference = ScalarSampler(seed, 6)
-    assert [_spec_bits(s) for s in specs] == [_spec_bits(reference.bisymmetric()) for _ in specs]
-    assert counted.bisymmetric(count=0) == []
-
-
-# a box no draw from is physical: every single-mode reduced state has b < 1
-NEVER_PHYSICAL = {"b_box": (0.1, 0.5)}
-
-
-def _same_state(new, old):
-    """Equal counters, and the streams at the same place: the same kept
-    half, which the bounded draws take first, and the same words next."""
-    assert (new.attempts, new.accepted) == (old.attempts, old.accepted)
-    assert new.rng.integers(0, 6, size=3).tolist() == old.rng.integers(0, 6, size=3).tolist()
-    assert new.rng.random() == old.rng.random()
-
-
-@pytest.mark.parametrize("max_tries", [1, 2, 7, 40])
-@pytest.mark.parametrize("method, kwargs", [
-    ("bisymmetric", {}), ("bisymmetric", {"count": 1}), ("bisymmetric", {"count": 25}),
-    ("bisymmetric", {"m": 3, "count": 25}), ("bisymmetric", {"m": 1, "n": 1}),
-])
-def test_a_box_that_is_never_physical_fails_after_the_scalar_attempts(method, kwargs, max_tries):
-    new = SpecSampler(5, max_tries=max_tries, **NEVER_PHYSICAL)
-    old = ScalarSampler(5, 6, max_tries=max_tries, **NEVER_PHYSICAL)
-    with pytest.raises(RuntimeError, match="failed to produce a physical spec"):
-        getattr(new, method)(**kwargs)
-    scalar = {key: value for key, value in kwargs.items() if key != "count"}
-    with pytest.raises(RuntimeError, match="failed to produce a physical spec"):
-        getattr(old, method)(**scalar)
-    assert new.attempts == max_tries
-    _same_state(new, old)
-
-
-@pytest.mark.parametrize("seed", [3, 11, 4242])
-@pytest.mark.parametrize("max_tries", [0, 1, 2, 3, 5, 20])
-def test_counted_draw_with_few_tries_is_the_scalar_run(seed, max_tries):
-    """A counted draw gives the specs of the scalar loop, or fails at the
-    attempt where the scalar loop fails, with the stream left alike."""
-    new = SpecSampler(seed, max_tries=max_tries)
-    old = ScalarSampler(seed, 6, max_tries=max_tries)
-    want = []
-    try:
-        for _ in range(60):
-            want.append(old.bisymmetric())
-    except RuntimeError:
-        with pytest.raises(RuntimeError):
-            new.bisymmetric(count=60)
-    else:
-        assert [_spec_bits(s) for s in new.bisymmetric(count=60)] == list(map(_spec_bits, want))
-    _same_state(new, old)
-    for count in (0, -2):  # as a loop over range(count), they draw nothing
-        empty = SpecSampler(seed, max_tries=max_tries)
-        assert empty.bisymmetric(count=count) == [] and empty.attempts == 0
-
-
-# ---------------------------------------------------------------------------
-# The raw-word replay against the live generator.
-# ---------------------------------------------------------------------------
-
-# spans of 2**31 + 1 and 2**32 - 1 make Lemire's method reject about half
-# and about a quarter of the halves
-REPLAY_SPANS = (1, 2, 3, 6, 7, 2**31 + 1, 2**32 - 1)
-
-
-def _replayed_calls(seed, calls, cached):
-    """``calls`` random calls, each on a live generator and on the stream
-    of a second generator of the same seed, which is closed and reopened
-    now and then, sometimes after reading words ahead. A bounded integer
-    call is replayed by ``raw_integers``, a ``random`` call by skipping its
-    words and decoding them, as a counted draw decodes its parameters.
-    With ``cached``, both generators first draw one bounded integer, so
-    that they start with a kept half. Asserts each pair of values equal."""
-    live, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
-    if cached:
-        assert live.integers(0, 6) == replayed.integers(0, 6)
-        assert replayed.bit_generator.state["has_uint32"] == 1
-    plan = np.random.default_rng(seed + 1)
-    stream = _RawStream(replayed)
-
-    def uniforms(count):
-        start = raw_skip(stream, count)
-        return ((stream.words[start:start + count] >> 11) * _WORD_UNIT).tolist()
-
-    for _ in range(calls):
-        kind = plan.integers(0, 5)
-        if kind == 0:
-            span = REPLAY_SPANS[plan.integers(0, len(REPLAY_SPANS))]
-            lo = int(plan.integers(-5, 5))
-            want = live.integers(lo, lo + span)
-            assert type(want) is int or isinstance(want, np.integer)
-            assert raw_integers(stream, lo, lo + span) == want
-        elif kind == 1:
-            count = int(plan.integers(0, 9))
-            assert uniforms(count) == live.random(count).tolist()
-        elif kind == 2:
-            assert uniforms(1) == [live.random()]
-        elif kind == 3:
-            stream.reserve(int(plan.integers(0, 40)))  # read ahead, to be rewound
-        else:
-            stream.__exit__(None, None, None)
-            stream = _RawStream(replayed)
-    stream.__exit__(None, None, None)
-    return live, replayed
-
-
-@pytest.mark.parametrize("first_seed", range(0, 200, 20))
-def test_raw_stream_replays_the_generator(first_seed):
-    """Bounded integers of every replayed span, random blocks and single
-    randoms give the live generator's values, across reopened streams and
-    words read ahead, from a fresh generator and from one with a kept
-    half, and the generator is left where the live one is: the same
-    state, the same kept half and the same draws next."""
-    for seed in range(first_seed, first_seed + 20):
-        for cached in (False, True):
-            live, replayed = _replayed_calls(seed, 300, cached)
-            want, got = live.bit_generator.state, replayed.bit_generator.state
-            assert got["state"] == want["state"]
-            assert got["has_uint32"] == want["has_uint32"]
-            if want["has_uint32"]:
-                assert got["uinteger"] == want["uinteger"]
-            assert replayed.integers(0, 6, size=5).tolist() == live.integers(0, 6, size=5).tolist()
-            assert replayed.random() == live.random()
-
-
-def test_raw_stream_refuses_what_it_does_not_replay():
-    for bitgen in (np.random.PCG64DXSM(1), np.random.MT19937(1), np.random.Philox(1)):
-        with pytest.raises(TypeError, match="needs PCG64"):
-            _RawStream(np.random.Generator(bitgen))
-    rng = np.random.default_rng(1)
-    with _RawStream(rng) as stream:
-        for lo, hi in ((0, 2**32), (5, 5), (3, 2), (0, 2**40)):
-            with pytest.raises(ValueError, match="spans of 1 to 2"):
-                raw_integers(stream, lo, hi)
-    assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
-    with pytest.raises(InvalidArgumentError, match="max_block must be below 2"):
-        SpecSampler(1, max_block=2**32)
-
-
-# the default boxes accept about 32% of the attempts, this one about 3.6%
-LOW_ACCEPTANCE = {"b_box": (1.0, 1.5)}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    count=st.integers(0, 300),
-    max_block=st.integers(1, 6),
-    fixed=st.sampled_from([{}, {"m": 1}, {"m": 3}, {"n": 1}, {"n": 4}, {"m": 2, "n": 5}]),
-    boxes=st.sampled_from([{}, LOW_ACCEPTANCE]),
-    after_live_integer=st.booleans(),
-)
-def test_counted_draw_is_the_scalar_run(seed, count, max_block, fixed, boxes,
-                                        after_live_integer):
-    """A counted draw gives the specs, counters and stream of the scalar
-    loop: with few accepts per block, with given block sizes, with every
-    max_block, and after a live bounded integer call that leaves a kept
-    half on both generators."""
-    new = SpecSampler(seed, max_block=max_block, **boxes)
-    old = ScalarSampler(seed, max_block, **boxes)
-    if after_live_integer:
-        assert new.rng.integers(0, 6) == old.rng.integers(0, 6)
-        assert new.rng.bit_generator.state["has_uint32"] == 1
-        assert old.rng.bit_generator.state["has_uint32"] == 1
-    got = new.bisymmetric(count=count, **fixed)
-    want = [old.bisymmetric(**fixed) for _ in range(count)]
-    assert list(map(_spec_bits, got)) == list(map(_spec_bits, want))
-    _same_state(new, old)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +156,11 @@ def test_stacked_check_gives_each_matrix_the_constructor_result_in_place():
 
 def test_checked_stack_matrices_are_read_only_views():
     spec = el.BisymmetricSpec(2, 2, 1.5, 0.1, -0.1, 1.5, 0.1, -0.1, 0.2, -0.2)
-    cms = el.bisymmetric_cm([spec, spec])
-    for cm in cms:
-        assert isinstance(cm, el.CovarianceMatrix) and cm.modes == 4
+    stack = el.bisymmetric_cm(BisymmetricBatch.of([spec, spec]))
+    assert stack.shape == (2, 8, 8)
+    for matrix in (*stack, el.bisymmetric_cm(spec).matrix):
         with pytest.raises(ValueError):
-            cm.matrix[0, 0] = 2.0
+            matrix[0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +193,14 @@ def test_stacked_assembly_matches_loop_assembly_bit_for_bit():
     groups[(2, 3)].append(el.BisymmetricSpec(2, 3, 1.5, -0.0, 0.1, 1.5, 0.0, -0.0, -0.0, 0.2))
     assert len(groups) == 36
     for (m, n), specs in groups.items():
-        cms = el.bisymmetric_cm(specs)
-        assert len(cms) == len(specs)
-        for spec, cm in zip(specs, cms):
+        stack = el.bisymmetric_cm(BisymmetricBatch.of(specs))
+        assert len(stack) == len(specs)
+        for spec, matrix in zip(specs, stack):
             want = _loop_assembled(
                 m, n, (spec.a, spec.a), (spec.e1, spec.e2), (spec.b, spec.b),
                 (spec.z1, spec.z2), (spec.g1, spec.g2),
             )
-            assert np.array_equal(_bits(cm.matrix), _bits(want))
+            assert np.array_equal(_bits(matrix), _bits(want))
             assert np.array_equal(_bits(el.bisymmetric_cm(spec).matrix), _bits(want))
     for modes in (1, 2, 5, 12):
         spec = el.ghz_type_spec(modes, 1.7) if modes > 1 else el.FullySymmetricSpec(1, 1.7)
@@ -437,14 +212,13 @@ def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
     one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
     two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
     with pytest.raises(InvalidArgumentError, match="one shape"):
-        el.bisymmetric_cm([one, two])
-    assert el.bisymmetric_cm([]) == []
+        el.bisymmetric_cm(BisymmetricBatch.of([one, two]))
     # a valid spec whose matrix overflows in the symmetrization
     huge = el.BisymmetricSpec(2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidArgumentError) as alone:
         el.bisymmetric_cm(huge)
     with pytest.raises(InvalidArgumentError) as grouped:
-        el.bisymmetric_cm([two, huge, two])
+        el.bisymmetric_cm(BisymmetricBatch.of([two, huge, two]))
     assert str(grouped.value) == str(alone.value) == "covariance matrix has non-finite entries"
 
 
@@ -455,7 +229,7 @@ def test_localize_stack_gives_a_failing_purity_its_place():
     good = el.bisymmetric_cm(el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.4, -0.4))
     bad = el.CovarianceMatrix(np.array(
         [[1.0, 0, 2.0, 0], [0, 1.0, 0, 0.5], [2.0, 0, 1.0, 0], [0, 0.5, 0, 1.0]]))
-    results = el.localize([good, bad, good], 1, 1)
+    results = el.localize(np.array([good.matrix, bad.matrix, good.matrix]), 1, 1).results()
     assert [type(r) for r in results] == [
         el.LocalizationResult, NumericalDomainError, el.LocalizationResult
     ]
@@ -575,67 +349,3 @@ def test_suite_reports_are_the_per_case_reports():
     assert repr(_rows(reports)) == repr(want)
     assert reports_to_csv_text(reports) == _csv_reference(want)
     assert summary == _summary_reference(want, 80, 23)
-
-
-@pytest.mark.parametrize("max_block", [2**31 + 1, 2**32 - 1])
-def test_counted_draw_of_spans_lemire_often_rejects_is_the_scalar_run(max_block):
-    """Block sizes drawn from spans where Lemire's method rejects about
-    half or a quarter of the halves: the words the walk reads past its
-    reservation keep their place, so a block cut gives the scalar stream."""
-    for seed in range(6):
-        new, old = SpecSampler(seed, max_block=max_block), ScalarSampler(seed, max_block)
-        got = new.bisymmetric(count=40)
-        assert list(map(_spec_bits, got)) == [_spec_bits(old.bisymmetric()) for _ in range(40)]
-        _same_state(new, old)
-
-
-def _per_call_columns(sampler, stream, m, n, size, layout):
-    """The columns of ``size`` attempts made one replayed call at a time:
-    ``raw_integers`` per drawn block size, ``raw_skip`` over each
-    attempt's parameter words, and each parameter decoded on its own."""
-    widths, words, lows, scales = layout
-    stream.drop()
-    stream.reserve(size * (2 + max(widths)))
-    top = sampler.max_block + 1
-    sizes, params, ends, kept = [], [], [], []
-    for _ in range(size):
-        mm = m if m is not None else raw_integers(stream, 1, top)
-        nn = n if n is not None else raw_integers(stream, 1, top)
-        kind = 2 * (mm > 1) + (nn > 1)
-        start = raw_skip(stream, widths[kind])
-        params.append([lows[kind][j] + scales[kind][j] * ((int(stream.words[start + w]) >> 11)
-                                                           * _WORD_UNIT) if w >= 0 else 0.0
-                       for j, w in enumerate(words[kind].tolist())])
-        sizes.append((mm, nn))
-        ends.append(stream.pos)
-        kept.append(stream.half)
-    return sizes, params, ends, kept
-
-
-@pytest.mark.parametrize("max_block", [1, 2, 6, 7, 2**31 + 1, 2**32 - 1])
-def test_walk_gives_the_columns_of_one_replayed_call_per_draw(max_block):
-    """The attempt walk, with Lemire's method inlined, gives the block
-    sizes, parameter bits, stream positions and kept halves of one
-    ``_RawStream`` call per drawn value: with drawn and given block
-    sizes, from a fresh generator and from one with a kept half, and
-    past its reservation when Lemire rejections use up the words held."""
-    past_reservation = 0
-    for seed in range(8):  # at 2**31 + 1, seeds 4, 6 and 7 read past the reservation
-        for fixed in ({}, {"m": 3}, {"n": 1}, {"m": 2, "n": 5}):
-            for cached in (False, True):
-                sampler = SpecSampler(seed, max_block=max_block)
-                layout = sampler._two_block_layout()
-                walked, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
-                if cached:
-                    assert walked.integers(0, 6) == replayed.integers(0, 6)
-                m, n = fixed.get("m"), fixed.get("n")
-                with _RawStream(walked) as stream:
-                    sizes, params, ends, kept = sampler._attempt_columns(stream, m, n, 300, layout)
-                    past_reservation += len(stream.words) > 300 * (2 + max(layout[0]))
-                with _RawStream(replayed) as stream:
-                    want = _per_call_columns(sampler, stream, m, n, 300, layout)
-                assert sizes.T.tolist() == [list(pair) for pair in want[0]]
-                assert np.array_equal(_bits(params.T), _bits(want[1]))
-                assert ends.tolist() == want[2]
-                assert kept == want[3]
-    assert bool(past_reservation) == (max_block == 2**31 + 1)

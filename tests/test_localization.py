@@ -8,6 +8,7 @@ import pytest
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
+from entloc.states import BisymmetricBatch
 from oracle_helpers import (
     ScalarSampler,
     alpha_block_spec,
@@ -387,7 +388,7 @@ def test_localize_rejects_bad_tolerance(tol):
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.localize(cm, 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
-        el.localize([cm, cm], 2, 2, tol_pattern=tol)
+        el.localize(np.array([cm.matrix, cm.matrix]), 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.equivalent_from_cm(cm, 2, 2, tol_pattern=tol)
 
@@ -407,13 +408,15 @@ def test_grouped_localize_and_oracle_equal_batches_of_one():
     assert len(shapes) == 36
     two_mode = _split(1, 1)
     for (m, n), cms in shapes.items():
-        grouped = el.localize(cms, m, n)
-        brute = oracle_pt_log_negativity(cms, _split(m, n))
-        reduced = oracle_pt_log_negativity([r.equivalent.cm_eq for r in grouped], two_mode)
+        stack = np.array([cm.matrix for cm in cms])
+        grouped = el.localize(stack, m, n).results()
+        brute = oracle_pt_log_negativity(stack, _split(m, n))
+        reduced = oracle_pt_log_negativity(
+            np.array([r.equivalent.cm_eq.matrix for r in grouped]), two_mode)
         assert len(grouped) == len(brute) == len(reduced) == len(cms)
         assert not any(isinstance(r, Exception) for r in [*grouped, *brute, *reduced])
         for cm, result, en_brute, en_reduced in zip(cms, grouped, brute, reduced):
-            (alone,) = el.localize([cm], m, n)
+            (alone,) = el.localize(np.array([cm.matrix]), m, n).results()
             assert np.array_equal(_bits(result.local_symplectic), _bits(alone.local_symplectic))
             assert np.array_equal(_bits(result.cm_final.matrix), _bits(alone.cm_final.matrix))
             eq, eq_alone = result.equivalent, alone.equivalent
@@ -433,7 +436,8 @@ def test_localize_batch_gives_the_failing_matrix_its_error():
         matrix = np.array(good.matrix)
         matrix[2, 2] += bump
         broken.append(el.CovarianceMatrix(matrix))
-    results = el.localize([good, broken[0], good, broken[1]], 3, 2)
+    stack = np.array([good.matrix, broken[0].matrix, good.matrix, broken[1].matrix])
+    results = el.localize(stack, 3, 2).results()
     assert [type(r) for r in results] == [
         el.LocalizationResult, LocalizationError, el.LocalizationResult, LocalizationError
     ]
@@ -445,17 +449,12 @@ def test_localize_batch_gives_the_failing_matrix_its_error():
         assert str(excinfo.value) == str(error)
     alone = el.localize(good, 3, 2)
     assert np.array_equal(results[2].cm_final.matrix, alone.cm_final.matrix)
-    # a matrix the split does not cover keeps its place too
-    results = el.localize([el.vacuum_cm(4), good], 3, 2)
-    assert isinstance(results[0], InvalidArgumentError)
-    assert np.array_equal(results[1].local_symplectic, alone.local_symplectic)
-    assert el.localize([], 3, 2) == []
-
-
-def test_oracle_batch_needs_one_matrix_size():
-    with pytest.raises(InvalidArgumentError, match="one size"):
-        oracle_pt_log_negativity([el.vacuum_cm(2), el.vacuum_cm(3)], _split(1, 1))
-    assert oracle_pt_log_negativity([], _split(1, 1)) == []
+    # a matrix the split does not cover is invalid, alone and as a stack
+    with pytest.raises(InvalidArgumentError, match=r"split \(3, 2\) does not cover"):
+        el.localize(el.vacuum_cm(4), 3, 2)
+    with pytest.raises(InvalidArgumentError, match=r"needs a \(K, 10, 10\) stack"):
+        el.localize(np.array([el.vacuum_cm(4).matrix]), 3, 2)
+    assert el.localize(np.empty((0, 10, 10)), 3, 2).results() == []
 
 
 def test_mode_mixing_is_the_kron_product_bit_for_bit():
@@ -524,20 +523,21 @@ def _golden_cm():
 
 
 def _sampler_stacks(seed):
-    """(matrices, m, n) per shape of 300 ``verify`` sampler draws."""
+    """(stack, m, n) per shape of 300 ``verify`` sampler draws."""
     shapes = {}
     for spec in SpecSampler(seed, max_block=6).bisymmetric(count=300):
         shapes.setdefault((spec.m, spec.n), []).append(spec)
-    return [(el.bisymmetric_cm(specs), m, n) for (m, n), specs in shapes.items()]
+    return [(el.bisymmetric_cm(BisymmetricBatch.of(specs)), m, n)
+            for (m, n), specs in shapes.items()]
 
 
 def _skeleton_cases():
-    yield "golden 12|12", [_golden_cm()], 12, 12
-    yield "ghz 4|4", [el.ghz_type_pure(8, 1.5)], 4, 4
-    yield "non-standard 3|2", [_non_standard_3_2()[1]], 3, 2
+    yield "golden 12|12", np.array([_golden_cm().matrix]), 12, 12
+    yield "ghz 4|4", np.array([el.ghz_type_pure(8, 1.5).matrix]), 4, 4
+    yield "non-standard 3|2", np.array([_non_standard_3_2()[1].matrix]), 3, 2
     for seed in (1, 7):
-        for cms, m, n in _sampler_stacks(seed):
-            yield f"sampler seed {seed} {m}|{n}", cms, m, n
+        for stack, m, n in _sampler_stacks(seed):
+            yield f"sampler seed {seed} {m}|{n}", stack, m, n
 
 
 def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
@@ -546,14 +546,14 @@ def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
     boundary block of cm_final is cm_eq, and the noise that was dropped
     is within the tolerance the residual was checked against."""
     checked = 0
-    for name, cms, m, n in _skeleton_cases():
-        for cm, result in zip(cms, el.localize(cms, m, n)):
+    for name, stack, m, n in _skeleton_cases():
+        for matrix, result in zip(stack, el.localize(stack, m, n).results()):
             final, eq = result.cm_final.matrix, result.equivalent.cm_eq.matrix
             assert not np.any(_bits(final)[~_skeleton(m + n, m)]), name
             assert not np.any(_bits(eq)[~_skeleton(2, 1)]), name
             boundary = slice(2 * (m - 1), 2 * m + 2)
             assert np.array_equal(_bits(final[boundary, boundary]), _bits(eq)), name
-            assert result.residual <= 1e-8 * max(1.0, np.max(np.abs(cm.matrix))), name
+            assert result.residual <= 1e-8 * max(1.0, np.max(np.abs(matrix))), name
             checked += 1
     assert checked > 300
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -17,6 +19,7 @@ from entloc.oracle import (
     run_oracle_suite,
     summarize_reports,
 )
+from entloc.states import BisymmetricBatch
 from oracle_helpers import ScalarSampler, exhaustive_bipartition_scan, oracle_spectrum_multiplicities
 
 
@@ -81,11 +84,48 @@ def test_exhaustive_scan_rejects_large_input():
         exhaustive_bipartition_scan(el.vacuum_cm(31))
 
 
-def test_sampler_deterministic():
-    a = SpecSampler(2024)
-    b = SpecSampler(2024)
-    for _ in range(10):
-        assert a.bisymmetric() == b.bisymmetric()
+def _spec_bits(spec):
+    return tuple(map(repr, dataclasses.astuple(spec)))
+
+
+@pytest.mark.parametrize("given", [{}, {"m": 3}, {"n": 1}, {"m": 2, "n": 5}])
+def test_sampler_deterministic(given):
+    """The same seed gives the same specs and counters, drawn one at a
+    time and counted, with drawn and with given block sizes; another seed
+    gives other specs, and a count of zero or less draws nothing."""
+    first, second = SpecSampler(2024), SpecSampler(2024)
+    draws = []
+    for sampler in (first, second):
+        singles = [_spec_bits(sampler.bisymmetric(**given)) for _ in range(10)]
+        draws.append(singles + list(map(_spec_bits, sampler.bisymmetric(count=150, **given))))
+    assert draws[0] == draws[1]
+    assert (first.attempts, first.accepted) == (second.attempts, second.accepted)
+    assert first.accepted == 160 and first.attempts > 160
+    other = SpecSampler(2025).bisymmetric(count=160, **given)
+    assert draws[0] != list(map(_spec_bits, other))
+    for count in (0, -2):
+        empty = SpecSampler(2024)
+        assert empty.bisymmetric(count=count) == [] and empty.attempts == 0
+
+
+# sha256 of the block sizes (little-endian int64) and then of the parameters
+# a, e1, e2, b, z1, z2, g1, g2 (little-endian float64) of
+# `SpecSampler(7).bisymmetric(count=200)`, spec after spec, and its attempts.
+# They come from numpy's Generator.integers and Generator.random streams
+# and the screen, not from LAPACK, so they hold on every numpy the project
+# allows unless numpy changes those streams.
+SAMPLER_STREAM_SHA256 = "664ac20df699cfc8de72479f0f37fde86b57d84d747b5d495a9bf7e7bf23e5cc"
+SAMPLER_STREAM_ATTEMPTS = 643
+
+
+def test_sampler_stream_at_seed_7_is_pinned():
+    sampler = SpecSampler(7)
+    specs = sampler.bisymmetric(count=200)
+    sizes = np.array([(spec.m, spec.n) for spec in specs], dtype="<i8")
+    params = np.array([dataclasses.astuple(spec)[2:] for spec in specs], dtype="<f8")
+    digest = hashlib.sha256(sizes.tobytes() + params.tobytes()).hexdigest()
+    assert (digest, sampler.attempts, sampler.accepted) == (
+        SAMPLER_STREAM_SHA256, SAMPLER_STREAM_ATTEMPTS, 200)
 
 
 def test_sampler_tracks_rejections():
@@ -97,12 +137,73 @@ def test_sampler_tracks_rejections():
     assert 0.0 <= sampler.rejection_rate < 1.0
 
 
+# a box no draw from is physical: every single-mode reduced state has b < 1
+NEVER_PHYSICAL = {"b_box": (0.1, 0.5)}
+
+
+@pytest.mark.parametrize("max_tries", [0, 1, 2, 7, 40, 2500])
+@pytest.mark.parametrize("kwargs", [
+    {}, {"count": 1}, {"count": 25}, {"m": 3, "count": 25}, {"n": 4, "count": 3}, {"m": 1, "n": 1},
+])
+def test_sampler_with_a_never_physical_box_fails_after_max_tries_attempts(kwargs, max_tries):
+    """The failure comes after exactly ``max_tries`` attempts, within one
+    block of attempts and, at 2500, across blocks."""
+    sampler = SpecSampler(5, max_tries=max_tries, **NEVER_PHYSICAL)
+    with pytest.raises(RuntimeError, match="failed to produce a physical spec"):
+        sampler.bisymmetric(**kwargs)
+    assert (sampler.attempts, sampler.accepted) == (max_tries, 0)
+
+
+CUSTOM_BOXES = {"b_box": (1.2, 2.5), "corr_box": (-0.3, 0.5), "cross_box": (-0.1, 0.4)}
+
+
+@pytest.mark.parametrize("seed", [17, 4242])
+@pytest.mark.parametrize("boxes", [{}, CUSTOM_BOXES])
+def test_sampler_draws_every_parameter_in_its_box(boxes, seed):
+    """a and b lie in ``b_box``, g1 and g2 in ``cross_box``, and the
+    correlations of a block of more than one mode in ``corr_box``; a
+    block of one mode has none, and its correlations are +0.0."""
+    sampler = SpecSampler(seed, **boxes)
+    specs = sampler.bisymmetric(count=2000)
+    for spec in specs:
+        drawn = [(sampler.b_box, spec.a), (sampler.b_box, spec.b),
+                 (sampler.cross_box, spec.g1), (sampler.cross_box, spec.g2)]
+        unused = []
+        for size, pair in ((spec.m, (spec.e1, spec.e2)), (spec.n, (spec.z1, spec.z2))):
+            if size > 1:
+                drawn += [(sampler.corr_box, value) for value in pair]
+            else:
+                unused += pair
+        assert all(type(value) is float and lo <= value <= hi for (lo, hi), value in drawn), spec
+        assert [repr(value) for value in unused] == ["0.0"] * len(unused), spec
+    assert {spec.m > 1 for spec in specs} == {spec.n > 1 for spec in specs} == {False, True}
+
+
 def test_sampler_rejects_block_bounds_before_drawing():
     with pytest.raises(el.InvalidArgumentError, match="max_block must be at least 1, got 0"):
         SpecSampler(1, max_block=0)
     sampler = SpecSampler(1, max_block=1)
     assert sampler.bisymmetric().m == 1
     assert {(spec.m, spec.n) for spec in sampler.bisymmetric(count=20)} == {(1, 1)}
+
+
+@pytest.mark.parametrize("max_block", [1, 2, 6])
+@pytest.mark.parametrize("given", [{}, {"m": 3}, {"n": 1}, {"n": 4}, {"m": 2, "n": 5}])
+def test_sampler_honours_max_block_and_given_block_sizes(max_block, given):
+    """A given block size is every spec's, even above ``max_block``; a
+    drawn one takes every value of 1..max_block."""
+    specs = SpecSampler(3, max_block=max_block).bisymmetric(count=200, **given)
+    for name in ("m", "n"):
+        sizes = {getattr(spec, name) for spec in specs}
+        assert sizes == ({given[name]} if name in given else set(range(1, max_block + 1)))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 31, 4242])
+def test_every_comparison_of_a_1000_case_suite_passes(seed):
+    reports, summary, rejection_rate = run_oracle_suite(1000, seed)
+    assert summary["passes"] == summary["comparisons"] == len(reports) == 3000
+    assert reports.passed.all() and summary["worst_rel_diff"] <= 1e-7
+    assert 0.0 <= rejection_rate < 1.0
 
 
 def test_separable_sampler_produces_separable_states():
@@ -282,13 +383,14 @@ def test_stacked_oracle_is_the_definition_per_matrix_bit_for_bit():
     assert len(groups) == 36
     reduced = []
     for (m, n), specs in groups.items():
-        cms = el.bisymmetric_cm(specs)
+        stack = el.bisymmetric_cm(BisymmetricBatch.of(specs))
         part = _split(m, n)
-        want = [_definition_log_negativity(cm.matrix, part.side_b) for cm in cms]
-        assert np.array_equal(_bits(oracle_pt_log_negativity(cms, part)), _bits(want)), (m, n)
-        reduced += [result.equivalent.cm_eq for result in el.localize(cms, m, n)]
+        want = [_definition_log_negativity(matrix, part.side_b) for matrix in stack]
+        assert np.array_equal(_bits(oracle_pt_log_negativity(stack, part)), _bits(want)), (m, n)
+        reduced.append(el.localize(stack, m, n).cm_eq)
+    reduced = np.concatenate(reduced)
     got = oracle_pt_log_negativity(reduced, _split(1, 1))
-    want = [_definition_log_negativity(cm.matrix, (1,)) for cm in reduced]
+    want = [_definition_log_negativity(matrix, (1,)) for matrix in reduced]
     assert np.array_equal(_bits(got), _bits(want))
     assert 0 < sum(value > 0.0 for value in want) < len(want)
 
@@ -340,7 +442,8 @@ def test_a_zero_symplectic_eigenvalue_is_a_numerical_error_in_place():
     zero = el.CovarianceMatrix(np.zeros((4, 4)))
     with pytest.raises(el.NumericalDomainError, match="zero symplectic eigenvalue") as alone:
         oracle_pt_log_negativity(zero, _split(1, 1))
-    got = oracle_pt_log_negativity([el.vacuum_cm(2), zero, el.two_mode_squeezed(0.5)], _split(1, 1))
+    stack = np.array([el.vacuum_cm(2).matrix, zero.matrix, el.two_mode_squeezed(0.5).matrix])
+    got = oracle_pt_log_negativity(stack, _split(1, 1))
     assert got[0] == 0.0 and got[2] == pytest.approx(1.0, abs=1e-9)
     assert type(got[1]) is el.NumericalDomainError and str(got[1]) == str(alone.value)
 
@@ -350,7 +453,7 @@ def test_a_split_that_does_not_cover_the_modes_is_invalid():
         with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
             oracle_pt_log_negativity(cm, part)
         with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
-            oracle_pt_log_negativity([cm, cm], part)
+            oracle_pt_log_negativity(np.array([cm.matrix, cm.matrix]), part)
 
 
 _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e3, -1e3]) | st.floats(-1e3, 1e3)
@@ -390,7 +493,7 @@ def test_oracle_gives_every_finite_symmetric_matrix_a_value_or_an_entloc_error(d
     alone = [_outcome(lambda: oracle_pt_log_negativity(cm, part)) for cm in cms]
     for value in alone:
         assert isinstance(value, tuple) or (type(value) is float and 0.0 <= value < math.inf)
-    stacked = _outcome(lambda: oracle_pt_log_negativity(cms, part))
+    stacked = _outcome(lambda: oracle_pt_log_negativity(np.array([cm.matrix for cm in cms]), part))
     if isinstance(stacked, tuple):  # a split that does not cover the modes
         assert all(value == stacked for value in alone)
         return

@@ -103,16 +103,16 @@ def test_covariance_check_stack_form_is_the_constructor_per_matrix():
 # ---------------------------------------------------------------------------
 
 
-def test_bisymmetric_cm_stack_form_is_the_sequence_form():
+def test_bisymmetric_cm_stack_form_is_the_single_form():
     """A batch, built from specs or taken out of a larger batch as the
-    suite takes it, gives the read-only stack of the sequence form's
-    matrices, bit for bit, signed zeros included."""
+    suite takes it, gives the read-only stack of each spec's own matrix,
+    bit for bit, signed zeros included."""
     specs, batch, groups = _shape_groups()
     for (m, n), indices in groups.items():
         group = [specs[i] for i in indices]
         if (m, n) == (2, 3):
             group.append(el.BisymmetricSpec(2, 3, 1.5, -0.0, 0.1, 1.5, 0.0, -0.0, -0.0, 0.2))
-        want = np.array([cm.matrix for cm in el.bisymmetric_cm(group)])
+        want = np.array([el.bisymmetric_cm(spec).matrix for spec in group])
         for stack in (el.bisymmetric_cm(BisymmetricBatch.of(group)),
                       el.bisymmetric_cm(batch.take(np.array(indices)))):
             assert isinstance(stack, np.ndarray) and not stack.flags.writeable
@@ -121,19 +121,20 @@ def test_bisymmetric_cm_stack_form_is_the_sequence_form():
 
 
 def test_bisymmetric_cm_stack_form_raises_the_first_failure():
-    """The first matrix that fails its check raises the error the sequence
-    form raises; a point the batch holds an error for raises that error;
-    a batch of two shapes is invalid, as a sequence of two shapes is, and
-    so is an empty batch, which has no shape."""
+    """The first matrix that fails its check raises the error its spec
+    raises alone; a point the batch holds an error for raises that error;
+    a batch of two shapes is invalid, and so is an empty batch, which has
+    no shape."""
     one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
     two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
     huge = el.BisymmetricSpec(2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
-    for group in ([two, huge, two], [one, two]):
-        with pytest.raises(InvalidArgumentError) as sequence:
-            el.bisymmetric_cm(group)
-        with pytest.raises(InvalidArgumentError) as stacked:
-            el.bisymmetric_cm(BisymmetricBatch.of(group))
-        assert str(stacked.value) == str(sequence.value)
+    with pytest.raises(InvalidArgumentError) as alone:
+        el.bisymmetric_cm(huge)
+    with pytest.raises(InvalidArgumentError) as stacked:
+        el.bisymmetric_cm(BisymmetricBatch.of([two, huge, two]))
+    assert str(stacked.value) == str(alone.value) == "covariance matrix has non-finite entries"
+    with pytest.raises(InvalidArgumentError, match=r"got shapes \[\(1, 1\), \(2, 1\)\]"):
+        el.bisymmetric_cm(BisymmetricBatch.of([one, two]))
     # point 1, with b = 0.5 < 1, is no valid spec
     columns = [[2, 2, 2], [1, 1, 1]] + [[1.5, 1.5, 1.5], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1],
                                         [1.5, 0.5, 1.5], [0.0] * 3, [0.0] * 3, [0.2] * 3, [-0.2] * 3]
@@ -146,7 +147,6 @@ def test_bisymmetric_cm_stack_form_raises_the_first_failure():
     assert el.bisymmetric_cm(batch.take(np.array([2, 0]))).shape == (2, 6, 6)
     with pytest.raises(InvalidArgumentError, match=r"got shapes \[\]"):
         el.bisymmetric_cm(BisymmetricBatch.of([]))
-    assert el.bisymmetric_cm([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +173,20 @@ def _same_result(columns, k, result):
 
 def test_localize_stack_form_is_the_per_matrix_form():
     """Every shape group of a seeded draw: the columns of the checked
-    stack, of the same stack as a writable raw array, and the results the
-    sequence form builds from its columns all hold each matrix's own
-    ``localize`` result."""
+    stack, of the same stack as a writable raw array, and the results
+    built from the columns all hold each matrix's own ``localize``
+    result."""
     specs, batch, groups = _shape_groups()
     for (m, n), indices in groups.items():
         stack = el.bisymmetric_cm(batch.take(np.array(indices)))
         columns = el.localize(stack, m, n)
         raw = el.localize(np.array(stack), m, n)
-        sequence = el.localize([el.CovarianceMatrix(matrix) for matrix in stack], m, n)
+        results = columns.results()
         for k, i in enumerate(indices):
             alone = el.localize(el.bisymmetric_cm(specs[i]), m, n)
             assert _same_result(columns, k, alone), (m, n, k)
             assert _same_result(raw, k, alone), (m, n, k)
-            assert _same_result(columns, k, sequence[k]), (m, n, k)
+            assert _same_result(columns, k, results[k]), (m, n, k)
         assert not columns.cm_final.flags.writeable and not columns.cm_eq.flags.writeable
 
 
@@ -244,20 +244,20 @@ def test_localize_stack_form_rejects_a_stack_of_another_size():
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_stack_form_is_the_sequence_form():
+def test_oracle_stack_form_is_the_single_form():
     """The brute-force stack of every shape group and the stack of all
     their reduced two-mode matrices, as ``verify`` hands them over, give
-    the sequence form's values bit for bit."""
+    each matrix the value of its ``CovarianceMatrix`` bit for bit."""
     _, batch, groups = _shape_groups()
     reduced = []
     for (m, n), indices in groups.items():
         stack = el.bisymmetric_cm(batch.take(np.array(indices)))
         part = _split(m, n)
-        want = oracle_pt_log_negativity([el.CovarianceMatrix(matrix) for matrix in stack], part)
+        want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), part) for matrix in stack]
         assert np.array_equal(_bits(oracle_pt_log_negativity(stack, part)), _bits(want)), (m, n)
         reduced.append(el.localize(stack, m, n).cm_eq)
     reduced = np.concatenate(reduced)
-    want = oracle_pt_log_negativity([el.CovarianceMatrix(matrix) for matrix in reduced], _split(1, 1))
+    want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), _split(1, 1)) for matrix in reduced]
     assert np.array_equal(_bits(oracle_pt_log_negativity(reduced, _split(1, 1))), _bits(want))
     assert 0 < sum(value > 0.0 for value in want) < len(want)
 
@@ -291,3 +291,26 @@ def test_oracle_stack_form_keeps_each_failure_in_place():
     with pytest.raises(InvalidArgumentError, match="bipartition covers modes"):
         oracle_pt_log_negativity(np.array([np.eye(6)]), _split(1, 1))
     assert oracle_pt_log_negativity(np.empty((0, 4, 4)), _split(1, 1)) == []
+
+
+# ---------------------------------------------------------------------------
+# The two accepted forms.
+# ---------------------------------------------------------------------------
+
+
+def test_stack_forms_and_single_forms_are_the_only_forms():
+    """A list or tuple of specs or matrices, empty or not, is neither the
+    single form nor the stack form: each function rejects it, naming the
+    two forms it takes."""
+    spec = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
+    cm = el.bisymmetric_cm(spec)
+    calls = [
+        (el.bisymmetric_cm, [spec], "a BisymmetricSpec or a BisymmetricBatch"),
+        (lambda items: el.localize(items, 1, 1), [cm], r"a CovarianceMatrix or a \(K, 2N, 2N\) array"),
+        (lambda items: oracle_pt_log_negativity(items, _split(1, 1)), [cm],
+         r"a CovarianceMatrix or a \(K, 2N, 2N\) array"),
+    ]
+    for call, items, forms in calls:
+        for other in (items, items * 3, tuple(items), [], [cm.matrix]):
+            with pytest.raises(InvalidArgumentError, match=forms):
+                call(other)
