@@ -157,11 +157,11 @@ def eof_symmetric(nu_tilde: float) -> float:
 
 
 def _eof_columns(nu: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """:func:`eof_symmetric` of each value, with the C library's pow and
-    log per value, so each gets the bits of the closed form evaluated on
-    Python floats. A value that is not positive (or nan) fails with an
-    InvalidArgumentError, one whose h overflows with a
-    NumericalDomainError."""
+    """:func:`eof_symmetric` of each value, squaring by one multiply and
+    with the C library's log per value, so each gets the bits of the
+    closed form evaluated on Python floats. A value that is not positive
+    (or nan) fails with an InvalidArgumentError, one whose h overflows
+    with a NumericalDomainError."""
     positive = nu > 0.0
     errors.record(
         ~positive,

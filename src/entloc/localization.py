@@ -13,23 +13,24 @@ to that two-mode state:
   transformation explicitly and returns the transformed matrix, so the
   structure claim itself can be checked numerically.
 
-The invariant route is one batch kernel. ``_equivalent_from_blocks``
-and ``_report_from_equivalent`` take the pattern blocks of N inputs as
+The invariant route is one batch kernel. ``_equivalent_from_blocks`` and
+``_report_from_equivalent`` take the pattern blocks of N inputs as
 stacked arrays and run each stage once for all of them: one stacked
-``np.linalg.det`` call per stage, then elementwise numpy. Squares and
-exponentials go through the C library one value at a time, as Python
-floats did, so every input gets the same digits as on its own. Each
-check records the error of the inputs it fails (``_PointErrors``), and
-the first failing input in batch order raises the error it would raise
-alone. Specs enter as a ``BisymmetricBatch``, parameter columns that
-carry the error of each point that is no valid spec; the sweeps build
-and validate theirs as columns and read the results as columns
-(``ReportColumns``), and a sequence of specs is stacked into one batch
-and gets its reports built from the columns. A matrix whose pattern
-check failed enters as that error (``_attempt``) and keeps its place
-among the results (``_in_place``). A single spec or matrix is a batch of
-one; the sweeps, the split scan and the cross-check suite each make one
-call.
+``np.linalg.det`` call per stage, then elementwise numpy. A square is
+one multiply, which IEEE arithmetic rounds correctly on any platform;
+exponentials and logarithms go through the C library one value at a
+time, as Python floats do, so every input gets the same digits as on its
+own. Each check records the error of the inputs it fails
+(``_PointErrors``), and the first failing input in batch order raises
+the error it would raise alone. Specs enter as a ``BisymmetricBatch``,
+parameter columns that carry the error of each point that is no valid
+spec; the sweeps build and validate theirs as columns and read the
+results as columns (``ReportColumns``), and a sequence of specs is
+stacked into one batch and gets its reports built from the columns. A
+matrix whose pattern check failed enters as that error (``_attempt``)
+and keeps its place among the results (``_in_place``). A single spec or
+matrix is a batch of one; the sweeps, the split scan and the cross-check
+suite each make one call.
 
 The constructive route batches the same way over matrices of one split
 (m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix

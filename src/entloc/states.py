@@ -224,10 +224,10 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     if worst <= 0.0:
         raise _not_positive_definite(worst)
     p, s = terms[8], terms[11]
-    try:
-        diff_sq = (p - s) ** 2
-    except OverflowError as exc:
-        raise _too_large(p, s) from exc
+    diff = p - s
+    diff_sq = diff * diff  # as ``_squares`` rounds it
+    if math.isinf(diff_sq) and math.isfinite(diff):
+        raise _too_large(p, s)
     nus = _two_block_nus(terms, diff_sq, math.sqrt, _max_zero)
     return min(nus if m > 1 and n > 1 else
                nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))

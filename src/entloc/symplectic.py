@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -117,31 +116,40 @@ class _Rejections(_PointErrors):
         self.alive[i] = False
 
 
-def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray, *extra) -> np.ndarray:
-    """``fn`` on each value as a Python float, for the C library's pow, exp
-    and log: numpy's ``x**2`` and ``np.exp`` round a few results differently.
-    An overflow is recorded as a NumericalDomainError and reads inf."""
+def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray) -> np.ndarray:
+    """``fn`` on each value as a Python float, for the C library's exp and
+    log: ``np.exp`` and ``np.log`` round some results differently. An
+    overflow is recorded as a NumericalDomainError and reads inf."""
     xs = values.ravel().tolist()
     try:
-        return np.array(list(map(fn, xs, *extra)), dtype=float).reshape(values.shape)
+        return np.array(list(map(fn, xs)), dtype=float).reshape(values.shape)
     except OverflowError:
         pass
     out = []
-    for j, args in enumerate(zip(xs, *extra)):
+    for j, x in enumerate(xs):
         try:
-            out.append(fn(*args))
+            out.append(fn(x))
         except OverflowError:
             out.append(math.inf)
             errors.fail(
                 j % errors.size,
-                NumericalDomainError(f"overflow: the {what} of {xs[j]:.6e} is out of float range"),
+                NumericalDomainError(f"overflow: the {what} of {x:.6e} is out of float range"),
             )
     return np.array(out, dtype=float).reshape(values.shape)
 
 
 def _squares(values: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """``x ** 2`` as Python computes it for floats."""
-    return _elementwise(math.pow, "square", errors, values, itertools.repeat(2.0))
+    """``x * x``, which IEEE arithmetic rounds correctly on every platform.
+    A finite value whose square is out of float range is recorded as a
+    NumericalDomainError and reads inf; inf and nan square unrecorded."""
+    squares = values * values
+    errors.record(
+        np.isinf(squares) & np.isfinite(values),
+        lambda j: NumericalDomainError(
+            f"overflow: the square of {values.flat[j]:.6e} is out of float range"
+        ),
+    )
+    return squares
 
 
 def _clipped_sqrts(value: np.ndarray, scale: np.ndarray, errors: _PointErrors) -> np.ndarray:

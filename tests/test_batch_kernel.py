@@ -2,6 +2,8 @@
 the bits and the error of its own single-point evaluation."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,8 +259,27 @@ def test_squares_and_exp_round_like_python_floats():
     values = np.exp(rng.uniform(-20.0, 20.0, 20_000)) * rng.choice([-1.0, 1.0], 20_000)
     errors = _PointErrors(len(values))
     squares = _squares(values, errors)
-    assert squares.tolist() == [v**2 for v in values.tolist()]
+    assert np.array_equal(squares.view(np.uint64), (values * values).view(np.uint64))
+    assert squares.tolist() == [float(Fraction(v) ** 2) for v in values.tolist()]
     assert errors.alive.all()
+
+    # squares that glibc's pow(x, 2) rounds 1 ulp off, the largest float
+    # whose square is finite and the next one up, non-finite values, a
+    # negative zero, a subnormal and a value whose square is subnormal
+    root_max = math.sqrt(sys.float_info.max)
+    above = math.nextafter(root_max, math.inf)
+    edges = [21.012736320767576, 47.84294827450572, 11.830338314496611, root_max, above,
+             math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-160]
+    errors = _PointErrors(len(edges))
+    with np.errstate(over="ignore"):
+        squares = _squares(np.array(edges), errors)
+    expected = [float(Fraction(v) ** 2) for v in edges[:4]] + [math.inf] * 3 + [math.nan]
+    expected += [float(Fraction(v) ** 2) for v in edges[8:]]
+    assert list(map(repr, squares.tolist())) == list(map(repr, expected))
+    assert squares[0] == 441.53508768610493 and math.isfinite(squares[3])
+    assert errors.alive.tolist() == [True] * 4 + [False] + [True] * 6
+    assert type(errors.errors[4]) is NumericalDomainError
+    assert str(errors.errors[4]) == "overflow: the square of 1.340781e+154 is out of float range"
 
     reports = el.equivalent_report(_traced_splits())
     assert sum(r.log_negativity > 0.0 for r in reports) > 100
@@ -280,8 +301,8 @@ def _eof_closed_form(x):
     """The symmetric-state EoF written out on one Python float."""
     if x >= 1.0:
         return 0.0
-    plus = (1.0 + x) ** 2 / (4.0 * x)
-    minus = (1.0 - x) ** 2 / (4.0 * x)
+    plus = (1.0 + x) * (1.0 + x) / (4.0 * x)
+    minus = (1.0 - x) * (1.0 - x) / (4.0 * x)
     return max(0.0, plus * math.log(plus) - minus * math.log(minus))
 
 

@@ -257,6 +257,49 @@ def test_batch_validation_gives_the_scalar_decision_and_error():
     assert screen.errors == [None] * len(points)
 
 
+# points whose X P entries give a p - s that glibc's pow(p - s, 2) rounds
+# 1 ulp away from (p - s) * (p - s), and whose smallest symplectic
+# eigenvalue moves with it; the first three are unphysical, so their
+# offending_value shows which square the check took
+SQUARE_PARAMS = [
+    dict(m=3, n=1, a=1.6282707792505553, e1=-0.2177020430554848, e2=-0.6758856545572214,
+         b=1.9153401130183132, z1=0.0, z2=0.0, g1=-0.06943537467583161, g2=0.30903958993534186),
+    dict(m=1, n=6, a=2.088587904669404, e1=0.0, e2=0.0, b=1.2558433241675486,
+         z1=-0.13053174847218207, z2=0.0693695548013018, g1=-0.40786997102920997,
+         g2=0.25423975807024),
+    dict(m=1, n=4, a=1.0451868350604783, e1=0.0, e2=0.0, b=2.6201159912471583,
+         z1=0.08787390114761762, z2=-0.019735054564681165, g1=-0.16580008262301377,
+         g2=-0.49172481274394436),
+    dict(m=2, n=1, a=2.4771315513934145, e1=0.2412866198034065, e2=0.6644829066370546,
+         b=1.2624936979198202, z1=0.0, z2=0.0, g1=0.1648020841651543, g2=-0.30754768988642744),
+    dict(m=1, n=6, a=1.6992045667637226, e1=0.0, e2=0.0, b=2.773660553610072,
+         z1=-0.10289549176186052, z2=0.594041498087166, g1=0.03521143605612176,
+         g2=-0.04833353042453892),
+]
+
+
+def test_batch_and_scalar_checks_square_p_minus_s_alike():
+    """Both checks square p - s by one multiply: they agree where the C
+    library's pow would round differently, and at the overflow boundary,
+    where p - s = a^2 - 1 and the square of the largest a below is finite."""
+    below = 1.1579208923731618e+77
+    boundary = [dict(m=1, n=1, a=a, e1=0.0, e2=0.0, b=1.0, z1=0.0, z2=0.0, g1=0.0, g2=0.0)
+                for a in (below, math.nextafter(below, math.inf))]
+    points = SQUARE_PARAMS + boundary
+    columns = [np.array([p[f] for p in points]) for f in FIELDS]
+    expected = [_scalar_outcome(p) for p in points]
+    assert list(map(_outcome, bisymmetric_batch(*columns).errors.errors)) == expected
+    assert [outcome[2] for outcome in expected[:3]] == [
+        "0.3850890928623137", "0.44644540974050956", "0.7620403754723003"
+    ]
+    assert expected[3:6] == [None] * 3
+    assert expected[6] == (
+        InvalidArgumentError,
+        "parameters too large for the spectrum check: (1.340781e+154 - 1.000000e+00)^2 overflows",
+        "None",
+    )
+
+
 def test_batch_validation_of_block_sizes_whose_product_passes_2_63():
     """An int64 product m n wraps past 2**63; the batch check still gives
     each point the scalar decision and error. The first point, with block
