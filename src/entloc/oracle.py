@@ -1,16 +1,20 @@
 """Brute-force references and the three-route cross-check suite.
 
 The references evaluate definitions directly on dense matrices: mirror
-reflections are applied entrywise and spectra come from a general dense
-eigensolver. They deliberately avoid the closed-form code paths they are
-used to check, and they are allowed to be slow.
+reflections are applied entrywise and spectra come from a dense
+factorization and a Hermitian eigensolver, the kernel that
+``symplectic_eigenvalues`` runs too. They deliberately avoid the
+closed-form code paths they are used to check, and they are allowed to
+be slow.
 
 ``oracle_pt_log_negativity`` takes a (K, 2N, 2N) stack, or one matrix
-as a stack of one: one mirror, Omega @ sigma as a signed row swap (the
-bits of the matmul), one stacked ``np.linalg.eigvals`` call (the same
-bits per matrix as a call on it alone), then the finite test and the
--sum of ``math.log`` over the sub-unit values as columns. The
-cross-check suite is columnar from sampling to the summary.
+as a stack of one: one mirror, then the spectrum kernel on the whole
+stack (a stacked Cholesky factorization sigma = L L^T, Omega L as a
+signed row swap, and one stacked ``np.linalg.eigvalsh`` call on
+i L^T Omega L; each matrix gets the bits of a stack of one, and a
+matrix that is not positive definite its error in place), then the
+finite test and the -sum of ``math.log`` over the sub-unit values as
+columns. The cross-check suite is columnar from sampling to the summary.
 ``SpecSampler`` draws a block of attempts at a time with two public
 ``Generator`` calls, one ``integers`` call for the block sizes and one
 ``random`` call for the parameters, screens the block by one array
@@ -44,36 +48,12 @@ from .symplectic import (
     _PointErrors,
     _Rejections,
     _symmetrized,
+    _symplectic_spectra,
     float_reprs,
 )
 
 REL_TOL = 1e-7
 ABS_TOL = 1e-9
-
-
-def _omega_times(matrix: np.ndarray) -> np.ndarray:
-    """Omega @ matrix for the symplectic form Omega of diagonal blocks
-    [[0, 1], [-1, 0]], for one matrix or a stack: row 2k is row 2k + 1 of
-    ``matrix`` and row 2k + 1 is minus row 2k.
-
-    The matmul sums each entry's one product with 1 or -1 and its
-    products with 0 from +0.0: the value of that one product, but +0.0
-    where it is -0.0. Adding 0.0 does the same here, so the bits are the
-    matmul's.
-    """
-    product = np.empty_like(matrix)
-    product[..., 0::2, :] = matrix[..., 1::2, :]
-    np.negative(matrix[..., 0::2, :], out=product[..., 1::2, :])
-    product += 0.0
-    return product
-
-
-def _dense_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """All paired |Im eigenvalue| of Omega @ matrix, descending, for one
-    matrix or along the last axis of a stack of them."""
-    eigenvalues = np.linalg.eigvals(_omega_times(matrix))
-    magnitudes = np.sort(np.abs(eigenvalues.imag), axis=-1)[..., ::-1]
-    return 0.5 * (magnitudes[..., 0::2] + magnitudes[..., 1::2])
 
 
 def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
@@ -120,15 +100,17 @@ def oracle_pt_log_negativity(cm, part):
 
     Mirrors the momentum quadratures of ``part.side_b``, takes the dense
     spectrum of the reflected matrix, and sums -ln over the sub-unit
-    symplectic eigenvalues.
+    symplectic eigenvalues. A reflected matrix with no Cholesky factor
+    has no spectrum here and raises: one that is not positive definite,
+    or a physical state squeezed so far that rounding makes it so.
 
     ``cm`` is one ``CovarianceMatrix``, whose value is returned and whose
     failure raises, or a (K, 2N, 2N) array, a stack of matrices. A stack
-    is split by ``part`` as a whole, goes through one stacked eigensolver
-    call and gives a list holding each matrix's value or its error, in
-    place. It gets the ``CovarianceMatrix`` check first, one call for all
-    of it: a matrix that fails it keeps that error and the others get the
-    values of their ``CovarianceMatrix``. A split that does not cover the
+    is split by ``part`` as a whole, goes through the dense spectrum
+    kernel as one stack and gives a list holding each matrix's value or
+    its error, in place. It gets the ``CovarianceMatrix`` check first, one
+    call for all of it: a matrix that fails it keeps that error and the
+    others get the values of their ``CovarianceMatrix``. A split that does not cover the
     modes raises, and so does any other input.
     """
     if isinstance(cm, np.ndarray):
@@ -136,28 +118,29 @@ def oracle_pt_log_negativity(cm, part):
             raise InvalidArgumentError(f"expected a (K, 2N, 2N) stack, got shape {cm.shape}")
         errors = _PointErrors(len(cm))
         stack = _symmetrized(cm.astype(float, copy=False), errors)
-        if not errors.alive.all():  # a non-finite matrix would fail the whole eigensolver call
-            stack = np.where(errors.alive[:, None, None], stack, 0.0)
-        values = _stack_log_negativities(stack, part)
-        for k in np.flatnonzero(~errors.alive).tolist():
-            values[k] = errors.errors[k]
-        return values
+        if not errors.alive.all():  # a non-finite matrix would fail the whole factorization
+            stack = np.where(errors.alive[:, None, None], stack, np.eye(cm.shape[1]))
+        return _stack_log_negativities(stack, part, errors)
     if not isinstance(cm, CovarianceMatrix):
         raise InvalidArgumentError("oracle_pt_log_negativity takes a CovarianceMatrix or a "
                                    f"(K, 2N, 2N) array, got {type(cm).__name__}")
-    [value] = _stack_log_negativities(cm.matrix[None], part)
+    [value] = _stack_log_negativities(cm.matrix[None], part, _PointErrors(1))
     if isinstance(value, NumericalDomainError):
         raise value
     return value
 
 
-def _stack_log_negativities(stack: np.ndarray, part) -> list:
-    """The oracle's value, or its error, of each matrix of a checked
-    (K, 2N, 2N) stack; an empty stack gives [] whatever the split."""
+def _stack_log_negativities(stack: np.ndarray, part, errors: _PointErrors) -> list:
+    """The oracle's value of each matrix of a checked (K, 2N, 2N) stack,
+    or in place the matrix's first error, in ``errors`` or found here; an
+    empty stack gives [] whatever the split."""
     if not len(stack):
         return []
     part._validate_modes(stack.shape[-1] // 2)
-    return _log_negativities(_dense_symplectic_spectrum(_mirror_momenta(stack, part.side_b)))
+    values = _log_negativities(_symplectic_spectra(_mirror_momenta(stack, part.side_b), errors))
+    for k in np.flatnonzero(~errors.alive).tolist():
+        values[k] = errors.errors[k]
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -306,27 +306,78 @@ class SymplecticSpectrum:
         return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
-def _require_positive_definite(matrix: np.ndarray):
+def _omega_times(matrix: np.ndarray) -> np.ndarray:
+    """Omega @ matrix for the symplectic form Omega of diagonal blocks
+    [[0, 1], [-1, 0]], for one matrix or a stack: row 2k is row 2k + 1 of
+    ``matrix`` and row 2k + 1 is minus row 2k.
+
+    The matmul sums each entry's one product with 1 or -1 and its
+    products with 0 from +0.0: the value of that one product, but +0.0
+    where it is -0.0. Adding 0.0 does the same here, so the bits are the
+    matmul's.
+    """
+    product = np.empty_like(matrix)
+    product[..., 0::2, :] = matrix[..., 1::2, :]
+    np.negative(matrix[..., 0::2, :], out=product[..., 1::2, :])
+    product += 0.0
+    return product
+
+
+def _antisymmetric_forms(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """L^T Omega L of each matrix of a finite symmetric (K, 2N, 2N) stack,
+    with sigma = L L^T its Cholesky factorization.
+
+    A stacked ``cholesky`` fails as a whole if one matrix is not positive
+    definite; the stack is then factored a matrix at a time, and each
+    matrix that fails gets a NumericalDomainError in ``errors`` and the
+    identity as its factor, so its form is Omega.
+    """
     try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("covariance matrix is not positive definite") from exc
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(stack)
+        for k, matrix in enumerate(stack):
+            try:
+                factors[k] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                factors[k] = np.eye(len(matrix))
+                errors.fail(k, NumericalDomainError("covariance matrix is not positive definite"))
+    return factors.swapaxes(1, 2) @ _omega_times(factors)
+
+
+def _symplectic_spectra(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """The symplectic eigenvalues of each matrix of a finite symmetric
+    (K, 2N, 2N) stack, as a (K, N) array, each row descending; a matrix
+    that is not positive definite fails in ``errors`` and its row is
+    meaningless but finite. Each matrix gets the bits of a stack of one.
+
+    With sigma = L L^T, Omega sigma is similar to L^T Omega L, which is
+    real antisymmetric, so i L^T Omega L is Hermitian with eigenvalues
+    +/- nu. One stacked ``eigvalsh`` call gives them in ascending order,
+    and the k-th largest nu is the mean of the k-th largest eigenvalue
+    and minus the k-th smallest. The forms come from a helper so that the
+    factors are freed before the eigensolver runs.
+    """
+    pm_nus = np.linalg.eigvalsh(1j * _antisymmetric_forms(stack, errors))
+    n = stack.shape[-1] // 2
+    return 0.5 * (pm_nus[:, n:][:, ::-1] - pm_nus[:, :n])
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
     """Symplectic spectrum of a positive definite covariance matrix.
 
-    Computed from the eigenvalues of the real matrix Omega @ sigma, which
-    come in pure imaginary pairs +/- i nu; each pair is averaged into one
-    reported eigenvalue.
+    Each nu is read from the eigenvalues +/- nu of the Hermitian matrix
+    i L^T Omega L, with sigma = L L^T: the dense kernel
+    ``_symplectic_spectra`` on a stack of one, which the brute-force
+    oracle runs on whole stacks.
+
+    Raises NumericalDomainError if sigma has no Cholesky factor, that is,
+    if it is not positive definite to working precision.
     """
-    m = cm.matrix
-    _require_positive_definite(m)
-    omega = symplectic_form(cm.modes)
-    eigenvalues = np.linalg.eigvals(omega @ m)
-    magnitudes = np.sort(np.abs(eigenvalues.imag))[::-1]
-    paired = 0.5 * (magnitudes[0::2] + magnitudes[1::2])
-    return SymplecticSpectrum(paired)
+    errors = _PointErrors(1)
+    nus = _symplectic_spectra(cm.matrix[None], errors)
+    errors.raise_first()
+    return SymplecticSpectrum(nus[0])
 
 
 def is_bona_fide(cm: CovarianceMatrix, tol: float = TOL_PHYS) -> bool:

@@ -7,8 +7,8 @@ inputs; the random symplectic helpers need scipy, which only the test
 suite installs; the scans and spectrum clusters evaluate definitions
 through the library's dense oracle; and the small conveniences at the
 end (matrix comparison, CSV text, swapped splits, block specs, the
-invariant nu~ pair, the dense spectrum, a reduction's JSON object) are
-used by the tests alone.
+invariant nu~ pair, the dense spectrum and its general-eigensolver
+reference, a reduction's JSON object) are used by the tests alone.
 """
 
 import numpy as np
@@ -17,9 +17,10 @@ import scipy.linalg
 import entloc as el
 from entloc.errors import InvalidArgumentError
 from entloc.localization import _nu_tilde_pairs
-from entloc.oracle import _dense_symplectic_spectrum, oracle_pt_log_negativity
+from entloc.oracle import oracle_pt_log_negativity
 from entloc.symplectic import (
     _csv_text,
+    _omega_times,
     _scalar_batch,
     _scale,
     cm_to_json_dict,
@@ -234,8 +235,20 @@ def nu_tilde_pair(eq) -> tuple[float, float]:
 
 
 def oracle_symplectic_spectrum(cm: el.CovarianceMatrix) -> np.ndarray:
-    """The dense symplectic spectrum of the brute-force oracle, descending."""
-    return _dense_symplectic_spectrum(np.array(cm.matrix))
+    """The dense symplectic spectrum of the brute-force oracle, descending:
+    its kernel is the one ``symplectic_eigenvalues`` runs."""
+    return el.symplectic_eigenvalues(cm).values
+
+
+def eigvals_symplectic_spectra(matrix: np.ndarray) -> np.ndarray:
+    """The dense symplectic spectrum by a general eigensolver, the
+    definition the oracle used before its Cholesky kernel, kept as the
+    reference of that kernel's accuracy: all paired |Im eigenvalue| of
+    Omega @ matrix, descending, for one matrix or along the last axis of
+    a stack of them. It takes any matrix, positive definite or not."""
+    eigenvalues = np.linalg.eigvals(_omega_times(matrix))
+    magnitudes = np.sort(np.abs(eigenvalues.imag), axis=-1)[..., ::-1]
+    return 0.5 * (magnitudes[..., 0::2] + magnitudes[..., 1::2])
 
 
 def localization_to_json_dict(result: el.LocalizationResult) -> dict:

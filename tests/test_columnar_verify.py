@@ -37,15 +37,15 @@ from entloc.states import BisymmetricBatch
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
-# recorded when the sampler came to draw its blocks with Generator.integers
-# and Generator.random calls (numpy 2.4 with its bundled OpenBLAS on x86-64;
-# another LAPACK build may round the dense values, and so these bytes,
-# differently)
-VERIFY_300_CSV_SHA256 = "bd6acdad0f53e72c9f31443eb8a8f9e214ab833b5d44a162a02dc43cad9e07fb"
-VERIFY_300_STDOUT_SHA256 = "b5fa60fed8bbbfa8cd989d0300ddbf8381cd108125d984eaad58f77c1a31b44d"
+# recorded when the oracle's dense spectrum came to be taken by a Cholesky
+# factorization and a Hermitian eigensolver (numpy 2.4 with its bundled
+# OpenBLAS on x86-64; another LAPACK build may round the dense values, and
+# so these bytes, differently)
+VERIFY_300_CSV_SHA256 = "787d10fccc66673b86b89ab86fcd569df7eb56c8a25496f316632b91cd7ba234"
+VERIFY_300_STDOUT_SHA256 = "bc54a3c1d730ddeda5f5a91480d48579733a30bbe23509e54514a2ff8cb6fed5"
 # the same of `verify --cases 1000 --seed 7 --out PATH`, recorded with them
-VERIFY_1000_CSV_SHA256 = "c8436271336559be4567a30448c1d8129c884f78fbd21f384c48f9ed57cdc919"
-VERIFY_1000_STDOUT_SHA256 = "537608a96135fbc7e3a8dc950c4db207183d9d0d04ec4674fd38718e9a0b0309"
+VERIFY_1000_CSV_SHA256 = "7df86d48087a4d2f386447106e502f1c1c5cc8d9c88a68a6ab665a447de6d2a8"
+VERIFY_1000_STDOUT_SHA256 = "ccba3eab05f432617b2b435056bf4c99ce7ef9e39d8f60efd0c6948c43ad5a0a"
 
 
 def _verify_digests(tmp_path, capsys, cases, seed):

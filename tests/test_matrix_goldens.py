@@ -8,8 +8,9 @@ change of the readers that moved any loaded bit would show here. The
 ``localize`` and ``report`` stdout and the two ``final`` dumps were
 recorded again when ``cm_final`` and ``cm_eq`` came to be reported on
 their skeleton (every entry off it +0.0, not the rounding noise of the
-congruence); the ``spectrum``, ``ole`` and ``symplectic`` digests are the
-first recording.
+congruence); the ``spectrum`` stdout again when the dense spectrum came
+to be taken by a Cholesky factorization and a Hermitian eigensolver; the
+``ole`` and ``symplectic`` digests are the first recording.
 
 The file holds six distinct cell texts in 2304 cells (the repeated blocks
 of the paper's bisymmetric states). The expected digests depend on the
@@ -46,7 +47,7 @@ STDOUT = {
     "localize": "6670cb1c10bd749341a455387b789d508cba7845ebc11d46fd523b7d573a982b",
     "ole": "d08e275c76c74c6dbe15d90a2301508999c101e2929759939bab1ec61e534e5d",
     "report": "25cd7031b83f7047d6782324c9a558a2a3c30686d776664cc9ebb6d822a4e089",
-    "spectrum": "680ea239ec0f742887407637df8ee7df6995ed7d049550930e5c93b0cf25a2e7",
+    "spectrum": "c60c14ec4902e1d56b5953c4d611d44b0eff98c1a181a19193859bb078566bf5",
 }
 LOCALIZE_DUMPS = {
     "csv": {"final": "34a261a0f5ea2b58b717bdc8ce14bb69e2b74cb57eb476c7fcad525eb35401ad",

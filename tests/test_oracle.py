@@ -271,9 +271,10 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     """run_oracle_suite(cases, seed) with failures forced on chosen cases:
     an invariant-route error, an assembled matrix whose mode-1 block breaks
     the pattern by 1e-3 * (1 + case), or a non-finite dense spectrum of
-    the case's brute-force matrix. The suite assembles one shape group per
-    ``bisymmetric_cm`` call, a batch slice, and a case is found by its
-    parameter a. Returns the error the suite raises."""
+    the case's brute-force matrix, injected through the one spectrum
+    kernel. The suite assembles one shape group per ``bisymmetric_cm``
+    call, a batch slice, and a case is found by its parameter a. Returns
+    the error the suite raises."""
     import entloc.localization
     import entloc.oracle
     import entloc.states
@@ -281,7 +282,7 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     specs = SpecSampler(seed).bisymmetric(count=cases)
     real_report = entloc.localization.equivalent_report
     real_cm = entloc.states.bisymmetric_cm
-    real_spectrum = entloc.oracle._dense_symplectic_spectrum
+    real_spectrum = entloc.oracle._symplectic_spectra
     marks = [specs[i].a for i in spectrum]
     cases_by_a = [spec.a for spec in specs]
     assert len(set(cases_by_a)) == cases
@@ -301,14 +302,14 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
                 stack[k, 2, 2] += 1e-3 * (1 + case)
         return stack
 
-    def dense(matrix):
-        nus = np.array(real_spectrum(matrix))
-        nus[np.isin(matrix[..., 0, 0], marks)] = np.nan
+    def dense(stack, errors):
+        nus = np.array(real_spectrum(stack, errors))
+        nus[np.isin(stack[:, 0, 0], marks)] = np.nan
         return nus
 
     monkeypatch.setattr(entloc.localization, "equivalent_report", report)
     monkeypatch.setattr(entloc.states, "bisymmetric_cm", assemble)
-    monkeypatch.setattr(entloc.oracle, "_dense_symplectic_spectrum", dense)
+    monkeypatch.setattr(entloc.oracle, "_symplectic_spectra", dense)
     with pytest.raises(el.EntlocError) as excinfo:
         run_oracle_suite(cases=cases, seed=seed)
     monkeypatch.undo()
@@ -356,15 +357,18 @@ def _dense_omega(modes):
 
 def _definition_log_negativity(matrix, side_b):
     """max(0, -sum ln nu) over the sub-unit symplectic eigenvalues nu of
-    the matrix with the momenta of ``side_b`` mirrored: the dense Omega
-    times the mirrored matrix, its eigenvalues' |Im| sorted and paired,
-    and one ``math.log`` per value; a non-finite spectrum is None."""
+    the matrix with the momenta of ``side_b`` mirrored: its Cholesky
+    factor L, the Hermitian eigenvalues of i L^T (dense Omega @ L) in
+    ascending order, the k-th largest nu the mean of the k-th largest
+    eigenvalue and minus the k-th smallest, and one ``math.log`` per
+    value; a non-finite spectrum is None."""
     signs = np.ones(len(matrix))
     signs[[2 * k + 1 for k in side_b]] = -1.0
     mirrored = matrix * np.outer(signs, signs)
-    eigenvalues = np.linalg.eigvals(_dense_omega(len(matrix) // 2) @ mirrored)
-    magnitudes = np.sort(np.abs(eigenvalues.imag))[::-1]
-    nus = (0.5 * (magnitudes[0::2] + magnitudes[1::2])).tolist()
+    factor = np.linalg.cholesky(mirrored)
+    pm_nus = np.linalg.eigvalsh(1j * (factor.T @ (_dense_omega(len(matrix) // 2) @ factor)))
+    modes = len(matrix) // 2
+    nus = (0.5 * (pm_nus[modes:][::-1] - pm_nus[:modes])).tolist()
     if not all(map(math.isfinite, nus)):
         return None
     return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1.0))
@@ -399,7 +403,8 @@ def test_signed_row_swap_is_the_omega_matmul_bit_for_bit():
     """Omega @ x as a signed row swap gives the matmul's bits, +0.0 where
     x holds -0.0 included, on mirrored states and on random stacks with
     signed zeros, from 1 to 12 modes."""
-    from entloc.oracle import _mirror_momenta, _omega_times
+    from entloc.oracle import _mirror_momenta
+    from entloc.symplectic import _omega_times
 
     rng = np.random.default_rng(8)
     for modes in range(1, 13):
@@ -436,11 +441,12 @@ def test_log_negativity_columns_are_the_per_row_sum():
 
 
 def test_a_zero_symplectic_eigenvalue_is_a_numerical_error_in_place():
-    """``math.log`` takes no 0.0: a spectrum holding one is the matrix's
-    ``NumericalDomainError``, raised for one matrix and kept in place in a
-    stack, as a non-finite spectrum is."""
+    """The zero matrix, all of whose symplectic eigenvalues are 0.0, is not
+    positive definite and has no Cholesky factor: its
+    ``NumericalDomainError`` is raised for the matrix alone and kept in
+    place in a stack, whose other matrices keep their values."""
     zero = el.CovarianceMatrix(np.zeros((4, 4)))
-    with pytest.raises(el.NumericalDomainError, match="zero symplectic eigenvalue") as alone:
+    with pytest.raises(el.NumericalDomainError, match="not positive definite") as alone:
         oracle_pt_log_negativity(zero, _split(1, 1))
     stack = np.array([el.vacuum_cm(2).matrix, zero.matrix, el.two_mode_squeezed(0.5).matrix])
     got = oracle_pt_log_negativity(stack, _split(1, 1))

@@ -332,6 +332,7 @@ def test_bisymmetric_validation_is_size_independent(monkeypatch):
 
     monkeypatch.setattr(states, "_assemble", forbidden)
     monkeypatch.setattr(symplectic, "symplectic_eigenvalues", forbidden)
+    monkeypatch.setattr(symplectic, "_symplectic_spectra", forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     parent = el.ghz_type_spec(2002, 1.5)
     spec = el.BisymmetricSpec(
