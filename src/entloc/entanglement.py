@@ -20,18 +20,21 @@ from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
     SymplecticSpectrum,
+    _adjugate_traces,
+    _dets,
     _elementwise,
     _minus_plus_pair,
     _PointErrors,
+    _scale,
     _scalar_batch,
     _squares,
-    is_bona_fide,
+    _symplectic_spectra,
     symplectic_eigenvalues,
     two_mode_invariants,
 )
 
-# PT eigenvalues this close above 1 are treated as exactly separable
-# boundary values before any logarithm.
+# PT eigenvalues this close to 1 are treated as exactly separable boundary
+# values before any logarithm (a product of pure blocks gets E_N = 0).
 SEPARABLE_CLAMP = 1e-10
 # Relative tolerance on the two local determinants of a two-mode state
 # under which it counts as symmetric (and gets the closed-form EoF).
@@ -118,35 +121,36 @@ def pt_spectrum(cm: CovarianceMatrix, part: ModeBipartition) -> SymplecticSpectr
     return symplectic_eigenvalues(partial_transpose(cm, part))
 
 
-def _pt_nu_tilde_pair(det_a, det_b, delta, det, errors: _PointErrors):
-    """(nu~_minus, nu~_plus) of two-mode states from their invariants.
-
-    Transposition flips the sign of det C in Delta = det A + det B + 2 det C
-    and keeps det sigma, so 2 nu~^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma)
-    with Delta~ = 2 det A + 2 det B - Delta.
-    """
-    return _minus_plus_pair(2.0 * det_a + 2.0 * det_b - delta, det, errors)
+def _pt_nu_tilde_pair(det_a, det_b, trace, det_c, det, errors: _PointErrors):
+    """(nu~_minus, nu~_plus) of two-mode states from the determinants of
+    their blocks A, B, C, ``trace`` = tr(adj A C adj B C^T) and det sigma =
+    det A det B - trace + det C^2. Transposition flips the sign of det C:
+    2 nu~^2 = Delta~ -/+ sqrt(disc), Delta~ = det A + det B - 2 det C, disc
+    = Delta~^2 - 4 det sigma = (det A - det B)^2 + 4(trace - (det A + det B)
+    det C), which does not cancel where det C <= 0: every entangled state
+    has det C < 0 (Simon, PRL 84, 2726 (2000))."""
+    sum_ab = det_a + det_b
+    disc = _squares(det_a - det_b, errors) + 4.0 * (trace - sum_ab * det_c)
+    return _minus_plus_pair(sum_ab - 2.0 * det_c, det, errors, disc)
 
 
 def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:
     """Closed-form PT eigenvalues of a two-mode state from its invariants."""
     inv = two_mode_invariants(cm)
-    return _scalar_batch(
-        _pt_nu_tilde_pair, inv.det_block_a, inv.det_block_b, inv.delta, inv.det_total
-    )
+    a, b = cm.matrix[:2, :2], cm.matrix[2:, 2:]
+    return _scalar_batch(lambda c, errors: _pt_nu_tilde_pair(
+        inv.det_block_a, inv.det_block_b, _adjugate_traces(a, c, b), _dets(c, errors),
+        inv.det_total, errors), cm.matrix[:2, 2:])
 
 
 def _clamp_boundary(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    boundary = (out > 1.0) & (out <= 1.0 + SEPARABLE_CLAMP)
-    out[boundary] = 1.0
-    return out
+    return np.where(abs(values - 1.0) <= SEPARABLE_CLAMP, 1.0, values)
 
 
 def eof_symmetric(nu_tilde: float) -> float:
     """Entanglement of formation of a symmetric two-mode state.
 
-    Closed form max(0, h(nu_tilde)) for nu_tilde < 1 and 0 from 1 on, with
+    Closed form h(nu_tilde) for nu_tilde < 1 and 0 from 1 on, with
 
         h(x) = (1+x)^2/(4x) ln((1+x)^2/(4x)) - (1-x)^2/(4x) ln((1-x)^2/(4x)),
 
@@ -157,11 +161,12 @@ def eof_symmetric(nu_tilde: float) -> float:
 
 
 def _eof_columns(nu: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """:func:`eof_symmetric` of each value, squaring by one multiply and
-    with the C library's log per value, so each gets the bits of the
-    closed form evaluated on Python floats. A value that is not positive
-    (or nan) fails with an InvalidArgumentError, one whose h overflows
-    with a NumericalDomainError."""
+    """:func:`eof_symmetric` of each value as h = log1p(minus) + minus
+    log1p(1/minus), minus = (1-x)^2/(4x) (the first fraction is 1 + minus):
+    no cancellation, unlike the difference. One multiply squares, the C
+    library's log1p runs per value, as on Python floats. A value that is not
+    positive (or nan) fails with an InvalidArgumentError, one whose h
+    overflows with a NumericalDomainError."""
     positive = nu > 0.0
     errors.record(
         ~positive,
@@ -169,15 +174,15 @@ def _eof_columns(nu: np.ndarray, errors: _PointErrors) -> np.ndarray:
     )
     entangled = positive & (nu < 1.0)
     x = np.where(entangled, nu, 0.5)
-    # rows plus, minus; minus > 0 on (0, 1), where 1 - x >= 2**-53
-    plus_minus = _squares(np.array([1.0 + x, 1.0 - x]), errors) / (4.0 * x)
-    terms = plus_minus * _elementwise(math.log, "log", errors, plus_minus)
-    value = terms[0] - terms[1]
+    # minus > 0 on (0, 1), where 1 - x >= 2**-53
+    minus = _squares(1.0 - x, errors) / (4.0 * x)
+    logs = _elementwise(math.log1p, "log1p", errors, np.array([minus, 1.0 / minus]))
+    value = logs[0] + minus * logs[1]
     errors.record(
         ~np.isfinite(value),
         lambda j: NumericalDomainError(f"overflow: the EoF of {nu[j]:.6e} is out of float range"),
     )
-    return np.where(entangled & (value > 0.0), value, 0.0)
+    return np.where(entangled, value, 0.0)
 
 
 def report_from_pt_values(
@@ -267,14 +272,16 @@ def log_negativity(
     only for symmetric two-mode inputs.
     """
     part.validate_for(cm)
-    if not is_bona_fide(cm):
+    # sigma (for is_bona_fide) and its transpose D sigma D, which factors if sigma does
+    errors = _PointErrors(2)
+    nus = _symplectic_spectra(np.array([cm.matrix, partial_transpose(cm, part).matrix]), errors)
+    if not errors.alive[0] or nus[0].min() < 1.0 - TOL_PHYS * _scale(cm.matrix):
         raise InvalidArgumentError("input covariance matrix is not a physical state")
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
-    spectrum = pt_spectrum(cm, part)
     inv = two_mode_invariants(cm) if cm.modes == 2 else None
     symmetric = inv is not None and bool(_symmetric_dets(inv.det_block_a, inv.det_block_b))
-    return report_from_pt_values(spectrum.values, bool(ppt_decidable), symmetric)
+    return report_from_pt_values(nus[1], bool(ppt_decidable), symmetric)
 
 
 def symmetric_condition(spec: BisymmetricSpec) -> bool:

@@ -15,14 +15,14 @@ to that two-mode state:
 
 The invariant route is one batch kernel. ``_equivalent_from_blocks`` and
 ``_report_from_equivalent`` take the pattern blocks of N inputs as
-stacked arrays and run each stage once for all of them: one stacked
-``np.linalg.det`` call per stage, then elementwise numpy. A square is
-one multiply, which IEEE arithmetic rounds correctly on any platform;
-exponentials and logarithms go through the C library one value at a
-time, as Python floats do, so every input gets the same digits as on its
-own. Each check records the error of the inputs it fails
-(``_PointErrors``), and the first failing input in batch order raises
-the error it would raise alone. Specs enter as a ``BisymmetricBatch``,
+stacked arrays and run each stage once for all of them: elementwise
+numpy, whose squares and 2x2 determinants a d - b c IEEE arithmetic
+rounds the same on any platform, and one stacked LU ``np.linalg.det`` of
+the 4x4 cores; exponentials and logarithms go through the C library one
+value at a time, as Python floats do, so every input gets the same
+digits as on its own. Each check records the error of the inputs it
+fails (``_PointErrors``), and the first failing input in batch order
+raises the error it would raise alone. Specs enter as a ``BisymmetricBatch``,
 parameter columns that carry the error of each point that is no valid
 spec; the sweeps build and validate theirs as columns and read the
 results as columns (``ReportColumns``), and a sequence of specs is
@@ -35,11 +35,11 @@ suite each make one call.
 The constructive route batches the same way over matrices of one split
 (m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix
 as a stack of one, and runs each stage once for the stack, with stacked
-``matmul`` for the three congruences, stacked ``np.linalg.det`` calls
-and 2x2 algebra for every single-mode normalizer of every matrix, and
-one stacked SVD for the boundary rotations. Stacked LAPACK and BLAS
-calls give each matrix the bits of a call on it alone, and each
-pattern, positivity and residual check records the matrices it fails.
+``matmul`` for the three congruences, elementwise 2x2 algebra for every
+single-mode normalizer of every matrix, and one stacked SVD for the
+boundary rotations. Stacked LAPACK and BLAS calls give each matrix the
+bits of a call on it alone, and each pattern, positivity and residual
+check records the matrices it fails.
 The reduced matrix is reported on the skeleton the theorem proves: once
 the residual check has measured the largest entry off it, every such
 entry is set to +0.0, so ``cm_final`` is S^T sigma S on its skeleton and
@@ -79,8 +79,10 @@ from .errors import (
 from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
 from .symplectic import (
     CovarianceMatrix,
+    _adjugate_traces,
     _clipped_sqrts,
     _delta_invariants,
+    _dets,
     _PointErrors,
     _purities,
     _require_tolerance,
@@ -238,20 +240,6 @@ def global_delta_bisym(spec: BisymmetricSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_nu_pair(diag2, det_minus, det_plus, count, errors: _PointErrors):
-    """(nu_minus, nu_plus) of permutation-invariant blocks from raw 2x2 blocks.
-
-    The determinants are those of diag2 - off2 and diag2 + (count-1) off2:
-    valid in any local basis, not just standard form, because both values
-    are fixed by the pattern. This is the one block-spectrum formula kept
-    apart from ``states._pattern_factors``: its ``np.linalg.det`` calls
-    (LU, not the explicit 2x2 product) fix the last bits of every
-    invariant-route number.
-    """
-    scale = _squares(np.abs(diag2).max(axis=(1, 2)), errors) * (count * count)
-    return _clipped_sqrts(np.array([det_minus, det_plus]), scale, errors)
-
-
 class _Equivalents(NamedTuple):
     """Equivalent two-mode states of a batch, as arrays over its points:
     the standard form of ``EquivalentTwoMode.cm_eq`` and its invariants."""
@@ -261,15 +249,18 @@ class _Equivalents(NamedTuple):
     c_plus: np.ndarray
     c_minus: np.ndarray
     mu_eq: np.ndarray
-    delta_eq: np.ndarray
-    plus_sq: np.ndarray  # nu_plus_a^2 and nu_plus_b^2, for the symmetric test
+    plus_sq: np.ndarray  # nu_plus_a^2 and nu_plus_b^2
+    trace: np.ndarray  # nu_plus_a nu_plus_b (c_plus^2 + c_minus^2)
+    det_cross: np.ndarray  # c_plus c_minus
+    det: np.ndarray  # det sigma_eq = 1/mu_eq^2
 
     def two_mode(self, i: int) -> EquivalentTwoMode:
         a, b, cp, cm = (float(v[i]) for v in self[:4])
         matrix = np.array(
             [[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]]
         )
-        return EquivalentTwoMode(CovarianceMatrix(matrix), float(self.mu_eq[i]), float(self.delta_eq[i]))
+        delta_eq = self.plus_sq[0][i] + self.plus_sq[1][i] + 2.0 * self.det_cross[i]
+        return EquivalentTwoMode(CovarianceMatrix(matrix), float(self.mu_eq[i]), float(delta_eq))
 
 
 def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
@@ -277,14 +268,16 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
 
     ``m`` and ``n`` are integer arrays of shape (N,); ``blocks`` stacks
     alpha, eps, beta, zeta, gamma as shape (5, N, 2, 2), in any local
-    basis. Uses only invariants: the block spectra, the global
-    block-determinant sum, and the determinant of the still-coupled
-    two-mode core. The cross block of the result is fixed by det gamma'' =
-    (Delta_eq - nu_plus_a^2 - nu_plus_b^2)/2 together with det sigma_eq =
-    1/mu_eq^2, taking the root pair with c_plus >= |c_minus|, c_plus >= 0.
-    All 2x2 determinants go through one stacked ``np.linalg.det`` call and
-    the cores through another. Call it under ``np.errstate(all="ignore")``:
-    failures are recorded in ``errors``.
+    basis. Uses only local-symplectic invariants of the coupled two-mode
+    core A' = alpha + (m-1) eps, B' = beta + (n-1) zeta, C' = sqrt(mn)
+    gamma: nu_plus_a^2 = det A', nu_plus_b^2 = det B', det sigma_eq = det
+    core. A local symplectic has determinant 1, so the standard-form cross
+    block diag(c_plus, c_minus) has P = c_plus c_minus = det C' and S =
+    c_plus^2 + c_minus^2 = tr(adj A' C' adj B' C'^T) / (nu_plus_a
+    nu_plus_b), and c_plus +/- c_minus = sqrt(S +/- 2P), both exactly +0.0
+    when gamma = 0. S + 2P cancels where c_plus = -c_minus; that moves
+    c_minus, not the PT eigenvalues, which are read from the trace and P.
+    Call it under ``np.errstate(all="ignore")``: ``errors`` records failures.
 
     The block sizes enter as floats: each is exact below 2**53, so every
     product of them rounds once, as an int product converted to float
@@ -293,25 +286,23 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
     m, n = m * 1.0, n * 1.0
     size = len(m)
     counts = np.array([m, n])
-    counts1 = counts - 1
-    diag, off, gamma = blocks[0:4:2], blocks[1:4:2], blocks[4]
-    core_ab = diag + counts1[:, :, None, None] * off
-    cross = np.sqrt(m * n)[:, None, None] * gamma
+    diag, off = blocks[0:4:2], blocks[1:4:2]
+    core_ab = diag + (counts - 1)[:, :, None, None] * off
+    cross = np.sqrt(m * n)[:, None, None] * blocks[4]
     core = np.empty((size, 4, 4))
     core[:, :2, :2], core[:, :2, 2:] = core_ab[0], cross
     core[:, 2:, :2], core[:, 2:, 2:] = cross.transpose(0, 2, 1), core_ab[1]
-    # rows: det(diag - off) and det(core) of blocks a, b; then the five blocks
-    dets = np.linalg.det(np.concatenate([diag - off, core_ab, blocks]).reshape(-1, 2, 2))
-    dets = dets.reshape(9, size)
+    # rows: det(diag - off) and det(core) of blocks a, b; then det C'
+    dets = _dets(np.concatenate([diag - off, core_ab, cross[None]]), errors)
     det_core = np.linalg.det(core)
 
-    # both blocks' spectra as one batch of 2N blocks; block a's errors first
+    # (nu_minus, nu_plus) of both blocks, fixed by the pattern in any local
+    # basis, as one batch of 2N blocks, block a's errors first
     block_errors = _PointErrors(2 * size)
-    nus = _block_nu_pair(
-        diag.reshape(-1, 2, 2), dets[0:2].ravel(), dets[2:4].ravel(), counts.ravel(), block_errors
-    ).reshape(2, 2, size)
+    scale = _squares(np.abs(diag).max(axis=(2, 3)), block_errors) * (counts * counts)
+    nus = _clipped_sqrts(dets[:4].reshape(2, 2, size), scale, block_errors)
     errors.merge(block_errors)
-    (na_minus, nb_minus), (na_plus, nb_plus) = nus
+    na_plus, nb_plus = nus[1]
     errors.record(
         det_core <= 0.0,
         lambda i: InconsistentInvariantsError(
@@ -319,61 +310,41 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
         ),
     )
     mu_eq = 1.0 / np.sqrt(det_core)
+    plus_sq = _squares(nus[1], errors)
 
-    # Delta = m det alpha + m(m-1) det eps + n det beta + n(n-1) det zeta
-    #         + 2 m n det gamma, summed left to right (an axis-0 sum does)
-    pairs = counts * counts1
-    delta = (np.array([m, pairs[0], n, pairs[1], 2 * m * n], dtype=float) * dets[4:]).sum(axis=0)
-    minus_sq_a, minus_sq_b, *plus_sq = _squares(nus.reshape(4, size), errors)
-    delta_eq = delta - counts1[0] * minus_sq_a - counts1[1] * minus_sq_b
-
-    det_cross = 0.5 * (delta_eq - plus_sq[0] - plus_sq[1])
+    det_cross = dets[4]
+    trace = _adjugate_traces(core_ab[0], cross, core_ab[1])
     k = na_plus * nb_plus
-    kk, q = k * k, det_core
-    # max(kk, q, 1.0); fmax differs from it only where kk is nan, and
-    # there sum_sq is nan too, so neither check below can fire
-    scale = np.fmax(np.fmax(kk, q), 1.0)
-    det_cross_sq = _squares(det_cross, errors)
     errors.record(
         k == 0.0,
         lambda i: NumericalDomainError("c_plus^2 + c_minus^2 divides by nu_plus_a nu_plus_b = 0"),
     )
-    sum_sq = (kk + det_cross_sq - q) / k
+    sum_sq = trace / k
     errors.record(
-        sum_sq < -1e-10 * scale,
+        sum_sq < -1e-10 * np.fmax(k, 1.0),
         lambda i: InconsistentInvariantsError(
             f"invariants give negative c_plus^2 + c_minus^2 = {sum_sq[i]:.6e}"
         ),
     )
-    sum_sq = np.where(0.0 > sum_sq, 0.0, sum_sq)
-    sum_sq_sq, scale_sq = _squares(np.array([sum_sq, scale]), errors)
-    root = _clipped_sqrts(sum_sq_sq - 4.0 * det_cross_sq, scale_sq, errors)
-    c_plus = np.sqrt(0.5 * (sum_sq + root))
-    c_minus = np.where(c_plus > 0.0, det_cross / c_plus, 0.0)
+    sum_sq = np.where(0.0 > sum_sq, 0.0, sum_sq)  # max(sum_sq, 0.0), nan kept
+    plus, minus = _clipped_sqrts(
+        np.array([sum_sq + 2.0 * det_cross, sum_sq - 2.0 * det_cross]), sum_sq, errors
+    )
+    c_plus, c_minus = 0.5 * (plus + minus), 0.5 * (plus - minus)
     errors.record(
         ~np.isfinite(np.array([na_plus, nb_plus, c_plus, c_minus])).all(axis=0),
         lambda i: InvalidArgumentError("covariance matrix has non-finite entries"),
     )
-    return _Equivalents(na_plus, nb_plus, c_plus, c_minus, mu_eq, delta_eq, np.array(plus_sq))
-
-
-def _nu_tilde_pairs(block_a, block_b, delta_eq, mu_eq, errors: _PointErrors):
-    """PT eigenvalues of two-mode states from their local blocks and
-    invariants: Delta~ = 2 det A + 2 det B - Delta_eq, det = 1/mu_eq^2."""
-    det_a, det_b = np.linalg.det(np.concatenate([block_a, block_b])).reshape(2, len(mu_eq))
-    mu_sq = _squares(mu_eq, errors)
-    errors.record(
-        mu_sq == 0.0,
-        lambda i: NumericalDomainError("det sigma_eq = 1/mu_eq^2 divides by mu_eq^2 = 0"),
-    )
-    return _pt_nu_tilde_pair(det_a, det_b, delta_eq, 1.0 / mu_sq, errors)
+    # the route's float range, as the README states it: (nu_plus_a nu_plus_b)^4 is finite
+    _squares(_squares(k, errors), errors)
+    return _Equivalents(*nus[1], c_plus, c_minus, mu_eq, plus_sq, trace, det_cross, det_core)
 
 
 def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportColumns:
     """Entanglement reports of the points of a batch, as columns."""
-    local = np.zeros((2, len(eq.mu_eq), 2, 2))
-    local[:, :, 0, 0] = local[:, :, 1, 1] = np.array([eq.na_plus, eq.nb_plus])
-    nu_minus, nu_plus = _nu_tilde_pairs(local[0], local[1], eq.delta_eq, eq.mu_eq, errors)
+    nu_minus, nu_plus = _pt_nu_tilde_pair(
+        eq.plus_sq[0], eq.plus_sq[1], eq.trace, eq.det_cross, eq.det, errors
+    )
     symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
     return _pt_pair_columns(nu_minus, nu_plus, symmetric, errors)
 
@@ -613,13 +584,11 @@ def _normalizers(c: np.ndarray, errors: _PointErrors) -> np.ndarray:
 
     s = (c / nu)^{-1/2}: symmetric with unit determinant, hence symplectic.
     With x = c / nu, x^{1/2} = (x + sqrt(det x) I2) / sqrt(tr x + 2 sqrt(det x))
-    and its inverse is the adjugate over the determinant. Each determinant
-    is one stacked ``np.linalg.det`` call (LU, like a call per block), which
-    fixes the last bits of the reduced matrix.
+    and its inverse is the adjugate over the determinant.
     """
-    det = np.linalg.det(c)
+    det = _dets(c, errors)
     x = c / np.sqrt(det)[..., None, None]
-    det_x = np.linalg.det(x)
+    det_x = _dets(x, errors)
     errors.record(
         ((det <= 0.0) | (det_x <= 0.0) | (x[..., 0, 0] <= 0.0)).any(axis=0),
         lambda k: LocalizationError("single-mode covariance block is not positive definite"),
@@ -629,16 +598,16 @@ def _normalizers(c: np.ndarray, errors: _PointErrors) -> np.ndarray:
         x[..., 0, 0] + x[..., 1, 1] + 2.0 * root
     )[..., None, None]
     adjugate = np.stack([w[..., 1, 1], -w[..., 0, 1], -w[..., 1, 0], w[..., 0, 0]], axis=-1)
-    return adjugate.reshape(w.shape) / np.linalg.det(w)[..., None, None]
+    return adjugate.reshape(w.shape) / _dets(w, errors)[..., None, None]
 
 
-def _boundary_rotations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_rotations(x: np.ndarray, errors: _PointErrors) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (r1, r2) of each 2x2 block of a stack x, shape (K, 2, 2),
     with r1^T x r2 = diag(d1, d2), d1 >= |d2|, d1 >= 0."""
     u, _, vt = np.linalg.svd(x)
     v = vt.swapaxes(1, 2)
-    u[np.linalg.det(u) < 0.0, :, 1] *= -1.0
-    v[np.linalg.det(v) < 0.0, :, 1] *= -1.0
+    u[_dets(u, errors) < 0.0, :, 1] *= -1.0
+    v[_dets(v, errors) < 0.0, :, 1] *= -1.0
     return u, v
 
 
@@ -668,7 +637,7 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern,
     cross = stage2[:, row:col, col : col + 2]
     rotations = np.array(np.broadcast_to(np.eye(2 * total), stage2.shape))
     rotations[:, row:col, row:col], rotations[:, col : col + 2, col : col + 2] = (
-        _boundary_rotations(np.where(np.isfinite(cross), cross, 0.0))
+        _boundary_rotations(np.where(np.isfinite(cross), cross, 0.0), errors)
     )
     final = rotations.swapaxes(1, 2) @ stage2 @ rotations
     local = mixing @ squeezers @ rotations

@@ -152,6 +152,33 @@ def _squares(values: np.ndarray, errors: _PointErrors) -> np.ndarray:
     return squares
 
 
+def _dets(blocks: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """a d - b c of each 2x2 block of a (..., 2, 2) stack, which IEEE
+    arithmetic rounds the same on every platform; a finite block whose
+    determinant is out of float range is recorded as a NumericalDomainError."""
+    dets = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+    if not np.isfinite(dets).all():
+        errors.record(
+            ~np.isfinite(dets) & np.isfinite(blocks).all(axis=(-2, -1)),
+            lambda j: NumericalDomainError("overflow: a 2x2 determinant is out of float range"),
+        )
+    return dets
+
+
+def _adjugate_traces(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(adj(a) c adj(b) c^T) of stacks of 2x2 blocks, elementwise: for a
+    two-mode state's blocks, nu_a nu_b (c_+^2 + c_-^2) with c_+, c_- its
+    standard-form cross block, as adj(s^T a s) = s^-1 adj(a) s^-T if det s = 1."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    c00, c01, c10, c11 = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    # tr(m k) with m = adj(a) c and k = adj(b) c^T
+    return ((a11 * c00 - a01 * c10) * (b11 * c00 - b01 * c01)
+            + (a11 * c01 - a01 * c11) * (b00 * c01 - b10 * c00)
+            + (a00 * c10 - a10 * c00) * (b11 * c10 - b01 * c11)
+            + (a00 * c11 - a10 * c01) * (b00 * c11 - b10 * c10))
+
+
 def _clipped_sqrts(value: np.ndarray, scale: np.ndarray, errors: _PointErrors) -> np.ndarray:
     """Elementwise :func:`clipped_sqrt` for scales >= 0; radicands beyond
     the clip are recorded in ``errors``. ``scale`` broadcasts against
@@ -540,15 +567,15 @@ class TwoModeInvariants:
         return _scalar_batch(_minus_plus_pair, self.delta, self.det_total)
 
 
-def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors):
-    """Both branches of 2 nu^2 = delta -/+ sqrt(delta^2 - 4 det), per point.
+def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors, disc=None):
+    """Both branches of 2 nu^2 = delta -/+ sqrt(disc) per point; disc = delta^2 - 4 det by default.
 
     The minus branch is evaluated in conjugate form, 2 det / (delta +
     root), which stays accurate when the branches are many orders of
     magnitude apart (large squeezing).
     """
     delta_sq = _squares(delta, errors)
-    root = _clipped_sqrts(delta_sq - 4.0 * det, delta_sq, errors)
+    root = _clipped_sqrts(delta_sq - 4.0 * det if disc is None else disc, delta_sq, errors)
     conjugate = (det > 0.0) & (delta + root > 0.0)
     # conjugate points take the minus branch from the quotient, so their
     # direct radicand is set to 1, which cannot fail
@@ -565,12 +592,8 @@ def two_mode_invariants(cm: CovarianceMatrix) -> TwoModeInvariants:
     if cm.modes != 2:
         raise InvalidArgumentError(f"expected a two-mode matrix, got {cm.modes} modes")
     m = cm.matrix
-    return TwoModeInvariants(
-        det_total=float(np.linalg.det(m)),
-        delta=delta_invariant(cm),
-        det_block_a=float(np.linalg.det(m[0:2, 0:2])),
-        det_block_b=float(np.linalg.det(m[2:4, 2:4])),
-    )
+    det_a, det_b = _scalar_batch(lambda ab, errors: _dets(ab, errors).T, [m[:2, :2], m[2:, 2:]])
+    return TwoModeInvariants(float(np.linalg.det(m)), delta_invariant(cm), det_a, det_b)
 
 
 def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]:

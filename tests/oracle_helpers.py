@@ -16,7 +16,6 @@ import scipy.linalg
 
 import entloc as el
 from entloc.errors import InvalidArgumentError
-from entloc.localization import _nu_tilde_pairs
 from entloc.oracle import oracle_pt_log_negativity
 from entloc.symplectic import (
     _csv_text,
@@ -221,17 +220,6 @@ def alpha_block_spec(spec: el.BisymmetricSpec) -> el.FullySymmetricSpec:
 def beta_block_spec(spec: el.BisymmetricSpec) -> el.FullySymmetricSpec:
     """The fully symmetric state of the second block of ``spec``."""
     return el.FullySymmetricSpec(spec.n, spec.b, spec.z1, spec.z2)
-
-
-def nu_tilde_pair(eq) -> tuple[float, float]:
-    """PT symplectic eigenvalues of an ``EquivalentTwoMode`` from its
-    invariants alone.
-
-    2 nu~^2 = Delta~ -/+ sqrt(Delta~^2 - 4/mu_eq^2), with
-    Delta~ = 2 det A + 2 det B - Delta_eq.
-    """
-    m = eq.cm_eq.matrix
-    return _scalar_batch(_nu_tilde_pairs, m[0:2, 0:2], m[2:4, 2:4], eq.delta_eq, eq.mu_eq)
 
 
 def oracle_symplectic_spectrum(cm: el.CovarianceMatrix) -> np.ndarray:

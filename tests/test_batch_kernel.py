@@ -26,10 +26,10 @@ from entloc.states import BisymmetricBatch
 from oracle_helpers import ScalarSampler
 
 # valid specs on which the invariant route itself fails: an overflowing
-# square (NumericalDomainError) and an overflowing determinant that leaves
-# the equivalent state non-finite (InvalidArgumentError)
+# square (NumericalDomainError) and an overflowing cross-block trace that
+# leaves the equivalent state non-finite (InvalidArgumentError)
 OVERFLOWING = el.BisymmetricSpec(2, 2, 1e100, 0.0, 0.0, 1e100, 0.0, 0.0, 0.0, 0.0)
-NON_FINITE = el.BisymmetricSpec(2, 2, 1e78, 0.0, 0.0, 1e78, 0.0, 0.0, 0.0, 0.0)
+NON_FINITE = el.BisymmetricSpec(2, 2, 1e78, 0.0, 0.0, 1e78, 0.0, 0.0, 2.5e77, -2.5e77)
 
 
 def _same(a, b):
@@ -298,13 +298,46 @@ def test_squares_record_overflow():
     assert isinstance(errors.errors[1], NumericalDomainError)
 
 
+def test_2x2_determinants_record_overflow_as_squares_do():
+    from entloc.symplectic import _dets, _PointErrors
+
+    blocks = np.array([[[1.5, 0.3], [0.2, 2.0]], [[1e200, 0.0], [0.0, 1e200]],
+                       [[1e200, 1e200], [-1e200, 1e200]], [[math.inf, 0.0], [0.0, 1.0]],
+                       [[math.nan, 0.0], [0.0, 1.0]]])
+    errors = _PointErrors(5)
+    with np.errstate(all="ignore"):
+        dets = _dets(blocks, errors)
+    assert dets[0] == 1.5 * 2.0 - 0.3 * 0.2
+    assert errors.alive.tolist() == [True, False, False, True, True]
+    assert all(isinstance(errors.errors[i], NumericalDomainError) for i in (1, 2))
+
+
 def _eof_closed_form(x):
-    """The symmetric-state EoF written out on one Python float."""
+    """The symmetric-state EoF written out on one Python float: with
+    minus = (1-x)^2/(4x), h = log1p(minus) + minus log1p(1/minus)."""
     if x >= 1.0:
         return 0.0
-    plus = (1.0 + x) * (1.0 + x) / (4.0 * x)
     minus = (1.0 - x) * (1.0 - x) / (4.0 * x)
-    return max(0.0, plus * math.log(plus) - minus * math.log(minus))
+    return math.log1p(minus) + minus * math.log1p(1.0 / minus)
+
+
+def _eof_reference(x):
+    """h(x) = p ln p - m ln m, p = (1+x)^2/(4x), m = (1-x)^2/(4x), to 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        p, m = (1 + x) ** 2 / (4 * x), (1 - x) ** 2 / (4 * x)
+        return p * mpmath.log(p) - m * mpmath.log(m)
+
+
+# 1e-20 read 0.0 from the difference p ln p - m ln m, which cancels to
+# nothing below about 2e-17; the difference also lost digits near 1
+@pytest.mark.parametrize("nu", [1e-4, 1e-8, 1e-12, 1e-20, 0.3, 1.0 - 1e-8, 1.0 - 1e-12])
+def test_eof_is_within_a_few_ulps_of_a_50_digit_reference(nu):
+    value, reference = el.eof_symmetric(nu), _eof_reference(nu)
+    assert value > 0.0
+    assert abs(value - float(reference)) <= 4 * math.ulp(float(reference))
 
 
 def test_eof_column_has_the_bits_of_the_closed_form():
@@ -331,9 +364,9 @@ def test_eof_column_keeps_each_error_in_place():
     from entloc.entanglement import _eof_columns
     from entloc.symplectic import _PointErrors
 
+    # 1e-308 has a finite EoF, about 708.8; at 5e-324, (1-x)^2/(4x) overflows
     failing = {1: (InvalidArgumentError, 0.0), 3: (InvalidArgumentError, -0.3),
-               4: (InvalidArgumentError, math.nan), 6: (NumericalDomainError, 1e-308),
-               7: (NumericalDomainError, 5e-324)}
+               4: (InvalidArgumentError, math.nan), 7: (NumericalDomainError, 5e-324)}
     values = np.array([0.5, 0.0, 2.0, -0.3, math.nan, 0.01, 1e-308, 5e-324, 1.0])
     errors = _PointErrors(len(values))
     with np.errstate(all="ignore"):
@@ -358,7 +391,9 @@ def test_report_columns_take_eof_errors_of_symmetric_points_only():
     with np.errstate(all="ignore"):
         columns = _pt_pair_columns(nu_minus, nu_minus + 1.0, symmetric, errors)
     kinds = [None if error is None else type(error) for error in columns.errors]
-    assert kinds == [None, InvalidArgumentError, None, None, NumericalDomainError, None, None]
-    alive = [0, 2, 3, 5, 6]
-    assert columns.eof_missing[alive].tolist() == [True, False, True, True, False]
-    assert columns.eof[[2, 6]].tolist() == [el.eof_symmetric(0.5), 0.0]
+    # an EoF overflows only below x = 1.4e-309, where e^{E_N} = 1/x has
+    # overflowed first, so only the not-positive value fails in the EoF
+    assert kinds == [None, InvalidArgumentError, None, None, None, None, None]
+    alive = [0, 2, 3, 4, 5, 6]
+    assert columns.eof_missing[alive].tolist() == [True, False, True, False, True, False]
+    assert columns.eof[[2, 4, 6]].tolist() == [el.eof_symmetric(0.5), el.eof_symmetric(1e-308), 0.0]

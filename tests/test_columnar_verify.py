@@ -37,15 +37,15 @@ from entloc.states import BisymmetricBatch
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
-# recorded when the oracle's dense spectrum came to be taken by a Cholesky
-# factorization and a Hermitian eigensolver (numpy 2.4 with its bundled
-# OpenBLAS on x86-64; another LAPACK build may round the dense values, and
-# so these bytes, differently)
-VERIFY_300_CSV_SHA256 = "787d10fccc66673b86b89ab86fcd569df7eb56c8a25496f316632b91cd7ba234"
-VERIFY_300_STDOUT_SHA256 = "bc54a3c1d730ddeda5f5a91480d48579733a30bbe23509e54514a2ff8cb6fed5"
+# recorded when every 2x2 determinant came to be a d - b c and the
+# invariant route came to read the cross block from det C' and the
+# adjugate trace (numpy 2.4 with its bundled OpenBLAS on x86-64; another
+# LAPACK build may round the dense values, and so these bytes, differently)
+VERIFY_300_CSV_SHA256 = "58ba01b0e792981d5e85ef17daa5ff1898ed1d86b874a2d3b15bd6d12d5166e7"
+VERIFY_300_STDOUT_SHA256 = "40b24ebcc6eb8ea6d34d1d36331d3f71cc1fb510e4435fe9cd1253181edd6853"
 # the same of `verify --cases 1000 --seed 7 --out PATH`, recorded with them
-VERIFY_1000_CSV_SHA256 = "7df86d48087a4d2f386447106e502f1c1c5cc8d9c88a68a6ab665a447de6d2a8"
-VERIFY_1000_STDOUT_SHA256 = "ccba3eab05f432617b2b435056bf4c99ce7ef9e39d8f60efd0c6948c43ad5a0a"
+VERIFY_1000_CSV_SHA256 = "027115a1307f071a89a50c5deeadf1cecf6b7816857311b8511471e191f58041"
+VERIFY_1000_STDOUT_SHA256 = "f36472a21bd04680bd1fe96da1283fbca0b403e7a9243469a7f6e49ccfdbadbb"
 
 
 def _verify_digests(tmp_path, capsys, cases, seed):

@@ -7,8 +7,11 @@ import pytest
 
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
+from entloc.experiments import traced_symmetric_spec
+from entloc.localization import _fs_split_spec
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
+from entloc.symplectic import TOL_PHYS, _PointErrors, _symplectic_spectra
 from oracle_helpers import (
     ScalarSampler,
     alpha_block_spec,
@@ -16,7 +19,6 @@ from oracle_helpers import (
     cm_allclose,
     exhaustive_bipartition_scan,
     localization_to_json_dict,
-    nu_tilde_pair,
     oracle_symplectic_spectrum,
     oracle_spectrum_multiplicities,
     random_bona_fide_cm,
@@ -178,6 +180,104 @@ def test_equivalent_uncorrelated_is_product():
     assert el.equivalent_report(spec).separable is True
 
 
+def _pure_or_thermal_block(size, b):
+    """(b, z1, z2) of a pure fully symmetric block of ``size`` modes, or of
+    the thermal diag(b, b) for a block of one mode."""
+    if size == 1:
+        return b, 0.0, 0.0
+    block = traced_symmetric_spec(size, 0, b)
+    return block.b, block.z1, block.z2
+
+
+def _uncorrelated_products():
+    """g = 0 products of two such blocks: sizes 1-5 each, and each block's
+    b on 12 points of [1.05, 3], 3600 specs."""
+    grid = np.linspace(1.05, 3.0, 12).tolist()
+    return [
+        el.BisymmetricSpec(m, n, *_pure_or_thermal_block(m, b_a), *_pure_or_thermal_block(n, b_b),
+                           0.0, 0.0)
+        for m in range(1, 6) for n in range(1, 6) for b_a in grid for b_b in grid
+    ]
+
+
+def test_products_of_uncorrelated_blocks_are_separable_with_no_entanglement():
+    """The PT eigenvalues of a product are the blocks' nu_plus, which for a
+    pure block is 1 up to the rounding of its parameters: each product
+    reads separable with E_N, N and EoF exactly 0."""
+    specs = _uncorrelated_products()
+    reports = el.equivalent_report(specs)
+    assert len(reports) == 3600
+    assert all(r.separable is True for r in reports)
+    assert {(r.log_negativity, r.negativity) for r in reports} == {(0.0, 0.0)}
+    assert {r.eof for r in reports} == {None, 0.0}
+    assert min(r.nu_tilde_min for r in reports) == 1.0
+
+
+def test_products_of_uncorrelated_blocks_have_an_exactly_zero_cross_block():
+    """|c_plus| + |c_minus| = 0 exactly when g = 0, and both are +0.0."""
+    for spec in _uncorrelated_products()[::7]:
+        cross = el.equivalent_two_mode_invariants(spec).cm_eq.matrix[:2, 2:]
+        assert not np.any(_bits(cross)), spec
+
+
+def _nu_tilde_reference(spec):
+    """nu~_minus of a standard-form spec's equivalent state from the 4x4
+    invariants, to 50 digits: 2 nu~^2 = D - sqrt(D^2 - 4 det sigma), with
+    D = det A' + det B' - 2 det C'."""
+    with mp.workdps(50):
+        m, n = mp.mpf(spec.m), mp.mpf(spec.n)
+        a1, a2 = spec.a + (m - 1) * mp.mpf(spec.e1), spec.a + (m - 1) * mp.mpf(spec.e2)
+        b1, b2 = spec.b + (n - 1) * mp.mpf(spec.z1), spec.b + (n - 1) * mp.mpf(spec.z2)
+        c1, c2 = mp.sqrt(m * n) * spec.g1, mp.sqrt(m * n) * spec.g2
+        det = (a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2)
+        tilde = a1 * a2 + b1 * b2 - 2 * c1 * c2
+        return mp.sqrt((tilde - mp.sqrt(tilde * tilde - 4 * det)) / 2)
+
+
+@pytest.mark.parametrize("seed", [5, 26])
+def test_equivalent_nu_tilde_of_entangled_draws_matches_a_50_digit_reference(seed):
+    """Within 32 units of roundoff, relative; 11 seeds of 2000 draws gave
+    at most 14."""
+    specs = SpecSampler(seed).bisymmetric(count=2000)
+    entangled = [(s, r) for s, r in zip(specs, el.equivalent_report(specs)) if not r.separable]
+    assert len(entangled) > 100
+    for spec, report in entangled:
+        reference = _nu_tilde_reference(spec)
+        assert abs(report.nu_tilde_min - reference) <= 32 * 2.0**-53 * reference, spec
+
+
+def _traced_family_splits():
+    specs = []
+    for modes, q in ((20, 0), (20, 4), (8, 0), (30, 2)):
+        for b in np.linspace(1.01, 30.0, 40).tolist():
+            parent = traced_symmetric_spec(modes, q, b)
+            specs += [_fs_split_spec(parent, k) for k in (1, modes // 2)]
+    return specs
+
+
+def test_separable_flags_agree_with_the_dense_pt_spectrum():
+    """On 3000 sampler draws and the k = 1 and M/2 splits of four traced
+    families, each invariant-route flag is the one the dense PT spectrum of
+    the assembled matrix gives."""
+    specs = SpecSampler(11).bisymmetric(count=3000) + _traced_family_splits()
+    reports = el.equivalent_report(specs)
+    groups = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault((spec.m, spec.n), []).append(index)
+    dense = np.empty(len(specs), dtype=bool)
+    for (m, n), indices in groups.items():
+        stack = el.bisymmetric_cm(BisymmetricBatch.of([specs[i] for i in indices]))
+        signs = np.ones(2 * (m + n))
+        signs[2 * m + 1 :: 2] = -1.0
+        errors = _PointErrors(len(indices))
+        nus = _symplectic_spectra(stack * np.outer(signs, signs), errors)
+        assert errors.alive.all()
+        dense[indices] = nus.min(axis=1) >= 1.0 - TOL_PHYS
+    flags = np.array([r.separable for r in reports])
+    assert 400 < np.count_nonzero(~flags) < len(specs) - 400
+    assert np.array_equal(flags, dense)
+
+
 def test_equivalent_cm_consistent_with_its_invariants():
     for spec in SpecSampler(13, max_block=6).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
@@ -197,7 +297,7 @@ def test_equivalent_pure_parent_is_two_mode_squeezed():
 def test_equivalent_nu_tilde_matches_pt_of_explicit_matrix():
     for spec in SpecSampler(17, max_block=6).bisymmetric(count=50):
         eq = el.equivalent_two_mode_invariants(spec)
-        from_invariants = nu_tilde_pair(eq)
+        from_invariants = el.pt_two_mode_nu_tilde(eq.cm_eq)
         dense = np.sort(el.pt_spectrum(eq.cm_eq, _split(1, 1)).values)
         assert from_invariants == pytest.approx(tuple(dense), rel=1e-9)
 
@@ -558,21 +658,27 @@ def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
     assert checked > 300
 
 
-# The golden input at 12|12, recorded from the tree before the projection:
-# the values the projection must not move, the sha256 of the old cm_final
-# and cm_eq with their off-skeleton entries set to +0.0, and the largest
-# magnitude among those old off-skeleton entries.
+# The golden input at 12|12, first recorded from the tree before the
+# projection: the values the projection must not move, the sha256 of the
+# old cm_final and cm_eq with their off-skeleton entries set to +0.0, and
+# the largest magnitude among those old off-skeleton entries. The values
+# and digests were recorded again when every 2x2 determinant came to be
+# a d - b c and the invariant route came to read the cross block from
+# det C' and the adjugate trace: mu_eq, delta_eq and E_N 6|18 moved by at
+# most 2.9e-15 relative, 920 of the 2304 entries of the local symplectic
+# by at most 1.2e-14 and 48 of cm_final by at most 1.0e-15; the residual
+# kept its bits.
 GOLDEN_KEPT = {
     "residual": "5.313737248484793e-15",
-    "mu_eq": "0.348626968122117",
-    "delta_eq": "9.227692307692216",
-    "report E_N 6|18": "0.9260528622243103",
+    "mu_eq": "0.34862696812211663",
+    "delta_eq": "9.22769230769222",
+    "report E_N 6|18": "0.9260528622243129",
     "report E_N 12|12": "1.048043175606261",
 }
-GOLDEN_LOCAL_SYMPLECTIC = "6b672126a1d0af29b9900cba2581eb0bf4aa353f71050fe11355de990064e17f"
+GOLDEN_LOCAL_SYMPLECTIC = "75b9eae7ea3a5e100fb7f3d72a40ba918de4d4094b4f7ded5a988f9178a242b6"
 GOLDEN_ON_SKELETON = {
-    "cm_final": "3d03a8a1b35d179c179d74f97d24fc5b44ec91c4ae3894eedd972526a7e8dc6d",
-    "cm_eq": "6d0bf9ff573a256be4571cdaef3065d9e244078cfb7d843c89e000ce4ec8ae3a",
+    "cm_final": "395d7d4992e4cc4c9aebce915a84daad9c00ac1f0f622531b7befa25c570c5d1",
+    "cm_eq": "b32c31772aec58a02eb1cb4e92e802ab9b1d7e4bc7b353b442b38cedb0359d25",
 }
 GOLDEN_LARGEST_DROPPED = 4.210816372907315e-15
 

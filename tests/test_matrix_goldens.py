@@ -10,7 +10,10 @@ recorded again when ``cm_final`` and ``cm_eq`` came to be reported on
 their skeleton (every entry off it +0.0, not the rounding noise of the
 congruence); the ``spectrum`` stdout again when the dense spectrum came
 to be taken by a Cholesky factorization and a Hermitian eigensolver; the
-``ole`` and ``symplectic`` digests are the first recording.
+``localize``, ``report`` and ``ole`` stdout and the ``final`` and
+``symplectic`` dumps again when every 2x2 determinant came to be a d - b c
+and the invariant route came to read the cross block from det C' and the
+adjugate trace.
 
 The file holds six distinct cell texts in 2304 cells (the repeated blocks
 of the paper's bisymmetric states). The expected digests depend on the
@@ -44,16 +47,16 @@ COMMANDS = {
 # sha256 of each output; stdout is the same for both input formats.
 # Every command exits 0.
 STDOUT = {
-    "localize": "6670cb1c10bd749341a455387b789d508cba7845ebc11d46fd523b7d573a982b",
-    "ole": "d08e275c76c74c6dbe15d90a2301508999c101e2929759939bab1ec61e534e5d",
-    "report": "25cd7031b83f7047d6782324c9a558a2a3c30686d776664cc9ebb6d822a4e089",
+    "localize": "3b86595a9e52c48e5aa2a51884f8967038e44dba4a46458d052b3ef3cab73102",
+    "ole": "c35be4196f4010774e52dd5fed3ca8cfdaca26b6034824f94c5db4475dffea51",
+    "report": "e7036a290e67b482b2953829f2272463cf609d4afe1a9a41d3f7e0d30ab5258c",
     "spectrum": "c60c14ec4902e1d56b5953c4d611d44b0eff98c1a181a19193859bb078566bf5",
 }
 LOCALIZE_DUMPS = {
-    "csv": {"final": "34a261a0f5ea2b58b717bdc8ce14bb69e2b74cb57eb476c7fcad525eb35401ad",
-            "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
-    "json": {"final": "fec149fc8adce5f664ca35fb047e237e6a96f9c6e68cd7308b94c41c2f12bb87",
-             "symplectic": "02f28f037a4b48b5e63cb3d5369c4f2de8dd0b79061d90bb2ea2a9ea0e24983e"},
+    "csv": {"final": "3410ed96035448bd2dcb9346ced9e7ef9b9c430695be62d8b0908ee97848ac78",
+            "symplectic": "1e00ecf4d659e1f658492d7be75a73dfdfd792eb75aaa37da0d4913832dc38e4"},
+    "json": {"final": "eb3bd79457754aee5a27f839ca3a079bcbb38fb161d57d9d5ed6692b85886908",
+             "symplectic": "1e00ecf4d659e1f658492d7be75a73dfdfd792eb75aaa37da0d4913832dc38e4"},
 }
 
 
