@@ -4,6 +4,11 @@ The package computes symplectic spectra, normal forms and entanglement
 measures of Gaussian states represented by their covariance matrices, and
 concentrates the block entanglement of block-permutation-invariant states
 onto a single pair of modes by local symplectic operations.
+
+The public names are what the command line reaches and what a Python
+user needs to reproduce the paper's results: the spec types and their
+covariance matrices, the entanglement reports, ``localize`` and the
+split scan, the spectra, matrix input and output, and the errors.
 """
 
 from .entanglement import (
@@ -13,8 +18,6 @@ from .entanglement import (
     log_negativity,
     partial_transpose,
     pt_spectrum,
-    pt_two_mode_nu_tilde,
-    symmetric_condition,
 )
 from .errors import (
     DecompositionError,
@@ -25,49 +28,34 @@ from .errors import (
     NumericalDomainError,
 )
 from .localization import (
-    BlockSpectrum,
     EquivalentTwoMode,
     LocalizationResult,
     block_log_negativity,
-    equivalent_from_cm,
     equivalent_report,
     equivalent_report_from_cm,
-    equivalent_two_mode_invariants,
-    fs_block_spectrum,
-    fs_global_purity,
-    global_delta_bisym,
     localize,
-    nu_plus_from_two_mode,
-    optimal_localizable_entanglement,
+    ole_scan,
 )
 from .states import (
     BisymmetricSpec,
     FullySymmetricSpec,
     bisymmetric_cm,
-    fs_params_from_invariants,
     fully_symmetric_cm,
-    ghz_type_pure,
     ghz_type_spec,
-    thermal_cm,
-    two_mode_squeezed,
 )
 from .symplectic import (
     CovarianceMatrix,
     SymplecticSpectrum,
     TwoModeInvariants,
-    apply_symplectic,
     delta_invariant,
     is_bona_fide,
     is_symplectic,
     load_cm,
-    partial_trace,
     purity,
     save_cm,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_invariants,
-    two_mode_symplectic_eigenvalues,
-    vacuum_cm,
     williamson,
 )
 
@@ -75,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BisymmetricSpec",
-    "BlockSpectrum",
     "CovarianceMatrix",
     "DecompositionError",
     "EntanglementReport",
@@ -90,42 +77,26 @@ __all__ = [
     "NumericalDomainError",
     "SymplecticSpectrum",
     "TwoModeInvariants",
-    "apply_symplectic",
     "bisymmetric_cm",
     "block_log_negativity",
     "delta_invariant",
     "eof_symmetric",
-    "equivalent_from_cm",
     "equivalent_report",
     "equivalent_report_from_cm",
-    "equivalent_two_mode_invariants",
-    "fs_block_spectrum",
-    "fs_global_purity",
-    "fs_params_from_invariants",
     "fully_symmetric_cm",
-    "ghz_type_pure",
     "ghz_type_spec",
-    "global_delta_bisym",
     "is_bona_fide",
     "is_symplectic",
     "load_cm",
     "localize",
     "log_negativity",
-    "nu_plus_from_two_mode",
-    "optimal_localizable_entanglement",
-    "partial_trace",
+    "ole_scan",
     "partial_transpose",
     "pt_spectrum",
-    "pt_two_mode_nu_tilde",
     "purity",
     "save_cm",
-    "symmetric_condition",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "thermal_cm",
     "two_mode_invariants",
-    "two_mode_squeezed",
-    "two_mode_symplectic_eigenvalues",
-    "vacuum_cm",
     "williamson",
 ]

@@ -33,12 +33,11 @@ from .experiments import (
     traced_symmetric_spec,
 )
 from .localization import (
-    _best_split,
-    _ole_scan,
     block_log_negativity,
     equivalent_report,
     equivalent_report_from_cm,
     localize,
+    ole_scan,
 )
 from .oracle import reports_to_csv_text, run_oracle_suite
 from .states import (
@@ -287,8 +286,8 @@ def _cmd_ole(args) -> int:
     spec, cm = _resolve_state(args)
     if isinstance(spec, BisymmetricSpec):
         raise InvalidArgumentError("the split scan needs a fully symmetric state")
-    scan = _ole_scan(spec if spec is not None else cm)
-    k_star, best = _best_split(scan)
+    scan = ole_scan(spec if spec is not None else cm)
+    k_star, best = max(scan, key=lambda item: item[1].log_negativity)
     _emit(
         _json_text(
             {

@@ -15,20 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
-from .states import BisymmetricSpec, _pattern_factors
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
     SymplecticSpectrum,
-    _adjugate_traces,
-    _dets,
     _elementwise,
     _minus_plus_pair,
     _PointErrors,
-    _scale,
     _scalar_batch,
     _squares,
     _symplectic_spectra,
+    _uncertainty_holds,
     symplectic_eigenvalues,
     two_mode_invariants,
 )
@@ -132,15 +129,6 @@ def _pt_nu_tilde_pair(det_a, det_b, trace, det_c, det, errors: _PointErrors):
     sum_ab = det_a + det_b
     disc = _squares(det_a - det_b, errors) + 4.0 * (trace - sum_ab * det_c)
     return _minus_plus_pair(sum_ab - 2.0 * det_c, det, errors, disc)
-
-
-def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:
-    """Closed-form PT eigenvalues of a two-mode state from its invariants."""
-    inv = two_mode_invariants(cm)
-    a, b = cm.matrix[:2, :2], cm.matrix[2:, 2:]
-    return _scalar_batch(lambda c, errors: _pt_nu_tilde_pair(
-        inv.det_block_a, inv.det_block_b, _adjugate_traces(a, c, b), _dets(c, errors),
-        inv.det_total, errors), cm.matrix[:2, 2:])
 
 
 def _clamp_boundary(values: np.ndarray) -> np.ndarray:
@@ -272,10 +260,11 @@ def log_negativity(
     only for symmetric two-mode inputs.
     """
     part.validate_for(cm)
-    # sigma (for is_bona_fide) and its transpose D sigma D, which factors if sigma does
+    # sigma, for the uncertainty relation, and its transpose D sigma D, which
+    # factors if sigma does
     errors = _PointErrors(2)
     nus = _symplectic_spectra(np.array([cm.matrix, partial_transpose(cm, part).matrix]), errors)
-    if not errors.alive[0] or nus[0].min() < 1.0 - TOL_PHYS * _scale(cm.matrix):
+    if not (errors.alive[0] and _uncertainty_holds(nus[0], cm.matrix)):
         raise InvalidArgumentError("input covariance matrix is not a physical state")
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
@@ -283,14 +272,3 @@ def log_negativity(
     symmetric = inv is not None and bool(_symmetric_dets(inv.det_block_a, inv.det_block_b))
     return report_from_pt_values(nus[1], bool(ppt_decidable), symmetric)
 
-
-def symmetric_condition(spec: BisymmetricSpec) -> bool:
-    """Whether the equivalent two-mode state of a two-block spec is symmetric.
-
-    True iff (a + (m-1) e1)(a + (m-1) e2) = (b + (n-1) z1)(b + (n-1) z2)
-    within ``SYMMETRIC_TOL``; gates the availability of the entanglement of
-    formation in reports.
-    """
-    _, _, a1, a2 = _pattern_factors(spec.m, spec.a, spec.e1, spec.e2)
-    _, _, b1, b2 = _pattern_factors(spec.n, spec.b, spec.z1, spec.z2)
-    return bool(_symmetric_dets(a1 * a2, b1 * b2))

@@ -88,23 +88,8 @@ from .symplectic import (
     _require_tolerance,
     _squares,
     _symmetrized,
-    clipped_sqrt,
-    cm_to_json_dict,
+    matrix_to_json_dict,
 )
-
-
-@dataclass(frozen=True)
-class BlockSpectrum:
-    """Symplectic spectrum of a permutation-invariant block.
-
-    ``nu_minus`` is shared by n-1 normal modes and does not depend on the
-    block size; ``nu_plus`` belongs to the single symmetric mode, the one
-    that carries all correlations with the rest of the system.
-    """
-
-    nu_minus: float
-    nu_plus: float
-    multiplicity_minus: int
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,7 @@ class EquivalentTwoMode:
 
     def to_json_dict(self) -> dict:
         return {
-            "cm_eq": cm_to_json_dict(self.cm_eq),
+            "cm_eq": matrix_to_json_dict(self.cm_eq.matrix),
             "mu_eq": self.mu_eq,
             "delta_eq": self.delta_eq,
         }
@@ -178,64 +163,6 @@ class LocalizationColumns(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form block spectra.
-# ---------------------------------------------------------------------------
-
-
-def fs_block_spectrum(spec: FullySymmetricSpec) -> BlockSpectrum:
-    """(nu_minus, nu_plus) of a permutation-invariant block in standard form,
-    with nu_minus of multiplicity n - 1 (formulas in ``FullySymmetricSpec``)."""
-    return BlockSpectrum(spec.nu_minus(), spec.nu_plus(), spec.modes - 1)
-
-
-def nu_plus_from_two_mode(n: int, mu_beta: float, nu_minus: float, nu_plus_2: float) -> float:
-    """Symmetric-mode eigenvalue of an n-mode block from two-mode data.
-
-    nu_plus^2 = -n(n-2)/mu_beta^2 + (n-1)/2 * (n nu_plus_2^2 + (n-2) nu_minus^2)
-
-    where mu_beta is the single-mode purity and (nu_minus, nu_plus_2) the
-    spectrum of the two-mode reduction. Collapses to nu_plus_2 at n = 2.
-    """
-    if n < 2:
-        raise InvalidArgumentError(f"block must have at least two modes, got {n}")
-    if not mu_beta > 0.0:
-        raise InvalidArgumentError(f"single-mode purity must be positive, got {mu_beta}")
-    try:
-        value = -n * (n - 2) / mu_beta**2 + 0.5 * (n - 1) * (
-            n * nu_plus_2**2 + (n - 2) * nu_minus**2
-        )
-        scale = (n / mu_beta) ** 2
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"two-mode data not finite in float range: mu_beta={mu_beta}, "
-                                   f"nu_minus={nu_minus}, nu_plus_2={nu_plus_2}")
-    return clipped_sqrt(value, scale=scale)
-
-
-def fs_global_purity(spec: FullySymmetricSpec) -> float:
-    """Purity of the full n-mode state: (nu_minus^{n-1} nu_plus)^{-1}."""
-    block = fs_block_spectrum(spec)
-    return 1.0 / (block.nu_minus ** (spec.modes - 1) * block.nu_plus)
-
-
-def global_delta_bisym(spec: BisymmetricSpec) -> float:
-    """Block-determinant invariant of the assembled two-block state.
-
-    Delta = m det alpha + m(m-1) det eps + n det beta + n(n-1) det zeta
-            + 2 m n det gamma, all blocks in standard (diagonal) form.
-    """
-    m, n = spec.m, spec.n
-    return (
-        m * spec.a**2
-        + m * (m - 1) * spec.e1 * spec.e2
-        + n * spec.b**2
-        + n * (n - 1) * spec.z1 * spec.z2
-        + 2.0 * m * n * spec.g1 * spec.g2
-    )
-
-
-# ---------------------------------------------------------------------------
 # Invariant route to the equivalent two-mode state: one batch kernel.
 # ---------------------------------------------------------------------------
 
@@ -248,19 +175,10 @@ class _Equivalents(NamedTuple):
     nb_plus: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
-    mu_eq: np.ndarray
     plus_sq: np.ndarray  # nu_plus_a^2 and nu_plus_b^2
     trace: np.ndarray  # nu_plus_a nu_plus_b (c_plus^2 + c_minus^2)
     det_cross: np.ndarray  # c_plus c_minus
     det: np.ndarray  # det sigma_eq = 1/mu_eq^2
-
-    def two_mode(self, i: int) -> EquivalentTwoMode:
-        a, b, cp, cm = (float(v[i]) for v in self[:4])
-        matrix = np.array(
-            [[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]]
-        )
-        delta_eq = self.plus_sq[0][i] + self.plus_sq[1][i] + 2.0 * self.det_cross[i]
-        return EquivalentTwoMode(CovarianceMatrix(matrix), float(self.mu_eq[i]), float(delta_eq))
 
 
 def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
@@ -309,7 +227,6 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
             f"coupled two-mode core has non-positive determinant {det_core[i]:.6e}"
         ),
     )
-    mu_eq = 1.0 / np.sqrt(det_core)
     plus_sq = _squares(nus[1], errors)
 
     det_cross = dets[4]
@@ -337,7 +254,7 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
     )
     # the route's float range, as the README states it: (nu_plus_a nu_plus_b)^4 is finite
     _squares(_squares(k, errors), errors)
-    return _Equivalents(*nus[1], c_plus, c_minus, mu_eq, plus_sq, trace, det_cross, det_core)
+    return _Equivalents(*nus[1], c_plus, c_minus, plus_sq, trace, det_cross, det_core)
 
 
 def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportColumns:
@@ -357,12 +274,12 @@ def _batch_blocks(batch: BisymmetricBatch):
     return batch.m, batch.n, blocks
 
 
-def _cm_blocks(cm: CovarianceMatrix, splits: list, tol_pattern: float | None) -> list:
+def _cm_blocks(cm: CovarianceMatrix, splits: list) -> list:
     """(m, n, pattern blocks) of each split (m, n) of one matrix, or the
-    error of its pattern check."""
+    error of its pattern check at the default tolerance."""
     def check(m, n):
         errors = _PointErrors(1)
-        blocks, _ = _pattern_check(_covered(cm, m, n)[None], m, n, tol_pattern, errors)
+        blocks, _ = _pattern_check(_covered(cm, m, n)[None], m, n, None, errors)
         errors.raise_first()
         return m, n, blocks
 
@@ -411,34 +328,6 @@ def _report_columns(m, n, blocks, errors: _PointErrors) -> ReportColumns:
         return _report_from_equivalent(_equivalent_from_blocks(m, n, blocks, errors), errors)
 
 
-def _single_equivalent(blocks) -> EquivalentTwoMode:
-    errors = _PointErrors(1)
-    with np.errstate(all="ignore"):
-        eq = _equivalent_from_blocks(*blocks, errors)
-    errors.raise_first()
-    return eq.two_mode(0)
-
-
-def equivalent_two_mode_invariants(spec: BisymmetricSpec) -> EquivalentTwoMode:
-    """Equivalent two-mode state of a two-block spec, from invariants alone.
-
-    O(1) in the number of modes; the workhorse of the parameter sweeps.
-    """
-    return _single_equivalent(_batch_blocks(BisymmetricBatch.of([spec])))
-
-
-def equivalent_from_cm(
-    cm: CovarianceMatrix, m: int, n: int, tol_pattern: float | None = None
-) -> EquivalentTwoMode:
-    """Invariant route applied to an assembled covariance matrix.
-
-    The pattern blocks need not be in standard form; they are verified
-    against the two-block permutation symmetry and rejected otherwise.
-    """
-    checked = _raise_first(_cm_blocks(cm, [(m, n)], tol_pattern))
-    return _single_equivalent(_stack_cm_blocks(checked))
-
-
 def equivalent_report(spec):
     """Entanglement report of the m x n split via the equivalent state.
 
@@ -480,7 +369,7 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     """
     single = np.ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
-    checked = _cm_blocks(cm, splits, None)
+    checked = _cm_blocks(cm, splits)
     reports = _in_place(lambda items: _report_columns(
         *_stack_cm_blocks(items), _PointErrors(len(items))).reports(), checked)
     return _raise_first(reports)[0] if single else reports
@@ -795,9 +684,13 @@ def block_log_negativity(spec: FullySymmetricSpec, k: int) -> EntanglementReport
     return equivalent_report(_fs_split_spec(spec, k))
 
 
-def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
-    """(k, report) for every split size k = 1 .. M/2 of a symmetric state;
-    the first split that fails raises."""
+def ole_scan(state) -> list[tuple[int, EntanglementReport]]:
+    """(k, report) for every split size k = 1 .. M/2 of a
+    permutation-invariant state, a ``FullySymmetricSpec`` or an assembled
+    covariance matrix (any local basis); the first split that fails
+    raises. The best split is ``max(scan, key=lambda item:
+    item[1].log_negativity)``, which resolves ties to the smallest k; the
+    maximum is expected at the balanced split, k = floor(M/2)."""
     if not isinstance(state, (FullySymmetricSpec, CovarianceMatrix)):
         raise InvalidArgumentError(
             f"expected a symmetric spec or covariance matrix, got {type(state)!r}"
@@ -812,17 +705,3 @@ def _ole_scan(state) -> list[tuple[int, EntanglementReport]]:
         reports = equivalent_report_from_cm(state, ks, [total - k for k in ks])
     return list(zip(ks, _raise_first(reports)))
 
-
-def _best_split(scan) -> tuple[int, EntanglementReport]:
-    """The first (k, report) of a scan with the largest log-negativity."""
-    return max(scan, key=lambda item: item[1].log_negativity)
-
-
-def optimal_localizable_entanglement(state) -> tuple[int, EntanglementReport]:
-    """Best split size of a permutation-invariant state, and its report.
-
-    ``state`` is a spec or an assembled covariance matrix (any local
-    basis). Ties resolve to the smallest k; the maximum is expected at the
-    balanced split, k = floor(M/2).
-    """
-    return _best_split(_ole_scan(state))

@@ -21,7 +21,6 @@ from .symplectic import (
     _PointErrors,
     _squares,
     _symmetrized,
-    clipped_sqrt,
 )
 
 
@@ -30,6 +29,12 @@ def _pattern_factors(count: int, d: float, o1: float, o2: float):
     off-diagonal blocks diag(o1, o2): nu_minus^2 is the product of the
     first two (count - 1 times), nu_plus^2 the product of the last two."""
     return d - o1, d - o2, d + (count - 1) * o1, d + (count - 1) * o2
+
+
+def _block_nus(factors) -> tuple[float, float]:
+    """(nu_minus, nu_plus) of a block from its ``_pattern_factors``."""
+    f1, f2, f3, f4 = factors
+    return math.sqrt(f1 * f2), math.sqrt(f3 * f4)
 
 
 # the parameters of a two-block spec, in field order
@@ -56,8 +61,9 @@ class FullySymmetricSpec:
         nu_minus = sqrt((b - z1) (b - z2))            (multiplicity n - 1)
         nu_plus  = sqrt((b + (n-1) z1) (b + (n-1) z2))
 
-    and physicality requires both to be >= 1. For a single mode the z
-    covariances are unused and must be zero.
+    (``nu_minus()`` and ``nu_plus()``, from ``_block_nus`` as validation
+    takes them), and physicality requires both to be >= 1. For a single
+    mode the z covariances are unused and must be zero.
     """
 
     modes: int
@@ -84,9 +90,7 @@ class FullySymmetricSpec:
                 f"covariance pattern is not positive definite (factors {factors})",
                 offending_value=min(factors),
             )
-        nu_minus = math.sqrt(factors[0] * factors[1])
-        nu_plus = math.sqrt(factors[2] * factors[3])
-        worst = min(nu_minus, nu_plus)
+        worst = min(_block_nus(factors))
         if worst < 1.0 - TOL_PHYS:
             raise InvalidArgumentError(
                 f"unphysical parameters: min symplectic eigenvalue {worst:.12g} < 1",
@@ -94,12 +98,10 @@ class FullySymmetricSpec:
             )
 
     def nu_minus(self) -> float:
-        f1, f2, _, _ = _pattern_factors(self.modes, self.b, self.z1, self.z2)
-        return math.sqrt(f1 * f2)
+        return _block_nus(_pattern_factors(self.modes, self.b, self.z1, self.z2))[0]
 
     def nu_plus(self) -> float:
-        _, _, f3, f4 = _pattern_factors(self.modes, self.b, self.z1, self.z2)
-        return math.sqrt(f3 * f4)
+        return _block_nus(_pattern_factors(self.modes, self.b, self.z1, self.z2))[1]
 
 
 @dataclass(frozen=True)
@@ -400,43 +402,6 @@ def _assemble(m: int, n: int, diagonals: np.ndarray) -> np.ndarray:
     return out.reshape(count, 2 * total, 2 * total)
 
 
-def thermal_cm(nu_list) -> CovarianceMatrix:
-    """Product of single-mode thermal states: diag(nu1, nu1, ..., nuN, nuN)."""
-    nus = [float(v) for v in nu_list]
-    if not nus:
-        raise InvalidArgumentError("need at least one thermal eigenvalue")
-    bad = [v for v in nus if v < 1.0 - TOL_PHYS]
-    if bad:
-        raise InvalidArgumentError(
-            f"thermal eigenvalues must be >= 1, got {bad}", offending_value=min(bad)
-        )
-    return CovarianceMatrix(np.diag(np.repeat(nus, 2)))
-
-
-def two_mode_squeezed(r: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
-
-    Diagonal blocks cosh(2r) I2, cross block sinh(2r) diag(1, -1); pure for
-    every r, with partial-transpose eigenvalues e^{+/- 2r}.
-    """
-    if not r >= 0.0:
-        raise InvalidArgumentError(f"squeezing parameter must be >= 0, got {r}")
-    try:
-        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    except OverflowError:
-        raise InvalidArgumentError(f"squeezing parameter r = {r} overflows cosh(2r)") from None
-    return CovarianceMatrix(
-        np.array(
-            [
-                [ch, 0.0, sh, 0.0],
-                [0.0, ch, 0.0, -sh],
-                [sh, 0.0, ch, 0.0],
-                [0.0, -sh, 0.0, ch],
-            ]
-        )
-    )
-
-
 def fully_symmetric_cm(spec: FullySymmetricSpec) -> CovarianceMatrix:
     """Assemble the permutation-invariant covariance matrix of a spec."""
     diagonals = np.array([[spec.b, spec.b], [spec.z1, spec.z2]])[..., None]
@@ -478,39 +443,6 @@ def _checked_stack(batch: BisymmetricBatch) -> np.ndarray:
     return stack
 
 
-def fs_params_from_invariants(mu_beta: float, mu_beta2: float, delta2: float):
-    """Recover standard-form parameters (b, z1, z2) from reduced-state invariants.
-
-    ``mu_beta`` and ``mu_beta2`` are the single-mode and two-mode reduced
-    purities, ``delta2`` the block-determinant sum of the two-mode
-    reduction. Returns the branch with z2 >= z1:
-
-        b  = 1 / mu_beta
-        z1 = mu_beta (eps_minus - eps_plus) / 4
-        z2 = mu_beta (eps_minus + eps_plus) / 4
-
-    with eps_minus = sqrt(delta2^2 - 4/mu_beta2^2) and
-    eps_plus = sqrt((delta2 - 4/mu_beta^2)^2 - 4/mu_beta2^2).
-    """
-    if not (0.0 < mu_beta <= 1.0 + TOL_PHYS):
-        raise InvalidArgumentError(f"single-mode purity must be in (0, 1], got {mu_beta}")
-    if not (0.0 < mu_beta2 <= 1.0 + TOL_PHYS):
-        raise InvalidArgumentError(f"two-mode purity must be in (0, 1], got {mu_beta2}")
-    _require_finite(delta2=delta2)
-    try:
-        four_over_mu2sq = 4.0 / mu_beta2**2
-        scale = max(delta2**2, four_over_mu2sq)
-        eps_minus = clipped_sqrt(delta2**2 - four_over_mu2sq, scale=scale)
-        eps_plus = clipped_sqrt((delta2 - 4.0 / mu_beta**2) ** 2 - four_over_mu2sq, scale=scale)
-    except Exception as exc:
-        raise InvalidArgumentError(f"inconsistent invariants (mu_beta={mu_beta}, "
-                                   f"mu_beta2={mu_beta2}, delta2={delta2}): {exc}") from exc
-    b = 1.0 / mu_beta
-    z1 = 0.25 * mu_beta * (eps_minus - eps_plus)
-    z2 = 0.25 * mu_beta * (eps_minus + eps_plus)
-    return b, z1, z2
-
-
 def ghz_type_spec(total_modes: int, b: float) -> FullySymmetricSpec:
     """Standard-form spec of the pure M-mode permutation-invariant state.
 
@@ -542,8 +474,3 @@ def ghz_type_spec(total_modes: int, b: float) -> FullySymmetricSpec:
     z1 = (base + root) / denom
     z2 = (base - root) / denom
     return FullySymmetricSpec(total_modes, b, z1, z2)
-
-
-def ghz_type_pure(total_modes: int, b: float) -> CovarianceMatrix:
-    """Covariance matrix of the pure M-mode permutation-invariant state."""
-    return fully_symmetric_cm(ghz_type_spec(total_modes, b))

@@ -46,18 +46,6 @@ def _require_tolerance(tol, what: str) -> None:
         raise InvalidArgumentError(f"{what} must be a finite number >= 0, got {tol}")
 
 
-def clipped_sqrt(value: float, scale: float) -> float:
-    """sqrt with a small negative-radicand clip.
-
-    Boundary states (pure, symmetric) sit exactly on branch points, so
-    radicands down to ``-RADICAND_CLIP * max(1, scale)`` are treated as
-    zero; anything more negative raises.
-    """
-    if value < -RADICAND_CLIP * max(1.0, abs(scale)):
-        raise NumericalDomainError(f"negative radicand {value:.6e} beyond clip tolerance")
-    return math.sqrt(max(value, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # Batch evaluation: one numpy pass per stage over many points, giving every
 # point the bits and the error its scalar evaluation would give.
@@ -180,9 +168,12 @@ def _adjugate_traces(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _clipped_sqrts(value: np.ndarray, scale: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """Elementwise :func:`clipped_sqrt` for scales >= 0; radicands beyond
-    the clip are recorded in ``errors``. ``scale`` broadcasts against
-    ``value``."""
+    """Elementwise sqrt with a small negative-radicand clip, for scales >= 0.
+
+    Boundary states (pure, symmetric) sit exactly on branch points, so
+    radicands down to ``-RADICAND_CLIP * max(1, scale)`` are treated as
+    zero; a more negative one is recorded in ``errors``. ``scale``
+    broadcasts against ``value``."""
     # fmax(s, 1) is max(1.0, s): a nan scale counts as 1
     beyond = value < -RADICAND_CLIP * np.fmax(scale, 1.0)
     errors.record(
@@ -283,13 +274,6 @@ class CovarianceMatrix:
     @property
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-
-def vacuum_cm(modes: int) -> CovarianceMatrix:
-    """The N-mode vacuum: identity covariance matrix."""
-    if modes < 1:
-        raise InvalidArgumentError(f"mode count must be a positive integer, got {modes}")
-    return CovarianceMatrix(np.eye(2 * modes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,19 +391,23 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
     return SymplecticSpectrum(nus[0])
 
 
-def is_bona_fide(cm: CovarianceMatrix, tol: float = TOL_PHYS) -> bool:
-    """Whether the matrix satisfies the uncertainty relation.
+def _uncertainty_holds(nus: np.ndarray, matrix: np.ndarray, tol: float = TOL_PHYS) -> bool:
+    """Whether the symplectic eigenvalues ``nus`` of the positive definite
+    ``matrix`` satisfy the uncertainty relation: the smallest is >= 1 -
+    tol, with tol scaled by the largest entry, since the spectrum of a
+    large-squeezing matrix is only determined to absolute precision
+    eps * |sigma|_max."""
+    return bool(nus.min() >= 1.0 - tol * _scale(matrix))
 
-    True iff sigma is positive definite and its smallest symplectic
-    eigenvalue is >= 1 - tol, with tol scaled by the largest entry: the
-    spectrum of a large-squeezing matrix is only determined to absolute
-    precision eps * |sigma|_max.
-    """
+
+def is_bona_fide(cm: CovarianceMatrix, tol: float = TOL_PHYS) -> bool:
+    """Whether the matrix satisfies the uncertainty relation: sigma is
+    positive definite and ``_uncertainty_holds`` for its spectrum."""
     try:
         spectrum = symplectic_eigenvalues(cm)
     except NumericalDomainError:
         return False
-    return spectrum.min >= 1.0 - tol * _scale(cm.matrix)
+    return _uncertainty_holds(spectrum.values, cm.matrix, tol)
 
 
 def is_symplectic(s: np.ndarray, tol: float = TOL_SYMPL) -> bool:
@@ -439,16 +427,17 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     ``D = diag(nu1, nu1, ..., nuN, nuN)`` holds the symplectic eigenvalues
     in the descending order of the returned spectrum.
 
-    The construction forms ``K = sigma^{1/2} Omega sigma^{1/2}``, which is
-    real antisymmetric with eigenvalues +/- i nu_i, and takes the Hermitian
-    eigendecomposition of ``iK``. Each eigenvector ``u = a + ib`` with
-    eigenvalue +nu is orthogonal to its conjugate (a -nu eigenvector), so
-    the columns ``(sqrt2 b, sqrt2 a)`` are orthonormal and bring K to its
-    canonical block form; then ``S = D^{-1/2} Q^T sigma^{1/2}``. The
-    degenerate-subspace gauge (any orthogonal-symplectic mixing of equal
-    eigenvalues) is the orthonormal basis, phases included, that
-    ``np.linalg.eigh`` returns for the +nu eigenspace; it stays valid there
-    because that whole eigenspace is orthogonal to its conjugate.
+    The construction factors ``sigma = L L^T`` (Cholesky) and forms
+    ``K = L^T Omega L``, which is real antisymmetric with eigenvalues
+    +/- i nu_i, and takes the Hermitian eigendecomposition of ``iK``. Each
+    eigenvector ``u = a + ib`` with eigenvalue +nu is orthogonal to its
+    conjugate (a -nu eigenvector), so the columns ``(sqrt2 b, sqrt2 a)``
+    are orthonormal and bring K to its canonical block form; then
+    ``S = D^{-1/2} Q^T L^T``. The degenerate-subspace gauge (any
+    orthogonal-symplectic mixing of equal eigenvalues) is the orthonormal
+    basis, phases included, that ``np.linalg.eigh`` returns for the +nu
+    eigenspace; it stays valid there because that whole eigenspace is
+    orthogonal to its conjugate.
 
     Raises
     ------
@@ -460,16 +449,12 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     """
     m = cm.matrix
     n = cm.modes
-    evals, evecs = np.linalg.eigh(m)
-    if evals[0] <= 0.0:
-        raise NumericalDomainError("covariance matrix is not positive definite")
-    root = (evecs * np.sqrt(evals)) @ evecs.T
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NumericalDomainError("covariance matrix is not positive definite") from None
 
-    omega = symplectic_form(n)
-    k = root @ omega @ root
-    k = 0.5 * (k - k.T)
-
-    w, u = np.linalg.eigh(1j * k)
+    w, u = np.linalg.eigh(1j * (factor.T @ _omega_times(factor)))
     nus = w[n:][::-1]
     u = u[:, n:][:, ::-1]
     q = np.empty((2 * n, 2 * n))
@@ -477,7 +462,7 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     q[:, 1::2] = math.sqrt(2.0) * u.real
 
     d_inv_sqrt = 1.0 / np.sqrt(np.repeat(nus, 2))
-    s = d_inv_sqrt[:, None] * (q.T @ root)
+    s = d_inv_sqrt[:, None] * (q.T @ factor.T)
 
     reconstructed = s.T @ (np.repeat(nus, 2)[:, None] * s)
     residual = float(np.max(np.abs(reconstructed - m))) / _scale(m)
@@ -523,35 +508,6 @@ def _delta_invariants(stack: np.ndarray) -> np.ndarray:
     return dets.reshape(count, n * n).sum(axis=1)
 
 
-def apply_symplectic(s: np.ndarray, cm: CovarianceMatrix) -> CovarianceMatrix:
-    """Congruence action sigma -> S^T sigma S."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != cm.matrix.shape:
-        raise InvalidArgumentError(
-            f"shape mismatch: transform {s.shape} vs covariance {cm.matrix.shape}"
-        )
-    if not is_symplectic(s):
-        raise InvalidArgumentError("transform is not symplectic within tolerance")
-    return CovarianceMatrix(s.T @ cm.matrix @ s)
-
-
-def partial_trace(cm: CovarianceMatrix, keep) -> CovarianceMatrix:
-    """Reduced state on the given modes: the principal submatrix.
-
-    ``keep`` is an iterable of distinct zero-based mode indices; the
-    result orders them ascending.
-    """
-    keep = sorted(keep)
-    if not keep:
-        raise InvalidArgumentError("keep set must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise InvalidArgumentError(f"duplicate mode indices in {keep}")
-    if keep[0] < 0 or keep[-1] >= cm.modes:
-        raise InvalidArgumentError(f"mode indices {keep} out of range for {cm.modes} modes")
-    idx = np.array([[2 * k, 2 * k + 1] for k in keep]).ravel()
-    return CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])
-
-
 @dataclass(frozen=True)
 class TwoModeInvariants:
     """det sigma, the block-determinant sum, and the local determinants
@@ -561,10 +517,6 @@ class TwoModeInvariants:
     delta: float
     det_block_a: float
     det_block_b: float
-
-    def symplectic_eigenvalues(self) -> tuple[float, float]:
-        """Closed-form (nu_minus, nu_plus): 2 nu^2 = Delta -/+ sqrt(Delta^2 - 4 det)."""
-        return _scalar_batch(_minus_plus_pair, self.delta, self.det_total)
 
 
 def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors, disc=None):
@@ -594,11 +546,6 @@ def two_mode_invariants(cm: CovarianceMatrix) -> TwoModeInvariants:
     m = cm.matrix
     det_a, det_b = _scalar_batch(lambda ab, errors: _dets(ab, errors).T, [m[:2, :2], m[2:, 2:]])
     return TwoModeInvariants(float(np.linalg.det(m)), delta_invariant(cm), det_a, det_b)
-
-
-def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]:
-    """(nu_minus, nu_plus) of a two-mode state from its invariants."""
-    return two_mode_invariants(cm).symplectic_eigenvalues()
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +677,6 @@ def _json_records(keys, columns, count: int) -> str:
     template = "{" + inner + ("," + inner).join(members) + "\n  }" if keys else "{}"
     rows = zip(*columns) if keys else [()] * count
     return _json_block([template % row for row in rows], "\n", "[]")
-
-
-def cm_to_json_dict(cm: CovarianceMatrix) -> dict:
-    return matrix_to_json_dict(cm.matrix)
 
 
 _JSON_NUMBER_TYPES = frozenset((float, int))

@@ -4,11 +4,11 @@ These are test inputs and references, not library code: ``ScalarSampler``
 draws specs with one live generator call per block size and per
 parameter, a source of fully symmetric, separable and two-block test
 inputs; the random symplectic helpers need scipy, which only the test
-suite installs; the scans and spectrum clusters evaluate definitions
-through the library's dense oracle; and the small conveniences at the
-end (matrix comparison, CSV text, swapped splits, block specs, the
-invariant nu~ pair, the dense spectrum and its general-eigensolver
-reference, a reduction's JSON object) are used by the tests alone.
+suite installs; the scan evaluates definitions through the library's
+dense oracle; and the small conveniences at the end (bit patterns, call
+outcomes, matrix comparison, CSV text, swapped splits, block specs, the
+dense spectrum and its general-eigensolver reference, a reduction's
+JSON object) are used by the tests alone.
 """
 
 import numpy as np
@@ -20,9 +20,7 @@ from entloc.oracle import oracle_pt_log_negativity
 from entloc.symplectic import (
     _csv_text,
     _omega_times,
-    _scalar_batch,
     _scale,
-    cm_to_json_dict,
     float_reprs,
     matrix_to_json_dict,
 )
@@ -158,22 +156,6 @@ def random_bona_fide_cm(
 # ---------------------------------------------------------------------------
 
 
-def oracle_spectrum_multiplicities(
-    cm: el.CovarianceMatrix, tol_cluster: float | None = None
-) -> list[tuple[float, int]]:
-    """Clustered dense symplectic spectrum, for degeneracy claims."""
-    nus = oracle_symplectic_spectrum(cm)
-    if tol_cluster is None:
-        tol_cluster = 1e-7 * max(1.0, float(nus[0]))
-    clusters: list[list[float]] = []
-    for v in nus:
-        if clusters and abs(clusters[-1][0] - v) <= tol_cluster:
-            clusters[-1].append(float(v))
-        else:
-            clusters.append([float(v)])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
-
-
 def exhaustive_bipartition_scan(cm: el.CovarianceMatrix, max_half: int | None = None):
     """(k, E_N) for every first-k x rest split of a permutation-invariant state.
 
@@ -194,6 +176,19 @@ def exhaustive_bipartition_scan(cm: el.CovarianceMatrix, max_half: int | None = 
 # ---------------------------------------------------------------------------
 # Conveniences only the tests use.
 # ---------------------------------------------------------------------------
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bit patterns of float values, for exact comparisons."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def outcome(call):
+    """The value of a call, or the type and message of its EntlocError."""
+    try:
+        return call()
+    except el.EntlocError as exc:
+        return type(exc), str(exc)
 
 
 def cm_allclose(cm: el.CovarianceMatrix, other: el.CovarianceMatrix, tol: float = 1e-12) -> bool:
@@ -243,7 +238,7 @@ def localization_to_json_dict(result: el.LocalizationResult) -> dict:
     """A ``localize`` result as the JSON object the CLI prints for it."""
     return {
         "local_symplectic": matrix_to_json_dict(result.local_symplectic),
-        "cm_final": cm_to_json_dict(result.cm_final),
+        "cm_final": matrix_to_json_dict(result.cm_final.matrix),
         "equivalent": result.equivalent.to_json_dict(),
         "residual": result.residual,
     }

@@ -24,10 +24,10 @@ from oracle_helpers import (
     random_symplectic,
     swapped,
 )
+import paper_formulas as pf
 
 
-def _split(m, n):
-    return el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
+_split = el.ModeBipartition.contiguous
 
 
 def _report(line):
@@ -60,10 +60,10 @@ def test_criterion_2_degeneracy_theorem():
     for _ in range(200):
         spec = sampler.fully_symmetric()
         nus = oracle_symplectic_spectrum(el.fully_symmetric_cm(spec))
-        block = el.fs_block_spectrum(spec)
-        tol = 1e-8 * max(1.0, block.nu_plus)
-        near_minus = int(np.sum(np.abs(nus - block.nu_minus) <= tol))
-        near_plus = int(np.sum(np.abs(nus - block.nu_plus) <= tol))
+        nu_minus, nu_plus = spec.nu_minus(), spec.nu_plus()
+        tol = 1e-8 * max(1.0, nu_plus)
+        near_minus = int(np.sum(np.abs(nus - nu_minus) <= tol))
+        near_plus = int(np.sum(np.abs(nus - nu_plus) <= tol))
         assert near_minus >= spec.modes - 1
         assert near_plus >= 1
         assert len(nus) == spec.modes
@@ -105,9 +105,7 @@ def test_criterion_4_pure_state_theorem():
             assert el.purity(el.fully_symmetric_cm(spec)) == pytest.approx(1.0, abs=1e-8)
             for m in range(1, modes):
                 report = el.block_log_negativity(spec, m)
-                eq = el.equivalent_two_mode_invariants(
-                    el.localization._fs_split_spec(spec, m)
-                )
+                eq = pf.equivalent_two_mode(el.localization._fs_split_spec(spec, m))
                 assert eq.mu_eq == pytest.approx(1.0, abs=1e-7)
                 assert el.purity(eq.cm_eq) == pytest.approx(1.0, abs=1e-7)
                 if b > 1.0:
@@ -218,10 +216,9 @@ def test_criterion_8_scalar_formula_cross_checks():
         except el.InvalidArgumentError:
             continue
         checked += 1
-        block = el.fs_block_spectrum(spec)
-        two = el.fs_block_spectrum(dataclasses.replace(spec, modes=2))
-        via = el.nu_plus_from_two_mode(n, 1.0 / b, two.nu_minus, two.nu_plus)
-        assert via == pytest.approx(block.nu_plus, rel=1e-10)
+        two = dataclasses.replace(spec, modes=2)
+        via = pf.nu_plus_from_two_mode(n, 1.0 / b, two.nu_minus(), two.nu_plus())
+        assert via == pytest.approx(spec.nu_plus(), rel=1e-10)
 
     assert el.eof_symmetric(1.0) == 0.0
     xs = np.linspace(0.02, 1.0, 500)
@@ -231,7 +228,7 @@ def test_criterion_8_scalar_formula_cross_checks():
     rng = np.random.default_rng(1009)
     for _ in range(1000):
         cm = random_bona_fide_cm(2, rng)
-        closed = el.two_mode_symplectic_eigenvalues(cm)
+        closed = pf.two_mode_symplectic_eigenvalues(cm)
         dense = np.sort(oracle_symplectic_spectrum(cm))
         assert closed == pytest.approx(tuple(dense), rel=1e-10)
     _report("criterion 8: scalar formula cross-checks (1000-point grids)")
@@ -252,7 +249,7 @@ def test_criterion_9_round_trip_and_invariance():
         modes = int(rng.integers(1, 5))
         cm = random_bona_fide_cm(modes, rng)
         s = random_symplectic(modes, rng)
-        moved = el.apply_symplectic(s, cm)
+        moved = pf.apply_symplectic(s, cm)
         assert el.delta_invariant(moved) == pytest.approx(
             el.delta_invariant(cm), rel=1e-8, abs=1e-8
         )

@@ -157,7 +157,7 @@ def test_cm_batch_keeps_each_failing_split_error_in_place():
         assert str(info.value) == str(error)
     # the split-size scan raises the first failing split, k = 1
     with pytest.raises(NumericalDomainError, match="negative radicand"):
-        el.optimal_localizable_entanglement(cm)
+        el.ole_scan(cm)
 
 
 # a 2 | 3 two-block state: its 1 | 4 split fails the pattern check
@@ -176,7 +176,7 @@ def test_cm_batch_keeps_one_failing_split_at_its_index():
         el.equivalent_report_from_cm(cm, 1, 4)
     assert type(failed) is LocalizationError and str(failed) == str(info.value)
     with pytest.raises(LocalizationError) as info:
-        el.optimal_localizable_entanglement(cm)
+        el.ole_scan(cm)
     assert str(info.value) == str(failed)
 
 

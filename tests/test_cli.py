@@ -10,6 +10,7 @@ from entloc.cli import main
 from entloc.experiments import SweepConfig
 from entloc.oracle import SpecSampler
 from oracle_helpers import random_bona_fide_cm
+import paper_formulas as pf
 
 
 def run_cli(capsys, *argv):
@@ -90,7 +91,7 @@ def test_report_from_spec_file(tmp_path, capsys):
 
 def test_report_from_cm_file(tmp_path, capsys):
     path = tmp_path / "tmsv.json"
-    el.save_cm(el.two_mode_squeezed(1.0), path)
+    el.save_cm(pf.two_mode_squeezed(1.0), path)
     code, out, _ = run_cli(capsys, "report", "--cm", str(path))
     assert code == 0
     payload = json.loads(out)
@@ -99,7 +100,7 @@ def test_report_from_cm_file(tmp_path, capsys):
 
 def test_report_from_csv_cm(tmp_path, capsys):
     path = tmp_path / "tmsv.csv"
-    el.save_cm(el.two_mode_squeezed(0.5), path)
+    el.save_cm(pf.two_mode_squeezed(0.5), path)
     code, out, _ = run_cli(capsys, "report", "--cm", str(path))
     assert code == 0
     assert json.loads(out)["report"]["log_negativity"] == pytest.approx(1.0, abs=1e-9)
@@ -208,7 +209,7 @@ def test_ole_output(capsys):
 
 def test_ole_from_cm(tmp_path, capsys):
     path = tmp_path / "fs.json"
-    el.save_cm(el.ghz_type_pure(6, 1.4), path)
+    el.save_cm(el.fully_symmetric_cm(el.ghz_type_spec(6, 1.4)), path)
     code, out, _ = run_cli(capsys, "ole", "--cm", str(path))
     assert code == 0
     assert json.loads(out)["k_star"] == 3

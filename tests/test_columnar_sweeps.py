@@ -32,6 +32,7 @@ from entloc.experiments import (
 from entloc.localization import _fs_split_batch, _fs_split_spec
 from entloc.states import SPEC_PARAMETERS, bisymmetric_batch
 from entloc.symplectic import _PointErrors, _Rejections
+import paper_formulas as pf
 
 FIELDS = ("m", "n") + SPEC_PARAMETERS
 # b values where rows turn unphysical (1e3 at larger M, 1e200) or
@@ -345,7 +346,7 @@ def test_batch_of_one_edge_point(params):
 
 def test_empty_sequences_and_tables():
     assert el.equivalent_report([]) == []
-    assert el.equivalent_report_from_cm(el.vacuum_cm(2), [], []) == []
+    assert el.equivalent_report_from_cm(pf.vacuum_cm(2), [], []) == []
     empty = bisymmetric_batch(*([] for _ in FIELDS))
     assert len(el.equivalent_report(empty).errors) == 0
     assert render_table([], HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"

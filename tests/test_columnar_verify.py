@@ -35,6 +35,7 @@ from entloc.oracle import (
 )
 from entloc.states import BisymmetricBatch
 from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
+from oracle_helpers import bits
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
 # recorded when every 2x2 determinant came to be a d - b c and the
@@ -87,10 +88,6 @@ def _constructor_check(matrix):
     return symmetric
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def _bad_and_good_matrices():
     base = np.array(el.bisymmetric_cm(
         el.BisymmetricSpec(2, 1, 1.6, 0.2, -0.15, 1.4, 0.0, 0.0, 0.3, -0.25)).matrix)
@@ -141,8 +138,8 @@ def test_stacked_check_gives_each_matrix_the_constructor_result_in_place():
             assert str(excinfo.value) == str(want)
         else:
             assert errors.alive[k] and errors.errors[k] is None, name
-            assert np.array_equal(_bits(checked[k]), _bits(want)), name
-            assert np.array_equal(_bits(el.CovarianceMatrix(stack[k]).matrix), _bits(want))
+            assert np.array_equal(bits(checked[k]), bits(want)), name
+            assert np.array_equal(bits(el.CovarianceMatrix(stack[k]).matrix), bits(want))
     assert failures == {
         "nan", "inf off the diagonal", "-inf on both sides", "asymmetric",
         "symmetrization overflow", "difference overflow", "large scale, large skew",
@@ -200,12 +197,12 @@ def test_stacked_assembly_matches_loop_assembly_bit_for_bit():
                 m, n, (spec.a, spec.a), (spec.e1, spec.e2), (spec.b, spec.b),
                 (spec.z1, spec.z2), (spec.g1, spec.g2),
             )
-            assert np.array_equal(_bits(matrix), _bits(want))
-            assert np.array_equal(_bits(el.bisymmetric_cm(spec).matrix), _bits(want))
+            assert np.array_equal(bits(matrix), bits(want))
+            assert np.array_equal(bits(el.bisymmetric_cm(spec).matrix), bits(want))
     for modes in (1, 2, 5, 12):
         spec = el.ghz_type_spec(modes, 1.7) if modes > 1 else el.FullySymmetricSpec(1, 1.7)
         want = _loop_assembled(modes, 0, (spec.b, spec.b), (spec.z1, spec.z2), None, None, None)
-        assert np.array_equal(_bits(el.fully_symmetric_cm(spec).matrix), _bits(want))
+        assert np.array_equal(bits(el.fully_symmetric_cm(spec).matrix), bits(want))
 
 
 def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
@@ -238,9 +235,9 @@ def test_localize_stack_gives_a_failing_purity_its_place():
     assert str(results[1]) == str(excinfo.value) == "covariance determinant must be positive"
     alone = el.localize(good, 1, 1)
     for result in (results[0], results[2]):
-        assert np.array_equal(_bits(result.cm_final.matrix), _bits(alone.cm_final.matrix))
-        assert _bits(result.equivalent.mu_eq) == _bits(alone.equivalent.mu_eq)
-        assert _bits(result.equivalent.delta_eq) == _bits(alone.equivalent.delta_eq)
+        assert np.array_equal(bits(result.cm_final.matrix), bits(alone.cm_final.matrix))
+        assert bits(result.equivalent.mu_eq) == bits(alone.equivalent.mu_eq)
+        assert bits(result.equivalent.delta_eq) == bits(alone.equivalent.delta_eq)
         assert not result.cm_final.matrix.flags.writeable
         assert not result.equivalent.cm_eq.matrix.flags.writeable
 

@@ -14,10 +14,10 @@ from oracle_helpers import (
     random_local_symplectic,
     swapped,
 )
+import paper_formulas as pf
 
 
-def _split(m, n):
-    return el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
+_split = el.ModeBipartition.contiguous
 
 
 def test_bipartition_validation():
@@ -29,11 +29,11 @@ def test_bipartition_validation():
         el.ModeBipartition((0, 0), (1,))
     part = _split(1, 1)
     with pytest.raises(InvalidArgumentError):
-        part.validate_for(el.vacuum_cm(3))
+        part.validate_for(pf.vacuum_cm(3))
 
 
 def test_partial_transpose_flips_momentum_covariances():
-    cm = el.two_mode_squeezed(0.6)
+    cm = pf.two_mode_squeezed(0.6)
     pt = el.partial_transpose(cm, _split(1, 1))
     expected = np.array(cm.matrix)
     expected[3, :] *= -1
@@ -42,7 +42,7 @@ def test_partial_transpose_flips_momentum_covariances():
 
 
 def test_partial_transpose_of_product_stays_physical():
-    cm = el.thermal_cm([1.5, 2.5])
+    cm = pf.thermal_cm([1.5, 2.5])
     pt = el.partial_transpose(cm, _split(1, 1))
     assert el.is_bona_fide(pt)
 
@@ -57,7 +57,7 @@ def test_pt_spectrum_side_independent():
 
 
 def test_pt_spectrum_vacuum_trivial():
-    values = el.pt_spectrum(el.vacuum_cm(3), _split(1, 2)).values
+    values = el.pt_spectrum(pf.vacuum_cm(3), _split(1, 2)).values
     assert values == pytest.approx([1.0, 1.0, 1.0])
 
 
@@ -65,7 +65,7 @@ def test_pt_two_mode_invariant_route_matches_dense():
     rng = np.random.default_rng(32)
     for _ in range(50):
         cm = random_bona_fide_cm(2, rng)
-        closed = el.pt_two_mode_nu_tilde(cm)
+        closed = pf.pt_two_mode_nu_tilde(cm)
         dense = np.sort(el.pt_spectrum(cm, _split(1, 1)).values)
         assert closed == pytest.approx(tuple(dense), rel=1e-10)
 
@@ -82,7 +82,7 @@ def test_bisymmetric_pt_keeps_degenerate_locals():
 
 
 def test_log_negativity_vacuum():
-    report = el.log_negativity(el.vacuum_cm(2), _split(1, 1))
+    report = el.log_negativity(pf.vacuum_cm(2), _split(1, 1))
     assert report.log_negativity == 0.0
     assert report.negativity == 0.0
     assert report.separable is True
@@ -90,7 +90,7 @@ def test_log_negativity_vacuum():
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 1.75])
 def test_log_negativity_two_mode_squeezed(r):
-    report = el.log_negativity(el.two_mode_squeezed(r), _split(1, 1))
+    report = el.log_negativity(pf.two_mode_squeezed(r), _split(1, 1))
     assert report.log_negativity == pytest.approx(2.0 * r, abs=1e-9)
     assert report.nu_tilde_min == pytest.approx(math.exp(-2.0 * r), rel=1e-9)
     assert report.negativity == pytest.approx(0.5 * (math.exp(2.0 * r) - 1.0), rel=1e-9)
@@ -104,7 +104,7 @@ def test_log_negativity_matches_two_mode_closed_form():
     for _ in range(25):
         cm = random_bona_fide_cm(2, rng)
         report = el.log_negativity(cm, _split(1, 1))
-        nu_minus, _ = el.pt_two_mode_nu_tilde(cm)
+        nu_minus, _ = pf.pt_two_mode_nu_tilde(cm)
         assert report.log_negativity == pytest.approx(max(0.0, -math.log(nu_minus)), abs=1e-9)
 
 
@@ -135,14 +135,14 @@ def test_log_negativity_local_unitary_invariance():
     cm = random_bona_fide_cm(5, rng)
     part = _split(2, 3)
     local = random_local_symplectic(2, 3, rng)
-    moved = el.apply_symplectic(local, cm)
+    moved = pf.apply_symplectic(local, cm)
     before = el.log_negativity(cm, part).log_negativity
     after = el.log_negativity(moved, part).log_negativity
     assert after == pytest.approx(before, rel=1e-8, abs=1e-8)
 
 
 def test_ghz_block_hierarchy_increasing():
-    cm = el.ghz_type_pure(20, 1.5)
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(20, 1.5))
     values = []
     for k in range(1, 11):
         part = _split(k, 20 - k)
@@ -196,12 +196,18 @@ def test_eof_symmetric_rejects_nonpositive():
         el.eof_symmetric(-0.3)
 
 
+def _symmetric(spec) -> bool:
+    """Whether the equivalent state of ``spec`` is symmetric: the report
+    of the invariant route holds an EoF exactly then."""
+    return el.equivalent_report(spec).eof is not None
+
+
 def test_symmetric_condition_balanced_split():
     spec = el.ghz_type_spec(10, 1.5)
     bspec = el.BisymmetricSpec(
         5, 5, spec.b, spec.z1, spec.z2, spec.b, spec.z1, spec.z2, spec.z1, spec.z2
     )
-    assert el.symmetric_condition(bspec)
+    assert _symmetric(bspec)
 
 
 def test_symmetric_condition_unbalanced_mixed_split():
@@ -213,16 +219,16 @@ def test_symmetric_condition_unbalanced_mixed_split():
     bspec = el.BisymmetricSpec(
         2, 8, spec.b, spec.z1, spec.z2, spec.b, spec.z1, spec.z2, spec.z1, spec.z2
     )
-    assert not el.symmetric_condition(bspec)
+    assert not _symmetric(bspec)
 
 
 def test_symmetric_condition_equal_blocks():
     spec = el.BisymmetricSpec(2, 2, 1.4, 0.2, -0.1, 1.4, 0.2, -0.1, 0.15, -0.1)
-    assert el.symmetric_condition(spec)
+    assert _symmetric(spec)
 
 
 def test_report_json_field_names():
-    report = el.log_negativity(el.two_mode_squeezed(0.5), _split(1, 1))
+    report = el.log_negativity(pf.two_mode_squeezed(0.5), _split(1, 1))
     obj = report.to_json_dict()
     assert set(obj) == {"nu_tilde_min", "log_negativity", "negativity", "eof", "separable"}
 
@@ -230,7 +236,7 @@ def test_report_json_field_names():
 def test_en_and_eof_same_ordering():
     # the two measures rank symmetric states identically
     reports = [
-        el.log_negativity(el.two_mode_squeezed(r), _split(1, 1))
+        el.log_negativity(pf.two_mode_squeezed(r), _split(1, 1))
         for r in (0.2, 0.5, 0.9, 1.4)
     ]
     for first, second in zip(reports, reports[1:]):

@@ -16,6 +16,7 @@ from entloc.experiments import (
     traced_symmetric_spec,
 )
 from oracle_helpers import cm_allclose
+import paper_formulas as pf
 
 
 def test_default_b_grid_endpoints():
@@ -42,8 +43,8 @@ def test_config_validation():
 
 def test_traced_spec_matches_partial_trace():
     spec = traced_symmetric_spec(6, 4, 1.5)
-    parent = el.ghz_type_pure(10, 1.5)
-    reduced = el.partial_trace(parent, range(6))
+    parent = el.fully_symmetric_cm(el.ghz_type_spec(10, 1.5))
+    reduced = pf.partial_trace(parent, range(6))
     assert cm_allclose(reduced, el.fully_symmetric_cm(spec))
 
 

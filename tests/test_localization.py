@@ -20,30 +20,13 @@ from oracle_helpers import (
     exhaustive_bipartition_scan,
     localization_to_json_dict,
     oracle_symplectic_spectrum,
-    oracle_spectrum_multiplicities,
     random_bona_fide_cm,
     random_symplectic,
 )
+import paper_formulas as pf
 
 
-def _split(m, n):
-    return el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-
-
-def _fs_bisym(spec, k):
-    rest = spec.modes - k
-    return el.BisymmetricSpec(
-        k,
-        rest,
-        spec.b,
-        spec.z1 if k > 1 else 0.0,
-        spec.z2 if k > 1 else 0.0,
-        spec.b,
-        spec.z1 if rest > 1 else 0.0,
-        spec.z2 if rest > 1 else 0.0,
-        spec.z1,
-        spec.z2,
-    )
+_split = el.ModeBipartition.contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -52,50 +35,48 @@ def _fs_bisym(spec, k):
 
 
 def test_block_spectrum_thermal_limit():
-    block = el.fs_block_spectrum(el.FullySymmetricSpec(4, 1.8))
-    assert block.nu_minus == pytest.approx(1.8)
-    assert block.nu_plus == pytest.approx(1.8)
-    assert block.multiplicity_minus == 3
+    spec = el.FullySymmetricSpec(4, 1.8)
+    assert spec.nu_minus() == pytest.approx(1.8)
+    assert spec.nu_plus() == pytest.approx(1.8)
+    spectrum = el.symplectic_eigenvalues(el.fully_symmetric_cm(spec))
+    assert spectrum.clustered() == [(pytest.approx(1.8), 4)]
 
 
 def test_block_spectrum_matches_two_mode_closed_form():
     spec = el.FullySymmetricSpec(2, 1.6, 0.3, -0.25)
-    block = el.fs_block_spectrum(spec)
-    nu_minus, nu_plus = el.two_mode_symplectic_eigenvalues(el.fully_symmetric_cm(spec))
-    assert sorted((block.nu_minus, block.nu_plus)) == pytest.approx(
+    nu_minus, nu_plus = pf.two_mode_symplectic_eigenvalues(el.fully_symmetric_cm(spec))
+    assert sorted((spec.nu_minus(), spec.nu_plus())) == pytest.approx(
         [nu_minus, nu_plus], rel=1e-12
     )
 
 
 def test_block_spectrum_matches_dense_oracle_with_multiplicities():
     spec = el.FullySymmetricSpec(5, 1.4, 0.2, -0.1)
-    clusters = oracle_spectrum_multiplicities(el.fully_symmetric_cm(spec))
-    block = el.fs_block_spectrum(spec)
+    clusters = el.symplectic_eigenvalues(el.fully_symmetric_cm(spec)).clustered()
     assert len(clusters) == 2
     by_mult = {m: v for v, m in clusters}
-    assert by_mult[4] == pytest.approx(block.nu_minus, rel=1e-9)
-    assert by_mult[1] == pytest.approx(block.nu_plus, rel=1e-9)
+    assert by_mult[4] == pytest.approx(spec.nu_minus(), rel=1e-9)
+    assert by_mult[1] == pytest.approx(spec.nu_plus(), rel=1e-9)
 
 
 def test_nu_plus_from_two_mode_collapses_at_two():
-    assert el.nu_plus_from_two_mode(2, 0.7, 1.1, 1.9) == pytest.approx(1.9, rel=1e-12)
+    assert pf.nu_plus_from_two_mode(2, 0.7, 1.1, 1.9) == pytest.approx(1.9, rel=1e-12)
 
 
 def test_nu_plus_from_two_mode_thermal():
     for n in (2, 3, 7):
-        assert el.nu_plus_from_two_mode(n, 1.0 / 1.7, 1.7, 1.7) == pytest.approx(1.7, rel=1e-12)
+        assert pf.nu_plus_from_two_mode(n, 1.0 / 1.7, 1.7, 1.7) == pytest.approx(1.7, rel=1e-12)
 
 
 def test_nu_plus_identity_random_specs():
     sampler = ScalarSampler(808, max_block=10)
     for _ in range(200):
         spec = sampler.fully_symmetric()
-        block = el.fs_block_spectrum(spec)
-        two_mode = el.fs_block_spectrum(dataclasses.replace(spec, modes=2))
-        via_two = el.nu_plus_from_two_mode(
-            spec.modes, 1.0 / spec.b, two_mode.nu_minus, two_mode.nu_plus
+        two_mode = dataclasses.replace(spec, modes=2)
+        via_two = pf.nu_plus_from_two_mode(
+            spec.modes, 1.0 / spec.b, two_mode.nu_minus(), two_mode.nu_plus()
         )
-        assert via_two == pytest.approx(block.nu_plus, rel=1e-10)
+        assert via_two == pytest.approx(spec.nu_plus(), rel=1e-10)
 
 
 def test_nu_plus_identity_elevated_precision():
@@ -121,19 +102,27 @@ def test_nu_plus_identity_elevated_precision():
             -n * (n - 2) * bb**2 + mp.mpf(n - 1) / 2 * (n * nu_plus_2**2 + (n - 2) * nu_minus**2)
         )
         assert abs(via - direct) <= mp.mpf("1e-30") * max(1, direct)
-        floats = el.nu_plus_from_two_mode(n, 1.0 / b, float(nu_minus), float(nu_plus_2))
+        floats = pf.nu_plus_from_two_mode(n, 1.0 / b, float(nu_minus), float(nu_plus_2))
         assert floats == pytest.approx(float(direct), rel=1e-10)
+
+
+def _spectrum_purity(spec) -> float:
+    """The purity of a fully symmetric state from its block spectrum:
+    (nu_minus^{n-1} nu_plus)^{-1}."""
+    return 1.0 / (spec.nu_minus() ** (spec.modes - 1) * spec.nu_plus())
 
 
 def test_fs_global_purity_pure_family():
     for modes in (2, 5, 9):
         spec = el.ghz_type_spec(modes, 1.7)
-        assert el.fs_global_purity(spec) == pytest.approx(1.0, abs=1e-9)
+        assert _spectrum_purity(spec) == pytest.approx(1.0, abs=1e-9)
+        assert el.purity(el.fully_symmetric_cm(spec)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fs_global_purity_thermal():
     spec = el.FullySymmetricSpec(4, 1.9)
-    assert el.fs_global_purity(spec) == pytest.approx(1.9**-4, rel=1e-12)
+    assert _spectrum_purity(spec) == pytest.approx(1.9**-4, rel=1e-12)
+    assert el.purity(el.fully_symmetric_cm(spec)) == pytest.approx(1.9**-4, rel=1e-12)
 
 
 def test_fs_global_purity_matches_determinant():
@@ -141,24 +130,24 @@ def test_fs_global_purity_matches_determinant():
     for _ in range(25):
         spec = sampler.fully_symmetric()
         direct = el.purity(el.fully_symmetric_cm(spec))
-        assert el.fs_global_purity(spec) == pytest.approx(direct, rel=1e-8)
+        assert _spectrum_purity(spec) == pytest.approx(direct, rel=1e-8)
 
 
 def test_global_delta_trivial_case():
     spec = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-    assert el.global_delta_bisym(spec) == pytest.approx(1.5**2 + 2.0**2)
+    assert pf.global_delta_bisym(spec) == pytest.approx(1.5**2 + 2.0**2)
 
 
 def test_global_delta_matches_block_sum_oracle():
     for spec in SpecSampler(7, max_block=5).bisymmetric(count=25):
         assembled = el.delta_invariant(el.bisymmetric_cm(spec))
-        assert el.global_delta_bisym(spec) == pytest.approx(assembled, rel=1e-9)
+        assert pf.global_delta_bisym(spec) == pytest.approx(assembled, rel=1e-9)
 
 
 def test_global_delta_fully_symmetric_split():
     spec = el.FullySymmetricSpec(6, 1.5, 0.25, -0.2)
-    bspec = _fs_bisym(spec, 3)
-    assert el.global_delta_bisym(bspec) == pytest.approx(
+    bspec = _fs_split_spec(spec, 3)
+    assert pf.global_delta_bisym(bspec) == pytest.approx(
         el.delta_invariant(el.fully_symmetric_cm(spec)), rel=1e-9
     )
 
@@ -170,7 +159,7 @@ def test_global_delta_fully_symmetric_split():
 
 def test_equivalent_uncorrelated_is_product():
     spec = el.BisymmetricSpec(2, 3, 1.4, 0.1, -0.1, 1.6, 0.2, -0.15, 0.0, 0.0)
-    eq = el.equivalent_two_mode_invariants(spec)
+    eq = pf.equivalent_two_mode(spec)
     m = eq.cm_eq.matrix
     assert np.all(m[:2, 2:] == 0.0)
     nu_a = alpha_block_spec(spec).nu_plus()
@@ -216,7 +205,7 @@ def test_products_of_uncorrelated_blocks_are_separable_with_no_entanglement():
 def test_products_of_uncorrelated_blocks_have_an_exactly_zero_cross_block():
     """|c_plus| + |c_minus| = 0 exactly when g = 0, and both are +0.0."""
     for spec in _uncorrelated_products()[::7]:
-        cross = el.equivalent_two_mode_invariants(spec).cm_eq.matrix[:2, 2:]
+        cross = pf.equivalent_two_mode(spec).cm_eq.matrix[:2, 2:]
         assert not np.any(_bits(cross)), spec
 
 
@@ -280,31 +269,31 @@ def test_separable_flags_agree_with_the_dense_pt_spectrum():
 
 def test_equivalent_cm_consistent_with_its_invariants():
     for spec in SpecSampler(13, max_block=6).bisymmetric(count=50):
-        eq = el.equivalent_two_mode_invariants(spec)
+        eq = pf.equivalent_two_mode(spec)
         assert el.purity(eq.cm_eq) == pytest.approx(eq.mu_eq, rel=1e-8)
         assert el.delta_invariant(eq.cm_eq) == pytest.approx(eq.delta_eq, rel=1e-8)
 
 
 def test_equivalent_pure_parent_is_two_mode_squeezed():
     spec = el.ghz_type_spec(6, 1.5)
-    eq = el.equivalent_two_mode_invariants(_fs_bisym(spec, 2))
+    eq = pf.equivalent_two_mode(_fs_split_spec(spec, 2))
     assert eq.mu_eq == pytest.approx(1.0, abs=1e-7)
     assert el.purity(eq.cm_eq) == pytest.approx(1.0, abs=1e-7)
-    report = el.equivalent_report(_fs_bisym(spec, 2))
+    report = el.equivalent_report(_fs_split_spec(spec, 2))
     assert report.log_negativity > 0.0
 
 
 def test_equivalent_nu_tilde_matches_pt_of_explicit_matrix():
     for spec in SpecSampler(17, max_block=6).bisymmetric(count=50):
-        eq = el.equivalent_two_mode_invariants(spec)
-        from_invariants = el.pt_two_mode_nu_tilde(eq.cm_eq)
+        eq = pf.equivalent_two_mode(spec)
+        from_invariants = pf.pt_two_mode_nu_tilde(eq.cm_eq)
         dense = np.sort(el.pt_spectrum(eq.cm_eq, _split(1, 1)).values)
         assert from_invariants == pytest.approx(tuple(dense), rel=1e-9)
 
 
 def test_equivalent_purification_direction():
     for spec in SpecSampler(19, max_block=5).bisymmetric(count=50):
-        eq = el.equivalent_two_mode_invariants(spec)
+        eq = pf.equivalent_two_mode(spec)
         mu_parent = el.purity(el.bisymmetric_cm(spec))
         assert eq.mu_eq >= mu_parent - 1e-10
         nu_a = alpha_block_spec(spec).nu_minus() if spec.m > 1 else 1.0
@@ -319,8 +308,8 @@ def test_equivalent_traced_parent_keeps_purity():
     # traced pure parents have nu_minus = 1: localization changes nothing
     parent = el.ghz_type_spec(10, 1.5)
     spec = dataclasses.replace(parent, modes=6)
-    bspec = _fs_bisym(spec, 3)
-    eq = el.equivalent_two_mode_invariants(bspec)
+    bspec = _fs_split_spec(spec, 3)
+    eq = pf.equivalent_two_mode(bspec)
     mu_parent = el.purity(el.fully_symmetric_cm(spec))
     assert spec.nu_minus() == pytest.approx(1.0, abs=1e-9)
     assert eq.mu_eq == pytest.approx(mu_parent, rel=1e-8)
@@ -328,8 +317,8 @@ def test_equivalent_traced_parent_keeps_purity():
 
 def test_equivalent_from_cm_matches_spec_route():
     for spec in SpecSampler(23, max_block=5).bisymmetric(count=20):
-        eq_spec = el.equivalent_two_mode_invariants(spec)
-        eq_cm = el.equivalent_from_cm(el.bisymmetric_cm(spec), spec.m, spec.n)
+        eq_spec = pf.equivalent_two_mode(spec)
+        eq_cm = pf.equivalent_two_mode(el.bisymmetric_cm(spec), spec.m, spec.n)
         assert np.allclose(eq_spec.cm_eq.matrix, eq_cm.cm_eq.matrix, atol=1e-10)
 
 
@@ -363,7 +352,7 @@ def test_localize_uncorrelated_blocks_fully_diagonal():
 
 
 def test_localize_ghz_eight_modes():
-    cm = el.ghz_type_pure(8, 1.5)
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(8, 1.5))
     result = el.localize(cm, 4, 4)
     assert result.residual <= 1e-8 * np.max(np.abs(cm.matrix))
     en_eq = oracle_pt_log_negativity(result.equivalent.cm_eq, _split(1, 1))
@@ -395,7 +384,7 @@ def test_localize_transform_is_local_and_symplectic():
     assert el.is_symplectic(s)
     assert np.all(s[: 2 * 3, 2 * 3 :] == 0.0)
     assert np.all(s[2 * 3 :, : 2 * 3] == 0.0)
-    moved = el.apply_symplectic(s, cm)
+    moved = pf.apply_symplectic(s, cm)
     assert cm_allclose(moved, result.cm_final, tol=1e-10)
 
 
@@ -411,7 +400,7 @@ def _non_standard_3_2():
     import scipy.linalg
 
     local = scipy.linalg.block_diag(*([sa] * 3 + [sb] * 2))
-    return cm, el.apply_symplectic(local, cm)
+    return cm, pf.apply_symplectic(local, cm)
 
 
 def test_localize_handles_non_standard_local_basis():
@@ -466,7 +455,7 @@ def _loop_pattern_deviation(matrix, m, n):
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (3, 4)])
 def test_localize_pattern_check_matches_loop_reference(m, n):
     rng = np.random.default_rng(71)
-    base = np.array(el.ghz_type_pure(m + n, 1.6).matrix)
+    base = np.array(el.fully_symmetric_cm(el.ghz_type_spec(m + n, 1.6)).matrix)
     for _ in range(40):
         matrix = base.copy()
         i, j = rng.integers(0, 2 * (m + n), size=2)
@@ -484,13 +473,13 @@ def test_localize_pattern_check_matches_loop_reference(m, n):
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
 def test_localize_rejects_bad_tolerance(tol):
-    cm = el.ghz_type_pure(4, 1.4)
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(4, 1.4))
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.localize(cm, 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.localize(np.array([cm.matrix, cm.matrix]), 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
-        el.equivalent_from_cm(cm, 2, 2, tol_pattern=tol)
+        pf.equivalent_two_mode(cm, 2, 2, tol_pattern=tol)
 
 
 def _bits(value):
@@ -551,9 +540,9 @@ def test_localize_batch_gives_the_failing_matrix_its_error():
     assert np.array_equal(results[2].cm_final.matrix, alone.cm_final.matrix)
     # a matrix the split does not cover is invalid, alone and as a stack
     with pytest.raises(InvalidArgumentError, match=r"split \(3, 2\) does not cover"):
-        el.localize(el.vacuum_cm(4), 3, 2)
+        el.localize(pf.vacuum_cm(4), 3, 2)
     with pytest.raises(InvalidArgumentError, match=r"needs a \(K, 10, 10\) stack"):
-        el.localize(np.array([el.vacuum_cm(4).matrix]), 3, 2)
+        el.localize(np.array([pf.vacuum_cm(4).matrix]), 3, 2)
     assert el.localize(np.empty((0, 10, 10)), 3, 2).results() == []
 
 
@@ -575,14 +564,14 @@ def test_mode_mixing_is_the_kron_product_bit_for_bit():
 
 
 def test_localize_rejects_bad_split():
-    cm = el.ghz_type_pure(6, 1.4)
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(6, 1.4))
     with pytest.raises(InvalidArgumentError):
         el.localize(cm, 2, 3)
 
 
 def test_localize_matches_invariant_route():
     for spec in SpecSampler(29, max_block=6).bisymmetric(count=40):
-        eq_inv = el.equivalent_two_mode_invariants(spec)
+        eq_inv = pf.equivalent_two_mode(spec)
         result = el.localize(el.bisymmetric_cm(spec), spec.m, spec.n)
         assert np.allclose(
             eq_inv.cm_eq.matrix, result.equivalent.cm_eq.matrix, atol=1e-7
@@ -591,7 +580,7 @@ def test_localize_matches_invariant_route():
 
 
 def test_localization_result_json_shape():
-    result = el.localize(el.ghz_type_pure(4, 1.3), 2, 2)
+    result = el.localize(el.fully_symmetric_cm(el.ghz_type_spec(4, 1.3)), 2, 2)
     obj = localization_to_json_dict(result)
     assert set(obj) == {"local_symplectic", "cm_final", "equivalent", "residual"}
     assert set(obj["equivalent"]) == {"cm_eq", "mu_eq", "delta_eq"}
@@ -633,7 +622,7 @@ def _sampler_stacks(seed):
 
 def _skeleton_cases():
     yield "golden 12|12", np.array([_golden_cm().matrix]), 12, 12
-    yield "ghz 4|4", np.array([el.ghz_type_pure(8, 1.5).matrix]), 4, 4
+    yield "ghz 4|4", np.array([el.fully_symmetric_cm(el.ghz_type_spec(8, 1.5)).matrix]), 4, 4
     yield "non-standard 3|2", np.array([_non_standard_3_2()[1].matrix]), 3, 2
     for seed in (1, 7):
         for stack, m, n in _sampler_stacks(seed):
@@ -799,31 +788,37 @@ def test_block_log_negativity_eof_on_balanced_split():
     assert report.eof is not None and report.eof > 0.0
 
 
+def _best_split(state):
+    """The (k, report) of the ``ole`` command: the first split of the scan
+    with the largest log-negativity."""
+    return max(el.ole_scan(state), key=lambda item: item[1].log_negativity)
+
+
 def test_ole_even_modes_balanced():
     for modes, b in ((6, 1.3), (10, 1.5), (14, 2.0)):
         spec = el.ghz_type_spec(modes, b)
-        k_star, report = el.optimal_localizable_entanglement(spec)
+        k_star, report = _best_split(spec)
         assert k_star == modes // 2
         assert report.log_negativity > 0.0
 
 
 def test_ole_odd_modes_near_balanced():
     spec = el.ghz_type_spec(9, 1.5)
-    k_star, _ = el.optimal_localizable_entanglement(spec)
+    k_star, _ = _best_split(spec)
     assert k_star == 4
 
 
 def test_ole_vacuum_tie_breaks_to_smallest():
     spec = el.ghz_type_spec(8, 1.0)
-    k_star, report = el.optimal_localizable_entanglement(spec)
+    k_star, report = _best_split(spec)
     assert k_star == 1
     assert report.log_negativity == 0.0
 
 
 def test_ole_accepts_covariance_matrix_input():
     spec = el.ghz_type_spec(8, 1.5)
-    from_spec = el.optimal_localizable_entanglement(spec)
-    from_cm = el.optimal_localizable_entanglement(el.fully_symmetric_cm(spec))
+    from_spec = _best_split(spec)
+    from_cm = _best_split(el.fully_symmetric_cm(spec))
     assert from_cm[0] == from_spec[0] == 4
     assert from_cm[1].log_negativity == pytest.approx(from_spec[1].log_negativity, rel=1e-10)
 
@@ -832,7 +827,7 @@ def test_ole_matches_exhaustive_oracle_scan():
     spec = el.ghz_type_spec(10, 1.6)
     cm = el.fully_symmetric_cm(spec)
     scan = exhaustive_bipartition_scan(cm)
-    k_star, report = el.optimal_localizable_entanglement(spec)
+    k_star, report = _best_split(spec)
     best_oracle = max(scan, key=lambda kv: kv[1])
     assert k_star == best_oracle[0]
     assert report.log_negativity == pytest.approx(best_oracle[1], rel=1e-7)

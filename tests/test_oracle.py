@@ -20,49 +20,49 @@ from entloc.oracle import (
     summarize_reports,
 )
 from entloc.states import BisymmetricBatch
-from oracle_helpers import ScalarSampler, exhaustive_bipartition_scan, oracle_spectrum_multiplicities
+from oracle_helpers import ScalarSampler, bits, exhaustive_bipartition_scan, outcome
+import paper_formulas as pf
 
 
-def _split(m, n):
-    return el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
+_split = el.ModeBipartition.contiguous
 
 
 def test_oracle_vacuum_zero():
-    assert oracle_pt_log_negativity(el.vacuum_cm(3), _split(1, 2)) == 0.0
+    assert oracle_pt_log_negativity(pf.vacuum_cm(3), _split(1, 2)) == 0.0
 
 
 def test_oracle_two_mode_squeezed_analytic():
-    assert oracle_pt_log_negativity(el.two_mode_squeezed(0.5), _split(1, 1)) == pytest.approx(
+    assert oracle_pt_log_negativity(pf.two_mode_squeezed(0.5), _split(1, 1)) == pytest.approx(
         1.0, abs=1e-9
     )
 
 
 def test_oracle_multiplicities_fully_symmetric():
     spec = el.FullySymmetricSpec(6, 1.5, 0.25, -0.2)
-    clusters = oracle_spectrum_multiplicities(el.fully_symmetric_cm(spec))
+    clusters = el.symplectic_eigenvalues(el.fully_symmetric_cm(spec)).clustered()
     assert sorted(m for _, m in clusters) == [1, 5]
 
 
 def test_oracle_multiplicities_thermal_distinct():
-    clusters = oracle_spectrum_multiplicities(el.thermal_cm([1.1, 1.9, 2.7]))
+    clusters = el.symplectic_eigenvalues(pf.thermal_cm([1.1, 1.9, 2.7])).clustered()
     assert [m for _, m in clusters] == [1, 1, 1]
 
 
 def test_oracle_multiplicities_bisymmetric():
     spec = el.BisymmetricSpec(3, 4, 1.5, 0.2, -0.1, 1.7, 0.25, -0.12, 0.3, -0.25)
-    clusters = oracle_spectrum_multiplicities(el.bisymmetric_cm(spec))
+    clusters = el.symplectic_eigenvalues(el.bisymmetric_cm(spec)).clustered()
     mult = sorted(m for _, m in clusters)
     assert mult[-1] >= 3 and mult[-2] >= 2
 
 
 def test_exhaustive_scan_vacuum_all_zero():
-    scan = exhaustive_bipartition_scan(el.ghz_type_pure(8, 1.0))
+    scan = exhaustive_bipartition_scan(el.fully_symmetric_cm(el.ghz_type_spec(8, 1.0)))
     assert [en for _, en in scan] == [0.0] * 4
 
 
 @pytest.mark.parametrize("b", [1.2, 1.5, 2.0])
 def test_exhaustive_scan_monotone_pure(b):
-    scan = exhaustive_bipartition_scan(el.ghz_type_pure(20, b))
+    scan = exhaustive_bipartition_scan(el.fully_symmetric_cm(el.ghz_type_spec(20, b)))
     values = [en for _, en in scan]
     assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
 
@@ -81,7 +81,7 @@ def test_exhaustive_scan_rejects_large_input():
     from entloc.errors import InvalidArgumentError
 
     with pytest.raises(InvalidArgumentError):
-        exhaustive_bipartition_scan(el.vacuum_cm(31))
+        exhaustive_bipartition_scan(pf.vacuum_cm(31))
 
 
 def _spec_bits(spec):
@@ -374,10 +374,6 @@ def _definition_log_negativity(matrix, side_b):
     return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1.0))
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def test_stacked_oracle_is_the_definition_per_matrix_bit_for_bit():
     """Every (m, n) shape group of a seeded draw, and the stack of all
     their reduced two-mode matrices, as ``verify`` runs them."""
@@ -390,12 +386,12 @@ def test_stacked_oracle_is_the_definition_per_matrix_bit_for_bit():
         stack = el.bisymmetric_cm(BisymmetricBatch.of(specs))
         part = _split(m, n)
         want = [_definition_log_negativity(matrix, part.side_b) for matrix in stack]
-        assert np.array_equal(_bits(oracle_pt_log_negativity(stack, part)), _bits(want)), (m, n)
+        assert np.array_equal(bits(oracle_pt_log_negativity(stack, part)), bits(want)), (m, n)
         reduced.append(el.localize(stack, m, n).cm_eq)
     reduced = np.concatenate(reduced)
     got = oracle_pt_log_negativity(reduced, _split(1, 1))
     want = [_definition_log_negativity(matrix, (1,)) for matrix in reduced]
-    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(bits(got), bits(want))
     assert 0 < sum(value > 0.0 for value in want) < len(want)
 
 
@@ -411,11 +407,11 @@ def test_signed_row_swap_is_the_omega_matmul_bit_for_bit():
         stack = rng.normal(size=(5, 2 * modes, 2 * modes))
         stack[rng.random(stack.shape) < 0.3] = 0.0
         stack[rng.random(stack.shape) < 0.3] *= -0.0
-        cm = el.ghz_type_pure(modes, 1.3).matrix if modes > 1 else np.eye(2)
+        cm = el.fully_symmetric_cm(el.ghz_type_spec(modes, 1.3)).matrix if modes > 1 else np.eye(2)
         mirrored = _mirror_momenta(np.array([cm, cm]), range(modes // 2, modes))
         for matrices in (stack, mirrored, stack[0]):
             want = _dense_omega(modes) @ matrices
-            assert np.array_equal(_bits(_omega_times(matrices)), _bits(want)), modes
+            assert np.array_equal(bits(_omega_times(matrices)), bits(want)), modes
     assert np.signbit(mirrored[mirrored == 0.0]).any()
 
 
@@ -434,7 +430,7 @@ def test_log_negativity_columns_are_the_per_row_sum():
     for k, row in enumerate(nus.tolist()):
         if all(map(math.isfinite, row)):
             want = max(0.0, -sum(math.log(nu) for nu in row if nu < 1.0))
-            assert _bits(got[k]) == _bits(want), k
+            assert bits(got[k]) == bits(want), k
         else:
             assert isinstance(got[k], el.NumericalDomainError), k
     assert sum(int((row < 1.0).sum()) > 1 for row in nus) > 100
@@ -448,14 +444,14 @@ def test_a_zero_symplectic_eigenvalue_is_a_numerical_error_in_place():
     zero = el.CovarianceMatrix(np.zeros((4, 4)))
     with pytest.raises(el.NumericalDomainError, match="not positive definite") as alone:
         oracle_pt_log_negativity(zero, _split(1, 1))
-    stack = np.array([el.vacuum_cm(2).matrix, zero.matrix, el.two_mode_squeezed(0.5).matrix])
+    stack = np.array([pf.vacuum_cm(2).matrix, zero.matrix, pf.two_mode_squeezed(0.5).matrix])
     got = oracle_pt_log_negativity(stack, _split(1, 1))
     assert got[0] == 0.0 and got[2] == pytest.approx(1.0, abs=1e-9)
     assert type(got[1]) is el.NumericalDomainError and str(got[1]) == str(alone.value)
 
 
 def test_a_split_that_does_not_cover_the_modes_is_invalid():
-    for cm, part in ((el.vacuum_cm(1), _split(1, 1)), (el.vacuum_cm(3), _split(1, 1))):
+    for cm, part in ((pf.vacuum_cm(1), _split(1, 1)), (pf.vacuum_cm(3), _split(1, 1))):
         with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
             oracle_pt_log_negativity(cm, part)
         with pytest.raises(el.InvalidArgumentError, match="bipartition covers modes"):
@@ -480,13 +476,6 @@ def _symmetric_matrices(draw):
     return matrices, _split(m, draw(st.integers(1, 3 - m)))
 
 
-def _outcome(call):
-    try:
-        return call()
-    except el.EntlocError as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_matrices())
 def test_oracle_gives_every_finite_symmetric_matrix_a_value_or_an_entloc_error(drawn):
@@ -496,10 +485,10 @@ def test_oracle_gives_every_finite_symmetric_matrix_a_value_or_an_entloc_error(d
     place."""
     matrices, part = drawn
     cms = [el.CovarianceMatrix(matrix) for matrix in matrices]
-    alone = [_outcome(lambda: oracle_pt_log_negativity(cm, part)) for cm in cms]
+    alone = [outcome(lambda: oracle_pt_log_negativity(cm, part)) for cm in cms]
     for value in alone:
         assert isinstance(value, tuple) or (type(value) is float and 0.0 <= value < math.inf)
-    stacked = _outcome(lambda: oracle_pt_log_negativity(np.array([cm.matrix for cm in cms]), part))
+    stacked = outcome(lambda: oracle_pt_log_negativity(np.array([cm.matrix for cm in cms]), part))
     if isinstance(stacked, tuple):  # a split that does not cover the modes
         assert all(value == stacked for value in alone)
         return

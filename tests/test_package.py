@@ -12,22 +12,21 @@ from pathlib import Path
 import pytest
 
 import entloc as el
+import paper_formulas as pf
 
+# what the CLI reaches and what reproducing the paper needs (see the
+# package docstring); test-only constructors and formulas live in
+# tests/paper_formulas.py
 PUBLIC_NAMES = [
-    "BisymmetricSpec", "BlockSpectrum", "CovarianceMatrix", "DecompositionError",
-    "EntanglementReport", "EntlocError", "EquivalentTwoMode", "FullySymmetricSpec",
-    "InconsistentInvariantsError", "InvalidArgumentError", "LocalizationError",
-    "LocalizationResult", "ModeBipartition", "NumericalDomainError", "SymplecticSpectrum",
-    "TwoModeInvariants", "apply_symplectic", "bisymmetric_cm", "block_log_negativity",
-    "delta_invariant", "eof_symmetric", "equivalent_from_cm", "equivalent_report",
-    "equivalent_report_from_cm", "equivalent_two_mode_invariants", "fs_block_spectrum",
-    "fs_global_purity", "fs_params_from_invariants", "fully_symmetric_cm", "ghz_type_pure",
-    "ghz_type_spec", "global_delta_bisym", "is_bona_fide", "is_symplectic", "load_cm",
-    "localize", "log_negativity", "nu_plus_from_two_mode", "optimal_localizable_entanglement",
-    "partial_trace", "partial_transpose", "pt_spectrum", "pt_two_mode_nu_tilde", "purity",
-    "save_cm", "symmetric_condition", "symplectic_eigenvalues", "symplectic_form",
-    "thermal_cm", "two_mode_invariants", "two_mode_squeezed",
-    "two_mode_symplectic_eigenvalues", "vacuum_cm", "williamson",
+    "BisymmetricSpec", "CovarianceMatrix", "DecompositionError", "EntanglementReport",
+    "EntlocError", "EquivalentTwoMode", "FullySymmetricSpec", "InconsistentInvariantsError",
+    "InvalidArgumentError", "LocalizationError", "LocalizationResult", "ModeBipartition",
+    "NumericalDomainError", "SymplecticSpectrum", "TwoModeInvariants", "bisymmetric_cm",
+    "block_log_negativity", "delta_invariant", "eof_symmetric", "equivalent_report",
+    "equivalent_report_from_cm", "fully_symmetric_cm", "ghz_type_spec", "is_bona_fide",
+    "is_symplectic", "load_cm", "localize", "log_negativity", "ole_scan", "partial_transpose",
+    "pt_spectrum", "purity", "save_cm", "symplectic_eigenvalues", "symplectic_form",
+    "two_mode_invariants", "williamson",
 ]
 
 
@@ -37,14 +36,14 @@ def test_public_names_pinned():
 
 
 @pytest.mark.parametrize("call, named", [
-    (lambda: el.two_mode_squeezed(400.0), "400.0"),
-    (lambda: el.two_mode_squeezed(math.nan), "nan"),
+    (lambda: pf.two_mode_squeezed(400.0), "400.0"),
+    (lambda: pf.two_mode_squeezed(math.nan), "nan"),
     (lambda: el.eof_symmetric(math.nan), "nan"),
-    (lambda: el.fs_params_from_invariants(1.0, 1.0, math.inf), "inf"),
-    (lambda: el.fs_params_from_invariants(1.0, 1.0, 1e200), "delta2=1e+200"),
-    (lambda: el.nu_plus_from_two_mode(3, math.nan, 1.0, 1.0), "nan"),
-    (lambda: el.nu_plus_from_two_mode(3, 1.0, math.inf, 1.0), "inf"),
-    (lambda: el.nu_plus_from_two_mode(3, 1e-200, 1.0, 1.0), "1e-200"),
+    (lambda: pf.fs_params_from_invariants(1.0, 1.0, math.inf), "inf"),
+    (lambda: pf.fs_params_from_invariants(1.0, 1.0, 1e200), "delta2=1e+200"),
+    (lambda: pf.nu_plus_from_two_mode(3, math.nan, 1.0, 1.0), "nan"),
+    (lambda: pf.nu_plus_from_two_mode(3, 1.0, math.inf, 1.0), "inf"),
+    (lambda: pf.nu_plus_from_two_mode(3, 1e-200, 1.0, 1.0), "1e-200"),
 ], ids=["tms-overflow", "tms-nan", "eof-nan", "fs-params-inf", "fs-params-overflow",
         "nu-plus-nan", "nu-plus-inf", "nu-plus-overflow"])
 def test_paper_formulas_reject_what_they_cannot_evaluate(call, named):

@@ -19,22 +19,11 @@ from entloc.errors import InvalidArgumentError, LocalizationError, NumericalDoma
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch, bisymmetric_batch
 from entloc.symplectic import _PointErrors, _symmetrized
+from oracle_helpers import bits, outcome
+import paper_formulas as pf
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
-def _split(m, n):
-    return el.ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-
-
-def _outcome(call):
-    """The value of a call, or the type and message of its EntlocError."""
-    try:
-        return call()
-    except el.EntlocError as exc:
-        return type(exc), str(exc)
+_split = el.ModeBipartition.contiguous
 
 
 def _shape_groups(seed=31, count=600):
@@ -90,12 +79,12 @@ def test_covariance_check_stack_form_is_the_constructor_per_matrix():
         errors = _PointErrors(len(stack))
         checked = _symmetrized(stack, errors)
         for k, name in enumerate(group):
-            want = _outcome(lambda: el.CovarianceMatrix(stack[k]).matrix)
+            want = outcome(lambda: el.CovarianceMatrix(stack[k]).matrix)
             if isinstance(want, tuple):
                 assert (type(errors.errors[k]), str(errors.errors[k])) == want, name
             else:
                 assert errors.errors[k] is None, name
-                assert np.array_equal(_bits(checked[k]), _bits(want)), name
+                assert np.array_equal(bits(checked[k]), bits(want)), name
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def test_bisymmetric_cm_stack_form_is_the_single_form():
                       el.bisymmetric_cm(batch.take(np.array(indices)))):
             assert isinstance(stack, np.ndarray) and not stack.flags.writeable
             assert stack.shape[1:] == (2 * (m + n), 2 * (m + n))
-            assert np.array_equal(_bits(stack), _bits(want[:len(stack)])), (m, n)
+            assert np.array_equal(bits(stack), bits(want[:len(stack)])), (m, n)
 
 
 def test_bisymmetric_cm_stack_form_raises_the_first_failure():
@@ -167,7 +156,7 @@ def _same_result(columns, k, result):
     flags = [(columns.cm_final.flags.writeable, result.cm_final.matrix.flags.writeable),
              (columns.cm_eq.flags.writeable, result.equivalent.cm_eq.matrix.flags.writeable),
              (columns.local_symplectic.flags.writeable, result.local_symplectic.flags.writeable)]
-    return (all(np.array_equal(_bits(got), _bits(want)) for got, want in pairs)
+    return (all(np.array_equal(bits(got), bits(want)) for got, want in pairs)
             and all(got == want for got, want in flags) and columns.errors[k] is None)
 
 
@@ -213,7 +202,7 @@ def test_localize_stack_form_keeps_each_failure_in_place():
     columns = el.localize(stack, 2, 1)
     kinds = []
     for k, matrix in enumerate(stack):
-        alone = _outcome(lambda: el.localize(el.CovarianceMatrix(matrix), 2, 1))
+        alone = outcome(lambda: el.localize(el.CovarianceMatrix(matrix), 2, 1))
         if isinstance(alone, tuple):
             assert (type(columns.errors[k]), str(columns.errors[k])) == alone, k
             kinds.append(alone[0])
@@ -228,7 +217,7 @@ def test_localize_stack_form_keeps_each_failure_in_place():
     results = columns.results()
     assert [type(r) for r in results] == [el.LocalizationResult if kind is None else kind
                                           for kind in kinds]
-    assert np.array_equal(_bits(results[0].cm_final.matrix), _bits(columns.cm_final[0]))
+    assert np.array_equal(bits(results[0].cm_final.matrix), bits(columns.cm_final[0]))
 
 
 def test_localize_stack_form_rejects_a_stack_of_another_size():
@@ -254,11 +243,11 @@ def test_oracle_stack_form_is_the_single_form():
         stack = el.bisymmetric_cm(batch.take(np.array(indices)))
         part = _split(m, n)
         want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), part) for matrix in stack]
-        assert np.array_equal(_bits(oracle_pt_log_negativity(stack, part)), _bits(want)), (m, n)
+        assert np.array_equal(bits(oracle_pt_log_negativity(stack, part)), bits(want)), (m, n)
         reduced.append(el.localize(stack, m, n).cm_eq)
     reduced = np.concatenate(reduced)
     want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), _split(1, 1)) for matrix in reduced]
-    assert np.array_equal(_bits(oracle_pt_log_negativity(reduced, _split(1, 1))), _bits(want))
+    assert np.array_equal(bits(oracle_pt_log_negativity(reduced, _split(1, 1))), bits(want))
     assert 0 < sum(value > 0.0 for value in want) < len(want)
 
 
@@ -268,7 +257,7 @@ def test_oracle_stack_form_keeps_each_failure_in_place():
     of their ``CovarianceMatrix``. A stack of no 2N x 2N matrices and a
     split that does not cover the modes are invalid; an empty stack gives
     no values."""
-    tms = np.array(el.two_mode_squeezed(0.5).matrix)
+    tms = np.array(pf.two_mode_squeezed(0.5).matrix)
     asymmetric = tms.copy()
     asymmetric[0, 2] += 1e-3
     non_finite = tms.copy()
@@ -278,11 +267,11 @@ def test_oracle_stack_form_keeps_each_failure_in_place():
     stack = np.array([np.eye(4), np.zeros((4, 4)), tms, asymmetric, non_finite, mixed_zeros, tms])
     got = oracle_pt_log_negativity(stack, _split(1, 1))
     for k, matrix in enumerate(stack):
-        want = _outcome(lambda: oracle_pt_log_negativity(el.CovarianceMatrix(matrix), _split(1, 1)))
+        want = outcome(lambda: oracle_pt_log_negativity(el.CovarianceMatrix(matrix), _split(1, 1)))
         if isinstance(want, tuple):
             assert (type(got[k]), str(got[k])) == want, k
         else:
-            assert _bits(got[k]) == _bits(want), k
+            assert bits(got[k]) == bits(want), k
     assert [type(value) for value in got] == [float, NumericalDomainError, float,
                                               InvalidArgumentError, InvalidArgumentError, float, float]
     for shape in ((4, 4), (2, 4, 6), (2, 3, 3), (2, 0, 0)):

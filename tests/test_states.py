@@ -9,38 +9,39 @@ from entloc.errors import InvalidArgumentError
 from entloc.oracle import oracle_pt_log_negativity
 from entloc.symplectic import TOL_PHYS
 from oracle_helpers import oracle_symplectic_spectrum
+import paper_formulas as pf
 
 
 def test_thermal_cm_vacuum():
-    assert np.array_equal(el.thermal_cm([1.0]).matrix, np.eye(2))
+    assert np.array_equal(pf.thermal_cm([1.0]).matrix, np.eye(2))
 
 
 def test_thermal_cm_layout():
-    cm = el.thermal_cm([2.0, 3.0])
+    cm = pf.thermal_cm([2.0, 3.0])
     assert np.array_equal(cm.matrix, np.diag([2.0, 2.0, 3.0, 3.0]))
 
 
 def test_thermal_cm_purity():
-    assert el.purity(el.thermal_cm([2.5])) == pytest.approx(1.0 / 2.5)
+    assert el.purity(pf.thermal_cm([2.5])) == pytest.approx(1.0 / 2.5)
 
 
 def test_thermal_cm_rejects_sub_vacuum():
     with pytest.raises(InvalidArgumentError):
-        el.thermal_cm([0.9])
+        pf.thermal_cm([0.9])
 
 
 def test_two_mode_squeezed_zero_is_vacuum():
-    assert np.array_equal(el.two_mode_squeezed(0.0).matrix, np.eye(4))
+    assert np.array_equal(pf.two_mode_squeezed(0.0).matrix, np.eye(4))
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
 def test_two_mode_squeezed_is_pure(r):
-    assert el.purity(el.two_mode_squeezed(r)) == pytest.approx(1.0, abs=1e-10)
+    assert el.purity(pf.two_mode_squeezed(r)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_mode_squeezed_pt_eigenvalue():
     # brute-force PT spectrum of the r=1 state has smallest value e^{-2}
-    cm = el.two_mode_squeezed(1.0)
+    cm = pf.two_mode_squeezed(1.0)
     pt = el.partial_transpose(cm, el.ModeBipartition((0,), (1,)))
     smallest = el.symplectic_eigenvalues(pt).min
     assert smallest == pytest.approx(0.13533528323661269, abs=1e-12)
@@ -48,7 +49,7 @@ def test_two_mode_squeezed_pt_eigenvalue():
 
 def test_two_mode_squeezed_rejects_negative():
     with pytest.raises(InvalidArgumentError):
-        el.two_mode_squeezed(-0.1)
+        pf.two_mode_squeezed(-0.1)
 
 
 def test_fully_symmetric_thermal_limit():
@@ -86,35 +87,35 @@ def test_fs_params_round_trip():
     # build a state, measure the invariants on a two-mode reduction, map back
     spec = el.FullySymmetricSpec(5, 1.6, -0.2, 0.35)  # z2 >= z1 branch
     cm = el.fully_symmetric_cm(spec)
-    pair = el.partial_trace(cm, [0, 1])
+    pair = pf.partial_trace(cm, [0, 1])
     mu_beta = 1.0 / spec.b
     mu_beta2 = el.purity(pair)
     delta2 = el.delta_invariant(pair)
-    b, z1, z2 = el.fs_params_from_invariants(mu_beta, mu_beta2, delta2)
+    b, z1, z2 = pf.fs_params_from_invariants(mu_beta, mu_beta2, delta2)
     assert (b, z1, z2) == pytest.approx((spec.b, spec.z1, spec.z2), abs=1e-8)
 
 
 def test_fs_params_pure_uncorrelated_limit():
-    assert el.fs_params_from_invariants(1.0, 1.0, 2.0) == pytest.approx((1.0, 0.0, 0.0), abs=1e-8)
+    assert pf.fs_params_from_invariants(1.0, 1.0, 2.0) == pytest.approx((1.0, 0.0, 0.0), abs=1e-8)
 
 
 def test_fs_params_physical_forward_evaluation():
     # delta2 inside the physical window for these purities
-    b, z1, z2 = el.fs_params_from_invariants(0.8, 0.72, 2.85)
+    b, z1, z2 = pf.fs_params_from_invariants(0.8, 0.72, 2.85)
     spec = el.FullySymmetricSpec(2, b, z1, z2)
     assert el.is_bona_fide(el.fully_symmetric_cm(spec))
 
 
 def test_fs_params_rejects_inconsistent():
     with pytest.raises(InvalidArgumentError):
-        el.fs_params_from_invariants(0.9, 0.9, 0.1)
+        pf.fs_params_from_invariants(0.9, 0.9, 0.1)
 
 
 def test_ghz_vacuum_limit():
     spec = el.ghz_type_spec(6, 1.0)
     assert spec.z1 == pytest.approx(0.0, abs=1e-15)
     assert spec.z2 == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(el.ghz_type_pure(6, 1.0).matrix, np.eye(12))
+    assert np.allclose(el.fully_symmetric_cm(el.ghz_type_spec(6, 1.0)).matrix, np.eye(12))
 
 
 def test_ghz_m4_frozen_covariances():
@@ -124,24 +125,24 @@ def test_ghz_m4_frozen_covariances():
 
 
 def test_ghz_purity():
-    assert el.purity(el.ghz_type_pure(4, 1.5)) == pytest.approx(1.0, abs=1e-9)
+    assert el.purity(el.fully_symmetric_cm(el.ghz_type_spec(4, 1.5))) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("modes", [2, 3, 7, 12, 21, 40])
 @pytest.mark.parametrize("b", [1.2, 2.0, 5.0])
 def test_ghz_all_eigenvalues_one(modes, b):
-    spectrum = el.symplectic_eigenvalues(el.ghz_type_pure(modes, b))
+    spectrum = el.symplectic_eigenvalues(el.fully_symmetric_cm(el.ghz_type_spec(modes, b)))
     assert np.max(np.abs(spectrum.values - 1.0)) <= 1e-8
 
 
 def test_ghz_two_modes_is_entangled_pure_symmetric():
-    cm = el.ghz_type_pure(2, 1.8)
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(2, 1.8))
     report = el.log_negativity(cm, el.ModeBipartition((0,), (1,)))
     assert report.log_negativity > 0.0
     assert el.purity(cm) == pytest.approx(1.0, abs=1e-10)
     # identical to the two-mode squeezed vacuum at cosh(2r) = b
     r = 0.5 * math.acosh(1.8)
-    assert np.allclose(cm.matrix, el.two_mode_squeezed(r).matrix, atol=1e-12)
+    assert np.allclose(cm.matrix, pf.two_mode_squeezed(r).matrix, atol=1e-12)
 
 
 def test_ghz_rejects_bad_args():

@@ -13,12 +13,14 @@ from entloc.oracle import SpecSampler, _mirror_momenta, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
 from entloc.symplectic import _PointErrors, _symplectic_spectra
 from oracle_helpers import (
+    bits,
     cm_allclose,
     eigvals_symplectic_spectra,
     oracle_symplectic_spectrum,
     random_bona_fide_cm,
     random_symplectic,
 )
+import paper_formulas as pf
 
 EPS = np.finfo(float).eps
 
@@ -62,7 +64,7 @@ def test_covariance_matrix_rejects_odd_shape():
 
 def test_is_bona_fide_vacuum():
     for modes in (1, 3, 6):
-        assert el.is_bona_fide(el.vacuum_cm(modes))
+        assert el.is_bona_fide(pf.vacuum_cm(modes))
 
 
 def test_is_bona_fide_rejects_sub_vacuum():
@@ -73,7 +75,7 @@ def test_is_bona_fide_rejects_sub_vacuum():
 def test_is_bona_fide_ghz_family():
     # dense-eigensolver oracle agrees with the physicality decision
     for b in (1.0, 1.3, 2.5, 4.0):
-        cm = el.ghz_type_pure(6, b)
+        cm = el.fully_symmetric_cm(el.ghz_type_spec(6, b))
         assert el.is_bona_fide(cm)
         assert oracle_symplectic_spectrum(cm).min() >= 1.0 - 1e-8
 
@@ -85,7 +87,7 @@ def test_symplectic_eigenvalues_thermal():
 
 
 def test_symplectic_eigenvalues_vacuum_all_ones():
-    spectrum = el.symplectic_eigenvalues(el.vacuum_cm(4))
+    spectrum = el.symplectic_eigenvalues(pf.vacuum_cm(4))
     assert spectrum.values == pytest.approx([1.0] * 4)
 
 
@@ -101,6 +103,8 @@ def test_symplectic_eigenvalues_requires_positive_definite():
     cm = el.CovarianceMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(NumericalDomainError):
         el.symplectic_eigenvalues(cm)
+    with pytest.raises(NumericalDomainError, match="covariance matrix is not positive definite"):
+        el.williamson(cm)
 
 
 def test_spectrum_clustering():
@@ -114,10 +118,6 @@ def test_spectrum_clustering():
 # The dense spectrum kernel: a Cholesky factor and a Hermitian eigensolver,
 # checked against the general eigensolver of Omega @ sigma it replaced.
 # ---------------------------------------------------------------------------
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def _kernel(stack):
@@ -159,9 +159,9 @@ def test_spectrum_kernel_stack_is_each_matrix_alone():
         assert errors.alive.all()
         for matrix, row in zip(stack, nus):
             alone, _ = _kernel(matrix[None])
-            assert np.array_equal(_bits(row), _bits(alone[0]))
+            assert np.array_equal(bits(row), bits(alone[0]))
             values = el.symplectic_eigenvalues(el.CovarianceMatrix(matrix)).values
-            assert np.array_equal(_bits(values), _bits(row))
+            assert np.array_equal(bits(values), bits(row))
         assert (np.diff(nus, axis=1) <= 0.0).all()
 
 
@@ -186,7 +186,7 @@ def test_spectrum_kernel_keeps_each_error_in_place(monkeypatch):
         assert type(errors.errors[k]) is NumericalDomainError
         assert str(errors.errors[k]) == "covariance matrix is not positive definite"
     for k in (1, 3, 4):
-        assert np.array_equal(_bits(nus[k]), _bits(_kernel(stack[k][None])[0][0]))
+        assert np.array_equal(bits(nus[k]), bits(_kernel(stack[k][None])[0][0]))
 
     calls = []
     real_cholesky = np.linalg.cholesky
@@ -196,7 +196,7 @@ def test_spectrum_kernel_keeps_each_error_in_place(monkeypatch):
     got = oracle_pt_log_negativity(mixed, part)
     assert calls == [3] + [2] * len(mixed)
     for k in (0, 2, 5, 6):
-        assert _bits(got[k]) == _bits(oracle_pt_log_negativity(el.CovarianceMatrix(mixed[k]), part))
+        assert bits(got[k]) == bits(oracle_pt_log_negativity(el.CovarianceMatrix(mixed[k]), part))
     assert type(got[3]) is NumericalDomainError and "not positive definite" in str(got[3])
     for k in (1, 4):
         assert type(got[k]) is InvalidArgumentError and "non-finite" in str(got[k])
@@ -275,16 +275,16 @@ def test_williamson_round_trip_random(modes, seed):
 
 def _thermal_in_random_basis():
     s = random_symplectic(4, np.random.default_rng(11))
-    return el.CovarianceMatrix(s.T @ el.thermal_cm([2.0] * 4).matrix @ s)
+    return el.CovarianceMatrix(s.T @ pf.thermal_cm([2.0] * 4).matrix @ s)
 
 
 @pytest.mark.parametrize(
     "make_cm",
     [
-        lambda: el.vacuum_cm(5),
-        lambda: el.thermal_cm([2.0] * 4),
-        lambda: el.ghz_type_pure(6, 1.7),
-        lambda: el.ghz_type_pure(6, 30.0),
+        lambda: pf.vacuum_cm(5),
+        lambda: pf.thermal_cm([2.0] * 4),
+        lambda: el.fully_symmetric_cm(el.ghz_type_spec(6, 1.7)),
+        lambda: el.fully_symmetric_cm(el.ghz_type_spec(6, 30.0)),
         _thermal_in_random_basis,
     ],
     ids=["vacuum", "equal_thermal", "pure_b1.7", "pure_b30", "equal_thermal_rotated"],
@@ -308,8 +308,8 @@ def test_williamson_two_mode_round_trip_tight():
 
 
 def test_purity_vacuum_and_thermal():
-    assert el.purity(el.vacuum_cm(3)) == pytest.approx(1.0)
-    assert el.purity(el.thermal_cm([2.0, 4.0])) == pytest.approx(1.0 / 8.0)
+    assert el.purity(pf.vacuum_cm(3)) == pytest.approx(1.0)
+    assert el.purity(pf.thermal_cm([2.0, 4.0])) == pytest.approx(1.0 / 8.0)
 
 
 def test_purity_matches_spectrum_product():
@@ -327,7 +327,7 @@ def test_purity_domain_error():
 
 
 def test_delta_invariant_vacuum():
-    assert el.delta_invariant(el.vacuum_cm(5)) == pytest.approx(5.0)
+    assert el.delta_invariant(pf.vacuum_cm(5)) == pytest.approx(5.0)
 
 
 def test_delta_invariant_two_mode_standard_form():
@@ -349,17 +349,17 @@ def test_delta_and_det_invariant_under_symplectic(seed):
     rng = np.random.default_rng(100 + seed)
     cm = random_bona_fide_cm(3, rng)
     s = random_symplectic(3, rng)
-    moved = el.apply_symplectic(s, cm)
+    moved = pf.apply_symplectic(s, cm)
     assert el.delta_invariant(moved) == pytest.approx(el.delta_invariant(cm), rel=1e-8)
     assert np.linalg.det(moved.matrix) == pytest.approx(np.linalg.det(cm.matrix), rel=1e-8)
 
 
 def test_apply_symplectic_identity_and_rotation():
-    cm = el.vacuum_cm(1)
-    assert cm_allclose(el.apply_symplectic(np.eye(2), cm), cm)
+    cm = pf.vacuum_cm(1)
+    assert cm_allclose(pf.apply_symplectic(np.eye(2), cm), cm)
     theta = 0.7
     rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-    assert cm_allclose(el.apply_symplectic(rot, cm), cm)
+    assert cm_allclose(pf.apply_symplectic(rot, cm), cm)
 
 
 def test_apply_symplectic_preserves_spectrum():
@@ -367,36 +367,36 @@ def test_apply_symplectic_preserves_spectrum():
     cm = random_bona_fide_cm(4, rng)
     s = random_symplectic(4, rng)
     before = el.symplectic_eigenvalues(cm).values
-    after = el.symplectic_eigenvalues(el.apply_symplectic(s, cm)).values
+    after = el.symplectic_eigenvalues(pf.apply_symplectic(s, cm)).values
     assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
 
 def test_apply_symplectic_rejects_non_symplectic():
     with pytest.raises(InvalidArgumentError):
-        el.apply_symplectic(2.0 * np.eye(2), el.vacuum_cm(1))
+        pf.apply_symplectic(2.0 * np.eye(2), pf.vacuum_cm(1))
 
 
 def test_apply_symplectic_rejects_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
-        el.apply_symplectic(np.eye(4), el.vacuum_cm(1))
+        pf.apply_symplectic(np.eye(4), pf.vacuum_cm(1))
 
 
 def test_partial_trace_keep_all_is_identity():
     rng = np.random.default_rng(5)
     cm = random_bona_fide_cm(3, rng)
-    assert cm_allclose(el.partial_trace(cm, [0, 1, 2]), cm)
+    assert cm_allclose(pf.partial_trace(cm, [0, 1, 2]), cm)
 
 
 def test_partial_trace_two_mode_squeezed():
     r = 0.8
-    reduced = el.partial_trace(el.two_mode_squeezed(r), [0])
+    reduced = pf.partial_trace(pf.two_mode_squeezed(r), [0])
     assert np.allclose(reduced.matrix, np.cosh(2 * r) * np.eye(2))
 
 
 def test_partial_trace_preserves_symmetric_pattern():
     spec = el.ghz_type_spec(8, 1.4)
     cm = el.fully_symmetric_cm(spec)
-    reduced = el.partial_trace(cm, range(4))
+    reduced = pf.partial_trace(cm, range(4))
     expected = el.fully_symmetric_cm(
         el.FullySymmetricSpec(4, spec.b, spec.z1, spec.z2)
     )
@@ -405,20 +405,20 @@ def test_partial_trace_preserves_symmetric_pattern():
 
 
 def test_partial_trace_validates_indices():
-    cm = el.vacuum_cm(2)
+    cm = pf.vacuum_cm(2)
     with pytest.raises(InvalidArgumentError):
-        el.partial_trace(cm, [])
+        pf.partial_trace(cm, [])
     with pytest.raises(InvalidArgumentError):
-        el.partial_trace(cm, [0, 2])
+        pf.partial_trace(cm, [0, 2])
     with pytest.raises(InvalidArgumentError):
-        el.partial_trace(cm, [0, 0])
+        pf.partial_trace(cm, [0, 0])
 
 
 def test_two_mode_closed_form_matches_dense():
     rng = np.random.default_rng(123)
     for _ in range(50):
         cm = random_bona_fide_cm(2, rng)
-        closed = el.two_mode_symplectic_eigenvalues(cm)
+        closed = pf.two_mode_symplectic_eigenvalues(cm)
         dense = np.sort(oracle_symplectic_spectrum(cm))
         assert closed == pytest.approx(tuple(dense), rel=1e-10)
 
