@@ -20,6 +20,7 @@ from .symplectic import (
     CovarianceMatrix,
     SymplecticSpectrum,
     _elementwise,
+    _local_dets,
     _minus_plus_pair,
     _PointErrors,
     _scalar_batch,
@@ -27,7 +28,6 @@ from .symplectic import (
     _symplectic_spectra,
     _uncertainty_holds,
     symplectic_eigenvalues,
-    two_mode_invariants,
 )
 
 # PT eigenvalues this close to 1 are treated as exactly separable boundary
@@ -268,7 +268,6 @@ def log_negativity(
         raise InvalidArgumentError("input covariance matrix is not a physical state")
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
-    inv = two_mode_invariants(cm) if cm.modes == 2 else None
-    symmetric = inv is not None and bool(_symmetric_dets(inv.det_block_a, inv.det_block_b))
+    symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
     return report_from_pt_values(nus[1], bool(ppt_decidable), symmetric)
 

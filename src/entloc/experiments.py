@@ -9,9 +9,10 @@ fixed squeezing).
 
 A sweep is columnar from end to end. ``run_hierarchy`` and
 ``run_scaling`` validate each parent state once, stack every split of
-every parent into one ``BisymmetricBatch``, and make one call of the
-invariant route, which gives report columns. The rows are those columns
-(``SweepRows``): a sequence of row dicts, made on access.
+every parent into one ``BisymmetricBatch`` (``_fs_split_batch``), and
+make one call of the invariant route, which gives report columns. The
+rows are those columns (``SweepRows``): a sequence of row dicts, made
+on access.
 ``render_table`` formats CSV or JSON one column at a time: a float
 column in one ``%`` pass, an int or string column once per distinct
 value. Identical configs produce identical bytes.
@@ -28,9 +29,9 @@ import numpy as np
 
 from .entanglement import ReportColumns
 from .errors import EntlocError, InvalidArgumentError, NumericalDomainError
-from .localization import _attempt, _fs_split_batch, equivalent_report
-from .states import BisymmetricBatch, FullySymmetricSpec, _require_finite, ghz_type_spec
-from .symplectic import _float_texts, _indented_json, _json_entry_texts, _json_records, _PointErrors
+from .localization import _fs_split_batch, equivalent_report
+from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
+from .symplectic import _float_texts, _indented_json, _json_entry_texts, _json_records
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
@@ -160,15 +161,17 @@ def _status(error) -> str:
     raise error
 
 
-def _split_batch(parents: list, index: np.ndarray, k: np.ndarray) -> BisymmetricBatch:
-    """The splits k | rest of the fully symmetric specs parents[index], as
-    one validated batch; a point whose parent is an error fails with it."""
-    errors = _PointErrors(len(index))
-    failed = np.array([isinstance(parent, EntlocError) for parent in parents])
-    errors.record(failed[index], lambda i: parents[index[i]])
-    params = np.array([(1, 1.0, 0.0, 0.0) if isinstance(p, EntlocError) else (p.modes, p.b, p.z1, p.z2)
-                       for p in parents])[index]
-    return _fs_split_batch(params[:, 0].astype(np.int64), k, *params[:, 1:].T, errors)
+def _attempt(fn, *args):
+    """fn(*args), or the EntlocError it raises; an error given as an
+    argument is passed on. Makes a parent state that could not be built
+    the parent of its points, which then fail with its error."""
+    for arg in args:
+        if isinstance(arg, EntlocError):
+            return arg
+    try:
+        return fn(*args)
+    except EntlocError as exc:
+        return exc
 
 
 def _cells(values: np.ndarray, missing: np.ndarray) -> list:
@@ -203,7 +206,7 @@ def run_hierarchy(cfg: SweepConfig) -> SweepRows:
     shape = (len(qs), len(ks), len(grid))
     index = np.broadcast_to(np.arange(len(parents)).reshape(len(qs), 1, -1), shape).ravel()
     k = np.broadcast_to(np.array(ks, dtype=np.int64).reshape(1, -1, 1), shape).ravel()
-    report = equivalent_report(_split_batch(parents, index, k))
+    report = equivalent_report(_fs_split_batch(parents, index, k))
     ks_cells = k.tolist()
     return SweepRows({
         "m": ks_cells,
@@ -225,7 +228,7 @@ def run_scaling(cfg: SweepConfig) -> SweepRows:
     # points 0..R-1 split each parent n | n, points R..2R-1 its pair 1 | 1
     half = np.array([n for _, n in keys], dtype=np.int64)
     k = np.concatenate([half, np.ones_like(half)])
-    report = equivalent_report(_split_batch(parents + pairs, np.arange(len(k)), k))
+    report = equivalent_report(_fs_split_batch(parents + pairs, np.arange(len(k)), k))
     count = len(keys)
     errors = [nn if nn is not None else pair
               for nn, pair in zip(report.errors[:count], report.errors[count:])]

@@ -26,11 +26,14 @@ raises the error it would raise alone. Specs enter as a ``BisymmetricBatch``,
 parameter columns that carry the error of each point that is no valid
 spec; the sweeps build and validate theirs as columns and read the
 results as columns (``ReportColumns``), and a sequence of specs is
-stacked into one batch and gets its reports built from the columns. A
-matrix whose pattern check failed enters as that error (``_attempt``)
-and keeps its place among the results (``_in_place``). A single spec or
-matrix is a batch of one; the sweeps, the split scan and the cross-check
-suite each make one call.
+stacked into one batch and gets its reports built from the columns.
+Every failure of the inputs enters the kernel as a point already failed
+in its ``_PointErrors``: a k | M-k split whose parent state could not be
+built or whose k is out of range (``_fs_split_batch``, the only code
+that splits a fully symmetric state), and a split of a matrix that
+fails its pattern check. Each result thus keeps its place. A single
+spec or matrix is a batch of one; the sweeps, the split scan and the
+cross-check suite each make one call.
 
 The constructive route batches the same way over matrices of one split
 (m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix
@@ -274,46 +277,6 @@ def _batch_blocks(batch: BisymmetricBatch):
     return batch.m, batch.n, blocks
 
 
-def _cm_blocks(cm: CovarianceMatrix, splits: list) -> list:
-    """(m, n, pattern blocks) of each split (m, n) of one matrix, or the
-    error of its pattern check at the default tolerance."""
-    def check(m, n):
-        errors = _PointErrors(1)
-        blocks, _ = _pattern_check(_covered(cm, m, n)[None], m, n, None, errors)
-        errors.raise_first()
-        return m, n, blocks
-
-    return [_attempt(check, m, n) for m, n in splits]
-
-
-def _stack_cm_blocks(items):
-    """(m, n, blocks) stacks of the ``_cm_blocks`` items of one batch."""
-    m, n, blocks = zip(*items)
-    counts = np.array([m, n], dtype=np.int64)
-    return counts[0], counts[1], np.concatenate(blocks, axis=1)
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the EntlocError it raises; an error given as an
-    argument is passed on. Makes a failed construction an item's result."""
-    for arg in args:
-        if isinstance(arg, EntlocError):
-            return arg
-    try:
-        return fn(*args)
-    except EntlocError as exc:
-        return exc
-
-
-def _in_place(evaluate, items: list) -> list:
-    """The result of each item: an error item stays where it is, the other
-    items go through ``evaluate`` as one batch and their results take their
-    places."""
-    todo = [item for item in items if not isinstance(item, EntlocError)]
-    results = iter(evaluate(todo) if todo else ())
-    return [item if isinstance(item, EntlocError) else next(results) for item in items]
-
-
 def _raise_first(results: list) -> list:
     for result in results:
         if isinstance(result, Exception):
@@ -339,10 +302,9 @@ def equivalent_report(spec):
     ``BisymmetricBatch`` or a sequence of specs, which gives every point
     its report or its error, in place. A batch is evaluated as it stands
     and gives ``ReportColumns``, the form the sweeps read; a point the
-    batch holds an error for keeps that error. A sequence is stacked into
-    one batch and gives a list, each report built from the columns; an
-    ``EntlocError`` item stands for a spec that could not be built and is
-    its own result.
+    batch holds an error for keeps that error. A sequence holds
+    ``BisymmetricSpec``s only (any other item is invalid); it is stacked
+    into one batch and gives a list, each report built from the columns.
     """
     if isinstance(spec, BisymmetricSpec):
         return _raise_first(_spec_reports([spec]))[0]
@@ -365,13 +327,26 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     One split (m, n) gives its report, and its failure raises. ``m`` and
     ``n`` may be equal-length sequences of block sizes: the splits are then
     evaluated in one batch and give a list holding each split's report or
-    its error, from its pattern check or from the batch, in place.
+    its error, from its pattern check (at the default tolerance) or from
+    the batch, in place. The kernel runs only if some split passes its
+    check.
     """
     single = np.ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
-    checked = _cm_blocks(cm, splits)
-    reports = _in_place(lambda items: _report_columns(
-        *_stack_cm_blocks(items), _PointErrors(len(items))).reports(), checked)
+    counts = np.ones((2, len(splits)), dtype=np.int64)  # a failed split reads 1 | 1
+    blocks = np.zeros((5, len(splits), 2, 2))
+    errors = _PointErrors(len(splits))
+    for i, split in enumerate(splits):
+        part = _PointErrors(1)
+        try:
+            blocks[:, i : i + 1], _ = _pattern_check(_covered(cm, *split)[None], *split, None, part)
+            part.raise_first()
+            counts[:, i] = split
+        except EntlocError as exc:
+            errors.fail(i, exc)
+    reports = errors.errors
+    if errors.alive.any():
+        reports = _report_columns(*counts, blocks, errors).reports()
     return _raise_first(reports)[0] if single else reports
 
 
@@ -634,35 +609,32 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _fs_split_spec(spec: FullySymmetricSpec, k: int) -> BisymmetricSpec:
-    total = spec.modes
-    if not 1 <= k <= total - 1:
-        raise InvalidArgumentError(f"split size k = {k} out of range for {total} modes")
-    rest = total - k
-    return BisymmetricSpec(
-        m=k,
-        n=rest,
-        a=spec.b,
-        e1=spec.z1 if k > 1 else 0.0,
-        e2=spec.z2 if k > 1 else 0.0,
-        b=spec.b,
-        z1=spec.z1 if rest > 1 else 0.0,
-        z2=spec.z2 if rest > 1 else 0.0,
-        g1=spec.z1,
-        g2=spec.z2,
-    )
+def _fs_split_batch(parents: list, index: np.ndarray, k: np.ndarray) -> BisymmetricBatch:
+    """The k | M-k splits of fully symmetric states, as one validated batch.
 
-
-def _fs_split_batch(modes, k, b, z1, z2, errors: _PointErrors) -> BisymmetricBatch:
-    """``_fs_split_spec`` of many fully symmetric states as one validated
-    batch: point i splits the ``modes[i]``-mode state (b, z1, z2)[i] at
-    ``k[i]``, all (N,) arrays, and fails in ``errors`` as that call would
-    raise."""
+    Point i splits parents[index[i]], an M-mode ``FullySymmetricSpec`` or
+    the ``EntlocError`` its construction raised, into its first k[i] modes
+    and the rest; ``index`` and ``k`` are (N,) int arrays. The split is
+    the two-block spec with a = b, each block of more than one mode keeps
+    (z1, z2), and every cross block is diag(z1, z2). A point fails with
+    its parent's error, else with ``InvalidArgumentError`` if k is not an
+    integer in 1 .. M-1, else as ``BisymmetricSpec`` raises on its
+    parameters.
+    """
+    errors = _PointErrors(len(index))
+    failed = np.array([isinstance(parent, EntlocError) for parent in parents], dtype=bool)
+    errors.record(failed[index], lambda i: parents[index[i]])
+    params = np.array([(1, 1.0, 0.0, 0.0) if isinstance(p, EntlocError) else (p.modes, p.b, p.z1, p.z2)
+                       for p in parents], dtype=float).reshape(-1, 4)[index]
+    modes, (b, z1, z2) = params[:, 0].astype(np.int64), params[:, 1:].T
     rest = modes - k
+    out_of_range = (k < 1) | (rest < 1) | (k % 1 != 0)
     errors.record(
-        (k < 1) | (rest < 1),
+        out_of_range,
         lambda i: InvalidArgumentError(f"split size k = {k[i]} out of range for {modes[i]} modes"),
     )
+    # such a point reads 1 | 1, so that a k past int64 (an object array) is never converted
+    k, rest = np.where(out_of_range, 1, k), np.where(out_of_range, 1, rest)
     first, second = k > 1, rest > 1
     return bisymmetric_batch(
         k, rest,
@@ -681,7 +653,15 @@ def block_log_negativity(spec: FullySymmetricSpec, k: int) -> EntanglementReport
     formation is reported there (and wherever the symmetric condition
     happens to hold).
     """
-    return equivalent_report(_fs_split_spec(spec, k))
+    return _fs_split_reports(spec, [k])[0]
+
+
+def _fs_split_reports(spec: FullySymmetricSpec, ks) -> list:
+    """The reports of the splits k | M-k of one spec for the k in ``ks``,
+    from one batch; the first failing split raises."""
+    ks = np.array(ks)  # int64, or objects for a k past int64
+    batch = _fs_split_batch([spec], np.zeros(len(ks), dtype=np.int64), ks)
+    return _raise_first(equivalent_report(batch).reports())
 
 
 def ole_scan(state) -> list[tuple[int, EntanglementReport]]:
@@ -700,8 +680,8 @@ def ole_scan(state) -> list[tuple[int, EntanglementReport]]:
         raise InvalidArgumentError("need at least two modes to form a bipartition")
     ks = range(1, total // 2 + 1)
     if isinstance(state, FullySymmetricSpec):
-        reports = equivalent_report([_attempt(_fs_split_spec, state, k) for k in ks])
+        reports = _fs_split_reports(state, ks)
     else:
-        reports = equivalent_report_from_cm(state, ks, [total - k for k in ks])
-    return list(zip(ks, _raise_first(reports)))
+        reports = _raise_first(equivalent_report_from_cm(state, ks, [total - k for k in ks]))
+    return list(zip(ks, reports))
 

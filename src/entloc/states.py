@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EntlocError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .symplectic import (
     TOL_PHYS,
     CovarianceMatrix,
@@ -92,10 +92,7 @@ class FullySymmetricSpec:
             )
         worst = min(_block_nus(factors))
         if worst < 1.0 - TOL_PHYS:
-            raise InvalidArgumentError(
-                f"unphysical parameters: min symplectic eigenvalue {worst:.12g} < 1",
-                offending_value=worst,
-            )
+            raise _unphysical(worst)
 
     def nu_minus(self) -> float:
         return _block_nus(_pattern_factors(self.modes, self.b, self.z1, self.z2))[0]
@@ -289,19 +286,16 @@ class BisymmetricBatch(NamedTuple):
     errors: _PointErrors
 
     @classmethod
-    def of(cls, items) -> "BisymmetricBatch":
-        """The batch of a sequence of ``BisymmetricSpec``s, in which an
-        ``EntlocError`` item stands for a spec that could not be built and
-        is its point's error."""
-        errors = _PointErrors(len(items))
-        specs = list(items)
-        for i, item in enumerate(items):
-            if isinstance(item, EntlocError):
-                errors.fail(i, item)
-                specs[i] = _VACUUM
+    def of(cls, specs) -> "BisymmetricBatch":
+        """The batch of a sequence of ``BisymmetricSpec``s, which are valid,
+        so no point holds an error; any other item is invalid."""
+        for spec in specs:
+            if not isinstance(spec, BisymmetricSpec):
+                raise InvalidArgumentError(
+                    f"a spec sequence holds BisymmetricSpecs only, got {type(spec).__name__}")
         columns = np.array(list(map(_DIAGONAL_FIELDS, specs)), dtype=float).reshape(-1, 12).T
         m, n = columns[:2].astype(np.int64)
-        return cls(m, n, columns[2:].reshape(5, 2, -1), errors)
+        return cls(m, n, columns[2:].reshape(5, 2, -1), _PointErrors(len(specs)))
 
     def take(self, indices: np.ndarray) -> "BisymmetricBatch":
         """The batch of the points at ``indices``, an int array, in that
@@ -311,8 +305,6 @@ class BisymmetricBatch(NamedTuple):
         return type(self)(self.m[indices], self.n[indices], self.diagonals[..., indices], errors)
 
 
-# the stand-in of a point that is no spec: a two-mode vacuum
-_VACUUM = BisymmetricSpec(1, 1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 _DIAGONAL_FIELDS = operator.attrgetter("m", "n", "a", "a", "e1", "e2", "b", "b", "z1", "z2", "g1", "g2")
 
 

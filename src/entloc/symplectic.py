@@ -540,11 +540,17 @@ def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors, d
     return nu_minus, nu_plus
 
 
+def _local_dets(matrix: np.ndarray) -> tuple[float, float]:
+    """The determinants of the two diagonal 2x2 blocks of a two-mode
+    matrix, a d - b c; one out of float range raises NumericalDomainError."""
+    return _scalar_batch(lambda ab, errors: _dets(ab, errors).T, [matrix[:2, :2], matrix[2:, 2:]])
+
+
 def two_mode_invariants(cm: CovarianceMatrix) -> TwoModeInvariants:
     if cm.modes != 2:
         raise InvalidArgumentError(f"expected a two-mode matrix, got {cm.modes} modes")
     m = cm.matrix
-    det_a, det_b = _scalar_batch(lambda ab, errors: _dets(ab, errors).T, [m[:2, :2], m[2:, 2:]])
+    det_a, det_b = _local_dets(m)
     return TwoModeInvariants(float(np.linalg.det(m)), delta_invariant(cm), det_a, det_b)
 
 

@@ -144,6 +144,18 @@ def fs_params_from_invariants(mu_beta: float, mu_beta2: float, delta2: float):
     return b, z1, z2
 
 
+def fs_split_spec(spec, k: int) -> BisymmetricSpec:
+    """The k | M-k split of a fully symmetric M-mode spec, from the
+    definition, as a validated ``BisymmetricSpec``: both blocks keep the
+    pattern diag(b, b) and diag(z1, z2), a one-mode block has no
+    off-diagonal pattern (e or z = 0), and every cross block is diag(z1,
+    z2). The reference for the library's split batch."""
+    rest = spec.modes - k
+    e1, e2 = (spec.z1, spec.z2) if k > 1 else (0.0, 0.0)
+    z1, z2 = (spec.z1, spec.z2) if rest > 1 else (0.0, 0.0)
+    return BisymmetricSpec(k, rest, spec.b, e1, e2, spec.b, z1, z2, spec.z1, spec.z2)
+
+
 def global_delta_bisym(spec: BisymmetricSpec) -> float:
     """Block-determinant invariant of the assembled two-block state.
 

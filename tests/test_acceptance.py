@@ -105,7 +105,7 @@ def test_criterion_4_pure_state_theorem():
             assert el.purity(el.fully_symmetric_cm(spec)) == pytest.approx(1.0, abs=1e-8)
             for m in range(1, modes):
                 report = el.block_log_negativity(spec, m)
-                eq = pf.equivalent_two_mode(el.localization._fs_split_spec(spec, m))
+                eq = pf.equivalent_two_mode(pf.fs_split_spec(spec, m))
                 assert eq.mu_eq == pytest.approx(1.0, abs=1e-7)
                 assert el.purity(eq.cm_eq) == pytest.approx(1.0, abs=1e-7)
                 if b > 1.0:
@@ -128,7 +128,7 @@ def test_criterion_5_ppt_decision_agreement():
         modes = int(rng.integers(3, 9))
         k = int(rng.integers(1, modes))
         spec = el.ghz_type_spec(modes, float(rng.uniform(1.05, 2.5)))
-        cases.append(el.localization._fs_split_spec(spec, k))
+        cases.append(pf.fs_split_spec(spec, k))
 
     disagreements = 0
     separable_seen = entangled_seen = 0

@@ -20,10 +20,10 @@ from entloc.experiments import (
     run_scaling,
     traced_symmetric_spec,
 )
-from entloc.localization import _fs_split_spec
 from entloc.oracle import SpecSampler
 from entloc.states import BisymmetricBatch
 from oracle_helpers import ScalarSampler
+import paper_formulas as pf
 
 # valid specs on which the invariant route itself fails: an overflowing
 # square (NumericalDomainError) and an overflowing cross-block trace that
@@ -43,7 +43,7 @@ def _traced_splits():
         for q in (0, 1, 4):
             for b in (1.0, 1.3, 2.0, 7.5):
                 parent = traced_symmetric_spec(modes, q, b)
-                specs += [_fs_split_spec(parent, k) for k in range(1, modes)]
+                specs += [pf.fs_split_spec(parent, k) for k in range(1, modes)]
     return specs
 
 
@@ -180,15 +180,17 @@ def test_cm_batch_keeps_one_failing_split_at_its_index():
     assert str(info.value) == str(failed)
 
 
-def test_error_items_keep_their_place():
+@pytest.mark.parametrize("item", [
+    InvalidArgumentError("could not build this spec"),
+    el.FullySymmetricSpec(4, 1.5, 0.1, 0.1),
+    None,
+], ids=["error", "fully-symmetric", "none"])
+def test_a_sequence_holds_specs_only(item):
+    """A sequence is specs only: any other item is invalid input, named
+    by its type, and never an AttributeError."""
     ok = SpecSampler(3).bisymmetric()
-    err = InvalidArgumentError("could not build this spec")
-    first, middle, last = el.equivalent_report([ok, err, ok])
-    assert middle is err
-    assert _same(first, el.equivalent_report(ok)) and _same(last, first)
-    results = el.equivalent_report([ok, err, OVERFLOWING])
-    assert results[1] is err and isinstance(results[2], NumericalDomainError)
-    assert el.equivalent_report([err]) == [err]
+    with pytest.raises(InvalidArgumentError, match=f"got {type(item).__name__}$"):
+        el.equivalent_report([ok, item, ok])
 
 
 def test_kernel_error_classes():
@@ -202,8 +204,9 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
 
     def crafted(failing):
         # the split batch with the point (k, b) = (2, 1.5) replaced by ``failing``
-        def split(modes, k, b, z1, z2, errors):
-            batch = original(modes, k, b, z1, z2, errors)
+        def split(parents, index, k):
+            batch = original(parents, index, k)
+            b = np.array([parents[i].b for i in index])
             point = (k == 2) & (b == 1.5)
             assert np.count_nonzero(point) == 1
             spec = BisymmetricBatch.of([failing])

@@ -29,9 +29,9 @@ from entloc.experiments import (
     run_scaling,
     traced_symmetric_spec,
 )
-from entloc.localization import _fs_split_batch, _fs_split_spec
+from entloc.localization import _fs_split_batch
 from entloc.states import SPEC_PARAMETERS, bisymmetric_batch
-from entloc.symplectic import _PointErrors, _Rejections
+from entloc.symplectic import _Rejections
 import paper_formulas as pf
 
 FIELDS = ("m", "n") + SPEC_PARAMETERS
@@ -72,13 +72,13 @@ def _status(fn, *args):
 
 
 def _split_report(modes, q, b, k):
-    return el.equivalent_report(_fs_split_spec(traced_symmetric_spec(modes, q, b), k))
+    return el.equivalent_report(pf.fs_split_spec(traced_symmetric_spec(modes, q, b), k))
 
 
 def _pair_reports(n, q, b):
     spec = traced_symmetric_spec(2 * n, q, b)
-    nn = el.equivalent_report(_fs_split_spec(spec, n))
-    pair = el.equivalent_report(_fs_split_spec(dataclasses.replace(spec, modes=2), 1))
+    nn = el.equivalent_report(pf.fs_split_spec(spec, n))
+    pair = el.equivalent_report(pf.fs_split_spec(dataclasses.replace(spec, modes=2), 1))
     return nn, pair
 
 
@@ -318,24 +318,53 @@ def test_batch_validation_of_block_sizes_whose_product_passes_2_63():
     assert list(map(_outcome, bisymmetric_batch(*columns).errors.errors)) == expected
 
 
+def _split_outcome(parent, k):
+    """The split spec from the definition, or the type and message of the
+    error its validation raises."""
+    try:
+        return pf.fs_split_spec(parent, k)
+    except el.EntlocError as exc:
+        return type(exc), str(exc)
+
+
 def test_split_batch_validates_as_the_split_spec():
-    points, parents = [], []
+    """Each point of the split batch holds the parameters of the split
+    built from the definition, or the error its validation raises."""
+    parents, index, ks = [], [], []
     for modes in (2, 3, 6, 8, 10, 20, 50):
         for q in (0, 1, 4):
             for b in (1.0, 1.0 + 1e-12, 3.0, 1e3, 1e76):
                 status, parent = _status(traced_symmetric_spec, modes, q, b)
-                for k in range(1, modes) if parent is not None else ():
-                    points.append(_status(_fs_split_spec, parent, k))
-                    parents.append((modes, k, parent.b, parent.z1, parent.z2))
-    modes, k, b, z1, z2 = (np.array(column) for column in zip(*parents))
-    batch = _fs_split_batch(modes, k, b, z1, z2, _PointErrors(len(k)))
-    for i, (status, spec) in enumerate(points):
-        assert batch.errors.alive[i] == (status == "ok")
-        if spec is not None:
+                if parent is not None:
+                    index += [len(parents)] * (modes - 1)
+                    ks += range(1, modes)
+                    parents.append(parent)
+    index, ks = np.array(index), np.array(ks)
+    batch = _fs_split_batch(parents, index, ks)
+    outcomes = [_split_outcome(parents[i], k) for i, k in zip(index.tolist(), ks.tolist())]
+    for i, outcome in enumerate(outcomes):
+        error = batch.errors.errors[i]
+        if isinstance(outcome, tuple):
+            assert (type(error), str(error)) == outcome
+        else:
+            assert error is None
             (a, _), (e1, e2), (b, _), (z1, z2), (g1, g2) = batch.diagonals[:, :, i]
             got = (batch.m[i], batch.n[i], a, e1, e2, b, z1, z2, g1, g2)
-            assert got == tuple(getattr(spec, f) for f in FIELDS)
-    assert any(status != "ok" for status, _ in points)
+            assert got == tuple(getattr(outcome, f) for f in FIELDS)
+    assert any(isinstance(outcome, tuple) for outcome in outcomes)
+
+
+def test_split_batch_fails_a_point_with_its_parent_error_or_its_range():
+    """A point whose parent is an error fails with that error object; a
+    split size outside 1 .. M-1 fails with its range message."""
+    failed = InvalidArgumentError("could not build this parent")
+    parents = [failed, el.FullySymmetricSpec(4, 1.5, 0.1, 0.1)]
+    batch = _fs_split_batch(parents, np.array([0, 1, 1, 1, 0]), np.array([2, 0, 4, 2, 0]))
+    errors = batch.errors.errors
+    assert errors[0] is failed and errors[4] is failed and errors[3] is None
+    assert [str(error) for error in errors[1:3]] == [
+        "split size k = 0 out of range for 4 modes", "split size k = 4 out of range for 4 modes"]
+    assert all(type(error) is InvalidArgumentError for error in errors[1:3])
 
 
 @pytest.mark.parametrize("params", EDGE_PARAMS, ids=range(len(EDGE_PARAMS)))

@@ -8,7 +8,6 @@ import pytest
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
 from entloc.experiments import traced_symmetric_spec
-from entloc.localization import _fs_split_spec
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
 from entloc.symplectic import TOL_PHYS, _PointErrors, _symplectic_spectra
@@ -146,7 +145,7 @@ def test_global_delta_matches_block_sum_oracle():
 
 def test_global_delta_fully_symmetric_split():
     spec = el.FullySymmetricSpec(6, 1.5, 0.25, -0.2)
-    bspec = _fs_split_spec(spec, 3)
+    bspec = pf.fs_split_spec(spec, 3)
     assert pf.global_delta_bisym(bspec) == pytest.approx(
         el.delta_invariant(el.fully_symmetric_cm(spec)), rel=1e-9
     )
@@ -240,7 +239,7 @@ def _traced_family_splits():
     for modes, q in ((20, 0), (20, 4), (8, 0), (30, 2)):
         for b in np.linspace(1.01, 30.0, 40).tolist():
             parent = traced_symmetric_spec(modes, q, b)
-            specs += [_fs_split_spec(parent, k) for k in (1, modes // 2)]
+            specs += [pf.fs_split_spec(parent, k) for k in (1, modes // 2)]
     return specs
 
 
@@ -276,10 +275,10 @@ def test_equivalent_cm_consistent_with_its_invariants():
 
 def test_equivalent_pure_parent_is_two_mode_squeezed():
     spec = el.ghz_type_spec(6, 1.5)
-    eq = pf.equivalent_two_mode(_fs_split_spec(spec, 2))
+    eq = pf.equivalent_two_mode(pf.fs_split_spec(spec, 2))
     assert eq.mu_eq == pytest.approx(1.0, abs=1e-7)
     assert el.purity(eq.cm_eq) == pytest.approx(1.0, abs=1e-7)
-    report = el.equivalent_report(_fs_split_spec(spec, 2))
+    report = el.equivalent_report(pf.fs_split_spec(spec, 2))
     assert report.log_negativity > 0.0
 
 
@@ -308,7 +307,7 @@ def test_equivalent_traced_parent_keeps_purity():
     # traced pure parents have nu_minus = 1: localization changes nothing
     parent = el.ghz_type_spec(10, 1.5)
     spec = dataclasses.replace(parent, modes=6)
-    bspec = _fs_split_spec(spec, 3)
+    bspec = pf.fs_split_spec(spec, 3)
     eq = pf.equivalent_two_mode(bspec)
     mu_parent = el.purity(el.fully_symmetric_cm(spec))
     assert spec.nu_minus() == pytest.approx(1.0, abs=1e-9)
@@ -786,6 +785,45 @@ def test_block_log_negativity_eof_on_balanced_split():
     spec = el.ghz_type_spec(10, 1.5)
     report = el.block_log_negativity(spec, 5)
     assert report.eof is not None and report.eof > 0.0
+
+
+def test_block_log_negativity_and_ole_scan_report_the_defined_splits():
+    """Both read the split batch; each report has the bits of the report
+    of the split spec built from the definition."""
+    for spec in (el.ghz_type_spec(9, 1.7), el.FullySymmetricSpec(6, 2.0, 0.4, -0.3)):
+        expected = [el.equivalent_report(pf.fs_split_spec(spec, k)) for k in range(1, spec.modes)]
+        got = [el.block_log_negativity(spec, k) for k in range(1, spec.modes)]
+        assert repr(got) == repr(expected)
+        scan = el.ole_scan(spec)
+        assert [k for k, _ in scan] == list(range(1, spec.modes // 2 + 1))
+        assert repr([report for _, report in scan]) == repr(expected[: spec.modes // 2])
+
+
+@pytest.mark.parametrize("k", [0, 4, 2**70, 2.5], ids=["zero", "M", "past-int64", "fraction"])
+def test_split_batch_range_check_reaches_block_log_negativity(k):
+    """A split size that is no integer in 1 .. M-1, one past int64
+    included, raises the split batch's range error."""
+    with pytest.raises(InvalidArgumentError) as info:
+        el.block_log_negativity(el.FullySymmetricSpec(4, 1.5, 0.1, 0.1), k)
+    assert str(info.value) == f"split size k = {k} out of range for 4 modes"
+
+
+def test_matrix_splits_that_all_fail_run_no_kernel(monkeypatch):
+    """Splits of a matrix that all fail their checks keep their errors in
+    place, and the kernel does not run."""
+    def forbidden(*args):
+        raise AssertionError("the kernel ran on a batch with no valid split")
+
+    monkeypatch.setattr(el.localization, "_equivalent_from_blocks", forbidden)
+    # a 2 | 3 two-block state: its 1 | 4 split is no two-block pattern
+    cm = el.bisymmetric_cm(el.BisymmetricSpec(2, 3, 1.5, 0.2, -0.1, 1.7, 0.25, -0.12, 0.3, -0.25))
+    errors = el.equivalent_report_from_cm(cm, [1, 0, 1], [4, 5, 1])
+    assert [type(error) for error in errors] == [
+        LocalizationError, InvalidArgumentError, InvalidArgumentError]
+    assert [str(error) for error in errors[1:]] == [
+        "split (0, 5) does not cover the 5-mode input", "split (1, 1) does not cover the 5-mode input"]
+    with pytest.raises(LocalizationError, match="not block-permutation invariant"):
+        el.equivalent_report_from_cm(cm, 1, 4)
 
 
 def _best_split(state):

@@ -54,30 +54,52 @@ def test_paper_formulas_reject_what_they_cannot_evaluate(call, named):
     assert named in str(excinfo.value)
 
 
+def _names(node) -> set:
+    """The names a node reads: Names not assigned to, Attributes and
+    identifier strings. An import binds its names without a Name node."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if child.value.isidentifier():
+                names.add(child.value)
+    return names
+
+
 def _unreferenced_definitions(package: Path) -> list:
-    """The functions, classes and methods defined in ``package`` (dunders
-    aside) whose name no code of the package references, as a Name, an
-    Attribute or an identifier string, and that it does not export."""
-    defined, referenced = [], set()
+    """What ``package`` defines and nothing uses, dunders aside: the
+    functions, classes, methods and module-level assignments whose name no
+    code of the package references, as a Name, an Attribute or an
+    identifier string, and that it does not export; and the imports, at
+    any depth, whose name their own module never reads."""
+    defined, referenced, unused_imports = [], set(), []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _names(tree)
+        referenced |= names
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, node.name))
             if isinstance(node, ast.ClassDef):
                 defined += [(item.name, f"{node.name}.{item.name}") for item in node.body
                             if isinstance(item, ast.FunctionDef)]
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(leaf.id, leaf.id) for target in targets for leaf in ast.walk(target)
+                        if isinstance(leaf, ast.Name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    referenced.add(node.value)
-    return [qualname for name, qualname in defined
-            if not (name.startswith("__") and name.endswith("__"))
-            and name not in referenced and name not in el.__all__]
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused_imports += [f"{path.name}: import {name}" for name in bound
+                                   if name not in names]
+    unused = [qualname for name, qualname in defined
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in referenced and name not in el.__all__]
+    return unused + unused_imports
 
 
 def test_library_code_has_a_library_caller():

@@ -313,14 +313,13 @@ def test_bisymmetric_validation_matches_dense_oracle_on_sampler_draws():
 @pytest.mark.parametrize("q", [0, 1, 4])
 def test_bisymmetric_validation_matches_dense_oracle_on_pure_and_traced_splits(q):
     from entloc.experiments import traced_symmetric_spec
-    from entloc.localization import _fs_split_spec
 
     for modes in (2, 3, 5, 8, 13, 21, 34, 50):
         for b in (1.0, 1.3, 2.0, 3.0):
             spec = traced_symmetric_spec(modes, q, b)
             dense = float(oracle_symplectic_spectrum(el.fully_symmetric_cm(spec)).min())
             for k in range(1, modes):
-                split = _fs_split_spec(spec, k)  # validates: must be accepted
+                split = pf.fs_split_spec(spec, k)  # validates: must be accepted
                 params = dataclasses.asdict(split)
                 assert _closed_form_min_nu(params) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
