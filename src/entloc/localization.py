@@ -38,11 +38,14 @@ cross-check suite each make one call.
 The constructive route batches the same way over matrices of one split
 (m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix
 as a stack of one, and runs each stage once for the stack, with stacked
-``matmul`` for the three congruences, elementwise 2x2 algebra for every
-single-mode normalizer of every matrix, and one stacked SVD for the
-boundary rotations. Stacked LAPACK and BLAS calls give each matrix the
-bits of a call on it alone, and each pattern, positivity and residual
-check records the matrices it fails.
+``matmul`` for the two dense congruences of the mode mixing and the
+squeezers, elementwise 2x2 algebra for every single-mode normalizer of
+every matrix, one stacked SVD for the boundary rotations, and a boundary
+update: stacked ``matmul`` of the 4x4 rotation on the rows and columns
+of the two boundary modes alone, with the bits of the dense congruence
+by the rotation padded with the identity. Stacked LAPACK and BLAS calls
+give each matrix the bits of a call on it alone, and each pattern,
+positivity and residual check records the matrices it fails.
 The reduced matrix is reported on the skeleton the theorem proves: once
 the residual check has measured the largest entry off it, every such
 entry is set to +0.0, so ``cm_final`` is S^T sigma S on its skeleton and
@@ -60,6 +63,7 @@ reads the columns; the mode mixing O (x) I2 is built by broadcasting.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -305,6 +309,7 @@ def equivalent_report(spec):
     batch holds an error for keeps that error. A sequence holds
     ``BisymmetricSpec``s only (any other item is invalid); it is stacked
     into one batch and gives a list, each report built from the columns.
+    Any other input is invalid.
     """
     if isinstance(spec, BisymmetricSpec):
         return _raise_first(_spec_reports([spec]))[0]
@@ -312,6 +317,9 @@ def equivalent_report(spec):
         errors = _PointErrors(len(spec.m))
         errors.merge(spec.errors)  # the caller's batch keeps its errors
         return _report_columns(*_batch_blocks(spec), errors)
+    if not isinstance(spec, Iterable):
+        raise InvalidArgumentError("equivalent_report takes a BisymmetricSpec, a BisymmetricBatch "
+                                   f"or a sequence of specs, got {type(spec).__name__}")
     return _spec_reports(list(spec))
 
 
@@ -493,18 +501,25 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern,
     squeezers = np.zeros((count, total, 2, total, 2))
     squeezers[:, modes, :, modes, :] = _normalizers(0.5 * (blocks + blocks.swapaxes(2, 3)), errors)
     squeezers = squeezers.reshape(count, 2 * total, 2 * total)
-    stage2 = squeezers.swapaxes(1, 2) @ stage1 @ squeezers
+    final = squeezers.swapaxes(1, 2) @ stage1 @ squeezers
 
     row, col = 2 * (m - 1), 2 * m
     # a matrix with a non-finite cross block fails below (its cm_final is
     # non-finite); zeros keep it from failing the stacked SVD of the rest
-    cross = stage2[:, row:col, col : col + 2]
-    rotations = np.array(np.broadcast_to(np.eye(2 * total), stage2.shape))
-    rotations[:, row:col, row:col], rotations[:, col : col + 2, col : col + 2] = (
+    cross = final[:, row:col, col : col + 2]
+    rot = np.zeros((count, 4, 4))
+    rot[:, :2, :2], rot[:, 2:, 2:] = (
         _boundary_rotations(np.where(np.isfinite(cross), cross, 0.0), errors)
     )
-    final = rotations.swapaxes(1, 2) @ stage2 @ rotations
-    local = mixing @ squeezers @ rotations
+    # stage 3 rotates the two boundary modes alone: their rows, then their
+    # columns, of the stage-2 matrix in place, and their columns of the
+    # local symplectic; the slice products round as the dense congruence
+    # by the identity-padded rotation does
+    boundary = slice(row, col + 2)
+    final[:, boundary] = rot.swapaxes(1, 2) @ final[:, boundary]
+    final[:, :, boundary] = final[:, :, boundary] @ rot
+    local = mixing @ squeezers
+    local[:, :, boundary] = local[:, :, boundary] @ rot
     return _skeleton_results(final, local, m, tol, errors)
 
 

@@ -22,10 +22,13 @@ check, takes its decisions in order and builds only the accepted
 attempts as specs; a single spec is a counted draw of one. After
 sampling nothing is built per case: the specs become one
 ``BisymmetricBatch``, on which the invariant route runs. Each (m, n)
-shape is a slice of that batch, assembled and checked as one stack,
-which the reduction and the brute force take as it is; the reduction
-gives columns, and the reduced two-mode matrices of all shapes go
-through the oracle as one concatenated stack.
+shape is a slice of that batch, assembled and checked as one read-only
+stack by ``bisymmetric_cm``. The reduction takes the stack through the
+public ``localize``, and the brute force hands the checked stack
+straight to the oracle's spectrum kernel, without checking it again;
+the reduction gives columns, and the reduced two-mode matrices of all
+shapes go through the public ``oracle_pt_log_negativity`` as one
+concatenated stack.
 
 The report of a suite run is its columns (``SuiteReports``): each case's
 block sizes, and the closed-form value, brute-force value, absolute and
@@ -340,11 +343,13 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     that is built per case. (a) runs on the batch, read from its
     ``ReportColumns``. The batch is sliced per block shape (m, n): each
     slice is assembled as one checked stack, which the reduction, read from
-    its ``LocalizationColumns``, and (c) take as it is. The reduced
-    two-mode matrices of all shapes are concatenated into one stack for
-    the brute force of (b). The values and comparisons are kept as columns
-    and the reports are a ``SuiteReports``. The first failing case in case
-    order raises its first error, taking the routes in the order a, b, c.
+    its ``LocalizationColumns``, takes as it is, and which (c) hands to
+    the oracle's spectrum kernel without the covariance check that
+    ``bisymmetric_cm`` has just made. The reduced two-mode matrices of all
+    shapes are concatenated into one stack for the brute force of (b).
+    The values and comparisons are kept as columns and the reports are a
+    ``SuiteReports``. The first failing case in case order raises its
+    first error, taking the routes in the order a, b, c.
     """
     from .entanglement import ModeBipartition
     from .localization import equivalent_report, localize
@@ -374,7 +379,8 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
         reduced.append(columns.cm_eq[alive])
         reduced_cases.append(indices[alive])
         part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-        _place(oracle_pt_log_negativity(stack, part), indices.tolist(), values[2], errors[2])
+        _place(_stack_log_negativities(stack, part, _PointErrors(len(stack))),
+               indices.tolist(), values[2], errors[2])
     two_mode_split = ModeBipartition((0,), (1,))
     _place(oracle_pt_log_negativity(np.concatenate(reduced), two_mode_split),
            np.concatenate(reduced_cases).tolist(), values[1], errors[1])

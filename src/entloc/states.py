@@ -457,11 +457,13 @@ def ghz_type_spec(total_modes: int, b: float) -> FullySymmetricSpec:
     base = 1.0 + b * b * (big_m - 2.0) - (big_m - 1.0)
     try:
         root = math.sqrt(max((b * b - 1.0) * ((b * big_m) ** 2 - (big_m - 2.0) ** 2), 0.0))
-    except OverflowError as exc:
+    except OverflowError:  # a square past float range raises (b >= 1e154 at M = 4)
+        root = math.inf
+    if not math.isfinite(root):  # the product overflows silently first (b >= 1e77 at M = 4)
         raise InvalidArgumentError(
             f"single-mode eigenvalue b = {b} overflows the {total_modes}-mode pure-state formula",
             offending_value=b,
-        ) from exc
+        )
     denom = 2.0 * b * (big_m - 1.0)
     z1 = (base + root) / denom
     z2 = (base - root) / denom

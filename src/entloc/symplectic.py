@@ -206,8 +206,10 @@ def _symmetrized(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         transpose = stack.swapaxes(1, 2)
-        symmetric = 0.5 * (stack + transpose)
-        skew = abs(stack - transpose).max(axis=(1, 2))
+        symmetric = stack + transpose
+        symmetric *= 0.5
+        # s - s^T is antisymmetric, so its largest entry is its largest magnitude
+        skew = (stack - transpose).max(axis=(1, 2))
     errors.record(
         ~np.isfinite(symmetric).all(axis=(1, 2)),
         lambda k: InvalidArgumentError("covariance matrix has non-finite entries"),

@@ -193,6 +193,12 @@ def test_a_sequence_holds_specs_only(item):
         el.equivalent_report([ok, item, ok])
 
 
+@pytest.mark.parametrize("spec", [el.ghz_type_spec(4, 1.5), 5], ids=["fully-symmetric", "int"])
+def test_equivalent_report_names_the_type_it_cannot_take(spec):
+    with pytest.raises(InvalidArgumentError, match=f"equivalent_report takes .* got {type(spec).__name__}$"):
+        el.equivalent_report(spec)
+
+
 def test_kernel_error_classes():
     assert isinstance(_error_of(OVERFLOWING), NumericalDomainError)
     assert "overflow" in str(_error_of(OVERFLOWING))

@@ -440,6 +440,7 @@ def test_sweep_config_rejects_empty_lists_and_defaults_none():
         (("report", "--spec-json", '{"modes":4,"b":1e200,"z1":0,"z2":0}', "--split", "2", "2"), 3),
         (("report", "--spec-json", '{"m":1,"n":1,"a":1e100,"b":1}'), 2),
         (("ole", "--spec-json", '{"modes":3,"b":1e100,"z1":5e99,"z2":0}'), 2),
+        (("localize", "--modes", "4", "--b", "1e100", "--k", "2"), 2),
     ],
 )
 def test_overflow_exit_code(capsys, argv, code):

@@ -346,3 +346,22 @@ def test_suite_reports_are_the_per_case_reports():
     assert repr(_rows(reports)) == repr(want)
     assert reports_to_csv_text(reports) == _csv_reference(want)
     assert summary == _summary_reference(want, 80, 23)
+
+
+def test_brute_force_column_is_the_oracle_of_each_shape_stack():
+    """Route (c) takes the checked stack of each (m, n) shape as it is:
+    its column holds, bit for bit, what the public oracle gives that stack."""
+    cases, seed = 600, 31
+    reports, _, _ = run_oracle_suite(cases=cases, seed=seed)
+    # the first pair of each case compares route (a) with route (c)
+    assert ROUTE_PAIRS[0][1:] == (0, 2)
+    brute = reports.brute_force[:: len(ROUTE_PAIRS)]
+    batch = BisymmetricBatch.of(SpecSampler(seed).bisymmetric(count=cases))
+    shapes = {}
+    for index, shape in enumerate(zip(batch.m.tolist(), batch.n.tolist())):
+        shapes.setdefault(shape, []).append(index)
+    assert len(shapes) == 36
+    for (m, n), indices in shapes.items():
+        stack = el.bisymmetric_cm(batch.take(np.array(indices)))
+        want = oracle_pt_log_negativity(stack, el.ModeBipartition.contiguous(m, n))
+        assert np.array_equal(bits(brute[indices]), bits(want)), (m, n)

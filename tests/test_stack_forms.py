@@ -19,7 +19,7 @@ from entloc.errors import InvalidArgumentError, LocalizationError, NumericalDoma
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch, bisymmetric_batch
 from entloc.symplectic import _PointErrors, _symmetrized
-from oracle_helpers import bits, outcome
+from oracle_helpers import bits, outcome, random_symplectic
 import paper_formulas as pf
 
 
@@ -177,6 +177,34 @@ def test_localize_stack_form_is_the_per_matrix_form():
             assert _same_result(raw, k, alone), (m, n, k)
             assert _same_result(columns, k, results[k]), (m, n, k)
         assert not columns.cm_final.flags.writeable and not columns.cm_eq.flags.writeable
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (4, 1), (1, 1), (24, 24)],
+                         ids=["first rows", "last rows", "whole matrix", "middle"])
+def test_boundary_rotation_at_the_edges_of_the_matrix(m, n):
+    """Stage 3 of ``localize`` rotates rows and columns 2(m-1):2m+2 alone:
+    the first four at m = 1, the last four at n = 1, all of them at 1|1
+    and four in the middle at 24|24. The states are seen through one
+    single-mode symplectic per side, so that the rotations are not
+    trivial. S is symplectic, S^T sigma S is cm_final within the residual
+    tolerance, and each matrix of the stack gets the bits of its single
+    form."""
+    rng = np.random.default_rng(100 * m + n)
+    stack = []
+    for spec in SpecSampler(m + n, max_block=max(m, n)).bisymmetric(m, n, count=3):
+        local = np.zeros((2 * (m + n), 2 * (m + n)))
+        local[: 2 * m, : 2 * m] = np.kron(np.eye(m), random_symplectic(1, rng, strength=0.4))
+        local[2 * m :, 2 * m :] = np.kron(np.eye(n), random_symplectic(1, rng, strength=0.4))
+        stack.append(pf.apply_symplectic(local, el.bisymmetric_cm(spec)).matrix)
+    stack = np.array(stack)
+    columns = el.localize(stack, m, n)
+    for k, matrix in enumerate(stack):
+        alone = el.localize(el.CovarianceMatrix(matrix), m, n)
+        assert _same_result(columns, k, alone), k
+        s = alone.local_symplectic
+        assert el.is_symplectic(s), k
+        tol = 1e-8 * max(1.0, np.abs(matrix).max())
+        assert alone.residual <= tol and np.abs(s.T @ matrix @ s - alone.cm_final.matrix).max() <= tol, k
 
 
 def test_localize_stack_form_keeps_each_failure_in_place():

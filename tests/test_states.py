@@ -150,6 +150,13 @@ def test_ghz_rejects_bad_args():
         el.ghz_type_spec(1, 1.5)
     with pytest.raises(InvalidArgumentError):
         el.ghz_type_spec(4, 0.99)
+    # past float range the product overflows silently (b >= 1e77), and from
+    # b = 1e154 on a square raises: both name b, never the z they overflow to
+    for b in (1e77, 1e100, 1e153, 1e154, 1e300):
+        with pytest.raises(InvalidArgumentError) as info:
+            el.ghz_type_spec(4, b)
+        assert str(info.value) == f"single-mode eigenvalue b = {b} overflows the 4-mode pure-state formula"
+        assert info.value.offending_value == b
 
 
 def test_bisymmetric_uncorrelated_is_block_diagonal():
