@@ -35,33 +35,42 @@ fails its pattern check. Each result thus keeps its place. A single
 spec or matrix is a batch of one; the sweeps, the split scan and the
 cross-check suite each make one call.
 
-The constructive route batches the same way over matrices of one split
-(m, n): ``localize`` takes a (K, 2(m+n), 2(m+n)) stack, or one matrix
-as a stack of one, and runs each stage once for the stack, with stacked
+The constructive route batches the same way over groups of matrices,
+each group a (K, 2(m+n), 2(m+n)) stack of one split (m, n):
+``localize`` takes a list of stacks with their block sizes, or one
+stack or one matrix as a group of one. A stage on whole matrices runs
+once per group as stacked numpy calls: the pattern check, stacked
 ``matmul`` for the two dense congruences of the mode mixing and the
-squeezers, elementwise 2x2 algebra for every single-mode normalizer of
-every matrix, one stacked SVD for the boundary rotations, and a boundary
-update: stacked ``matmul`` of the 4x4 rotation on the rows and columns
-of the two boundary modes alone, with the bits of the dense congruence
-by the rotation padded with the identity. Stacked LAPACK and BLAS calls
-give each matrix the bits of a call on it alone, and each pattern,
-positivity and residual check records the matrices it fails.
-The reduced matrix is reported on the skeleton the theorem proves: once
-the residual check has measured the largest entry off it, every such
-entry is set to +0.0, so ``cm_final`` is S^T sigma S on its skeleton and
-exact zeros elsewhere, and ``cm_eq`` is its boundary 4x4. The results
-are columns (``LocalizationColumns``): one stacked covariance check of
-every ``cm_eq`` and of every ``cm_final``, one stacked ``slogdet`` for
-the purities and one pass for the ``delta_eq`` invariants, the functions
-``CovarianceMatrix``, ``purity`` and ``delta_invariant`` run on a batch
-of one. A stack gives the columns as they are; a single matrix gets its
-``LocalizationResult`` built from them. The cross-check suite makes
-one call per (m, n) shape, at most 36 for its block sizes 1..6, and
-reads the columns; the mode mixing O (x) I2 is built by broadcasting.
+squeezers, and a boundary update, stacked ``matmul`` of the 4x4
+rotation on the rows and columns of the two boundary modes alone, with
+the bits of the dense congruence by the rotation padded with the
+identity. A stage on 2x2 or 4x4 blocks runs once for all groups
+concatenated: elementwise 2x2 algebra for the normalizer of every
+diagonal block of every matrix, one stacked SVD for the boundary
+rotations, and the checks of the reduced two-mode matrices. Stacked
+LAPACK and BLAS calls give each matrix the bits of a call on it alone,
+and each pattern, positivity and residual check records the matrices it
+fails, a check on the blocks of all groups through the matrix that
+owns each block. The reduced matrix is reported on the skeleton the
+theorem proves: once the residual check has measured the largest entry
+off it, every such entry is +0.0, so ``cm_final`` is S^T sigma S on its
+skeleton and exact zeros elsewhere, and ``cm_eq`` is its boundary 4x4.
+``cm_final`` is built from that skeleton, its diagonal and ``cm_eq``,
+with the bits the covariance check of the whole matrix gives. The
+results are columns (``LocalizationColumns``), one per group: one
+stacked covariance check of every ``cm_eq``, one stacked ``slogdet``
+for the purities and one pass for the ``delta_eq`` invariants, the
+functions ``CovarianceMatrix``, ``purity`` and ``delta_invariant`` run
+on a batch of one. A stack gives the columns as they are; a single
+matrix gets its ``LocalizationResult`` built from them. The cross-check
+suite makes one grouped call for all its (m, n) shapes, at most 36 for
+its block sizes 1..6, and reads the columns; the mode mixing O (x) I2
+is built by broadcasting.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -90,8 +99,10 @@ from .symplectic import (
     _clipped_sqrts,
     _delta_invariants,
     _dets,
+    _Mapped,
     _PointErrors,
     _purities,
+    _require_real,
     _require_tolerance,
     _squares,
     _symmetrized,
@@ -140,7 +151,8 @@ class LocalizationResult:
 
 
 class LocalizationColumns(NamedTuple):
-    """The ``localize`` results of a stack of K matrices as columns.
+    """The ``localize`` results of a stack of K matrices as columns, or
+    of one group of a grouped call.
 
     ``cm_final`` and ``local_symplectic`` are (K, 2N, 2N) stacks, ``cm_eq``
     the (K, 4, 4) stack of the boundary blocks, ``mu_eq``, ``delta_eq`` and
@@ -392,7 +404,8 @@ def _pattern_blocks(stack: np.ndarray, m: int, n: int):
     target[:, m:, :, m:, :] = zeta[:, None, :, None, :]
     target[:, np.arange(m, total), :, np.arange(m, total), :] = beta
     target[:, :m, :, m:, :] = gamma[:, None, :, None, :]
-    return blocks, np.abs(grid - target).max(axis=(1, 2, 3, 4))
+    deviation = np.subtract(grid, target, out=target)
+    return blocks, np.abs(deviation, out=deviation).max(axis=(1, 2, 3, 4))
 
 
 def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _PointErrors):
@@ -416,8 +429,18 @@ def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _Poin
     return blocks, tol
 
 
-def _covered(cm: CovarianceMatrix, m: int, n: int) -> np.ndarray:
+def _block_sizes(m, n) -> tuple[int, int]:
+    """(m, n) as ints; a block size that is not an integer, which would
+    fail as a slice index, is invalid, named by its value."""
+    for size in (m, n):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise InvalidArgumentError(f"block size must be an integer, got {size!r}")
+    return int(m), int(n)
+
+
+def _covered(cm: CovarianceMatrix, m, n) -> np.ndarray:
     """The matrix of ``cm``, which the split (m, n) must cover."""
+    m, n = _block_sizes(m, n)
     if m < 1 or n < 1 or m + n != cm.modes:
         raise InvalidArgumentError(f"split ({m}, {n}) does not cover the {cm.modes}-mode input")
     return cm.matrix
@@ -451,8 +474,8 @@ def _mode_mixing_symplectic(o: np.ndarray) -> np.ndarray:
 
 def _normalizers(c: np.ndarray, errors: _PointErrors) -> np.ndarray:
     """2x2 symplectics s with s^T c s = sqrt(det c) * I2, for a stack c of
-    symmetric blocks of shape (modes, K, 2, 2); matrix k fails in
-    ``errors`` if one of its blocks is not positive definite.
+    symmetric blocks of shape (B, 2, 2); block j fails in ``errors`` if it
+    is not positive definite.
 
     s = (c / nu)^{-1/2}: symmetric with unit determinant, hence symplectic.
     With x = c / nu, x^{1/2} = (x + sqrt(det x) I2) / sqrt(tr x + 2 sqrt(det x))
@@ -462,8 +485,8 @@ def _normalizers(c: np.ndarray, errors: _PointErrors) -> np.ndarray:
     x = c / np.sqrt(det)[..., None, None]
     det_x = _dets(x, errors)
     errors.record(
-        ((det <= 0.0) | (det_x <= 0.0) | (x[..., 0, 0] <= 0.0)).any(axis=0),
-        lambda k: LocalizationError("single-mode covariance block is not positive definite"),
+        (det <= 0.0) | (det_x <= 0.0) | (x[..., 0, 0] <= 0.0),
+        lambda j: LocalizationError("single-mode covariance block is not positive definite"),
     )
     root = np.sqrt(det_x)
     w = (x + root[..., None, None] * np.eye(2)) / np.sqrt(
@@ -483,31 +506,86 @@ def _boundary_rotations(x: np.ndarray, errors: _PointErrors) -> tuple[np.ndarray
     return u, v
 
 
-def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern,
-                    errors: _PointErrors) -> LocalizationColumns:
-    """The ``localize`` columns of a stack of shape (K, 2(m+n), 2(m+n)),
-    with ``errors`` the failures so far: every stage is one stacked numpy
-    call."""
-    count, total = len(stack), m + n
-    _, tol = _pattern_check(stack, m, n, tol_pattern, errors)
+def _group_slices(counts: list) -> list:
+    """The slice of each group of a concatenation, the groups of
+    ``counts`` items in order."""
+    return [slice(end - count, end) for count, end in zip(counts, itertools.accumulate(counts))]
 
-    mixing = np.zeros((2 * total, 2 * total))
-    mixing[: 2 * m, : 2 * m] = _mode_mixing_symplectic(_householder_mixing(m, m - 1))
-    mixing[2 * m :, 2 * m :] = _mode_mixing_symplectic(_householder_mixing(n, 0))
-    stage1 = mixing.T @ stack @ mixing
 
-    modes = np.arange(total)
-    blocks = stage1.reshape(count, total, 2, total, 2)[:, modes, :, modes, :]
-    squeezers = np.zeros((count, total, 2, total, 2))
-    squeezers[:, modes, :, modes, :] = _normalizers(0.5 * (blocks + blocks.swapaxes(2, 3)), errors)
-    squeezers = squeezers.reshape(count, 2 * total, 2 * total)
-    final = squeezers.swapaxes(1, 2) @ stage1 @ squeezers
+def _group_parts(errors: _PointErrors, slices: list) -> list:
+    """A view of ``errors`` for the points of each group."""
+    return [_Mapped(errors, part.stop - part.start, range(part.start, part.stop).__getitem__)
+            for part in slices]
 
-    row, col = 2 * (m - 1), 2 * m
+
+def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern,
+                     errors: _PointErrors, check: bool) -> list:
+    """The ``localize`` columns of each group of stacks, the g-th of
+    shape (K_g, 2(m_g+n_g), 2(m_g+n_g)), with ``errors`` the failures so
+    far of all their matrices, group after group. With ``check`` each
+    stack gets the ``CovarianceMatrix`` check first; its symmetrized copy
+    lives until the group's stage 1 is made.
+
+    A stage on whole matrices runs once per group, as stacked numpy calls:
+    the pattern check, the dense congruences of stages 1 and 2 and the
+    boundary update of stage 3. A stage on 2x2 blocks runs once for all
+    groups: the normalizer of every diagonal block of every matrix, and
+    the SVD of every boundary cross block. Each matrix meets the checks
+    in the stage order of a call on its group alone.
+    """
+    if not stacks:
+        return []
+    # each array is dropped once it is spent: a grouped call holds the
+    # stacks of every group at once
+    slices = _group_slices([len(stack) for stack in stacks])
+    parts = _group_parts(errors, slices)
+    tols, mixings, stage1, diagonals = [], [], [], []
+    for stack, m, n, part in zip(stacks, ms, ns, parts):
+        if check:
+            stack = _symmetrized(stack.astype(float, copy=False), part)
+        tols.append(_pattern_check(stack, m, n, tol_pattern, part)[1])
+        total = m + n
+        mixing = np.zeros((2 * total, 2 * total))
+        mixing[: 2 * m, : 2 * m] = _mode_mixing_symplectic(_householder_mixing(m, m - 1))
+        mixing[2 * m :, 2 * m :] = _mode_mixing_symplectic(_householder_mixing(n, 0))
+        mixings.append(mixing)
+        stage1.append(mixing.T @ stack @ mixing)
+        # the (K, m+n, 2, 2) diagonal blocks, matrix after matrix
+        grid = stage1[-1].reshape(len(stack), total, 2, total, 2)
+        diagonals.append(grid.diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2).reshape(-1, 2, 2))
+    blocks = np.concatenate(diagonals)
+    block_slices = _group_slices([len(d) for d in diagonals])
+    del diagonals
+
+    def owner(j):
+        """The matrix of diagonal block j of the concatenation: a group's
+        blocks run matrix after matrix, m+n of them each."""
+        g = next(g for g, part in enumerate(block_slices) if j < part.stop)
+        return slices[g].start + (j - block_slices[g].start) // (ms[g] + ns[g])
+
+    normalizers = _normalizers(0.5 * (blocks + blocks.swapaxes(1, 2)),
+                               _Mapped(errors, len(blocks), owner))
+    del blocks
+
+    finals, locals_, crosses = [], [], []
+    for g, (m, n) in enumerate(zip(ms, ns)):
+        stage, stage1[g] = stage1[g], None
+        count, total, modes = len(stage), m + n, np.arange(m + n)
+        squeezers = np.zeros((count, total, 2, total, 2))
+        squeezers[:, modes, :, modes, :] = (
+            normalizers[block_slices[g]].reshape(count, total, 2, 2).swapaxes(0, 1))
+        squeezers = squeezers.reshape(count, 2 * total, 2 * total)
+        finals.append(squeezers.swapaxes(1, 2) @ stage @ squeezers)
+        locals_.append(np.matmul(mixings[g], squeezers, out=stage))  # stage 1 is spent
+        row, col = 2 * (m - 1), 2 * m
+        crosses.append(finals[-1][:, row:col, col : col + 2])
+    del stage, squeezers, mixings, normalizers
+
     # a matrix with a non-finite cross block fails below (its cm_final is
     # non-finite); zeros keep it from failing the stacked SVD of the rest
-    cross = final[:, row:col, col : col + 2]
-    rot = np.zeros((count, 4, 4))
+    cross = np.concatenate(crosses)
+    del crosses
+    rot = np.zeros((len(cross), 4, 4))
     rot[:, :2, :2], rot[:, 2:, 2:] = (
         _boundary_rotations(np.where(np.isfinite(cross), cross, 0.0), errors)
     )
@@ -515,54 +593,97 @@ def _localize_stack(stack: np.ndarray, m: int, n: int, tol_pattern,
     # columns, of the stage-2 matrix in place, and their columns of the
     # local symplectic; the slice products round as the dense congruence
     # by the identity-padded rotation does
-    boundary = slice(row, col + 2)
-    final[:, boundary] = rot.swapaxes(1, 2) @ final[:, boundary]
-    final[:, :, boundary] = final[:, :, boundary] @ rot
-    local = mixing @ squeezers
-    local[:, :, boundary] = local[:, :, boundary] @ rot
-    return _skeleton_results(final, local, m, tol, errors)
+    for final, local, m, group in zip(finals, locals_, ms, slices):
+        r, boundary = rot[group], slice(2 * (m - 1), 2 * m + 2)
+        final[:, boundary] = r.swapaxes(1, 2) @ final[:, boundary]
+        final[:, :, boundary] = final[:, :, boundary] @ r
+        local[:, :, boundary] = local[:, :, boundary] @ r
+    del cross, rot, r
+    return _skeleton_results(finals, locals_, ms, tols, errors)
 
 
-def _skeleton_results(final: np.ndarray, local: np.ndarray, m: int, tol,
-                      errors: _PointErrors) -> LocalizationColumns:
-    """The ``localize`` columns of a stack of reduced matrices ``final`` =
-    S^T sigma S, shape (K, 2(m+n), 2(m+n)), with ``local`` the stack of S,
-    ``tol`` the residual tolerance of each matrix and ``errors`` the
-    failures so far.
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """The diagonals of a C-contiguous (K, S, S) stack, shape (K, S), as a
+    writable view."""
+    size = stack.shape[-1]
+    return stack.reshape(len(stack), size * size)[:, :: size + 1]
+
+
+# the skeleton of the boundary 4x4 block: its diagonal and the diagonal of
+# its cross block
+_BOUNDARY_SKELETON = (np.eye(4, dtype=bool) | np.eye(4, k=2, dtype=bool)
+                      | np.eye(4, k=-2, dtype=bool))
+
+
+def _skeleton_results(finals: list, locals_: list, ms: list, tols: list,
+                      errors: _PointErrors) -> list:
+    """The ``localize`` columns of each group of reduced matrices: the
+    g-th stack of ``finals`` holds S^T sigma S, shape (K_g, 2(m_g+n_g),
+    2(m_g+n_g)), and becomes the ``cm_final`` stack in place; ``locals_``
+    holds the stacks of S, ``tols`` the residual tolerance of each matrix
+    and ``errors`` the failures so far of all matrices, group after group.
 
     The skeleton is what the reduction leaves nonzero in exact arithmetic:
     the diagonal, and the diagonal cross block of the boundary modes m-1
     and m. ``residual`` is the largest entry off it; once that is checked,
-    every entry off it is set to +0.0, so ``cm_final`` and ``cm_eq`` hold
-    exact zeros, not rounding noise, there. The projection subtracts the
-    off-skeleton part, so a non-finite entry stays non-finite and fails the
-    covariance check.
+    every entry off it is +0.0, so ``cm_final`` and ``cm_eq`` hold exact
+    zeros, not rounding noise, there. ``cm_eq`` is the boundary block with
+    the entries off the skeleton subtracted, so that a non-finite one
+    stays non-finite; the boundary blocks of all groups get one covariance
+    check, purity and delta pass. ``cm_final`` is built on its skeleton
+    with the bits of the covariance check of the whole projected matrix:
+    (d + d) / 2 of each diagonal entry d, and ``cm_eq`` on the boundary
+    block. That check fails only where an entry off the skeleton (then
+    the residual) or on the diagonal is not finite: the cross block is
+    ``cm_eq``'s, checked before. A matrix meets the checks in this order:
+    residual, ``cm_eq``, its purity, ``cm_final``.
     """
-    row, col = 2 * (m - 1), 2 * m
-    pattern = np.eye(final.shape[-1], dtype=bool)
-    for offset in (0, 1):
-        pattern[row + offset, col + offset] = pattern[col + offset, row + offset] = True
-    off = np.where(pattern, 0.0, final)
-    residual = np.abs(off).max(axis=(1, 2))
-    errors.record(
-        residual > tol,
-        lambda k: LocalizationError(
-            f"off-pattern residual {residual[k]:.3e} exceeds tolerance {tol[k]:.3e}"
-        ),
-    )
-    final = final - off
+    slices = _group_slices([len(final) for final in finals])
+    parts = _group_parts(errors, slices)
+    residuals, diagonals = [], []
+    projected = np.empty((errors.size, 4, 4))
+    for final, m, tol, part, group in zip(finals, ms, tols, parts, slices):
+        row, col = 2 * (m - 1), 2 * m
+        block = final[:, row : col + 2, row : col + 2]
+        np.subtract(block, np.where(_BOUNDARY_SKELETON, 0.0, block), out=projected[group])
+        diagonal = _diagonal(final)
+        diagonals.append((diagonal + diagonal) * 0.5)
+        # what is left once the skeleton is zeroed is the entries off it;
+        # cm_final is built anew below, so final takes their magnitudes
+        diagonal[...] = 0.0
+        block[:, _BOUNDARY_SKELETON] = 0.0
+        residual = np.abs(final, out=final).max(axis=(1, 2))
+        part.record(
+            residual > tol,
+            lambda k: LocalizationError(
+                f"off-pattern residual {residual[k]:.3e} exceeds tolerance {tol[k]:.3e}"
+            ),
+        )
+        residuals.append(residual)
 
-    # the checks a matrix meets building its result, in order: the
-    # covariance check of cm_eq, its purity, the covariance check of cm_final
-    boundary = slice(row, col + 2)
-    cm_eq = _symmetrized(final[:, boundary, boundary], errors)
+    cm_eq = _symmetrized(projected, errors)
+    del projected
     mu_eq = _purities(cm_eq, errors)
     delta_eq = _delta_invariants(cm_eq)
-    cm_final = _symmetrized(final, errors)
-    return LocalizationColumns(cm_final, local, cm_eq, mu_eq, delta_eq, residual, errors.errors)
+    columns = []
+    for final, local, m, residual, d, part, group in zip(
+        finals, locals_, ms, residuals, diagonals, parts, slices
+    ):
+        part.record(
+            ~np.isfinite(residual) | ~np.isfinite(d).all(axis=1),
+            lambda k: InvalidArgumentError("covariance matrix has non-finite entries"),
+        )
+        boundary = slice(2 * (m - 1), 2 * m + 2)
+        final.fill(0.0)
+        _diagonal(final)[...] = d
+        final[:, boundary, boundary] = cm_eq[group]
+        final.flags.writeable = False
+        columns.append(LocalizationColumns(final, local, cm_eq[group], mu_eq[group],
+                                           delta_eq[group], residual, errors.errors[group]))
+    return columns
 
 
-def localize(cm, m: int, n: int, tol_pattern: float | None = None):
+def localize(cm, m, n, tol_pattern: float | None = None):
     """Concentrate all cross-block correlations onto one pair of modes.
 
     The input must be an (m+n)-mode state invariant under mode permutations
@@ -597,26 +718,59 @@ def localize(cm, m: int, n: int, tol_pattern: float | None = None):
     for all of it, and a matrix that fails it keeps that error; each
     column entry has the bits of the result of the matrix's
     ``CovarianceMatrix``. The single form builds its result from the
-    columns of a stack of one. Any other input is invalid.
+    columns of a stack of one. Block sizes are integers, and complex
+    input is invalid. Any other input is invalid.
+
+    ``m`` and ``n`` may be equal-length sequences of block sizes: ``cm``
+    is then a sequence of as many stacks, the g-th of shape (K_g,
+    2(m_g+n_g), 2(m_g+n_g)), and the result is the list of their
+    ``LocalizationColumns``, each with the bits and errors of its own
+    stack-form call. The stages on 2x2 and 4x4 blocks run once for all
+    the groups; a stack form is a group of one.
     """
+    if any(np.ndim(size) for size in (m, n) if not isinstance(size, (int, np.integer))):
+        return _localize_stacks(cm, m, n, tol_pattern)
+    m, n = _block_sizes(m, n)
     if m < 1 or n < 1:
         raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
     if isinstance(cm, np.ndarray):
-        size = 2 * (m + n)
-        if cm.ndim != 3 or cm.shape[1:] != (size, size):
-            raise InvalidArgumentError(
-                f"split ({m}, {n}) needs a (K, {size}, {size}) stack, got shape {cm.shape}")
-        errors = _PointErrors(len(cm))
-        with np.errstate(all="ignore"):
-            return _localize_stack(
-                _symmetrized(cm.astype(float, copy=False), errors), m, n, tol_pattern, errors)
+        return _localize_stacks([cm], [m], [n], tol_pattern)[0]
     if not isinstance(cm, CovarianceMatrix):
         raise InvalidArgumentError("localize takes a CovarianceMatrix or a "
                                    f"(K, 2N, 2N) array, got {type(cm).__name__}")
     with np.errstate(all="ignore"):
-        stack = np.array([_covered(cm, m, n)])
-        columns = _localize_stack(stack, m, n, tol_pattern, _PointErrors(1))
+        stack = _covered(cm, m, n)[None]
+        [columns] = _localize_groups([stack], [m], [n], tol_pattern, _PointErrors(1), False)
     return _raise_first(columns.results())[0]
+
+
+def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
+    """The stack and grouped forms of ``localize``: each group's block sizes
+    and stack shape are checked, and its matrices get the
+    ``CovarianceMatrix`` check, one call per stack."""
+    if np.ndim(ms) != 1 or np.ndim(ns) != 1 or not isinstance(stacks, Iterable):
+        raise InvalidArgumentError(
+            "grouped localize takes a sequence of stacks and two sequences of block sizes")
+    stacks, ms, ns = list(stacks), list(ms), list(ns)
+    if not len(stacks) == len(ms) == len(ns):
+        raise InvalidArgumentError(f"grouped localize takes one m and one n per stack, got "
+                                   f"{len(stacks)} stacks, {len(ms)} m and {len(ns)} n")
+    _require_tolerance(tol_pattern, "pattern tolerance")
+    for g, (stack, m, n) in enumerate(zip(stacks, ms, ns)):
+        ms[g], ns[g] = m, n = _block_sizes(m, n)
+        if m < 1 or n < 1:
+            raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
+        size = 2 * (m + n)
+        if not isinstance(stack, np.ndarray):
+            raise InvalidArgumentError(
+                f"grouped localize takes (K, 2N, 2N) arrays, got {type(stack).__name__}")
+        if stack.ndim != 3 or stack.shape[1:] != (size, size):
+            raise InvalidArgumentError(
+                f"split ({m}, {n}) needs a (K, {size}, {size}) stack, got shape {stack.shape}")
+        _require_real(stack)
+    with np.errstate(all="ignore"):
+        return _localize_groups(stacks, ms, ns, tol_pattern,
+                                _PointErrors(sum(len(stack) for stack in stacks)), True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ attempts as specs; a single spec is a counted draw of one. After
 sampling nothing is built per case: the specs become one
 ``BisymmetricBatch``, on which the invariant route runs. Each (m, n)
 shape is a slice of that batch, assembled and checked as one read-only
-stack by ``bisymmetric_cm``. The reduction takes the stack through the
-public ``localize``, and the brute force hands the checked stack
-straight to the oracle's spectrum kernel, without checking it again;
-the reduction gives columns, and the reduced two-mode matrices of all
-shapes go through the public ``oracle_pt_log_negativity`` as one
-concatenated stack.
+stack by ``bisymmetric_cm``. The brute force hands each checked stack
+straight to the oracle's spectrum kernel, without checking it again.
+The reduction takes the stacks of all shapes through one grouped call
+of the public ``localize`` and gives columns per shape; the reduced
+two-mode matrices of all shapes go through the public
+``oracle_pt_log_negativity`` as one concatenated stack.
 
 The report of a suite run is its columns (``SuiteReports``): each case's
 block sizes, and the closed-form value, brute-force value, absolute and
@@ -50,6 +50,7 @@ from .symplectic import (
     CovarianceMatrix,
     _PointErrors,
     _Rejections,
+    _require_real,
     _symmetrized,
     _symplectic_spectra,
     float_reprs,
@@ -119,6 +120,7 @@ def oracle_pt_log_negativity(cm, part):
     if isinstance(cm, np.ndarray):
         if cm.ndim != 3 or cm.shape[1] != cm.shape[2] or cm.shape[1] % 2 or not cm.shape[1]:
             raise InvalidArgumentError(f"expected a (K, 2N, 2N) stack, got shape {cm.shape}")
+        _require_real(cm)
         errors = _PointErrors(len(cm))
         stack = _symmetrized(cm.astype(float, copy=False), errors)
         if not errors.alive.all():  # a non-finite matrix would fail the whole factorization
@@ -342,11 +344,13 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     The specs are stacked into one ``BisymmetricBatch``, and nothing after
     that is built per case. (a) runs on the batch, read from its
     ``ReportColumns``. The batch is sliced per block shape (m, n): each
-    slice is assembled as one checked stack, which the reduction, read from
-    its ``LocalizationColumns``, takes as it is, and which (c) hands to
-    the oracle's spectrum kernel without the covariance check that
-    ``bisymmetric_cm`` has just made. The reduced two-mode matrices of all
-    shapes are concatenated into one stack for the brute force of (b).
+    slice is assembled as one checked stack, which (c) hands to the
+    oracle's spectrum kernel without the covariance check that
+    ``bisymmetric_cm`` has just made. The reduction takes the stacks of
+    all shapes in one grouped ``localize`` call and is read from the
+    ``LocalizationColumns`` of each shape; the reduced two-mode matrices
+    of all shapes are concatenated into one stack for the brute force of
+    (b).
     The values and comparisons are kept as columns and the reports are a
     ``SuiteReports``. The first failing case in case order raises its
     first error, taking the routes in the order a, b, c.
@@ -369,18 +373,22 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
     shapes: dict[tuple[int, int], list[int]] = {}
     for index, shape in enumerate(case_shapes):
         shapes.setdefault(shape, []).append(index)
+    groups = [np.array(indices) for indices in shapes.values()]
+    stacks = []
+    for (m, n), indices in zip(shapes, groups):
+        stacks.append(bisymmetric_cm(batch.take(indices)))
+        part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
+        _place(_stack_log_negativities(stacks[-1], part, _PointErrors(len(indices))),
+               indices.tolist(), values[2], errors[2])
     reduced, reduced_cases = [np.empty((0, 4, 4))], [np.empty(0, dtype=np.int64)]
-    for (m, n), indices in shapes.items():
-        indices = np.array(indices)
-        stack = bisymmetric_cm(batch.take(indices))
-        columns = localize(stack, m, n)
+    grouped = localize(stacks, [m for m, _ in shapes], [n for _, n in shapes])
+    del stacks  # the stacks, then the columns, are dropped once read
+    for indices, columns in zip(groups, grouped):
         errors[1].update((case, e) for case, e in zip(indices.tolist(), columns.errors) if e is not None)
-        alive = np.array([error is None for error in columns.errors])
+        alive = np.array([error is None for error in columns.errors], dtype=bool)
         reduced.append(columns.cm_eq[alive])
         reduced_cases.append(indices[alive])
-        part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-        _place(_stack_log_negativities(stack, part, _PointErrors(len(stack))),
-               indices.tolist(), values[2], errors[2])
+    del grouped
     two_mode_split = ModeBipartition((0,), (1,))
     _place(oracle_pt_log_negativity(np.concatenate(reduced), two_mode_split),
            np.concatenate(reduced_cases).tolist(), values[1], errors[1])

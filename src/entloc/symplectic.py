@@ -104,6 +104,25 @@ class _Rejections(_PointErrors):
         self.alive[i] = False
 
 
+class _Mapped(_PointErrors):
+    """``size`` points of another batch, for a stage that runs on a part
+    of it or on several values per point: point i here is point
+    ``index(i)`` of ``errors``, and what fails here fails there. It only
+    records; read the outcome from ``errors``."""
+
+    def __init__(self, errors: _PointErrors, size: int, index):
+        self.size, self.base, self.index = size, errors, index
+
+    def fail(self, i: int, error: Exception) -> None:
+        self.base.fail(self.index(i), error)
+
+
+def _require_real(values) -> None:
+    """Reject complex input, whose cast to float would drop the imaginary part."""
+    if np.iscomplexobj(values):
+        raise InvalidArgumentError("covariance matrix must be real, got complex entries")
+
+
 def _elementwise(fn, what: str, errors: _PointErrors, values: np.ndarray) -> np.ndarray:
     """``fn`` on each value as a Python float, for the C library's exp and
     log: ``np.exp`` and ``np.log`` round some results differently. An
@@ -257,6 +276,7 @@ class CovarianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _require_real(self.matrix)
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")

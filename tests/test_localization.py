@@ -481,6 +481,26 @@ def test_localize_rejects_bad_tolerance(tol):
         pf.equivalent_two_mode(cm, 2, 2, tol_pattern=tol)
 
 
+@pytest.mark.parametrize("m, n", [(2.0, 2.0), (1.5, 2.5), (np.float64(2.0), 2), (True, 3), ("2", 2)],
+                         ids=["float", "halves", "numpy float", "bool", "str"])
+def test_block_sizes_that_are_not_integers_are_invalid(m, n):
+    """A block size that is no int or numpy integer is invalid input named
+    by its value, in every form; the list form of the report records it in
+    place, beside a split that works. Before, such a size ended in a bare
+    TypeError from a slice index (or passed as a bool)."""
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(4, 1.4))
+    message = f"block size must be an integer, got {m!r}"
+    for call in (lambda: el.localize(cm, m, n), lambda: el.localize(np.array([cm.matrix]), m, n),
+                 lambda: el.localize([np.array([cm.matrix])], [m], [n]),
+                 lambda: el.equivalent_report_from_cm(cm, m, n)):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    error, report = el.equivalent_report_from_cm(cm, [m, 2], [n, 2])
+    assert isinstance(error, InvalidArgumentError) and str(error) == message
+    assert report == el.equivalent_report_from_cm(cm, np.int64(2), np.int64(2))
+
+
 def _bits(value):
     return np.asarray(value, dtype=float).view(np.uint64)
 
@@ -717,8 +737,9 @@ def test_skeleton_projection_keeps_non_finite_entries(value):
     local = np.array([result.local_symplectic] * 3)
     tol = 1e-8 * np.fmax(np.abs(final).max(axis=(1, 2)), 1.0)
     with np.errstate(all="ignore"):  # as in localize
-        stacked = _skeleton_results(final, local, 3, tol, _PointErrors(3)).results()
-        alone = _skeleton_results(bad[None], local[:1], 3, tol[1:2], _PointErrors(1)).results()
+        [stacked] = _skeleton_results([final], [local], [3], [tol], _PointErrors(3))
+        [alone] = _skeleton_results([bad[None]], [local[:1]], [3], [tol[1:2]], _PointErrors(1))
+        stacked, alone = stacked.results(), alone.results()
     for error in (stacked[1], alone[0]):
         assert isinstance(error, InvalidArgumentError)
         assert str(error) == "covariance matrix has non-finite entries"

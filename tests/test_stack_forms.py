@@ -257,6 +257,105 @@ def test_localize_stack_form_rejects_a_stack_of_another_size():
 
 
 # ---------------------------------------------------------------------------
+# The grouped form of the reduction.
+# ---------------------------------------------------------------------------
+
+
+def _same_columns(got, want):
+    """Whether two ``LocalizationColumns`` hold the same bits, errors and
+    read-only flags."""
+    arrays = ("cm_final", "local_symplectic", "cm_eq", "mu_eq", "delta_eq", "residual")
+    errors = [[None if e is None else (type(e), str(e)) for e in c.errors] for c in (got, want)]
+    flags = [(c.cm_final.flags.writeable, c.cm_eq.flags.writeable) for c in (got, want)]
+    return (all(np.array_equal(bits(getattr(got, name)), bits(getattr(want, name)))
+                for name in arrays)
+            and errors[0] == errors[1] and flags[0] == flags[1])
+
+
+def test_grouped_localize_is_each_group_alone():
+    """One grouped call over the 36 shape stacks of a seeded 1000-case
+    draw gives each group the columns of its own stack-form call, bit for
+    bit: the normalizers, the boundary SVDs and the checks of cm_eq run
+    on all groups concatenated."""
+    groups = {}
+    for spec in SpecSampler(31).bisymmetric(count=1000):
+        groups.setdefault((spec.m, spec.n), []).append(spec)
+    assert len(groups) == 36
+    stacks = [el.bisymmetric_cm(BisymmetricBatch.of(group)) for group in groups.values()]
+    ms, ns = [m for m, _ in groups], [n for _, n in groups]
+    grouped = el.localize(stacks, ms, ns)
+    assert len(grouped) == 36
+    for columns, stack, m, n in zip(grouped, stacks, ms, ns):
+        assert _same_columns(columns, el.localize(stack, m, n)), (m, n)
+        assert not any(columns.errors), (m, n)
+
+
+def test_grouped_localize_keeps_each_failure_in_its_group():
+    """Failures injected into different groups stay on their matrices: a
+    pattern deviation, a single-mode block that is not positive definite,
+    a non-finite entry, and a residual above ``tol_pattern`` (a matrix
+    scaled by 1e10, whose pattern stays exact), with an empty group among
+    them. Each group gets the columns of its own call."""
+    _, batch, groups = _shape_groups()
+    shapes = [(3, 2), (1, 1), (2, 2), (2, 4), (1, 3), (5, 5)]
+    stacks = [np.array(el.bisymmetric_cm(batch.take(np.array(groups[shape])))) for shape in shapes]
+    stacks[0][1, 0, 0] += 1e-3
+    stacks[1][2, :2, :2] = -np.eye(2)
+    stacks[2] = stacks[2][:0]
+    stacks[3][0, 1, 4] = stacks[3][0, 4, 1] = math.nan
+    stacks[4][1] *= 1e10
+    ms, ns = [m for m, _ in shapes], [n for _, n in shapes]
+    grouped = el.localize(stacks, ms, ns, tol_pattern=1e-9)
+    for columns, stack, m, n in zip(grouped, stacks, ms, ns):
+        assert _same_columns(columns, el.localize(stack, m, n, tol_pattern=1e-9)), (m, n)
+    failed = {(g, k): str(e) for g, columns in enumerate(grouped)
+              for k, e in enumerate(columns.errors) if e is not None}
+    assert sorted(failed) == [(0, 1), (1, 2), (3, 0), (4, 1)]
+    assert "pattern deviation" in failed[0, 1]
+    assert failed[1, 2] == "single-mode covariance block is not positive definite"
+    assert failed[3, 0] == "covariance matrix has non-finite entries"
+    assert failed[4, 1].startswith("off-pattern residual")
+    assert grouped[2].cm_final.shape == (0, 8, 8) and grouped[2].errors == []
+
+
+def test_grouped_localize_rejects_groups_that_do_not_match():
+    """Sequences of unequal length, a stack of another size, an item that
+    is no array, a block size that is no integer and a scalar beside a
+    sequence are invalid; no groups give no columns."""
+    stack = np.array([np.eye(4)])
+    for stacks, ms, ns in (([stack], [1, 1], [1, 1]), ([stack, stack], [1], [1]),
+                           ([stack], [1], [1, 1])):
+        with pytest.raises(InvalidArgumentError, match="one m and one n per stack"):
+            el.localize(stacks, ms, ns)
+    with pytest.raises(InvalidArgumentError, match=r"split \(1, 2\) needs a \(K, 6, 6\) stack"):
+        el.localize([stack, stack], [1, 1], [1, 2])
+    with pytest.raises(InvalidArgumentError, match=r"takes \(K, 2N, 2N\) arrays, got CovarianceMatrix"):
+        el.localize([el.CovarianceMatrix(np.eye(4))], [1], [1])
+    with pytest.raises(InvalidArgumentError, match="block size must be an integer, got 1.0"):
+        el.localize([stack], [1.0], [1])
+    with pytest.raises(InvalidArgumentError, match="two sequences of block sizes"):
+        el.localize([stack], [1], 1)
+    with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
+        el.localize([], [], [], tol_pattern=math.nan)
+    assert el.localize([], [], []) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_input_is_invalid_not_cast():
+    """(1+1j) I4 was taken as I4, its imaginary part dropped with a
+    ``ComplexWarning``: every entry point that casts to float rejects a
+    complex dtype instead, a zero imaginary part included."""
+    for matrix in ((1 + 1j) * np.eye(4), np.eye(4, dtype=complex)):
+        calls = [lambda: el.CovarianceMatrix(matrix), lambda: el.CovarianceMatrix(matrix.tolist()),
+                 lambda: el.localize(matrix[None], 1, 1),
+                 lambda: el.localize([matrix[None]], [1], [1]),
+                 lambda: oracle_pt_log_negativity(matrix[None], _split(1, 1))]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="covariance matrix must be real"):
+                call()
+
+
+# ---------------------------------------------------------------------------
 # The dense oracle.
 # ---------------------------------------------------------------------------
 
