@@ -9,14 +9,14 @@ the separable flag is left undecided (None).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
 from .symplectic import (
-    TOL_PHYS,
+    TOL,
     CovarianceMatrix,
     SymplecticSpectrum,
     _elementwise,
@@ -29,13 +29,6 @@ from .symplectic import (
     _uncertainty_holds,
     symplectic_eigenvalues,
 )
-
-# PT eigenvalues this close to 1 are treated as exactly separable boundary
-# values before any logarithm (a product of pure blocks gets E_N = 0).
-SEPARABLE_CLAMP = 1e-10
-# Relative tolerance on the two local determinants of a two-mode state
-# under which it counts as symmetric (and gets the closed-form EoF).
-SYMMETRIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -131,10 +124,6 @@ def _pt_nu_tilde_pair(det_a, det_b, trace, det_c, det, errors: _PointErrors):
     return _minus_plus_pair(sum_ab - 2.0 * det_c, det, errors, disc)
 
 
-def _clamp_boundary(values: np.ndarray) -> np.ndarray:
-    return np.where(abs(values - 1.0) <= SEPARABLE_CLAMP, 1.0, values)
-
-
 def eof_symmetric(nu_tilde: float) -> float:
     """Entanglement of formation of a symmetric two-mode state.
 
@@ -173,24 +162,6 @@ def _eof_columns(nu: np.ndarray, errors: _PointErrors) -> np.ndarray:
     return np.where(entangled, value, 0.0)
 
 
-def report_from_pt_values(
-    nu_values: np.ndarray, decidable: bool, symmetric: bool
-) -> EntanglementReport:
-    """Assemble a report from PT symplectic eigenvalues.
-
-    ``E_N = max(0, -sum ln nu)`` over sub-unit eigenvalues; the negativity
-    follows from the trace norm, N = (e^{E_N} - 1) / 2. The separable flag
-    is populated only when ``decidable``.
-    """
-    values = _clamp_boundary(np.asarray(nu_values, dtype=float))
-    nu_min = float(values.min())
-    log_neg = max(0.0, -float(np.sum(np.log(values[values < 1.0]))))
-    negativity = 0.5 * (math.exp(log_neg) - 1.0)
-    separable = (nu_min >= 1.0 - TOL_PHYS) if decidable else None
-    eof = eof_symmetric(nu_min) if symmetric else None
-    return EntanglementReport(nu_min, log_neg, negativity, eof, separable)
-
-
 class ReportColumns(NamedTuple):
     """The entanglement reports of a batch as (N,) columns: the
     ``EntanglementReport`` fields, with ``eof`` nan exactly where a report
@@ -217,19 +188,33 @@ class ReportColumns(NamedTuple):
                 for row, error in zip(rows, self.errors)]
 
 
-def _pt_pair_columns(nu_minus, nu_plus, symmetric, errors: _PointErrors) -> ReportColumns:
-    """``report_from_pt_values`` for many states with two PT eigenvalues
-    each and a decisive PPT test: the same clamp, sums, libm ``exp`` and
-    EoF, one numpy pass per step. Each point gets its report's values, or
-    the error its scalar evaluation raises."""
-    values = _clamp_boundary(np.array([nu_minus, nu_plus]))
-    nu_min = np.minimum(values[0], values[1])
-    logs = np.where(values < 1.0, np.log(values), 0.0)
+def _pt_columns(values: np.ndarray, symmetric, errors: _PointErrors) -> ReportColumns:
+    """The reports of N states from their PT symplectic eigenvalues,
+    ``values`` of shape (V, N), V per state, with a decisive PPT test: the
+    one report builder of both routes, one numpy pass per step. Each point
+    gets its values, or the error its evaluation raises; ``symmetric``
+    says which get an EoF.
+
+    A value within ``TOL.PPT`` of 1 reads 1 (a product of pure blocks,
+    whose nu~ is 1 only up to rounding, gets E_N = 0). E_N = max(0, -sum
+    ln nu) over the values below 1, N = (e^{E_N} - 1) / 2 from the trace
+    norm by the C library's ``exp``, and a state is separable when no
+    value is below 1: exactly when E_N = N = 0, and its EoF, if any, is 0.
+    """
+    values = np.where(abs(values - 1.0) <= TOL.PPT, 1.0, values)
+    nu_min = values.min(axis=0)
+    below = values < 1.0
+    logs = np.where(below, np.log(values), 0.0)
+    log_neg = -logs.sum(axis=0)
+    if len(values) > 2:
+        # a sum of three or more terms depends on their order: numpy's sum
+        # of the state's sub-unit logarithms, in spectrum order
+        for i in np.flatnonzero(below.sum(axis=0) > 2).tolist():
+            log_neg[i] = -np.sum(np.log(values[below[:, i], i]))
     # where(x > 0, x, 0) is max(0.0, x): the empty sum gives 0.0, not -0.0
-    log_neg = -(logs[0] + logs[1])
     log_neg = np.where(log_neg > 0.0, log_neg, 0.0)
     negativity = 0.5 * (_elementwise(math.exp, "exp", errors, log_neg) - 1.0)
-    separable = nu_min >= 1.0 - TOL_PHYS
+    separable = nu_min >= 1.0
     # the EoF of the symmetric points still alive, their errors put in place
     chosen = np.flatnonzero(symmetric & errors.alive)
     part = _PointErrors(len(chosen))
@@ -245,7 +230,7 @@ def _symmetric_dets(det_a, det_b):
     belong to is symmetric (the condition for the closed-form EoF).
     Elementwise on arrays."""
     bound = np.maximum(np.maximum(1.0, np.abs(det_a)), np.abs(det_b))
-    return np.abs(det_a - det_b) <= SYMMETRIC_TOL * bound
+    return np.abs(det_a - det_b) <= TOL.SYMMETRIC * bound
 
 
 def log_negativity(
@@ -269,5 +254,9 @@ def log_negativity(
     if ppt_decidable is None:
         ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
-    return report_from_pt_values(nus[1], bool(ppt_decidable), symmetric)
+    errors = _PointErrors(1)
+    columns = _pt_columns(nus[1][:, None], np.array([symmetric]), errors)
+    errors.raise_first()
+    report = columns.reports()[0]
+    return report if ppt_decidable else replace(report, separable=None)
 

@@ -13,59 +13,19 @@ to that two-mode state:
   transformation explicitly and returns the transformed matrix, so the
   structure claim itself can be checked numerically.
 
-The invariant route is one batch kernel. ``_equivalent_from_blocks`` and
-``_report_from_equivalent`` take the pattern blocks of N inputs as
-stacked arrays and run each stage once for all of them: elementwise
-numpy, whose squares and 2x2 determinants a d - b c IEEE arithmetic
-rounds the same on any platform, and one stacked LU ``np.linalg.det`` of
-the 4x4 cores; exponentials and logarithms go through the C library one
-value at a time, as Python floats do, so every input gets the same
-digits as on its own. Each check records the error of the inputs it
-fails (``_PointErrors``), and the first failing input in batch order
-raises the error it would raise alone. Specs enter as a ``BisymmetricBatch``,
-parameter columns that carry the error of each point that is no valid
-spec; the sweeps build and validate theirs as columns and read the
-results as columns (``ReportColumns``), and a sequence of specs is
-stacked into one batch and gets its reports built from the columns.
-Every failure of the inputs enters the kernel as a point already failed
-in its ``_PointErrors``: a k | M-k split whose parent state could not be
-built or whose k is out of range (``_fs_split_batch``, the only code
-that splits a fully symmetric state), and a split of a matrix that
-fails its pattern check. Each result thus keeps its place. A single
-spec or matrix is a batch of one; the sweeps, the split scan and the
-cross-check suite each make one call.
-
-The constructive route batches the same way over groups of matrices,
-each group a (K, 2(m+n), 2(m+n)) stack of one split (m, n):
-``localize`` takes a list of stacks with their block sizes, or one
-stack or one matrix as a group of one. A stage on whole matrices runs
-once per group as stacked numpy calls: the pattern check, stacked
-``matmul`` for the two dense congruences of the mode mixing and the
-squeezers, and a boundary update, stacked ``matmul`` of the 4x4
-rotation on the rows and columns of the two boundary modes alone, with
-the bits of the dense congruence by the rotation padded with the
-identity. A stage on 2x2 or 4x4 blocks runs once for all groups
-concatenated: elementwise 2x2 algebra for the normalizer of every
-diagonal block of every matrix, one stacked SVD for the boundary
-rotations, and the checks of the reduced two-mode matrices. Stacked
-LAPACK and BLAS calls give each matrix the bits of a call on it alone,
-and each pattern, positivity and residual check records the matrices it
-fails, a check on the blocks of all groups through the matrix that
-owns each block. The reduced matrix is reported on the skeleton the
-theorem proves: once the residual check has measured the largest entry
-off it, every such entry is +0.0, so ``cm_final`` is S^T sigma S on its
-skeleton and exact zeros elsewhere, and ``cm_eq`` is its boundary 4x4.
-``cm_final`` is built from that skeleton, its diagonal and ``cm_eq``,
-with the bits the covariance check of the whole matrix gives. The
-results are columns (``LocalizationColumns``), one per group: one
-stacked covariance check of every ``cm_eq``, one stacked ``slogdet``
-for the purities and one pass for the ``delta_eq`` invariants, the
-functions ``CovarianceMatrix``, ``purity`` and ``delta_invariant`` run
-on a batch of one. A stack gives the columns as they are; a single
-matrix gets its ``LocalizationResult`` built from them. The cross-check
-suite makes one grouped call for all its (m, n) shapes, at most 36 for
-its block sizes 1..6, and reads the columns; the mode mixing O (x) I2
-is built by broadcasting.
+Both routes run on batches and give each input the bits and the error
+it gets alone. The invariant route is one batch kernel,
+``_equivalent_from_blocks`` and ``_report_from_equivalent``, over the
+stacked pattern blocks of N inputs: elementwise numpy, one stacked LU of
+the 4x4 cores, and the C library's exp and log1p one value at a time. Each
+check records the inputs it fails in a ``_PointErrors``, and an input
+that failed before the kernel (a spec batch's invalid point, a split
+that ``_fs_split_batch`` or a pattern check rejects) enters it failed,
+so every result keeps its place. The constructive route batches over
+groups of matrices, each a (K, 2(m+n), 2(m+n)) stack of one split
+(``_localize_groups``): a stage on whole matrices runs once per group as
+stacked numpy calls, a stage on 2x2 or 4x4 blocks once for all groups,
+and the results are columns (``LocalizationColumns``).
 """
 
 from __future__ import annotations
@@ -82,7 +42,7 @@ from .entanglement import (
     EntanglementReport,
     ReportColumns,
     _pt_nu_tilde_pair,
-    _pt_pair_columns,
+    _pt_columns,
     _symmetric_dets,
 )
 from .errors import (
@@ -94,6 +54,7 @@ from .errors import (
 )
 from .states import BisymmetricBatch, BisymmetricSpec, FullySymmetricSpec, bisymmetric_batch
 from .symplectic import (
+    TOL,
     CovarianceMatrix,
     _adjugate_traces,
     _clipped_sqrts,
@@ -257,7 +218,7 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
     )
     sum_sq = trace / k
     errors.record(
-        sum_sq < -1e-10 * np.fmax(k, 1.0),
+        sum_sq < -TOL.CROSS_SQUARES * np.fmax(k, 1.0),
         lambda i: InconsistentInvariantsError(
             f"invariants give negative c_plus^2 + c_minus^2 = {sum_sq[i]:.6e}"
         ),
@@ -282,7 +243,7 @@ def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportCol
         eq.plus_sq[0], eq.plus_sq[1], eq.trace, eq.det_cross, eq.det, errors
     )
     symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
-    return _pt_pair_columns(nu_minus, nu_plus, symmetric, errors)
+    return _pt_columns(np.array([nu_minus, nu_plus]), symmetric, errors)
 
 
 def _batch_blocks(batch: BisymmetricBatch):
@@ -351,7 +312,7 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     the batch, in place. The kernel runs only if some split passes its
     check.
     """
-    single = np.ndim(m) == 0
+    single = _ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
     counts = np.ones((2, len(splits)), dtype=np.int64)  # a failed split reads 1 | 1
     blocks = np.zeros((5, len(splits), 2, 2))
@@ -411,11 +372,11 @@ def _pattern_blocks(stack: np.ndarray, m: int, n: int):
 def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _PointErrors):
     """Pattern blocks of a stack (as ``_pattern_blocks``) and the tolerance
     of each matrix, shape (K,): ``tol_pattern``, a finite number >= 0, or
-    by default 1e-8 scaled by the matrix's largest entry. A matrix farther
-    than its tolerance from its pattern fails in ``errors``."""
+    by default ``TOL.PATTERN`` scaled by the matrix's largest entry. A
+    matrix farther than its tolerance from its pattern fails in ``errors``."""
     _require_tolerance(tol_pattern, "pattern tolerance")
     if tol_pattern is None:
-        tol = 1e-8 * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
+        tol = TOL.PATTERN * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
     else:
         tol = np.full(len(stack), float(tol_pattern))
     blocks, worst = _pattern_blocks(stack, m, n)
@@ -430,18 +391,31 @@ def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _Poin
 
 
 def _block_sizes(m, n) -> tuple[int, int]:
-    """(m, n) as ints; a block size that is not an integer, which would
-    fail as a slice index, is invalid, named by its value."""
+    """(m, n) as ints, the one block-size rule of the constructive route
+    and of a matrix's split: a block size that is not an integer, which
+    would fail as a slice index, is invalid, named by its value, and so
+    is one below 1."""
     for size in (m, n):
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
             raise InvalidArgumentError(f"block size must be an integer, got {size!r}")
+    if m < 1 or n < 1:
+        raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
     return int(m), int(n)
+
+
+def _ndim(sizes) -> int:
+    """``np.ndim`` of a block-size argument; a ragged nesting of sequences,
+    of which numpy makes no array, is a sequence too."""
+    try:
+        return np.ndim(sizes)
+    except ValueError:
+        return 1
 
 
 def _covered(cm: CovarianceMatrix, m, n) -> np.ndarray:
     """The matrix of ``cm``, which the split (m, n) must cover."""
     m, n = _block_sizes(m, n)
-    if m < 1 or n < 1 or m + n != cm.modes:
+    if m + n != cm.modes:
         raise InvalidArgumentError(f"split ({m}, {n}) does not cover the {cm.modes}-mode input")
     return cm.matrix
 
@@ -688,8 +662,9 @@ def localize(cm, m, n, tol_pattern: float | None = None):
 
     The input must be an (m+n)-mode state invariant under mode permutations
     inside the first m and the last n modes (verified by pattern inspection
-    within ``tol_pattern``, a finite number >= 0, default 1e-8 scaled by the
-    largest entry; failing inputs are rejected, never projected).
+    within ``tol_pattern``, a finite number >= 0, default ``TOL.PATTERN``
+    scaled by the largest entry; failing inputs are rejected, never
+    projected).
 
     The transformation is assembled in three local stages:
 
@@ -728,11 +703,9 @@ def localize(cm, m, n, tol_pattern: float | None = None):
     stack-form call. The stages on 2x2 and 4x4 blocks run once for all
     the groups; a stack form is a group of one.
     """
-    if any(np.ndim(size) for size in (m, n) if not isinstance(size, (int, np.integer))):
+    if any(_ndim(size) for size in (m, n) if not isinstance(size, (int, np.integer))):
         return _localize_stacks(cm, m, n, tol_pattern)
     m, n = _block_sizes(m, n)
-    if m < 1 or n < 1:
-        raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
     if isinstance(cm, np.ndarray):
         return _localize_stacks([cm], [m], [n], tol_pattern)[0]
     if not isinstance(cm, CovarianceMatrix):
@@ -748,7 +721,7 @@ def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
     """The stack and grouped forms of ``localize``: each group's block sizes
     and stack shape are checked, and its matrices get the
     ``CovarianceMatrix`` check, one call per stack."""
-    if np.ndim(ms) != 1 or np.ndim(ns) != 1 or not isinstance(stacks, Iterable):
+    if _ndim(ms) != 1 or _ndim(ns) != 1 or not isinstance(stacks, Iterable):
         raise InvalidArgumentError(
             "grouped localize takes a sequence of stacks and two sequences of block sizes")
     stacks, ms, ns = list(stacks), list(ms), list(ns)
@@ -758,8 +731,6 @@ def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
     _require_tolerance(tol_pattern, "pattern tolerance")
     for g, (stack, m, n) in enumerate(zip(stacks, ms, ns)):
         ms[g], ns[g] = m, n = _block_sizes(m, n)
-        if m < 1 or n < 1:
-            raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
         size = 2 * (m + n)
         if not isinstance(stack, np.ndarray):
             raise InvalidArgumentError(

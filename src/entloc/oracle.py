@@ -7,35 +7,12 @@ factorization and a Hermitian eigensolver, the kernel that
 closed-form code paths they are used to check, and they are allowed to
 be slow.
 
-``oracle_pt_log_negativity`` takes a (K, 2N, 2N) stack, or one matrix
-as a stack of one: one mirror, then the spectrum kernel on the whole
-stack (a stacked Cholesky factorization sigma = L L^T, Omega L as a
-signed row swap, and one stacked ``np.linalg.eigvalsh`` call on
-i L^T Omega L; each matrix gets the bits of a stack of one, and a
-matrix that is not positive definite its error in place), then the
-finite test and the -sum of ``math.log`` over the sub-unit values as
-columns. The cross-check suite is columnar from sampling to the summary.
-``SpecSampler`` draws a block of attempts at a time with two public
-``Generator`` calls, one ``integers`` call for the block sizes and one
-``random`` call for the parameters, screens the block by one array
-check, takes its decisions in order and builds only the accepted
-attempts as specs; a single spec is a counted draw of one. After
-sampling nothing is built per case: the specs become one
-``BisymmetricBatch``, on which the invariant route runs. Each (m, n)
-shape is a slice of that batch, assembled and checked as one read-only
-stack by ``bisymmetric_cm``. The brute force hands each checked stack
-straight to the oracle's spectrum kernel, without checking it again.
-The reduction takes the stacks of all shapes through one grouped call
-of the public ``localize`` and gives columns per shape; the reduced
-two-mode matrices of all shapes go through the public
-``oracle_pt_log_negativity`` as one concatenated stack.
-
-The report of a suite run is its columns (``SuiteReports``): each case's
-block sizes, and the closed-form value, brute-force value, absolute and
-relative difference and pass flag of every comparison, three per case in
-``ROUTE_PAIRS`` order. The per-comparison CSV and the summary are
-formatted from those columns; a comparison's label is made from its
-case's block sizes when the CSV is written.
+The cross-check suite (``run_oracle_suite``) is columnar from sampling
+to the summary: ``SpecSampler`` screens a block of draws as one array
+batch, the specs become one ``BisymmetricBatch`` for the invariant
+route, each (m, n) shape of it one checked stack for the dense spectrum
+kernel and one group of a single ``localize`` call, and the suite's
+report is its columns (``SuiteReports``).
 """
 
 from __future__ import annotations
@@ -47,6 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalDomainError
 from .states import BisymmetricBatch, BisymmetricSpec, bisymmetric_batch
 from .symplectic import (
+    TOL,
     CovarianceMatrix,
     _PointErrors,
     _Rejections,
@@ -55,9 +33,6 @@ from .symplectic import (
     _symplectic_spectra,
     float_reprs,
 )
-
-REL_TOL = 1e-7
-ABS_TOL = 1e-9
 
 
 def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
@@ -268,7 +243,7 @@ def _compared(closed_form, brute_force):
         # Python's max(first, second), nan included: second only if larger
         denom = np.where(second > first, second, first)
         rel_diff = np.where(denom > 0.0, abs_diff / denom, 0.0)
-    return abs_diff, rel_diff, (abs_diff <= ABS_TOL) | (rel_diff <= REL_TOL)
+    return abs_diff, rel_diff, (abs_diff <= TOL.ROUTE_ABS) | (rel_diff <= TOL.ROUTE_REL)
 
 
 # the route pairs of each case, in report order: routes a, b, c are the

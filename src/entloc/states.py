@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .symplectic import (
-    TOL_PHYS,
     CovarianceMatrix,
+    _below_vacuum,
     _PointErrors,
     _squares,
     _symmetrized,
@@ -78,7 +78,7 @@ class FullySymmetricSpec:
         if self.modes == 1:
             if self.z1 != 0.0 or self.z2 != 0.0:
                 raise InvalidArgumentError("single-mode spec must have z1 = z2 = 0")
-            if self.b < 1.0 - TOL_PHYS:
+            if _below_vacuum(self.b, 1.0):
                 raise InvalidArgumentError(
                     f"single-mode eigenvalue b = {self.b} below 1",
                     offending_value=self.b,
@@ -91,7 +91,7 @@ class FullySymmetricSpec:
                 offending_value=min(factors),
             )
         worst = min(_block_nus(factors))
-        if worst < 1.0 - TOL_PHYS:
+        if _below_vacuum(worst, 1.0):
             raise _unphysical(worst)
 
     def nu_minus(self) -> float:
@@ -137,7 +137,7 @@ class BisymmetricSpec:
         if n == 1 and (z1 != 0.0 or z2 != 0.0):
             raise InvalidArgumentError("single-mode second block must have z1 = z2 = 0")
         smallest = _bisymmetric_min_nu(m, n, *params)
-        if smallest < 1.0 - TOL_PHYS:
+        if _below_vacuum(smallest, 1.0):
             raise _unphysical(smallest)
 
     @property
@@ -336,7 +336,7 @@ def bisymmetric_batch(m, n, a, e1, e2, b, z1, z2, g1, g2, errors=None) -> Bisymm
     )
     with np.errstate(all="ignore"):
         smallest = _bisymmetric_min_nus(m, n, *params, errors)
-    errors.record(smallest < 1.0 - TOL_PHYS, lambda i: _unphysical(float(smallest[i])))
+    errors.record(_below_vacuum(smallest, 1.0), lambda i: _unphysical(float(smallest[i])))
     return BisymmetricBatch(m, n, diagonals, errors)
 
 

@@ -26,14 +26,41 @@ from .errors import (
     NumericalDomainError,
 )
 
-# Absolute tolerances on unit-scaled matrices; checks rescale them by the
-# largest matrix entry so that large-squeezing inputs (entries ~ e^{2r})
-# are judged relatively.
-TOL_SYM = 1e-9
-TOL_SYMPL = 1e-9
-TOL_PHYS = 1e-9
-TOL_RECON = 1e-8
-RADICAND_CLIP = 1e-10
+
+class TOL:
+    """Every tolerance of the package, in one table: the error model.
+
+    Each entry bounds the quantity its comment names, relative to the scale
+    s given there: a check passes while the quantity is within entry * s.
+    Where no tolerance is needed, the rounding left is stated. At c_plus =
+    -c_minus, S + 2P = (c_plus + c_minus)^2 of the equivalent state cancels
+    (S = c_plus^2 + c_minus^2, P = c_plus c_minus), so its c_minus is known
+    to about sqrt(eps S), 8.6e-9 relative at a 2 | 3 state with g1 = -g2 =
+    0.25; the PT eigenvalues, read from S and P, keep their digits.
+    """
+
+    ASYMMETRY = 1e-9  # |sigma_ij - sigma_ji| of an input matrix; s = max(1, |sigma|max)
+    SYMPLECTIC = 1e-9  # |S^T Omega S - Omega|max of ``is_symplectic``; s = max(1, |S|max)^2
+    # how far the smallest symplectic eigenvalue lies below 1 (``_below_vacuum``);
+    # s = 1 for a spec's closed form, max(1, |sigma|max) for a dense spectrum
+    UNCERTAINTY = 1e-9
+    # ``williamson``'s residual |S^T D S - sigma|max, s = max(1, |sigma|max),
+    # and the symplecticity defect of its S, s = max(1, |S|max)^2
+    RECONSTRUCTION = 1e-8
+    RADICAND = 1e-10  # a negative radicand read as 0 (``_clipped_sqrts``); s = max(1, its scale)
+    # the PPT band: a PT eigenvalue this close to 1 reads 1, so that a state
+    # is separable exactly when E_N = N = EoF = 0; s = 1
+    PPT = 1e-10
+    # |det A - det B| of a two-mode state that counts as symmetric and gets
+    # the closed-form EoF; s = max(1, |det A|, |det B|)
+    SYMMETRIC = 1e-8
+    # -(c_plus^2 + c_minus^2) of the invariants; s = max(1, nu_plus_a nu_plus_b)
+    CROSS_SQUARES = 1e-10
+    PATTERN = 1e-8  # ``localize``'s default pattern deviation and residual; s = max(1, |sigma|max)
+    CLUSTER = 1e-7  # ``SymplecticSpectrum.clustered``'s default gap; s = max(1, nu_max)
+    # the suite's route agreement, passed within either: s = the larger magnitude, and 1
+    ROUTE_REL = 1e-7
+    ROUTE_ABS = 1e-9
 
 
 def _scale(matrix) -> float:
@@ -190,11 +217,11 @@ def _clipped_sqrts(value: np.ndarray, scale: np.ndarray, errors: _PointErrors) -
     """Elementwise sqrt with a small negative-radicand clip, for scales >= 0.
 
     Boundary states (pure, symmetric) sit exactly on branch points, so
-    radicands down to ``-RADICAND_CLIP * max(1, scale)`` are treated as
+    radicands down to ``-TOL.RADICAND * max(1, scale)`` are treated as
     zero; a more negative one is recorded in ``errors``. ``scale``
     broadcasts against ``value``."""
     # fmax(s, 1) is max(1.0, s): a nan scale counts as 1
-    beyond = value < -RADICAND_CLIP * np.fmax(scale, 1.0)
+    beyond = value < -TOL.RADICAND * np.fmax(scale, 1.0)
     errors.record(
         beyond,
         lambda j: NumericalDomainError(
@@ -219,9 +246,9 @@ def _symmetrized(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     """The ``CovarianceMatrix`` check of each matrix of a (K, 2N, 2N) stack.
 
     Returns the symmetrized stack, read-only. A matrix whose symmetrization
-    has a non-finite entry, or else whose asymmetry exceeds ``TOL_SYM``
-    scaled by its largest entry, fails in ``errors`` with the error the
-    constructor raises on it.
+    has a non-finite entry, or else whose asymmetry exceeds
+    ``TOL.ASYMMETRY`` scaled by its largest entry, fails in ``errors``
+    with the error the constructor raises on it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         transpose = stack.swapaxes(1, 2)
@@ -233,13 +260,13 @@ def _symmetrized(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
         ~np.isfinite(symmetric).all(axis=(1, 2)),
         lambda k: InvalidArgumentError("covariance matrix has non-finite entries"),
     )
-    # the scale max(1, max |s_ij|) is >= 1, so only a skew above TOL_SYM
-    # can fail; it is read without a second abs pass, and fmax(x, 1) is
-    # max(1.0, x) for the finite matrices that the test can fail
-    asymmetric = skew > TOL_SYM
+    # the scale max(1, max |s_ij|) is >= 1, so only a skew above the
+    # tolerance can fail; it is read without a second abs pass, and fmax(x,
+    # 1) is max(1.0, x) for the finite matrices that the test can fail
+    asymmetric = skew > TOL.ASYMMETRY
     if np.count_nonzero(asymmetric):
         largest = np.fmax(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
-        asymmetric &= skew > TOL_SYM * np.fmax(largest, 1.0)
+        asymmetric &= skew > TOL.ASYMMETRY * np.fmax(largest, 1.0)
     errors.record(
         asymmetric,
         lambda k: InvalidArgumentError(
@@ -267,17 +294,24 @@ class CovarianceMatrix:
 
     The constructor symmetrizes the matrix and rejects it if the result
     has non-finite entries (an overflow in the symmetrization counts) or
-    the input's asymmetry exceeds ``TOL_SYM`` (scaled by the largest
-    entry); the stored array is read-only. Positivity and the uncertainty
-    relation are *not* enforced here: partial transposes of entangled
-    states are legitimately non-physical covariance matrices.
+    the input's asymmetry exceeds ``TOL.ASYMMETRY`` (scaled by the largest
+    entry); the stored array is read-only. Input that is no array of real
+    numbers, ragged rows included, is invalid. Positivity and the
+    uncertainty relation are *not* enforced here: partial transposes of
+    entangled states are legitimately non-physical covariance matrices.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        _require_real(self.matrix)
-        m = np.array(self.matrix, dtype=float)
+        try:
+            _require_real(self.matrix)
+            m = np.array(self.matrix, dtype=float)
+        except InvalidArgumentError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"covariance matrix must be an array of real numbers: {exc}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")
         errors = _PointErrors(1)
@@ -323,13 +357,13 @@ class SymplecticSpectrum:
         """Group numerically degenerate eigenvalues.
 
         Returns (value, multiplicity) pairs in descending order; the value
-        is the mean of its cluster. Default tolerance 1e-7 * max(1, nu_max)
-        since exact theoretical degeneracies are perturbed by roundoff; an
-        override must be a finite number >= 0.
+        is the mean of its cluster. Default tolerance ``TOL.CLUSTER * max(1,
+        nu_max)`` since exact theoretical degeneracies are perturbed by
+        roundoff; an override must be a finite number >= 0.
         """
         _require_tolerance(tol, "cluster tolerance")
         if tol is None:
-            tol = 1e-7 * max(1.0, self.max)
+            tol = TOL.CLUSTER * max(1.0, self.max)
         clusters: list[list[float]] = []
         for v in self.values:
             if clusters and abs(clusters[-1][0] - v) <= tol:
@@ -413,27 +447,34 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
     return SymplecticSpectrum(nus[0])
 
 
-def _uncertainty_holds(nus: np.ndarray, matrix: np.ndarray, tol: float = TOL_PHYS) -> bool:
+def _below_vacuum(smallest, scale):
+    """Whether a smallest symplectic eigenvalue breaks the uncertainty
+    relation: it lies below 1 by more than ``TOL.UNCERTAINTY * scale``.
+    Every physicality decision of the package asks this, elementwise on
+    arrays; nan is not below."""
+    return smallest < 1.0 - TOL.UNCERTAINTY * scale
+
+
+def _uncertainty_holds(nus: np.ndarray, matrix: np.ndarray) -> bool:
     """Whether the symplectic eigenvalues ``nus`` of the positive definite
-    ``matrix`` satisfy the uncertainty relation: the smallest is >= 1 -
-    tol, with tol scaled by the largest entry, since the spectrum of a
-    large-squeezing matrix is only determined to absolute precision
-    eps * |sigma|_max."""
-    return bool(nus.min() >= 1.0 - tol * _scale(matrix))
+    ``matrix`` satisfy the uncertainty relation, at the scale of its
+    largest entry, since the spectrum of a large-squeezing matrix is only
+    determined to absolute precision eps * |sigma|_max."""
+    return not _below_vacuum(nus.min(), _scale(matrix))
 
 
-def is_bona_fide(cm: CovarianceMatrix, tol: float = TOL_PHYS) -> bool:
+def is_bona_fide(cm: CovarianceMatrix) -> bool:
     """Whether the matrix satisfies the uncertainty relation: sigma is
     positive definite and ``_uncertainty_holds`` for its spectrum."""
     try:
         spectrum = symplectic_eigenvalues(cm)
     except NumericalDomainError:
         return False
-    return _uncertainty_holds(spectrum.values, cm.matrix, tol)
+    return _uncertainty_holds(spectrum.values, cm.matrix)
 
 
-def is_symplectic(s: np.ndarray, tol: float = TOL_SYMPL) -> bool:
-    """Whether S^T Omega S = Omega within tolerance (scaled by |S|_max^2)."""
+def _symplectic_within(s: np.ndarray, tol: float) -> bool:
+    """Whether S^T Omega S = Omega within ``tol`` scaled by max(1, |S|_max)^2."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or s.shape[0] == 0:
         return False
@@ -442,7 +483,13 @@ def is_symplectic(s: np.ndarray, tol: float = TOL_SYMPL) -> bool:
     return defect <= tol * max(1.0, float(np.max(np.abs(s))) ** 2)
 
 
-def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
+def is_symplectic(s: np.ndarray) -> bool:
+    """Whether S^T Omega S = Omega within ``TOL.SYMPLECTIC`` (scaled by
+    max(1, |S|_max)^2)."""
+    return _symplectic_within(s, TOL.SYMPLECTIC)
+
+
+def williamson(cm: CovarianceMatrix):
     """Williamson normal form of a positive definite covariance matrix.
 
     Returns ``(S, spectrum)`` with ``sigma = S^T D S`` where
@@ -466,8 +513,9 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
     NumericalDomainError
         If sigma is not positive definite.
     DecompositionError
-        If the reconstruction residual exceeds ``tol_recon`` relative to
-        the largest input entry.
+        If the reconstruction residual exceeds ``TOL.RECONSTRUCTION``
+        relative to the largest input entry, or S is not symplectic within
+        it.
     """
     m = cm.matrix
     n = cm.modes
@@ -488,9 +536,9 @@ def williamson(cm: CovarianceMatrix, tol_recon: float = TOL_RECON):
 
     reconstructed = s.T @ (np.repeat(nus, 2)[:, None] * s)
     residual = float(np.max(np.abs(reconstructed - m))) / _scale(m)
-    if residual > tol_recon or not is_symplectic(s, tol=max(TOL_SYMPL, tol_recon)):
+    if residual > TOL.RECONSTRUCTION or not _symplectic_within(s, TOL.RECONSTRUCTION):
         raise DecompositionError(
-            f"normal-form reconstruction residual {residual:.3e} exceeds {tol_recon:.1e}"
+            f"normal-form reconstruction residual {residual:.3e} exceeds {TOL.RECONSTRUCTION:.1e}"
         )
     return s, SymplecticSpectrum(nus)
 
@@ -596,7 +644,7 @@ def two_mode_invariants(cm: CovarianceMatrix) -> TwoModeInvariants:
 # blocks, so a 48-mode file holds a handful of distinct texts in 9216
 # cells. Each cell is still ``float`` of its exact text, so a read matrix
 # is the one a per-cell parse gives, bit for bit. Readers reject matrices
-# that are asymmetric beyond TOL_SYM.
+# that are asymmetric beyond TOL.ASYMMETRY.
 # ---------------------------------------------------------------------------
 
 

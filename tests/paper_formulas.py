@@ -17,7 +17,7 @@ from entloc.localization import (
 )
 from entloc.states import BisymmetricBatch, BisymmetricSpec, _require_finite
 from entloc.symplectic import (
-    TOL_PHYS,
+    TOL,
     CovarianceMatrix,
     _adjugate_traces,
     _clipped_sqrts,
@@ -49,7 +49,7 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
 def thermal_cm(nu_list) -> CovarianceMatrix:
     """Product of single-mode thermal states: diag(nu1, nu1, ..., nuN, nuN)."""
     nus = [float(v) for v in nu_list]
-    bad = [v for v in nus if v < 1.0 - TOL_PHYS]
+    bad = [v for v in nus if v < 1.0 - TOL.UNCERTAINTY]
     if bad:
         raise InvalidArgumentError(
             f"thermal eigenvalues must be >= 1, got {bad}", offending_value=min(bad)

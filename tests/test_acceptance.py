@@ -15,6 +15,7 @@ import pytest
 import entloc as el
 from entloc.experiments import traced_symmetric_spec
 from entloc.oracle import SpecSampler
+from entloc.symplectic import TOL
 from oracle_helpers import (
     ScalarSampler,
     alpha_block_spec,
@@ -135,7 +136,7 @@ def test_criterion_5_ppt_decision_agreement():
     for spec in cases:
         report = el.equivalent_report(spec)
         full_min = el.pt_spectrum(el.bisymmetric_cm(spec), _split(spec.m, spec.n)).min
-        full_decision = full_min >= 1.0 - 1e-9
+        full_decision = full_min >= 1.0 - TOL.PPT
         disagreements += int(report.separable != full_decision)
         separable_seen += int(full_decision)
         entangled_seen += int(not full_decision)

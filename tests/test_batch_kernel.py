@@ -391,14 +391,14 @@ def test_eof_column_keeps_each_error_in_place():
 
 
 def test_report_columns_take_eof_errors_of_symmetric_points_only():
-    from entloc.entanglement import _pt_pair_columns
+    from entloc.entanglement import _pt_columns
     from entloc.symplectic import _PointErrors
 
     nu_minus = np.array([0.0, 0.0, 0.5, 1e-308, 1e-308, 0.5, 2.0])
     symmetric = np.array([False, True, True, False, True, False, True])
     errors = _PointErrors(len(nu_minus))
     with np.errstate(all="ignore"):
-        columns = _pt_pair_columns(nu_minus, nu_minus + 1.0, symmetric, errors)
+        columns = _pt_columns(np.array([nu_minus, nu_minus + 1.0]), symmetric, errors)
     kinds = [None if error is None else type(error) for error in columns.errors]
     # an EoF overflows only below x = 1.4e-309, where e^{E_N} = 1/x has
     # overflowed first, so only the not-positive value fails in the EoF

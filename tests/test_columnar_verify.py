@@ -34,7 +34,7 @@ from entloc.oracle import (
     summarize_reports,
 )
 from entloc.states import BisymmetricBatch
-from entloc.symplectic import TOL_SYM, _PointErrors, _symmetrized
+from entloc.symplectic import TOL, _PointErrors, _symmetrized
 from oracle_helpers import bits
 
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
@@ -81,7 +81,7 @@ def _constructor_check(matrix):
         skew = float(np.max(np.abs(m - m.T)))
     if not np.all(np.isfinite(symmetric)):
         return InvalidArgumentError("covariance matrix has non-finite entries")
-    if skew > TOL_SYM * max(1.0, float(np.max(np.abs(m)))):
+    if skew > TOL.ASYMMETRY * max(1.0, float(np.max(np.abs(m)))):
         return InvalidArgumentError(
             f"matrix is asymmetric beyond tolerance: max |s_ij - s_ji| = {skew:.3e}"
         )

@@ -10,7 +10,7 @@ from entloc.errors import InvalidArgumentError, LocalizationError
 from entloc.experiments import traced_symmetric_spec
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
-from entloc.symplectic import TOL_PHYS, _PointErrors, _symplectic_spectra
+from entloc.symplectic import TOL, _PointErrors, _symplectic_spectra
 from oracle_helpers import (
     ScalarSampler,
     alpha_block_spec,
@@ -260,10 +260,71 @@ def test_separable_flags_agree_with_the_dense_pt_spectrum():
         errors = _PointErrors(len(indices))
         nus = _symplectic_spectra(stack * np.outer(signs, signs), errors)
         assert errors.alive.all()
-        dense[indices] = nus.min(axis=1) >= 1.0 - TOL_PHYS
+        dense[indices] = nus.min(axis=1) >= 1.0 - TOL.PPT
     flags = np.array([r.separable for r in reports])
     assert 400 < np.count_nonzero(~flags) < len(specs) - 400
     assert np.array_equal(flags, dense)
+    assert all(map(_ppt_consistent, reports))
+
+
+def _ppt_consistent(report) -> bool:
+    """Whether a decisive report says separable exactly when E_N, N and
+    its EoF, if any, are 0."""
+    zero = report.log_negativity == 0.0 and report.negativity == 0.0 and report.eof in (None, 0.0)
+    entangled = report.log_negativity > 0.0 and report.negativity > 0.0 and report.eof != 0.0
+    return report.separable is True and zero or report.separable is False and entangled
+
+
+# a = 1.5 and e = z = 0.1 inside a block of more than one mode, b such that
+# b + (n-1) z = a + (m-1) e, and g1 = -g2 = g, so that the equivalent state
+# is symmetric with nu~ = a + (m-1) e - sqrt(mn) g, here 1 + offset
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (1, 3)])
+@pytest.mark.parametrize("offset, separable", [
+    (-5e-10, False), (-2e-10, False), (-1.2e-10, False),
+    (-0.8e-10, True), (-5e-11, True), (0.0, True), (5e-11, True),
+], ids=["below-5e-10", "below-2e-10", "below-1.2e-10", "below-0.8e-10", "below-5e-11",
+        "at-1", "above-5e-11"])
+def test_ppt_band_decides_separable_and_zeros_alike(m, n, offset, separable):
+    """A PT eigenvalue within TOL.PPT of 1 reads 1 and a state is separable
+    exactly when E_N = N = EoF = 0, on the invariant and the dense route.
+    Below the band the state is entangled with E_N > 0: before, nu~ in
+    [1 - 1e-9, 1 - 1e-10) read separable beside E_N ~ 1 - nu~ > 0."""
+    g = (1.5 + 0.1 * (m - 1) - (1.0 + offset)) / math.sqrt(m * n)
+    spec = el.BisymmetricSpec(m, n, 1.5, *[0.1 * (m > 1)] * 2, 1.5 + 0.1 * (m - n),
+                              *[0.1 * (n > 1)] * 2, g, -g)
+    cm = el.bisymmetric_cm(spec)
+    routes = [el.equivalent_report(spec), el.equivalent_report_from_cm(cm, m, n),
+              el.log_negativity(cm, _split(m, n), ppt_decidable=True)]
+    for report in routes:
+        assert abs(report.nu_tilde_min - (1.0 + offset)) < 1e-14 or report.nu_tilde_min == 1.0
+        assert report.separable is separable, report
+        assert _ppt_consistent(report), report
+        if not separable:
+            assert report.log_negativity == pytest.approx(-offset, rel=1e-4)
+
+
+def test_c_minus_cancellation_stays_within_its_stated_bound():
+    """At g2 = -g1 the radicand S + 2P = (c_plus + c_minus)^2 of the
+    equivalent state cancels, so the invariant route knows c_minus only to
+    about sqrt(eps S) (the bound ``TOL`` states); E_N, read from S and P,
+    still matches the dense route within the suite's tolerances. The
+    family: a = b, e = z inside blocks of more than one mode, whose exact
+    cross block is sqrt(mn) diag(g, -g)."""
+    eps = np.finfo(float).eps
+    for m, n in [(1, 1), (2, 3), (5, 5), (1, 4), (4, 6)]:
+        for g in [0.25000000025, 0.123456789, 0.05, 0.01]:
+            for a, e in [(1.5, 0.1), (2.0, 0.3)]:
+                spec = el.BisymmetricSpec(m, n, a, *[e * (m > 1)] * 2, a, *[e * (n > 1)] * 2, g, -g)
+                matrix = pf.equivalent_two_mode(spec).cm_eq.matrix
+                c_plus, c_minus = matrix[0, 2], matrix[1, 3]
+                with mp.workdps(50):
+                    error = abs(float(mp.mpf(c_minus) + mp.sqrt(m * n) * mp.mpf(g)))
+                bound = math.sqrt(eps * (c_plus * c_plus + c_minus * c_minus))
+                assert error <= bound, (m, n, g, a, e, error / bound)
+                invariant = el.equivalent_report(spec).log_negativity
+                dense = el.log_negativity(el.bisymmetric_cm(spec), _split(m, n)).log_negativity
+                assert (abs(invariant - dense) <= TOL.ROUTE_ABS
+                        or abs(invariant - dense) <= TOL.ROUTE_REL * max(invariant, dense))
 
 
 def test_equivalent_cm_consistent_with_its_invariants():
@@ -761,7 +822,7 @@ def test_separability_agreement_including_separable_cases():
         cm = el.bisymmetric_cm(spec)
         part = _split(spec.m, spec.n)
         full_pt_min = el.pt_spectrum(cm, part).min
-        assert report.separable == (full_pt_min >= 1.0 - 1e-9)
+        assert report.separable == (full_pt_min >= 1.0 - TOL.PPT)
         seen_separable += int(report.separable)
     assert seen_separable > 5
 
@@ -842,7 +903,13 @@ def test_matrix_splits_that_all_fail_run_no_kernel(monkeypatch):
     assert [type(error) for error in errors] == [
         LocalizationError, InvalidArgumentError, InvalidArgumentError]
     assert [str(error) for error in errors[1:]] == [
-        "split (0, 5) does not cover the 5-mode input", "split (1, 1) does not cover the 5-mode input"]
+        "block sizes must be >= 1, got (0, 5)", "split (1, 1) does not cover the 5-mode input"]
+    # a ragged sequence of sizes, which numpy makes no array of, is a
+    # sequence of splits too: before, it ended in a bare ValueError
+    errors = el.equivalent_report_from_cm(cm, [1, [2]], [3, 2])
+    assert [type(error) for error in errors] == [InvalidArgumentError, InvalidArgumentError]
+    assert [str(error) for error in errors] == [
+        "split (1, 3) does not cover the 5-mode input", "block size must be an integer, got [2]"]
     with pytest.raises(LocalizationError, match="not block-permutation invariant"):
         el.equivalent_report_from_cm(cm, 1, 4)
 

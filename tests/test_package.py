@@ -1,5 +1,6 @@
 """Packaging contracts: the public API names, what the paper formulas
-raise, a scipy-free runtime and no library code without a library caller."""
+raise, a scipy-free runtime, no library code without a library caller and
+no tolerance outside the tolerance table."""
 
 import ast
 import json
@@ -105,6 +106,27 @@ def _unreferenced_definitions(package: Path) -> list:
 def test_library_code_has_a_library_caller():
     """Code that only the tests reach belongs to the tests."""
     assert _unreferenced_definitions(Path(el.__file__).parent) == []
+
+
+def _small_float_literals(package: Path) -> list:
+    """The float literals in (0, 1e-6) of ``package``'s code outside the
+    tolerance table, the class ``TOL`` of symplectic.py, as "file:line
+    value"; docstrings and comments hold none."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = {id(node) for top in tree.body if path.name == "symplectic.py"
+                 and isinstance(top, ast.ClassDef) and top.name == "TOL" for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0.0 < node.value < 1e-6 and id(node) not in table]
+    return found
+
+
+def test_every_tolerance_lives_in_the_table():
+    """A tolerance is decided in one place, ``symplectic.TOL``, which
+    states what each bounds and its scale; no module picks its own."""
+    assert _small_float_literals(Path(el.__file__).parent) == []
 
 
 # Runs the CLI with every scipy import refused; exits non-zero on any failure.

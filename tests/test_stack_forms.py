@@ -333,6 +333,11 @@ def test_grouped_localize_rejects_groups_that_do_not_match():
         el.localize([el.CovarianceMatrix(np.eye(4))], [1], [1])
     with pytest.raises(InvalidArgumentError, match="block size must be an integer, got 1.0"):
         el.localize([stack], [1.0], [1])
+    # a ragged sequence of sizes is a sequence too: before, a bare ValueError
+    with pytest.raises(InvalidArgumentError, match="one m and one n per stack"):
+        el.localize([stack], [1, [2]], [3, 2])
+    with pytest.raises(InvalidArgumentError, match=r"block size must be an integer, got \[2\]"):
+        el.localize([stack, stack], [1, [2]], [1, 2])
     with pytest.raises(InvalidArgumentError, match="two sequences of block sizes"):
         el.localize([stack], [1], 1)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):

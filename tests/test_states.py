@@ -7,7 +7,7 @@ import pytest
 import entloc as el
 from entloc.errors import InvalidArgumentError
 from entloc.oracle import oracle_pt_log_negativity
-from entloc.symplectic import TOL_PHYS
+from entloc.symplectic import TOL
 from oracle_helpers import oracle_symplectic_spectrum
 import paper_formulas as pf
 
@@ -300,7 +300,7 @@ def test_bisymmetric_validation_matches_dense_oracle_on_sampler_draws():
             "g2": uniform(sampler.cross_box),
         }
         dense = _dense_min_nu(params)
-        dense_accepts = dense is not None and dense >= 1.0 - TOL_PHYS
+        dense_accepts = dense is not None and dense >= 1.0 - TOL.UNCERTAINTY
         try:
             el.BisymmetricSpec(**params)
             accepts = True

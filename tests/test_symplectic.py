@@ -60,6 +60,11 @@ def test_covariance_matrix_rejects_asymmetric():
 def test_covariance_matrix_rejects_odd_shape():
     with pytest.raises(InvalidArgumentError):
         el.CovarianceMatrix(np.eye(3))
+    # rows of unequal length, which numpy makes no array of, and entries
+    # that are no numbers: before, a bare ValueError or TypeError
+    for matrix in ([[1.0, 0.0], [0.0]], [[1.0, "x"], [0.0, 1.0]], [[1.0, {}], [0.0, 1.0]]):
+        with pytest.raises(InvalidArgumentError, match="must be an array of real numbers"):
+            el.CovarianceMatrix(matrix)
 
 
 def test_is_bona_fide_vacuum():
