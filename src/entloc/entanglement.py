@@ -22,6 +22,7 @@ from .symplectic import (
     _elementwise,
     _local_dets,
     _minus_plus_pair,
+    _mirror_momenta,
     _PointErrors,
     _scalar_batch,
     _squares,
@@ -100,10 +101,7 @@ def partial_transpose(cm: CovarianceMatrix, part: ModeBipartition) -> Covariance
     spectrum does not depend on which side is transposed.
     """
     part.validate_for(cm)
-    signs = np.ones(2 * cm.modes)
-    for k in part.side_b:
-        signs[2 * k + 1] = -1.0
-    return CovarianceMatrix(cm.matrix * np.outer(signs, signs))
+    return CovarianceMatrix._checked(_mirror_momenta(cm.matrix, part.side_b))
 
 
 def pt_spectrum(cm: CovarianceMatrix, part: ModeBipartition) -> SymplecticSpectrum:
@@ -233,16 +231,14 @@ def _symmetric_dets(det_a, det_b):
     return np.abs(det_a - det_b) <= TOL.SYMMETRIC * bound
 
 
-def log_negativity(
-    cm: CovarianceMatrix, part: ModeBipartition, ppt_decidable: bool | None = None
-) -> EntanglementReport:
+def log_negativity(cm: CovarianceMatrix, part: ModeBipartition) -> EntanglementReport:
     """Entanglement report for a physical state across a bipartition.
 
-    ``ppt_decidable`` may be set by the caller for state classes where
-    positivity of the partial transpose is known to decide separability
-    (for example two-block-symmetric states); 1 x n splits are treated as
-    decidable automatically. The entanglement of formation is included
-    only for symmetric two-mode inputs.
+    The separable flag is filled in for 1 x n splits, where positivity of
+    the partial transpose decides separability, and is None for any other
+    split; for a state class where PPT decides too (two-block states),
+    ``nu_tilde_min >= 1`` is the decision. The entanglement of formation
+    is included only for symmetric two-mode inputs.
     """
     part.validate_for(cm)
     # sigma, for the uncertainty relation, and its transpose D sigma D, which
@@ -251,12 +247,10 @@ def log_negativity(
     nus = _symplectic_spectra(np.array([cm.matrix, partial_transpose(cm, part).matrix]), errors)
     if not (errors.alive[0] and _uncertainty_holds(nus[0], cm.matrix)):
         raise InvalidArgumentError("input covariance matrix is not a physical state")
-    if ppt_decidable is None:
-        ppt_decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
     errors = _PointErrors(1)
     columns = _pt_columns(nus[1][:, None], np.array([symmetric]), errors)
     errors.raise_first()
     report = columns.reports()[0]
-    return report if ppt_decidable else replace(report, separable=None)
-
+    decidable = len(part.side_a) == 1 or len(part.side_b) == 1
+    return report if decidable else replace(report, separable=None)

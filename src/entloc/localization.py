@@ -63,7 +63,7 @@ from .symplectic import (
     _Mapped,
     _PointErrors,
     _purities,
-    _require_real,
+    _real_stack,
     _require_tolerance,
     _squares,
     _symmetrized,
@@ -112,8 +112,8 @@ class LocalizationResult:
 
 
 class LocalizationColumns(NamedTuple):
-    """The ``localize`` results of a stack of K matrices as columns, or
-    of one group of a grouped call.
+    """The ``localize`` results of one group of a grouped call, a stack of
+    K matrices, as columns.
 
     ``cm_final`` and ``local_symplectic`` are (K, 2N, 2N) stacks, ``cm_eq``
     the (K, 4, 4) stack of the boundary blocks, ``mu_eq``, ``delta_eq`` and
@@ -320,7 +320,8 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     for i, split in enumerate(splits):
         part = _PointErrors(1)
         try:
-            blocks[:, i : i + 1], _ = _pattern_check(_covered(cm, *split)[None], *split, None, part)
+            split = _covered(cm.modes, *split)
+            blocks[:, i : i + 1], _ = _pattern_check(cm.matrix[None], *split, None, part)
             part.raise_first()
             counts[:, i] = split
         except EntlocError as exc:
@@ -390,19 +391,6 @@ def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _Poin
     return blocks, tol
 
 
-def _block_sizes(m, n) -> tuple[int, int]:
-    """(m, n) as ints, the one block-size rule of the constructive route
-    and of a matrix's split: a block size that is not an integer, which
-    would fail as a slice index, is invalid, named by its value, and so
-    is one below 1."""
-    for size in (m, n):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise InvalidArgumentError(f"block size must be an integer, got {size!r}")
-    if m < 1 or n < 1:
-        raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
-    return int(m), int(n)
-
-
 def _ndim(sizes) -> int:
     """``np.ndim`` of a block-size argument; a ragged nesting of sequences,
     of which numpy makes no array, is a sequence too."""
@@ -412,12 +400,19 @@ def _ndim(sizes) -> int:
         return 1
 
 
-def _covered(cm: CovarianceMatrix, m, n) -> np.ndarray:
-    """The matrix of ``cm``, which the split (m, n) must cover."""
-    m, n = _block_sizes(m, n)
-    if m + n != cm.modes:
-        raise InvalidArgumentError(f"split ({m}, {n}) does not cover the {cm.modes}-mode input")
-    return cm.matrix
+def _covered(modes: int, m, n) -> tuple[int, int]:
+    """(m, n) as ints, the one block-size rule of the constructive route
+    and of a matrix's split: a block size that is not an integer, which
+    would fail as a slice index, is invalid, named by its value, and so
+    is one below 1 and a split that does not cover ``modes`` modes."""
+    for size in (m, n):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise InvalidArgumentError(f"block size must be an integer, got {size!r}")
+    if m < 1 or n < 1:
+        raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
+    if m + n != modes:
+        raise InvalidArgumentError(f"split ({m}, {n}) does not cover the {modes}-mode input")
+    return int(m), int(n)
 
 
 def _householder_mixing(count: int, position: int) -> np.ndarray:
@@ -492,13 +487,11 @@ def _group_parts(errors: _PointErrors, slices: list) -> list:
             for part in slices]
 
 
-def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern,
-                     errors: _PointErrors, check: bool) -> list:
-    """The ``localize`` columns of each group of stacks, the g-th of
-    shape (K_g, 2(m_g+n_g), 2(m_g+n_g)), with ``errors`` the failures so
-    far of all their matrices, group after group. With ``check`` each
-    stack gets the ``CovarianceMatrix`` check first; its symmetrized copy
-    lives until the group's stage 1 is made.
+def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern, errors: _PointErrors) -> list:
+    """The ``localize`` columns of each group of checked stacks, the g-th
+    of shape (K_g, 2(m_g+n_g), 2(m_g+n_g)), with ``errors`` the failures
+    so far of all their matrices, group after group. The list gives up
+    each stack once the group's stage 1 is made.
 
     A stage on whole matrices runs once per group, as stacked numpy calls:
     the pattern check, the dense congruences of stages 1 and 2 and the
@@ -514,9 +507,8 @@ def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern,
     slices = _group_slices([len(stack) for stack in stacks])
     parts = _group_parts(errors, slices)
     tols, mixings, stage1, diagonals = [], [], [], []
-    for stack, m, n, part in zip(stacks, ms, ns, parts):
-        if check:
-            stack = _symmetrized(stack.astype(float, copy=False), part)
+    for g, (m, n, part) in enumerate(zip(ms, ns, parts)):
+        stack, stacks[g] = stacks[g], None
         tols.append(_pattern_check(stack, m, n, tol_pattern, part)[1])
         total = m + n
         mixing = np.zeros((2 * total, 2 * total))
@@ -687,40 +679,35 @@ def localize(cm, m, n, tol_pattern: float | None = None):
     whose noise exceeds the tolerance is rejected, not projected.
 
     ``cm`` is one ``CovarianceMatrix``, whose result is returned and whose
-    failure raises, or a (K, 2(m+n), 2(m+n)) array, a stack of matrices,
-    which gives ``LocalizationColumns``, each matrix's values or its error
-    in place. A stack gets the ``CovarianceMatrix`` check first, one call
-    for all of it, and a matrix that fails it keeps that error; each
-    column entry has the bits of the result of the matrix's
-    ``CovarianceMatrix``. The single form builds its result from the
-    columns of a stack of one. Block sizes are integers, and complex
-    input is invalid. Any other input is invalid.
+    failure raises. Block sizes are integers.
 
-    ``m`` and ``n`` may be equal-length sequences of block sizes: ``cm``
-    is then a sequence of as many stacks, the g-th of shape (K_g,
-    2(m_g+n_g), 2(m_g+n_g)), and the result is the list of their
-    ``LocalizationColumns``, each with the bits and errors of its own
-    stack-form call. The stages on 2x2 and 4x4 blocks run once for all
-    the groups; a stack form is a group of one.
+    ``m`` and ``n`` may instead be equal-length sequences of block sizes:
+    ``cm`` is then a sequence of as many stacks of matrices, the g-th a
+    (K_g, 2(m_g+n_g), 2(m_g+n_g)) real array, and the result is the list of
+    their ``LocalizationColumns``, each matrix's values or its error in
+    place. Each stack gets the ``CovarianceMatrix`` check first, one call
+    per stack, and a matrix that fails it keeps that error; each column
+    entry has the bits of the result of the matrix's ``CovarianceMatrix``.
+    The stages on 2x2 and 4x4 blocks run once for all the groups. One
+    stack is a group of one: ``localize([stack], [m], [n])[0]``. Any other
+    input is invalid.
     """
     if any(_ndim(size) for size in (m, n) if not isinstance(size, (int, np.integer))):
         return _localize_stacks(cm, m, n, tol_pattern)
-    m, n = _block_sizes(m, n)
-    if isinstance(cm, np.ndarray):
-        return _localize_stacks([cm], [m], [n], tol_pattern)[0]
     if not isinstance(cm, CovarianceMatrix):
-        raise InvalidArgumentError("localize takes a CovarianceMatrix or a "
-                                   f"(K, 2N, 2N) array, got {type(cm).__name__}")
+        raise InvalidArgumentError(
+            "localize takes a CovarianceMatrix and two block sizes, or a sequence of "
+            f"(K, 2N, 2N) stacks and two sequences of block sizes, got {type(cm).__name__}")
+    m, n = _covered(cm.modes, m, n)
     with np.errstate(all="ignore"):
-        stack = _covered(cm, m, n)[None]
-        [columns] = _localize_groups([stack], [m], [n], tol_pattern, _PointErrors(1), False)
+        [columns] = _localize_groups([cm.matrix[None]], [m], [n], tol_pattern, _PointErrors(1))
     return _raise_first(columns.results())[0]
 
 
 def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
-    """The stack and grouped forms of ``localize``: each group's block sizes
-    and stack shape are checked, and its matrices get the
-    ``CovarianceMatrix`` check, one call per stack."""
+    """The grouped form of ``localize``: each group's block sizes and stack
+    are checked, then its matrices get the ``CovarianceMatrix`` check, one
+    call per stack, before the kernel takes the checked stacks."""
     if _ndim(ms) != 1 or _ndim(ns) != 1 or not isinstance(stacks, Iterable):
         raise InvalidArgumentError(
             "grouped localize takes a sequence of stacks and two sequences of block sizes")
@@ -730,18 +717,13 @@ def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
                                    f"{len(stacks)} stacks, {len(ms)} m and {len(ns)} n")
     _require_tolerance(tol_pattern, "pattern tolerance")
     for g, (stack, m, n) in enumerate(zip(stacks, ms, ns)):
-        ms[g], ns[g] = m, n = _block_sizes(m, n)
-        size = 2 * (m + n)
-        if not isinstance(stack, np.ndarray):
-            raise InvalidArgumentError(
-                f"grouped localize takes (K, 2N, 2N) arrays, got {type(stack).__name__}")
-        if stack.ndim != 3 or stack.shape[1:] != (size, size):
-            raise InvalidArgumentError(
-                f"split ({m}, {n}) needs a (K, {size}, {size}) stack, got shape {stack.shape}")
-        _require_real(stack)
+        stacks[g] = _real_stack(stack)
+        ms[g], ns[g] = _covered(stacks[g].shape[1] // 2, m, n)
+    errors = _PointErrors(sum(map(len, stacks)))
+    parts = _group_parts(errors, _group_slices(list(map(len, stacks))))
     with np.errstate(all="ignore"):
-        return _localize_groups(stacks, ms, ns, tol_pattern,
-                                _PointErrors(sum(len(stack) for stack in stacks)), True)
+        checked = [_symmetrized(stack, part) for stack, part in zip(stacks, parts)]
+        return _localize_groups(checked, ms, ns, tol_pattern, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,14 @@ from .states import BisymmetricBatch, BisymmetricSpec, bisymmetric_batch
 from .symplectic import (
     TOL,
     CovarianceMatrix,
+    _mirror_momenta,
     _PointErrors,
+    _real_stack,
     _Rejections,
-    _require_real,
     _symmetrized,
     _symplectic_spectra,
     float_reprs,
 )
-
-
-def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
-    """A copy of ``matrix`` with the momenta of ``flip_modes`` mirrored."""
-    signs = np.ones(matrix.shape[-1])
-    for k in flip_modes:
-        signs[2 * k + 1] = -1.0
-    return matrix * np.outer(signs, signs)
 
 
 def _log_negativities(nus: np.ndarray) -> list:
@@ -84,30 +77,28 @@ def oracle_pt_log_negativity(cm, part):
     or a physical state squeezed so far that rounding makes it so.
 
     ``cm`` is one ``CovarianceMatrix``, whose value is returned and whose
-    failure raises, or a (K, 2N, 2N) array, a stack of matrices. A stack
-    is split by ``part`` as a whole, goes through the dense spectrum
-    kernel as one stack and gives a list holding each matrix's value or
-    its error, in place. It gets the ``CovarianceMatrix`` check first, one
-    call for all of it: a matrix that fails it keeps that error and the
-    others get the values of their ``CovarianceMatrix``. A split that does not cover the
-    modes raises, and so does any other input.
+    failure raises, or a (K, 2N, 2N) array, a stack of matrices, which
+    gives a list holding each matrix's value or its error, in place. A
+    stack gets the ``CovarianceMatrix`` check first, one call for all of
+    it, so that each matrix has the value or the check's error of its
+    ``CovarianceMatrix``; it is split by ``part`` as a whole and goes
+    through the dense spectrum kernel as one stack. A split that does not
+    cover the modes raises, and so does any other input.
     """
-    if isinstance(cm, np.ndarray):
-        if cm.ndim != 3 or cm.shape[1] != cm.shape[2] or cm.shape[1] % 2 or not cm.shape[1]:
-            raise InvalidArgumentError(f"expected a (K, 2N, 2N) stack, got shape {cm.shape}")
-        _require_real(cm)
-        errors = _PointErrors(len(cm))
-        stack = _symmetrized(cm.astype(float, copy=False), errors)
-        if not errors.alive.all():  # a non-finite matrix would fail the whole factorization
-            stack = np.where(errors.alive[:, None, None], stack, np.eye(cm.shape[1]))
-        return _stack_log_negativities(stack, part, errors)
-    if not isinstance(cm, CovarianceMatrix):
+    if isinstance(cm, CovarianceMatrix):
+        [value] = _stack_log_negativities(cm.matrix[None], part, _PointErrors(1))
+        if isinstance(value, NumericalDomainError):
+            raise value
+        return value
+    if not isinstance(cm, np.ndarray):
         raise InvalidArgumentError("oracle_pt_log_negativity takes a CovarianceMatrix or a "
                                    f"(K, 2N, 2N) array, got {type(cm).__name__}")
-    [value] = _stack_log_negativities(cm.matrix[None], part, _PointErrors(1))
-    if isinstance(value, NumericalDomainError):
-        raise value
-    return value
+    stack = _real_stack(cm)
+    errors = _PointErrors(len(stack))
+    stack = _symmetrized(stack, errors)
+    if not errors.alive.all():  # a non-finite matrix would fail the whole factorization
+        stack = np.where(errors.alive[:, None, None], stack, np.eye(stack.shape[1]))
+    return _stack_log_negativities(stack, part, errors)
 
 
 def _stack_log_negativities(stack: np.ndarray, part, errors: _PointErrors) -> list:
@@ -308,7 +299,7 @@ def _place(results, cases, column, errors):
             column[case] = result
 
 
-def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
+def run_oracle_suite(cases: int = 500, seed: int = 4242):
     """Cross-check the three logarithmic-negativity routes on random specs.
 
     For each sampled two-block spec the value is computed (a) from the
@@ -336,7 +327,7 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242, max_block: int = 6):
 
     if cases < 0:
         raise InvalidArgumentError(f"cases must be non-negative, got {cases}")
-    sampler = SpecSampler(seed, max_block=max_block)
+    sampler = SpecSampler(seed)
     batch = BisymmetricBatch.of(sampler.bisymmetric(count=cases))
     # each route's value per case, and its errors by case
     values = [[0.0] * cases for _ in range(3)]

@@ -184,10 +184,8 @@ def _not_positive_definite(worst) -> InvalidArgumentError:
     )
 
 
-def _too_large(p, s) -> InvalidArgumentError:
-    return InvalidArgumentError(
-        f"parameters too large for the spectrum check: ({p:.6e} - {s:.6e})^2 overflows"
-    )
+def _too_large(what: str) -> InvalidArgumentError:
+    return InvalidArgumentError(f"parameters too large for the spectrum check: {what}")
 
 
 def _unphysical(smallest) -> InvalidArgumentError:
@@ -214,7 +212,10 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     squares are the eigenvalues of X P = [[p, q], [r, s]]. The smaller one
     is taken in conjugate form, 2 det X det P / (p + s + root), with the
     discriminant written as (p-s)^2 + 4qr: the textbook (p+s)^2 - 4 det
-    cancels to zero at pure states and keeps half the digits there.
+    cancels to zero at pure states and keeps half the digits there. An
+    overflow to inf - inf in det X or det P, or to inf / inf in the core
+    pair, makes the smallest eigenvalue nan (the core comes first in
+    ``min``), which no bound rejects: that raises too.
     ``_bisymmetric_min_nus`` is the same check on a batch.
     """
     terms = _two_block_terms(m, n, a, e1, e2, b, z1, z2, g1, g2, math.sqrt)
@@ -226,10 +227,13 @@ def _bisymmetric_min_nu(m, n, a, e1, e2, b, z1, z2, g1, g2) -> float:
     diff = p - s
     diff_sq = diff * diff  # as ``_squares`` rounds it
     if math.isinf(diff_sq) and math.isfinite(diff):
-        raise _too_large(p, s)
+        raise _too_large(f"({p:.6e} - {s:.6e})^2 overflows")
     nus = _two_block_nus(terms, diff_sq, math.sqrt, _max_zero)
-    return min(nus if m > 1 and n > 1 else
-               nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))
+    smallest = min(nus if m > 1 and n > 1 else
+                   nus[:1] + (nus[1:2] if m > 1 else ()) + (nus[2:] if n > 1 else ()))
+    if math.isnan(smallest):
+        raise _too_large("the smallest symplectic eigenvalue is nan")
+    return smallest
 
 
 def _first_min(values, keep):
@@ -258,9 +262,12 @@ def _bisymmetric_min_nus(m, n, a, e1, e2, b, z1, z2, g1, g2, errors: _PointError
     p, s = terms[8], terms[11]
     overflow = _PointErrors(len(p))
     diff_sq = _squares(p - s, overflow)
-    errors.record(~overflow.alive, lambda i: _too_large(float(p[i]), float(s[i])))
+    errors.record(~overflow.alive, lambda i: _too_large(f"({p[i]:.6e} - {s[i]:.6e})^2 overflows"))
     nus = _two_block_nus(terms, diff_sq, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
-    return _first_min(nus, (True, m > 1, n > 1))
+    smallest = _first_min(nus, (True, m > 1, n > 1))
+    errors.record(np.isnan(smallest),
+                  lambda i: _too_large("the smallest symplectic eigenvalue is nan"))
+    return smallest
 
 
 class BisymmetricBatch(NamedTuple):

@@ -277,6 +277,31 @@ def _symmetrized(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     return symmetric
 
 
+def _real_stack(stack) -> np.ndarray:
+    """A caller's (K, 2N, 2N) array, N >= 1, as floats: the one check of a
+    raw stack before ``_symmetrized``. Complex or non-numeric input is invalid."""
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3
+            and stack.shape[1] == stack.shape[2] and stack.shape[1] and not stack.shape[1] % 2):
+        got = f"shape {stack.shape}" if isinstance(stack, np.ndarray) else type(stack).__name__
+        raise InvalidArgumentError(f"expected a (K, 2N, 2N) stack, got {got}")
+    _require_real(stack)
+    try:
+        return stack.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"a stack must hold real numbers: {exc}") from None
+
+
+def _mirror_momenta(matrix: np.ndarray, flip_modes) -> np.ndarray:
+    """The partial transpose of a matrix or of each matrix of a stack, read-only:
+    the momenta of ``flip_modes`` mirrored, a symmetric matrix kept symmetric."""
+    signs = np.ones(matrix.shape[-1])
+    for k in flip_modes:
+        signs[2 * k + 1] = -1.0
+    mirrored = matrix * np.outer(signs, signs)
+    mirrored.flags.writeable = False
+    return mirrored
+
+
 def symplectic_form(modes: int) -> np.ndarray:
     """The 2N x 2N symplectic form: N diagonal copies of [[0, 1], [-1, 0]]."""
     if modes < 1:
@@ -322,7 +347,7 @@ class CovarianceMatrix:
     @classmethod
     def _checked(cls, matrix: np.ndarray) -> "CovarianceMatrix":
         """A covariance matrix holding ``matrix``, a read-only matrix that
-        passed ``_symmetrized``, without checking it again."""
+        passed ``_symmetrized`` (or that it returns as it is), unchecked."""
         cm = object.__new__(cls)
         object.__setattr__(cm, "matrix", matrix)
         return cm

@@ -199,7 +199,8 @@ def equivalent_two_mode(state, m=None, n=None, tol_pattern=None) -> EquivalentTw
     if isinstance(state, BisymmetricSpec):
         m, n, blocks = _batch_blocks(BisymmetricBatch.of([state]))
     else:
-        blocks, _ = _pattern_check(_covered(state, m, n)[None], m, n, tol_pattern, errors)
+        m, n = _covered(state.modes, m, n)
+        blocks, _ = _pattern_check(state.matrix[None], m, n, tol_pattern, errors)
         errors.raise_first()
         m, n = np.array([m]), np.array([n])
     with np.errstate(all="ignore"):

@@ -40,7 +40,7 @@ def test_criterion_1_oracle_equivalence():
     pairwise on 500 seeded random two-block specs (blocks up to 6 modes)."""
     started = time.monotonic()
     reports, summary, _ = __import__("entloc.oracle", fromlist=["x"]).run_oracle_suite(
-        cases=500, seed=4242, max_block=6
+        cases=500, seed=4242
     )
     elapsed = time.monotonic() - started
     failed = ~reports.passed

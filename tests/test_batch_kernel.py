@@ -261,6 +261,8 @@ def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypa
     assert calls == {"parent": 2 * 3, "kernel": 1}
 
 
+@pytest.mark.portable(reason="squares are one multiply and 2x2 determinants a d - b c, which IEEE "
+                             "arithmetic rounds the same everywhere")
 def test_squares_and_exp_round_like_python_floats():
     from entloc.symplectic import _PointErrors, _squares
 
@@ -296,6 +298,8 @@ def test_squares_and_exp_round_like_python_floats():
         assert r.negativity == 0.5 * (math.exp(r.log_negativity) - 1.0)
 
 
+@pytest.mark.portable(reason="squares are one multiply and 2x2 determinants a d - b c, which IEEE "
+                             "arithmetic rounds the same everywhere")
 def test_squares_record_overflow():
     from entloc.symplectic import _PointErrors, _squares
 
@@ -307,6 +311,8 @@ def test_squares_record_overflow():
     assert isinstance(errors.errors[1], NumericalDomainError)
 
 
+@pytest.mark.portable(reason="squares are one multiply and 2x2 determinants a d - b c, which IEEE "
+                             "arithmetic rounds the same everywhere")
 def test_2x2_determinants_record_overflow_as_squares_do():
     from entloc.symplectic import _dets, _PointErrors
 
@@ -349,6 +355,7 @@ def test_eof_is_within_a_few_ulps_of_a_50_digit_reference(nu):
     assert abs(value - float(reference)) <= 4 * math.ulp(float(reference))
 
 
+@pytest.mark.portable(reason="the EoF takes the C library's log1p per value, as Python floats do")
 def test_eof_column_has_the_bits_of_the_closed_form():
     from entloc.entanglement import _eof_columns
     from entloc.symplectic import _PointErrors

@@ -53,9 +53,7 @@ def test_report_dual_route_agreement(capsys):
     en_invariant = payload["report"]["log_negativity"]
     eq = payload["localization"]["equivalent"]["cm_eq"]
     cm_eq = el.CovarianceMatrix(np.array(eq["entries"]).reshape(4, 4))
-    en_constructive = el.log_negativity(
-        cm_eq, el.ModeBipartition((0,), (1,)), ppt_decidable=True
-    ).log_negativity
+    en_constructive = el.log_negativity(cm_eq, el.ModeBipartition((0,), (1,))).log_negativity
     assert en_constructive == pytest.approx(en_invariant, rel=1e-7)
     assert payload["localization"]["residual"] <= 1e-8
 
@@ -437,10 +435,16 @@ def test_sweep_config_rejects_empty_lists_and_defaults_none():
         (("report", "--modes", "6", "--b", "1e200", "--split", "3", "3"), 2),
         (("spectrum", "--modes", "4", "--b", "1e160"), 2),
         (("ole", "--modes", "4", "--b", "1e155"), 2),
-        (("report", "--spec-json", '{"modes":4,"b":1e200,"z1":0,"z2":0}', "--split", "2", "2"), 3),
+        (("report", "--spec-json", '{"modes":4,"b":1e200,"z1":0,"z2":0}', "--split", "2", "2"), 2),
         (("report", "--spec-json", '{"m":1,"n":1,"a":1e100,"b":1}'), 2),
         (("ole", "--spec-json", '{"modes":3,"b":1e100,"z1":5e99,"z2":0}'), 2),
         (("localize", "--modes", "4", "--b", "1e100", "--k", "2"), 2),
+        # specs whose spectrum check overflows to nan: they used to pass it
+        # and to exit 3 from the invariant route
+        (("report", "--spec-json", '{"m":1,"n":1,"a":1e200,"e1":0,"e2":0,"b":1e200,'
+          '"z1":0,"z2":0,"g1":1e200,"g2":0}'), 2),
+        (("report", "--spec-json", '{"m":2,"n":2,"a":1e160,"e1":1e159,"e2":1e159,"b":1e160,'
+          '"z1":1e159,"z2":1e159,"g1":1e150,"g2":1e150}'), 2),
     ],
 )
 def test_overflow_exit_code(capsys, argv, code):

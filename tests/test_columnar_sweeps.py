@@ -240,6 +240,10 @@ EDGE_PARAMS = [
     dict(m=2, n=2, a=1e100, e1=0.0, e2=0.0, b=1e100, z1=0.0, z2=0.0, g1=0.0, g2=0.0),
     dict(m=2, n=2, a=1e78, e1=0.0, e2=0.0, b=1.0, z1=0.0, z2=0.0, g1=0.0, g2=0.0),
     dict(m=3, n=4, a=1.5, e1=-0.0, e2=0.0, b=2.0, z1=0.3, z2=-0.3, g1=0.2, g2=-0.1),
+    # a positivity factor (det X = inf - inf) and the core eigenvalue (inf /
+    # inf) overflow to nan, which ``min`` passes over: both used to pass
+    dict(m=1, n=1, a=1e200, e1=0.0, e2=0.0, b=1e200, z1=0.0, z2=0.0, g1=1e200, g2=0.0),
+    dict(m=2, n=2, a=1e160, e1=1e159, e2=1e159, b=1e160, z1=1e159, z2=1e159, g1=1e150, g2=1e150),
 ]
 
 
@@ -256,6 +260,9 @@ def test_batch_validation_gives_the_scalar_decision_and_error():
     screen = bisymmetric_batch(*columns, errors=_Rejections(len(points))).errors
     assert screen.alive.tolist() == errors.alive.tolist()
     assert screen.errors == [None] * len(points)
+    too_large = "parameters too large for the spectrum check: "
+    assert expected[-2:] == [(InvalidArgumentError, too_large + "the smallest symplectic "
+                                                               "eigenvalue is nan", "None")] * 2
 
 
 # points whose X P entries give a p - s that glibc's pow(p - s, 2) rounds
@@ -279,6 +286,8 @@ SQUARE_PARAMS = [
 ]
 
 
+@pytest.mark.portable(reason="the batch and the scalar spectrum checks square p - s by one "
+                             "multiply, which IEEE arithmetic rounds the same everywhere")
 def test_batch_and_scalar_checks_square_p_minus_s_alike():
     """Both checks square p - s by one multiply: they agree where the C
     library's pow would round differently, and at the overflow boundary,
@@ -327,6 +336,8 @@ def _split_outcome(parent, k):
         return type(exc), str(exc)
 
 
+@pytest.mark.portable(reason="the split batch is elementwise numpy: no LAPACK, no exponential or "
+                             "logarithm")
 def test_split_batch_validates_as_the_split_spec():
     """Each point of the split batch holds the parameters of the split
     built from the definition, or the error its validation raises."""
@@ -354,6 +365,8 @@ def test_split_batch_validates_as_the_split_spec():
     assert any(isinstance(outcome, tuple) for outcome in outcomes)
 
 
+@pytest.mark.portable(reason="the split batch is elementwise numpy: no LAPACK, no exponential or "
+                             "logarithm")
 def test_split_batch_fails_a_point_with_its_parent_error_or_its_range():
     """A point whose parent is an error fails with that error object; a
     split size outside 1 .. M-1 fails with its range message."""

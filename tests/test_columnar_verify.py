@@ -33,7 +33,7 @@ from entloc.oracle import (
     run_oracle_suite,
     summarize_reports,
 )
-from entloc.states import BisymmetricBatch
+from entloc.states import SPEC_PARAMETERS, BisymmetricBatch, bisymmetric_batch
 from entloc.symplectic import TOL, _PointErrors, _symmetrized
 from oracle_helpers import bits
 
@@ -210,13 +210,16 @@ def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
     two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
     with pytest.raises(InvalidArgumentError, match="one shape"):
         el.bisymmetric_cm(BisymmetricBatch.of([one, two]))
-    # a valid spec whose matrix overflows in the symmetrization
-    huge = el.BisymmetricSpec(2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
+    # parameters whose matrix would overflow in the symmetrization overflow
+    # the spectrum check to nan first: no valid spec, alone or in a batch
+    huge = (2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidArgumentError) as alone:
-        el.bisymmetric_cm(huge)
+        el.BisymmetricSpec(*huge)
+    fields = [(two.m, two.n, *(getattr(two, name) for name in SPEC_PARAMETERS)), huge]
     with pytest.raises(InvalidArgumentError) as grouped:
-        el.bisymmetric_cm(BisymmetricBatch.of([two, huge, two]))
-    assert str(grouped.value) == str(alone.value) == "covariance matrix has non-finite entries"
+        el.bisymmetric_cm(bisymmetric_batch(*np.array([*fields, fields[0]]).T))
+    assert str(grouped.value) == str(alone.value) == (
+        "parameters too large for the spectrum check: the smallest symplectic eigenvalue is nan")
 
 
 def test_localize_stack_gives_a_failing_purity_its_place():
@@ -226,7 +229,8 @@ def test_localize_stack_gives_a_failing_purity_its_place():
     good = el.bisymmetric_cm(el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.4, -0.4))
     bad = el.CovarianceMatrix(np.array(
         [[1.0, 0, 2.0, 0], [0, 1.0, 0, 0.5], [2.0, 0, 1.0, 0], [0, 0.5, 0, 1.0]]))
-    results = el.localize(np.array([good.matrix, bad.matrix, good.matrix]), 1, 1).results()
+    [columns] = el.localize([np.array([good.matrix, bad.matrix, good.matrix])], [1], [1])
+    results = columns.results()
     assert [type(r) for r in results] == [
         el.LocalizationResult, NumericalDomainError, el.LocalizationResult
     ]

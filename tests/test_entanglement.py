@@ -41,6 +41,28 @@ def test_partial_transpose_flips_momentum_covariances():
     assert np.array_equal(pt.matrix, expected)
 
 
+def test_partial_transpose_is_the_constructor_of_the_mirrored_matrix():
+    """``partial_transpose`` skips the constructor's symmetrization, which
+    gives a mirrored symmetric matrix back bit for bit: signed zeros,
+    subnormals and entries whose double is near the float range included.
+    Its matrix is read-only, on either side and on sides in any order."""
+    rng = np.random.default_rng(37)
+    edge = np.diag([8.9e307, 1.0, 1.0, 5e-324, 2.0, 3.0])
+    edge[0, 1] = edge[1, 0] = -0.0
+    edge[1, 4], edge[4, 1] = 5e-324, 0.0  # symmetrized to a subnormal that rounds
+    edge[3, 5] = edge[5, 3] = -2.5e-308
+    cases = [(random_bona_fide_cm(modes, rng), part) for modes, part in
+             ((2, _split(1, 1)), (3, el.ModeBipartition((2,), (0, 1))), (5, _split(2, 3)))]
+    cases.append((el.CovarianceMatrix(edge), el.ModeBipartition((1, 2), (0,))))
+    for cm, part in cases:
+        signs = np.ones(2 * cm.modes)
+        signs[[2 * k + 1 for k in part.side_b]] = -1.0
+        want = el.CovarianceMatrix(cm.matrix * np.outer(signs, signs)).matrix
+        got = el.partial_transpose(cm, part).matrix
+        assert not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), part
+
+
 def test_partial_transpose_of_product_stays_physical():
     cm = pf.thermal_cm([1.5, 2.5])
     pt = el.partial_transpose(cm, _split(1, 1))
@@ -119,8 +141,8 @@ def test_log_negativity_undecided_for_general_two_by_two():
     cm = random_bona_fide_cm(4, rng)
     report = el.log_negativity(cm, _split(2, 2))
     assert report.separable is None
-    report2 = el.log_negativity(cm, _split(2, 2), ppt_decidable=True)
-    assert report2.separable is not None
+    # where PPT decides, the decision is nu~ >= 1, which holds exactly when E_N = 0
+    assert (report.nu_tilde_min >= 1.0) == (report.log_negativity == 0.0)
 
 
 def test_log_negativity_one_by_n_is_decidable():
@@ -146,7 +168,7 @@ def test_ghz_block_hierarchy_increasing():
     values = []
     for k in range(1, 11):
         part = _split(k, 20 - k)
-        values.append(el.log_negativity(cm, part, ppt_decidable=True).log_negativity)
+        values.append(el.log_negativity(cm, part).log_negativity)
     assert all(values[i] < values[i + 1] for i in range(9))
 
 

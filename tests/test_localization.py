@@ -188,6 +188,8 @@ def _uncorrelated_products():
     ]
 
 
+@pytest.mark.portable(reason="the exact zeros of uncorrelated products (E_N, N, EoF and the cross "
+                             "block) come from a d - b c and elementwise numpy")
 def test_products_of_uncorrelated_blocks_are_separable_with_no_entanglement():
     """The PT eigenvalues of a product are the blocks' nu_plus, which for a
     pure block is 1 up to the rounding of its parameters: each product
@@ -201,6 +203,8 @@ def test_products_of_uncorrelated_blocks_are_separable_with_no_entanglement():
     assert min(r.nu_tilde_min for r in reports) == 1.0
 
 
+@pytest.mark.portable(reason="the exact zeros of uncorrelated products (E_N, N, EoF and the cross "
+                             "block) come from a d - b c and elementwise numpy")
 def test_products_of_uncorrelated_blocks_have_an_exactly_zero_cross_block():
     """|c_plus| + |c_minus| = 0 exactly when g = 0, and both are +0.0."""
     for spec in _uncorrelated_products()[::7]:
@@ -278,6 +282,8 @@ def _ppt_consistent(report) -> bool:
 # a = 1.5 and e = z = 0.1 inside a block of more than one mode, b such that
 # b + (n-1) z = a + (m-1) e, and g1 = -g2 = g, so that the equivalent state
 # is symmetric with nu~ = a + (m-1) e - sqrt(mn) g, here 1 + offset
+@pytest.mark.portable(reason="the clamp of a PT eigenvalue within TOL.PPT of 1 and the separable "
+                             "flag read from it are elementwise numpy, on both routes")
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (1, 3)])
 @pytest.mark.parametrize("offset, separable", [
     (-5e-10, False), (-2e-10, False), (-1.2e-10, False),
@@ -293,8 +299,10 @@ def test_ppt_band_decides_separable_and_zeros_alike(m, n, offset, separable):
     spec = el.BisymmetricSpec(m, n, 1.5, *[0.1 * (m > 1)] * 2, 1.5 + 0.1 * (m - n),
                               *[0.1 * (n > 1)] * 2, g, -g)
     cm = el.bisymmetric_cm(spec)
+    dense = el.log_negativity(cm, _split(m, n))
+    # PPT decides two-block states: the dense route's decision is nu~ >= 1
     routes = [el.equivalent_report(spec), el.equivalent_report_from_cm(cm, m, n),
-              el.log_negativity(cm, _split(m, n), ppt_decidable=True)]
+              dataclasses.replace(dense, separable=dense.nu_tilde_min >= 1.0)]
     for report in routes:
         assert abs(report.nu_tilde_min - (1.0 + offset)) < 1e-14 or report.nu_tilde_min == 1.0
         assert report.separable is separable, report
@@ -407,7 +415,7 @@ def test_localize_uncorrelated_blocks_fully_diagonal():
     result = el.localize(el.bisymmetric_cm(spec), 2, 2)
     off_diag = result.cm_final.matrix - np.diag(np.diag(result.cm_final.matrix))
     assert np.max(np.abs(off_diag)) <= 1e-10
-    report = el.log_negativity(result.equivalent.cm_eq, _split(1, 1), ppt_decidable=True)
+    report = el.log_negativity(result.equivalent.cm_eq, _split(1, 1))
     assert report.separable is True
 
 
@@ -537,7 +545,7 @@ def test_localize_rejects_bad_tolerance(tol):
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         el.localize(cm, 2, 2, tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
-        el.localize(np.array([cm.matrix, cm.matrix]), 2, 2, tol_pattern=tol)
+        el.localize([np.array([cm.matrix, cm.matrix])], [2], [2], tol_pattern=tol)
     with pytest.raises(InvalidArgumentError, match="finite number >= 0"):
         pf.equivalent_two_mode(cm, 2, 2, tol_pattern=tol)
 
@@ -551,8 +559,7 @@ def test_block_sizes_that_are_not_integers_are_invalid(m, n):
     TypeError from a slice index (or passed as a bool)."""
     cm = el.fully_symmetric_cm(el.ghz_type_spec(4, 1.4))
     message = f"block size must be an integer, got {m!r}"
-    for call in (lambda: el.localize(cm, m, n), lambda: el.localize(np.array([cm.matrix]), m, n),
-                 lambda: el.localize([np.array([cm.matrix])], [m], [n]),
+    for call in (lambda: el.localize(cm, m, n), lambda: el.localize([np.array([cm.matrix])], [m], [n]),
                  lambda: el.equivalent_report_from_cm(cm, m, n)):
         with pytest.raises(InvalidArgumentError) as excinfo:
             call()
@@ -578,14 +585,14 @@ def test_grouped_localize_and_oracle_equal_batches_of_one():
     two_mode = _split(1, 1)
     for (m, n), cms in shapes.items():
         stack = np.array([cm.matrix for cm in cms])
-        grouped = el.localize(stack, m, n).results()
+        grouped = el.localize([stack], [m], [n])[0].results()
         brute = oracle_pt_log_negativity(stack, _split(m, n))
         reduced = oracle_pt_log_negativity(
             np.array([r.equivalent.cm_eq.matrix for r in grouped]), two_mode)
         assert len(grouped) == len(brute) == len(reduced) == len(cms)
         assert not any(isinstance(r, Exception) for r in [*grouped, *brute, *reduced])
         for cm, result, en_brute, en_reduced in zip(cms, grouped, brute, reduced):
-            (alone,) = el.localize(np.array([cm.matrix]), m, n).results()
+            (alone,) = el.localize([cm.matrix[None]], [m], [n])[0].results()
             assert np.array_equal(_bits(result.local_symplectic), _bits(alone.local_symplectic))
             assert np.array_equal(_bits(result.cm_final.matrix), _bits(alone.cm_final.matrix))
             eq, eq_alone = result.equivalent, alone.equivalent
@@ -606,7 +613,8 @@ def test_localize_batch_gives_the_failing_matrix_its_error():
         matrix[2, 2] += bump
         broken.append(el.CovarianceMatrix(matrix))
     stack = np.array([good.matrix, broken[0].matrix, good.matrix, broken[1].matrix])
-    results = el.localize(stack, 3, 2).results()
+    [columns] = el.localize([stack], [3], [2])
+    results = columns.results()
     assert [type(r) for r in results] == [
         el.LocalizationResult, LocalizationError, el.LocalizationResult, LocalizationError
     ]
@@ -619,11 +627,11 @@ def test_localize_batch_gives_the_failing_matrix_its_error():
     alone = el.localize(good, 3, 2)
     assert np.array_equal(results[2].cm_final.matrix, alone.cm_final.matrix)
     # a matrix the split does not cover is invalid, alone and as a stack
-    with pytest.raises(InvalidArgumentError, match=r"split \(3, 2\) does not cover"):
-        el.localize(pf.vacuum_cm(4), 3, 2)
-    with pytest.raises(InvalidArgumentError, match=r"needs a \(K, 10, 10\) stack"):
-        el.localize(np.array([pf.vacuum_cm(4).matrix]), 3, 2)
-    assert el.localize(np.empty((0, 10, 10)), 3, 2).results() == []
+    for call in (lambda: el.localize(pf.vacuum_cm(4), 3, 2),
+                 lambda: el.localize([np.array([pf.vacuum_cm(4).matrix])], [3], [2])):
+        with pytest.raises(InvalidArgumentError, match=r"split \(3, 2\) does not cover the 4-mode"):
+            call()
+    assert el.localize([np.empty((0, 10, 10))], [3], [2])[0].results() == []
 
 
 def test_mode_mixing_is_the_kron_product_bit_for_bit():
@@ -716,7 +724,7 @@ def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
     is within the tolerance the residual was checked against."""
     checked = 0
     for name, stack, m, n in _skeleton_cases():
-        for matrix, result in zip(stack, el.localize(stack, m, n).results()):
+        for matrix, result in zip(stack, el.localize([stack], [m], [n])[0].results()):
             final, eq = result.cm_final.matrix, result.equivalent.cm_eq.matrix
             assert not np.any(_bits(final)[~_skeleton(m + n, m)]), name
             assert not np.any(_bits(eq)[~_skeleton(2, 1)]), name
@@ -881,6 +889,8 @@ def test_block_log_negativity_and_ole_scan_report_the_defined_splits():
         assert repr([report for _, report in scan]) == repr(expected[: spec.modes // 2])
 
 
+@pytest.mark.portable(reason="the split batch is elementwise numpy: no LAPACK, no exponential or "
+                             "logarithm")
 @pytest.mark.parametrize("k", [0, 4, 2**70, 2.5], ids=["zero", "M", "past-int64", "fraction"])
 def test_split_batch_range_check_reaches_block_log_negativity(k):
     """A split size that is no integer in 1 .. M-1, one past int64

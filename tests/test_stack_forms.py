@@ -1,12 +1,12 @@
-"""The stack forms of ``bisymmetric_cm``, ``localize`` and the oracle
-against their per-item forms, bit for bit.
+"""The stack forms of ``bisymmetric_cm`` and the oracle, and the grouped
+form of ``localize``, against their per-item forms, bit for bit.
 
 ``verify`` keeps each (m, n) shape group as one array from assembly to
 the dense oracle: a ``BisymmetricBatch`` slice is assembled into a
-checked (K, 2N, 2N) stack, ``localize`` reduces the stack to
-``LocalizationColumns`` and the oracle takes the stacks as they are. Each
-matrix must get the bits, or the error, that the per-item call gives it,
-in place among the others.
+checked (K, 2N, 2N) stack, one grouped ``localize`` call reduces the
+stacks of all groups to one ``LocalizationColumns`` each, and the oracle
+takes the stacks as they are. Each matrix must get the bits, or the
+error, that the per-item call gives it, in place among the others.
 """
 
 import math
@@ -17,11 +17,16 @@ import pytest
 import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError, NumericalDomainError
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
-from entloc.states import BisymmetricBatch, bisymmetric_batch
+from entloc.states import SPEC_PARAMETERS, BisymmetricBatch, bisymmetric_batch
 from entloc.symplectic import _PointErrors, _symmetrized
 from oracle_helpers import bits, outcome, random_symplectic
 import paper_formulas as pf
 
+
+pytestmark = pytest.mark.portable(
+    reason="the stack and grouped forms rely on stacked svd and slogdet, over one stack or over "
+           "the groups concatenated, on bit views and on read-only views, and localize's boundary "
+           "rotation is a stacked matmul on the boundary rows and columns")
 
 _split = el.ModeBipartition.contiguous
 
@@ -110,18 +115,20 @@ def test_bisymmetric_cm_stack_form_is_the_single_form():
 
 
 def test_bisymmetric_cm_stack_form_raises_the_first_failure():
-    """The first matrix that fails its check raises the error its spec
-    raises alone; a point the batch holds an error for raises that error;
-    a batch of two shapes is invalid, and so is an empty batch, which has
-    no shape."""
+    """A point the batch holds an error for raises that error, as its
+    spec raises it alone: parameters whose matrix would overflow in the
+    symmetrization overflow the spectrum check to nan first. A batch of
+    two shapes is invalid, and so is an empty batch, which has no shape."""
     one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
     two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
-    huge = el.BisymmetricSpec(2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
+    huge = (2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidArgumentError) as alone:
-        el.bisymmetric_cm(huge)
+        el.BisymmetricSpec(*huge)
+    fields = (two.m, two.n, *(getattr(two, name) for name in SPEC_PARAMETERS))
     with pytest.raises(InvalidArgumentError) as stacked:
-        el.bisymmetric_cm(BisymmetricBatch.of([two, huge, two]))
-    assert str(stacked.value) == str(alone.value) == "covariance matrix has non-finite entries"
+        el.bisymmetric_cm(bisymmetric_batch(*np.array([fields, huge, fields]).T))
+    assert str(stacked.value) == str(alone.value) == (
+        "parameters too large for the spectrum check: the smallest symplectic eigenvalue is nan")
     with pytest.raises(InvalidArgumentError, match=r"got shapes \[\(1, 1\), \(2, 1\)\]"):
         el.bisymmetric_cm(BisymmetricBatch.of([one, two]))
     # point 1, with b = 0.5 < 1, is no valid spec
@@ -161,15 +168,14 @@ def _same_result(columns, k, result):
 
 
 def test_localize_stack_form_is_the_per_matrix_form():
-    """Every shape group of a seeded draw: the columns of the checked
-    stack, of the same stack as a writable raw array, and the results
-    built from the columns all hold each matrix's own ``localize``
-    result."""
+    """Every shape group of a seeded draw, as a group of one: the columns
+    of the checked stack, of the same stack as a writable raw array, and
+    the results built from the columns all hold each matrix's own
+    ``localize`` result."""
     specs, batch, groups = _shape_groups()
     for (m, n), indices in groups.items():
         stack = el.bisymmetric_cm(batch.take(np.array(indices)))
-        columns = el.localize(stack, m, n)
-        raw = el.localize(np.array(stack), m, n)
+        [columns], [raw] = el.localize([stack], [m], [n]), el.localize([np.array(stack)], [m], [n])
         results = columns.results()
         for k, i in enumerate(indices):
             alone = el.localize(el.bisymmetric_cm(specs[i]), m, n)
@@ -197,7 +203,7 @@ def test_boundary_rotation_at_the_edges_of_the_matrix(m, n):
         local[2 * m :, 2 * m :] = np.kron(np.eye(n), random_symplectic(1, rng, strength=0.4))
         stack.append(pf.apply_symplectic(local, el.bisymmetric_cm(spec)).matrix)
     stack = np.array(stack)
-    columns = el.localize(stack, m, n)
+    [columns] = el.localize([stack], [m], [n])
     for k, matrix in enumerate(stack):
         alone = el.localize(el.CovarianceMatrix(matrix), m, n)
         assert _same_result(columns, k, alone), k
@@ -227,7 +233,7 @@ def test_localize_stack_form_keeps_each_failure_in_place():
     infinite = good.copy()
     infinite[5, 5] = math.inf
     stack = np.array([good, pattern, good, purity, asymmetric, good, non_finite, infinite, good])
-    columns = el.localize(stack, 2, 1)
+    [columns] = el.localize([stack], [2], [1])
     kinds = []
     for k, matrix in enumerate(stack):
         alone = outcome(lambda: el.localize(el.CovarianceMatrix(matrix), 2, 1))
@@ -249,10 +255,15 @@ def test_localize_stack_form_keeps_each_failure_in_place():
 
 
 def test_localize_stack_form_rejects_a_stack_of_another_size():
-    for shape in ((2, 6, 6), (6, 6), (2, 4, 6)):
-        with pytest.raises(InvalidArgumentError, match=r"needs a \(K, 8, 8\) stack"):
-            el.localize(np.zeros(shape), 2, 2)
-    empty = el.localize(np.empty((0, 8, 8)), 2, 2)
+    """A stack the split does not cover, and an array that is no (K, 2N,
+    2N) stack, are invalid, as the oracle says; an empty stack gives empty
+    columns."""
+    for shape, message in (((2, 6, 6), r"split \(2, 2\) does not cover the 3-mode input"),
+                           ((6, 6), r"expected a \(K, 2N, 2N\) stack, got shape \(6, 6\)"),
+                           ((2, 4, 6), r"expected a \(K, 2N, 2N\) stack, got shape \(2, 4, 6\)")):
+        with pytest.raises(InvalidArgumentError, match=message):
+            el.localize([np.zeros(shape)], [2], [2])
+    [empty] = el.localize([np.empty((0, 8, 8))], [2], [2])
     assert empty.cm_final.shape == (0, 8, 8) and empty.errors == []
 
 
@@ -274,9 +285,9 @@ def _same_columns(got, want):
 
 def test_grouped_localize_is_each_group_alone():
     """One grouped call over the 36 shape stacks of a seeded 1000-case
-    draw gives each group the columns of its own stack-form call, bit for
-    bit: the normalizers, the boundary SVDs and the checks of cm_eq run
-    on all groups concatenated."""
+    draw gives each group the columns of its own call, a group of one,
+    bit for bit: the normalizers, the boundary SVDs and the checks of
+    cm_eq run on all groups concatenated."""
     groups = {}
     for spec in SpecSampler(31).bisymmetric(count=1000):
         groups.setdefault((spec.m, spec.n), []).append(spec)
@@ -286,7 +297,7 @@ def test_grouped_localize_is_each_group_alone():
     grouped = el.localize(stacks, ms, ns)
     assert len(grouped) == 36
     for columns, stack, m, n in zip(grouped, stacks, ms, ns):
-        assert _same_columns(columns, el.localize(stack, m, n)), (m, n)
+        assert _same_columns(columns, el.localize([stack], [m], [n])[0]), (m, n)
         assert not any(columns.errors), (m, n)
 
 
@@ -307,7 +318,7 @@ def test_grouped_localize_keeps_each_failure_in_its_group():
     ms, ns = [m for m, _ in shapes], [n for _, n in shapes]
     grouped = el.localize(stacks, ms, ns, tol_pattern=1e-9)
     for columns, stack, m, n in zip(grouped, stacks, ms, ns):
-        assert _same_columns(columns, el.localize(stack, m, n, tol_pattern=1e-9)), (m, n)
+        assert _same_columns(columns, el.localize([stack], [m], [n], tol_pattern=1e-9)[0]), (m, n)
     failed = {(g, k): str(e) for g, columns in enumerate(grouped)
               for k, e in enumerate(columns.errors) if e is not None}
     assert sorted(failed) == [(0, 1), (1, 2), (3, 0), (4, 1)]
@@ -327,12 +338,18 @@ def test_grouped_localize_rejects_groups_that_do_not_match():
                            ([stack], [1], [1, 1])):
         with pytest.raises(InvalidArgumentError, match="one m and one n per stack"):
             el.localize(stacks, ms, ns)
-    with pytest.raises(InvalidArgumentError, match=r"split \(1, 2\) needs a \(K, 6, 6\) stack"):
+    with pytest.raises(InvalidArgumentError, match=r"split \(1, 2\) does not cover the 2-mode input"):
         el.localize([stack, stack], [1, 1], [1, 2])
-    with pytest.raises(InvalidArgumentError, match=r"takes \(K, 2N, 2N\) arrays, got CovarianceMatrix"):
+    with pytest.raises(InvalidArgumentError, match=r"expected a \(K, 2N, 2N\) stack, got CovarianceMatrix"):
         el.localize([el.CovarianceMatrix(np.eye(4))], [1], [1])
     with pytest.raises(InvalidArgumentError, match="block size must be an integer, got 1.0"):
         el.localize([stack], [1.0], [1])
+    # entries that are no numbers: before, a bare ValueError or TypeError from the cast
+    for entries in (np.full((1, 4, 4), "x"), np.full((1, 4, 4), {}, dtype=object)):
+        for call in (lambda: el.localize([entries], [1], [1]),
+                     lambda: oracle_pt_log_negativity(entries, _split(1, 1))):
+            with pytest.raises(InvalidArgumentError, match="a stack must hold real numbers"):
+                call()
     # a ragged sequence of sizes is a sequence too: before, a bare ValueError
     with pytest.raises(InvalidArgumentError, match="one m and one n per stack"):
         el.localize([stack], [1, [2]], [3, 2])
@@ -352,7 +369,6 @@ def test_complex_input_is_invalid_not_cast():
     complex dtype instead, a zero imaginary part included."""
     for matrix in ((1 + 1j) * np.eye(4), np.eye(4, dtype=complex)):
         calls = [lambda: el.CovarianceMatrix(matrix), lambda: el.CovarianceMatrix(matrix.tolist()),
-                 lambda: el.localize(matrix[None], 1, 1),
                  lambda: el.localize([matrix[None]], [1], [1]),
                  lambda: oracle_pt_log_negativity(matrix[None], _split(1, 1))]
         for call in calls:
@@ -376,7 +392,7 @@ def test_oracle_stack_form_is_the_single_form():
         part = _split(m, n)
         want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), part) for matrix in stack]
         assert np.array_equal(bits(oracle_pt_log_negativity(stack, part)), bits(want)), (m, n)
-        reduced.append(el.localize(stack, m, n).cm_eq)
+        reduced.append(el.localize([stack], [m], [n])[0].cm_eq)
     reduced = np.concatenate(reduced)
     want = [oracle_pt_log_negativity(el.CovarianceMatrix(matrix), _split(1, 1)) for matrix in reduced]
     assert np.array_equal(bits(oracle_pt_log_negativity(reduced, _split(1, 1))), bits(want))
@@ -419,15 +435,19 @@ def test_oracle_stack_form_keeps_each_failure_in_place():
 # ---------------------------------------------------------------------------
 
 
+_LOCALIZE_FORMS = (r"localize takes a CovarianceMatrix and two block sizes, or a sequence of "
+                   r"\(K, 2N, 2N\) stacks and two sequences of block sizes, got ")
+
+
 def test_stack_forms_and_single_forms_are_the_only_forms():
     """A list or tuple of specs or matrices, empty or not, is neither the
-    single form nor the stack form: each function rejects it, naming the
-    two forms it takes."""
+    single form nor the stack (or grouped) form: each function rejects it,
+    naming the two forms it takes."""
     spec = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
     cm = el.bisymmetric_cm(spec)
     calls = [
         (el.bisymmetric_cm, [spec], "a BisymmetricSpec or a BisymmetricBatch"),
-        (lambda items: el.localize(items, 1, 1), [cm], r"a CovarianceMatrix or a \(K, 2N, 2N\) array"),
+        (lambda items: el.localize(items, 1, 1), [cm], _LOCALIZE_FORMS),
         (lambda items: oracle_pt_log_negativity(items, _split(1, 1)), [cm],
          r"a CovarianceMatrix or a \(K, 2N, 2N\) array"),
     ]
@@ -435,3 +455,15 @@ def test_stack_forms_and_single_forms_are_the_only_forms():
         for other in (items, items * 3, tuple(items), [], [cm.matrix]):
             with pytest.raises(InvalidArgumentError, match=forms):
                 call(other)
+
+
+def test_localize_of_one_array_names_its_two_forms():
+    """``localize`` has no stack form: an array with two block sizes, a
+    stack or a single matrix, is invalid input whose error names the two
+    forms; the stack goes in as a group of one."""
+    stack = np.array([el.fully_symmetric_cm(el.ghz_type_spec(4, 1.4)).matrix] * 2)
+    for array in (stack, stack[0]):
+        with pytest.raises(InvalidArgumentError, match=_LOCALIZE_FORMS + "ndarray$"):
+            el.localize(array, 2, 2)
+    [columns] = el.localize([stack], [2], [2])
+    assert columns.cm_final.shape == (2, 8, 8) and columns.errors == [None, None]

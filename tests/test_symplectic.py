@@ -9,9 +9,9 @@ from entloc.errors import (
     InvalidArgumentError,
     NumericalDomainError,
 )
-from entloc.oracle import SpecSampler, _mirror_momenta, oracle_pt_log_negativity
+from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
-from entloc.symplectic import _PointErrors, _symplectic_spectra
+from entloc.symplectic import _mirror_momenta, _PointErrors, _symplectic_spectra
 from oracle_helpers import (
     bits,
     cm_allclose,
@@ -38,6 +38,7 @@ def test_symplectic_form_two_modes_block_diagonal():
     assert np.all(omega[:2, 2:] == 0.0)
 
 
+@pytest.mark.portable(reason="the symplectic form holds 0, 1 and -1 only, and its square is exact")
 @pytest.mark.parametrize("modes", [1, 2, 5, 11])
 def test_symplectic_form_squares_to_minus_identity(modes):
     omega = el.symplectic_form(modes)
@@ -151,11 +152,14 @@ def _verify_oracle_stacks(seed):
     reduced = []
     for (m, n), specs in groups.items():
         stack = el.bisymmetric_cm(BisymmetricBatch.of(specs))
-        reduced.append(el.localize(stack, m, n).cm_eq)
+        reduced.append(el.localize([stack], [m], [n])[0].cm_eq)
         yield _mirror_momenta(stack, range(m, m + n))
     yield _mirror_momenta(np.concatenate(reduced), (1,))
 
 
+@pytest.mark.portable(reason="the dense spectrum kernel relies on a stacked cholesky that raises "
+                             "for the whole stack when one matrix is not positive definite, and "
+                             "then factors each matrix alone")
 def test_spectrum_kernel_stack_is_each_matrix_alone():
     """Each matrix of a stack gets the bits of a stack of one, which is
     what ``symplectic_eigenvalues`` returns, each row descending."""
@@ -170,6 +174,9 @@ def test_spectrum_kernel_stack_is_each_matrix_alone():
         assert (np.diff(nus, axis=1) <= 0.0).all()
 
 
+@pytest.mark.portable(reason="the dense spectrum kernel relies on a stacked cholesky that raises "
+                             "for the whole stack when one matrix is not positive definite, and "
+                             "then factors each matrix alone")
 def test_spectrum_kernel_keeps_each_error_in_place(monkeypatch):
     """A matrix that is not positive definite fails the stacked Cholesky
     call; each matrix is then factored alone, the failing ones get their
