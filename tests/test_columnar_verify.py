@@ -215,9 +215,9 @@ def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
     huge = (2, 1, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidArgumentError) as alone:
         el.BisymmetricSpec(*huge)
-    fields = [(two.m, two.n, *(getattr(two, name) for name in SPEC_PARAMETERS)), huge]
+    fields = (two.m, two.n, *(getattr(two, name) for name in SPEC_PARAMETERS))
     with pytest.raises(InvalidArgumentError) as grouped:
-        el.bisymmetric_cm(bisymmetric_batch(*np.array([*fields, fields[0]]).T))
+        el.bisymmetric_cm(bisymmetric_batch(*np.array([fields, huge, fields]).T))
     assert str(grouped.value) == str(alone.value) == (
         "parameters too large for the spectrum check: the smallest symplectic eigenvalue is nan")
 
