@@ -12,18 +12,23 @@ A sweep is columnar from end to end. ``run_hierarchy`` and
 every parent into one ``BisymmetricBatch`` (``_fs_split_batch``), and
 make one call of the invariant route, which gives report columns. The
 rows are those columns (``SweepRows``): a sequence of row dicts, made
-on access.
-``render_table`` formats CSV or JSON one column at a time: a float
-column in one ``%`` pass, an int or string column once per distinct
-value. Identical configs produce identical bytes.
+on access. The columns of the grid's axes (m, n, k, b and q of the
+hierarchy; q, n and b of the scaling sweep) are held with their
+structure: each of a few values repeated over consecutive rows, the
+block repeated over the table.
+``render_table`` formats CSV or JSON one column at a time: an axis
+column once per grid value, its texts then repeated as its cells are;
+another float column in one ``%`` pass, an int or string column once
+per distinct value. Identical configs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +120,22 @@ def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     parent = ghz_type_spec(modes + q, b)
     if q == 0:
         return parent
-    return dataclasses.replace(parent, modes=modes)
+    return FullySymmetricSpec(modes, parent.b, parent.z1, parent.z2)
+
+
+class _Axis(NamedTuple):
+    """A column of a sweep grid's axis: each of ``values`` repeated over
+    ``repeat`` consecutive rows, and that block repeated ``tile`` times."""
+
+    values: list
+    repeat: int
+    tile: int
+
+    def spread(self, items: list) -> list:
+        """``items``, one per value, laid out as the column's cells."""
+        if self.repeat != 1:
+            items = list(chain.from_iterable([item] * self.repeat for item in items))
+        return items * self.tile
 
 
 class SweepRows(Sequence):
@@ -125,10 +145,17 @@ class SweepRows(Sequence):
     values (int, float, bool, str, or None for a missing value). A row is
     a dict in column order, made when it is read; rows compare equal to
     any sequence of equal dicts.
+
+    The sweeps give an axis column of their grid as an ``_Axis``: its
+    cells are built into ``columns``, and ``axes`` keeps the axis, so
+    that ``render_table`` formats each of its values once. The columns
+    are not to be changed after construction.
     """
 
     def __init__(self, columns: dict):
-        self.columns = columns
+        self.axes = {name: cells for name, cells in columns.items() if isinstance(cells, _Axis)}
+        self.columns = {name: cells.spread(cells.values) if name in self.axes else cells
+                        for name, cells in columns.items()}
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
@@ -205,15 +232,16 @@ def run_hierarchy(cfg: SweepConfig) -> SweepRows:
     # points in (q, k, b) order, b fastest; the parent of (q, k, b) is (q, b)
     shape = (len(qs), len(ks), len(grid))
     index = np.broadcast_to(np.arange(len(parents)).reshape(len(qs), 1, -1), shape).ravel()
-    k = np.broadcast_to(np.array(ks, dtype=np.int64).reshape(1, -1, 1), shape).ravel()
+    split = np.array(ks, dtype=np.int64)
+    k = np.broadcast_to(split.reshape(1, -1, 1), shape).ravel()
     report = equivalent_report(_fs_split_batch(parents, index, k))
-    ks_cells = k.tolist()
+    ks_axis = _Axis(split.tolist(), len(grid), len(qs))
     return SweepRows({
-        "m": ks_cells,
-        "n": (cfg.modes - k).tolist(),
-        "k": ks_cells,
-        "b": list(grid) * (len(qs) * len(ks)),
-        "q": [q for q in qs for _ in range(len(ks) * len(grid))],
+        "m": ks_axis,
+        "n": _Axis((cfg.modes - split).tolist(), len(grid), len(qs)),
+        "k": ks_axis,
+        "b": _Axis(list(grid), 1, len(qs) * len(ks)),
+        "q": _Axis(list(qs), len(ks) * len(grid), 1),
         **_report_cells(report),
         "status": list(map(_status, report.errors)),
     })
@@ -224,7 +252,8 @@ def run_scaling(cfg: SweepConfig) -> SweepRows:
     both from one batch of the invariant route."""
     keys = [(q, n) for q in cfg.trace_out for n in cfg.n_range]
     parents = [_attempt(traced_symmetric_spec, 2 * n, q, cfg.b) for q, n in keys]
-    pairs = [_attempt(lambda spec: dataclasses.replace(spec, modes=2), p) for p in parents]
+    pairs = [_attempt(lambda spec: FullySymmetricSpec(2, spec.b, spec.z1, spec.z2), p)
+             for p in parents]
     # points 0..R-1 split each parent n | n, points R..2R-1 its pair 1 | 1
     half = np.array([n for _, n in keys], dtype=np.int64)
     k = np.concatenate([half, np.ones_like(half)])
@@ -235,9 +264,9 @@ def run_scaling(cfg: SweepConfig) -> SweepRows:
     failed = np.array([error is not None for error in errors], dtype=bool)
     eof = _cells(report.eof, report.eof_missing | np.concatenate([failed, failed]))
     return SweepRows({
-        "q": [q for q, _ in keys],
-        "n": [n for _, n in keys],
-        "b": [cfg.b] * count,
+        "q": _Axis(list(cfg.trace_out), len(cfg.n_range), 1),
+        "n": _Axis(list(cfg.n_range), 1, len(cfg.trace_out)),
+        "b": _Axis([cfg.b], 1, count),
         "E_F_1x1": eof[count:],
         "E_F_nxn": eof[:count],
         "status": list(map(_status, errors)),
@@ -292,15 +321,28 @@ def _cell_text(value, fmt: str) -> str:
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
+def _texts(rows, column: str, fmt: str) -> list:
+    """The texts of one column of ``rows`` in ``fmt``: an axis of a
+    ``SweepRows`` from the texts of its values, any other column from
+    its cells."""
+    if isinstance(rows, SweepRows):
+        if column in rows.axes:
+            axis = rows.axes[column]
+            return axis.spread(_column_texts(axis.values, fmt))
+        if column in rows.columns:
+            return _column_texts(rows.columns[column], fmt)
+    return _column_texts([row.get(column) for row in rows], fmt)
+
+
 def render_table(rows, columns, fmt: str) -> str:
     """The CSV or JSON text of ``rows`` restricted to ``columns``, in that
     order; a cell a row lacks is None. The JSON is ``json.dumps`` of the
-    rows with ``indent=2``, byte for byte."""
+    rows with ``indent=2``, byte for byte. An axis column of a
+    ``SweepRows`` is formatted once per grid value; its texts are the
+    texts of its cells, because every cell is formatted on its own."""
     if fmt not in _NAMED:
         raise InvalidArgumentError(f"unknown output format {fmt!r}")
-    held = rows.columns if isinstance(rows, SweepRows) else {}
-    cells = [held[c] if c in held else [row.get(c) for row in rows] for c in columns]
-    texts = [_column_texts(column, fmt) for column in cells]
+    texts = [_texts(rows, column, fmt) for column in columns]
     if fmt == "json":
         return _json_records(columns, texts, len(rows)) + "\n"
     lines = map(",".join, zip(*texts)) if texts else [""] * len(rows)

@@ -2,10 +2,11 @@
 
 A sweep validates its splits as one ``BisymmetricBatch``, reads report
 columns from one call of the invariant route and renders one column at
-a time. Every row must equal the per-point evaluation bit for bit, the
-CSV the per-cell formula, the JSON ``json.dumps(rows, indent=2)``, and
-the batch validator must reject exactly what ``BisymmetricSpec`` rejects,
-with the same error.
+a time, the columns of the grid's axes once per grid value. Every row
+must equal the per-point evaluation bit for bit, the CSV the per-cell
+formula, the JSON ``json.dumps(rows, indent=2)``, and the batch
+validator must reject exactly what ``BisymmetricSpec`` rejects, with the
+same error.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entloc as el
@@ -176,6 +177,71 @@ def test_render_table_of_long_columns_equals_the_per_cell_formulas(count):
     for table in (rows, list(rows)):
         assert render_table(table, names, "csv") == csv_reference(rows, names)
         assert render_table(table, names, "json") == json_reference(rows, names)
+
+
+@st.composite
+def grid_configs(draw):
+    """Small sweep configs whose axes repeat and come out of order: split
+    sizes, q and n values drawn with repeats, and a grid of one point or
+    many, with 1e76 and 1e200 among its points."""
+    modes = draw(st.integers(2, 9))
+    point = st.floats(1.0, 40.0) | st.sampled_from([1.0, 1.5, 1e76, 1e200])
+    grid = draw(st.lists(point, min_size=1, max_size=1) | st.lists(point, min_size=2, max_size=12))
+    return SweepConfig(
+        modes=modes,
+        k_values=tuple(draw(st.lists(st.integers(1, modes - 1), min_size=1, max_size=5))),
+        b_grid=tuple(grid), b=draw(point),
+        n_range=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))),
+        trace_out=tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))),
+    )
+
+
+# its hierarchy has ok, numerical and unphysical rows, its scaling
+# numerical and unphysical ones
+EDGE_SWEEP = SweepConfig(modes=6, k_values=(4, 1, 2, 4), b_grid=(1e76, 1.5, 1e200, 1.5), b=1e76,
+                         n_range=(4, 1, 2, 1), trace_out=(4, 0, 4))
+# reordered subsets of each sweep's columns, with a column no row has
+SUBSETS = {"hierarchy": ("b", "status", "absent", "q", "k", "E_N", "n", "m"),
+           "scaling": ("n", "absent", "E_F_nxn", "b", "q")}
+
+
+def _grid_columns(cfg):
+    """The axis columns of both sweeps, built cell by cell in row order."""
+    hierarchy = {"m": [], "n": [], "k": [], "b": [], "q": []}
+    for q in cfg.trace_out:
+        for k in cfg.k_values:
+            for b in cfg.b_grid:
+                for name, cell in zip(hierarchy, (k, cfg.modes - k, k, b, q)):
+                    hierarchy[name].append(cell)
+    scaling = {"q": [], "n": [], "b": []}
+    for q in cfg.trace_out:
+        for n in cfg.n_range:
+            for name, cell in zip(scaling, (q, n, cfg.b)):
+                scaling[name].append(cell)
+    return hierarchy, scaling
+
+
+@pytest.mark.portable(reason="compares two renders of the same Python values in one process")
+@settings(max_examples=60, deadline=None)
+@given(grid_configs())
+@example(EDGE_SWEEP)
+@example(SweepConfig(modes=2, b_grid=(1.0,), b=1.0, n_range=(1,), trace_out=(0,)))
+def test_grid_rendering_is_the_per_cell_rendering(cfg):
+    """A sweep's axis columns, formatted once per grid value, render as
+    the same rows given as dicts, the per-cell CSV and the stdlib JSON."""
+    sweeps = {"hierarchy": (run_hierarchy(cfg), HIERARCHY_COLUMNS),
+              "scaling": (run_scaling(cfg), SCALING_COLUMNS)}
+    for (name, (rows, names)), axes in zip(sweeps.items(), _grid_columns(cfg)):
+        assert list(rows.columns) == list(names) and set(rows.axes) == set(axes)
+        assert repr({column: rows.columns[column] for column in axes}) == repr(axes)
+        for columns in (names, SUBSETS[name]):
+            csv = render_table(rows, columns, "csv")
+            assert csv == render_table(list(rows), columns, "csv") == csv_reference(rows, columns)
+            text = render_table(rows, columns, "json")
+            assert text == render_table(list(rows), columns, "json") == json_reference(rows, columns)
+    if cfg is EDGE_SWEEP:
+        statuses = [set(rows.columns["status"]) for rows, _ in sweeps.values()]
+        assert statuses == [{"ok", "numerical", "unphysical"}, {"numerical", "unphysical"}]
 
 
 def _outcome(error):
