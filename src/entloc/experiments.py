@@ -8,14 +8,15 @@ sweep (balanced-split and pairwise entanglement of formation against n at
 fixed squeezing).
 
 A sweep is columnar from end to end. ``run_hierarchy`` and
-``run_scaling`` validate each parent state once, stack every split of
-every parent into one ``BisymmetricBatch`` (``_fs_split_batch``), and
-make one call of the invariant route, which gives report columns. The
-rows are those columns (``SweepRows``): a sequence of row dicts, made
-on access. The columns of the grid's axes (m, n, k, b and q of the
-hierarchy; q, n and b of the scaling sweep) are held with their
-structure: each of a few values repeated over consecutive rows, the
-block repeated over the table.
+``run_scaling`` build each pure parent once (``ghz_type_spec``), stack
+every split of every parent into one ``BisymmetricBatch``
+(``_fs_split_batch``: any modes of a permutation-invariant state carry
+its pattern), and make one call of the invariant route, which gives
+report columns. The rows are those columns, each held once
+(``SweepRows``): a sequence of row dicts, made on access. The columns of
+the grid's axes (m, n, k, b and q of the hierarchy; q, n and b of the
+scaling sweep) are held with their structure: each of a few values
+repeated over consecutive rows, the block repeated over the table.
 ``render_table`` formats CSV or JSON one column at a time: an axis
 column once per grid value, its texts then repeated as its cells are;
 another float column in one ``%`` pass, an int or string column once
@@ -28,7 +29,6 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +36,19 @@ from .entanglement import ReportColumns
 from .errors import EntlocError, InvalidArgumentError, NumericalDomainError
 from .localization import _fs_split_batch, equivalent_report
 from .states import FullySymmetricSpec, _require_finite, ghz_type_spec
-from .symplectic import _float_texts, _indented_json, _json_entry_texts, _json_records
+from .symplectic import _float_texts, _json_entry_texts, _json_records
 
 HIERARCHY_COLUMNS = ("m", "n", "k", "b", "q", "nu_tilde", "E_N", "N", "E_F", "separable", "status")
 SCALING_COLUMNS = ("q", "n", "b", "E_F_1x1", "E_F_nxn", "status")
+
+
+def _number(name: str, value, kind: type):
+    """``value`` as a Python ``kind``, int or float; no bool, and no 1.5 for an int."""
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise InvalidArgumentError(f"{name} must be {'an integer' if kind is int else 'a real number'}, "
+                                   f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,8 @@ class SweepConfig:
 
     One config serves both sweeps: ``run_hierarchy`` reads ``modes``,
     ``k_values`` and ``b_grid``, ``run_scaling`` reads ``b`` and
-    ``n_range``, both read ``trace_out``. Every field is validated, and
-    an empty ``b_grid`` and a ``k_values`` of None get their defaults.
+    ``n_range``, both read ``trace_out``. Every field is validated and made
+    Python ints or floats; an empty ``b_grid`` and no ``k_values`` get defaults.
     ``modes`` is the total mode count of the hierarchy state (the paper
     figure uses 20); ``trace_out`` lists the q values, with q = 0 the pure
     family and q > 0 the family traced down from a (modes+q)-mode parent.
@@ -67,6 +76,12 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name, kind in (("modes", int), ("jobs", int), ("b", float)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), kind))
+        for name, kind in (("k_values", int), ("n_range", int), ("trace_out", int), ("b_grid", float)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(_number(f"{name}[{i}]", item, kind)
+                                                     for i, item in enumerate(getattr(self, name))))
         if self.modes < 2:
             raise InvalidArgumentError(f"need at least two modes, got {self.modes}")
         if not self.trace_out:
@@ -83,7 +98,7 @@ class SweepConfig:
             raise InvalidArgumentError("split sizes must not be an empty list")
         if any(not 1 <= k <= self.modes - 1 for k in ks):
             raise InvalidArgumentError(f"split sizes {ks} out of range")
-        object.__setattr__(self, "k_values", tuple(ks))
+        object.__setattr__(self, "k_values", ks)
         if self.b < 1.0:
             raise InvalidArgumentError(f"squeezing must be >= 1, got {self.b}")
         if not self.n_range or any(n < 1 for n in self.n_range):
@@ -118,18 +133,27 @@ def traced_symmetric_spec(modes: int, q: int, b: float) -> FullySymmetricSpec:
     if q < 0:
         raise InvalidArgumentError(f"trace-out count must be >= 0, got {q}")
     parent = ghz_type_spec(modes + q, b)
-    if q == 0:
-        return parent
     return FullySymmetricSpec(modes, parent.b, parent.z1, parent.z2)
 
 
-class _Axis(NamedTuple):
+@dataclass(frozen=True)
+class _Axis(Sequence):
     """A column of a sweep grid's axis: each of ``values`` repeated over
-    ``repeat`` consecutive rows, and that block repeated ``tile`` times."""
+    ``repeat`` consecutive rows, and that block repeated ``tile`` times.
+    ``axis[i]`` is the cell of row i."""
 
     values: list
     repeat: int
     tile: int
+
+    def __len__(self) -> int:
+        return len(self.values) * self.repeat * self.tile
+
+    def __getitem__(self, index: int):
+        return self.values[range(len(self))[index] // self.repeat % len(self.values)]
+
+    def __iter__(self):
+        return iter(self.spread(self.values))
 
     def spread(self, items: list) -> list:
         """``items``, one per value, laid out as the column's cells."""
@@ -142,20 +166,15 @@ class SweepRows(Sequence):
     """The rows of a sweep, held as columns.
 
     ``columns`` maps each column name to its cells in row order, as Python
-    values (int, float, bool, str, or None for a missing value). A row is
-    a dict in column order, made when it is read; rows compare equal to
-    any sequence of equal dicts.
-
-    The sweeps give an axis column of their grid as an ``_Axis``: its
-    cells are built into ``columns``, and ``axes`` keeps the axis, so
-    that ``render_table`` formats each of its values once. The columns
-    are not to be changed after construction.
+    values (int, float, bool, str, or None for a missing value), each
+    column of one type: a list, or an ``_Axis`` for an axis of the grid.
+    A row is a dict in column order, made when it is read; rows compare
+    equal to any sequence of equal dicts. The columns are not to be
+    changed after construction.
     """
 
     def __init__(self, columns: dict):
-        self.axes = {name: cells for name, cells in columns.items() if isinstance(cells, _Axis)}
-        self.columns = {name: cells.spread(cells.values) if name in self.axes else cells
-                        for name, cells in columns.items()}
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
@@ -164,6 +183,10 @@ class SweepRows(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         return {name: cells[index] for name, cells in self.columns.items()}
+
+    def __iter__(self):
+        names = list(self.columns)
+        return (dict(zip(names, cells)) for cells in zip(*self.columns.values()))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -189,12 +212,9 @@ def _status(error) -> str:
 
 
 def _attempt(fn, *args):
-    """fn(*args), or the EntlocError it raises; an error given as an
-    argument is passed on. Makes a parent state that could not be built
-    the parent of its points, which then fail with its error."""
-    for arg in args:
-        if isinstance(arg, EntlocError):
-            return arg
+    """fn(*args), or the EntlocError it raises. Makes a parent state that
+    could not be built the parent of its points, which then fail with its
+    error."""
     try:
         return fn(*args)
     except EntlocError as exc:
@@ -224,21 +244,20 @@ def _report_cells(report: ReportColumns) -> dict:
 def run_hierarchy(cfg: SweepConfig) -> SweepRows:
     """Rows (q, k, b) -> entanglement figures for the k x (modes-k) split.
 
-    Each parent state is validated once per (q, b); every split goes
-    through one batch of the invariant route.
+    Each pure (modes+q)-mode parent is built once per (q, b); every split
+    goes through one batch of the invariant route.
     """
     qs, ks, grid = cfg.trace_out, cfg.k_values, cfg.b_grid
-    parents = [_attempt(traced_symmetric_spec, cfg.modes, q, b) for q in qs for b in grid]
+    parents = [_attempt(ghz_type_spec, cfg.modes + q, b) for q in qs for b in grid]
     # points in (q, k, b) order, b fastest; the parent of (q, k, b) is (q, b)
     shape = (len(qs), len(ks), len(grid))
     index = np.broadcast_to(np.arange(len(parents)).reshape(len(qs), 1, -1), shape).ravel()
-    split = np.array(ks, dtype=np.int64)
-    k = np.broadcast_to(split.reshape(1, -1, 1), shape).ravel()
-    report = equivalent_report(_fs_split_batch(parents, index, k))
-    ks_axis = _Axis(split.tolist(), len(grid), len(qs))
+    k = np.broadcast_to(np.array(ks, dtype=np.int64).reshape(1, -1, 1), shape).ravel()
+    report = equivalent_report(_fs_split_batch(parents, index, k, cfg.modes - k))
+    ks_axis = _Axis(list(ks), len(grid), len(qs))
     return SweepRows({
         "m": ks_axis,
-        "n": _Axis((cfg.modes - split).tolist(), len(grid), len(qs)),
+        "n": _Axis([cfg.modes - size for size in ks], len(grid), len(qs)),
         "k": ks_axis,
         "b": _Axis(list(grid), 1, len(qs) * len(ks)),
         "q": _Axis(list(qs), len(ks) * len(grid), 1),
@@ -248,17 +267,14 @@ def run_hierarchy(cfg: SweepConfig) -> SweepRows:
 
 
 def run_scaling(cfg: SweepConfig) -> SweepRows:
-    """Rows (q, n) -> pairwise and balanced-split entanglement of formation,
-    both from one batch of the invariant route."""
+    """Rows (q, n) -> the 1 | 1 and n | n entanglement of formation of the
+    pure (2n+q)-mode parent, from one batch of the invariant route."""
     keys = [(q, n) for q in cfg.trace_out for n in cfg.n_range]
-    parents = [_attempt(traced_symmetric_spec, 2 * n, q, cfg.b) for q, n in keys]
-    pairs = [_attempt(lambda spec: FullySymmetricSpec(2, spec.b, spec.z1, spec.z2), p)
-             for p in parents]
-    # points 0..R-1 split each parent n | n, points R..2R-1 its pair 1 | 1
-    half = np.array([n for _, n in keys], dtype=np.int64)
-    k = np.concatenate([half, np.ones_like(half)])
-    report = equivalent_report(_fs_split_batch(parents + pairs, np.arange(len(k)), k))
+    parents = [_attempt(ghz_type_spec, 2 * n + q, cfg.b) for q, n in keys]
+    # points 0..R-1 split each parent n | n, points R..2R-1 its 1 | 1
     count = len(keys)
+    k = np.array([n for _, n in keys] + [1] * count, dtype=np.int64)
+    report = equivalent_report(_fs_split_batch(parents, np.tile(np.arange(count), 2), k, k))
     errors = [nn if nn is not None else pair
               for nn, pair in zip(report.errors[:count], report.errors[count:])]
     failed = np.array([error is not None for error in errors], dtype=bool)
@@ -281,9 +297,8 @@ def _column_texts(values: list, fmt: str) -> list:
     """The text of each cell of one column in ``fmt``, "csv" or "json".
 
     Floats are formatted by one ``%`` over the column, with ``.12g`` for
-    CSV and their repr for JSON; ints once per distinct value; None, True
-    and False by name; strings as they are in CSV and quoted in JSON. A
-    column of other or mixed types goes cell by cell.
+    CSV and their repr for JSON; None, True and False by name; strings as
+    they are in CSV and quoted in JSON; ints once per distinct value.
     """
     none, true, false = _NAMED[fmt]
     kinds = set(map(type, values))
@@ -299,47 +314,32 @@ def _column_texts(values: list, fmt: str) -> list:
         return [none if value is None else next(texts) for value in values]
     if kinds <= {bool, type(None)}:
         return [none if value is None else true if value else false for value in values]
-    if kinds <= {int}:
-        texts = {value: str(value) for value in set(values)}
-        return list(map(texts.__getitem__, values))
     if kinds <= {str}:
         if fmt == "csv":
             return values
         quoted = {value: json.dumps(value) for value in set(values)}
         return list(map(quoted.__getitem__, values))
-    return [_cell_text(value, fmt) for value in values]
+    texts = {value: str(value) for value in set(values)}
+    return list(map(texts.__getitem__, values))
 
 
-def _cell_text(value, fmt: str) -> str:
-    """The text of one cell of a column of mixed or other types."""
-    if fmt == "json":
-        return _indented_json(value, "\n    ", sort_keys=False)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+def _texts(rows: SweepRows, column: str, fmt: str) -> list:
+    """The texts of one column of ``rows`` in ``fmt``: an axis from the
+    texts of its values, an absent column as None cells."""
+    cells = rows.columns.get(column)
+    if cells is None:
+        return [_NAMED[fmt][0]] * len(rows)
+    if isinstance(cells, _Axis):
+        return cells.spread(_column_texts(cells.values, fmt))
+    return _column_texts(cells, fmt)
 
 
-def _texts(rows, column: str, fmt: str) -> list:
-    """The texts of one column of ``rows`` in ``fmt``: an axis of a
-    ``SweepRows`` from the texts of its values, any other column from
-    its cells."""
-    if isinstance(rows, SweepRows):
-        if column in rows.axes:
-            axis = rows.axes[column]
-            return axis.spread(_column_texts(axis.values, fmt))
-        if column in rows.columns:
-            return _column_texts(rows.columns[column], fmt)
-    return _column_texts([row.get(column) for row in rows], fmt)
-
-
-def render_table(rows, columns, fmt: str) -> str:
+def render_table(rows: SweepRows, columns, fmt: str) -> str:
     """The CSV or JSON text of ``rows`` restricted to ``columns``, in that
-    order; a cell a row lacks is None. The JSON is ``json.dumps`` of the
-    rows with ``indent=2``, byte for byte. An axis column of a
-    ``SweepRows`` is formatted once per grid value; its texts are the
-    texts of its cells, because every cell is formatted on its own."""
+    order; a column ``rows`` lacks reads as None cells. The JSON is
+    ``json.dumps`` of the rows with ``indent=2``, byte for byte. An axis
+    column is formatted once per grid value; its texts are the texts of
+    its cells, because every cell is formatted on its own."""
     if fmt not in _NAMED:
         raise InvalidArgumentError(f"unknown output format {fmt!r}")
     texts = [_texts(rows, column, fmt) for column in columns]

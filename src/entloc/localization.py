@@ -731,17 +731,18 @@ def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fs_split_batch(parents: list, index: np.ndarray, k: np.ndarray) -> BisymmetricBatch:
-    """The k | M-k splits of fully symmetric states, as one validated batch.
+def _fs_split_batch(parents: list, index: np.ndarray, k: np.ndarray, rest: np.ndarray) -> BisymmetricBatch:
+    """The k | rest splits of fully symmetric states, as one validated batch.
 
-    Point i splits parents[index[i]], an M-mode ``FullySymmetricSpec`` or
-    the ``EntlocError`` its construction raised, into its first k[i] modes
-    and the rest; ``index`` and ``k`` are (N,) int arrays. The split is
-    the two-block spec with a = b, each block of more than one mode keeps
-    (z1, z2), and every cross block is diag(z1, z2). A point fails with
-    its parent's error, else with ``InvalidArgumentError`` if k is not an
-    integer in 1 .. M-1, else as ``BisymmetricSpec`` raises on its
-    parameters.
+    Point i splits the first k[i] + rest[i] modes of parents[index[i]], an
+    M-mode ``FullySymmetricSpec`` or the ``EntlocError`` its construction
+    raised (any modes of a permutation-invariant state carry its pattern);
+    ``index``, ``k`` and ``rest`` are (N,) int arrays. The split is the
+    two-block spec with a = b, each block of more than one mode keeps (z1,
+    z2), and every cross block is diag(z1, z2). A point fails with its
+    parent's error, else with ``InvalidArgumentError`` if k is not an
+    integer, k or rest is below 1 or k + rest exceeds M, else as
+    ``BisymmetricSpec`` raises on its parameters.
     """
     errors = _PointErrors(len(index))
     failed = np.array([isinstance(parent, EntlocError) for parent in parents], dtype=bool)
@@ -749,8 +750,7 @@ def _fs_split_batch(parents: list, index: np.ndarray, k: np.ndarray) -> Bisymmet
     params = np.array([(1, 1.0, 0.0, 0.0) if isinstance(p, EntlocError) else (p.modes, p.b, p.z1, p.z2)
                        for p in parents], dtype=float).reshape(-1, 4)[index]
     modes, (b, z1, z2) = params[:, 0].astype(np.int64), params[:, 1:].T
-    rest = modes - k
-    out_of_range = (k < 1) | (rest < 1) | (k % 1 != 0)
+    out_of_range = (k < 1) | (rest < 1) | (k % 1 != 0) | (k + rest > modes)
     errors.record(
         out_of_range,
         lambda i: InvalidArgumentError(f"split size k = {k[i]} out of range for {modes[i]} modes"),
@@ -782,7 +782,7 @@ def _fs_split_reports(spec: FullySymmetricSpec, ks) -> list:
     """The reports of the splits k | M-k of one spec for the k in ``ks``,
     from one batch; the first failing split raises."""
     ks = np.array(ks)  # int64, or objects for a k past int64
-    batch = _fs_split_batch([spec], np.zeros(len(ks), dtype=np.int64), ks)
+    batch = _fs_split_batch([spec], np.zeros(len(ks), dtype=np.int64), ks, spec.modes - ks)
     return _raise_first(equivalent_report(batch).reports())
 
 

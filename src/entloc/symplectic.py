@@ -614,15 +614,15 @@ class TwoModeInvariants:
     det_block_b: float
 
 
-def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors, disc=None):
-    """Both branches of 2 nu^2 = delta -/+ sqrt(disc) per point; disc = delta^2 - 4 det by default.
+def _minus_plus_pair(delta: np.ndarray, det: np.ndarray, errors: _PointErrors, disc: np.ndarray):
+    """Both branches of 2 nu^2 = delta -/+ sqrt(disc) per point; disc is delta^2 - 4 det.
 
     The minus branch is evaluated in conjugate form, 2 det / (delta +
     root), which stays accurate when the branches are many orders of
     magnitude apart (large squeezing).
     """
     delta_sq = _squares(delta, errors)
-    root = _clipped_sqrts(delta_sq - 4.0 * det if disc is None else disc, delta_sq, errors)
+    root = _clipped_sqrts(disc, delta_sq, errors)
     conjugate = (det > 0.0) & (delta + root > 0.0)
     # conjugate points take the minus branch from the quotient, so their
     # direct radicand is set to 1, which cannot fail
@@ -741,8 +741,8 @@ def _json_block(members, newline: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
 
 
-def _indented_json(obj, newline: str = "\n", sort_keys: bool = True) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=sort_keys)`` at the depth where
+def _indented_json(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at the depth where
     each line starts with ``newline``, byte for byte.
 
     The stdlib's indented encoder is pure Python; the matrices of a
@@ -753,18 +753,17 @@ def _indented_json(obj, newline: str = "\n", sort_keys: bool = True) -> str:
     """
     inner = newline + "  "
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        items = sorted(obj.items()) if sort_keys else obj.items()
-        members = [f"{json.dumps(key)}: {_indented_json(value, inner, sort_keys)}"
-                   for key, value in items]
+        members = [f"{json.dumps(key)}: {_indented_json(value, inner)}"
+                   for key, value in sorted(obj.items())]
     elif isinstance(obj, np.ndarray):
         members = _json_entry_texts(obj.ravel().tolist())
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {float}:
             members = _json_entry_texts(_float_texts(obj))
         else:
-            members = [_indented_json(value, inner, sort_keys) for value in obj]
+            members = [_indented_json(value, inner) for value in obj]
     else:
-        return json.dumps(obj, indent=2, sort_keys=sort_keys).replace("\n", newline)
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
     return _json_block(members, newline, "{}" if isinstance(obj, dict) else "[]")
 
 

@@ -176,7 +176,10 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]
     """Closed-form (nu_minus, nu_plus) of a two-mode state from its
     invariants: 2 nu^2 = Delta -/+ sqrt(Delta^2 - 4 det)."""
     inv = two_mode_invariants(cm)
-    return _scalar_batch(_minus_plus_pair, inv.delta, inv.det_total)
+    return _scalar_batch(
+        lambda delta, det, errors: _minus_plus_pair(delta, det, errors, delta * delta - 4.0 * det),
+        inv.delta, inv.det_total,
+    )
 
 
 def pt_two_mode_nu_tilde(cm: CovarianceMatrix) -> tuple[float, float]:

@@ -210,8 +210,8 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
 
     def crafted(failing):
         # the split batch with the point (k, b) = (2, 1.5) replaced by ``failing``
-        def split(parents, index, k):
-            batch = original(parents, index, k)
+        def split(parents, index, k, rest):
+            batch = original(parents, index, k, rest)
             b = np.array([parents[i].b for i in index])
             point = (k == 2) & (b == 1.5)
             assert np.count_nonzero(point) == 1
@@ -244,7 +244,7 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
 
 def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypatch):
     calls = {"parent": 0, "kernel": 0}
-    parent, kernel = exp.traced_symmetric_spec, exp.equivalent_report
+    parent, kernel = exp.ghz_type_spec, exp.equivalent_report
 
     def counted_parent(*args):
         calls["parent"] += 1
@@ -254,7 +254,7 @@ def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypa
         calls["kernel"] += 1
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(exp, "traced_symmetric_spec", counted_parent)
+    monkeypatch.setattr(exp, "ghz_type_spec", counted_parent)
     monkeypatch.setattr(exp, "equivalent_report", counted_kernel)
     rows = run_hierarchy(SweepConfig(modes=20, b_grid=(1.0, 1.5, 2.0), trace_out=(0, 4)))
     assert len(rows) == 2 * 10 * 3

@@ -30,6 +30,7 @@ from entloc.experiments import (
     run_scaling,
     traced_symmetric_spec,
 )
+from entloc.experiments import _Axis
 from entloc.localization import _fs_split_batch
 from entloc.states import SPEC_PARAMETERS, bisymmetric_batch
 from entloc.symplectic import _Rejections
@@ -130,22 +131,6 @@ def test_sweep_rows_and_texts_equal_the_per_point_code(cfg):
     assert render_table(rows, SCALING_COLUMNS, "json") == json_reference(expected, SCALING_COLUMNS)
 
 
-cells = (st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1e16, 1e-5])
-         | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
-         | st.lists(st.floats(allow_nan=False) | st.integers(), max_size=3))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from("abcd"), cells, max_size=4), max_size=6),
-       st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
-def test_render_table_of_any_rows_equals_the_per_cell_formulas(rows, columns):
-    """Plain row dicts, with columns of one type, mixed types, lists and
-    absent cells, render as the per-cell CSV and the stdlib JSON."""
-    if all(not isinstance(row.get(c), list) for row in rows for c in columns):
-        assert render_table(rows, columns, "csv") == csv_reference(rows, columns)
-    assert render_table(rows, columns, "json") == json_reference(rows, columns)
-
-
 def _long_columns(count):
     """Columns of ``count`` cells, each of one type: floats drawn from a
     pool with repeats, signed zeros, subnormals, 1e16 and non-finite
@@ -169,14 +154,13 @@ def _long_columns(count):
 @pytest.mark.parametrize("count", [2000, 2401])
 def test_render_table_of_long_columns_equals_the_per_cell_formulas(count):
     """Columns as long as a paper sweep's render as the per-cell CSV and the
-    stdlib JSON, whether they are held as columns or come as row dicts."""
+    stdlib JSON."""
     columns = _long_columns(count)
     rows = SweepRows(columns)
     names = ["k", "x", "y", "s", "f", "absent"]
     assert len(rows) == count and len(set(map(repr, columns["y"]))) > count // 3
-    for table in (rows, list(rows)):
-        assert render_table(table, names, "csv") == csv_reference(rows, names)
-        assert render_table(table, names, "json") == json_reference(rows, names)
+    assert render_table(rows, names, "csv") == csv_reference(rows, names)
+    assert render_table(rows, names, "json") == json_reference(rows, names)
 
 
 @st.composite
@@ -228,20 +212,68 @@ def _grid_columns(cfg):
 @example(SweepConfig(modes=2, b_grid=(1.0,), b=1.0, n_range=(1,), trace_out=(0,)))
 def test_grid_rendering_is_the_per_cell_rendering(cfg):
     """A sweep's axis columns, formatted once per grid value, render as
-    the same rows given as dicts, the per-cell CSV and the stdlib JSON."""
+    the per-cell CSV and the stdlib JSON of the same rows, and each axis
+    reads as its cells built one by one."""
     sweeps = {"hierarchy": (run_hierarchy(cfg), HIERARCHY_COLUMNS),
               "scaling": (run_scaling(cfg), SCALING_COLUMNS)}
     for (name, (rows, names)), axes in zip(sweeps.items(), _grid_columns(cfg)):
-        assert list(rows.columns) == list(names) and set(rows.axes) == set(axes)
-        assert repr({column: rows.columns[column] for column in axes}) == repr(axes)
+        assert list(rows.columns) == list(names)
+        assert {column for column, cells in rows.columns.items() if isinstance(cells, _Axis)} == set(axes)
+        assert repr({column: list(rows.columns[column]) for column in axes}) == repr(axes)
         for columns in (names, SUBSETS[name]):
-            csv = render_table(rows, columns, "csv")
-            assert csv == render_table(list(rows), columns, "csv") == csv_reference(rows, columns)
-            text = render_table(rows, columns, "json")
-            assert text == render_table(list(rows), columns, "json") == json_reference(rows, columns)
+            assert render_table(rows, columns, "csv") == csv_reference(rows, columns)
+            assert render_table(rows, columns, "json") == json_reference(rows, columns)
     if cfg is EDGE_SWEEP:
         statuses = [set(rows.columns["status"]) for rows, _ in sweeps.values()]
         assert statuses == [{"ok", "numerical", "unphysical"}, {"numerical", "unphysical"}]
+
+
+@pytest.mark.portable(reason="indexes Python lists and the axis arithmetic; no floating point")
+@settings(max_examples=40, deadline=None)
+@given(grid_configs())
+@example(EDGE_SWEEP)
+def test_sweep_rows_index_as_the_per_cell_lists(cfg):
+    """Every index, negative ones included, and every slice of a sweep's
+    rows and of each of its axis columns reads the cells built one by
+    one; an index past either end raises IndexError."""
+    for rows, axes in zip((run_hierarchy(cfg), run_scaling(cfg)), _grid_columns(cfg)):
+        cells = {name: list(column) if name in axes else column for name, column in rows.columns.items()}
+        assert cells == {**cells, **axes}
+        expected = [dict(zip(cells, row)) for row in zip(*cells.values())]
+        size = len(expected)
+        assert len(rows) == size and rows == expected
+        for i in range(-size, size):
+            assert rows[i] == expected[i]
+            assert all(rows.columns[name][i] == axes[name][i] for name in axes)
+        for bounds in [(None, None, None), (1, -1, None), (-3, None, None), (None, None, -2),
+                       (size + 5, -size - 5, -3), (2, 2, None)]:
+            assert rows[slice(*bounds)] == expected[slice(*bounds)]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+            for name in axes:
+                with pytest.raises(IndexError):
+                    rows.columns[name][i]
+
+
+@pytest.mark.portable(reason="ghz_type_spec and FullySymmetricSpec are Python float arithmetic "
+                             "and math.sqrt, which IEEE arithmetic rounds the same everywhere")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 200), st.floats(0.0, 300.0))
+@example(2, 0, 0.0)
+@example(4, 0, 76.5)
+@example(2, 198, 300.0)
+def test_a_pure_parent_traced_to_any_modes_stays_valid(modes, q, exponent):
+    """Wherever the pure (modes+q)-mode parent is valid, so is the state
+    left after tracing q modes off it: the sweeps split the parent
+    directly, without building the traced spec."""
+    b = 10.0 ** exponent
+    try:
+        parent = el.ghz_type_spec(modes + q, b)
+    except InvalidArgumentError:
+        return
+    traced = el.FullySymmetricSpec(modes, parent.b, parent.z1, parent.z2)
+    assert (traced.b, traced.z1, traced.z2) == (parent.b, parent.z1, parent.z2)
 
 
 def _outcome(error):
@@ -405,9 +437,10 @@ def _split_outcome(parent, k):
 @pytest.mark.portable(reason="the split batch is elementwise numpy: no LAPACK, no exponential or "
                              "logarithm")
 def test_split_batch_validates_as_the_split_spec():
-    """Each point of the split batch holds the parameters of the split
-    built from the definition, or the error its validation raises."""
-    parents, index, ks = [], [], []
+    """Each point of the split batch, k | modes-k of the pure (modes+q)-mode
+    parent, holds the parameters of the split of the traced state built
+    from the definition, or the error its validation raises."""
+    parents, traced, index, ks = [], [], [], []
     for modes in (2, 3, 6, 8, 10, 20, 50):
         for q in (0, 1, 4):
             for b in (1.0, 1.0 + 1e-12, 3.0, 1e3, 1e76):
@@ -415,10 +448,11 @@ def test_split_batch_validates_as_the_split_spec():
                 if parent is not None:
                     index += [len(parents)] * (modes - 1)
                     ks += range(1, modes)
-                    parents.append(parent)
+                    parents.append(el.ghz_type_spec(modes + q, b))
+                    traced.append(parent)
     index, ks = np.array(index), np.array(ks)
-    batch = _fs_split_batch(parents, index, ks)
-    outcomes = [_split_outcome(parents[i], k) for i, k in zip(index.tolist(), ks.tolist())]
+    batch = _fs_split_batch(parents, index, ks, np.array([traced[i].modes for i in index]) - ks)
+    outcomes = [_split_outcome(traced[i], k) for i, k in zip(index.tolist(), ks.tolist())]
     for i, outcome in enumerate(outcomes):
         error = batch.errors.errors[i]
         if isinstance(outcome, tuple):
@@ -435,15 +469,21 @@ def test_split_batch_validates_as_the_split_spec():
                              "logarithm")
 def test_split_batch_fails_a_point_with_its_parent_error_or_its_range():
     """A point whose parent is an error fails with that error object; a
-    split size outside 1 .. M-1 fails with its range message."""
+    split k | rest with k or rest below 1, or more than the parent's M
+    modes, fails with its range message."""
     failed = InvalidArgumentError("could not build this parent")
     parents = [failed, el.FullySymmetricSpec(4, 1.5, 0.1, 0.1)]
-    batch = _fs_split_batch(parents, np.array([0, 1, 1, 1, 0]), np.array([2, 0, 4, 2, 0]))
+    batch = _fs_split_batch(parents, np.array([0, 1, 1, 1, 0, 1, 1]),
+                            np.array([2, 0, 4, 2, 0, 2, 1]), np.array([2, 4, 0, 2, 4, 3, 2]))
     errors = batch.errors.errors
-    assert errors[0] is failed and errors[4] is failed and errors[3] is None
-    assert [str(error) for error in errors[1:3]] == [
-        "split size k = 0 out of range for 4 modes", "split size k = 4 out of range for 4 modes"]
-    assert all(type(error) is InvalidArgumentError for error in errors[1:3])
+    assert errors[0] is failed and errors[4] is failed and errors[3] is None and errors[6] is None
+    assert [str(error) for error in errors[1:3] + errors[5:6]] == [
+        "split size k = 0 out of range for 4 modes", "split size k = 4 out of range for 4 modes",
+        "split size k = 2 out of range for 4 modes"]
+    assert all(type(error) is InvalidArgumentError for error in errors[1:3] + errors[5:6])
+    # a split of fewer modes than the parent's is the split of the traced state
+    (b, _), (e1, e2), _, (z1, z2), (g1, g2) = batch.diagonals[:, :, 6]
+    assert (batch.m[6], batch.n[6], b, e1, e2, z1, z2, g1, g2) == (1, 2, 1.5, 0.0, 0.0, 0.1, 0.1, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("params", EDGE_PARAMS, ids=range(len(EDGE_PARAMS)))
@@ -457,5 +497,5 @@ def test_empty_sequences_and_tables():
     assert el.equivalent_report_from_cm(pf.vacuum_cm(2), [], []) == []
     empty = bisymmetric_batch(*([] for _ in FIELDS))
     assert len(el.equivalent_report(empty).errors) == 0
-    assert render_table([], HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"
-    assert render_table([], HIERARCHY_COLUMNS, "json") == "[]\n"
+    assert render_table(SweepRows({}), HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"
+    assert render_table(SweepRows({}), HIERARCHY_COLUMNS, "json") == "[]\n"

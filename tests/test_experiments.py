@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import entloc as el
@@ -39,6 +40,44 @@ def test_config_validation():
         SweepConfig(trace_out=())
     with pytest.raises(InvalidArgumentError):
         SweepConfig(b=0.8)
+
+
+@pytest.mark.portable(reason="validates Python values; no floating-point result")
+@pytest.mark.parametrize("fields", [
+    dict(n_range=(1.5,), trace_out=(0,)),
+    dict(trace_out=(0.5,)),
+    dict(k_values=(1.5,)),
+    dict(n_range=(True, 2)),
+    dict(modes=4.0),
+    dict(trace_out=(False,)),
+    dict(jobs=1.0),
+    dict(b_grid=(1.5, "2")),
+    dict(b="1.5"),
+    dict(b=True),
+], ids=repr)
+def test_config_rejects_a_bool_or_non_integral_count_and_a_non_real_squeezing(fields):
+    with pytest.raises(InvalidArgumentError, match="must be an integer|must be a real number"):
+        SweepConfig(**fields)
+
+
+@pytest.mark.portable(reason="compares Python values and the texts of equal Python values")
+def test_config_makes_numpy_counts_ints_and_squeezings_floats():
+    """numpy scalars become Python ints and floats, so every sweep renders
+    as JSON, and as the same bytes as the Python values give."""
+    plain = SweepConfig(modes=6, k_values=(1, 3), b_grid=(1.5, 2.0), b=1.5, n_range=(1, 2),
+                        trace_out=(0, 2), jobs=1)
+    numpy = SweepConfig(modes=np.int64(6), k_values=(np.int32(1), np.int64(3)),
+                        b_grid=(np.float32(1.5), np.float64(2.0)), b=np.float32(1.5),
+                        n_range=(np.int16(1), np.uint8(2)), trace_out=(np.int64(0), np.int64(2)),
+                        jobs=np.int64(1))
+    assert numpy == plain
+    for field in ("modes", "jobs", "b"):
+        assert type(getattr(numpy, field)) is type(getattr(plain, field))
+    for field in ("k_values", "b_grid", "n_range", "trace_out"):
+        assert list(map(type, getattr(numpy, field))) == list(map(type, getattr(plain, field)))
+    for run, columns in ((run_hierarchy, HIERARCHY_COLUMNS), (run_scaling, SCALING_COLUMNS)):
+        for fmt in ("csv", "json"):
+            assert render_table(run(numpy), columns, fmt) == render_table(run(plain), columns, fmt)
 
 
 def test_traced_spec_matches_partial_trace():
@@ -121,14 +160,14 @@ def test_unphysical_points_flagged_not_skipped(monkeypatch):
     # force a failure on one grid point and check the row survives
     import entloc.experiments as exp
 
-    original = exp.traced_symmetric_spec
+    original = exp.ghz_type_spec
 
-    def failing(modes, q, b):
+    def failing(modes, b):
         if b == 1.5:
             raise InvalidArgumentError("forced", offending_value=0.5)
-        return original(modes, q, b)
+        return original(modes, b)
 
-    monkeypatch.setattr(exp, "traced_symmetric_spec", failing)
+    monkeypatch.setattr(exp, "ghz_type_spec", failing)
     cfg = SweepConfig(modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
     rows = run_hierarchy(cfg)
     assert len(rows) == 6
