@@ -465,14 +465,47 @@ def _normalizers(c: np.ndarray, errors: _PointErrors) -> np.ndarray:
     return adjugate.reshape(w.shape) / _dets(w, errors)[..., None, None]
 
 
-def _boundary_rotations(x: np.ndarray, errors: _PointErrors) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_rotations(x: np.ndarray) -> np.ndarray:
     """Rotations (r1, r2) of each 2x2 block of a stack x, shape (K, 2, 2),
-    with r1^T x r2 = diag(d1, d2), d1 >= |d2|, d1 >= 0."""
-    u, _, vt = np.linalg.svd(x)
-    v = vt.swapaxes(1, 2)
-    u[_dets(u, errors) < 0.0, :, 1] *= -1.0
-    v[_dets(v, errors) < 0.0, :, 1] *= -1.0
-    return u, v
+    with r1^T x r2 = diag(d1, d2), d1 >= |d2|, d1 >= 0, and r2[0, 0] >= 0,
+    as the (K, 4, 4) stack of diag(r1, r2).
+
+    In closed form, elementwise, so each block gets the bits it gets
+    alone: x = h1 R(a1) + h2 R(a2) Z with Z = diag(1, -1), h1, h2 >= 0,
+    where (cos a1, sin a1) lies along (x00 + x11, x10 - x01) and (cos a2,
+    sin a2) along (x00 - x11, x10 + x01); a zero part leaves its angle
+    free, and it is taken as 0. Then r1 = R(a1 + theta) and r2 = R(theta),
+    theta = (a2 - a1) / 2 in (-pi/2, pi/2], give d1 = h1 + h2 and d2 = h1
+    - h2. With (u, v) along (cos 2 theta, sin 2 theta) and w = |(u, v)|,
+    (cos theta, sin theta) is the unit vector along (w + u, v), or along
+    (|v|, w - u) with the sign of v where u < 0, which does not cancel. A
+    non-finite block gives nan rotations.
+    """
+    a, b, c, d = x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]
+    # the directions of a1 and a2, each pair scaled to a larger magnitude
+    # of 1, so that no square under- or overflows; a zero pair reads (1, 0)
+    z = np.array([[a + d, c - b], [a - d, c + b]])
+    scale = np.abs(z).max(axis=1)
+    free = scale == 0.0
+    z[:, 0][free], scale[free] = 1.0, 1.0
+    z /= scale[:, None]
+    (p, q), (r, s) = z
+    # the direction of t = a2 - a1, of magnitude 1 to 2
+    u, v = r * p + s * q, s * p - r * q
+    w = np.sqrt(u * u + v * v)
+    upper = u >= 0.0
+    g = np.where(upper, w + u, np.abs(v))
+    h = np.where(upper, v, np.copysign(w - u, v))
+    norm = np.sqrt(g * g + h * h)
+    ct, st = g / norm, h / norm
+    norm = np.sqrt(p * p + q * q)
+    cp, sp = (ct * p - st * q) / norm, (st * p + ct * q) / norm
+    rot = np.zeros((len(x), 4, 4))
+    rot[:, 0, 0] = rot[:, 1, 1] = cp
+    rot[:, 1, 0], rot[:, 0, 1] = sp, -sp
+    rot[:, 2, 2] = rot[:, 3, 3] = ct
+    rot[:, 3, 2], rot[:, 2, 3] = st, -st
+    return rot
 
 
 def _group_slices(counts: list) -> list:
@@ -495,10 +528,12 @@ def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern, errors: _Poi
 
     A stage on whole matrices runs once per group, as stacked numpy calls:
     the pattern check, the dense congruences of stages 1 and 2 and the
-    boundary update of stage 3. A stage on 2x2 blocks runs once for all
-    groups: the normalizer of every diagonal block of every matrix, and
-    the SVD of every boundary cross block. Each matrix meets the checks
-    in the stage order of a call on its group alone.
+    boundary update of stage 3. The mixing of a block of ``count`` modes
+    onto its mode ``position`` is built once per call. A stage on 2x2
+    blocks runs once for all groups: the normalizer of every diagonal
+    block of every matrix, and the closed-form rotations of every boundary
+    cross block. Each matrix meets the checks in the stage order of a call
+    on its group alone.
     """
     if not stacks:
         return []
@@ -506,14 +541,16 @@ def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern, errors: _Poi
     # stacks of every group at once
     slices = _group_slices([len(stack) for stack in stacks])
     parts = _group_parts(errors, slices)
+    block_mixings = {key: _mode_mixing_symplectic(_householder_mixing(*key))
+                     for key in {(m, m - 1) for m in ms} | {(n, 0) for n in ns}}
     tols, mixings, stage1, diagonals = [], [], [], []
     for g, (m, n, part) in enumerate(zip(ms, ns, parts)):
         stack, stacks[g] = stacks[g], None
         tols.append(_pattern_check(stack, m, n, tol_pattern, part)[1])
         total = m + n
         mixing = np.zeros((2 * total, 2 * total))
-        mixing[: 2 * m, : 2 * m] = _mode_mixing_symplectic(_householder_mixing(m, m - 1))
-        mixing[2 * m :, 2 * m :] = _mode_mixing_symplectic(_householder_mixing(n, 0))
+        mixing[: 2 * m, : 2 * m] = block_mixings[m, m - 1]
+        mixing[2 * m :, 2 * m :] = block_mixings[n, 0]
         mixings.append(mixing)
         stage1.append(mixing.T @ stack @ mixing)
         # the (K, m+n, 2, 2) diagonal blocks, matrix after matrix
@@ -547,18 +584,15 @@ def _localize_groups(stacks: list, ms: list, ns: list, tol_pattern, errors: _Poi
         crosses.append(finals[-1][:, row:col, col : col + 2])
     del stage, squeezers, mixings, normalizers
 
-    # a matrix with a non-finite cross block fails below (its cm_final is
-    # non-finite); zeros keep it from failing the stacked SVD of the rest
     cross = np.concatenate(crosses)
     del crosses
-    rot = np.zeros((len(cross), 4, 4))
-    rot[:, :2, :2], rot[:, 2:, 2:] = (
-        _boundary_rotations(np.where(np.isfinite(cross), cross, 0.0), errors)
-    )
+    rot = _boundary_rotations(cross)
     # stage 3 rotates the two boundary modes alone: their rows, then their
     # columns, of the stage-2 matrix in place, and their columns of the
     # local symplectic; the slice products round as the dense congruence
-    # by the identity-padded rotation does
+    # by the identity-padded rotation does. A matrix with a non-finite
+    # cross block gets nan rotations and fails below (its cm_final is
+    # non-finite)
     for final, local, m, group in zip(finals, locals_, ms, slices):
         r, boundary = rot[group], slice(2 * (m - 1), 2 * m + 2)
         final[:, boundary] = r.swapaxes(1, 2) @ final[:, boundary]
@@ -753,7 +787,8 @@ def _fs_split_batch(parents: list, index: np.ndarray, k: np.ndarray, rest: np.nd
     out_of_range = (k < 1) | (rest < 1) | (k % 1 != 0) | (k + rest > modes)
     errors.record(
         out_of_range,
-        lambda i: InvalidArgumentError(f"split size k = {k[i]} out of range for {modes[i]} modes"),
+        lambda i: InvalidArgumentError(
+            f"split {k[i]} | {rest[i]} out of range for a {modes[i]}-mode parent"),
     )
     # such a point reads 1 | 1, so that a k past int64 (an object array) is never converted
     k, rest = np.where(out_of_range, 1, k), np.where(out_of_range, 1, rest)

@@ -478,8 +478,8 @@ def test_split_batch_fails_a_point_with_its_parent_error_or_its_range():
     errors = batch.errors.errors
     assert errors[0] is failed and errors[4] is failed and errors[3] is None and errors[6] is None
     assert [str(error) for error in errors[1:3] + errors[5:6]] == [
-        "split size k = 0 out of range for 4 modes", "split size k = 4 out of range for 4 modes",
-        "split size k = 2 out of range for 4 modes"]
+        "split 0 | 4 out of range for a 4-mode parent", "split 4 | 0 out of range for a 4-mode parent",
+        "split 2 | 3 out of range for a 4-mode parent"]
     assert all(type(error) is InvalidArgumentError for error in errors[1:3] + errors[5:6])
     # a split of fewer modes than the parent's is the split of the traced state
     (b, _), (e1, e2), _, (z1, z2), (g1, g2) = batch.diagonals[:, :, 6]

@@ -651,6 +651,58 @@ def test_mode_mixing_is_the_kron_product_bit_for_bit():
     assert signed_zeros > 0
 
 
+def _rotation_test_blocks():
+    """Random blocks, at unit scale, scaled by one power of ten from 1e-150
+    to 1e150 each, and with each entry so scaled; then blocks that are
+    zero, diagonal, rank one, of negative determinant, or whose entries
+    span 1e-150 .. 1e150."""
+    rng = np.random.default_rng(2024)
+    random = rng.standard_normal((3, 400, 2, 2))
+    random[1] *= 10.0 ** rng.uniform(-150, 150, size=(400, 1, 1))
+    random[2] *= 10.0 ** rng.uniform(-150, 150, size=(400, 2, 2))
+    special = [
+        np.zeros((2, 2)), np.eye(2), -np.eye(2), np.diag([3.0, 2.0]), np.diag([2.0, 3.0]),
+        np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), np.diag([-3.0, 2.0]), np.diag([0.0, -5.0]),
+        np.ones((2, 2)), np.outer([1.0, 2.0], [3.0, -1.0]), np.outer([0.0, 1.0], [1.0, 0.0]),
+        [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]], [[1.0, 2.0], [3.0, -4.0]],
+        [[1e150, 1e-150], [0.0, 1.0]], [[1.0, 1e-150], [0.0, 1.0]], [[1e-150, 1e150], [-1e150, 1e-150]],
+        np.diag([1.0, -1.0]) + 1e-150, [[1e150, -1e-150], [1e-150, -1e150]],
+    ]
+    return np.concatenate([random.reshape(-1, 2, 2), np.array(special, dtype=float)])
+
+
+@pytest.mark.portable(reason="the rotations are elementwise IEEE arithmetic (+, -, *, /, sqrt, "
+                             "abs, fmax, copysign), and the checks are bounds computed the same way")
+def test_boundary_rotations_diagonalize_each_block():
+    """The closed-form rotations of ``localize``'s stage 3: each diag(r1,
+    r2) holds a pair of rotations, det +1, with r1^T x r2 = diag(d1, d2), d1 >= |d2|
+    and d1 >= 0 up to a few eps ||x||, and r2[0, 0] >= 0 exactly. Each
+    block gets the bits it gets alone."""
+    from entloc.localization import _boundary_rotations
+
+    x = _rotation_test_blocks()
+    rot = _boundary_rotations(x)
+    assert not rot[:, :2, 2:].any() and not rot[:, 2:, :2].any()
+    r1, r2 = rot[:, :2, :2], rot[:, 2:, 2:]
+    eps = np.finfo(float).eps
+    for r in (r1, r2):
+        assert np.isfinite(r).all()
+        assert np.array_equal(r[:, 0, 0], r[:, 1, 1]) and np.array_equal(r[:, 0, 1], -r[:, 1, 0])
+        assert np.abs(r[:, 0, 0] ** 2 + r[:, 1, 0] ** 2 - 1.0).max() <= 4 * eps
+    assert (r2[:, 0, 0] >= 0.0).all()
+    # r1^T x r2, entry by entry
+    c1, s1, c2, s2 = r1[:, 0, 0], r1[:, 1, 0], r2[:, 0, 0], r2[:, 1, 0]
+    a, b, c, d = x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]
+    left = np.array([[c1 * a + s1 * c, c1 * b + s1 * d], [c1 * c - s1 * a, c1 * d - s1 * b]])
+    y = np.array([[left[i, 0] * c2 + left[i, 1] * s2, left[i, 1] * c2 - left[i, 0] * s2]
+                  for i in range(2)])
+    bound = 4 * eps * np.sqrt((x * x).sum(axis=(1, 2)))  # ||x||_F >= ||x||_2
+    assert (np.abs(y[0, 1]) <= bound).all() and (np.abs(y[1, 0]) <= bound).all()
+    assert (y[0, 0] >= np.abs(y[1, 1]) - bound).all() and (y[0, 0] >= -bound).all()
+    for k in range(0, len(x), 7):
+        assert np.array_equal(_bits(rot[k]), _bits(_boundary_rotations(x[k : k + 1])[0])), k
+
+
 def test_localize_rejects_bad_split():
     cm = el.fully_symmetric_cm(el.ghz_type_spec(6, 1.4))
     with pytest.raises(InvalidArgumentError):
@@ -744,18 +796,23 @@ def test_localize_reports_cm_final_and_cm_eq_on_their_skeleton():
 # det C' and the adjugate trace: mu_eq, delta_eq and E_N 6|18 moved by at
 # most 2.9e-15 relative, 920 of the 2304 entries of the local symplectic
 # by at most 1.2e-14 and 48 of cm_final by at most 1.0e-15; the residual
-# kept its bits.
+# kept its bits. They were recorded again when the boundary rotations
+# came to be taken in closed form: mu_eq moved by 11 ulps, 6 entries of
+# cm_final (and of cm_eq) by at most 2 ulps, and the 96 nonzero entries
+# of the boundary columns of the local symplectic changed sign (the
+# rotation pair (-r1, -r2) in place of (r1, r2)) and their magnitudes by
+# at most 32 ulps; the residual, delta_eq and both E_N kept their bits.
 GOLDEN_KEPT = {
     "residual": "5.313737248484793e-15",
-    "mu_eq": "0.34862696812211663",
+    "mu_eq": "0.348626968122116",
     "delta_eq": "9.22769230769222",
     "report E_N 6|18": "0.9260528622243129",
     "report E_N 12|12": "1.048043175606261",
 }
-GOLDEN_LOCAL_SYMPLECTIC = "75b9eae7ea3a5e100fb7f3d72a40ba918de4d4094b4f7ded5a988f9178a242b6"
+GOLDEN_LOCAL_SYMPLECTIC = "570f1bf28157b5c5f60a5638a53ef9efc8bcf09d351654e86436e7364b7c8fc1"
 GOLDEN_ON_SKELETON = {
-    "cm_final": "395d7d4992e4cc4c9aebce915a84daad9c00ac1f0f622531b7befa25c570c5d1",
-    "cm_eq": "b32c31772aec58a02eb1cb4e92e802ab9b1d7e4bc7b353b442b38cedb0359d25",
+    "cm_final": "696816fb856ea3e56bec7103094c6793cc76b2d2437aa54a5f861adff5ed3327",
+    "cm_eq": "1f2bee277ae80230c4d9a61824af99a22a1eb7a29640f4b1dcdc024ff5558f5f",
 }
 GOLDEN_LARGEST_DROPPED = 4.210816372907315e-15
 
@@ -897,7 +954,7 @@ def test_split_batch_range_check_reaches_block_log_negativity(k):
     included, raises the split batch's range error."""
     with pytest.raises(InvalidArgumentError) as info:
         el.block_log_negativity(el.FullySymmetricSpec(4, 1.5, 0.1, 0.1), k)
-    assert str(info.value) == f"split size k = {k} out of range for 4 modes"
+    assert str(info.value) == f"split {k} | {4 - k} out of range for a 4-mode parent"
 
 
 def test_matrix_splits_that_all_fail_run_no_kernel(monkeypatch):

@@ -13,7 +13,9 @@ to be taken by a Cholesky factorization and a Hermitian eigensolver; the
 ``localize``, ``report`` and ``ole`` stdout and the ``final`` and
 ``symplectic`` dumps again when every 2x2 determinant came to be a d - b c
 and the invariant route came to read the cross block from det C' and the
-adjugate trace.
+adjugate trace; the ``localize`` and ``report`` stdout and the ``final``
+and ``symplectic`` dumps again when ``localize`` came to take its boundary
+rotations in closed form, not from LAPACK's SVD.
 
 The file holds six distinct cell texts in 2304 cells (the repeated blocks
 of the paper's bisymmetric states). The expected digests depend on the
@@ -47,16 +49,16 @@ COMMANDS = {
 # sha256 of each output; stdout is the same for both input formats.
 # Every command exits 0.
 STDOUT = {
-    "localize": "3b86595a9e52c48e5aa2a51884f8967038e44dba4a46458d052b3ef3cab73102",
+    "localize": "2d1d7d97587bb111c65422a11e094fe6d0fdfdd69f1cebc2dc29cc559b0c8f75",
     "ole": "c35be4196f4010774e52dd5fed3ca8cfdaca26b6034824f94c5db4475dffea51",
-    "report": "e7036a290e67b482b2953829f2272463cf609d4afe1a9a41d3f7e0d30ab5258c",
+    "report": "15ad5f4cf2f68dc8a165875a6e6679499fbe39207102e0b2fc112ec14cf1659b",
     "spectrum": "c60c14ec4902e1d56b5953c4d611d44b0eff98c1a181a19193859bb078566bf5",
 }
 LOCALIZE_DUMPS = {
-    "csv": {"final": "3410ed96035448bd2dcb9346ced9e7ef9b9c430695be62d8b0908ee97848ac78",
-            "symplectic": "1e00ecf4d659e1f658492d7be75a73dfdfd792eb75aaa37da0d4913832dc38e4"},
-    "json": {"final": "eb3bd79457754aee5a27f839ca3a079bcbb38fb161d57d9d5ed6692b85886908",
-             "symplectic": "1e00ecf4d659e1f658492d7be75a73dfdfd792eb75aaa37da0d4913832dc38e4"},
+    "csv": {"final": "53e3ffcc8440276b472b2c63699584e60c7196078a2fcd73b63f8a4cde75de7d",
+            "symplectic": "51ced4f6c27fec19d5c7a5e8ba09d4efe755e469ee4174d4328a34040a25cf9e"},
+    "json": {"final": "663dc422b3e697ca8c82e882d003fa5c46499468b922304cd2db517ebedcdd88",
+             "symplectic": "51ced4f6c27fec19d5c7a5e8ba09d4efe755e469ee4174d4328a34040a25cf9e"},
 }
 
 

@@ -24,9 +24,10 @@ import paper_formulas as pf
 
 
 pytestmark = pytest.mark.portable(
-    reason="the stack and grouped forms rely on stacked svd and slogdet, over one stack or over "
-           "the groups concatenated, on bit views and on read-only views, and localize's boundary "
-           "rotation is a stacked matmul on the boundary rows and columns")
+    reason="the stack and grouped forms rely on stacked cholesky, eigvalsh and matmul, over one "
+           "stack or over the groups concatenated, on bit views and on read-only views, and "
+           "localize's boundary rotation is elementwise arithmetic and a stacked matmul on the "
+           "boundary rows and columns")
 
 _split = el.ModeBipartition.contiguous
 
@@ -185,16 +186,18 @@ def test_localize_stack_form_is_the_per_matrix_form():
         assert not columns.cm_final.flags.writeable and not columns.cm_eq.flags.writeable
 
 
-@pytest.mark.parametrize("m, n", [(1, 4), (4, 1), (1, 1), (24, 24)],
-                         ids=["first rows", "last rows", "whole matrix", "middle"])
+@pytest.mark.parametrize("m, n", [(1, 4), (4, 1), (1, 1), (24, 24), (1, 199), (200, 200)],
+                         ids=["first rows", "last rows", "whole matrix", "middle",
+                              "first rows of 200 modes", "middle of 400 modes"])
 def test_boundary_rotation_at_the_edges_of_the_matrix(m, n):
     """Stage 3 of ``localize`` rotates rows and columns 2(m-1):2m+2 alone:
-    the first four at m = 1, the last four at n = 1, all of them at 1|1
-    and four in the middle at 24|24. The states are seen through one
-    single-mode symplectic per side, so that the rotations are not
-    trivial. S is symplectic, S^T sigma S is cm_final within the residual
-    tolerance, and each matrix of the stack gets the bits of its single
-    form."""
+    the first four at m = 1 (of 5 and of 200 modes), the last four at n =
+    1, all of them at 1|1 and four in the middle at 24|24 and at 200|200,
+    the range of block sizes the reduction is claimed for. The states are
+    seen through one single-mode symplectic per side, so that the
+    rotations are not trivial. S is symplectic, S^T sigma S is cm_final
+    within the residual tolerance, and each matrix of the stack gets the
+    bits of its single form."""
     rng = np.random.default_rng(100 * m + n)
     stack = []
     for spec in SpecSampler(m + n, max_block=max(m, n)).bisymmetric(m, n, count=3):
@@ -286,8 +289,9 @@ def _same_columns(got, want):
 def test_grouped_localize_is_each_group_alone():
     """One grouped call over the 36 shape stacks of a seeded 1000-case
     draw gives each group the columns of its own call, a group of one,
-    bit for bit: the normalizers, the boundary SVDs and the checks of
-    cm_eq run on all groups concatenated."""
+    bit for bit: the normalizers, the closed-form boundary rotations and
+    the checks of cm_eq run on all groups concatenated, and each block
+    mixing is built once for the call."""
     groups = {}
     for spec in SpecSampler(31).bisymmetric(count=1000):
         groups.setdefault((spec.m, spec.n), []).append(spec)
