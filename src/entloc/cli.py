@@ -1,12 +1,20 @@
 """Command-line front end.
 
 Subcommands: spectrum, report, localize, hierarchy, scaling, ole, verify.
-States come from a covariance-matrix file (--cm), a spec file or inline
-JSON (--spec / --spec-json), or the built-in pure family (--modes M --b B,
-optionally traced down from a larger parent with --trace-out). Mode
-counts and split sizes on the command line are one-based block sizes;
-exit codes: 0 success, 2 invalid input, 3 numerical failure,
-4 localization failure.
+Each of spectrum, report, localize and ole reads one state, from exactly
+one source: a covariance-matrix file (--cm), a spec file or inline JSON
+(--spec or --spec-json, not both), or the built-in pure family (--modes
+M --b B, optionally traced down from a larger parent with --trace-out).
+The state is the matrix itself, a ``BisymmetricSpec`` or a
+``FullySymmetricSpec``. Mode counts and split sizes on the command line
+are one-based block sizes; a split is --split M N or --k K, not both.
+A two-block spec's own split takes its closed form; any other split of
+it is read from its matrix, as --cm would read it.
+
+An option that does not apply is rejected, never ignored: --b and
+--trace-out apply only with --modes, and report's --dump-final,
+--dump-symplectic and --tol only with --localize. Exit codes: 0 success,
+2 invalid input, 3 numerical failure, 4 localization failure.
 """
 
 from __future__ import annotations
@@ -66,19 +74,33 @@ def _add_state_options(parser: argparse.ArgumentParser):
     group.add_argument("--spec", metavar="PATH", help="spec file (JSON object)")
     group.add_argument("--spec-json", metavar="JSON", help="inline spec JSON object")
     group.add_argument("--modes", type=int, metavar="M", help="pure M-mode symmetric state")
-    group.add_argument("--b", type=float, metavar="B", help="single-mode squeezing eigenvalue (>= 1)")
-    group.add_argument(
-        "--trace-out",
-        type=int,
-        default=0,
-        metavar="Q",
-        help="with --modes: trace Q modes off an (M+Q)-mode pure parent (default 0)",
-    )
+    group.add_argument("--b", type=float, metavar="B",
+                       help="with --modes: single-mode squeezing eigenvalue (>= 1)")
+    group.add_argument("--trace-out", type=int, metavar="Q",
+                       help="with --modes: trace Q modes off an (M+Q)-mode pure parent (default 0)")
 
 
-def _add_output_options(parser: argparse.ArgumentParser, formats=("json", "csv")):
-    parser.add_argument("--format", choices=formats, default=formats[0])
+def _add_output_options(parser: argparse.ArgumentParser, *formats):
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+
+
+def _add_reduction_options(parser: argparse.ArgumentParser):
+    """The split and the constructive reduction's options of report and localize."""
+    parser.add_argument("--split", type=int, nargs=2, metavar=("M", "N"), help="block sizes")
+    parser.add_argument("--k", type=int, help="the split K | (modes - K)")
+    parser.add_argument("--dump-final", metavar="PATH", help="write the reduced covariance matrix")
+    parser.add_argument("--dump-symplectic", metavar="PATH", help="write the local transformation")
+    parser.add_argument("--tol", type=float, default=None, help="pattern tolerance override")
+
+
+def _reject(args, names, condition: str) -> None:
+    """Invalid input naming each option of ``names`` that was given: each
+    one only applies under ``condition``."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise InvalidArgumentError(f"{', '.join(given)} only applies {condition}")
 
 
 def _parse_spec_obj(obj: dict):
@@ -98,46 +120,50 @@ def _load_spec_text(text: str, origin: str):
 
 
 def _resolve_state(args):
-    """Returns (spec, cm) with exactly one of spec/cm possibly None."""
-    sources = [args.cm is not None, args.spec is not None or args.spec_json is not None,
-               args.modes is not None]
-    if sum(sources) != 1:
+    """The one state the options name: the ``CovarianceMatrix`` of --cm,
+    the ``BisymmetricSpec`` or ``FullySymmetricSpec`` of --spec or
+    --spec-json, or the ``FullySymmetricSpec`` of --modes."""
+    sources = [args.cm, args.spec, args.spec_json, args.modes]
+    if len(sources) - sources.count(None) != 1:
         raise InvalidArgumentError(
             "exactly one state source required: --cm, --spec/--spec-json, or --modes"
         )
+    if args.modes is None:
+        _reject(args, ("b", "trace_out"), "with --modes")
     if args.cm is not None:
-        return None, load_cm(args.cm)
+        return load_cm(args.cm)
     if args.spec is not None:
-        return _load_spec_text(_read_text(args.spec), args.spec), None
+        return _load_spec_text(_read_text(args.spec), args.spec)
     if args.spec_json is not None:
-        return _load_spec_text(args.spec_json, "--spec-json"), None
+        return _load_spec_text(args.spec_json, "--spec-json")
     if args.b is None:
         raise InvalidArgumentError("--modes requires --b")
-    return traced_symmetric_spec(args.modes, args.trace_out, args.b), None
+    return traced_symmetric_spec(args.modes, args.trace_out or 0, args.b)
 
 
-def _spec_to_cm(spec) -> CovarianceMatrix:
-    if isinstance(spec, BisymmetricSpec):
-        return bisymmetric_cm(spec)
-    return fully_symmetric_cm(spec)
+def _matrix(state) -> CovarianceMatrix:
+    if isinstance(state, BisymmetricSpec):
+        return bisymmetric_cm(state)
+    if isinstance(state, FullySymmetricSpec):
+        return fully_symmetric_cm(state)
+    return state
 
 
-def _resolve_split(args, total_modes: int, spec=None) -> tuple[int, int]:
-    if getattr(args, "split", None) is not None:
+def _resolve_split(args, state) -> tuple[int, int]:
+    total = state.total_modes if isinstance(state, BisymmetricSpec) else state.modes
+    if args.split is not None:
+        _reject(args, ("k",), "without --split")
         m, n = args.split
-        if m + n != total_modes:
-            raise InvalidArgumentError(
-                f"--split {m} {n} does not cover the {total_modes}-mode state"
-            )
+        if m + n != total:
+            raise InvalidArgumentError(f"--split {m} {n} does not cover the {total}-mode state")
         return m, n
-    if getattr(args, "k", None) is not None:
-        k = args.k
-        if not 1 <= k <= total_modes - 1:
-            raise InvalidArgumentError(f"--k {k} out of range for {total_modes} modes")
-        return k, total_modes - k
-    if isinstance(spec, BisymmetricSpec):
-        return spec.m, spec.n
-    if total_modes == 2:
+    if args.k is not None:
+        if not 1 <= args.k <= total - 1:
+            raise InvalidArgumentError(f"--k {args.k} out of range for {total} modes")
+        return args.k, total - args.k
+    if isinstance(state, BisymmetricSpec):
+        return state.m, state.n
+    if total == 2:
         return 1, 1
     raise InvalidArgumentError("a bipartition is required: pass --split M N or --k K")
 
@@ -167,9 +193,7 @@ def _json_text(obj) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    spec, cm = _resolve_state(args)
-    if cm is None:
-        cm = _spec_to_cm(spec)
+    cm = _matrix(_resolve_state(args))
     spectrum = symplectic_eigenvalues(cm)
     clusters = spectrum.clustered(tol=args.tol)
     if args.format == "csv":
@@ -189,11 +213,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _report_for(spec, cm, m, n):
-    if isinstance(spec, BisymmetricSpec):
-        return equivalent_report(spec)
-    if isinstance(spec, FullySymmetricSpec):
-        return block_log_negativity(spec, m)
+def _report_for(state, m, n):
+    if isinstance(state, BisymmetricSpec) and (m, n) == (state.m, state.n):
+        return equivalent_report(state)
+    if isinstance(state, FullySymmetricSpec):
+        return block_log_negativity(state, m)
+    # any other split of a two-block spec is a general bipartition of its matrix
+    cm = _matrix(state)
     try:
         return equivalent_report_from_cm(cm, m, n)
     except LocalizationError:
@@ -204,21 +230,13 @@ def _report_for(spec, cm, m, n):
 
 def _cmd_report(args) -> int:
     if not args.localize:
-        given = [f"--{name.replace('_', '-')}" for name in ("dump_final", "dump_symplectic", "tol")
-                 if getattr(args, name) is not None]
-        if given:
-            raise InvalidArgumentError(f"{', '.join(given)} only applies with --localize")
-    spec, cm = _resolve_state(args)
-    total = spec.modes if isinstance(spec, FullySymmetricSpec) else (
-        spec.total_modes if spec is not None else cm.modes
-    )
-    m, n = _resolve_split(args, total, spec)
-    report = _report_for(spec, cm, m, n)
-    payload = {"split": [m, n], "report": report.to_json_dict()}
+        _reject(args, ("dump_final", "dump_symplectic", "tol"), "with --localize")
+    state = _resolve_state(args)
+    m, n = _resolve_split(args, state)
+    payload = {"split": [m, n], "report": _report_for(state, m, n).to_json_dict()}
     if args.localize:
-        if cm is None:
-            cm = _spec_to_cm(spec)
-        payload["localization"] = _localization_json(args, localize(cm, m, n, tol_pattern=args.tol))
+        result = localize(_matrix(state), m, n, tol_pattern=args.tol)
+        payload["localization"] = _localization_json(args, result)
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -244,11 +262,9 @@ def _localization_json(args, result) -> dict:
 
 
 def _cmd_localize(args) -> int:
-    spec, cm = _resolve_state(args)
-    if cm is None:
-        cm = _spec_to_cm(spec)
-    m, n = _resolve_split(args, cm.modes, spec)
-    payload = _localization_json(args, localize(cm, m, n, tol_pattern=args.tol))
+    state = _resolve_state(args)
+    m, n = _resolve_split(args, state)
+    payload = _localization_json(args, localize(_matrix(state), m, n, tol_pattern=args.tol))
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -283,10 +299,10 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_ole(args) -> int:
-    spec, cm = _resolve_state(args)
-    if isinstance(spec, BisymmetricSpec):
+    state = _resolve_state(args)
+    if isinstance(state, BisymmetricSpec):
         raise InvalidArgumentError("the split scan needs a fully symmetric state")
-    scan = ole_scan(spec if spec is not None else cm)
+    scan = ole_scan(state)
     k_star, best = max(scan, key=lambda item: item[1].log_negativity)
     _emit(
         _json_text(
@@ -340,29 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="symplectic spectrum and its degeneracy clusters")
     _add_state_options(p)
-    _add_output_options(p)
+    _add_output_options(p, "json", "csv")
     p.add_argument("--tol", type=float, default=None, help="cluster tolerance override")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("report", help="entanglement report for a bipartition")
     _add_state_options(p)
-    _add_output_options(p, formats=("json",))
-    p.add_argument("--split", type=int, nargs=2, metavar=("M", "N"), help="block sizes")
-    p.add_argument("--k", type=int, help="first-k split of a symmetric state")
+    _add_output_options(p)
+    _add_reduction_options(p)
     p.add_argument("--localize", action="store_true", help="also run the constructive reduction")
-    p.add_argument("--dump-final", metavar="PATH", help="write the reduced covariance matrix")
-    p.add_argument("--dump-symplectic", metavar="PATH", help="write the local transformation")
-    p.add_argument("--tol", type=float, default=None, help="pattern tolerance override")
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("localize", help="constructive reduction to the two-mode normal pattern")
     _add_state_options(p)
-    _add_output_options(p, formats=("json",))
-    p.add_argument("--split", type=int, nargs=2, metavar=("M", "N"), help="block sizes")
-    p.add_argument("--k", type=int, help="first-k split of a symmetric state")
-    p.add_argument("--dump-final", metavar="PATH", help="write the reduced covariance matrix")
-    p.add_argument("--dump-symplectic", metavar="PATH", help="write the local transformation")
-    p.add_argument("--tol", type=float, default=None, help="pattern tolerance override")
+    _add_output_options(p)
+    _add_reduction_options(p)
     p.set_defaults(handler=_cmd_localize)
 
     p = sub.add_parser("hierarchy", help="block entanglement vs split size and squeezing")
@@ -371,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-grid", default="1:3:81", help="squeezing grid lo:hi:steps")
     p.add_argument("--trace-out", type=_int_list, default=[0, 4], help="q values (default 0,4)")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    _add_output_options(p, formats=("csv", "json"))
+    _add_output_options(p, "csv", "json")
     p.set_defaults(handler=_cmd_hierarchy)
 
     p = sub.add_parser("scaling", help="entanglement of formation vs half mode count")
@@ -379,12 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=_int_list, default=[1, 15], metavar="LO,HI")
     p.add_argument("--trace-out", type=_int_list, default=[0, 4], help="q values (default 0,4)")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    _add_output_options(p, formats=("csv", "json"))
+    _add_output_options(p, "csv", "json")
     p.set_defaults(handler=_cmd_scaling)
 
     p = sub.add_parser("ole", help="best split size of a fully symmetric state")
     _add_state_options(p)
-    _add_output_options(p, formats=("json",))
+    _add_output_options(p)
     p.set_defaults(handler=_cmd_ole)
 
     p = sub.add_parser("verify", help="run the brute-force cross-check suite")

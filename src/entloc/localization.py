@@ -228,12 +228,14 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
         np.array([sum_sq + 2.0 * det_cross, sum_sq - 2.0 * det_cross]), sum_sq, errors
     )
     c_plus, c_minus = 0.5 * (plus + minus), 0.5 * (plus - minus)
-    errors.record(
-        ~np.isfinite(np.array([na_plus, nb_plus, c_plus, c_minus])).all(axis=0),
-        lambda i: InvalidArgumentError("covariance matrix has non-finite entries"),
-    )
     # the route's float range, as the README states it: (nu_plus_a nu_plus_b)^4 is finite
     _squares(_squares(k, errors), errors)
+    # the inputs are finite, so a non-finite invariant is an overflow
+    errors.record(
+        ~np.isfinite(np.array([na_plus, nb_plus, c_plus, c_minus])).all(axis=0),
+        lambda i: NumericalDomainError("overflow: an invariant of the two-mode core is out of "
+                                       "float range"),
+    )
     return _Equivalents(*nus[1], c_plus, c_minus, plus_sq, trace, det_cross, det_core)
 
 

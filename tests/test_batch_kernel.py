@@ -25,9 +25,9 @@ from entloc.states import BisymmetricBatch
 from oracle_helpers import ScalarSampler
 import paper_formulas as pf
 
-# valid specs on which the invariant route itself fails: an overflowing
-# square (NumericalDomainError) and an overflowing cross-block trace that
-# leaves the equivalent state non-finite (InvalidArgumentError)
+# valid specs on which the invariant route itself overflows, each with its
+# own NumericalDomainError: an uncoupled one, and a coupled one whose
+# equivalent state is not finite
 OVERFLOWING = el.BisymmetricSpec(2, 2, 1e100, 0.0, 0.0, 1e100, 0.0, 0.0, 0.0, 0.0)
 NON_FINITE = el.BisymmetricSpec(2, 2, 1e78, 0.0, 0.0, 1e78, 0.0, 0.0, 2.5e77, -2.5e77)
 
@@ -202,19 +202,26 @@ def test_equivalent_report_names_the_type_it_cannot_take(spec):
 def test_kernel_error_classes():
     assert isinstance(_error_of(OVERFLOWING), NumericalDomainError)
     assert "overflow" in str(_error_of(OVERFLOWING))
-    assert isinstance(_error_of(NON_FINITE), InvalidArgumentError)
+    # (nu_plus_a nu_plus_b)^4 overflows before the invariants are checked as finite
+    assert isinstance(_error_of(NON_FINITE), NumericalDomainError)
+    assert str(_error_of(NON_FINITE)) == "overflow: the square of 1.000000e+156 is out of float range"
 
 
 def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
     original = exp._fs_split_batch
 
     def crafted(failing):
-        # the split batch with the point (k, b) = (2, 1.5) replaced by ``failing``
+        # the split batch with the point (k, b) = (2, 1.5) failed by the
+        # error ``failing``, as an unphysical split is, or replaced by the
+        # spec ``failing``
         def split(parents, index, k, rest):
             batch = original(parents, index, k, rest)
             b = np.array([parents[i].b for i in index])
             point = (k == 2) & (b == 1.5)
             assert np.count_nonzero(point) == 1
+            if isinstance(failing, InvalidArgumentError):
+                batch.errors.fail(int(np.flatnonzero(point)[0]), failing)
+                return batch
             spec = BisymmetricBatch.of([failing])
             return batch._replace(
                 m=np.where(point, spec.m, batch.m),
@@ -227,19 +234,20 @@ def test_sweep_rows_take_the_error_of_their_own_point(monkeypatch):
     cfg = SweepConfig(modes=6, b_grid=(1.2, 1.5), trace_out=(0,))
     clean = run_hierarchy(cfg)
 
-    monkeypatch.setattr(exp, "_fs_split_batch", crafted(NON_FINITE))
+    monkeypatch.setattr(exp, "_fs_split_batch", crafted(InvalidArgumentError("unphysical")))
     rows = run_hierarchy(cfg)
     assert [r["status"] for r in rows].count("unphysical") == 1
     assert [r for r in rows if r["status"] == "ok"] == [
         r for r in clean if (r["k"], r["b"]) != (2, 1.5)
     ]
 
-    monkeypatch.setattr(exp, "_fs_split_batch", crafted(OVERFLOWING))
-    rows = run_hierarchy(cfg)
-    assert [r["status"] for r in rows].count("numerical") == 1
-    assert [r for r in rows if r["status"] != "numerical"] == [
-        r for r in clean if (r["k"], r["b"]) != (2, 1.5)
-    ]
+    for failing in (OVERFLOWING, NON_FINITE):
+        monkeypatch.setattr(exp, "_fs_split_batch", crafted(failing))
+        rows = run_hierarchy(cfg)
+        assert [r["status"] for r in rows].count("numerical") == 1
+        assert [r for r in rows if r["status"] != "numerical"] == [
+            r for r in clean if (r["k"], r["b"]) != (2, 1.5)
+        ]
 
 
 def test_hierarchy_validates_each_parent_once_and_calls_the_kernel_once(monkeypatch):

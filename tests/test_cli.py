@@ -1,14 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entloc as el
+from cli_manifest import write_inputs
 from entloc.cli import main
 from entloc.experiments import SweepConfig
 from entloc.oracle import SpecSampler
+from entloc.states import bisymmetric_spec_from_json
 from oracle_helpers import random_bona_fide_cm
 import paper_formulas as pf
 
@@ -565,3 +572,209 @@ def test_empty_out_path_exit_code(tmp_path, capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert err == "entloc: [Errno 2] No such file or directory: ''\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# One state per command; an option that does not apply is rejected.
+# ---------------------------------------------------------------------------
+
+SPEC_JSON = '{"modes": 4, "b": 1.5, "z1": 0.1, "z2": 0.1}'
+NOT_APPLIED = pytest.mark.portable(reason="the option check exits before any LAPACK call, "
+                                          "exponential or logarithm")
+
+
+@NOT_APPLIED
+@pytest.mark.parametrize("argv, message", [
+    (("report", "--cm", "{cm}", "--k", "1", "--b", "2"), "--b only applies with --modes"),
+    (("spectrum", "--cm", "{cm}", "--trace-out", "3"), "--trace-out only applies with --modes"),
+    (("spectrum", "--spec", "{spec}", "--b", "1.5"), "--b only applies with --modes"),
+    (("ole", "--spec", "{spec}", "--trace-out", "0"), "--trace-out only applies with --modes"),
+    (("report", "--spec-json", '{"modes":4,"b":1.5}', "--k", "2", "--b", "2"),
+     "--b only applies with --modes"),
+    (("report", "--spec-json", SPEC_JSON, "--k", "2", "--trace-out", "3"),
+     "--trace-out only applies with --modes"),
+    (("localize", "--cm", "{cm}", "--k", "1", "--b", "2", "--trace-out", "1"),
+     "--b, --trace-out only applies with --modes"),
+    (("report", "--spec", "{spec}", "--spec-json", SPEC_JSON, "--k", "2"),
+     "exactly one state source required: --cm, --spec/--spec-json, or --modes"),
+    (("report", "--modes", "4", "--b", "1.5", "--split", "2", "2", "--k", "2"),
+     "--k only applies without --split"),
+    (("localize", "--modes", "4", "--b", "1.5", "--split", "2", "2", "--k", "1"),
+     "--k only applies without --split"),
+])
+def test_option_that_does_not_apply_exit_code(tmp_path, capsys, argv, message):
+    """Each of these options was accepted and ignored: a spec or matrix
+    has its own squeezing and mode count, --spec-json came second to
+    --spec, and --split won over --k. Each is invalid input, named before
+    any computation on the state."""
+    cm, spec = tmp_path / "two_mode.csv", tmp_path / "spec.json"
+    cm.write_text("2,0,1.5,0\n0,2,0,-1.5\n1.5,0,2,0\n0,-1.5,0,2\n")
+    spec.write_text(SPEC_JSON)
+    code, out, err = run_cli(capsys, *(arg.replace("{cm}", str(cm)).replace("{spec}", str(spec))
+                                       for arg in argv))
+    assert (code, out, err) == (2, "", f"entloc: invalid input: {message}\n")
+
+
+@NOT_APPLIED
+@pytest.mark.parametrize("argv", [
+    ("report", "--modes", "4", "--b", "1.5", "--k", "2"),
+    ("localize", "--modes", "4", "--b", "1.5", "--k", "2"),
+    ("ole", "--modes", "4", "--b", "1.5"),
+])
+def test_json_only_commands_take_no_format(capsys, argv):
+    """report, localize and ole write JSON only: --format is no option of theirs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: unrecognized arguments: --format json\n")
+
+
+# a 2 | 3 state, entangled at its own split and separable at 1 | 4 and
+# 4 | 1, and a 3 | 4 state; the digest is the stdout of each one's own split
+OTHER_SPLITS = [
+    ({"m": 2, "n": 3, "a": 2.0, "e1": 0, "e2": 0, "b": 2.0, "z1": 0, "z2": 0, "g1": 0.5, "g2": -0.5},
+     "828335838f4b498ed4f9cc2ce0c769db8809a3d19dccd93f7c1a163c96d51f34"),
+    ({"m": 3, "n": 4, "a": 2.0, "e1": 0.3, "e2": -0.2, "b": 1.8, "z1": 0.25, "z2": -0.15,
+      "g1": 0.4, "g2": -0.35}, "570e0fe3a9b516a6c93c18b5bad03ed06db6073f10b21df84e0e5e9fba1a2de0"),
+]
+
+
+@pytest.mark.parametrize("spec, own", OTHER_SPLITS, ids=["2|3", "3|4"])
+def test_two_block_spec_reads_its_other_splits_from_its_matrix(tmp_path, capsys, spec, own):
+    """The closed form answers a two-block spec's own m | n split only. Any
+    other split is a general bipartition of its matrix, and prints what
+    --cm of that matrix prints; it used to print the own split's report
+    under the split asked for."""
+    text, path = json.dumps(spec), tmp_path / "cm.json"
+    el.save_cm(el.bisymmetric_cm(bisymmetric_spec_from_json(spec)), path)
+    total = spec["m"] + spec["n"]
+    for k in range(1, total):
+        from_spec = run_cli(capsys, "report", "--spec-json", text, "--k", str(k))
+        assert from_spec == run_cli(capsys, "report", "--cm", str(path), "--k", str(k))
+        assert from_spec[0] == 0 and json.loads(from_spec[1])["split"] == [k, total - k]
+    for argv in ((), ("--k", str(spec["m"])), ("--split", str(spec["m"]), str(spec["n"]))):
+        code, out, _ = run_cli(capsys, "report", "--spec-json", text, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, own)
+
+
+def test_report_of_a_matrix_past_the_invariant_float_range_exit_code(tmp_path, capsys):
+    """A finite, physical matrix whose invariants overflow is a numerical
+    failure (exit 3), not invalid input."""
+    path = tmp_path / "huge.json"
+    spec = el.FullySymmetricSpec(4, 1.6, 0.3, -0.2)
+    el.save_cm(el.CovarianceMatrix(el.fully_symmetric_cm(spec).matrix * 1e100), path)
+    code, out, err = run_cli(capsys, "report", "--cm", str(path), "--split", "2", "2")
+    assert (code, out) == (3, "")
+    assert err == "entloc: numerical failure: overflow: the square of 2.660000e+200 is out of " \
+                  "float range\n"
+
+
+# the states of the generated command lines, each with its mode count and,
+# for a two-block spec, its own split
+FUZZ_BISPEC = '{"m": 2, "n": 2, "a": 1.6, "e1": 0.2, "e2": -0.1, "b": 1.4, "z1": 0.1, "z2": 0.2, ' \
+              '"g1": 0.3, "g2": -0.3}'
+FUZZ_SOURCES = {
+    "--cm": {"pattern.csv": 8, "pattern.json": 8, "general.json": 4, "general.csv": 4,
+             "two_mode.csv": 2, "indefinite.csv": 2, "unphysical.csv": 4, "missing.csv": None},
+    "--spec": {"spec.json": 6, "bispec.json": (2, 3), "list_spec.json": None},
+    "--spec-json": {FUZZ_BISPEC: (2, 2), '{"modes": 5, "b": 1.6, "z1": 0.4, "z2": -0.3}': 5,
+                    '{"modes": 4}': None},
+    "--modes": {"2": 2, "3": 3, "8": 8, "1": None},
+}
+# valid values first, and more often
+FUZZ_OPTIONS = {
+    "--b": ["1.5", "1.5", "1", "0.5", "nan", "1e200"],
+    "--trace-out": ["0", "2", "-1"],
+    "--split": [("1", "1"), ("1", "3"), ("2", "2"), ("2", "3"), ("3", "3"), ("3", "5"), ("0", "4")],
+    "--k": ["1", "2", "3", "4", "0", "9"],
+    "--tol": ["1e-6", "0", "-1", "nan"],
+    "--format": ["json", "csv"],
+    "--localize": [()],
+    "--dump-final": ["final.json", "final.csv"],
+    "--dump-symplectic": ["symplectic.json"],
+    "--out": ["out.json"],
+}
+# the names above that are files, in the directory of the inputs
+FUZZ_FILES = {*FUZZ_SOURCES["--cm"], *FUZZ_SOURCES["--spec"], *FUZZ_OPTIONS["--dump-final"],
+              *FUZZ_OPTIONS["--dump-symplectic"], *FUZZ_OPTIONS["--out"]}
+FUZZ_COMMANDS = {
+    "spectrum": ("--b", "--trace-out", "--tol", "--format", "--out"),
+    "report": ("--b", "--trace-out", "--split", "--k", "--tol", "--localize", "--dump-final",
+               "--dump-symplectic", "--out"),
+    "localize": ("--b", "--trace-out", "--split", "--k", "--tol", "--dump-final",
+                 "--dump-symplectic", "--out"),
+    "ole": ("--b", "--trace-out", "--out"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_inputs(directory)
+    return directory
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False] * 6 + [True]))
+
+
+@st.composite
+def command_lines(draw):
+    """A command, one state source (rarely none, or two), up to three of its
+    options (rarely with one of another command's), each with a value from
+    a fixed short list. Most report and localize lines name a split, and
+    most --modes lines a --b."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    sources = [draw(st.sampled_from(sorted(FUZZ_SOURCES)))]
+    if _rarely(draw):
+        second = draw(st.sampled_from(sorted(set(FUZZ_SOURCES) - set(sources))))
+        sources = draw(st.sampled_from([[], sources + [second]]))
+    own = FUZZ_COMMANDS[command]
+    names = draw(st.lists(st.sampled_from(own), max_size=3, unique=True))
+    if _rarely(draw):
+        names.append(draw(st.sampled_from([name for name in FUZZ_OPTIONS if name not in own])))
+    if "--split" in own and not {"--k", "--split"} & set(names) and not _rarely(draw):
+        names.append(draw(st.sampled_from(["--k", "--split"])))
+    if "--modes" in sources and "--b" not in names and not _rarely(draw):
+        names.append("--b")
+    argv, asked = [command], {}
+    for name in sources + names:
+        values = sorted(FUZZ_SOURCES[name]) if name in FUZZ_SOURCES else FUZZ_OPTIONS[name]
+        asked[name] = value = draw(st.sampled_from(values))
+        argv += [name, *((value,) if isinstance(value, str) else value)]
+    return argv, asked
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_generated_command_lines_exit_with_a_documented_code(fuzz_inputs, line):
+    """Every command line exits 0, 2, 3 or 4 with no traceback, and every
+    report that succeeds is of the split asked for: --split, --k, else a
+    two-block spec's own split, else 1 | 1 of a two-mode state."""
+    argv, asked = line
+    argv = [str(fuzz_inputs / arg) if arg in FUZZ_FILES else arg for arg in argv]
+    (fuzz_inputs / "out.json").unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code != 0 or argv[0] != "report":
+        return
+    text = (fuzz_inputs / "out.json").read_text() if "--out" in asked else stdout.getvalue()
+    [state] = [FUZZ_SOURCES[source][asked[source]] for source in FUZZ_SOURCES if source in asked]
+    total = sum(state) if isinstance(state, tuple) else state
+    if "--split" in asked:
+        expected = list(map(int, asked["--split"]))
+    elif "--k" in asked:
+        expected = [int(asked["--k"]), total - int(asked["--k"])]
+    elif isinstance(state, tuple):
+        expected = list(state)
+    else:
+        assert total == 2
+        expected = [1, 1]
+    assert json.loads(text)["split"] == expected

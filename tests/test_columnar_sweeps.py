@@ -499,3 +499,85 @@ def test_empty_sequences_and_tables():
     assert len(el.equivalent_report(empty).errors) == 0
     assert render_table(SweepRows({}), HIERARCHY_COLUMNS, "csv") == ",".join(HIERARCHY_COLUMNS) + "\n"
     assert render_table(SweepRows({}), HIERARCHY_COLUMNS, "json") == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# Relations between splits of one pure parent, which need no oracle.
+# ---------------------------------------------------------------------------
+
+RELATION_PARENTS = (3, 4, 6, 9, 16, 25, 40)
+# b - 1 log-spaced from 1e-9 to 1e4 - 1: b from 1 + 1e-9 to 1e4
+RELATION_B = (1.0 + np.geomspace(1e-9, 1e4 - 1.0, 40)).tolist()
+
+
+@pytest.fixture(scope="module")
+def parent_splits():
+    """E_N of every k | r split (k + r <= P) of each pure parent
+    ``ghz_type_spec(P, b)``, from one split batch and one call of the
+    invariant route, as {(P, b, k, r): E_N}. A parent that
+    ``ghz_type_spec`` rejects is skipped, and so is a split that the
+    batch rejects as unphysical within rounding: both are the pure
+    family's known rejection at large M b. Any other failure fails."""
+    parents, index, ks, rs = [], [], [], []
+    for modes in RELATION_PARENTS:
+        for b in RELATION_B:
+            try:
+                parents.append(el.ghz_type_spec(modes, b))
+            except el.EntlocError as exc:
+                assert str(exc).startswith("unphysical parameters"), exc
+                continue
+            for k in range(1, modes):
+                index += [len(parents) - 1] * (modes - k)
+                ks += [k] * (modes - k)
+                rs += range(1, modes - k + 1)
+    columns = el.equivalent_report(_fs_split_batch(parents, np.array(index), np.array(ks),
+                                                   np.array(rs)))
+    values = {}
+    for i, k, r, value, error in zip(index, ks, rs, columns.log_negativity.tolist(),
+                                     columns.errors):
+        if error is None:
+            values[parents[i].modes, parents[i].b, k, r] = value
+        else:
+            assert str(error).startswith("unphysical parameters"), error
+    assert len(values) >= 46_656
+    return values
+
+
+def test_split_entanglement_grows_with_either_block(parent_splits):
+    """E_N(k | r) <= E_N(k+1 | r) and E_N(k | r) <= E_N(k | r+1), exactly:
+    the smaller split is a partial trace of the larger one, a local
+    operation, and E_N is an LOCC monotone (Vidal and Werner, PRA 65,
+    032314 (2002)). No tolerance: none of the 85,340 neighbour pairs
+    decreases."""
+    pairs, decreases = 0, []
+    for (modes, b, k, r), value in parent_splits.items():
+        for larger in ((modes, b, k + 1, r), (modes, b, k, r + 1)):
+            if larger in parent_splits:
+                pairs += 1
+                if parent_splits[larger] < value:
+                    decreases.append(((modes, b, k, r), larger, value, parent_splits[larger]))
+    assert pairs >= 85_340
+    assert decreases == []
+
+
+SWAP_SCALE = 32.0  # measured: 10.3, at P = 40, b = 101, 6 | 11
+SWAP_FLOOR = 4 * np.finfo(float).eps  # measured: 0.5 eps, at b = 1 + 2e-9 where E_N ~ 1.5e-5
+
+
+def test_split_entanglement_is_symmetric_under_block_swap(parent_splits):
+    """E_N(k | r) = E_N(r | k) to the invariant route's own rounding: the
+    gap is at most SWAP_SCALE b^2 eps E_N + SWAP_FLOOR. The relative gap
+    grows as b^2 eps, from 5e-15 at b near 1.5 to 2e-7 at b = 1e4; where
+    E_N is tiny (b = 1 + 1e-9) only the floor holds it."""
+    eps = np.finfo(float).eps
+    compared, over = 0, []
+    for (modes, b, k, r), value in parent_splits.items():
+        swapped = parent_splits.get((modes, b, r, k))
+        if swapped is None or k >= r:
+            continue
+        compared += 1
+        bound = SWAP_SCALE * b * b * eps * max(value, swapped) + SWAP_FLOOR
+        if not abs(value - swapped) <= bound:
+            over.append(((modes, b, k, r), value, swapped, bound))
+    assert compared >= 22_389
+    assert over == []

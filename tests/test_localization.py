@@ -390,6 +390,19 @@ def test_equivalent_from_cm_matches_spec_route():
         assert np.allclose(eq_spec.cm_eq.matrix, eq_cm.cm_eq.matrix, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e50, 1e77, 1e80, 1e100, 1e150])
+def test_invariant_route_reports_an_overflow_of_a_finite_matrix_as_an_overflow(scale):
+    """A finite, physical matrix scaled past the route's float range fails
+    with the overflow of its (nu_plus_a nu_plus_b)^4, a NumericalDomainError.
+    From 1e80 on, the invariants themselves overflow first; that used to
+    read as invalid input with "non-finite entries"."""
+    cm = el.CovarianceMatrix(
+        el.fully_symmetric_cm(el.FullySymmetricSpec(4, 1.6, 0.3, -0.2)).matrix * scale)
+    with pytest.raises(el.NumericalDomainError, match=r"^overflow: the square of .* is out of "
+                                                      r"float range$"):
+        el.equivalent_report_from_cm(cm, 2, 2)
+
+
 @pytest.mark.parametrize("size", [2_200_000_000, 3_100_000_000])
 def test_invariant_route_block_sizes_past_int64_products(size):
     """2 m n (at m = n = 2.2e9) or m n (at 3.1e9) is past 2**63, where an
