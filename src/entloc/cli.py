@@ -14,7 +14,8 @@ it is read from its matrix, as --cm would read it.
 An option that does not apply is rejected, never ignored: --b and
 --trace-out apply only with --modes, and report's --dump-final,
 --dump-symplectic and --tol only with --localize. Exit codes: 0 success,
-2 invalid input, 3 numerical failure, 4 localization failure.
+2 invalid input, 3 numerical failure (running out of memory included),
+4 localization failure.
 """
 
 from __future__ import annotations
@@ -141,16 +142,27 @@ def _resolve_state(args):
     return traced_symmetric_spec(args.modes, args.trace_out or 0, args.b)
 
 
+def _total_modes(state) -> int:
+    return state.total_modes if isinstance(state, BisymmetricSpec) else state.modes
+
+
 def _matrix(state) -> CovarianceMatrix:
-    if isinstance(state, BisymmetricSpec):
-        return bisymmetric_cm(state)
-    if isinstance(state, FullySymmetricSpec):
+    """The dense covariance matrix of a state. A spec whose matrix cannot
+    be allocated raises a MemoryError that names its mode count."""
+    if isinstance(state, CovarianceMatrix):
+        return state
+    try:
+        if isinstance(state, BisymmetricSpec):
+            return bisymmetric_cm(state)
         return fully_symmetric_cm(state)
-    return state
+    except MemoryError:
+        modes = _total_modes(state)
+        raise MemoryError(f"cannot hold the {modes}-mode covariance matrix "
+                          f"({2 * modes} x {2 * modes} floats)") from None
 
 
 def _resolve_split(args, state) -> tuple[int, int]:
-    total = state.total_modes if isinstance(state, BisymmetricSpec) else state.modes
+    total = _total_modes(state)
     if args.split is not None:
         _reject(args, ("k",), "without --split")
         m, n = args.split
@@ -426,6 +438,10 @@ def main(argv=None) -> int:
         return 4
     except NumericalDomainError as exc:
         print(f"entloc: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = str(exc)
+        print("entloc: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 3
 
 

@@ -2,7 +2,9 @@
 
 The references evaluate definitions directly on dense matrices: mirror
 reflections are applied entrywise and spectra come from a dense
-factorization and a Hermitian eigensolver, the kernel that
+factorization and then a real SVD of its x-p block (a matrix with no x-p
+entry, as every standard-form state and its partial transposes are) or
+a Hermitian eigensolver (any other), the kernel that
 ``symplectic_eigenvalues`` runs too. They deliberately avoid the
 closed-form code paths they are used to check, and they are allowed to
 be slow.

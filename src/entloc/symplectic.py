@@ -437,31 +437,60 @@ def _antisymmetric_forms(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     return factors.swapaxes(1, 2) @ _omega_times(factors)
 
 
+def _hermitian_spectra(forms: np.ndarray) -> np.ndarray:
+    """The nu of each real antisymmetric form K of a (K, 2N, 2N) stack:
+    one stacked ``eigvalsh`` call gives the eigenvalues +/- nu of the
+    Hermitian i K in ascending order, and the k-th largest nu is the mean
+    of the k-th largest eigenvalue and minus the k-th smallest."""
+    pm_nus = np.linalg.eigvalsh(1j * forms)
+    n = forms.shape[-1] // 2
+    return 0.5 * (pm_nus[:, n:][:, ::-1] - pm_nus[:, :n])
+
+
 def _symplectic_spectra(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     """The symplectic eigenvalues of each matrix of a finite symmetric
     (K, 2N, 2N) stack, as a (K, N) array, each row descending; a matrix
     that is not positive definite fails in ``errors`` and its row is
     meaningless but finite. Each matrix gets the bits of a stack of one.
 
-    With sigma = L L^T, Omega sigma is similar to L^T Omega L, which is
-    real antisymmetric, so i L^T Omega L is Hermitian with eigenvalues
-    +/- nu. One stacked ``eigvalsh`` call gives them in ascending order,
-    and the k-th largest nu is the mean of the k-th largest eigenvalue
-    and minus the k-th smallest. The forms come from a helper so that the
-    factors are freed before the eigensolver runs.
+    With sigma = L L^T, Omega sigma is similar to K = L^T Omega L, which
+    is real antisymmetric, so i K is Hermitian with eigenvalues +/- nu.
+    Each matrix takes one of two branches, chosen from its entries:
+
+    * no x-p correlation (every sigma[2i, 2j + 1] is 0 or -0.0, as in the
+      standard form of a bisymmetric state and of its partial transposes):
+      L keeps those zeros exactly, so every term of a like-quadrature
+      entry of K holds an exact zero and, in xxpp order, K = [[0, B],
+      [-B^T, 0]] with B = K[0::2, 1::2]. The nu are the singular values of
+      the real N x N matrix B, which ``svd`` returns descending;
+    * any other matrix: the eigenvalues of i K (``_hermitian_spectra``).
+
+    A matrix that fails the factorization has the identity as its factor
+    and Omega as its form, which either branch takes. The forms come from
+    a helper so that the factors are freed before the solvers run.
     """
-    pm_nus = np.linalg.eigvalsh(1j * _antisymmetric_forms(stack, errors))
+    forms = _antisymmetric_forms(stack, errors)
     n = stack.shape[-1] // 2
-    return 0.5 * (pm_nus[:, n:][:, ::-1] - pm_nus[:, :n])
+    correlated = stack[:, 0::2, 1::2].reshape(len(stack), n * n).any(axis=1)
+    count = np.count_nonzero(correlated)
+    if count == len(stack):
+        return _hermitian_spectra(forms)
+    if not count:  # every standard-form stack: no copy of the forms
+        return np.linalg.svd(forms[:, 0::2, 1::2], compute_uv=False)
+    nus = np.empty((len(stack), n))
+    nus[~correlated] = np.linalg.svd(forms[~correlated][:, 0::2, 1::2], compute_uv=False)
+    nus[correlated] = _hermitian_spectra(forms[correlated])
+    return nus
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
     """Symplectic spectrum of a positive definite covariance matrix.
 
-    Each nu is read from the eigenvalues +/- nu of the Hermitian matrix
-    i L^T Omega L, with sigma = L L^T: the dense kernel
-    ``_symplectic_spectra`` on a stack of one, which the brute-force
-    oracle runs on whole stacks.
+    The dense kernel ``_symplectic_spectra`` on a stack of one, which the
+    brute-force oracle runs on whole stacks: with sigma = L L^T, each nu
+    is a singular value of the x-p block of L^T Omega L when sigma has no
+    x-p entry, and is read from the eigenvalues +/- nu of the Hermitian
+    matrix i L^T Omega L otherwise.
 
     Raises NumericalDomainError if sigma has no Cholesky factor, that is,
     if it is not positive definite to working precision.

@@ -670,6 +670,42 @@ def test_report_of_a_matrix_past_the_invariant_float_range_exit_code(tmp_path, c
                   "float range\n"
 
 
+HUGE_BISPEC = '{"m": 50000, "n": 50000, "a": 2.0, "e1": 0, "e2": 0, "b": 2.0, "z1": 0, "z2": 0, ' \
+              '"g1": 0, "g2": 0}'
+
+
+@pytest.mark.portable(reason="the assembly fails before any LAPACK call, exponential or logarithm")
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--modes", "100000", "--b", "1.5"),
+    ("localize", "--modes", "100000", "--b", "1.5", "--k", "1"),
+    ("report", "--modes", "100000", "--b", "1.5", "--k", "1", "--localize"),
+    ("report", "--spec-json", HUGE_BISPEC, "--k", "1"),
+])
+def test_a_state_too_large_to_assemble_exit_code(monkeypatch, capsys, argv):
+    """A state whose dense matrix cannot be allocated is a numerical
+    failure (exit 3) named by its mode count, not a traceback. The
+    assembly is made to fail: the real one would ask for about 75 GiB."""
+    import entloc.states
+
+    def no_memory(m, n, diagonals):
+        raise MemoryError(f"Unable to allocate an array of {2 * (m + n)} x {2 * (m + n)} floats")
+
+    monkeypatch.setattr(entloc.states, "_assemble", no_memory)
+    assert run_cli(capsys, *argv) == (3, "", "entloc: out of memory: cannot hold the 100000-mode "
+                                             "covariance matrix (200000 x 200000 floats)\n")
+
+
+@pytest.mark.portable(reason="the stubbed suite raises before any floating-point work")
+def test_running_out_of_memory_elsewhere_exit_code(monkeypatch, capsys):
+    """A MemoryError from any other step is exit 3 too, with its message
+    if it has one."""
+    def no_memory(cases, seed):
+        raise MemoryError
+
+    monkeypatch.setattr("entloc.cli.run_oracle_suite", no_memory)
+    assert run_cli(capsys, "verify", "--cases", "10") == (3, "", "entloc: out of memory\n")
+
+
 # the states of the generated command lines, each with its mode count and,
 # for a two-block spec, its own split
 FUZZ_BISPEC = '{"m": 2, "n": 2, "a": 1.6, "e1": 0.2, "e2": -0.1, "b": 1.4, "z1": 0.1, "z2": 0.2, ' \

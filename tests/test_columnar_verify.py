@@ -40,12 +40,14 @@ from oracle_helpers import bits
 # sha256 of `verify --cases 300 --seed 4242 --out PATH`: the CSV and stdout,
 # recorded when every 2x2 determinant came to be a d - b c and the
 # invariant route came to read the cross block from det C' and the
-# adjugate trace (numpy 2.4 with its bundled OpenBLAS on x86-64; another
-# LAPACK build may round the dense values, and so these bytes, differently)
-VERIFY_300_CSV_SHA256 = "58ba01b0e792981d5e85ef17daa5ff1898ed1d86b874a2d3b15bd6d12d5166e7"
+# adjugate trace; the CSVs again when the dense spectrum of a matrix with
+# no x-p entry came to be the singular values of its x-p block (numpy 2.4
+# with its bundled OpenBLAS on x86-64; another LAPACK build may round the
+# dense values, and so these bytes, differently)
+VERIFY_300_CSV_SHA256 = "e32a6f241f4e44b4200a156afd83dfe574c3588ecc95c1b5a79a51e56d8ffe43"
 VERIFY_300_STDOUT_SHA256 = "40b24ebcc6eb8ea6d34d1d36331d3f71cc1fb510e4435fe9cd1253181edd6853"
 # the same of `verify --cases 1000 --seed 7 --out PATH`, recorded with them
-VERIFY_1000_CSV_SHA256 = "027115a1307f071a89a50c5deeadf1cecf6b7816857311b8511471e191f58041"
+VERIFY_1000_CSV_SHA256 = "3216ab6f4ce8a132582ddc570091a1b236abc03f61e66a62fe4f09c4912911f4"
 VERIFY_1000_STDOUT_SHA256 = "f36472a21bd04680bd1fe96da1283fbca0b403e7a9243469a7f6e49ccfdbadbb"
 
 

@@ -360,17 +360,22 @@ def _dense_omega(modes):
 def _definition_log_negativity(matrix, side_b):
     """max(0, -sum ln nu) over the sub-unit symplectic eigenvalues nu of
     the matrix with the momenta of ``side_b`` mirrored: its Cholesky
-    factor L, the Hermitian eigenvalues of i L^T (dense Omega @ L) in
-    ascending order, the k-th largest nu the mean of the k-th largest
-    eigenvalue and minus the k-th smallest, and one ``math.log`` per
-    value; a non-finite spectrum is None."""
+    factor L and K = L^T (dense Omega @ L); with no x-p entry in the
+    mirrored matrix, the singular values of K[0::2, 1::2], else the
+    Hermitian eigenvalues of i K in ascending order, the k-th largest nu
+    the mean of the k-th largest eigenvalue and minus the k-th smallest;
+    then one ``math.log`` per value; a non-finite spectrum is None."""
     signs = np.ones(len(matrix))
     signs[[2 * k + 1 for k in side_b]] = -1.0
     mirrored = matrix * np.outer(signs, signs)
-    factor = np.linalg.cholesky(mirrored)
-    pm_nus = np.linalg.eigvalsh(1j * (factor.T @ (_dense_omega(len(matrix) // 2) @ factor)))
     modes = len(matrix) // 2
-    nus = (0.5 * (pm_nus[modes:][::-1] - pm_nus[:modes])).tolist()
+    factor = np.linalg.cholesky(mirrored)
+    form = factor.T @ (_dense_omega(modes) @ factor)
+    if (mirrored[0::2, 1::2] == 0.0).all():
+        nus = np.linalg.svd(form[0::2, 1::2], compute_uv=False).tolist()
+    else:
+        pm_nus = np.linalg.eigvalsh(1j * form)
+        nus = (0.5 * (pm_nus[modes:][::-1] - pm_nus[:modes])).tolist()
     if not all(map(math.isfinite, nus)):
         return None
     return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1.0))

@@ -1,5 +1,6 @@
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,9 +10,10 @@ from entloc.errors import (
     InvalidArgumentError,
     NumericalDomainError,
 )
+from entloc.experiments import traced_symmetric_spec
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
 from entloc.states import BisymmetricBatch
-from entloc.symplectic import _mirror_momenta, _PointErrors, _symplectic_spectra
+from entloc.symplectic import _mirror_momenta, _omega_times, _PointErrors, _symplectic_spectra
 from oracle_helpers import (
     bits,
     cm_allclose,
@@ -121,8 +123,9 @@ def test_spectrum_clustering():
 
 
 # ---------------------------------------------------------------------------
-# The dense spectrum kernel: a Cholesky factor and a Hermitian eigensolver,
-# checked against the general eigensolver of Omega @ sigma it replaced.
+# The dense spectrum kernel: a Cholesky factor, then the singular values of
+# the x-p block of its form or a Hermitian eigensolver, checked against the
+# general eigensolver of Omega @ sigma it replaced.
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +236,8 @@ def test_spectrum_kernel_agrees_with_the_general_eigensolver_on_random_stacks():
 @pytest.mark.parametrize("seed", [1, 7, 4242])
 def test_spectrum_kernel_agrees_with_the_general_eigensolver_on_verify_draws(seed):
     """|nu - nu_ref| <= 64 eps nu on every matrix the oracle of a 1000-case
-    `verify` takes; the largest seen at these seeds was 17.5 eps nu."""
+    `verify` takes, all of them x-p-free; the largest seen at these seeds
+    was 16.5 eps nu."""
     for stack in _verify_oracle_stacks(seed):
         nus, errors = _kernel(stack)
         assert errors.alive.all()
@@ -264,6 +268,196 @@ def test_spectrum_kernel_is_no_less_accurate_than_the_general_eigensolver():
         reference_errors.extend((np.abs(eigvals_symplectic_spectra(stack) - exact) / exact).ravel())
     assert np.mean(kernel_errors) <= np.mean(reference_errors)
     assert max(kernel_errors) <= 64 * EPS
+
+
+# ---------------------------------------------------------------------------
+# The kernel's two branches: a matrix with no x-p entry takes the singular
+# values of the x-p block of its form, any other the Hermitian eigensolver.
+# ---------------------------------------------------------------------------
+
+KERNEL_BRANCHES = pytest.mark.portable(
+    reason="compares the kernel with the same cholesky, matmul, svd and eigvalsh calls made on a "
+           "stack of one in the same process")
+
+
+def _forms_of_one(matrix):
+    """L^T Omega L of a matrix, as the kernel forms it, on a stack of one."""
+    factor = np.linalg.cholesky(matrix[None])
+    return factor.swapaxes(1, 2) @ _omega_times(factor)
+
+
+def _hermitian_branch(matrix):
+    """The Hermitian branch on a stack of one: what the kernel gave every
+    matrix before it had the SVD branch."""
+    pm_nus = np.linalg.eigvalsh(1j * _forms_of_one(matrix))[0]
+    n = len(matrix) // 2
+    return 0.5 * (pm_nus[n:][::-1] - pm_nus[:n])
+
+
+def _svd_branch(matrix):
+    """The SVD branch on a stack of one: the singular values of the x-p block."""
+    return np.linalg.svd(_forms_of_one(matrix)[0, 0::2, 1::2], compute_uv=False)
+
+
+def _no_x_p_matrix(modes, rng):
+    """A random positive definite matrix whose x-p entries are all 0.0."""
+    matrix = np.zeros((2 * modes, 2 * modes))
+    for quadrature in (0, 1):
+        g = rng.normal(size=(modes, modes))
+        matrix[quadrature::2, quadrature::2] = g @ g.T / modes + 0.5 * np.eye(modes)
+    return matrix
+
+
+def _solver_calls(monkeypatch):
+    """The matrix count of each call of ``svd`` and ``eigvalsh`` from now on."""
+    calls = {"svd": [], "eigvalsh": []}
+    for name in calls:
+        def spy(a, *args, _real=getattr(np.linalg, name), _calls=calls[name], **kwargs):
+            _calls.append(len(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@KERNEL_BRANCHES
+def test_spectrum_kernel_gives_each_branch_of_a_mixed_stack_the_bits_of_a_stack_of_one(
+        monkeypatch):
+    """Matrices with and without x-p entries in one stack: each gets the
+    bits of a stack of one, and each branch is one solver call over its
+    matrices."""
+    rng = np.random.default_rng(21)
+    for modes in (1, 2, 5):
+        correlated = [random_bona_fide_cm(modes, rng).matrix for _ in range(3)]
+        free = [_no_x_p_matrix(modes, rng) for _ in range(3)]
+        stack = np.array([free[0], correlated[0], correlated[1], free[1], free[2], correlated[2]])
+        want = [_svd_branch(m) if k in (0, 3, 4) else _hermitian_branch(m)
+                for k, m in enumerate(stack)]
+        alone = [_kernel(m[None])[0][0] for m in stack]
+        calls = _solver_calls(monkeypatch)
+        nus, errors = _kernel(stack)
+        monkeypatch.undo()
+        assert errors.alive.all()
+        assert calls == {"svd": [3], "eigvalsh": [3]}
+        for row, one, reference in zip(nus, alone, want):
+            assert np.array_equal(bits(row), bits(one))
+            assert np.array_equal(bits(row), bits(reference))
+
+
+@KERNEL_BRANCHES
+def test_a_negative_zero_x_p_entry_takes_the_svd_branch(monkeypatch):
+    """-0.0 is no x-p correlation: a partial transpose, whose mirrored
+    momenta turn its x-p zeros into -0.0, and a matrix whose every x-p
+    entry is -0.0 take the SVD branch."""
+    cm = el.fully_symmetric_cm(el.ghz_type_spec(4, 2.0)).matrix
+    mirrored = _mirror_momenta(cm, (2, 3))
+    assert np.signbit(mirrored[0::2, 1::2]).any()
+    signed = _no_x_p_matrix(3, np.random.default_rng(4))
+    signed[0::2, 1::2] = signed[1::2, 0::2] = -0.0
+    for matrix in (mirrored, signed):
+        want = _svd_branch(matrix)
+        calls = _solver_calls(monkeypatch)
+        nus, errors = _kernel(matrix[None])
+        monkeypatch.undo()
+        assert errors.alive.all()
+        assert calls == {"svd": [1], "eigvalsh": []}
+        assert np.array_equal(bits(nus[0]), bits(want))
+
+
+@KERNEL_BRANCHES
+def test_one_tiny_x_p_entry_takes_the_hermitian_branch_unchanged(monkeypatch):
+    """A single x-p entry of 1e-300 (and its mirror entry) is an x-p
+    correlation: that matrix takes the Hermitian branch and keeps the
+    bits the kernel gave it before the SVD branch, beside an x-p-free
+    matrix that takes the SVD branch."""
+    free = _no_x_p_matrix(4, np.random.default_rng(5))
+    tiny = free.copy()
+    tiny[2, 5] = tiny[5, 2] = 1e-300
+    want = [_hermitian_branch(tiny), _svd_branch(free)]
+    calls = _solver_calls(monkeypatch)
+    nus, errors = _kernel(np.array([tiny, free]))
+    monkeypatch.undo()
+    assert errors.alive.all()
+    assert calls == {"svd": [1], "eigvalsh": [1]}
+    assert np.array_equal(bits(nus), bits(want))
+
+
+@KERNEL_BRANCHES
+def test_a_failed_factorization_gives_a_finite_row_on_either_branch():
+    """A matrix with no Cholesky factor has the identity as its factor and
+    Omega as its form; either branch gives it a finite row, the SVD
+    branch the singular values of the identity, and its error in place."""
+    free = _no_x_p_matrix(3, np.random.default_rng(6))
+    indefinite = np.diag([2.0, 1.0, -0.5, 3.0, 1.0, 1.0])
+    correlated_indefinite = indefinite.copy()
+    correlated_indefinite[0, 1] = correlated_indefinite[1, 0] = 0.25
+    stack = np.array([indefinite, free, correlated_indefinite, np.zeros((6, 6))])
+    nus, errors = _kernel(stack)
+    assert errors.alive.tolist() == [False, True, False, False]
+    assert np.isfinite(nus).all()
+    assert (nus[[0, 3]] == 1.0).all()
+    assert nus[2] == pytest.approx(np.ones(3), abs=4 * EPS)
+    assert np.array_equal(bits(nus[1]), bits(_svd_branch(free)))
+
+
+def _exact_spectrum(matrix):
+    """The symplectic spectrum of a float matrix with no x-p entry, to 60
+    digits, descending: the nu^2 are the eigenvalues of Lx^T Sp Lx, with
+    Sx = Lx Lx^T, for the x block Sx and the p block Sp of the matrix as
+    it is stored."""
+    with mp.workdps(60):
+        lx = mp.cholesky(mp.matrix(matrix[0::2, 0::2].tolist()))
+        squares = mp.eigsy(lx.T * mp.matrix(matrix[1::2, 1::2].tolist()) * lx, eigvals_only=True)
+        return sorted((mp.sqrt(square) for square in squares), reverse=True)
+
+
+def _relative_error(nus, exact) -> float:
+    """The largest |nu - nu*| / nu* of a spectrum against its exact values."""
+    return max(float(abs((mp.mpf(float(nu)) - ref) / ref)) for nu, ref in zip(nus, exact))
+
+
+def _x_p_free_matrices():
+    """The partial transposes of the pure family (q = 0) and of its q = 4
+    reductions at the k = 1 and k = M/2 splits, M in {4, 8, 20} and b in
+    {1.5, 10, 100, 1e3}; and the two-mode equivalent of case 886 of
+    `verify --cases 1000 --seed 7`, the worst case of its worst_rel_diff,
+    and its partial transpose."""
+    for modes in (4, 8, 20):
+        for b in (1.5, 10.0, 100.0, 1e3):
+            for q in (0, 4):
+                cm = el.fully_symmetric_cm(traced_symmetric_spec(modes, q, b)).matrix
+                for k in (1, modes // 2):
+                    yield f"M={modes} b={b} q={q} k={k}", _mirror_momenta(cm, range(k, modes))
+    spec = SpecSampler(7).bisymmetric(count=1000)[886]
+    stack = el.bisymmetric_cm(BisymmetricBatch.of([spec]))
+    cm_eq = el.localize([stack], [spec.m], [spec.n])[0].cm_eq[0]
+    yield "seed 7 case 886 cm_eq", cm_eq
+    yield "seed 7 case 886 cm_eq mirrored", _mirror_momenta(cm_eq, (1,))
+
+
+@pytest.mark.portable(reason="bounds errors against a 60-digit reference, and compares the kernel's "
+                             "bits only with the same calls made in the test")
+def test_svd_branch_is_as_accurate_as_the_hermitian_branch_against_mpmath():
+    """Against the 60-digit spectrum of the same float matrix the SVD
+    branch's largest relative error is at most the Hermitian branch's
+    plus 4 eps nu_max / nu_min, and at most 4 eps cond(sigma).
+
+    The two branches share the Cholesky factor and its rounding, whose
+    error grows with cond(sigma) (up to about 4e6 eps at b = 1e3); they
+    differ only in the solver, whose backward error is a few eps nu_max,
+    so an error relative to nu_min can differ by a few eps nu_max /
+    nu_min. Measured worst: 0.04 of the first allowance (M = 4, b = 10,
+    q = 4, k = 2) and 0.14 of the second (case 886, mirrored)."""
+    for name, matrix in _x_p_free_matrices():
+        assert not matrix[0::2, 1::2].any(), name
+        nus, errors = _kernel(matrix[None])
+        assert errors.alive.all()
+        assert np.array_equal(bits(nus[0]), bits(_svd_branch(matrix))), name
+        exact = _exact_spectrum(matrix)
+        svd_error = _relative_error(nus[0], exact)
+        hermitian_error = _relative_error(_hermitian_branch(matrix), exact)
+        spread = float(exact[0] / exact[-1])
+        assert svd_error <= hermitian_error + 4 * EPS * spread, (name, svd_error, hermitian_error)
+        assert svd_error <= 4 * EPS * np.linalg.cond(matrix), (name, svd_error)
 
 
 def test_williamson_diagonal_thermal_input():
