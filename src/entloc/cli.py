@@ -413,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write per-case CSV here")
     p.set_defaults(handler=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -424,7 +426,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:  # shown with the usage of the subcommand, not of entloc
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except InvalidArgumentError as exc:

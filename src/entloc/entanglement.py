@@ -31,6 +31,9 @@ from .symplectic import (
     symplectic_eigenvalues,
 )
 
+# the error of a matrix that is not a physical state, on either route
+NOT_A_STATE = "input covariance matrix is not a physical state"
+
 
 @dataclass(frozen=True)
 class ModeBipartition:
@@ -246,7 +249,7 @@ def log_negativity(cm: CovarianceMatrix, part: ModeBipartition) -> EntanglementR
     errors = _PointErrors(2)
     nus = _symplectic_spectra(np.array([cm.matrix, partial_transpose(cm, part).matrix]), errors)
     if not (errors.alive[0] and _uncertainty_holds(nus[0], cm.matrix)):
-        raise InvalidArgumentError("input covariance matrix is not a physical state")
+        raise InvalidArgumentError(NOT_A_STATE)
     symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
     errors = _PointErrors(1)
     columns = _pt_columns(nus[1][:, None], np.array([symmetric]), errors)

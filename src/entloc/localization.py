@@ -8,7 +8,8 @@ to that two-mode state:
 
 * the invariant route, which reads the equivalent state off a handful of
   local and global invariants in O(1) per input and is the default for
-  parameter sweeps;
+  parameter sweeps; on an assembled matrix it also asks the package's
+  one physicality rule of the decoupled parts;
 * the constructive route (:func:`localize`), which builds the local
   transformation explicitly and returns the transformed matrix, so the
   structure claim itself can be checked numerically.
@@ -39,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import (
+    NOT_A_STATE,
     EntanglementReport,
     ReportColumns,
     _pt_nu_tilde_pair,
@@ -57,6 +59,7 @@ from .symplectic import (
     TOL,
     CovarianceMatrix,
     _adjugate_traces,
+    _below_vacuum,
     _clipped_sqrts,
     _delta_invariants,
     _dets,
@@ -65,8 +68,10 @@ from .symplectic import (
     _purities,
     _real_stack,
     _require_tolerance,
+    _scale,
     _squares,
     _symmetrized,
+    _symplectic_spectra,
     matrix_to_json_dict,
 )
 
@@ -76,10 +81,9 @@ class EquivalentTwoMode:
     """The two-mode state carrying all cross-block correlations.
 
     ``cm_eq`` is in standard form: diagonal blocks nu_plus_a * I2 and
-    nu_plus_b * I2, cross block diag(c_plus, c_minus) with
-    c_plus >= |c_minus| and c_plus >= 0. Every entry off that skeleton is
-    exactly +0.0 on both routes; from ``localize`` the entries on it are
-    those of S^T sigma S, rounding included.
+    nu_plus_b * I2, cross block diag(c1, c2) with c1 >= |c2| and c1 >= 0.
+    Every entry off that skeleton is exactly +0.0; the entries on it are
+    those of S^T sigma S from ``localize``, rounding included.
     """
 
     cm_eq: CovarianceMatrix
@@ -149,33 +153,28 @@ class LocalizationColumns(NamedTuple):
 
 class _Equivalents(NamedTuple):
     """Equivalent two-mode states of a batch, as arrays over its points:
-    the standard form of ``EquivalentTwoMode.cm_eq`` and its invariants."""
+    what the reports and a matrix's physicality check read."""
 
-    na_plus: np.ndarray
-    nb_plus: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
+    nus: np.ndarray  # (nu_minus, nu_plus) of blocks a and b, shape (2, 2, N)
     plus_sq: np.ndarray  # nu_plus_a^2 and nu_plus_b^2
-    trace: np.ndarray  # nu_plus_a nu_plus_b (c_plus^2 + c_minus^2)
-    det_cross: np.ndarray  # c_plus c_minus
+    trace: np.ndarray  # tr(adj A' C' adj B' C'^T)
+    det_cross: np.ndarray  # det C'
     det: np.ndarray  # det sigma_eq = 1/mu_eq^2
+    core: np.ndarray  # the (N, 4, 4) coupled cores
 
 
 def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
-    """Reconstruct the equivalent two-mode states of a batch from pattern blocks.
+    """The equivalent two-mode states of a batch, from pattern blocks.
 
     ``m`` and ``n`` are integer arrays of shape (N,); ``blocks`` stacks
     alpha, eps, beta, zeta, gamma as shape (5, N, 2, 2), in any local
-    basis. Uses only local-symplectic invariants of the coupled two-mode
+    basis. A mode mixing inside each block decouples m-1 copies of alpha -
+    eps and n-1 of beta - zeta (nu_minus^2 = their det) from the coupled
     core A' = alpha + (m-1) eps, B' = beta + (n-1) zeta, C' = sqrt(mn)
-    gamma: nu_plus_a^2 = det A', nu_plus_b^2 = det B', det sigma_eq = det
-    core. A local symplectic has determinant 1, so the standard-form cross
-    block diag(c_plus, c_minus) has P = c_plus c_minus = det C' and S =
-    c_plus^2 + c_minus^2 = tr(adj A' C' adj B' C'^T) / (nu_plus_a
-    nu_plus_b), and c_plus +/- c_minus = sqrt(S +/- 2P), both exactly +0.0
-    when gamma = 0. S + 2P cancels where c_plus = -c_minus; that moves
-    c_minus, not the PT eigenvalues, which are read from the trace and P.
-    Call it under ``np.errstate(all="ignore")``: ``errors`` records failures.
+    gamma. The reports read its local-symplectic invariants: nu_plus^2 =
+    det A' and det B', det C', tr(adj A' C' adj B' C'^T) and det sigma_eq =
+    det core. Call it under ``np.errstate(all="ignore")``: ``errors``
+    records failures.
 
     The block sizes enter as floats: each is exact below 2**53, so every
     product of them rounds once, as an int product converted to float
@@ -200,7 +199,6 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
     scale = _squares(np.abs(diag).max(axis=(2, 3)), block_errors) * (counts * counts)
     nus = _clipped_sqrts(dets[:4].reshape(2, 2, size), scale, block_errors)
     errors.merge(block_errors)
-    na_plus, nb_plus = nus[1]
     errors.record(
         det_core <= 0.0,
         lambda i: InconsistentInvariantsError(
@@ -208,44 +206,22 @@ def _equivalent_from_blocks(m, n, blocks, errors: _PointErrors) -> _Equivalents:
         ),
     )
     plus_sq = _squares(nus[1], errors)
-
-    det_cross = dets[4]
-    trace = _adjugate_traces(core_ab[0], cross, core_ab[1])
-    k = na_plus * nb_plus
-    errors.record(
-        k == 0.0,
-        lambda i: NumericalDomainError("c_plus^2 + c_minus^2 divides by nu_plus_a nu_plus_b = 0"),
-    )
-    sum_sq = trace / k
-    errors.record(
-        sum_sq < -TOL.CROSS_SQUARES * np.fmax(k, 1.0),
-        lambda i: InconsistentInvariantsError(
-            f"invariants give negative c_plus^2 + c_minus^2 = {sum_sq[i]:.6e}"
-        ),
-    )
-    sum_sq = np.where(0.0 > sum_sq, 0.0, sum_sq)  # max(sum_sq, 0.0), nan kept
-    plus, minus = _clipped_sqrts(
-        np.array([sum_sq + 2.0 * det_cross, sum_sq - 2.0 * det_cross]), sum_sq, errors
-    )
-    c_plus, c_minus = 0.5 * (plus + minus), 0.5 * (plus - minus)
     # the route's float range, as the README states it: (nu_plus_a nu_plus_b)^4 is finite
-    _squares(_squares(k, errors), errors)
-    # the inputs are finite, so a non-finite invariant is an overflow
+    _squares(_squares(nus[1, 0] * nus[1, 1], errors), errors)
+    # the inputs are finite, so a non-finite invariant or core entry is an overflow
     errors.record(
-        ~np.isfinite(np.array([na_plus, nb_plus, c_plus, c_minus])).all(axis=0),
+        ~np.isfinite(nus[1]).all(axis=0) | ~np.isfinite(cross).all(axis=(1, 2)),
         lambda i: NumericalDomainError("overflow: an invariant of the two-mode core is out of "
                                        "float range"),
     )
-    return _Equivalents(*nus[1], c_plus, c_minus, plus_sq, trace, det_cross, det_core)
+    trace = _adjugate_traces(core_ab[0], cross, core_ab[1])
+    return _Equivalents(nus, plus_sq, trace, dets[4], det_core, core)
 
 
 def _report_from_equivalent(eq: _Equivalents, errors: _PointErrors) -> ReportColumns:
     """Entanglement reports of the points of a batch, as columns."""
-    nu_minus, nu_plus = _pt_nu_tilde_pair(
-        eq.plus_sq[0], eq.plus_sq[1], eq.trace, eq.det_cross, eq.det, errors
-    )
-    symmetric = _symmetric_dets(eq.plus_sq[0], eq.plus_sq[1])
-    return _pt_columns(np.array([nu_minus, nu_plus]), symmetric, errors)
+    values = np.array(_pt_nu_tilde_pair(*eq.plus_sq, eq.trace, eq.det_cross, eq.det, errors))
+    return _pt_columns(values, _symmetric_dets(*eq.plus_sq), errors)
 
 
 def _batch_blocks(batch: BisymmetricBatch):
@@ -312,7 +288,8 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     evaluated in one batch and give a list holding each split's report or
     its error, from its pattern check (at the default tolerance) or from
     the batch, in place. The kernel runs only if some split passes its
-    check.
+    check. A split whose matrix is not a physical state then fails with
+    the dense route's error (``_record_unphysical``).
     """
     single = _ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
@@ -330,8 +307,30 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
             errors.fail(i, exc)
     reports = errors.errors
     if errors.alive.any():
-        reports = _report_columns(*counts, blocks, errors).reports()
+        with np.errstate(all="ignore"):
+            eq = _equivalent_from_blocks(*counts, blocks, errors)
+            columns = _report_from_equivalent(eq, errors)
+            _record_unphysical(counts, blocks, eq, _scale(cm.matrix), errors)
+        reports = columns.reports()
     return _raise_first(reports)[0] if single else reports
+
+
+def _record_unphysical(counts, blocks, eq: _Equivalents, scale: float, errors: _PointErrors):
+    """Fail each point still alive whose matrix is not a physical state:
+    up to local symplectics it is its core times the decoupled blocks of
+    its sides of more than one mode, and each part must be positive definite
+    with no ``_below_vacuum`` nu, a block at the matrix's ``scale``."""
+    first = blocks[0:4:2, :, 0, 0] - blocks[1:4:2, :, 0, 0]
+    nu_minus = eq.nus[0]
+    single = ~((first > 0.0) & (nu_minus > 0.0)) | _below_vacuum(nu_minus, scale)
+    failed = (single & (counts > 1)).any(axis=0)
+    live = np.flatnonzero(errors.alive & ~failed)
+    cores, core_errors = eq.core[live], _PointErrors(len(live))
+    smallest = _symplectic_spectra(cores, core_errors)[:, -1]
+    # a core entry sums up to m or n entries: the larger scale bounds its rounding
+    core_scale = np.fmax(np.abs(cores).max(axis=(1, 2)), scale)
+    failed[live] = ~core_errors.alive | _below_vacuum(smallest, core_scale)
+    errors.record(failed, lambda i: InvalidArgumentError(NOT_A_STATE))
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,12 @@ class TOL:
 
     Each entry bounds the quantity its comment names, relative to the scale
     s given there: a check passes while the quantity is within entry * s.
-    Where no tolerance is needed, the rounding left is stated. At c_plus =
-    -c_minus, S + 2P = (c_plus + c_minus)^2 of the equivalent state cancels
-    (S = c_plus^2 + c_minus^2, P = c_plus c_minus), so its c_minus is known
-    to about sqrt(eps S), 8.6e-9 relative at a 2 | 3 state with g1 = -g2 =
-    0.25; the PT eigenvalues, read from S and P, keep their digits.
     """
 
     ASYMMETRY = 1e-9  # |sigma_ij - sigma_ji| of an input matrix; s = max(1, |sigma|max)
     SYMPLECTIC = 1e-9  # |S^T Omega S - Omega|max of ``is_symplectic``; s = max(1, |S|max)^2
-    # how far the smallest symplectic eigenvalue lies below 1 (``_below_vacuum``);
-    # s = 1 for a spec's closed form, max(1, |sigma|max) for a dense spectrum
+    # how far the smallest symplectic eigenvalue lies below 1 (``_below_vacuum``); s = 1
+    # for a spec's closed form, max(1, |sigma|max) for a dense spectrum or a matrix's part
     UNCERTAINTY = 1e-9
     # ``williamson``'s residual |S^T D S - sigma|max, s = max(1, |sigma|max),
     # and the symplecticity defect of its S, s = max(1, |S|max)^2
@@ -54,8 +49,6 @@ class TOL:
     # |det A - det B| of a two-mode state that counts as symmetric and gets
     # the closed-form EoF; s = max(1, |det A|, |det B|)
     SYMMETRIC = 1e-8
-    # -(c_plus^2 + c_minus^2) of the invariants; s = max(1, nu_plus_a nu_plus_b)
-    CROSS_SQUARES = 1e-10
     PATTERN = 1e-8  # ``localize``'s default pattern deviation and residual; s = max(1, |sigma|max)
     CLUSTER = 1e-7  # ``SymplecticSpectrum.clustered``'s default gap; s = max(1, nu_max)
     # the suite's route agreement, passed within either: s = the larger magnitude, and 1

@@ -71,10 +71,11 @@ def _general_rows(seed: int, modes: int) -> list:
     return [[repr(x) for x in row] for row in matrix]
 
 
-def _pattern_rows(modes: int) -> list:
-    """The ``modes``-mode reduction of the 24-mode state of the matrix
-    goldens, in the same local basis: every pattern block repeats."""
-    return [[repr((ALPHA if i // 2 == j // 2 else EPS)[i % 2][j % 2]) for j in range(2 * modes)]
+def _pattern_rows(modes: int, alpha=ALPHA, eps=EPS) -> list:
+    """The ``modes``-mode matrix whose every diagonal block is ``alpha``
+    and every other block ``eps``; by default the reduction of the
+    24-mode state of the matrix goldens, in the same local basis."""
+    return [[repr((alpha if i // 2 == j // 2 else eps)[i % 2][j % 2]) for j in range(2 * modes)]
             for i in range(2 * modes)]
 
 
@@ -99,6 +100,11 @@ def write_inputs(directory: Path) -> None:
         "unphysical.csv": _csv([[repr(float(x) / 4.0) for x in row] for row in general]),
         "two_mode.csv": "2,0,1.5,0\n0,2,0,-1.5\n1.5,0,2,0\n0,-1.5,0,2\n",
         "indefinite.csv": "1,2,0,0\n2,1,0,0\n0,0,1,0\n0,0,0,1\n",
+        # positive definite, every symplectic eigenvalue 0.5: not a state
+        "half_vacuum.csv": "0.5,0,0,0\n0,0.5,0,0\n0,0,0.5,0\n0,0,0,0.5\n",
+        # minus the pure state ghz_type_spec(4, 1.5), its entries written out
+        "negated.csv": _csv(_pattern_rows(4, [[-1.5, -0.0], [-0.0, -1.5]],
+                                          [[-0.9805061467040844, -0.0], [-0.0, 0.4249505911485288]])),
         "asymmetric.csv": "2,0.5\n0,2\n",
         "non_finite.csv": "1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n",
         "non_numeric.csv": "1,0\n0,x\n",

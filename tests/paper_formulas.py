@@ -196,7 +196,15 @@ def equivalent_two_mode(state, m=None, n=None, tol_pattern=None) -> EquivalentTw
 
     ``state`` is a ``BisymmetricSpec``, or a covariance matrix whose (m, n)
     split passes the pattern check at ``tol_pattern`` (any local basis):
-    the reference for ``localize``'s ``cm_eq``.
+    the reference for ``localize``'s ``cm_eq``. The route's kernel gives
+    the invariants of the coupled core A', B', C'; a local symplectic has
+    determinant 1, so the standard-form cross block diag(c_plus, c_minus)
+    has P = c_plus c_minus = det C' and S = c_plus^2 + c_minus^2 = tr(adj A'
+    C' adj B' C'^T) / (nu_plus_a nu_plus_b), and c_plus +/- c_minus = sqrt(S
+    +/- 2P), both exactly +0.0 when gamma = 0. At c_plus = -c_minus, S + 2P
+    cancels, so c_minus is known to about sqrt(eps S), 8.6e-9 relative at
+    a 2 | 3 state with g1 = -g2 = 0.25; the PT eigenvalues, which the route
+    reads from the trace and P, keep their digits.
     """
     errors = _PointErrors(1)
     if isinstance(state, BisymmetricSpec):
@@ -208,8 +216,13 @@ def equivalent_two_mode(state, m=None, n=None, tol_pattern=None) -> EquivalentTw
         m, n = np.array([m]), np.array([n])
     with np.errstate(all="ignore"):
         eq = _equivalent_from_blocks(m, n, blocks, errors)
+        sum_sq = eq.trace / (eq.nus[1, 0] * eq.nus[1, 1])
+        # a negative S fails as the radicand S - 2|P| that it makes negative
+        plus, minus = _clipped_sqrts(
+            np.array([sum_sq + 2.0 * eq.det_cross, sum_sq - 2.0 * eq.det_cross]), sum_sq, errors)
     errors.raise_first()
-    a, b, cp, cm = (float(v[0]) for v in eq[:4])
+    a, b = eq.nus[1, :, 0].tolist()
+    cp, cm = float(0.5 * (plus + minus)[0]), float(0.5 * (plus - minus)[0])
     matrix = np.array([[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]])
     delta_eq = eq.plus_sq[0][0] + eq.plus_sq[1][0] + 2.0 * eq.det_cross[0]
     mu_eq = 1.0 / np.sqrt(eq.det[0])

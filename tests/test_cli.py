@@ -18,6 +18,7 @@ from entloc.oracle import SpecSampler
 from entloc.states import bisymmetric_spec_from_json
 from oracle_helpers import random_bona_fide_cm
 import paper_formulas as pf
+from test_localization import NOT_STATES
 
 
 def run_cli(capsys, *argv):
@@ -627,7 +628,21 @@ def test_json_only_commands_take_no_format(capsys, argv):
         main([*argv, "--format", "json"])
     captured = capsys.readouterr()
     assert (excinfo.value.code, captured.out) == (2, "")
-    assert captured.err.endswith("error: unrecognized arguments: --format json\n")
+    # the usage and the error are the subcommand's, not entloc's
+    assert captured.err.startswith(f"usage: entloc {argv[0]} [-h] ")
+    assert captured.err.endswith(f"entloc {argv[0]}: error: unrecognized arguments: --format json\n")
+
+
+@pytest.mark.parametrize("command", ["report", "ole"])
+@pytest.mark.parametrize("name", sorted(NOT_STATES))
+def test_a_matrix_that_is_no_state_exit_code(tmp_path, capsys, command, name):
+    """A pattern matrix that is no physical state exits 2 on the invariant
+    route, as any other matrix does on the dense route."""
+    cm = el.CovarianceMatrix(NOT_STATES[name])
+    el.save_cm(cm, tmp_path / "cm.csv")
+    split = ("--k", str(cm.modes // 2)) if command == "report" else ()
+    assert run_cli(capsys, command, "--cm", str(tmp_path / "cm.csv"), *split) == (
+        2, "", "entloc: invalid input: input covariance matrix is not a physical state\n")
 
 
 # a 2 | 3 state, entangled at its own split and separable at 1 | 4 and
@@ -814,3 +829,93 @@ def test_generated_command_lines_exit_with_a_documented_code(fuzz_inputs, line):
         assert total == 2
         expected = [1, 1]
     assert json.loads(text)["split"] == expected
+
+
+# the sweep and verify commands: every option with values from a short
+# list, valid ones first. The b-grid is always given, with at most 10
+# points (its default has 81), and no list gives more than 40 modes or a
+# q above 4: a huge mode count runs for minutes
+SWEEP_LISTS = ["0", "0,4", "4,1,2", "-1", "1,,2"]
+SWEEP_COMMANDS = {
+    "hierarchy": {
+        "--modes": ["2", "3", "8", "20", "40", "1", "x"],
+        "--k": ["1", "1,2", "3,1,5", "0", "40"],
+        "--b-grid": ["1:3:4", "1:2:1", "1.5:1e3:10", "2:1:3", "1:3:0", "0.5:2:3", "1:nan:3", "1:3"],
+        "--trace-out": SWEEP_LISTS,
+        "--jobs": ["1", "2", "0"],
+        "--format": ["csv", "json"],
+        "--out": ["out.txt"],
+    },
+    "scaling": {
+        "--b": ["1.5", "1", "2.5", "0.5", "nan", "1e200"],
+        "--n-range": ["1,3", "2,2", "1,15", "3,1", "0,2", "4", "1,2,3"],
+        "--trace-out": SWEEP_LISTS,
+        "--jobs": ["1", "2", "0"],
+        "--format": ["csv", "json"],
+        "--out": ["out.txt"],
+    },
+    "verify": {
+        "--cases": ["0", "1", "7", "30", "-1", "x"],
+        "--seed": ["0", "7", "4242", "-1"],
+        "--out": ["out.txt"],
+    },
+}
+SWEEP_HEADERS = {"hierarchy": "m,n,k,b,q,nu_tilde,E_N,N,E_F,separable,status",
+                 "scaling": "q,n,b,E_F_1x1,E_F_nxn,status"}
+
+
+@st.composite
+def sweep_command_lines(draw):
+    """A sweep or verify command with some of its options (a hierarchy
+    always with --b-grid), rarely with an option of another command."""
+    command = draw(st.sampled_from(sorted(SWEEP_COMMANDS)))
+    own = SWEEP_COMMANDS[command]
+    names = draw(st.lists(st.sampled_from(sorted(own)), max_size=4, unique=True))
+    if command == "hierarchy" and "--b-grid" not in names:
+        names.append("--b-grid")
+    asked = {name: draw(st.sampled_from(own[name])) for name in names}
+    if _rarely(draw):
+        asked[draw(st.sampled_from(["--split", "--cm", "--b-grid"]))] = "2"
+    return [command, *(item for pair in asked.items() for item in pair)], asked
+
+
+def _sweep_row_count(command, asked) -> int:
+    """|q| |k| |b| rows of a hierarchy, |q| |n| of a scaling sweep, by the
+    documented defaults: q 0,4; k 1 .. modes/2 of 20 modes; n 1..15."""
+    qs = len(asked.get("--trace-out", "0,4").split(","))
+    if command == "hierarchy":
+        ks = asked["--k"].count(",") + 1 if "--k" in asked else int(asked.get("--modes", 20)) // 2
+        return qs * ks * int(asked["--b-grid"].split(":")[2])
+    lo, hi = map(int, asked.get("--n-range", "1,15").split(","))
+    return qs * (hi - lo + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_command_lines())
+def test_generated_sweep_command_lines_exit_with_a_documented_code(tmp_path_factory, line):
+    """hierarchy, scaling and verify exit 0, 2, 3 or 4 with no traceback,
+    and a sweep that succeeds writes its documented header and one row
+    per grid point."""
+    argv, asked = line
+    directory = tmp_path_factory.mktemp("sweep")
+    argv = [str(directory / arg) if arg == "out.txt" else arg for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    command = argv[0]
+    if code != 0 or command == "verify":
+        return
+    text = (directory / "out.txt").read_text() if "--out" in asked else stdout.getvalue()
+    rows = _sweep_row_count(command, asked)
+    if asked.get("--format") == "json":
+        records = json.loads(text)
+        assert len(records) == rows
+        assert all(",".join(record) == SWEEP_HEADERS[command] for record in records)
+    else:
+        lines = text.splitlines()
+        assert lines[0] == SWEEP_HEADERS[command] and len(lines) == rows + 1

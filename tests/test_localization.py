@@ -9,7 +9,8 @@ import entloc as el
 from entloc.errors import InvalidArgumentError, LocalizationError
 from entloc.experiments import traced_symmetric_spec
 from entloc.oracle import SpecSampler, oracle_pt_log_negativity
-from entloc.states import BisymmetricBatch
+from entloc.entanglement import NOT_A_STATE
+from entloc.states import BisymmetricBatch, _assemble
 from entloc.symplectic import TOL, _PointErrors, _symplectic_spectra
 from oracle_helpers import (
     ScalarSampler,
@@ -388,6 +389,68 @@ def test_equivalent_from_cm_matches_spec_route():
         eq_spec = pf.equivalent_two_mode(spec)
         eq_cm = pf.equivalent_two_mode(el.bisymmetric_cm(spec), spec.m, spec.n)
         assert np.allclose(eq_spec.cm_eq.matrix, eq_cm.cm_eq.matrix, atol=1e-10)
+
+
+def _random_pattern_matrices(seed: int, per_split: int):
+    """(m, n, matrix) of seeded random two-block matrices with diagonal
+    pattern blocks, ``per_split`` for each split m | n of 2 to 6 modes:
+    the diagonals of alpha and beta are |N(0, 2)|, those of eps, zeta and
+    gamma N(0, 2). Most of them are no state."""
+    rng = np.random.default_rng(seed)
+    for total in range(2, 7):
+        for m in range(1, total):
+            diagonals = rng.normal(0.0, 2.0, (5, 2, per_split))
+            diagonals[0:4:2] = np.abs(diagonals[0:4:2])
+            for matrix in _assemble(m, total - m, diagonals):
+                yield m, total - m, el.CovarianceMatrix(matrix)
+
+
+def test_invariant_route_reports_a_matrix_exactly_when_it_is_a_state():
+    """Over 2010 random pattern matrices, the invariant route gives a
+    report exactly where ``is_bona_fide`` holds, with the dense route's
+    E_N; a matrix that passes its kernel and its report but is no state
+    fails with the dense route's error. Without that check, 143 of these
+    non-states got a report."""
+    reports = not_states = 0
+    for m, n, cm in _random_pattern_matrices(2024, 134):
+        try:
+            report = el.equivalent_report_from_cm(cm, m, n)
+        except el.EntlocError as exc:
+            assert not el.is_bona_fide(cm), (m, n, cm.matrix.tolist())
+            not_states += str(exc) == NOT_A_STATE
+            continue
+        assert el.is_bona_fide(cm), (m, n, cm.matrix.tolist())
+        dense = el.log_negativity(cm, _split(m, n)).log_negativity
+        difference = abs(report.log_negativity - dense)
+        assert (difference <= TOL.ROUTE_ABS
+                or difference <= TOL.ROUTE_REL * max(report.log_negativity, dense)), (m, n)
+        reports += 1
+    # neither side of the rule is vacuous
+    assert reports >= 10 and not_states >= 100, (reports, not_states)
+
+
+# matrices that pass the invariant route's kernel and report but are no
+# state; each read an exit-0 report before
+NOT_STATES = {
+    # every symplectic eigenvalue 0.5; it read E_N = 2 ln 2
+    "half-vacuum": 0.5 * np.eye(4),
+    # negative definite; it read the E_N of the state
+    "negated-pure": -el.fully_symmetric_cm(el.ghz_type_spec(4, 1.5)).matrix,
+    # positive definite, with a 4-mode pattern whose nu are 0.8 and 0.4
+    "sub-vacuum-pattern": _assemble(4, 0, np.array([[0.5, 0.5], [0.1, 0.1]])[..., None])[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_STATES))
+def test_invariant_route_rejects_a_matrix_that_is_no_state(name):
+    """Each split of the matrix fails as the dense route fails it."""
+    cm = el.CovarianceMatrix(NOT_STATES[name])
+    ks = range(1, cm.modes // 2 + 1)
+    errors = el.equivalent_report_from_cm(cm, ks, [cm.modes - k for k in ks])
+    assert {(type(error), str(error)) for error in errors} == {(InvalidArgumentError, NOT_A_STATE)}
+    with pytest.raises(InvalidArgumentError, match=f"^{NOT_A_STATE}$"):
+        el.log_negativity(cm, _split(1, cm.modes - 1))
+    assert not el.is_bona_fide(cm)
 
 
 @pytest.mark.parametrize("scale", [1e50, 1e77, 1e80, 1e100, 1e150])

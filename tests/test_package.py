@@ -14,6 +14,7 @@ import pytest
 
 import entloc as el
 import paper_formulas as pf
+from entloc.symplectic import TOL
 
 # what the CLI reaches and what reproducing the paper needs (see the
 # package docstring); test-only constructors and formulas live in
@@ -127,6 +128,24 @@ def test_every_tolerance_lives_in_the_table():
     """A tolerance is decided in one place, ``symplectic.TOL``, which
     states what each bounds and its scale; no module picks its own."""
     assert _small_float_literals(Path(el.__file__).parent) == []
+
+
+def _readme_tolerance_rows() -> dict:
+    """name -> value of each row of README's table under "## Tolerances";
+    a name given twice fails."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    names = [cells[1].strip().strip("`") for cells in rows]
+    assert len(names) == len(set(names)), names
+    return {name: float(cells[-2]) for name, cells in zip(names, rows)}
+
+
+def test_readme_tolerance_table_is_the_table():
+    """README's tolerance table has one row per ``TOL`` entry, with its
+    value, so an entry that is removed or changed leaves no stale row."""
+    entries = {name: value for name, value in vars(TOL).items() if name.isupper()}
+    assert _readme_tolerance_rows() == entries
 
 
 # Runs the CLI with every scipy import refused; exits non-zero on any failure.
