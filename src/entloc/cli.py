@@ -234,7 +234,10 @@ def _report_for(state, m, n):
     cm = _matrix(state)
     try:
         return equivalent_report_from_cm(cm, m, n)
-    except LocalizationError:
+    except LocalizationError as exc:
+        # its traceback holds the frames that hold this error, a cycle that
+        # only a garbage collection would free: drop it now
+        exc.__traceback__ = None
         # no block-permutation symmetry: fall back to the reflected-spectrum
         # route; separability stays decided only for 1 x n splits
         return log_negativity(cm, ModeBipartition.contiguous(m, n))

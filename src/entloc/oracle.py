@@ -12,9 +12,10 @@ be slow.
 The cross-check suite (``run_oracle_suite``) is columnar from sampling
 to the summary: ``SpecSampler`` screens a block of draws as one array
 batch, the specs become one ``BisymmetricBatch`` for the invariant
-route, each (m, n) shape of it one checked stack for the dense spectrum
-kernel and one group of a single ``localize`` call, and the suite's
-report is its columns (``SuiteReports``).
+route, each mode count m + n of it one checked stack for the dense
+spectrum kernel, each (m, n) shape a slice of its mode count's stack and
+one group of a single ``localize`` call, and the suite's report is its
+columns (``SuiteReports``).
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def oracle_pt_log_negativity(cm, part):
     cover the modes raises, and so does any other input.
     """
     if isinstance(cm, CovarianceMatrix):
-        [value] = _stack_log_negativities(cm.matrix[None], part, _PointErrors(1))
+        part._validate_modes(cm.modes)
+        mirrored = _mirror_momenta(cm.matrix[None], part.side_b)
+        [value] = _stack_log_negativities(mirrored, _PointErrors(1))
         if isinstance(value, NumericalDomainError):
             raise value
         return value
@@ -100,17 +103,27 @@ def oracle_pt_log_negativity(cm, part):
     stack = _symmetrized(stack, errors)
     if not errors.alive.all():  # a non-finite matrix would fail the whole factorization
         stack = np.where(errors.alive[:, None, None], stack, np.eye(stack.shape[1]))
-    return _stack_log_negativities(stack, part, errors)
-
-
-def _stack_log_negativities(stack: np.ndarray, part, errors: _PointErrors) -> list:
-    """The oracle's value of each matrix of a checked (K, 2N, 2N) stack,
-    or in place the matrix's first error, in ``errors`` or found here; an
-    empty stack gives [] whatever the split."""
-    if not len(stack):
+    if not len(stack):  # whatever the split
         return []
     part._validate_modes(stack.shape[-1] // 2)
-    values = _log_negativities(_symplectic_spectra(_mirror_momenta(stack, part.side_b), errors))
+    return _stack_log_negativities(_mirror_momenta(stack, part.side_b), errors)
+
+
+def _mirror_second_blocks(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The partial transpose of each matrix k of a (K, 2N, 2N) stack over
+    its own split, modes 0..m[k]-1 | the rest: the momenta of modes
+    m[k].. mirrored, by a sign per row and column as ``_mirror_momenta``
+    mirrors them, so each matrix gets the bits of its own split."""
+    signs = np.ones((len(stack), stack.shape[-1]))
+    signs[:, 1::2][np.arange(stack.shape[-1] // 2) >= m[:, None]] = -1.0
+    return stack * (signs[:, :, None] * signs[:, None, :])
+
+
+def _stack_log_negativities(mirrored: np.ndarray, errors: _PointErrors) -> list:
+    """The oracle's value of each matrix of a checked (K, 2N, 2N) stack
+    whose momenta are mirrored already, or in place the matrix's first
+    error, in ``errors`` or found here."""
+    values = _log_negativities(_symplectic_spectra(mirrored, errors))
     for k in np.flatnonzero(~errors.alive).tolist():
         values[k] = errors.errors[k]
     return values
@@ -311,14 +324,16 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242):
 
     The specs are stacked into one ``BisymmetricBatch``, and nothing after
     that is built per case. (a) runs on the batch, read from its
-    ``ReportColumns``. The batch is sliced per block shape (m, n): each
-    slice is assembled as one checked stack, which (c) hands to the
-    oracle's spectrum kernel without the covariance check that
-    ``bisymmetric_cm`` has just made. The reduction takes the stacks of
-    all shapes in one grouped ``localize`` call and is read from the
-    ``LocalizationColumns`` of each shape; the reduced two-mode matrices
-    of all shapes are concatenated into one stack for the brute force of
-    (b).
+    ``ReportColumns``. The cases are ordered by mode count m + n, then
+    by m, so that each block shape (m, n) is a contiguous run. The batch
+    is taken per mode count and assembled as one checked stack, which
+    (c) mirrors at each matrix's own split and hands to the oracle's
+    spectrum kernel without the covariance check that ``bisymmetric_cm``
+    has just made. The reduction takes the slice of each shape, a view
+    of its mode count's stack, in one grouped ``localize`` call and is
+    read from the ``LocalizationColumns`` of each shape; the reduced
+    two-mode matrices of all shapes are concatenated into one stack for
+    the brute force of (b).
     The values and comparisons are kept as columns and the reports are a
     ``SuiteReports``. The first failing case in case order raises its
     first error, taking the routes in the order a, b, c.
@@ -337,20 +352,24 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242):
     invariant = equivalent_report(batch)
     values[0] = invariant.log_negativity.tolist()
     errors[0].update((case, e) for case, e in enumerate(invariant.errors) if e is not None)
-    case_shapes = list(zip(batch.m.tolist(), batch.n.tolist()))
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for index, shape in enumerate(case_shapes):
-        shapes.setdefault(shape, []).append(index)
-    groups = [np.array(indices) for indices in shapes.values()]
-    stacks = []
-    for (m, n), indices in zip(shapes, groups):
-        stacks.append(bisymmetric_cm(batch.take(indices)))
-        part = ModeBipartition(tuple(range(m)), tuple(range(m, m + n)))
-        _place(_stack_log_negativities(stacks[-1], part, _PointErrors(len(indices))),
-               indices.tolist(), values[2], errors[2])
-    reduced, reduced_cases = [np.empty((0, 4, 4))], [np.empty(0, dtype=np.int64)]
-    grouped = localize(stacks, [m for m, _ in shapes], [n for _, n in shapes])
+    # the cases by mode count, then m, each in case order: a shape is a
+    # contiguous slice of its mode count's stack
+    order = np.lexsort((batch.m, batch.m + batch.n))
+    m, total = batch.m[order], (batch.m + batch.n)[order]
+    stacks, groups = [], []  # each shape's slice of its mode count's stack, and its cases
+    for size in np.split(np.arange(cases), np.flatnonzero(np.diff(total)) + 1) if cases else []:
+        indices = order[size]
+        stack = bisymmetric_cm(batch.take(indices))
+        brute = _stack_log_negativities(_mirror_second_blocks(stack, m[size]),
+                                        _PointErrors(len(size)))
+        _place(brute, indices.tolist(), values[2], errors[2])
+        bounds = [0, *(np.flatnonzero(np.diff(m[size])) + 1).tolist(), len(size)]
+        stacks += [stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        groups += [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    firsts = [group[0] for group in groups]
+    grouped = localize(stacks, batch.m[firsts].tolist(), batch.n[firsts].tolist())
     del stacks  # the stacks, then the columns, are dropped once read
+    reduced, reduced_cases = [np.empty((0, 4, 4))], [np.empty(0, dtype=np.int64)]
     for indices, columns in zip(groups, grouped):
         errors[1].update((case, e) for case, e in zip(indices.tolist(), columns.errors) if e is not None)
         alive = np.array([error is None for error in columns.errors], dtype=bool)
@@ -368,6 +387,6 @@ def run_oracle_suite(cases: int = 500, seed: int = 4242):
     values = np.array(values)
     closed_form = values[[first for _, first, _ in ROUTE_PAIRS]].T.ravel()
     brute_force = values[[second for _, _, second in ROUTE_PAIRS]].T.ravel()
-    reports = SuiteReports(case_shapes, closed_form, brute_force,
+    reports = SuiteReports(list(zip(batch.m.tolist(), batch.n.tolist())), closed_form, brute_force,
                            *_compared(closed_form, brute_force))
     return reports, summarize_reports(reports, seed), sampler.rejection_rate

@@ -413,13 +413,15 @@ def bisymmetric_cm(spec):
     The first block occupies modes 0..m-1, the second modes m..m+n-1.
 
     ``spec`` is one ``BisymmetricSpec``, which gives its
-    ``CovarianceMatrix``, or a ``BisymmetricBatch`` of one shape (m, n).
-    A batch is assembled and checked as one stack, by one ``_assemble``
-    and one ``CovarianceMatrix`` check of all its points, and gives that
-    stack: read-only, shape (K, 2(m+n), 2(m+n)), each matrix the bits of
-    the spec's own. An empty batch, which has no shape, raises. The first
-    point whose matrix fails the check raises its error, or the error the
-    batch holds for it. Any other input is invalid.
+    ``CovarianceMatrix``, or a ``BisymmetricBatch`` of one mode count
+    m + n, in any mix of shapes (m, n). A batch is assembled and checked
+    as one stack, by one ``_assemble`` per shape into one buffer and one
+    ``CovarianceMatrix`` check of all its points, and gives that stack:
+    read-only, shape (K, 2(m+n), 2(m+n)), each matrix the bits of the
+    spec's own. An empty batch, which has no mode count, raises, and so
+    does a batch of several, naming them. The first point whose matrix
+    fails the check raises its error, or the error the batch holds for
+    it. Any other input is invalid.
     """
     if isinstance(spec, BisymmetricBatch):
         return _checked_stack(spec)
@@ -431,13 +433,22 @@ def bisymmetric_cm(spec):
 
 def _checked_stack(batch: BisymmetricBatch) -> np.ndarray:
     """The checked stack of ``bisymmetric_cm`` of a batch."""
-    shapes = sorted(set(zip(batch.m.tolist(), batch.n.tolist())))
-    if len(shapes) != 1:
-        raise InvalidArgumentError(f"specs of one shape (m, n) required, got shapes {shapes}")
-    [(m, n)] = shapes
+    totals = sorted(set((batch.m + batch.n).tolist()))
+    if len(totals) != 1:
+        shapes = sorted(set(zip(batch.m.tolist(), batch.n.tolist())))
+        raise InvalidArgumentError("specs of one mode count m + n required, "
+                                   f"got shapes {shapes} of mode counts {totals}")
+    [total], ms = totals, sorted(set(batch.m.tolist()))
+    if len(ms) == 1:  # no buffer, so that one large matrix is not held twice
+        stack = _assemble(ms[0], total - ms[0], batch.diagonals)
+    else:
+        stack = np.empty((len(batch.m), 2 * total, 2 * total))
+        for m in ms:
+            rows = batch.m == m
+            stack[rows] = _assemble(m, total - m, batch.diagonals[..., rows])
     errors = _PointErrors(len(batch.m))
     errors.merge(batch.errors)
-    stack = _symmetrized(_assemble(m, n, batch.diagonals), errors)
+    stack = _symmetrized(stack, errors)
     errors.raise_first()
     return stack
 

@@ -763,6 +763,16 @@ def _json_block(members, newline: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
 
 
+# the JSON text of each scalar leaf, spelled as ``json.dumps`` spells it
+_JSON_LEAVES = {
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else _JSON_NON_FINITE[repr(x)],
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
 def _indented_json(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` at the depth where
     each line starts with ``newline``, byte for byte.
@@ -770,12 +780,17 @@ def _indented_json(obj, newline: str = "\n") -> str:
     The stdlib's indented encoder is pure Python; the matrices of a
     localization payload are lists of thousands of floats, so each list
     of floats is joined from one ``%`` pass instead, and an ndarray is
-    taken to hold the ``float_reprs`` of a matrix's entries. Values other
-    than non-empty lists and str-keyed dicts go to the stdlib.
+    taken to hold the ``float_reprs`` of a matrix's entries. A float,
+    int, bool, None or str leaf gets the stdlib's spelling directly.
+    Values other than those, non-empty lists and str-keyed dicts go to
+    the stdlib.
     """
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf:
+        return leaf(obj)
     inner = newline + "  "
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        members = [f"{json.dumps(key)}: {_indented_json(value, inner)}"
+        members = [f"{json.encoder.encode_basestring_ascii(key)}: {_indented_json(value, inner)}"
                    for key, value in sorted(obj.items())]
     elif isinstance(obj, np.ndarray):
         members = _json_entry_texts(obj.ravel().tolist())

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -671,6 +672,25 @@ def test_two_block_spec_reads_its_other_splits_from_its_matrix(tmp_path, capsys,
     for argv in ((), ("--k", str(spec["m"])), ("--split", str(spec["m"]), str(spec["n"]))):
         code, out, _ = run_cli(capsys, "report", "--spec-json", text, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, own)
+
+
+def test_report_dense_fallback_leaves_no_reference_cycle(capsys):
+    """A split with no block-permutation symmetry falls back to the dense
+    route once the invariant route's LocalizationError is caught. That
+    error's traceback holds the frames that hold the error; it is dropped,
+    so the command leaves no cycle that keeps those frames alive until
+    the next garbage collection, which in a long-lived process raised the
+    peak memory."""
+    text = json.dumps(OTHER_SPLITS[0][0])
+    assert run_cli(capsys, "report", "--spec-json", text, "--k", "1")[0] == 0  # warm caches
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(capsys, "report", "--spec-json", text, "--k", "1")
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert (code, unreachable) == (0, 0)
 
 
 def test_report_of_a_matrix_past_the_invariant_float_range_exit_code(tmp_path, capsys):

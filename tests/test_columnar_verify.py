@@ -1,18 +1,21 @@
 """The columnar cross-check suite against the per-case code it replaced.
 
 ``verify`` draws its specs a screened block of attempts at a time,
-assembles and checks each (m, n) shape group of matrices as one stack,
-and builds the ``localize`` results of a group from stacked checks and
-invariants. The stacked covariance check must give each matrix the
-constructor's result or error, in place, the stacked assembly and
-reduction must give each matrix the bits of its own, and the command's
-output must keep its bytes.
+assembles and checks the matrices of each mode count m + n, in any mix
+of shapes (m, n), as one stack, splits each matrix of it at its own m
+for the brute force, and builds the ``localize`` results of each shape's
+slice from stacked checks and invariants. The stacked covariance check
+must give each matrix the constructor's result or error, in place, the
+stacked assembly, brute force and reduction must give each matrix the
+bits of its own, and the command's output must keep its bytes.
 """
 
 import csv
 import hashlib
 import io
+import json
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +31,8 @@ from entloc.oracle import (
     SpecSampler,
     SuiteReports,
     _compared,
+    _mirror_second_blocks,
+    _stack_log_negativities,
     oracle_pt_log_negativity,
     reports_to_csv_text,
     run_oracle_suite,
@@ -51,6 +56,17 @@ VERIFY_1000_CSV_SHA256 = "3216ab6f4ce8a132582ddc570091a1b236abc03f61e66a62fe4f09
 VERIFY_1000_STDOUT_SHA256 = "f36472a21bd04680bd1fe96da1283fbca0b403e7a9243469a7f6e49ccfdbadbb"
 
 
+# sha256 of the CSV of `verify --cases 2000 --seed S --out PATH` and the
+# exact worst_rel_diff it prints, recorded before the suite came to
+# assemble one stack per mode count; at 2000 cases every one of the 36
+# shapes shares its mode count's stack with larger groups than at 1000
+VERIFY_2000_PINS = {
+    1: ("5046f7ee54975fb4b89b83d4fb2ff6674faa2d8a3b7c7d39df27f131ed70a97e", 2.0545362163440628e-13),
+    7: ("d8b0a946f7e835f2aa6262ed0112f87610ef63ed693c39758fe15fb2eec1108b", 2.4927085106314175e-13),
+    4242: ("e45e82f48f64c71777a6e27881301769292956da068e75f4295aee58b2d58e7a", 2.484791285689188e-13),
+}
+
+
 def _verify_digests(tmp_path, capsys, cases, seed):
     """sha256 of the CSV and of stdout of `verify --cases N --seed S --out PATH`."""
     out = tmp_path / "cases.csv"
@@ -67,6 +83,16 @@ def test_verify_output_bytes(tmp_path, capsys):
 def test_verify_1000_case_output_bytes(tmp_path, capsys):
     digests = _verify_digests(tmp_path, capsys, 1000, 7)
     assert digests == (VERIFY_1000_CSV_SHA256, VERIFY_1000_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_2000_PINS))
+def test_verify_2000_case_output_bytes(tmp_path, capsys, seed):
+    out = tmp_path / "cases.csv"
+    assert main(["verify", "--cases", "2000", "--seed", str(seed), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["cases"], summary["passes"]) == (2000, 6000)
+    got = (hashlib.sha256(out.read_bytes()).hexdigest(), summary["worst_rel_diff"])
+    assert got == VERIFY_2000_PINS[seed]
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +233,42 @@ def test_stacked_assembly_matches_loop_assembly_bit_for_bit():
         assert np.array_equal(bits(el.fully_symmetric_cm(spec).matrix), bits(want))
 
 
+def _one_size_mixes(seed=31, count=600):
+    """The specs of ``count`` sampled ones by mode count m + n, each list
+    shuffled, so that its shapes (m, n) are interleaved; a signed-zero
+    spec joins mode count 5."""
+    mixes = {}
+    for spec in SpecSampler(seed).bisymmetric(count=count):
+        mixes.setdefault(spec.total_modes, []).append(spec)
+    mixes[5].append(el.BisymmetricSpec(2, 3, 1.5, -0.0, 0.1, 1.5, 0.0, -0.0, -0.0, 0.2))
+    shuffle = random.Random(seed)
+    for specs in mixes.values():
+        shuffle.shuffle(specs)
+    return mixes
+
+
+def test_stacked_assembly_of_one_mode_count_gives_each_shape_its_bits():
+    """A batch of one mode count in any mix of shapes is one stack whose
+    matrices have the bits of their shape's own batch and of their spec."""
+    mixes = _one_size_mixes()
+    assert sorted(mixes) == list(range(2, 13))
+    for total, specs in mixes.items():
+        stack = el.bisymmetric_cm(BisymmetricBatch.of(specs))
+        assert stack.shape == (len(specs), 2 * total, 2 * total) and not stack.flags.writeable
+        shapes = {(spec.m, spec.n) for spec in specs}
+        assert len(shapes) == min(total - 1, 13 - total), total  # every shape of block sizes 1..6
+        for shape in shapes:
+            rows = [k for k, spec in enumerate(specs) if (spec.m, spec.n) == shape]
+            alone = el.bisymmetric_cm(BisymmetricBatch.of([specs[k] for k in rows]))
+            assert np.array_equal(bits(stack[rows]), bits(alone)), shape
+        for spec, matrix in zip(specs, stack):
+            assert np.array_equal(bits(matrix), bits(el.bisymmetric_cm(spec).matrix))
+
+
 def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
     one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
     two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
-    with pytest.raises(InvalidArgumentError, match="one shape"):
+    with pytest.raises(InvalidArgumentError, match="one mode count"):
         el.bisymmetric_cm(BisymmetricBatch.of([one, two]))
     # parameters whose matrix would overflow in the symmetrization overflow
     # the spectrum check to nan first: no valid spec, alone or in a batch
@@ -222,6 +280,27 @@ def test_stacked_assembly_needs_one_shape_and_raises_the_first_failure():
         el.bisymmetric_cm(bisymmetric_batch(*np.array([fields, huge, fields]).T))
     assert str(grouped.value) == str(alone.value) == (
         "parameters too large for the spectrum check: the smallest symplectic eigenvalue is nan")
+
+
+def test_stacked_assembly_names_mixed_mode_counts_and_raises_the_first_failure_of_a_mix():
+    one = el.BisymmetricSpec(1, 1, 1.5, 0.0, 0.0, 1.5, 0.0, 0.0, 0.2, -0.2)
+    two = el.BisymmetricSpec(2, 1, 1.5, 0.1, 0.1, 1.5, 0.0, 0.0, 0.2, -0.2)
+    three = el.BisymmetricSpec(1, 2, 1.5, 0.0, 0.0, 1.5, 0.1, 0.1, 0.2, -0.2)
+    with pytest.raises(InvalidArgumentError, match=r"got shapes \[\(1, 1\), \(1, 2\), \(2, 1\)\] "
+                                                   r"of mode counts \[2, 3\]"):
+        el.bisymmetric_cm(BisymmetricBatch.of([two, three, one]))
+    assert el.bisymmetric_cm(BisymmetricBatch.of([two, three])).shape == (2, 6, 6)
+    # in a mix of shapes, the first failing point raises its error: point
+    # 1, a 2 | 1 spec with b = 0.5 < 1, or point 2, a 1 | 2 spec whose
+    # matrix would overflow and whose spectrum check overflows to nan
+    columns = [[2, 2, 1], [1, 1, 2], [1.5, 1.5, 1e308], [0.1, 0.1, 0.0], [0.1, 0.1, 0.0],
+               [1.5, 0.5, 1e308], [0.0] * 3, [0.0] * 3, [0.2] * 3, [-0.2] * 3]
+    mixed = bisymmetric_batch(*map(np.array, columns))
+    assert mixed.errors.alive.tolist() == [True, False, False]
+    for order, first in (([0, 1, 2], 1), ([2, 1, 0], 2), ([0, 2, 1], 2)):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            el.bisymmetric_cm(mixed.take(np.array(order)))
+        assert str(excinfo.value) == str(mixed.errors.errors[first])
 
 
 def test_localize_stack_gives_a_failing_purity_its_place():
@@ -355,8 +434,9 @@ def test_suite_reports_are_the_per_case_reports():
 
 
 def test_brute_force_column_is_the_oracle_of_each_shape_stack():
-    """Route (c) takes the checked stack of each (m, n) shape as it is:
-    its column holds, bit for bit, what the public oracle gives that stack."""
+    """Route (c) runs on the checked stack of each mode count, shapes
+    mixed: its column holds, bit for bit, what the public oracle gives
+    the stack of each (m, n) shape alone."""
     cases, seed = 600, 31
     reports, _, _ = run_oracle_suite(cases=cases, seed=seed)
     # the first pair of each case compares route (a) with route (c)
@@ -371,3 +451,25 @@ def test_brute_force_column_is_the_oracle_of_each_shape_stack():
         stack = el.bisymmetric_cm(batch.take(np.array(indices)))
         want = oracle_pt_log_negativity(stack, el.ModeBipartition.contiguous(m, n))
         assert np.array_equal(bits(brute[indices]), bits(want)), (m, n)
+
+
+def test_brute_force_splits_each_matrix_of_a_mode_count_stack_at_its_own_m():
+    """Route (c) mirrors each matrix of a mode count's stack, shapes
+    mixed, at its own split: each value has the bits of the public oracle
+    on that matrix and split, and a matrix with no Cholesky factor fails
+    in place with the oracle's error."""
+    for total, specs in _one_size_mixes().items():
+        stack = np.array(el.bisymmetric_cm(BisymmetricBatch.of(specs)))
+        broken = len(specs) // 2
+        stack[broken] = -np.eye(2 * total)  # symmetric and finite, not positive definite
+        m = np.array([spec.m for spec in specs])
+        values = _stack_log_negativities(_mirror_second_blocks(stack, m), _PointErrors(len(specs)))
+        assert len(values) == len(specs)
+        for k, (spec, matrix, value) in enumerate(zip(specs, stack, values)):
+            cm, part = el.CovarianceMatrix(matrix), el.ModeBipartition.contiguous(spec.m, spec.n)
+            if k == broken:
+                with pytest.raises(NumericalDomainError) as excinfo:
+                    oracle_pt_log_negativity(cm, part)
+                assert type(value) is NumericalDomainError and str(value) == str(excinfo.value)
+            else:
+                assert bits(value) == bits(oracle_pt_log_negativity(cm, part)), (total, k)

@@ -274,9 +274,10 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
     an invariant-route error, an assembled matrix whose mode-1 block breaks
     the pattern by 1e-3 * (1 + case), or a non-finite dense spectrum of
     the case's brute-force matrix, injected through the one spectrum
-    kernel. The suite assembles one shape group per ``bisymmetric_cm``
-    call, a batch slice, and a case is found by its parameter a. Returns
-    the error the suite raises."""
+    kernel. The suite assembles one mode count per ``bisymmetric_cm``
+    call, a batch of any mix of shapes, and a case is found by its
+    parameter a; mode 1 is in the first block of every shape with m >= 2.
+    Returns the error the suite raises."""
     import entloc.localization
     import entloc.oracle
     import entloc.states
@@ -320,15 +321,14 @@ def _suite_with_failures(monkeypatch, invariant=(), pattern=(), spectrum=(), cas
 
 def test_suite_raises_first_failing_case_in_order(monkeypatch):
     """The first failing case in case order raises, whatever shape group
-    it sits in; within a case the invariant route goes first, then
-    localize, then the dense oracle."""
+    or mode count it sits in; within a case the invariant route goes
+    first, then localize, then the dense oracle."""
     specs = SpecSampler(11).bisymmetric(count=40)
-    shapes = [(s.m, s.n) for s in specs]
-    first_seen = {shape: shapes.index(shape) for shape in shapes}
-    # i < j with j's shape group met first; both can break the pattern (m >= 2)
+    # i < j with j run first, its mode count smaller or, if equal, its m;
+    # both can break the pattern (m >= 2)
     i, j = next((i, j) for j in range(len(specs)) for i in range(j)
                 if specs[i].m >= 2 and specs[j].m >= 2
-                and first_seen[shapes[j]] < first_seen[shapes[i]])
+                and (specs[j].total_modes, specs[j].m) < (specs[i].total_modes, specs[i].m))
 
     error = _suite_with_failures(monkeypatch, invariant=(j,), pattern=(j,), spectrum=(i,))
     assert isinstance(error, el.NumericalDomainError)

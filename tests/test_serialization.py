@@ -55,6 +55,23 @@ def test_json_text_equals_indented_stdlib(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+JSON_LEAVES = [
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1, 10**30, -(10**30), 0, True,
+    False, None, "", "plain", "caf\u00e9 \u03bd\u0303", 'say "hi" \\ back', "tab\tnew\nline\u2028",
+    "\ud800 lone surrogate", "\U0001f600", np.float64(-0.0), np.float64(math.nan), np.float64(2.5),
+]
+
+
+def test_json_scalar_leaves_are_spelled_as_the_stdlib_spells_them():
+    """Each scalar leaf, alone, in a list and as a dict value, and the
+    nested empty containers, give ``json.dumps``'s text byte for byte;
+    a numpy float, which is no plain float, keeps the stdlib's spelling."""
+    empties = {"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": {"e": {"f": []}}, "g": ()}
+    for obj in (*JSON_LEAVES, JSON_LEAVES, {str(k): leaf for k, leaf in enumerate(JSON_LEAVES)},
+                {'k"ey \u00e9': [JSON_LEAVES, {}]}, empties, [empties, []], {}, [], ()):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", repr(obj)
+
+
 @st.composite
 def matrices(draw, finite=True):
     """2N x 2N matrices drawn from a small pool of values, so entries
