@@ -61,6 +61,7 @@ from .symplectic import (
     CovarianceMatrix,
     _indented_json,
     _json_matrix_text,
+    _raise_first,
     _read_text,
     float_reprs,
     load_cm,
@@ -230,17 +231,13 @@ def _report_for(state, m, n):
         return equivalent_report(state)
     if isinstance(state, FullySymmetricSpec):
         return block_log_negativity(state, m)
-    # any other split of a two-block spec is a general bipartition of its matrix
+    # any other split is decided pattern, then state, then numerics; a matrix off its pattern takes
+    # the reflected-spectrum route, where separability stays decided only for 1 x n splits
     cm = _matrix(state)
-    try:
-        return equivalent_report_from_cm(cm, m, n)
-    except LocalizationError as exc:
-        # its traceback holds the frames that hold this error, a cycle that
-        # only a garbage collection would free: drop it now
-        exc.__traceback__ = None
-        # no block-permutation symmetry: fall back to the reflected-spectrum
-        # route; separability stays decided only for 1 x n splits
+    [report] = equivalent_report_from_cm(cm, [m], [n])
+    if isinstance(report, LocalizationError):
         return log_negativity(cm, ModeBipartition.contiguous(m, n))
+    return _raise_first([report])[0]
 
 
 def _cmd_report(args) -> int:
@@ -428,28 +425,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_FAILURES = (  # (type, exit code, label) of a failure; the first type that matches applies
+    (InvalidArgumentError, 2, "invalid input"),
+    (OSError, 2, ""),  # a missing file, a directory, a failed write
+    (LocalizationError, 4, "localization failure"),
+    (NumericalDomainError, 3, "numerical failure"),
+    (MemoryError, 3, "out of memory"),  # numpy's names the array it could not allocate
+)
+
+
 def main(argv=None) -> int:
     args, unknown = _parser().parse_known_args(argv)
     if unknown:  # shown with the usage of the subcommand, not of entloc
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
-    except InvalidArgumentError as exc:
-        print(f"entloc: invalid input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, a directory, a failed write
-        print(f"entloc: {exc}", file=sys.stderr)
-        return 2
-    except LocalizationError as exc:
-        print(f"entloc: localization failure: {exc}", file=sys.stderr)
-        return 4
-    except NumericalDomainError as exc:
-        print(f"entloc: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # numpy's names the array it could not allocate
-        detail = str(exc)
-        print("entloc: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
-        return 3
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        # its traceback holds frames that may hold it, a cycle only a garbage collection frees
+        exc.__traceback__ = None
+        code, label = next((code, label) for kind, code, label in _FAILURES if isinstance(exc, kind))
+        print("entloc: " + ": ".join(filter(None, (label, str(exc)))), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .symplectic import (
     _minus_plus_pair,
     _mirror_momenta,
     _PointErrors,
+    _raise_first,
     _scalar_batch,
     _squares,
     _symplectic_spectra,
@@ -253,7 +254,7 @@ def log_negativity(cm: CovarianceMatrix, part: ModeBipartition) -> EntanglementR
     symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
     errors = _PointErrors(1)
     columns = _pt_columns(nus[1][:, None], np.array([symmetric]), errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     report = columns.reports()[0]
     decidable = len(part.side_a) == 1 or len(part.side_b) == 1
     return report if decidable else replace(report, separable=None)

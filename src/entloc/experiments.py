@@ -212,13 +212,13 @@ def _status(error) -> str:
 
 
 def _attempt(fn, *args):
-    """fn(*args), or the EntlocError it raises. Makes a parent state that
-    could not be built the parent of its points, which then fail with its
-    error."""
+    """fn(*args), or the EntlocError it raises, without the traceback that
+    would hold this frame. Makes a parent state that could not be built the
+    parent of its points, which then fail with its error."""
     try:
         return fn(*args)
     except EntlocError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def _cells(values: np.ndarray, missing: np.ndarray) -> list:

@@ -59,6 +59,7 @@ from .symplectic import (
     TOL,
     CovarianceMatrix,
     _adjugate_traces,
+    _antisymmetric_forms,
     _below_vacuum,
     _clipped_sqrts,
     _delta_invariants,
@@ -66,6 +67,7 @@ from .symplectic import (
     _Mapped,
     _PointErrors,
     _purities,
+    _raise_first,
     _real_stack,
     _require_tolerance,
     _scale,
@@ -232,13 +234,6 @@ def _batch_blocks(batch: BisymmetricBatch):
     return batch.m, batch.n, blocks
 
 
-def _raise_first(results: list) -> list:
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
 def _report_columns(m, n, blocks, errors: _PointErrors) -> ReportColumns:
     """The reports of one batch as columns; ``errors`` holds the points
     that failed before the kernel."""
@@ -286,32 +281,32 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     One split (m, n) gives its report, and its failure raises. ``m`` and
     ``n`` may be equal-length sequences of block sizes: the splits are then
     evaluated in one batch and give a list holding each split's report or
-    its error, from its pattern check (at the default tolerance) or from
-    the batch, in place. The kernel runs only if some split passes its
-    check. A split whose matrix is not a physical state then fails with
-    the dense route's error (``_record_unphysical``).
+    its error, in place. A split is decided pattern, then state, then
+    numerics: its pattern check (at the default tolerance), then, if some
+    split passes, the physicality rule of ``_record_unphysical`` (the dense
+    route's error), and only then the checks of the kernel and the report.
     """
     single = _ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
-    counts = np.ones((2, len(splits)), dtype=np.int64)  # a failed split reads 1 | 1
+    counts = np.ones((2, len(splits)), dtype=np.int64)  # a split off the rule reads 1 | 1
     blocks = np.zeros((5, len(splits), 2, 2))
     errors = _PointErrors(len(splits))
     for i, split in enumerate(splits):
-        part = _PointErrors(1)
-        try:
-            split = _covered(cm.modes, *split)
-            blocks[:, i : i + 1], _ = _pattern_check(cm.matrix[None], *split, None, part)
-            part.raise_first()
-            counts[:, i] = split
-        except EntlocError as exc:
-            errors.fail(i, exc)
+        split = _covered(cm.modes, *split)
+        if isinstance(split, InvalidArgumentError):
+            errors.fail(i, split)
+            continue
+        counts[:, i] = split
+        point = _Mapped(errors, 1, [i].__getitem__)
+        blocks[:, i : i + 1], _ = _pattern_check(cm.matrix[None], *split, None, point)
     reports = errors.errors
     if errors.alive.any():
         with np.errstate(all="ignore"):
-            eq = _equivalent_from_blocks(*counts, blocks, errors)
-            columns = _report_from_equivalent(eq, errors)
+            kernel = _PointErrors(len(splits))
+            eq = _equivalent_from_blocks(*counts, blocks, kernel)
             _record_unphysical(counts, blocks, eq, _scale(cm.matrix), errors)
-        reports = columns.reports()
+            errors.merge(kernel)
+            reports = _report_from_equivalent(eq, errors).reports()
     return _raise_first(reports)[0] if single else reports
 
 
@@ -319,16 +314,23 @@ def _record_unphysical(counts, blocks, eq: _Equivalents, scale: float, errors: _
     """Fail each point still alive whose matrix is not a physical state:
     up to local symplectics it is its core times the decoupled blocks of
     its sides of more than one mode, and each part must be positive definite
-    with no ``_below_vacuum`` nu, a block at the matrix's ``scale``."""
+    with no ``_below_vacuum`` nu, a block at the matrix's ``scale``. A core
+    that is not finite, which only an overflow makes, is left to the kernel."""
     first = blocks[0:4:2, :, 0, 0] - blocks[1:4:2, :, 0, 0]
-    nu_minus = eq.nus[0]
-    single = ~((first > 0.0) & (nu_minus > 0.0)) | _below_vacuum(nu_minus, scale)
+    # an overflow leaves a nan nu_minus, which decides nothing: the kernel fails it
+    single = ~(first > 0.0) | (eq.nus[0] <= 0.0) | _below_vacuum(eq.nus[0], scale)
     failed = (single & (counts > 1)).any(axis=0)
-    live = np.flatnonzero(errors.alive & ~failed)
+    live = np.flatnonzero(errors.alive & ~failed & np.isfinite(eq.core).all(axis=(1, 2)))
     cores, core_errors = eq.core[live], _PointErrors(len(live))
-    smallest = _symplectic_spectra(cores, core_errors)[:, -1]
     # a core entry sums up to m or n entries: the larger scale bounds its rounding
     core_scale = np.fmax(np.abs(cores).max(axis=(1, 2)), scale)
+    # L^T Omega L is at most the core's trace: past 2**1020, where it could overflow, no nu is
+    # below the vacuum, so the factorization alone decides and the vacuum stands in for the core
+    huge = np.flatnonzero(core_scale >= 2.0**1020)
+    if len(huge):
+        _antisymmetric_forms(cores[huge], _Mapped(core_errors, len(huge), huge.__getitem__))
+        cores[huge] = np.eye(4)
+    smallest = _symplectic_spectra(cores, core_errors)[:, -1]
     failed[live] = ~core_errors.alive | _below_vacuum(smallest, core_scale)
     errors.record(failed, lambda i: InvalidArgumentError(NOT_A_STATE))
 
@@ -401,18 +403,17 @@ def _ndim(sizes) -> int:
         return 1
 
 
-def _covered(modes: int, m, n) -> tuple[int, int]:
-    """(m, n) as ints, the one block-size rule of the constructive route
-    and of a matrix's split: a block size that is not an integer, which
-    would fail as a slice index, is invalid, named by its value, and so
-    is one below 1 and a split that does not cover ``modes`` modes."""
+def _covered(modes: int, m, n):
+    """(m, n) as ints, or the error of a split off the one block-size rule
+    of ``localize`` and of a matrix's split: each size is an integer, which
+    a slice index needs, and >= 1, and the two cover ``modes`` modes."""
     for size in (m, n):
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise InvalidArgumentError(f"block size must be an integer, got {size!r}")
+            return InvalidArgumentError(f"block size must be an integer, got {size!r}")
     if m < 1 or n < 1:
-        raise InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
+        return InvalidArgumentError(f"block sizes must be >= 1, got ({m}, {n})")
     if m + n != modes:
-        raise InvalidArgumentError(f"split ({m}, {n}) does not cover the {modes}-mode input")
+        return InvalidArgumentError(f"split ({m}, {n}) does not cover the {modes}-mode input")
     return int(m), int(n)
 
 
@@ -733,7 +734,7 @@ def localize(cm, m, n, tol_pattern: float | None = None):
         raise InvalidArgumentError(
             "localize takes a CovarianceMatrix and two block sizes, or a sequence of "
             f"(K, 2N, 2N) stacks and two sequences of block sizes, got {type(cm).__name__}")
-    m, n = _covered(cm.modes, m, n)
+    m, n = _raise_first([_covered(cm.modes, m, n)])[0]
     with np.errstate(all="ignore"):
         [columns] = _localize_groups([cm.matrix[None]], [m], [n], tol_pattern, _PointErrors(1))
     return _raise_first(columns.results())[0]
@@ -753,7 +754,7 @@ def _localize_stacks(stacks, ms, ns, tol_pattern) -> list:
     _require_tolerance(tol_pattern, "pattern tolerance")
     for g, (stack, m, n) in enumerate(zip(stacks, ms, ns)):
         stacks[g] = _real_stack(stack)
-        ms[g], ns[g] = _covered(stacks[g].shape[1] // 2, m, n)
+        ms[g], ns[g] = _raise_first([_covered(stacks[g].shape[1] // 2, m, n)])[0]
     errors = _PointErrors(sum(map(len, stacks)))
     parts = _group_parts(errors, _group_slices(list(map(len, stacks))))
     with np.errstate(all="ignore"):

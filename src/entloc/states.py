@@ -19,6 +19,7 @@ from .symplectic import (
     CovarianceMatrix,
     _below_vacuum,
     _PointErrors,
+    _raise_first,
     _squares,
     _symmetrized,
 )
@@ -449,7 +450,7 @@ def _checked_stack(batch: BisymmetricBatch) -> np.ndarray:
     errors = _PointErrors(len(batch.m))
     errors.merge(batch.errors)
     stack = _symmetrized(stack, errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     return stack
 
 

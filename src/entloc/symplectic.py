@@ -105,10 +105,13 @@ class _PointErrors:
             self.errors[i] = error
             self.alive[i] = False
 
-    def raise_first(self) -> None:
-        for error in self.errors:
-            if error is not None:
-                raise error
+
+def _raise_first(results: list) -> list:
+    """Raise the first error among ``results``, else return them."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 class _Rejections(_PointErrors):
@@ -231,7 +234,7 @@ def _scalar_batch(fn, *args):
     errors = _PointErrors(1)
     with np.errstate(all="ignore"):
         out = fn(*(np.asarray(a, dtype=float)[None] for a in args), errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     return tuple(float(v[0]) for v in out)
 
 
@@ -334,7 +337,7 @@ class CovarianceMatrix:
             raise InvalidArgumentError(f"covariance matrix must be 2Nx2N, got shape {m.shape}")
         errors = _PointErrors(1)
         symmetric = _symmetrized(m[None], errors)[0]
-        errors.raise_first()
+        _raise_first(errors.errors)
         object.__setattr__(self, "matrix", symmetric)
 
     @classmethod
@@ -490,7 +493,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
     """
     errors = _PointErrors(1)
     nus = _symplectic_spectra(cm.matrix[None], errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     return SymplecticSpectrum(nus[0])
 
 
@@ -513,11 +516,9 @@ def _uncertainty_holds(nus: np.ndarray, matrix: np.ndarray) -> bool:
 def is_bona_fide(cm: CovarianceMatrix) -> bool:
     """Whether the matrix satisfies the uncertainty relation: sigma is
     positive definite and ``_uncertainty_holds`` for its spectrum."""
-    try:
-        spectrum = symplectic_eigenvalues(cm)
-    except NumericalDomainError:
-        return False
-    return _uncertainty_holds(spectrum.values, cm.matrix)
+    errors = _PointErrors(1)
+    nus = _symplectic_spectra(cm.matrix[None], errors)[0]
+    return bool(errors.alive[0]) and _uncertainty_holds(nus, cm.matrix)
 
 
 def _symplectic_within(s: np.ndarray, tol: float) -> bool:
@@ -594,7 +595,7 @@ def purity(cm: CovarianceMatrix) -> float:
     """Purity 1 / sqrt(det sigma); in (0, 1] for physical states."""
     errors = _PointErrors(1)
     value = _purities(cm.matrix[None], errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     return float(value[0])
 
 

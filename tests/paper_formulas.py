@@ -24,6 +24,7 @@ from entloc.symplectic import (
     _dets,
     _minus_plus_pair,
     _PointErrors,
+    _raise_first,
     _scalar_batch,
     is_symplectic,
     two_mode_invariants,
@@ -210,9 +211,9 @@ def equivalent_two_mode(state, m=None, n=None, tol_pattern=None) -> EquivalentTw
     if isinstance(state, BisymmetricSpec):
         m, n, blocks = _batch_blocks(BisymmetricBatch.of([state]))
     else:
-        m, n = _covered(state.modes, m, n)
+        m, n = _raise_first([_covered(state.modes, m, n)])[0]
         blocks, _ = _pattern_check(state.matrix[None], m, n, tol_pattern, errors)
-        errors.raise_first()
+        _raise_first(errors.errors)
         m, n = np.array([m]), np.array([n])
     with np.errstate(all="ignore"):
         eq = _equivalent_from_blocks(m, n, blocks, errors)
@@ -220,7 +221,7 @@ def equivalent_two_mode(state, m=None, n=None, tol_pattern=None) -> EquivalentTw
         # a negative S fails as the radicand S - 2|P| that it makes negative
         plus, minus = _clipped_sqrts(
             np.array([sum_sq + 2.0 * eq.det_cross, sum_sq - 2.0 * eq.det_cross]), sum_sq, errors)
-    errors.raise_first()
+    _raise_first(errors.errors)
     a, b = eq.nus[1, :, 0].tolist()
     cp, cm = float(0.5 * (plus + minus)[0]), float(0.5 * (plus - minus)[0])
     matrix = np.array([[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]])

@@ -10,6 +10,7 @@ import pytest
 
 import entloc as el
 import entloc.experiments as exp
+from entloc.entanglement import NOT_A_STATE
 from entloc.errors import InvalidArgumentError, LocalizationError, NumericalDomainError
 from entloc.experiments import (
     HIERARCHY_COLUMNS,
@@ -143,20 +144,22 @@ def star_matrix():
 
 
 def test_cm_batch_keeps_each_failing_split_error_in_place():
+    # the 1 | 3 split is no state, which is decided before the kernel's
+    # negative radicand; the 2 | 2 split fails its pattern check
     cm = star_matrix()
-    radicand, pattern = el.equivalent_report_from_cm(cm, [1, 2], [3, 2])
-    assert isinstance(radicand, NumericalDomainError) and "negative radicand" in str(radicand)
+    unphysical, pattern = el.equivalent_report_from_cm(cm, [1, 2], [3, 2])
+    assert type(unphysical) is InvalidArgumentError and str(unphysical) == NOT_A_STATE
     assert isinstance(pattern, LocalizationError)
     assert "not block-permutation invariant" in str(pattern)
     swapped = el.equivalent_report_from_cm(cm, [2, 1], [2, 3])
-    assert [type(error) for error in swapped] == [LocalizationError, NumericalDomainError]
-    assert [str(error) for error in swapped] == [str(pattern), str(radicand)]
-    for m, n, error in ((1, 3, radicand), (2, 2, pattern)):
+    assert [type(error) for error in swapped] == [LocalizationError, InvalidArgumentError]
+    assert [str(error) for error in swapped] == [str(pattern), str(unphysical)]
+    for m, n, error in ((1, 3, unphysical), (2, 2, pattern)):
         with pytest.raises(type(error)) as info:
             el.equivalent_report_from_cm(cm, m, n)
         assert str(info.value) == str(error)
     # the split-size scan raises the first failing split, k = 1
-    with pytest.raises(NumericalDomainError, match="negative radicand"):
+    with pytest.raises(InvalidArgumentError, match=NOT_A_STATE):
         el.ole_scan(cm)
 
 

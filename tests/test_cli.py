@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 import entloc as el
 from cli_manifest import write_inputs
 from entloc.cli import main
+from entloc.entanglement import NOT_A_STATE
+from entloc.errors import LocalizationError
 from entloc.experiments import SweepConfig
 from entloc.oracle import SpecSampler
 from entloc.states import bisymmetric_spec_from_json
 from oracle_helpers import random_bona_fide_cm
 import paper_formulas as pf
-from test_localization import NOT_STATES
+from test_localization import NOT_STATES, _random_pattern_matrices
 
 
 def run_cli(capsys, *argv):
@@ -225,16 +227,15 @@ def test_ole_from_cm(tmp_path, capsys):
 def test_ole_from_cm_raises_the_error_of_the_first_split(tmp_path, capsys):
     # identity diagonal and a diag(1, 1) cross block from mode 0 to each of
     # modes 1-3, not positive definite: k = 1 passes the pattern check and
-    # fails in the invariant route (exit 3); k = 2 fails the pattern check
-    # (exit 4) but comes later
+    # the invariant route finds it no state (exit 2); k = 2 fails the
+    # pattern check (exit 4) but comes later
     matrix = np.eye(8)
     for mode in (1, 2, 3):
         matrix[0:2, 2 * mode : 2 * mode + 2] = matrix[2 * mode : 2 * mode + 2, 0:2] = np.eye(2)
     path = tmp_path / "star.json"
     el.save_cm(el.CovarianceMatrix(matrix), path)
     code, out, err = run_cli(capsys, "ole", "--cm", str(path))
-    assert (code, out) == (3, "")
-    assert "negative radicand" in err
+    assert (code, out, err) == (2, "", f"entloc: invalid input: {NOT_A_STATE}\n")
 
 
 def test_ole_from_cm_raises_the_error_of_its_one_failing_split(tmp_path, capsys):
@@ -674,23 +675,102 @@ def test_two_block_spec_reads_its_other_splits_from_its_matrix(tmp_path, capsys,
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, own)
 
 
-def test_report_dense_fallback_leaves_no_reference_cycle(capsys):
-    """A split with no block-permutation symmetry falls back to the dense
-    route once the invariant route's LocalizationError is caught. That
-    error's traceback holds the frames that hold the error; it is dropped,
-    so the command leaves no cycle that keeps those frames alive until
-    the next garbage collection, which in a long-lived process raised the
-    peak memory."""
-    text = json.dumps(OTHER_SPLITS[0][0])
-    assert run_cli(capsys, "report", "--spec-json", text, "--k", "1")[0] == 0  # warm caches
-    gc.collect()
-    gc.disable()
-    try:
-        code, _, _ = run_cli(capsys, "report", "--spec-json", text, "--k", "1")
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert (code, unreachable) == (0, 0)
+# (argv, exit code): the dense fallback, a failure of each exit code that
+# names a state, and sweeps whose failing parents keep their errors; each
+# left 16 to 712 unreachable objects while an error kept its traceback
+NO_CYCLE_ARGVS = [
+    (("report", "--spec-json", json.dumps(OTHER_SPLITS[0][0]), "--k", "1"), 0),
+    (("report", "--cm", "indefinite.csv"), 2),
+    (("report", "--modes", "6", "--b", "1e76", "--k", "2"), 3),
+    (("ole", "--cm", "general.json"), 4),
+    (("localize", "--cm", "general.json", "--k", "2"), 4),
+    (("hierarchy", "--modes", "8", "--b-grid", "1e3:1e300:5"), 0),
+    (("scaling", "--b", "1e200"), 0),
+]
+
+
+def test_report_dense_fallback_leaves_no_reference_cycle(tmp_path, monkeypatch, capsys):
+    """A split with no block-permutation symmetry takes the dense route as
+    its pattern check's value says, with no error raised. A failing
+    command reports its error and drops its traceback, and a sweep keeps
+    each failing parent's error without one: a traceback holds frames that
+    hold the error, a cycle that keeps them alive until the next garbage
+    collection, which in a long-lived process raised the peak memory."""
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in NO_CYCLE_ARGVS:
+        assert run_cli(capsys, *argv)[0] == expected  # warm caches
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert (code, unreachable) == (expected, 0), argv
+
+
+def test_a_non_state_exits_2_on_both_routes(tmp_path, capsys):
+    """A pattern matrix that is no state exits 2 with the dense route's
+    message at its own split, which the invariant route judges, and at a
+    split off its pattern, which the dense route judges. At their own
+    split most of these exited 3 while the invariant route ran its
+    numerical checks first."""
+    path, checked = tmp_path / "matrix.json", 0
+    for m, n, cm in _random_pattern_matrices(7, 4):
+        total = m + n
+        if total < 3 or el.is_bona_fide(cm):
+            continue
+        el.save_cm(cm, path)
+        k = 1 if m > 1 else 2  # its first block then mixes modes of both blocks
+        assert isinstance(el.equivalent_report_from_cm(cm, [k], [total - k])[0], LocalizationError)
+        for split in ((m, n), (k, total - k)):
+            code, out, err = run_cli(capsys, "report", "--cm", str(path), "--split", *map(str, split))
+            assert (code, out, err) == (2, "", f"entloc: invalid input: {NOT_A_STATE}\n"), (m, n, split)
+        checked += 1
+    assert checked >= 40, checked
+
+
+def _pattern_matrix(m, n, alpha, eps, beta, zeta, gamma) -> np.ndarray:
+    """The m | n two-block matrix of the 2x2 pattern blocks."""
+    total = m + n
+    grid = np.empty((total, total, 2, 2))
+    grid[:m, :m], grid[m:, m:], grid[:m, m:], grid[m:, :m] = eps, zeta, gamma, np.transpose(gamma)
+    grid[range(m), range(m)], grid[range(m, total), range(m, total)] = alpha, beta
+    return grid.transpose(0, 2, 1, 3).reshape(2 * total, 2 * total)
+
+
+_WIDE, _CORRELATED = np.diag([0.3e308, 0.1e308]), np.array([[1.0, 0.3], [0.3, 1.0]]) * 0.85e308
+PAST_FLOAT_RANGE = [
+    # at 5 | 1 the coupled core alpha + 4 eps is not finite, so it has no spectrum to take
+    pytest.param((5, 1, np.eye(2) * 0.8e308, _WIDE, np.eye(2) * 0.8e308, _WIDE, _WIDE),
+                 id="core-overflow", marks=pytest.mark.portable(
+                     reason="the first error is the elementwise IEEE overflow of a 2x2 determinant, "
+                            "and no LAPACK, exponential or logarithm result decides it")),
+    # states whose det(alpha - eps) is inf - inf = nan, which must decide nothing
+    pytest.param((2, 1, *[np.array([[1.0, 0.875], [0.875, 1.0]]) * 1e200, np.zeros((2, 2))] * 2,
+                  np.zeros((2, 2))), id="nan-nu-minus"),
+    pytest.param((2, 1, *[np.array([[1.0, 0.875], [0.875, 1.0]]) * 0.8e308, np.zeros((2, 2))] * 2,
+                  np.zeros((2, 2))), id="nan-nu-minus-past-2**1020"),
+    # a state whose core's L^T Omega L overflows, so that no eigensolver can take it
+    pytest.param((2, 2, _CORRELATED, 0.9 * _CORRELATED, _CORRELATED, 0.9 * _CORRELATED,
+                  0.8 * _CORRELATED), id="overflowing-form"),
+]
+
+
+@pytest.mark.parametrize("blocks", PAST_FLOAT_RANGE)
+def test_report_of_a_pattern_matrix_past_float_range_exit_code(tmp_path, capsys, blocks):
+    """A pattern matrix whose invariants overflow is a numerical failure
+    (exit 3) with a one-line message, not a traceback, and a state is not
+    judged to be none by a value the overflow made: the physicality rule
+    leaves a core that is not finite and a nan nu_minus to the kernel, and
+    judges a core past 2**1020 by its factorization alone."""
+    m, n = blocks[:2]
+    path = tmp_path / "overflow.json"
+    el.save_cm(el.CovarianceMatrix(_pattern_matrix(*blocks)), path)
+    code, out, err = run_cli(capsys, "report", "--cm", str(path), "--split", str(m), str(n))
+    assert (code, out) == (3, "")
+    assert err == "entloc: numerical failure: overflow: a 2x2 determinant is out of float range\n"
 
 
 def test_report_of_a_matrix_past_the_invariant_float_range_exit_code(tmp_path, capsys):

@@ -408,16 +408,18 @@ def _random_pattern_matrices(seed: int, per_split: int):
 def test_invariant_route_reports_a_matrix_exactly_when_it_is_a_state():
     """Over 2010 random pattern matrices, the invariant route gives a
     report exactly where ``is_bona_fide`` holds, with the dense route's
-    E_N; a matrix that passes its kernel and its report but is no state
-    fails with the dense route's error. Without that check, 143 of these
-    non-states got a report."""
+    E_N, and every other matrix fails with the dense route's error: the
+    state is judged before any numerical check of the kernel or the
+    report. Without that check, 143 of these non-states got a report, and
+    judged after those checks, most failed with a negative radicand."""
     reports = not_states = 0
     for m, n, cm in _random_pattern_matrices(2024, 134):
         try:
             report = el.equivalent_report_from_cm(cm, m, n)
         except el.EntlocError as exc:
             assert not el.is_bona_fide(cm), (m, n, cm.matrix.tolist())
-            not_states += str(exc) == NOT_A_STATE
+            assert (type(exc), str(exc)) == (InvalidArgumentError, NOT_A_STATE), (m, n)
+            not_states += 1
             continue
         assert el.is_bona_fide(cm), (m, n, cm.matrix.tolist())
         dense = el.log_negativity(cm, _split(m, n)).log_negativity

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import mpmath as mp
@@ -78,6 +79,23 @@ def test_is_bona_fide_vacuum():
 def test_is_bona_fide_rejects_sub_vacuum():
     cm = el.CovarianceMatrix(np.diag([0.5, 0.5]))
     assert not el.is_bona_fide(cm)
+
+
+def test_is_bona_fide_decides_a_matrix_with_no_factor_from_a_value():
+    """A matrix with no Cholesky factor is no state, decided from the
+    kernel's error as a value: when it was decided by catching the raised
+    error, that error's traceback kept its frames in a cycle, 10 objects a
+    call that only a garbage collection freed."""
+    cm = el.CovarianceMatrix(np.diag([1.0, 1.0, -1.0, 1.0]))
+    assert not el.is_bona_fide(cm)  # warm caches
+    gc.collect()
+    gc.disable()
+    try:
+        decision = el.is_bona_fide(cm)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert (decision, unreachable) == (False, 0)
 
 
 def test_is_bona_fide_ghz_family():
