@@ -23,12 +23,14 @@ from .symplectic import (
     _local_dets,
     _minus_plus_pair,
     _mirror_momenta,
+    _past_form_range,
     _PointErrors,
     _raise_first,
     _scalar_batch,
     _squares,
     _symplectic_spectra,
     _uncertainty_holds,
+    is_bona_fide,
     symplectic_eigenvalues,
 )
 
@@ -246,11 +248,17 @@ def log_negativity(cm: CovarianceMatrix, part: ModeBipartition) -> EntanglementR
     """
     part.validate_for(cm)
     # sigma, for the uncertainty relation, and its transpose D sigma D, which
-    # factors if sigma does
+    # factors if sigma does; past the forms' float range the factorization
+    # alone decides, and a state's spectrum fails only by an overflow
     errors = _PointErrors(2)
     nus = _symplectic_spectra(np.array([cm.matrix, partial_transpose(cm, part).matrix]), errors)
-    if not (errors.alive[0] and _uncertainty_holds(nus[0], cm.matrix)):
+    if _past_form_range(cm.matrix):
+        state = is_bona_fide(cm)
+    else:
+        state = errors.alive[0] and _uncertainty_holds(nus[0], cm.matrix)
+    if not state:
         raise InvalidArgumentError(NOT_A_STATE)
+    _raise_first(errors.errors)
     symmetric = cm.modes == 2 and bool(_symmetric_dets(*_local_dets(cm.matrix)))
     errors = _PointErrors(1)
     columns = _pt_columns(nus[1][:, None], np.array([symmetric]), errors)

@@ -59,8 +59,8 @@ from .symplectic import (
     TOL,
     CovarianceMatrix,
     _adjugate_traces,
-    _antisymmetric_forms,
     _below_vacuum,
+    _cholesky_factors,
     _clipped_sqrts,
     _delta_invariants,
     _dets,
@@ -285,20 +285,37 @@ def equivalent_report_from_cm(cm: CovarianceMatrix, m, n):
     numerics: its pattern check (at the default tolerance), then, if some
     split passes, the physicality rule of ``_record_unphysical`` (the dense
     route's error), and only then the checks of the kernel and the report.
+
+    A call of more than one split first takes the matrix's one
+    ``_pattern_spread`` d. If 4 d is within the tolerance, every split
+    passes its pattern check, and each split's blocks are read directly;
+    otherwise each split takes its own pattern check over the whole
+    matrix. Either way a split gets the same blocks and the same error, so
+    a scan over the splits of a fully symmetric matrix costs one pass over
+    it, not one per split.
     """
     single = _ndim(m) == 0
     splits = [(m, n)] if single else list(zip(m, n, strict=True))
     counts = np.ones((2, len(splits)), dtype=np.int64)  # a split off the rule reads 1 | 1
     blocks = np.zeros((5, len(splits), 2, 2))
     errors = _PointErrors(len(splits))
+    covered = {}
     for i, split in enumerate(splits):
         split = _covered(cm.modes, *split)
         if isinstance(split, InvalidArgumentError):
             errors.fail(i, split)
-            continue
-        counts[:, i] = split
-        point = _Mapped(errors, 1, [i].__getitem__)
-        blocks[:, i : i + 1], _ = _pattern_check(cm.matrix[None], *split, None, point)
+        else:
+            counts[:, i] = covered[i] = split
+    stack = cm.matrix[None]
+    if covered:
+        tol = float(_pattern_tolerances(stack, None)[0])
+        bounded = len(covered) > 1 and 4.0 * _pattern_spread(cm.matrix) <= tol
+        for i, split in covered.items():
+            if bounded:
+                blocks[:, i : i + 1] = _split_blocks(stack, *split)
+            else:
+                point = _Mapped(errors, 1, [i].__getitem__)
+                blocks[:, i : i + 1], _ = _pattern_check(stack, *split, tol, point)
     reports = errors.errors
     if errors.alive.any():
         with np.errstate(all="ignore"):
@@ -328,7 +345,7 @@ def _record_unphysical(counts, blocks, eq: _Equivalents, scale: float, errors: _
     # below the vacuum, so the factorization alone decides and the vacuum stands in for the core
     huge = np.flatnonzero(core_scale >= 2.0**1020)
     if len(huge):
-        _antisymmetric_forms(cores[huge], _Mapped(core_errors, len(huge), huge.__getitem__))
+        _cholesky_factors(cores[huge], _Mapped(core_errors, len(huge), huge.__getitem__))
         cores[huge] = np.eye(4)
     smallest = _symplectic_spectra(cores, core_errors)[:, -1]
     failed[live] = ~core_errors.alive | _below_vacuum(smallest, core_scale)
@@ -340,24 +357,28 @@ def _record_unphysical(counts, blocks, eq: _Equivalents, scale: float, errors: _
 # ---------------------------------------------------------------------------
 
 
-def _pattern_blocks(stack: np.ndarray, m: int, n: int):
-    """Pattern blocks of a stack of (m+n)-mode matrices, and how far each
-    matrix is from the two-block pattern they define.
-
-    Returns alpha, eps, beta, zeta, gamma of every matrix, read from the
-    first row of each block, as shape (5, K, 2, 2), and each matrix's
-    largest entry deviation from its pattern, shape (K,).
-    """
-    count, total = len(stack), m + n
+def _split_blocks(stack: np.ndarray, m: int, n: int) -> np.ndarray:
+    """alpha, eps, beta, zeta, gamma of the m | n split of each matrix of a
+    stack, read from the first row of each block, shape (5, K, 2, 2); the
+    eps or zeta of a block of one mode is zero."""
 
     def block(i, j):
         return stack[:, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
-    zero = np.zeros((count, 2, 2))
-    blocks = np.array(
-        [block(0, 0), block(0, 1) if m > 1 else zero, block(m, m),
-         block(m, m + 1) if n > 1 else zero, block(0, m)]
-    )
+    zero = np.zeros((len(stack), 2, 2))
+    return np.array([block(0, 0), block(0, 1) if m > 1 else zero, block(m, m),
+                     block(m, m + 1) if n > 1 else zero, block(0, m)])
+
+
+def _pattern_blocks(stack: np.ndarray, m: int, n: int):
+    """Pattern blocks of a stack of (m+n)-mode matrices, and how far each
+    matrix is from the two-block pattern they define.
+
+    Returns ``_split_blocks``, and each matrix's largest entry deviation
+    from its pattern, shape (K,).
+    """
+    count, total = len(stack), m + n
+    blocks = _split_blocks(stack, m, n)
     alpha, eps, beta, zeta, gamma = blocks
 
     # cross blocks are checked upper-right only; the lower-left ones keep
@@ -373,16 +394,21 @@ def _pattern_blocks(stack: np.ndarray, m: int, n: int):
     return blocks, np.abs(deviation, out=deviation).max(axis=(1, 2, 3, 4))
 
 
-def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _PointErrors):
-    """Pattern blocks of a stack (as ``_pattern_blocks``) and the tolerance
-    of each matrix, shape (K,): ``tol_pattern``, a finite number >= 0, or
-    by default ``TOL.PATTERN`` scaled by the matrix's largest entry. A
-    matrix farther than its tolerance from its pattern fails in ``errors``."""
+def _pattern_tolerances(stack: np.ndarray, tol_pattern) -> np.ndarray:
+    """The pattern tolerance of each matrix of a stack, shape (K,):
+    ``tol_pattern``, a finite number >= 0, or by default ``TOL.PATTERN``
+    scaled by max(1, the matrix's largest entry)."""
     _require_tolerance(tol_pattern, "pattern tolerance")
     if tol_pattern is None:
-        tol = TOL.PATTERN * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
-    else:
-        tol = np.full(len(stack), float(tol_pattern))
+        return TOL.PATTERN * np.fmax(np.abs(stack).max(axis=(1, 2)), 1.0)
+    return np.full(len(stack), float(tol_pattern))
+
+
+def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _PointErrors):
+    """Pattern blocks of a stack (as ``_pattern_blocks``) and the
+    ``_pattern_tolerances`` of its matrices. A matrix farther than its
+    tolerance from its pattern fails in ``errors``."""
+    tol = _pattern_tolerances(stack, tol_pattern)
     blocks, worst = _pattern_blocks(stack, m, n)
     errors.record(
         worst > tol,
@@ -392,6 +418,29 @@ def _pattern_check(stack: np.ndarray, m: int, n: int, tol_pattern, errors: _Poin
         ),
     )
     return blocks, tol
+
+
+def _pattern_spread(matrix: np.ndarray) -> float:
+    """How far a matrix of two or more modes is from the fully symmetric
+    pattern: the largest entry of |G_ii - G_00| over its diagonal 2x2 mode
+    blocks G_ii and of |G_ij - G_01| over all its other blocks.
+
+    With this d, every split's pattern deviation, as ``_pattern_blocks``
+    computes it, is below 4 d. Each block it compares is compared with
+    G_00 or G_01, which differs from it by at most d as computed here, or
+    with another diagonal block or another block off the diagonal. By the
+    triangle inequality, and as each difference rounds once (unit
+    roundoff u = 2**-53), such a deviation is at most 2 d (1 + u) / (1 - u).
+    The lower-left cross blocks, which the split check skips, only make d
+    larger.
+    """
+    modes = len(matrix) // 2
+    # each pair of rows against G_01 tiled along it: whole rows, not 2-entry runs, per numpy loop
+    spread = matrix.reshape(modes, 2, 2 * modes) - np.tile(matrix[0:2, 2:4], modes)
+    grid, diagonal = matrix.reshape(modes, 2, modes, 2), np.arange(modes)
+    spread.reshape(modes, 2, modes, 2)[diagonal, :, diagonal, :] = (
+        grid[diagonal, :, diagonal, :] - grid[0, :, 0, :])
+    return float(np.abs(spread, out=spread).max())
 
 
 def _ndim(sizes) -> int:
@@ -829,7 +878,13 @@ def ole_scan(state) -> list[tuple[int, EntanglementReport]]:
     covariance matrix (any local basis); the first split that fails
     raises. The best split is ``max(scan, key=lambda item:
     item[1].log_negativity)``, which resolves ties to the smallest k; the
-    maximum is expected at the balanced split, k = floor(M/2)."""
+    maximum is expected at the balanced split, k = floor(M/2).
+
+    A matrix's splits are one ``equivalent_report_from_cm`` batch: one
+    bound over the matrix decides the pattern of every split of a fully
+    symmetric matrix, and only a matrix past it gets a pattern check per
+    split, so the scan of a fully symmetric matrix costs O(M^2), one pass
+    over it, and not O(M^3)."""
     if not isinstance(state, (FullySymmetricSpec, CovarianceMatrix)):
         raise InvalidArgumentError(
             f"expected a symmetric spec or covariance matrix, got {type(state)!r}"

@@ -445,7 +445,9 @@ def _checked_stack(batch: BisymmetricBatch) -> np.ndarray:
     else:
         stack = np.empty((len(batch.m), 2 * total, 2 * total))
         for m in ms:
-            rows = batch.m == m
+            rows = np.flatnonzero(batch.m == m)
+            if rows[-1] - rows[0] == len(rows) - 1:  # contiguous, as in the suite's (m+n, m) order
+                rows = slice(rows[0], rows[-1] + 1)
             stack[rows] = _assemble(m, total - m, batch.diagonals[..., rows])
     errors = _PointErrors(len(batch.m))
     errors.merge(batch.errors)

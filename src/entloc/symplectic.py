@@ -411,17 +411,17 @@ def _omega_times(matrix: np.ndarray) -> np.ndarray:
     return product
 
 
-def _antisymmetric_forms(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
-    """L^T Omega L of each matrix of a finite symmetric (K, 2N, 2N) stack,
-    with sigma = L L^T its Cholesky factorization.
+def _cholesky_factors(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """The factor L of sigma = L L^T, by Cholesky, of each matrix of a
+    finite symmetric (K, 2N, 2N) stack.
 
     A stacked ``cholesky`` fails as a whole if one matrix is not positive
     definite; the stack is then factored a matrix at a time, and each
     matrix that fails gets a NumericalDomainError in ``errors`` and the
-    identity as its factor, so its form is Omega.
+    identity as its factor.
     """
     try:
-        factors = np.linalg.cholesky(stack)
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         factors = np.empty_like(stack)
         for k, matrix in enumerate(stack):
@@ -430,6 +430,14 @@ def _antisymmetric_forms(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
             except np.linalg.LinAlgError:
                 factors[k] = np.eye(len(matrix))
                 errors.fail(k, NumericalDomainError("covariance matrix is not positive definite"))
+        return factors
+
+
+def _antisymmetric_forms(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
+    """L^T Omega L of each matrix of a finite symmetric (K, 2N, 2N) stack,
+    with L its ``_cholesky_factors``: a matrix that fails the factorization
+    has Omega as its form."""
+    factors = _cholesky_factors(stack, errors)
     return factors.swapaxes(1, 2) @ _omega_times(factors)
 
 
@@ -462,20 +470,34 @@ def _symplectic_spectra(stack: np.ndarray, errors: _PointErrors) -> np.ndarray:
     * any other matrix: the eigenvalues of i K (``_hermitian_spectra``).
 
     A matrix that fails the factorization has the identity as its factor
-    and Omega as its form, which either branch takes. The forms come from
-    a helper so that the factors are freed before the solvers run.
+    and Omega as its form, which either branch takes. So does a matrix
+    whose form is not finite, which only an overflow makes (see
+    ``_past_form_range``): it fails with a NumericalDomainError before
+    either solver runs. A finite form can still have a nu past float
+    range, which fails the same way and warns no more than the form does.
+    The forms come from a helper so that the factors are freed before the
+    solvers run.
     """
-    forms = _antisymmetric_forms(stack, errors)
     n = stack.shape[-1] // 2
-    correlated = stack[:, 0::2, 1::2].reshape(len(stack), n * n).any(axis=1)
-    count = np.count_nonzero(correlated)
-    if count == len(stack):
-        return _hermitian_spectra(forms)
-    if not count:  # every standard-form stack: no copy of the forms
-        return np.linalg.svd(forms[:, 0::2, 1::2], compute_uv=False)
-    nus = np.empty((len(stack), n))
-    nus[~correlated] = np.linalg.svd(forms[~correlated][:, 0::2, 1::2], compute_uv=False)
-    nus[correlated] = _hermitian_spectra(forms[correlated])
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is recorded instead
+        forms = _antisymmetric_forms(stack, errors)
+        finite = np.isfinite(forms).all(axis=(1, 2))
+        if not finite.all():
+            errors.record(~finite, lambda k: NumericalDomainError(
+                "overflow: L^T Omega L of the Cholesky factor L is out of float range"))
+            forms[~finite] = _omega_times(np.eye(2 * n))
+        correlated = stack[:, 0::2, 1::2].reshape(len(stack), n * n).any(axis=1)
+        count = np.count_nonzero(correlated)
+        if count == len(stack):
+            nus = _hermitian_spectra(forms)
+        elif not count:  # every standard-form stack: no copy of the forms
+            nus = np.linalg.svd(forms[:, 0::2, 1::2], compute_uv=False)
+        else:
+            nus = np.empty((len(stack), n))
+            nus[~correlated] = np.linalg.svd(forms[~correlated][:, 0::2, 1::2], compute_uv=False)
+            nus[correlated] = _hermitian_spectra(forms[correlated])
+    errors.record(~np.isfinite(nus).all(axis=1), lambda k: NumericalDomainError(
+        "overflow: a symplectic eigenvalue is out of float range"))
     return nus
 
 
@@ -513,10 +535,24 @@ def _uncertainty_holds(nus: np.ndarray, matrix: np.ndarray) -> bool:
     return not _below_vacuum(nus.min(), _scale(matrix))
 
 
+def _past_form_range(matrix: np.ndarray) -> bool:
+    """Whether L^T Omega L of a 2N x 2N matrix, sigma = L L^T, may be past
+    float range: its entries are at most tr sigma <= 2N |sigma|max, so
+    only from N |sigma|max = 2**1020 on. There ``_below_vacuum`` holds for
+    no nu >= 0, as its tolerance 1e-9 |sigma|max exceeds 1 for any N below
+    1e298, so the factorization alone decides whether sigma is a state: the
+    rule the invariant route applies to its cores past 2**1020."""
+    return len(matrix) // 2 * _scale(matrix) >= 2.0**1020
+
+
 def is_bona_fide(cm: CovarianceMatrix) -> bool:
     """Whether the matrix satisfies the uncertainty relation: sigma is
-    positive definite and ``_uncertainty_holds`` for its spectrum."""
+    positive definite and ``_uncertainty_holds`` for its spectrum, which
+    ``_past_form_range`` leaves to the factorization alone."""
     errors = _PointErrors(1)
+    if _past_form_range(cm.matrix):
+        _cholesky_factors(cm.matrix[None], errors)
+        return bool(errors.alive[0])
     nus = _symplectic_spectra(cm.matrix[None], errors)[0]
     return bool(errors.alive[0]) and _uncertainty_holds(nus, cm.matrix)
 

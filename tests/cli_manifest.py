@@ -79,6 +79,28 @@ def _pattern_rows(modes: int, alpha=ALPHA, eps=EPS) -> list:
             for i in range(2 * modes)]
 
 
+def _two_block_rows(m: int, n: int, alpha, eps, beta, zeta, gamma) -> list:
+    """The m | n two-block matrix of the 2x2 pattern blocks: ``alpha`` and
+    ``eps`` inside the first m modes, ``beta`` and ``zeta`` inside the last
+    n, ``gamma`` across (its transpose below the diagonal)."""
+    def block(i, j):
+        if (i < m) != (j < m):
+            return gamma if i < m else [list(col) for col in zip(*gamma)]
+        if i == j:
+            return alpha if i < m else beta
+        return eps if i < m else zeta
+
+    return [[repr(float(block(i // 2, j // 2)[i % 2][j % 2])) for j in range(2 * (m + n))]
+            for i in range(2 * (m + n))]
+
+
+def _perturbed(rows, i: int, j: int, delta: float) -> list:
+    """``rows`` with ``delta`` added to the entries (i, j) and (j, i)."""
+    rows = [list(row) for row in rows]
+    rows[i][j] = rows[j][i] = repr(float(rows[i][j]) + delta)
+    return rows
+
+
 def _csv(rows) -> str:
     return "\n".join(map(",".join, rows)) + "\n"
 
@@ -90,7 +112,7 @@ def _json_matrix(rows) -> str:
 
 def write_inputs(directory: Path) -> None:
     """The input files the entries name, written into ``directory``."""
-    pattern, general = _pattern_rows(8), _general_rows(2024, 4)
+    pattern, general, symmetric = _pattern_rows(8), _general_rows(2024, 4), _pattern_rows(24)
     texts = {
         "pattern.csv": _csv(pattern),
         "pattern.json": _json_matrix(pattern),
@@ -118,6 +140,15 @@ def write_inputs(directory: Path) -> None:
         "bispec.json": '{"m": 2, "n": 3, "a": 2.0, "e1": 0.3, "e2": -0.2, "b": 1.8, '
                        '"z1": 0.25, "z2": -0.15, "g1": 0.4, "g2": -0.35}',
         "list_spec.json": "[1, 2]",
+        # the 24-mode state of the matrix goldens; then with one x-p entry pair of the cross
+        # block of modes 3 and 17 moved by 2**-26, inside the pattern tolerance 1e-8 |sigma|max
+        # = 2.46e-8 but past a quarter of it, so that every split takes its own pattern check
+        "symmetric24.csv": _csv(symmetric),
+        "symmetric24_moved.csv": _csv(_perturbed(symmetric, 6, 35, 2.0**-26)),
+        # a 3 | 3 two-block state: its splits 1 | 5 and 2 | 4 are off its pattern
+        "two_block.csv": _csv(_two_block_rows(
+            3, 3, [[2.5, 0.25], [0.25, 2.0]], [[0.5, 0.125], [0.125, 0.25]],
+            [[3.0, -0.5], [-0.5, 2.5]], [[0.75, 0.0], [0.0, 0.5]], [[0.25, 0.125], [0.0625, 0.25]])),
     }
     for name, text in texts.items():
         (directory / name).write_text(text, encoding="utf-8")

@@ -21,7 +21,7 @@ from entloc.oracle import SpecSampler
 from entloc.states import bisymmetric_spec_from_json
 from oracle_helpers import random_bona_fide_cm
 import paper_formulas as pf
-from test_localization import NOT_STATES, _random_pattern_matrices
+from test_localization import NOT_STATES, _pattern_matrix, _random_pattern_matrices
 
 
 def run_cli(capsys, *argv):
@@ -731,15 +731,6 @@ def test_a_non_state_exits_2_on_both_routes(tmp_path, capsys):
     assert checked >= 40, checked
 
 
-def _pattern_matrix(m, n, alpha, eps, beta, zeta, gamma) -> np.ndarray:
-    """The m | n two-block matrix of the 2x2 pattern blocks."""
-    total = m + n
-    grid = np.empty((total, total, 2, 2))
-    grid[:m, :m], grid[m:, m:], grid[:m, m:], grid[m:, :m] = eps, zeta, gamma, np.transpose(gamma)
-    grid[range(m), range(m)], grid[range(m, total), range(m, total)] = alpha, beta
-    return grid.transpose(0, 2, 1, 3).reshape(2 * total, 2 * total)
-
-
 _WIDE, _CORRELATED = np.diag([0.3e308, 0.1e308]), np.array([[1.0, 0.3], [0.3, 1.0]]) * 0.85e308
 PAST_FLOAT_RANGE = [
     # at 5 | 1 the coupled core alpha + 4 eps is not finite, so it has no spectrum to take
@@ -771,6 +762,23 @@ def test_report_of_a_pattern_matrix_past_float_range_exit_code(tmp_path, capsys,
     code, out, err = run_cli(capsys, "report", "--cm", str(path), "--split", str(m), str(n))
     assert (code, out) == (3, "")
     assert err == "entloc: numerical failure: overflow: a 2x2 determinant is out of float range\n"
+
+
+@pytest.mark.parametrize("argv", [("spectrum",), ("report", "--split", "1", "3")])
+def test_a_state_past_the_dense_float_range_exit_code(tmp_path, capsys, argv):
+    """The ``[overflowing-form]`` state on the dense route: its L^T Omega L
+    is not finite, so its spectrum is a numerical failure (exit 3) with a
+    one-line message and no warning, where LAPACK's eigensolver used to
+    end in a traceback. It is a state, which ``is_bona_fide`` decides from
+    its factorization alone, so the split off its pattern is not exit 2."""
+    cm = el.CovarianceMatrix(_pattern_matrix(*PAST_FLOAT_RANGE[-1].values[0]))
+    assert el.is_bona_fide(cm) is True
+    path = tmp_path / "overflow.json"
+    el.save_cm(cm, path)
+    code, out, err = run_cli(capsys, argv[0], "--cm", str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == ("entloc: numerical failure: overflow: L^T Omega L of the Cholesky factor L is "
+                   "out of float range\n")
 
 
 def test_report_of_a_matrix_past_the_invariant_float_range_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -1102,3 +1103,122 @@ def test_ole_matches_exhaustive_oracle_scan():
     best_oracle = max(scan, key=lambda kv: kv[1])
     assert k_star == best_oracle[0]
     assert report.log_negativity == pytest.approx(best_oracle[1], rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The pattern bound of a matrix's split scan.
+# ---------------------------------------------------------------------------
+
+
+def _pattern_matrix(m, n, alpha, eps, beta, zeta, gamma) -> np.ndarray:
+    """The m | n two-block matrix of the 2x2 pattern blocks."""
+    total = m + n
+    grid = np.empty((total, total, 2, 2))
+    grid[:m, :m], grid[m:, m:], grid[:m, m:], grid[m:, :m] = eps, zeta, gamma, np.transpose(gamma)
+    grid[range(m), range(m)], grid[range(m, total), range(m, total)] = alpha, beta
+    return grid.transpose(0, 2, 1, 3).reshape(2 * total, 2 * total)
+
+
+def _symmetric_in_local_basis(modes: int, rng) -> np.ndarray:
+    """A fully symmetric state, with every nu at least 1.5, seen through
+    one x-p-correlating single-mode symplectic on every mode, each entry
+    pair then moved by up to 2**-51 of itself: its blocks are equal only to
+    within rounding, so that a split that read a block other than its own
+    would show."""
+    pure = traced_symmetric_spec(modes, 2, 1.7)
+    spec = el.FullySymmetricSpec(modes, pure.b + 0.5, pure.z1, pure.z2)
+    rotations = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+                 for t in rng.uniform(0.0, np.pi, size=2)]
+    local = rotations[0] @ np.diag([np.exp(0.4), np.exp(-0.4)]) @ rotations[1]
+    big = np.kron(np.eye(modes), local)
+    matrix = big.T @ el.fully_symmetric_cm(spec).matrix @ big
+    matrix = 0.5 * (matrix + matrix.T)
+    noise = rng.uniform(-1.0, 1.0, size=matrix.shape)
+    return matrix * (1.0 + (noise + noise.T) * 2.0**-52)
+
+
+def _scan_json(cm) -> str:
+    return json.dumps([(k, report.to_json_dict()) for k, report in el.ole_scan(cm)])
+
+
+def _counted_pattern_checks(monkeypatch) -> list:
+    """Patch ``_pattern_check`` to count its calls, in the list returned."""
+    calls, check = [], el.localization._pattern_check
+    monkeypatch.setattr(el.localization, "_pattern_check",
+                        lambda *args: calls.append(args[1:3]) or check(*args))
+    return calls
+
+
+@pytest.mark.portable(reason="both paths hand the kernel the same blocks, so they agree with any "
+                             "numpy build; the bound is elementwise subtraction and a maximum")
+@pytest.mark.parametrize("modes", [2, 3, 4, 12, 48, 200])
+def test_ole_scan_of_a_symmetric_matrix_takes_one_bound_and_matches_the_per_split_path(
+        monkeypatch, modes):
+    """A fully symmetric matrix's scan of more than one split reads every
+    split's blocks after one bound, with no per-split pattern check, and
+    gives the JSON of the path that checks each split (a scan of one split,
+    M = 2 and 3, takes that path itself)."""
+    cm = el.CovarianceMatrix(_symmetric_in_local_basis(modes, np.random.default_rng(modes)))
+    tol = TOL.PATTERN * max(1.0, float(np.abs(cm.matrix).max()))
+    assert 0.0 < 4.0 * el.localization._pattern_spread(cm.matrix) <= tol
+    calls = _counted_pattern_checks(monkeypatch)
+    bounded = _scan_json(cm)
+    assert len(calls) == (1 if modes < 4 else 0)
+    monkeypatch.setattr(el.localization, "_pattern_spread", lambda matrix: math.inf)
+    assert _scan_json(cm) == bounded
+    assert len(calls) == (1 if modes < 4 else 0) + modes // 2
+
+
+@pytest.mark.portable(reason="the bound and each pattern check are elementwise IEEE subtraction "
+                             "and a maximum; the messages print their values")
+@pytest.mark.parametrize("fraction, bounded", [(0.125, True), (0.5, False), (2.0, False)],
+                         ids=["tol/8", "tol/2", "2tol"])
+def test_a_moved_entry_pair_takes_the_bound_or_each_split_its_own_check(
+        monkeypatch, fraction, bounded):
+    """The x-p entry pair of mode 0's diagonal block, moved by tol/8, stays
+    within the bound; by tol/2, past it, so each split takes its own check
+    and passes; by 2 tol, split 1 | 11 (where mode 0 is a block alone)
+    passes and every other split fails with the message of its own check."""
+    modes = 12
+    matrix = _symmetric_in_local_basis(modes, np.random.default_rng(5))
+    tol = TOL.PATTERN * max(1.0, float(np.abs(matrix).max()))
+    matrix[0, 1] = matrix[1, 0] = matrix[0, 1] + fraction * tol
+    cm = el.CovarianceMatrix(matrix)
+    assert TOL.PATTERN * max(1.0, float(np.abs(matrix).max())) == tol
+    assert (4.0 * el.localization._pattern_spread(matrix) <= tol) == bounded
+    ks = list(range(1, modes // 2 + 1))
+    calls = _counted_pattern_checks(monkeypatch)
+    scan = el.equivalent_report_from_cm(cm, ks, [modes - k for k in ks])
+    assert len(calls) == (0 if bounded else len(ks))
+    for k, result in zip(ks, scan):
+        alone = el.equivalent_report_from_cm(cm, [k], [modes - k])[0]
+        if fraction < 1.0 or k == 1:
+            assert result == alone and not isinstance(result, Exception), k
+            continue
+        worst = _loop_pattern_deviation(matrix, k, modes - k)
+        assert worst > tol
+        message = (f"input is not block-permutation invariant: pattern deviation {worst:.3e} "
+                   f"exceeds tolerance {tol:.3e}")
+        assert isinstance(result, LocalizationError) and str(result) == str(alone) == message, k
+
+
+@pytest.mark.portable(reason="the failing splits fail their elementwise pattern checks, and the "
+                             "one that passes is compared with its own single-split call")
+def test_a_two_block_matrix_keeps_each_split_error_in_place(monkeypatch):
+    """A 3 | 3 two-block state is past the bound, so each split of its scan
+    takes its own check: 1 | 5 and 2 | 4 fail in place with their own
+    messages, 3 | 3 gets its report, and ``ole_scan`` raises 1 | 5's."""
+    cm = el.CovarianceMatrix(_pattern_matrix(3, 3, *map(np.array, (
+        [[2.5, 0.25], [0.25, 2.0]], [[0.5, 0.125], [0.125, 0.25]], [[3.0, -0.5], [-0.5, 2.5]],
+        [[0.75, 0.0], [0.0, 0.5]], [[0.25, 0.125], [0.0625, 0.25]]))))
+    calls = _counted_pattern_checks(monkeypatch)
+    scan = el.equivalent_report_from_cm(cm, [1, 2, 3], [5, 4, 3])
+    assert calls == [(1, 5), (2, 4), (3, 3)]
+    alone = [el.equivalent_report_from_cm(cm, [k], [6 - k])[0] for k in (1, 2, 3)]
+    assert [type(result) for result in scan] == [LocalizationError, LocalizationError,
+                                                 el.EntanglementReport]
+    assert [str(result) for result in scan[:2]] == [str(result) for result in alone[:2]]
+    assert scan[2] == alone[2]
+    with pytest.raises(LocalizationError) as excinfo:
+        el.ole_scan(cm)
+    assert str(excinfo.value) == str(scan[0])

@@ -98,6 +98,26 @@ def test_is_bona_fide_decides_a_matrix_with_no_factor_from_a_value():
     assert (decision, unreachable) == (False, 0)
 
 
+def test_a_spectrum_past_float_range_fails_as_a_value():
+    """A state whose L^T Omega L overflows fails before either solver runs,
+    and the finite form of its 1 | 3 partial transpose, whose largest nu
+    overflows in the eigenvalue difference, fails after it; neither
+    warns, and the other row of the stack keeps its spectrum."""
+    big = np.array([[1.0, 0.3], [0.3, 1.0]]) * 0.85e308
+    grid = np.empty((4, 4, 2, 2))
+    grid[:, :] = 0.9 * big
+    grid[:2, 2:], grid[2:, :2] = 0.8 * big, 0.8 * big
+    grid[range(4), range(4)] = big
+    matrix = grid.transpose(0, 2, 1, 3).reshape(8, 8)
+    transpose = el.partial_transpose(el.CovarianceMatrix(matrix), el.ModeBipartition.contiguous(1, 3))
+    vacuum = np.eye(8)
+    nus, errors = _kernel(np.array([matrix, transpose.matrix, vacuum]))
+    assert [str(error) for error in errors.errors[:2]] == [
+        "overflow: L^T Omega L of the Cholesky factor L is out of float range",
+        "overflow: a symplectic eigenvalue is out of float range"]
+    assert errors.errors[2] is None and nus[2].tolist() == [1.0] * 4
+
+
 def test_is_bona_fide_ghz_family():
     # dense-eigensolver oracle agrees with the physicality decision
     for b in (1.0, 1.3, 2.5, 4.0):
