@@ -595,7 +595,7 @@ def williamson(cm: CovarianceMatrix):
     Raises
     ------
     NumericalDomainError
-        If sigma is not positive definite.
+        If sigma is not positive definite, or K is past float range.
     DecompositionError
         If the reconstruction residual exceeds ``TOL.RECONSTRUCTION``
         relative to the largest input entry, or S is not symplectic within
@@ -603,12 +603,16 @@ def williamson(cm: CovarianceMatrix):
     """
     m = cm.matrix
     n = cm.modes
-    try:
-        factor = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NumericalDomainError("covariance matrix is not positive definite") from None
+    errors = _PointErrors(1)
+    factor = _cholesky_factors(m[None], errors)[0]
+    _raise_first(errors.errors)
+    with np.errstate(over="ignore", invalid="ignore"):  # a form past float range raises below
+        form = factor.T @ _omega_times(factor)
+    if not np.isfinite(form).all():
+        raise NumericalDomainError(
+            "overflow: L^T Omega L of the Cholesky factor L is out of float range")
 
-    w, u = np.linalg.eigh(1j * (factor.T @ _omega_times(factor)))
+    w, u = np.linalg.eigh(1j * form)
     nus = w[n:][::-1]
     u = u[:, n:][:, ::-1]
     q = np.empty((2 * n, 2 * n))
@@ -717,12 +721,16 @@ def two_mode_invariants(cm: CovarianceMatrix) -> TwoModeInvariants:
 # entries alone go through ``float_reprs``, which formats each distinct
 # float once: at M = 48, split 24|24, a local symplectic holds 83
 # distinct values in 9216 entries and the reduced matrix ``cm_final``,
-# exactly zero off its skeleton, 16. Elsewhere (a sweep column, a
-# spectrum) nearly every value is distinct, and de-duplicating costs more
-# than it saves. The texts equal ``json.dumps`` and the per-entry ``repr``
-# CSV byte for byte, also for non-finite entries (JSON NaN, Infinity; CSV
-# nan, inf, as repr spells them). The text writers take the strings, so
-# one formatting can feed several.
+# exactly zero off its skeleton, 16. It finds them by one sort of the
+# entries' bits and a ``searchsorted`` of each entry, not by ``np.unique``
+# with its inverse, which sorts indices and costs two to four times as
+# much. Elsewhere (a sweep column, a spectrum) nearly every value is
+# distinct, and de-duplicating costs more than it saves. The texts equal
+# ``json.dumps`` and the per-entry ``repr`` CSV byte for byte, also for
+# non-finite entries (JSON NaN, Infinity; CSV nan, inf, as repr spells
+# them); a matrix's JSON entries are joined once, and re-spelled only if
+# the joined text holds an n, which no finite repr does. The text writers
+# take the strings, so one formatting can feed several.
 # Readers parse each distinct cell text once, through a ``_CellParser``
 # made for the one read: the paper's matrices repeat five 2x2 pattern
 # blocks, so a 48-mode file holds a handful of distinct texts in 9216
@@ -753,12 +761,21 @@ def float_reprs(values, fmt: str = "%r") -> np.ndarray:
 
     Each distinct bit pattern is formatted once, which pays where values
     repeat, as in a matrix. The key is the bits, not the value: 0.0 and
-    -0.0 compare equal but print differently.
+    -0.0 compare equal but print differently, and NaNs with different
+    payloads stay apart. One sort of the bits gives the distinct keys,
+    where adjacent keys differ, and ``searchsorted`` finds each entry's
+    text among them. ``np.unique(..., return_inverse=True)`` gives the
+    same texts in two to four times the time on a matrix: it sorts
+    indices rather than keys, then scatters the inverse back.
     """
-    flat = np.asarray(values, dtype=float).ravel()
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    texts = _float_texts(bits.view(np.float64).tolist(), fmt)
-    return np.array(texts, dtype=object)[inverse].reshape(np.shape(values))
+    bits = np.asarray(values, dtype=float).ravel().view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    texts = _float_texts(keys.view(np.float64).tolist(), fmt)
+    return np.array(texts, dtype=object)[np.searchsorted(keys, bits)].reshape(np.shape(values))
 
 
 def matrix_to_json_dict(matrix: np.ndarray) -> dict:
@@ -778,10 +795,22 @@ def _json_entry_texts(texts: list) -> list:
     return texts
 
 
+def _json_entries_joined(reprs: np.ndarray, separator: str) -> str:
+    """The JSON numbers of a matrix's ``float_reprs``, joined by
+    ``separator``, which holds no n. The reprs are joined once and the
+    join is scanned for an n, which no finite repr holds; only then are
+    nan and +-inf spelled as ``json.dumps`` spells them."""
+    texts = reprs.ravel().tolist()
+    joined = separator.join(texts)
+    if "n" in joined:
+        joined = separator.join([_JSON_NON_FINITE.get(text, text) for text in texts])
+    return joined
+
+
 def _json_matrix_text(reprs: np.ndarray) -> str:
     """``json.dumps(matrix_to_json_dict(matrix))``, one line, from the
     matrix's ``float_reprs``."""
-    entries = ", ".join(_json_entry_texts(reprs.ravel().tolist()))
+    entries = _json_entries_joined(reprs, ", ")
     return f'{{"modes": {len(reprs) // 2}, "entries": [{entries}]}}'
 
 
@@ -829,8 +858,8 @@ def _indented_json(obj, newline: str = "\n") -> str:
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         members = [f"{json.encoder.encode_basestring_ascii(key)}: {_indented_json(value, inner)}"
                    for key, value in sorted(obj.items())]
-    elif isinstance(obj, np.ndarray):
-        members = _json_entry_texts(obj.ravel().tolist())
+    elif isinstance(obj, np.ndarray):  # all entries as one member; none for an empty array
+        members = [_json_entries_joined(obj, "," + inner)] if obj.size else []
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {float}:
             members = _json_entry_texts(_float_texts(obj))

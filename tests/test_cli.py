@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import hashlib
@@ -708,6 +709,42 @@ def test_report_dense_fallback_leaves_no_reference_cycle(tmp_path, monkeypatch, 
         finally:
             gc.enable()
         assert (code, unreachable) == (expected, 0), argv
+
+
+# runs each argv of its command line through ``main`` in one process and
+# prints, per call, the exit code and what ``gc.collect()`` found unreachable
+UNREACHABLE_PER_CALL = """
+import contextlib, gc, io, sys
+from entloc.cli import main
+
+def call(argv):
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv.split())
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+print(repr([call(argv) for argv in sys.argv[1:]]))
+"""
+
+
+def test_after_the_first_call_no_cli_call_leaves_unreachable_objects():
+    """In a fresh process the first CLI call, whatever it is, leaves
+    objects for the garbage collector: numpy's and the CLI's lazy set-up.
+    After one warm-up call, an exit-0 call and an exit-3 call each leave
+    none, so the exit-3 failure keeps no reference cycle of its own."""
+    result = subprocess.run(
+        [sys.executable, "-c", UNREACHABLE_PER_CALL, "report --modes 4 --b 2 --k 1",
+         "report --modes 6 --b 1.5 --k 2", "report --modes 6 --b 1e76 --k 2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert ast.literal_eval(result.stdout)[1:] == [(0, 0), (3, 0)]
 
 
 def test_a_non_state_exits_2_on_both_routes(tmp_path, capsys):

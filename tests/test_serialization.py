@@ -14,6 +14,7 @@ import weakref
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,13 @@ json_values = st.recursive(
 )
 
 
+# the writers' texts against the stdlib's texts of the same Python values
+WRITER_TEXTS = pytest.mark.portable(
+    reason="the texts come from Python's float formatting and from numpy's exact integer sort, "
+           "not from a LAPACK build")
+
+
+@WRITER_TEXTS
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 def test_json_text_equals_indented_stdlib(obj):
@@ -62,6 +70,7 @@ JSON_LEAVES = [
 ]
 
 
+@WRITER_TEXTS
 def test_json_scalar_leaves_are_spelled_as_the_stdlib_spells_them():
     """Each scalar leaf, alone, in a list and as a dict value, and the
     nested empty containers, give ``json.dumps``'s text byte for byte;
@@ -98,6 +107,7 @@ def _old_json(matrix):
     return json.dumps({"modes": matrix.shape[0] // 2, "entries": [float(x) for x in matrix.ravel()]})
 
 
+@WRITER_TEXTS
 @settings(max_examples=300, deadline=None)
 @given(matrices(finite=False))
 def test_matrix_texts_equal_per_entry_formulas(matrix):
@@ -110,6 +120,41 @@ def test_matrix_texts_equal_per_entry_formulas(matrix):
     assert _json_text({"entries": entries}) == json.dumps({"entries": entries}, indent=2) + "\n"
 
 
+# NaNs with different payload and sign bits, quiet and signalling, as bits
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x7FF8000000000ABC, 0xFFF0000000000123], dtype=np.uint64).view(np.float64)
+NON_FINITE = np.concatenate([NANS, [math.inf, -math.inf]])
+# the non-finite values, signed zeros, subnormals, the smallest normal and two plain values
+SPECIAL_ENTRIES = np.concatenate([NON_FINITE, [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                               2.2250738585072014e-308, 1.0, 0.1]])
+
+
+@WRITER_TEXTS
+@pytest.mark.parametrize("fmt", ["%r", "%.17g", "%.6g"])  # repr and reports_to_csv_text's two
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (1,), (37,), (1, 1), (6, 10)])
+def test_float_reprs_equal_fmt_per_entry(fmt, shape):
+    """Each entry's text is ``fmt % v`` of its own value, however often its
+    value or its NaN and zero bits repeat, with the array's shape kept."""
+    rng = np.random.default_rng(len(fmt) * 100 + int(np.prod(shape)))
+    pool = np.concatenate([SPECIAL_ENTRIES, rng.standard_normal(8) * 10.0 ** rng.integers(-8, 20, 8)])
+    values = rng.choice(pool, size=shape)
+    texts = float_reprs(values, fmt)
+    assert texts.shape == values.shape and texts.dtype == object
+    assert texts.ravel().tolist() == [fmt % v for v in values.ravel().tolist()]
+
+
+@WRITER_TEXTS
+@pytest.mark.parametrize("matrix", [np.empty((0, 0)), NON_FINITE[[5, 6, 6, 5]].reshape(2, 2),
+                                    np.resize(NON_FINITE, (4, 4))], ids=["empty", "inf", "nan-inf"])
+def test_json_matrix_writers_without_finite_entries_equal_json_dumps(matrix):
+    """The one-line and the indented writers spell a matrix with no entry,
+    and one with no finite entry, as ``json.dumps`` does."""
+    reprs, entries = float_reprs(matrix), matrix.ravel().tolist()
+    assert _json_matrix_text(reprs) == json.dumps({"modes": len(matrix) // 2, "entries": entries})
+    assert _json_text({"entries": reprs.ravel()}) == json.dumps({"entries": entries}, indent=2) + "\n"
+
+
+@WRITER_TEXTS
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_covariance_csv_equals_per_entry_repr(matrix):

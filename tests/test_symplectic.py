@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import mpmath as mp
 import numpy as np
@@ -98,17 +99,22 @@ def test_is_bona_fide_decides_a_matrix_with_no_factor_from_a_value():
     assert (decision, unreachable) == (False, 0)
 
 
-def test_a_spectrum_past_float_range_fails_as_a_value():
-    """A state whose L^T Omega L overflows fails before either solver runs,
-    and the finite form of its 1 | 3 partial transpose, whose largest nu
-    overflows in the eigenvalue difference, fails after it; neither
-    warns, and the other row of the stack keeps its spectrum."""
+def _past_float_range_state():
+    """An 8 x 8 state near the top of float range whose L^T Omega L overflows."""
     big = np.array([[1.0, 0.3], [0.3, 1.0]]) * 0.85e308
     grid = np.empty((4, 4, 2, 2))
     grid[:, :] = 0.9 * big
     grid[:2, 2:], grid[2:, :2] = 0.8 * big, 0.8 * big
     grid[range(4), range(4)] = big
-    matrix = grid.transpose(0, 2, 1, 3).reshape(8, 8)
+    return grid.transpose(0, 2, 1, 3).reshape(8, 8)
+
+
+def test_a_spectrum_past_float_range_fails_as_a_value():
+    """A state whose L^T Omega L overflows fails before either solver runs,
+    and the finite form of its 1 | 3 partial transpose, whose largest nu
+    overflows in the eigenvalue difference, fails after it; neither
+    warns, and the other row of the stack keeps its spectrum."""
+    matrix = _past_float_range_state()
     transpose = el.partial_transpose(el.CovarianceMatrix(matrix), el.ModeBipartition.contiguous(1, 3))
     vacuum = np.eye(8)
     nus, errors = _kernel(np.array([matrix, transpose.matrix, vacuum]))
@@ -116,6 +122,20 @@ def test_a_spectrum_past_float_range_fails_as_a_value():
         "overflow: L^T Omega L of the Cholesky factor L is out of float range",
         "overflow: a symplectic eigenvalue is out of float range"]
     assert errors.errors[2] is None and nus[2].tolist() == [1.0] * 4
+
+
+def test_williamson_of_a_form_past_float_range_fails_as_a_value():
+    """``williamson`` forms L^T Omega L as the spectrum kernel does and
+    raises the kernel's error before the eigensolver when the form is not
+    finite; it used to warn of the overflow and fail inside ``eigh``.
+    The finite form of the partial transpose still decomposes."""
+    matrix = _past_float_range_state()
+    message = "overflow: L^T Omega L of the Cholesky factor L is out of float range"
+    with pytest.raises(NumericalDomainError, match=re.escape(message)):
+        el.williamson(el.CovarianceMatrix(matrix))
+    transpose = el.partial_transpose(el.CovarianceMatrix(matrix), el.ModeBipartition.contiguous(1, 3))
+    s, spectrum = el.williamson(transpose)
+    assert np.isfinite(s).all() and np.isfinite(spectrum.values).all()
 
 
 def test_is_bona_fide_ghz_family():
